@@ -1,7 +1,7 @@
 // Cold vs warm wall time for the incremental analysis cache: runs the
-// supervised ip corpus once against an empty --cache-dir (cold: every
-// shard spawns a worker and stores its entry) and once against the
-// populated cache (warm: every shard is a hit, no workers at all), and
+// supervised ip corpus once against an empty --cache-dir (cold: one
+// worker analyzes the program and its entry is stored) and once against
+// the populated cache (warm: one hit, no worker at all), and
 // emits BENCH_cache.json with both times and the speedup. Exits
 // non-zero if the warm run missed the cache or changed the report —
 // a benchmark that silently measured the wrong thing is worse than
@@ -48,17 +48,16 @@ RunResult timedRun(const std::vector<std::string>& files,
   CacheManager cache(cache_options, &registry);
   SupervisorOptions opts;
   opts.worker_exe = SAFEFLOW_EXE;
-  opts.jobs = 4;
   opts.cache = &cache;
   Supervisor sup(opts, &registry);
 
   const auto start = std::chrono::steady_clock::now();
-  const MergedReport merged = sup.run(files);
+  const SupervisedRun run = sup.run(files);
   const auto end = std::chrono::steady_clock::now();
 
   RunResult result;
   result.seconds = std::chrono::duration<double>(end - start).count();
-  result.render = merged.render();
+  result.render = run.output.stdout_text;
   result.hits = registry.counterValue("cache.hits");
   result.spawned = registry.counterValue("supervisor.workers_spawned");
   return result;
@@ -90,12 +89,12 @@ int main(int argc, char** argv) {
   (void)std::system(scrub.c_str());
 
   bool ok = true;
-  if (cold.hits != 0 || cold.spawned != files.size()) {
+  if (cold.hits != 0 || cold.spawned != 1) {
     std::cerr << "cache_micro: cold run was not cold (hits=" << cold.hits
               << ", spawned=" << cold.spawned << ")\n";
     ok = false;
   }
-  if (warm.hits != files.size() || warm.spawned != 0) {
+  if (warm.hits != 1 || warm.spawned != 0) {
     std::cerr << "cache_micro: warm run was not fully warm (hits="
               << warm.hits << ", spawned=" << warm.spawned << ")\n";
     ok = false;
@@ -111,7 +110,6 @@ int main(int argc, char** argv) {
   out << "{\n"
       << "  \"bench\": \"cache_micro\",\n"
       << "  \"files\": " << files.size() << ",\n"
-      << "  \"jobs\": 4,\n"
       << "  \"cold_seconds\": " << cold.seconds << ",\n"
       << "  \"warm_seconds\": " << warm.seconds << ",\n"
       << "  \"speedup\": " << speedup << ",\n"

@@ -1,7 +1,7 @@
 // Microbenchmarks for the out-of-process supervisor: what does crash
 // isolation cost? Compares in-process analysis of a file against a
-// supervised run of the same file (fork/exec + JSON round-trip + merge)
-// and measures how the supervised corpus run scales with --jobs.
+// supervised run of the same file (fork/exec + JSON envelope round
+// trip).
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -17,15 +17,6 @@ using namespace safeflow;
 
 const std::string kCorpus = SAFEFLOW_CORPUS_DIR;
 
-std::vector<std::string> ipCoreFiles() {
-  return {
-      kCorpus + "/ip/core/comm.c",      kCorpus + "/ip/core/decision.c",
-      kCorpus + "/ip/core/filter.c",    kCorpus + "/ip/core/main.c",
-      kCorpus + "/ip/core/safety.c",    kCorpus + "/ip/core/selftest.c",
-      kCorpus + "/ip/core/telemetry.c",
-  };
-}
-
 void BM_InProcessSingleFile(benchmark::State& state) {
   const std::string file = kCorpus + "/running_example/core.c";
   for (auto _ : state) {
@@ -39,7 +30,7 @@ BENCHMARK(BM_InProcessSingleFile)->Unit(benchmark::kMillisecond);
 
 void BM_SupervisedSingleFile(benchmark::State& state) {
   // The delta vs BM_InProcessSingleFile is the isolation overhead:
-  // fork/exec, pipe capture, JSON render + reparse, merge.
+  // fork/exec, pipe capture, JSON envelope render + reparse.
   const std::vector<std::string> files = {kCorpus +
                                           "/running_example/core.c"};
   SupervisorOptions opts;
@@ -51,25 +42,6 @@ void BM_SupervisedSingleFile(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SupervisedSingleFile)->Unit(benchmark::kMillisecond);
-
-void BM_SupervisedCorpusByJobs(benchmark::State& state) {
-  const auto files = ipCoreFiles();
-  SupervisorOptions opts;
-  opts.worker_exe = SAFEFLOW_EXE;
-  opts.jobs = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    support::MetricsRegistry registry;
-    Supervisor sup(opts, &registry);
-    benchmark::DoNotOptimize(sup.run(files));
-  }
-  state.counters["files"] = static_cast<double>(files.size());
-}
-BENCHMARK(BM_SupervisedCorpusByJobs)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

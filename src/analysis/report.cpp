@@ -5,9 +5,12 @@
 #include <set>
 #include <sstream>
 
+#include "support/json.h"
 #include "support/source_manager.h"
 
 namespace safeflow::analysis {
+
+using support::json::escape;
 
 std::size_t SafeFlowReport::dataErrorCount() const {
   return static_cast<std::size_t>(std::count_if(
@@ -28,27 +31,6 @@ std::string dotEscape(std::string s) {
   return s;
 }
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 }  // namespace
 
 void SafeFlowReport::deduplicate(const support::SourceManager& sm) {
@@ -95,16 +77,15 @@ void SafeFlowReport::deduplicate(const support::SourceManager& sm) {
 }
 
 std::string SafeFlowReport::renderJson(
-    const support::SourceManager& sm, const std::string& stats_json,
-    bool worker_protocol, const std::string& telemetry_json) const {
+    const support::SourceManager& sm, const std::string& stats_json) const {
   std::ostringstream out;
   out << "{\n  \"schema_version\": 1,\n  \"warnings\": [";
   for (std::size_t i = 0; i < warnings.size(); ++i) {
     const UnsafeAccessWarning& w = warnings[i];
     out << (i == 0 ? "\n" : ",\n") << "    {\"location\": \""
-        << jsonEscape(sm.describe(w.location)) << "\", \"function\": \""
-        << jsonEscape(w.function) << "\", \"region\": \""
-        << jsonEscape(w.region_name) << "\"";
+        << escape(sm.describe(w.location)) << "\", \"function\": \""
+        << escape(w.function) << "\", \"region\": \""
+        << escape(w.region_name) << "\"";
     if (w.offset_known) {
       out << ", \"bytes\": [" << w.offset_lo << ", " << w.offset_hi << "]";
     }
@@ -118,18 +99,18 @@ std::string SafeFlowReport::renderJson(
         << (e.kind == CriticalDependencyError::Kind::kData ? "data"
                                                            : "control")
         << "\", \"location\": \""
-        << jsonEscape(sm.describe(e.assert_location))
-        << "\", \"function\": \"" << jsonEscape(e.function)
-        << "\", \"critical\": \"" << jsonEscape(e.critical_value)
+        << escape(sm.describe(e.assert_location))
+        << "\", \"function\": \"" << escape(e.function)
+        << "\", \"critical\": \"" << escape(e.critical_value)
         << "\", \"regions\": [";
     for (std::size_t r = 0; r < e.region_names.size(); ++r) {
-      out << (r == 0 ? "" : ", ") << "\"" << jsonEscape(e.region_names[r])
+      out << (r == 0 ? "" : ", ") << "\"" << escape(e.region_names[r])
           << "\"";
     }
     out << "], \"sources\": [";
     for (std::size_t s = 0; s < e.source_loads.size(); ++s) {
       out << (s == 0 ? "" : ", ") << "\""
-          << jsonEscape(sm.describe(e.source_loads[s])) << "\"";
+          << escape(sm.describe(e.source_loads[s])) << "\"";
     }
     out << "]}";
   }
@@ -138,9 +119,9 @@ std::string SafeFlowReport::renderJson(
   for (std::size_t i = 0; i < restriction_violations.size(); ++i) {
     const RestrictionViolation& v = restriction_violations[i];
     out << (i == 0 ? "\n" : ",\n") << "    {\"rule\": \""
-        << jsonEscape(v.rule) << "\", \"location\": \""
-        << jsonEscape(sm.describe(v.location)) << "\", \"message\": \""
-        << jsonEscape(v.message) << "\"}";
+        << escape(v.rule) << "\", \"location\": \""
+        << escape(sm.describe(v.location)) << "\", \"message\": \""
+        << escape(v.message) << "\"}";
   }
   out << (restriction_violations.empty() ? "]" : "\n  ]");
   out << ",\n  \"asserts_checked\": " << asserts_checked
@@ -151,7 +132,7 @@ std::string SafeFlowReport::renderJson(
   if (!degraded_phases.empty()) {
     out << ",\n  \"degraded\": true,\n  \"degraded_phases\": [";
     for (std::size_t i = 0; i < degraded_phases.size(); ++i) {
-      out << (i == 0 ? "" : ", ") << "\"" << jsonEscape(degraded_phases[i])
+      out << (i == 0 ? "" : ", ") << "\"" << escape(degraded_phases[i])
           << "\"";
     }
     out << "]";
@@ -159,18 +140,8 @@ std::string SafeFlowReport::renderJson(
   if (!failed_files.empty()) {
     out << ",\n  \"failed_files\": [";
     for (std::size_t i = 0; i < failed_files.size(); ++i) {
-      out << (i == 0 ? "" : ", ") << "\"" << jsonEscape(failed_files[i])
+      out << (i == 0 ? "" : ", ") << "\"" << escape(failed_files[i])
           << "\"";
-    }
-    out << "]";
-  }
-  if (worker_protocol) {
-    // Worker-protocol extras: fields the public schema omits but the
-    // supervisor needs to reconstruct the in-process text rendering.
-    out << ",\n  \"required_runtime_checks\": [";
-    for (std::size_t i = 0; i < required_runtime_checks.size(); ++i) {
-      out << (i == 0 ? "" : ", ") << "\""
-          << jsonEscape(required_runtime_checks[i]) << "\"";
     }
     out << "]";
   }
@@ -183,15 +154,6 @@ std::string SafeFlowReport::renderJson(
       if (c == '\n') indented += "  ";
     }
     out << ",\n  \"stats\": " << indented;
-  }
-  if (worker_protocol && !telemetry_json.empty()) {
-    std::string indented;
-    indented.reserve(telemetry_json.size());
-    for (char c : telemetry_json) {
-      indented += c;
-      if (c == '\n') indented += "  ";
-    }
-    out << ",\n  \"telemetry\": " << indented;
   }
   out << "\n}\n";
   return out.str();

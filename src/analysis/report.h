@@ -91,20 +91,10 @@ struct SafeFlowReport {
   /// keys, schema_version field). When `stats_json` is non-empty it must
   /// be a pre-rendered JSON object (SafeFlowStats::renderJson()); it is
   /// embedded verbatim as the report's "stats" member so `--json` output
-  /// carries the same stats object `--stats-json` writes. When
-  /// `worker_protocol` is set (the `--worker` path only) the document
-  /// additionally carries "required_runtime_checks", which the public
-  /// schema omits; the supervisor needs it to reproduce the in-process
-  /// text report from per-worker documents. `telemetry_json`, when
-  /// non-empty, must be a pre-rendered JSON object and is embedded as
-  /// the document's "telemetry" member (worker protocol only): clock
-  /// epoch, resource usage, and trace spans the supervisor stitches
-  /// into the merged timeline (DESIGN.md §13).
+  /// carries the same stats object `--stats-json` writes.
   [[nodiscard]] std::string renderJson(
       const support::SourceManager& sm,
-      const std::string& stats_json = {},
-      bool worker_protocol = false,
-      const std::string& telemetry_json = {}) const;
+      const std::string& stats_json = {}) const;
 };
 
 }  // namespace safeflow::analysis

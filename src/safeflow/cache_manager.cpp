@@ -17,29 +17,7 @@ namespace {
 
 /// Envelope schema; bumped independently of kAnalyzerVersion when the
 /// entry layout itself changes.
-constexpr std::uint64_t kCacheSchema = 1;
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+constexpr std::uint64_t kCacheSchema = 2;
 
 std::optional<std::string> readFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -101,41 +79,37 @@ CacheManager::CacheManager(CacheOptions options,
   if (std::getenv("SAFEFLOW_INJECT_FAULT") != nullptr) {
     disable("fault-injection");
   }
-  // Crash recovery: a writer killed between open() and rename() leaves
-  // a *.tmp file behind. Old ones are garbage; the age discipline in
-  // sweepStrayTemps leaves a live concurrent writer's temp alone.
-  if (options_.enabled) {
-    const std::uint64_t swept = disk_.sweepStrayTemps();
-    if (swept > 0) {
-      count("cache.temps_swept", swept);
-      SAFEFLOW_LOG(support::LogLevel::kNote, "cache",
-                   "note: swept stale cache temp files",
-                   {{"count", std::to_string(swept)},
-                    {"dir", options_.dir}});
-    }
-    // Verify-and-purge: a write torn by a killed process or a power cut
-    // fails its envelope checksum and is removed before it can be
-    // served. Each purge gets the same diagnostic a lookup-time
-    // corruption would, and is counted so the chaos soak can assert
-    // detection happened.
-    if (options_.verify_on_open) {
-      std::vector<std::string> purged_paths;
-      const std::uint64_t purged = disk_.verifyEntries(&purged_paths);
-      if (purged > 0) {
-        count("cache.torn_entries_purged", purged);
-        count("cache.corrupt", purged);
-        support::flightRecord("cache",
-                              "purged " + std::to_string(purged) +
-                                  " torn entr(ies) at open");
-        for (const std::string& path : purged_paths) {
-          SAFEFLOW_LOG(support::LogLevel::kWarn, "cache",
-                       "cache entry " + path +
-                           " is corrupt (torn or truncated on disk); "
-                           "falling back to cold analysis",
-                       {{"dir", options_.dir}});
-        }
-      }
-    }
+}
+
+void CacheManager::recover() {
+  if (!options_.enabled) return;
+  // A writer killed between open() and rename() leaves a *.tmp file
+  // behind. Old ones are garbage; the age discipline in sweepStrayTemps
+  // leaves a live concurrent writer's temp alone.
+  const std::uint64_t swept = disk_.sweepStrayTemps();
+  if (swept > 0) {
+    count("cache.temps_swept", swept);
+    SAFEFLOW_LOG(support::LogLevel::kNote, "cache",
+                 "note: swept stale cache temp files",
+                 {{"count", std::to_string(swept)}, {"dir", options_.dir}});
+  }
+  // Verify-and-purge: a write torn by a killed process or a power cut
+  // fails its envelope checksum and is removed before it can be served.
+  // Each purge gets the same diagnostic a lookup-time corruption would,
+  // and is counted so the chaos soak can assert detection happened.
+  std::vector<std::string> purged_paths;
+  const std::uint64_t purged = disk_.verifyEntries(&purged_paths);
+  if (purged == 0) return;
+  count("cache.torn_entries_purged", purged);
+  count("cache.corrupt", purged);
+  support::flightRecord("cache", "purged " + std::to_string(purged) +
+                                     " torn entr(ies) at open");
+  for (const std::string& path : purged_paths) {
+    SAFEFLOW_LOG(support::LogLevel::kWarn, "cache",
+                 "cache entry " + path +
+                     " is corrupt (torn or truncated on disk); "
+                     "falling back to cold analysis",
+                 {{"dir", options_.dir}});
   }
 }
 
@@ -229,7 +203,6 @@ void CacheManager::hashFileClosure(const std::string& path,
 
 std::string CacheManager::keyFor(
     const std::vector<std::string>& files) const {
-  const std::lock_guard<std::mutex> lock(closure_mu_);
   support::Fnv1a hasher;
   hasher.update("safeflow-cache-schema:");
   hasher.update(std::to_string(kCacheSchema));
@@ -252,8 +225,7 @@ std::string CacheManager::keyFor(
   return hasher.hex();
 }
 
-std::optional<CachedResult> CacheManager::lookup(const std::string& key) {
-  const std::lock_guard<std::mutex> lock(mu_);
+std::optional<RunOutput> CacheManager::lookup(const std::string& key) {
   support::DiskCache::LookupResult checked = disk_.lookupChecked(key);
   if (checked.status == support::DiskCache::LookupStatus::kMiss) {
     count("cache.misses");
@@ -263,13 +235,13 @@ std::optional<CachedResult> CacheManager::lookup(const std::string& key) {
     return std::nullopt;
   }
 
-  // Anything short of a fully valid envelope is "corrupt": diagnose,
-  // purge, and fall back to a cold run. Never a crash, never a wrong
-  // report. A storage-layer checksum failure (torn/truncated write) is
+  // Anything short of a fully valid entry is "corrupt": diagnose, purge,
+  // and fall back to a cold run. Never a crash, never a wrong report. A
+  // storage-layer checksum failure (torn/truncated write) is
   // additionally counted under cache.torn_entries_purged.
   std::string why;
   support::json::Value doc;
-  CachedResult result;
+  RunOutput result;
   std::string parse_error;
   if (checked.status == support::DiskCache::LookupStatus::kTorn) {
     why = "torn or truncated on disk";
@@ -283,23 +255,9 @@ std::optional<CachedResult> CacheManager::lookup(const std::string& key) {
     why = "analyzer version mismatch";
   } else if (doc.memberString("key") != key) {
     why = "key echo mismatch";
-  } else if (const support::json::Value* exit_code = doc.find("exit_code");
-             exit_code == nullptr || !exit_code->isNumber() ||
-             exit_code->number_value < 0 || exit_code->number_value > 3) {
-    why = "exit code out of range";
-  } else if (const support::json::Value* report = doc.find("report");
-             report == nullptr || !report->isObject() ||
-             report->find("schema_version") == nullptr) {
-    why = "missing report document";
-  } else {
-    result.exit_code = static_cast<int>(doc.memberNumber("exit_code"));
-    result.stderr_text = doc.memberString("stderr");
-    for (auto& [name, value] : doc.members) {
-      if (name == "report") {
-        result.report = std::move(value);
-        break;
-      }
-    }
+  } else if (const support::json::Value* run = doc.find("run");
+             run == nullptr || !readEnvelope(*run, &result)) {
+    why = "missing or invalid run";
   }
 
   if (!why.empty()) {
@@ -322,20 +280,15 @@ std::optional<CachedResult> CacheManager::lookup(const std::string& key) {
   return result;
 }
 
-void CacheManager::store(const std::string& key,
-                         const std::string& report_json, int exit_code,
-                         const std::string& stderr_text) {
-  if (exit_code < 0 || exit_code > 3) return;  // not a ladder outcome
-  std::ostringstream out;
-  out << "{\n  \"cache_schema\": " << kCacheSchema
-      << ",\n  \"analyzer_version\": \"" << jsonEscape(kAnalyzerVersion)
-      << "\",\n  \"key\": \"" << jsonEscape(key)
-      << "\",\n  \"exit_code\": " << exit_code << ",\n  \"stderr\": \""
-      << jsonEscape(stderr_text) << "\",\n  \"report\": " << report_json
-      << "\n}\n";
-
-  const std::lock_guard<std::mutex> lock(mu_);
-  const support::DiskCache::StoreResult stored = disk_.store(key, out.str());
+void CacheManager::store(const std::string& key, const RunOutput& run) {
+  if (run.exit_code == 2) return;
+  const std::string entry =
+      "{\"cache_schema\": " + std::to_string(kCacheSchema) +
+      ", \"analyzer_version\": \"" +
+      support::json::escape(kAnalyzerVersion) + "\", \"key\": \"" +
+      support::json::escape(key) + "\",\n\"run\": " + renderEnvelope(run) +
+      "}\n";
+  const support::DiskCache::StoreResult stored = disk_.store(key, entry);
   if (!stored.ok) {
     SAFEFLOW_LOG(support::LogLevel::kWarn, "cache",
                  "cannot write cache entry for key " + key + ": " +

@@ -2,24 +2,23 @@
 //
 // SafeFlow's pipeline is deterministic per input set: the same sources
 // (including every resolved header), the same analyzer version, and the
-// same analysis-relevant configuration always produce the same report.
-// The CacheManager exploits that by keying an on-disk entry (a
-// support::DiskCache under --cache-dir) with a 64-bit FNV-1a digest
-// over exactly those inputs and storing the run's worker-protocol JSON
-// report, exit code, and rendered diagnostics. A warm run replays the
-// entry through the same merge path the supervisor uses, so cached and
-// live runs are byte-identical (modulo the cache counters inside the
-// stats document).
+// same configuration always produce the same report. The CacheManager
+// exploits that by keying an on-disk entry (a support::DiskCache under
+// --cache-dir) with a 64-bit FNV-1a digest over exactly those inputs and
+// storing the run's RunOutput (exit code, stdout, stderr, stats). A warm
+// run replays the entry, so cached and live runs print the same bytes.
+// One entry covers one whole file set: the analysis is whole-program.
 //
 // Key composition (any difference => different key => miss):
 //   - cache envelope schema version;
 //   - kAnalyzerVersion (driver.h; bumped on analysis-semantics changes);
-//   - the analysis-relevant CLI flags, canonically the same passthrough
-//     vector the supervisor forwards to workers (-I/-D/--mode/
+//   - the analysis flags the CLI forwards to a worker (-I/-D/--mode/
 //     --no-control-deps/--kill-critical/--time-budget/--step-budget/
-//     --max-depth). Observability (--trace/--stats*/--dot/--json) and
-//     scheduling (--jobs/--isolate/--worker-timeout/--retries) flags
-//     are deliberately excluded: they cannot change findings;
+//     --max-depth/--alias/--ranges), then the rendering flags
+//     (--json/--quiet/--summary-stats), since the entry stores printed
+//     bytes. Scheduling and export flags (--isolate/--worker-timeout/
+//     --retries/--stats*/--metrics-out) are excluded: they change
+//     neither findings nor the report;
 //   - per input file, in input order: its path (reports embed path
 //     strings, so equal content at a different path must not hit) and
 //     the bytes of the file plus its transitive `#include "..."`
@@ -33,11 +32,13 @@
 // Robustness: entries are written crash-consistently by DiskCache
 // (checksummed envelope, fsync, temp + rename); lookup() first checks
 // the storage envelope (a torn/truncated entry is counted as
-// cache.torn_entries_purged) and then validates the JSON envelope
-// (parse, schema, key echo, analyzer version, exit code range). Any
-// mismatch is "corrupt": one diagnostic on stderr, a cache.corrupt
-// count, the entry purged, and the caller falls back to a cold run.
-// Corruption is never a crash and never a wrong report. The whole
+// cache.torn_entries_purged) and then validates the JSON entry (parse,
+// schema, key echo, analyzer version, exit code range). Any mismatch is
+// "corrupt": one diagnostic on stderr, a cache.corrupt count, the entry
+// purged, and the caller falls back to a cold run. Corruption is never
+// a crash and never a wrong report. The process that owns the
+// directory (the CLI before its run, safeflowd at start-up) calls
+// recover() once to purge what a killed writer left behind. The whole
 // cache is disabled when SAFEFLOW_INJECT_FAULT is armed: injected
 // faults make runs non-deterministic, which violates the cache's core
 // assumption. SAFEFLOW_INJECT_IO, by contrast, keeps the cache ON —
@@ -47,14 +48,13 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "safeflow/run_output.h"
 #include "support/cache.h"
-#include "support/json.h"
 #include "support/metrics.h"
 
 namespace safeflow {
@@ -68,34 +68,16 @@ struct CacheOptions {
   /// Include search path, needed to resolve the header closure the way
   /// the preprocessor will.
   std::vector<std::string> include_dirs;
-  /// Canonical analysis-relevant flag identity, in command-line order
-  /// (the supervisor's worker passthrough vector).
+  /// Analysis flags then rendering flags, in command-line order (what
+  /// the supervisor forwards to its worker).
   std::vector<std::string> analysis_flags;
-  /// Run a verify-and-purge sweep over every entry at construction
-  /// (crash recovery after SIGKILL/power loss). The daemon, which
-  /// constructs a manager per request against one shared directory,
-  /// turns this off and sweeps once at startup instead.
-  bool verify_on_open = true;
-};
-
-/// A decoded cache entry: everything needed to reproduce the run's
-/// observable behavior without re-analyzing.
-struct CachedResult {
-  /// The worker-protocol report document (public --json schema plus
-  /// required_runtime_checks and the embedded stats object).
-  support::json::Value report;
-  /// Exit code of the original run (the shared ladder in driver.h).
-  int exit_code = 0;
-  /// Rendered diagnostics of the original run (worker stderr).
-  std::string stderr_text;
 };
 
 class CacheManager {
  public:
   /// `metrics` receives cache.hits/misses/writes/evictions/corrupt and
   /// the cache.size_bytes gauge; may be null (counting disabled). Must
-  /// outlive the manager. Thread-safe: the supervisor calls lookup/
-  /// store from its worker pool.
+  /// outlive the manager.
   CacheManager(CacheOptions options, support::MetricsRegistry* metrics);
 
   [[nodiscard]] bool enabled() const { return options_.enabled; }
@@ -109,26 +91,30 @@ class CacheManager {
     return disabled_reason_;
   }
 
+  /// Crash recovery for the directory: sweeps stray temp files a
+  /// killed writer left and purges entries whose envelope no longer
+  /// verifies. Call once per directory owner (the CLI run, the daemon
+  /// at start-up), not per lookup.
+  void recover();
+
   /// Disables the cache, recording `reason` (first reason wins). No-op
   /// when the cache was never enabled.
   void disable(std::string reason);
 
   /// Stable content key (16 hex chars) for analyzing `files` as one
-  /// unit. The supervisor keys each shard with a single-file vector;
-  /// the in-process whole-program path keys the full input set.
+  /// program.
   [[nodiscard]] std::string keyFor(
       const std::vector<std::string>& files) const;
 
   /// Hit: decoded entry, LRU-refreshed. Miss (absent, unreadable, or
   /// corrupt): nullopt; corrupt entries are additionally purged and
   /// reported once on stderr.
-  [[nodiscard]] std::optional<CachedResult> lookup(const std::string& key);
+  [[nodiscard]] std::optional<RunOutput> lookup(const std::string& key);
 
-  /// Persists a finished run under `key`. `report_json` must be the
-  /// worker-protocol rendering; failures to write are diagnosed on
-  /// stderr but never fail the run.
-  void store(const std::string& key, const std::string& report_json,
-             int exit_code, const std::string& stderr_text);
+  /// Persists a finished run under `key`. Runs that exit 2 (front-end
+  /// errors, a failed summary verification) are not stored. Failures to
+  /// write are diagnosed on stderr but never fail the run.
+  void store(const std::string& key, const RunOutput& run);
 
   /// One-line human summary for --cache-stats.
   [[nodiscard]] std::string statsLine() const;
@@ -136,7 +122,6 @@ class CacheManager {
  private:
   void count(const char* name, std::uint64_t delta = 1);
   /// Hashes `path` and its transitive include closure into `hasher`.
-  /// Caller holds closure_mu_.
   void hashFileClosure(const std::string& path,
                        const std::string& display_name,
                        support::Fnv1a& hasher,
@@ -144,10 +129,7 @@ class CacheManager {
 
   /// One file's bytes and resolved include edges, read from disk once
   /// per run. A shared header is part of every TU's closure, so without
-  /// this memo an N-TU corpus re-reads it N times per keyFor sweep;
-  /// with it the run does O(unique files) reads. Pinning the first
-  /// observation also makes every shard key of one run see the same
-  /// filesystem snapshot. Caller holds closure_mu_.
+  /// this memo an N-TU program re-reads it N times per key.
   struct FileInfo {
     bool exists = false;
     std::string contents;
@@ -161,9 +143,6 @@ class CacheManager {
   support::DiskCache disk_;
   support::MetricsRegistry* metrics_;
   std::string disabled_reason_;
-  std::mutex mu_;  // serializes disk I/O from pool threads
-  /// Guards file_info_: keyFor is const and runs on pool threads.
-  mutable std::mutex closure_mu_;
   mutable std::map<std::string, FileInfo> file_info_;
 };
 

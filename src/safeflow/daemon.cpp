@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include "safeflow/driver.h"
+#include "safeflow/summary_store.h"
 #include "safeflow/supervisor.h"
 #include "support/cache.h"
 #include "support/flight_recorder.h"
@@ -28,35 +29,15 @@
 
 namespace safeflow {
 
+using support::json::escape;
+
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string errorResponse(const std::string& message) {
   return "{\"safeflowd\": 1, \"status\": \"error\", \"message\": \"" +
-         jsonEscape(message) + "\"}\n";
+         escape(message) + "\"}\n";
 }
 
 /// Current resident set in bytes via /proc/self/statm (0 off-Linux or
@@ -105,12 +86,12 @@ const char* pressureLevelName(int level) {
 }
 
 /// Server-side validation of the request's analysis flags. Only the
-/// cache-key-relevant passthrough flags the CLI would forward to
-/// workers are accepted — scheduling and observability flags are the
-/// daemon's own configuration, and anything unknown is rejected rather
-/// than spawned into a worker argv. Fills `include_dirs` (the cache
-/// manager resolves header closures with it) and `time_budget_seconds`
-/// (retry tightening parity with the one-shot CLI).
+/// cache-key-relevant passthrough flags the CLI forwards to a worker are
+/// accepted — scheduling and observability flags are the daemon's own
+/// configuration, and anything unknown is rejected rather than spawned
+/// into a worker argv. Fills `include_dirs` (the cache manager resolves
+/// header closures with it) and `time_budget_seconds` (the base retries
+/// tighten from, as in the one-shot CLI).
 bool validateFlags(const std::vector<std::string>& flags,
                    std::vector<std::string>* include_dirs,
                    double* time_budget_seconds, std::string* error) {
@@ -171,7 +152,6 @@ bool stringArray(const support::json::Value& doc, const char* member,
 
 Daemon::Daemon(DaemonOptions options) : options_(std::move(options)) {
   if (options_.jobs == 0) options_.jobs = 1;
-  if (options_.max_inflight == 0) options_.max_inflight = 1;
 }
 
 Daemon::~Daemon() {
@@ -213,47 +193,20 @@ bool Daemon::start(std::string* error) {
                  "note: swept stale socket from a crashed daemon",
                  {{"path", options_.socket_path}});
   }
-  // Crash recovery half two: age out cache temp files a SIGKILLed
-  // predecessor abandoned mid-store, and purge entries whose envelopes
-  // no longer verify (torn by a crash racing an unsynced rename). The
-  // sweep runs once here; per-request CacheManagers skip their own
-  // verify-on-open pass so a busy daemon does not rescan the whole dir
-  // on every request.
+  // Crash recovery half two, once for the daemon's lifetime: age out
+  // cache temp files a SIGKILLed predecessor abandoned mid-store and
+  // purge entries (results and the summary store the workers share)
+  // whose envelopes no longer verify. Requests and workers never sweep.
   if (options_.cache.enabled) {
-    support::DiskCache disk({options_.cache.dir, options_.cache.max_bytes});
-    const std::uint64_t swept = disk.sweepStrayTemps();
-    if (swept > 0) metrics_.counter("daemon.cache_temps_swept").add(swept);
-    std::vector<std::string> purged;
-    const std::uint64_t torn = disk.verifyEntries(&purged);
-    if (torn > 0) {
-      metrics_.counter("cache.torn_entries_purged").add(torn);
-      support::flightRecord("daemon",
-                            "purged " + std::to_string(torn) +
-                                " torn cache entries at startup");
-      for (const std::string& path : purged) {
-        SAFEFLOW_LOG(support::LogLevel::kWarn, "daemon",
-                     "warning: cache entry is corrupt (torn or truncated "
-                     "on disk); purged at startup",
-                     {{"path", path}});
-      }
-    }
-    // Same crash-recovery sweep for the per-function summary store the
-    // workers share under the cache dir, so every request starts from a
-    // verified store instead of each worker discovering torn entries
-    // lazily.
-    support::DiskCache summaries({options_.cache.dir + "/summaries",
-                                  options_.cache.max_bytes});
-    const std::uint64_t sum_swept =
-        summaries.verifyEntries() + summaries.sweepStrayTemps();
-    if (sum_swept > 0) {
-      metrics_.counter("summaries.torn_entries_purged").add(sum_swept);
-      SAFEFLOW_LOG(support::LogLevel::kWarn, "daemon",
-                   "purged torn summary entries at startup; affected "
-                   "functions fall back to cold analysis",
-                   {{"purged", std::to_string(sum_swept)}});
+    CacheManager(options_.cache, &metrics_).recover();
+    SummaryStore summaries(options_.cache.dir + "/summaries",
+                           kAnalyzerVersion);
+    const std::uint64_t purged = summaries.recoverDir();
+    if (purged > 0) {
+      metrics_.counter("summaries.torn_entries_purged").add(purged);
     }
     metrics_.gauge("summaries.store_bytes")
-        .set(static_cast<double>(summaries.totalBytes()));
+        .set(static_cast<double>(summaries.diskBytes()));
   }
   SAFEFLOW_LOG(support::LogLevel::kNote, "daemon", "listening",
                {{"socket", options_.socket_path},
@@ -435,11 +388,9 @@ void Daemon::handleConnection(int fd) {
   metrics_.counter("daemon.requests").add();
   std::string response;
   switch (io) {
-    case support::LineIo::kOk: {
-      bool fatal_parse = false;
-      response = handleRequest(line, &fatal_parse);
+    case support::LineIo::kOk:
+      response = handleRequest(line);
       break;
-    }
     case support::LineIo::kEof:
       // Mid-request disconnect: nobody to answer.
       metrics_.counter("daemon.disconnects").add();
@@ -471,8 +422,7 @@ void Daemon::handleConnection(int fd) {
   ::close(fd);
 }
 
-std::string Daemon::handleRequest(const std::string& line,
-                                  bool* /*fatal_parse*/) {
+std::string Daemon::handleRequest(const std::string& line) {
   support::json::Value doc;
   std::string parse_error;
   if (!support::json::parse(line, &doc, &parse_error) || !doc.isObject()) {
@@ -542,8 +492,9 @@ std::string Daemon::handleAnalyze(const support::json::Value& request) {
   }
   const support::json::Value* json_member = request.find("json");
   const support::json::Value* quiet_member = request.find("quiet");
-  const bool json = json_member != nullptr && json_member->boolOr(false);
-  const bool quiet = quiet_member != nullptr && quiet_member->boolOr(false);
+  RenderOptions render;
+  render.json = json_member != nullptr && json_member->boolOr(false);
+  render.quiet = quiet_member != nullptr && quiet_member->boolOr(false);
   double deadline_seconds = options_.default_deadline_seconds;
   if (const support::json::Value* dl = request.find("deadline_ms");
       dl != nullptr && dl->isNumber() && dl->number_value > 0) {
@@ -586,8 +537,8 @@ std::string Daemon::handleAnalyze(const support::json::Value& request) {
     hasher.update(f);
     hasher.update("\n");
   }
-  hasher.update(json ? "json" : "text");
-  hasher.update(quiet ? "+quiet" : "");
+  hasher.update(render.json ? "json" : "text");
+  hasher.update(render.quiet ? "+quiet" : "");
   hasher.update("deadline:");
   hasher.update(std::to_string(deadline_seconds));
   const std::string key = hasher.hex();
@@ -613,7 +564,7 @@ std::string Daemon::handleAnalyze(const support::json::Value& request) {
         pressure_level_.load(std::memory_order_relaxed) >= 1
             ? options_.max_queue / 2
             : options_.max_queue;
-    if (in_flight_ + queued_ >= options_.max_inflight + waiting_room) {
+    if (in_flight_ + queued_ >= options_.jobs + waiting_room) {
       lock.unlock();
       return busyResponse();
     }
@@ -628,7 +579,7 @@ std::string Daemon::handleAnalyze(const support::json::Value& request) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     slots_cv_.wait(lock, [this] {
-      return in_flight_ < options_.max_inflight ||
+      return in_flight_ < options_.jobs ||
              stopping_.load(std::memory_order_acquire);
     });
     --queued_;
@@ -649,9 +600,8 @@ std::string Daemon::handleAnalyze(const support::json::Value& request) {
       metrics_.counter("daemon.deadline_expired").add();
       response = errorResponse("deadline expired before analysis started");
     } else {
-      response = runAnalysis(files, flags, json, quiet, remaining);
-      // The retry-tightening base, for parity with the one-shot CLI.
-      (void)time_budget_seconds;
+      response = runAnalysis(files, flags, include_dirs, time_budget_seconds,
+                             render, remaining);
     }
     {
       const std::lock_guard<std::mutex> lock(mu_);
@@ -677,40 +627,36 @@ std::string Daemon::handleAnalyze(const support::json::Value& request) {
 
 std::string Daemon::runAnalysis(const std::vector<std::string>& files,
                                 const std::vector<std::string>& flags,
-                                bool json, bool quiet,
+                                const std::vector<std::string>& include_dirs,
+                                double time_budget_seconds,
+                                const RenderOptions& render,
                                 double deadline_seconds) {
-  // Fresh registry per request so the counters inside the response (and
-  // an embedded --json stats document) describe this request alone,
-  // exactly like a one-shot CLI invocation's registry would.
+  // Fresh registry per request so the counters inside the response
+  // describe this request alone, like a one-shot CLI invocation's.
   support::MetricsRegistry registry;
-
-  std::vector<std::string> include_dirs;
-  double time_budget_seconds = 0.0;
-  std::string ignored;
-  validateFlags(flags, &include_dirs, &time_budget_seconds, &ignored);
 
   CacheOptions cache_options = options_.cache;
   cache_options.include_dirs = include_dirs;
   cache_options.analysis_flags = flags;
-  // start() already ran the verify-and-purge sweep once; rescanning the
-  // whole cache dir per request would turn every analyze into O(cache).
-  cache_options.verify_on_open = false;
+  for (const std::string& a : render.args()) {
+    cache_options.analysis_flags.push_back(a);
+  }
   CacheManager cache(cache_options, &registry);
 
   SupervisorOptions sup;
-  sup.jobs = options_.jobs;
   sup.max_retries = options_.max_retries;
   sup.worker_exe = options_.worker_exe;
   sup.worker_args = flags;
   if (options_.cache.enabled) {
-    // Workers of every request share one on-disk summary store next to
-    // the TU cache, so a function analyzed for one client is spliced
-    // for the next. Appended here, not taken from the request flags:
-    // the store location is daemon policy, stays outside the
-    // validateFlags whitelist, and must not perturb the TU cache key.
+    // Every request's worker shares one on-disk summary store next to
+    // the result cache, so a function analyzed for one client is spliced
+    // for the next. Appended here, not taken from the request flags: the
+    // store location is daemon policy, stays outside the validateFlags
+    // whitelist, and must not perturb the cache key.
     sup.worker_args.push_back("--summaries-dir");
     sup.worker_args.push_back(options_.cache.dir + "/summaries");
   }
+  sup.render = render;
   sup.worker_stderr_cap = options_.worker_stderr_cap;
   sup.base_time_budget_seconds = time_budget_seconds;
   // The request deadline is inherited into the worker watchdog: no
@@ -723,29 +669,23 @@ std::string Daemon::runAnalysis(const std::vector<std::string>& files,
 
   support::flightRecord("daemon", "analyze " + files.front() +
                                       (files.size() > 1 ? " +" : ""));
-  Supervisor supervisor(sup, &registry);
-  MergedReport merged = supervisor.run(files);
-  merged.stats.cache_disabled_reason = cache.disabledReason();
-  const RenderedRun rendered = renderMergedRun(merged, json, quiet);
-
-  const std::uint64_t cache_hits = registry.counterValue("cache.hits");
-  const std::uint64_t workers =
-      registry.counterValue("supervisor.workers_spawned");
+  const SupervisedRun run = Supervisor(sup, &registry).run(files);
 
   // Fold the request's counters into the daemon-level registry so
   // `status` exposes fleet-wide totals across all clients.
-  const auto snap = registry.snapshot();
-  for (const auto& [name, value] : snap.counters) {
+  for (const auto& [name, value] : registry.snapshot().counters) {
     metrics_.counter(name).add(value);
   }
 
   std::ostringstream out;
   out << "{\"safeflowd\": 1, \"status\": \"ok\", \"exit_code\": "
-      << rendered.exit_code << ", \"cache_hits\": " << cache_hits
-      << ", \"workers_spawned\": " << workers
-      << ", \"worker_failures\": " << merged.worker_failures.size()
-      << ", \"stdout\": \"" << jsonEscape(rendered.stdout_text)
-      << "\", \"stderr\": \"" << jsonEscape(rendered.stderr_text)
+      << run.output.exit_code
+      << ", \"cache_hits\": " << registry.counterValue("cache.hits")
+      << ", \"workers_spawned\": "
+      << registry.counterValue("supervisor.workers_spawned")
+      << ", \"worker_failures\": " << (run.failure ? 1 : 0)
+      << ", \"stdout\": \"" << escape(run.output.stdout_text)
+      << "\", \"stderr\": \"" << escape(run.output.stderr_text)
       << "\"}\n";
   return out.str();
 }
@@ -760,7 +700,7 @@ std::string Daemon::statusResponse() {
   const auto snap = metrics_.snapshot();
   std::ostringstream out;
   out << "{\"safeflowd\": 1, \"status\": \"ok\", \"version\": \""
-      << jsonEscape(kAnalyzerVersion) << "\", \"pid\": " << ::getpid()
+      << escape(kAnalyzerVersion) << "\", \"pid\": " << ::getpid()
       << ", \"queue_depth\": " << queued << ", \"in_flight\": " << in_flight
       << ", \"pressure_level\": "
       << pressure_level_.load(std::memory_order_relaxed)
@@ -769,14 +709,14 @@ std::string Daemon::statusResponse() {
       << ", \"counters\": {";
   for (std::size_t i = 0; i < snap.counters.size(); ++i) {
     out << (i == 0 ? "" : ", ") << "\""
-        << jsonEscape(snap.counters[i].first)
+        << escape(snap.counters[i].first)
         << "\": " << snap.counters[i].second;
   }
   out << "}, \"gauges\": {";
   char num[64];
   for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
     std::snprintf(num, sizeof num, "%.9g", snap.gauges[i].second);
-    out << (i == 0 ? "" : ", ") << "\"" << jsonEscape(snap.gauges[i].first)
+    out << (i == 0 ? "" : ", ") << "\"" << escape(snap.gauges[i].first)
         << "\": " << num;
   }
   out << "}}\n";

@@ -1,7 +1,7 @@
 // safeflowd — the resident analysis daemon (DESIGN.md §14): a
-// Unix-domain-socket server that keeps the DiskCache warm and the
-// supervisor worker pool resident, so every IDE keystroke or CI job
-// stops paying full process startup and cold caches.
+// Unix-domain-socket server that keeps the DiskCache warm and runs each
+// analyze request in one supervised worker, so every IDE keystroke or CI
+// job stops paying full process startup and cold caches.
 //
 // Protocol: NDJSON, one request per connection. The client sends one
 // JSON object terminated by '\n', the daemon replies with one JSON
@@ -15,10 +15,10 @@
 //
 // Responses (`status` discriminates):
 //   ok        analyze finished: exit_code + the exact bytes the one-shot
-//             CLI would have printed (stdout/stderr members). Byte
-//             identity with `safeflow --isolate --jobs N` is a hard
-//             contract, enforced by renderMergedRun being the single
-//             rendering path for both.
+//             CLI prints for the same files and flags (stdout/stderr
+//             members), plus cache_hits, workers_spawned and
+//             worker_failures. The worker runs the CLI's own in-process
+//             path (run_output.h), so the bytes cannot differ.
 //   busy      admission control shed the request (queue depth or RSS
 //             cap); carries retry_after_ms and queue_depth.
 //   draining  SIGTERM received; the daemon finishes in-flight work and
@@ -32,6 +32,7 @@
 //     queue or the process RSS can grow without bound;
 //   - identical concurrent requests coalesce: one analysis runs, every
 //     waiter receives the leader's byte-identical response;
+//   - at most `jobs` analyses run at once, one worker each;
 //   - worker crashes are already contained by the supervisor (SIGKILL
 //     watchdog, retries, flight-recorder postmortems) and surface in
 //     the response like the one-shot CLI surfaces them;
@@ -63,17 +64,16 @@
 #include <vector>
 
 #include "safeflow/cache_manager.h"
+#include "safeflow/run_output.h"
 #include "support/metrics.h"
 
 namespace safeflow {
 
 struct DaemonOptions {
   std::string socket_path = "safeflowd.sock";
-  /// Worker-pool width per analyze request (the supervisor's --jobs).
+  /// Concurrent analyze requests actually running (one worker each);
+  /// further admitted requests queue.
   std::size_t jobs = 2;
-  /// Concurrent analyze requests actually running (each holding a
-  /// worker pool); further admitted requests queue.
-  std::size_t max_inflight = 2;
   /// Queued (admitted but not yet running) analyze requests beyond
   /// which new ones are shed with `busy`.
   std::size_t max_queue = 8;
@@ -148,11 +148,16 @@ class Daemon {
   };
 
   void handleConnection(int fd);
-  std::string handleRequest(const std::string& line, bool* fatal_parse);
+  std::string handleRequest(const std::string& line);
   std::string handleAnalyze(const support::json::Value& request);
+  /// Runs one validated request in a supervised worker and renders the
+  /// `ok` response.
   std::string runAnalysis(const std::vector<std::string>& files,
                           const std::vector<std::string>& flags,
-                          bool json, bool quiet, double deadline_seconds);
+                          const std::vector<std::string>& include_dirs,
+                          double time_budget_seconds,
+                          const RenderOptions& render,
+                          double deadline_seconds);
   std::string statusResponse();
   [[nodiscard]] std::string busyResponse();
   void flushMetrics();

@@ -13,9 +13,12 @@
 #include "ir/ssa.h"
 #include "safeflow/summary_store.h"
 #include "support/fault_inject.h"
+#include "support/json.h"
 #include "support/log.h"
 
 namespace safeflow {
+
+using support::json::escape;
 
 namespace {
 
@@ -417,28 +420,6 @@ void SafeFlowDriver::finishPipeline() {
 
 namespace {
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string jsonDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.9g", v);
@@ -497,11 +478,10 @@ std::string SafeFlowStats::renderTable() const {
     }
   }
   if (!shards.empty()) {
-    out << "per-shard attribution:\n";
     for (const auto& s : shards) {
       std::snprintf(buf, sizeof buf,
-                    "  %-28s %9.3f ms wall  %8llu KiB rss  %d attempt(s)%s\n",
-                    s.file.c_str(), s.wall_seconds * 1e3,
+                    "worker: %9.3f ms wall  %8llu KiB rss  %d attempt(s)%s\n",
+                    s.wall_seconds * 1e3,
                     static_cast<unsigned long long>(s.max_rss_kb), s.attempts,
                     s.from_cache ? "  [cache]" : "");
       out << buf;
@@ -555,15 +535,15 @@ std::string SafeFlowStats::renderJson() const {
     for (std::size_t i = 0; i < budget_events.size(); ++i) {
       const auto& e = budget_events[i];
       out << (i == 0 ? "\n" : ",\n") << "    {\"phase\": \""
-          << jsonEscape(e.phase) << "\", \"reason\": \""
-          << jsonEscape(e.reason) << "\", \"steps\": " << e.steps << "}";
+          << escape(e.phase) << "\", \"reason\": \""
+          << escape(e.reason) << "\", \"steps\": " << e.steps << "}";
     }
     out << "\n  ]";
   }
   if (!failed_files.empty()) {
     out << ",\n  \"failed_files\": [";
     for (std::size_t i = 0; i < failed_files.size(); ++i) {
-      out << (i == 0 ? "" : ", ") << "\"" << jsonEscape(failed_files[i])
+      out << (i == 0 ? "" : ", ") << "\"" << escape(failed_files[i])
           << "\"";
     }
     out << "]";
@@ -571,19 +551,19 @@ std::string SafeFlowStats::renderJson() const {
   out << ",\n  \"phases\": [";
   for (std::size_t i = 0; i < phase_seconds.size(); ++i) {
     out << (i == 0 ? "\n" : ",\n") << "    {\"name\": \""
-        << jsonEscape(phase_seconds[i].first) << "\", \"seconds\": "
+        << escape(phase_seconds[i].first) << "\", \"seconds\": "
         << jsonDouble(phase_seconds[i].second) << "}";
   }
   out << (phase_seconds.empty() ? "]" : "\n  ]");
   out << ",\n  \"counters\": {";
   for (std::size_t i = 0; i < counters.size(); ++i) {
-    out << (i == 0 ? "" : ", ") << "\"" << jsonEscape(counters[i].first)
+    out << (i == 0 ? "" : ", ") << "\"" << escape(counters[i].first)
         << "\": " << counters[i].second;
   }
   out << "}";
   out << ",\n  \"gauges\": {";
   for (std::size_t i = 0; i < gauges.size(); ++i) {
-    out << (i == 0 ? "" : ", ") << "\"" << jsonEscape(gauges[i].first)
+    out << (i == 0 ? "" : ", ") << "\"" << escape(gauges[i].first)
         << "\": " << jsonDouble(gauges[i].second);
   }
   out << "}";
@@ -596,7 +576,7 @@ std::string SafeFlowStats::renderJson() const {
     for (std::size_t i = 0; i < durations.size(); ++i) {
       const auto& d = durations[i];
       out << (i == 0 ? "\n" : ",\n") << "    {\"name\": \""
-          << jsonEscape(d.name) << "\", \"count\": " << d.count
+          << escape(d.name) << "\", \"count\": " << d.count
           << ", \"total_seconds\": " << jsonDouble(d.total_seconds)
           << ", \"min_seconds\": " << jsonDouble(d.min_seconds)
           << ", \"max_seconds\": " << jsonDouble(d.max_seconds)
@@ -610,8 +590,7 @@ std::string SafeFlowStats::renderJson() const {
     out << ",\n  \"shards\": [";
     for (std::size_t i = 0; i < shards.size(); ++i) {
       const auto& s = shards[i];
-      out << (i == 0 ? "\n" : ",\n") << "    {\"file\": \""
-          << jsonEscape(s.file) << "\", \"wall_seconds\": "
+      out << (i == 0 ? "\n" : ",\n") << "    {\"wall_seconds\": "
           << jsonDouble(s.wall_seconds)
           << ", \"user_seconds\": " << jsonDouble(s.user_seconds)
           << ", \"sys_seconds\": " << jsonDouble(s.sys_seconds)
@@ -627,14 +606,104 @@ std::string SafeFlowStats::renderJson() const {
       << ", \"max_rss_kb\": " << resource.max_rss_kb << "}";
   if (!cache_disabled_reason.empty()) {
     out << ",\n  \"cache_disabled_reason\": \""
-        << jsonEscape(cache_disabled_reason) << "\"";
+        << escape(cache_disabled_reason) << "\"";
   }
   if (!summaries_disabled_reason.empty()) {
     out << ",\n  \"summaries_disabled_reason\": \""
-        << jsonEscape(summaries_disabled_reason) << "\"";
+        << escape(summaries_disabled_reason) << "\"";
   }
   out << "\n}";
   return out.str();
+}
+
+bool SafeFlowStats::fromJson(const support::json::Value& doc,
+                             SafeFlowStats* out) {
+  using support::json::Value;
+  if (!doc.isObject()) return false;
+  SafeFlowStats s;
+  s.files = doc.memberUint("files");
+  if (const Value* loc = doc.find("loc")) {
+    s.loc.total_lines = loc->memberUint("total_lines");
+    s.loc.code_lines = loc->memberUint("code_lines");
+    s.loc.comment_lines = loc->memberUint("comment_lines");
+    s.loc.blank_lines = loc->memberUint("blank_lines");
+  }
+  s.annotation_count = doc.memberUint("annotation_count");
+  s.annotation_lines = doc.memberUint("annotation_lines");
+  s.functions = doc.memberUint("functions");
+  s.monitor_functions = doc.memberUint("monitor_functions");
+  s.init_functions = doc.memberUint("init_functions");
+  s.shm_regions = doc.memberUint("shm_regions");
+  s.noncore_regions = doc.memberUint("noncore_regions");
+  s.shm_iterations = doc.memberUint("shm_iterations");
+  s.taint_body_analyses = doc.memberUint("taint_body_analyses");
+  s.frontend_seconds = doc.memberNumber("frontend_seconds");
+  s.analysis_seconds = doc.memberNumber("analysis_seconds");
+  s.total_seconds = doc.memberNumber("total_seconds");
+  if (const Value* events = doc.find("degraded_phases")) {
+    for (const Value& e : events->array) {
+      s.budget_events.push_back({e.memberString("phase"),
+                                 e.memberString("reason"),
+                                 e.memberUint("steps")});
+    }
+  }
+  if (const Value* failed = doc.find("failed_files")) {
+    for (const Value& f : failed->array) {
+      s.failed_files.push_back(f.stringOr({}));
+    }
+  }
+  if (const Value* phases = doc.find("phases")) {
+    for (const Value& p : phases->array) {
+      s.phase_seconds.emplace_back(p.memberString("name"),
+                                   p.memberNumber("seconds"));
+    }
+  }
+  if (const Value* counters = doc.find("counters")) {
+    for (const auto& [name, value] : counters->members) {
+      s.counters.emplace_back(name, value.uintOr(0));
+    }
+  }
+  if (const Value* gauges = doc.find("gauges")) {
+    for (const auto& [name, value] : gauges->members) {
+      s.gauges.emplace_back(name, value.numberOr(0.0));
+    }
+  }
+  if (const Value* durations = doc.find("durations")) {
+    for (const Value& d : durations->array) {
+      support::MetricsRegistry::DurationSnapshot digest;
+      digest.name = d.memberString("name");
+      digest.count = d.memberUint("count");
+      digest.total_seconds = d.memberNumber("total_seconds");
+      digest.min_seconds = d.memberNumber("min_seconds");
+      digest.max_seconds = d.memberNumber("max_seconds");
+      digest.p50_seconds = d.memberNumber("p50_seconds");
+      digest.p90_seconds = d.memberNumber("p90_seconds");
+      digest.p99_seconds = d.memberNumber("p99_seconds");
+      s.durations.push_back(std::move(digest));
+    }
+  }
+  if (const Value* shards = doc.find("shards")) {
+    for (const Value& row : shards->array) {
+      ShardStat shard;
+      shard.wall_seconds = row.memberNumber("wall_seconds");
+      shard.user_seconds = row.memberNumber("user_seconds");
+      shard.sys_seconds = row.memberNumber("sys_seconds");
+      shard.max_rss_kb = row.memberUint("max_rss_kb");
+      shard.attempts = static_cast<int>(row.memberUint("attempts", 1));
+      const Value* cached = row.find("from_cache");
+      shard.from_cache = cached != nullptr && cached->boolOr(false);
+      s.shards.push_back(shard);
+    }
+  }
+  if (const Value* res = doc.find("resource")) {
+    s.resource.user_seconds = res->memberNumber("user_seconds");
+    s.resource.sys_seconds = res->memberNumber("sys_seconds");
+    s.resource.max_rss_kb = res->memberUint("max_rss_kb");
+  }
+  s.cache_disabled_reason = doc.memberString("cache_disabled_reason");
+  s.summaries_disabled_reason = doc.memberString("summaries_disabled_reason");
+  *out = std::move(s);
+  return true;
 }
 
 std::string SafeFlowStats::renderPrometheus() const {
@@ -682,11 +751,11 @@ std::string SafeFlowStats::renderPrometheus() const {
       << "# TYPE safeflow_process_max_rss_kb gauge\n"
       << "safeflow_process_max_rss_kb " << resource.max_rss_kb << "\n";
   for (const auto& s : shards) {
-    const std::string label = "{file=\"" + s.file + "\"}";
-    out << "safeflow_shard_wall_seconds" << label << " "
-        << jsonDouble(s.wall_seconds) << "\n"
-        << "safeflow_shard_max_rss_kb" << label << " " << s.max_rss_kb
-        << "\n";
+    out << "# TYPE safeflow_worker_wall_seconds gauge\n"
+        << "safeflow_worker_wall_seconds " << jsonDouble(s.wall_seconds)
+        << "\n"
+        << "# TYPE safeflow_worker_max_rss_kb gauge\n"
+        << "safeflow_worker_max_rss_kb " << s.max_rss_kb << "\n";
   }
   return out.str();
 }

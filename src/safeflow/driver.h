@@ -30,6 +30,10 @@
 
 namespace safeflow {
 
+namespace support::json {
+class Value;
+}
+
 class SummaryStore;
 
 /// Analyzer identity: printed by `safeflow --version` and hashed into
@@ -42,8 +46,8 @@ class SummaryStore;
 /// upgraded analyzer can replay a report the old version produced.
 inline constexpr const char kAnalyzerVersion[] = "0.9.0";
 
-/// The exit-code ladder, shared by the in-process CLI path and the
-/// supervised (worker-pool) path so the two can never disagree:
+/// The exit-code ladder, shared by every entry point (the worker runs
+/// the in-process path) so no two can disagree:
 ///
 ///   1  error dependencies found (data errors)
 ///   2  usage / front-end errors (including worker crashes: the file was
@@ -129,12 +133,11 @@ struct SafeFlowStats {
   std::vector<std::string> failed_files;
   /// Per-duration-histogram digest (count/total/min/max/p50/p90/p99),
   /// name-sorted; covers every "phase.*" histogram plus supervisor-side
-  /// histograms like "supervisor.shard_seconds" (schema_version 2).
+  /// histograms like "supervisor.run_seconds" (schema_version 2).
   std::vector<support::MetricsRegistry::DurationSnapshot> durations;
-  /// Per-shard attribution filled by the supervisor (empty on the
-  /// in-process path): wall clock, CPU split, and peak RSS per worker.
+  /// The supervised run's worker, filled by the supervisor (one row;
+  /// empty on the in-process path): wall clock, CPU split, peak RSS.
   struct ShardStat {
-    std::string file;
     double wall_seconds = 0.0;
     double user_seconds = 0.0;
     double sys_seconds = 0.0;
@@ -159,6 +162,9 @@ struct SafeFlowStats {
   /// Schema history: v1 through analyzer 0.5.0; v2 adds durations
   /// digests, shards, resource, and cache_disabled_reason.
   [[nodiscard]] std::string renderJson() const;
+  /// Reads a renderJson() document back (the worker envelope and cache
+  /// entries carry one). False when `doc` is not an object.
+  static bool fromJson(const support::json::Value& doc, SafeFlowStats* out);
   /// Prometheus text exposition (what `--metrics-out <file>` writes):
   /// counters as safeflow_<name>_total, gauges/timings as safeflow_<name>.
   [[nodiscard]] std::string renderPrometheus() const;

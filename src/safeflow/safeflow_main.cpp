@@ -18,22 +18,21 @@
 //   --time-budget <dur> wall-clock budget for the pipeline (e.g. 250ms)
 //   --step-budget <n>   per-phase work-unit cap
 //   --max-depth <n>     recursion / call-string context-depth cap
-//   --jobs <n>          shard per-TU across n crash-isolated workers
-//   --isolate           force worker isolation even with --jobs 1
-//   --no-isolate        force the single-process whole-program path
-//   --resume <file>     journal shard outcomes; rerun resumes from it
+//   --isolate           run the analysis in one crash-isolated worker
+//                       process (same report as the default path)
 //   --worker-timeout <dur>  watchdog deadline per worker (default 60s)
-//   --retries <n>       crash/timeout retries per shard (default 2)
+//   --retries <n>       crash/timeout retries (default 2)
 //   --worker-stderr-cap <n> cap captured worker stderr at n bytes
 //   --log-level <lvl>   error|warn|note|info|debug (default note)
 //   --log-json          emit stderr logs as NDJSON events
 //   --metrics-out <file> write Prometheus text exposition to <file>
-//   --worker            (internal) single-shard worker protocol mode
+//   --worker            (internal) print the run as a JSON envelope for
+//                       the supervisor (see run_output.h)
 //   --telemetry-spans   (internal) worker embeds trace spans in its
-//                       report's telemetry section for trace stitching
+//                       envelope's telemetry member for trace stitching
 //   --connect <sock>    send the analysis to a running safeflowd and
-//                       print its byte-identical response; falls back
-//                       to a local run when the daemon is unreachable
+//                       print its response; falls back to a local run
+//                       when the daemon is unreachable
 //   --deadline <dur>    give the daemon this long before the request
 //                       expires (default 300s)
 //   --daemon-status     print the daemon's status document and exit
@@ -58,19 +57,20 @@
 // are analyzed and the report covers what survived (exit 2 still signals
 // the parse failure unless data errors take precedence).
 //
-// Exit-code ladder (shared by the in-process and supervised paths; see
-// exitCodeFor in driver.h): 1 error dependencies found > 2 usage/
-// front-end errors (including crashed workers) > 3 clean-but-degraded
+// Every path — in-process, --isolate, --connect, a warm cache — prints
+// the report of the same whole-program analysis (run_output.h).
+//
+// Exit-code ladder (see exitCodeFor in driver.h): 1 error dependencies
+// found > 2 usage/front-end errors (including a crashed worker) > 3
+// clean-but-degraded
 // (an analysis budget tripped; findings are valid but absences are
 // unproven) > 0 clean.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -80,9 +80,10 @@
 
 #include "safeflow/cache_manager.h"
 #include "safeflow/driver.h"
-#include "safeflow/run_journal.h"
+#include "safeflow/run_output.h"
 #include "safeflow/summary_store.h"
 #include "safeflow/supervisor.h"
+#include "support/cache.h"
 #include "support/fault_inject.h"
 #include "support/flight_recorder.h"
 #include "support/io_faults.h"
@@ -120,15 +121,10 @@ void usage() {
          "  --time-budget <dur> wall-clock budget (e.g. 250ms, 2s)\n"
          "  --step-budget <n>   per-phase work-unit cap\n"
          "  --max-depth <n>     recursion/context-depth cap\n"
-         "  --jobs <n>          analyze per-TU in n crash-isolated\n"
-         "                      worker processes (implies --isolate)\n"
-         "  --isolate           worker isolation even with --jobs 1\n"
-         "  --no-isolate        single-process whole-program analysis\n"
-         "  --resume <file>     journal per-shard outcomes to <file>;\n"
-         "                      a rerun after a crash re-analyzes only\n"
-         "                      unfinished shards (implies --isolate)\n"
+         "  --isolate           analyze in one crash-isolated worker\n"
+         "                      process (same report)\n"
          "  --worker-timeout <dur>  per-worker watchdog (default 60s)\n"
-         "  --retries <n>       crash/timeout retries per shard\n"
+         "  --retries <n>       crash/timeout retries (default 2)\n"
          "  --worker-stderr-cap <n>  cap captured worker stderr at n\n"
          "                      bytes (default 65536; 0 = unlimited)\n"
          "  --log-level <lvl>   stderr log threshold: error, warn, note\n"
@@ -176,16 +172,14 @@ bool writeFile(const std::string& path, const std::string& contents,
   return true;
 }
 
-/// Emits a MergedReport the way the CLI emits any report: stats
-/// documents, diagnostics on stderr, then JSON or text + the summary
-/// line on stdout. Shared by the supervised path and the in-process
-/// cache path so the two can never disagree on formatting.
-int emitMergedOutputs(const safeflow::MergedReport& merged,
-                      const std::string& stats_json_path, bool stats_table,
-                      bool json, bool quiet,
-                      const std::string& metrics_out_path = {}) {
-  const std::string stats_json = merged.stats.renderJson() + "\n";
+/// Prints a run the way every CLI path does: the --stats-json and
+/// --metrics-out documents, the --stats table and the run's stderr, then
+/// its report on stdout (on stderr when the stats document takes stdout
+/// and the report is text). Returns the exit code.
+int emit(const safeflow::RunOutput& run, const std::string& stats_json_path,
+         const std::string& metrics_out_path, bool stats_table, bool json) {
   if (!stats_json_path.empty()) {
+    const std::string stats_json = run.stats.renderJson() + "\n";
     if (stats_json_path == "-") {
       std::cout << stats_json;
     } else if (!writeFile(stats_json_path, stats_json, "stats.out")) {
@@ -193,28 +187,15 @@ int emitMergedOutputs(const safeflow::MergedReport& merged,
     }
   }
   if (!metrics_out_path.empty() &&
-      !writeFile(metrics_out_path, merged.stats.renderPrometheus(),
+      !writeFile(metrics_out_path, run.stats.renderPrometheus(),
                  "metrics.out")) {
     return 2;
   }
-  if (stats_table) {
-    std::cerr << merged.stats.renderTable();
-  }
-  // renderMergedRun is the byte-level contract shared with safeflowd:
-  // whatever it returns is exactly what a daemon client would receive.
-  const safeflow::RenderedRun rendered =
-      safeflow::renderMergedRun(merged, json, quiet);
-  if (!rendered.stderr_text.empty()) {
-    std::cerr << rendered.stderr_text;
-  }
-  if (json) {
-    std::cout << rendered.stdout_text;
-  } else {
-    // Keep stdout pure JSON when the stats document goes there.
-    (stats_json_path == "-" ? std::cerr : std::cout)
-        << rendered.stdout_text;
-  }
-  return rendered.exit_code;
+  if (stats_table) std::cerr << run.stats.renderTable();
+  std::cerr << run.stderr_text;
+  (stats_json_path == "-" && !json ? std::cerr : std::cout)
+      << run.stdout_text;
+  return run.exit_code;
 }
 
 /// The path workers are spawned from: /proc/self/exe when available (the
@@ -227,28 +208,6 @@ std::string selfExePath(const char* argv0) {
     return buf;
   }
   return argv0;
-}
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// One safeflowd round trip: connect, send one NDJSON request line, read
@@ -291,32 +250,28 @@ int main(int argc, char** argv) {
 
   // Real crashes (not fault-injected ones) dump the flight recorder to
   // stderr before re-raising; in a worker the supervisor attaches the
-  // events to the shard's failure record.
+  // events to the run's failure record.
   support::installCrashDumpHandlers();
   // SAFEFLOW_INJECT_IO: deterministic syscall-layer faults (ENOSPC, EIO,
   // torn renames) for the chaos tests. Inert unless the env is set.
   support::io::armIoFaultInjectionFromEnv();
 
   SafeFlowOptions options;
+  RenderOptions render;
   std::vector<std::string> files;
-  std::string dot_path;
   std::string trace_path;
   std::string stats_json_path;
   std::string metrics_out_path;
-  bool quiet = false;
-  bool json = false;
   bool stats_table = false;
   bool worker_mode = false;
   bool telemetry_spans = false;
+  bool isolate = false;
   support::LogLevel log_level = support::LogLevel::kNote;
   bool log_json = false;
-  // Observability flags re-forwarded to workers. Kept separate from
+  // Observability flags re-forwarded to the worker. Kept separate from
   // `passthrough`: that vector doubles as the cache key's analysis-flag
   // identity, and log settings must never change cache keys.
   std::vector<std::string> obs_args;
-  bool isolate_forced = false;
-  bool isolate_disabled = false;
-  std::string resume_path;
   std::string connect_path;
   double client_deadline_seconds = 0.0;
   bool daemon_status = false;
@@ -328,11 +283,9 @@ int main(int argc, char** argv) {
   std::uint64_t cache_max_mb = 256;
   bool summaries_enabled = false;
   bool summaries_disabled = false;
-  bool summary_stats = false;
   std::string summaries_dir;  // default derived from cache_dir below
-  std::size_t jobs = 1;
   SupervisorOptions sup_options;
-  // Analysis options forwarded verbatim to workers in supervised mode.
+  // Analysis options forwarded verbatim to the worker and the daemon.
   std::vector<std::string> passthrough;
   auto forward = [&passthrough](std::initializer_list<const char*> args) {
     for (const char* a : args) passthrough.emplace_back(a);
@@ -378,7 +331,7 @@ int main(int argc, char** argv) {
       options.taint.implicit_critical_calls.emplace_back("kill", 0u);
       forward({"--kill-critical"});
     } else if (arg == "--dot" && i + 1 < argc) {
-      dot_path = argv[++i];
+      render.dot_path = argv[++i];
     } else if (arg == "--trace" && i + 1 < argc) {
       trace_path = argv[++i];
       options.collect_trace = true;
@@ -387,7 +340,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--stats-json" && i + 1 < argc) {
       stats_json_path = argv[++i];
     } else if (arg == "--json") {
-      json = true;
+      render.json = true;
     } else if (arg == "--time-budget" && i + 1 < argc) {
       if (!support::parseDuration(argv[++i],
                                   &options.budget.time_seconds)) {
@@ -414,20 +367,8 @@ int main(int argc, char** argv) {
       options.budget.max_depth = static_cast<unsigned>(n);
       options.taint.max_context_depth = static_cast<unsigned>(n);
       forward({"--max-depth", argv[i]});
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || n == 0) {
-        std::cerr << "invalid --jobs '" << argv[i] << "'\n";
-        return 2;
-      }
-      jobs = static_cast<std::size_t>(n);
     } else if (arg == "--isolate") {
-      isolate_forced = true;
-    } else if (arg == "--no-isolate") {
-      isolate_disabled = true;
-    } else if (arg == "--resume" && i + 1 < argc) {
-      resume_path = argv[++i];
+      isolate = true;
     } else if (arg == "--connect" && i + 1 < argc) {
       connect_path = argv[++i];
     } else if (arg == "--deadline" && i + 1 < argc) {
@@ -496,7 +437,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-summaries") {
       summaries_disabled = true;
     } else if (arg == "--summary-stats") {
-      summary_stats = true;
+      render.summary_stats = true;
     } else if (arg == "--verify-summaries") {
       summaries_enabled = true;
       options.summaries.verify = true;
@@ -512,7 +453,7 @@ int main(int argc, char** argv) {
       std::cout << "safeflow " << kAnalyzerVersion << "\n";
       return 0;
     } else if (arg == "--quiet") {
-      quiet = true;
+      render.quiet = true;
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
@@ -552,57 +493,39 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (isolate_forced && isolate_disabled) {
-    std::cerr << "--isolate and --no-isolate are mutually exclusive\n";
-    return 2;
-  }
-
   // Function-level summary memoization (DESIGN.md §16). The store rides
   // under the cache directory by default. Deliberately NOT folded into
-  // `passthrough`: that vector doubles as the TU-cache key identity, and
+  // `passthrough`: that vector doubles as the cache key identity, and
   // summary memoization never changes analysis output, so flipping it
-  // must not invalidate TU-cache entries.
+  // must not invalidate cache entries.
   const bool use_summaries = summaries_enabled && !summaries_disabled;
+  std::vector<std::string> summary_args;
   if (use_summaries) {
     if (summaries_dir.empty()) summaries_dir = cache_dir + "/summaries";
     options.summaries.enabled = true;
-    options.summaries.dir = summaries_dir;
+    summary_args = {"--summaries-dir", summaries_dir};
+    if (options.summaries.verify) {
+      summary_args.emplace_back("--verify-summaries");
+    }
   } else {
     options.summaries.verify = false;
   }
-  std::vector<std::string> summary_args;
-  if (use_summaries) {
-    summary_args = {"--summaries-dir", summaries_dir};
-    if (options.summaries.verify) summary_args.emplace_back("--verify-summaries");
-    if (summary_stats) summary_args.emplace_back("--summary-stats");
-  }
-  if (!resume_path.empty()) {
-    if (isolate_disabled) {
-      std::cerr << "--resume requires the supervised path (remove "
-                   "--no-isolate)\n";
-      return 2;
-    }
-    // The journal records per-shard outcomes; only the supervised
-    // per-TU path has shards to resume.
-    isolate_forced = true;
-  }
 
   // --connect: hand the analysis to a resident safeflowd. The response
-  // carries the exact bytes the one-shot supervised CLI would print, so
-  // the client only relays. Anything the daemon protocol cannot express
-  // (--dot, --trace, stats/metrics documents, local cache control,
-  // --no-isolate whole-program semantics) runs locally instead — with a
-  // note, never silently. Transport failures and busy/draining shedding
-  // also degrade to the local path, which forces --isolate so the
-  // fallback keeps the daemon's per-TU crash-isolation semantics.
+  // carries the exact bytes a local run would print, so the client only
+  // relays. Anything the daemon protocol cannot express (--dot, --trace,
+  // stats/metrics documents, local cache and summary control) runs
+  // locally instead — with a note, never silently. Transport failures
+  // and busy/draining shedding also fall back to the local path, which
+  // prints the same report.
   if (!connect_path.empty() && !worker_mode) {
     support::Logger::instance().configure(log_level, log_json, "client");
     const bool expressible =
-        dot_path.empty() && trace_path.empty() && stats_json_path.empty() &&
+        render.dot_path.empty() && !render.summary_stats &&
+        trace_path.empty() && stats_json_path.empty() &&
         metrics_out_path.empty() && !stats_table && !cache_enabled &&
-        !cache_disabled && !cache_stats && !isolate_disabled &&
-        resume_path.empty() && !summaries_enabled && !summaries_disabled &&
-        !summary_stats;
+        !cache_disabled && !cache_stats && !summaries_enabled &&
+        !summaries_disabled;
     if (!expressible) {
       SAFEFLOW_LOG(support::LogLevel::kNote, "client",
                    "--connect cannot express --dot/--trace/--stats/cache/"
@@ -613,16 +536,16 @@ int main(int argc, char** argv) {
       std::ostringstream request;
       request << "{\"safeflowd\": 1, \"op\": \"analyze\", \"files\": [";
       for (std::size_t i = 0; i < files.size(); ++i) {
-        request << (i == 0 ? "" : ", ") << '"' << jsonEscape(files[i])
-                << '"';
+        request << (i == 0 ? "" : ", ") << '"'
+                << support::json::escape(files[i]) << '"';
       }
       request << "], \"flags\": [";
       for (std::size_t i = 0; i < passthrough.size(); ++i) {
-        request << (i == 0 ? "" : ", ") << '"' << jsonEscape(passthrough[i])
-                << '"';
+        request << (i == 0 ? "" : ", ") << '"'
+                << support::json::escape(passthrough[i]) << '"';
       }
-      request << "], \"json\": " << (json ? "true" : "false")
-              << ", \"quiet\": " << (quiet ? "true" : "false")
+      request << "], \"json\": " << (render.json ? "true" : "false")
+              << ", \"quiet\": " << (render.quiet ? "true" : "false")
               << ", \"deadline_ms\": "
               << static_cast<std::uint64_t>(deadline_seconds * 1000.0)
               << "}\n";
@@ -643,12 +566,8 @@ int main(int argc, char** argv) {
         }
         const std::string status = parsed.memberString("status");
         if (status == "ok") {
-          const support::json::Value* err_text = parsed.find("stderr");
-          if (err_text != nullptr && !err_text->stringOr("").empty()) {
-            std::cerr << err_text->stringOr("");
-          }
-          const support::json::Value* out_text = parsed.find("stdout");
-          if (out_text != nullptr) std::cout << out_text->stringOr("");
+          std::cerr << parsed.memberString("stderr");
+          std::cout << parsed.memberString("stdout");
           return static_cast<int>(parsed.memberNumber("exit_code", 2.0));
         }
         if (status == "busy") {
@@ -683,340 +602,127 @@ int main(int argc, char** argv) {
                    "falling back to local analysis",
                    {{"reason", fallback_reason}});
     }
-    // Match the daemon's per-TU isolated semantics in the fallback.
-    if (!isolate_disabled) isolate_forced = true;
   }
 
-  const bool supervised =
-      !worker_mode && !isolate_disabled && (isolate_forced || jobs > 1);
-
-  // One logger per process; the shard label distinguishes supervisor,
-  // worker (labeled by its input), and plain in-process events.
+  const bool supervised = isolate && !worker_mode;
   support::Logger::instance().configure(
       log_level, log_json,
-      worker_mode ? files.front() : (supervised ? "supervisor" : ""));
+      worker_mode ? "worker" : (supervised ? "supervisor" : ""));
 
-  // Workers never consult the cache themselves — the supervisor does,
-  // before spawning them. --dot/--trace need a live pipeline (cached
-  // shards replay a past run: no graph, no spans), so either flag
-  // disables the cache below — with an explicit note and a
-  // cache.disabled_reason stat, never silently.
-  const bool use_cache = cache_enabled && !cache_disabled && !worker_mode;
+  // Crash recovery runs once per run, in the process that owns the
+  // directories: never in a worker, whose parent swept them already.
+  std::unique_ptr<SummaryStore> summary_store;
+  if (use_summaries) {
+    summary_store =
+        std::make_unique<SummaryStore>(summaries_dir, kAnalyzerVersion);
+    if (!worker_mode) summary_store->recoverDir();
+  }
+
+  if (worker_mode) {
+    // The supervisor's child: the default path below, printed as one
+    // JSON envelope. Fault injection arms only here.
+    support::armWorkerFaultInjection();
+    SafeFlowDriver driver(options);
+    driver.setSummaryStore(summary_store.get());
+    const RunOutput run = analyzeAndRender(driver, files, render);
+    std::string telemetry;
+    if (telemetry_spans && driver.trace() != nullptr) {
+      // This worker's pid plus its spans and the monotonic epoch they
+      // are relative to, for the parent's stitched trace.
+      telemetry = "{\"pid\": " + std::to_string(::getpid()) +
+                  ", \"epoch_steady_ns\": " +
+                  std::to_string(driver.trace()->epochSteadyNs()) +
+                  ", \"spans\": " + driver.trace()->spansToJsonArray() + "}";
+    }
+    std::cout << renderEnvelope(run, telemetry);
+    return run.exit_code;
+  }
+
   CacheOptions cache_options;
-  cache_options.enabled = use_cache;
+  cache_options.enabled = cache_enabled && !cache_disabled;
   cache_options.dir = cache_dir;
   cache_options.max_bytes = cache_max_mb << 20;
   cache_options.include_dirs = options.include_dirs;
   cache_options.analysis_flags = passthrough;
-
-  if (worker_mode) {
-    // Single-shard worker protocol: emit the machine-readable report
-    // (with worker extras) on stdout, diagnostics on stderr, and never
-    // take the early no-files-parsed exit — the supervisor wants the
-    // report of whatever survived recovery, like the in-process
-    // multi-file path would have used. Fault injection arms only here.
-    support::armWorkerFaultInjection(files.empty() ? "" : files.front());
-    SafeFlowDriver driver(options);
-    for (const std::string& f : files) driver.addFile(f);
-    const auto& report = driver.analyze();
-    // The telemetry section: this worker's pid, rusage, and — when the
-    // supervisor asked via --telemetry-spans — the trace spans plus the
-    // monotonic epoch they are relative to, for cross-process stitching.
-    std::ostringstream telemetry;
-    {
-      const support::ResourceSample rusage = support::sampleResourceUsage();
-      char num[64];
-      telemetry << "{\n  \"telemetry_schema_version\": 1,\n  \"pid\": "
-                << ::getpid();
-      std::snprintf(num, sizeof num, "%.9g", rusage.user_seconds);
-      telemetry << ",\n  \"resource\": {\"user_seconds\": " << num;
-      std::snprintf(num, sizeof num, "%.9g", rusage.sys_seconds);
-      telemetry << ", \"sys_seconds\": " << num
-                << ", \"max_rss_kb\": " << rusage.max_rss_kb << "}";
-      if (telemetry_spans && driver.trace() != nullptr) {
-        telemetry << ",\n  \"epoch_steady_ns\": "
-                  << driver.trace()->epochSteadyNs() << ",\n  \"spans\": "
-                  << driver.trace()->spansToJsonArray();
-      }
-      telemetry << "\n}";
-    }
-    std::cout << report.renderJson(driver.sources(),
-                                   driver.stats().renderJson(),
-                                   /*worker_protocol=*/true,
-                                   telemetry.str());
-    if (driver.hasFrontendErrors()) {
-      std::cerr << driver.diagnostics().render(driver.sources());
-    }
-    if (summary_stats && driver.summaryStore() != nullptr) {
-      std::cerr << driver.summaryStore()->statsLine() << "\n";
-    }
-    if (driver.summaryVerifyFailed()) {
-      std::cerr << "safeflow: summary verification failed\n";
-      return 2;
-    }
-    return exitCodeFor(report.dataErrorCount(), driver.hasFrontendErrors(),
-                       driver.degraded());
+  for (const std::string& a : render.args()) {
+    cache_options.analysis_flags.push_back(a);
   }
+  support::MetricsRegistry registry;
+  CacheManager cache(cache_options, &registry);
+  // --dot/--trace need a live pipeline: a replayed entry has no graph
+  // and no spans. The manager can also disarm itself (fault injection).
+  if (!render.dot_path.empty()) {
+    cache.disable("dot");
+  } else if (!trace_path.empty()) {
+    cache.disable("trace");
+  }
+  cache.recover();
 
+  RunOutput run;
   if (supervised) {
-    if (!dot_path.empty()) {
-      std::cerr << "--dot is not supported with --isolate/--jobs (the "
-                   "per-TU shards have no whole-program value-flow graph; "
-                   "run --no-isolate for it)\n";
-      return 2;
-    }
-    sup_options.jobs = jobs;
     sup_options.worker_exe = selfExePath(argv[0]);
     sup_options.worker_args = passthrough;
-    sup_options.worker_args.insert(sup_options.worker_args.end(),
-                                   obs_args.begin(), obs_args.end());
-    // Workers share the summary store (content-addressed, whole-entry
-    // atomic writes — concurrent shards cannot tear it).
-    sup_options.worker_args.insert(sup_options.worker_args.end(),
-                                   summary_args.begin(), summary_args.end());
+    for (const auto* extra : {&obs_args, &summary_args}) {
+      sup_options.worker_args.insert(sup_options.worker_args.end(),
+                                     extra->begin(), extra->end());
+    }
+    sup_options.render = render;
     sup_options.base_time_budget_seconds = options.budget.time_seconds;
-
-    // --trace in supervised mode: the supervisor records its own
-    // orchestration spans and asks every worker to report spans back,
-    // then stitches one merged timeline (DESIGN.md §13).
+    if (cache.enabled()) sup_options.cache = &cache;
+    // --trace: the supervisor records its own spans and asks the worker
+    // to send its spans back, then stitches one timeline (DESIGN.md §13).
     support::TraceCollector trace;
     if (!trace_path.empty()) {
       sup_options.trace = &trace;
       sup_options.worker_args.emplace_back("--telemetry-spans");
     }
-
-    support::MetricsRegistry registry;
-    CacheManager cache(cache_options, &registry);
-    if (!trace_path.empty()) {
-      // Cached shards replay a past run: no spans, stale clock epochs.
-      // A traced run must see every lane live.
-      cache.disable("trace");
-    }
-    if (cache.enabled()) sup_options.cache = &cache;
-
-    // --resume: load (or start) the run journal. The run key binds the
-    // journal to this exact invocation — analyzer version, analysis
-    // flags, and every input's bytes — so a stale or foreign journal is
-    // restarted fresh instead of replayed. An unopenable journal only
-    // costs resumability: the analysis itself proceeds.
-    RunJournal journal;
-    if (!resume_path.empty()) {
-      const std::string run_key =
-          RunJournal::computeRunKey(passthrough, files);
-      std::string journal_error;
-      if (journal.open(resume_path, run_key, files.size(), &registry,
-                       &journal_error)) {
-        sup_options.journal = &journal;
-      } else {
-        SAFEFLOW_LOG(support::LogLevel::kWarn, "supervisor",
-                     "cannot open run journal; continuing without "
-                     "resume support",
-                     {{"path", resume_path}, {"error", journal_error}});
-      }
-    }
-    // SIGTERM/SIGINT forward to in-flight workers (SIGKILL after grace)
-    // so an interrupted run never leaves orphaned --worker children.
+    // SIGTERM/SIGINT forward to the in-flight worker (SIGKILL after
+    // grace) so an interrupted run never leaves an orphaned child.
     support::installTerminationForwarding();
-    Supervisor supervisor(sup_options, &registry);
-    MergedReport merged = supervisor.run(files);
-    merged.stats.cache_disabled_reason = cache.disabledReason();
+    SupervisedRun result = Supervisor(sup_options, &registry).run(files);
     if (!trace_path.empty() &&
-        !writeFile(trace_path, merged.renderStitchedTrace(trace),
+        !writeFile(trace_path, renderStitchedTrace(trace, result),
                    "trace.out")) {
       return 2;
     }
-    if (cache_stats) std::cerr << cache.statsLine();
-    const int code = emitMergedOutputs(merged, stats_json_path, stats_table,
-                                       json, quiet, metrics_out_path);
-    // Report the interruption the conventional shell way (128 + signal)
-    // after the partial results are out; a drained run must not look
-    // like a clean one.
-    if (support::terminationRequested()) {
-      return 128 + support::terminationSignal();
-    }
-    return code;
-  }
-
-  // Why a requested cache did not run (fault injection, --dot, --trace);
-  // surfaced in the stats document either way.
-  std::string cache_disabled_reason;
-  if (use_cache) {
-    // In-process incremental path: one cache entry keyed over the whole
-    // input set (whole-program analysis does not decompose per TU — use
-    // --jobs/--isolate for per-file granularity). Cold runs execute the
-    // ordinary pipeline and persist the worker-protocol document; warm
-    // runs replay it through the same merge/rendering path the
-    // supervisor uses, so cold and warm output are byte-identical.
-    support::MetricsRegistry registry;
-    CacheManager cache(cache_options, &registry);
-    // --dot/--trace need a live pipeline; a replayed entry has no graph
-    // and no spans. The manager can also disarm itself (fault
-    // injection). Fall through to the ordinary path below when disabled.
-    if (!dot_path.empty()) {
-      cache.disable("dot");
-    } else if (!trace_path.empty()) {
-      cache.disable("trace");
-    }
-    cache_disabled_reason = cache.disabledReason();
+    run = std::move(result.output);
+  } else {
+    std::string key;
+    std::optional<RunOutput> hit;
     if (cache.enabled()) {
-      const std::string key = cache.keyFor(files);
-      std::optional<CachedResult> cached = cache.lookup(key);
-      bool internal_error = false;
-      if (!cached.has_value()) {
-        SafeFlowDriver driver(options);
-        std::size_t files_ok = 0;
-        for (const std::string& f : files) {
-          if (driver.addFile(f)) ++files_ok;
-        }
-        if (files_ok == 0) {
-          // Mirror the ordinary path: nothing parsed, nothing cached.
-          std::cerr << driver.diagnostics().render(driver.sources());
-          return 2;
-        }
-        const auto& report = driver.analyze();
-        if (summary_stats && driver.summaryStore() != nullptr) {
-          std::cerr << driver.summaryStore()->statsLine() << "\n";
-        }
-        if (driver.summaryVerifyFailed()) {
-          // Never cache a run whose memoized state failed verification.
-          std::cerr << "safeflow: summary verification failed\n";
-          return 2;
-        }
-        const std::string doc =
-            report.renderJson(driver.sources(),
-                              driver.stats().renderJson(),
-                              /*worker_protocol=*/true);
-        CachedResult live;
-        live.exit_code =
-            exitCodeFor(report.dataErrorCount(),
-                        driver.hasFrontendErrors(), driver.degraded());
-        if (driver.hasFrontendErrors()) {
-          live.stderr_text =
-              driver.diagnostics().render(driver.sources());
-        }
-        cache.store(key, doc, live.exit_code, live.stderr_text);
-        std::string err;
-        if (support::json::parse(doc, &live.report, &err) &&
-            live.report.isObject()) {
-          cached = std::move(live);
-        } else {
-          internal_error = true;  // cannot happen for our own writer
-        }
+      key = cache.keyFor(files);
+      hit = cache.lookup(key);
+    }
+    if (hit) {
+      run = std::move(*hit);
+    } else {
+      SafeFlowDriver driver(options);
+      driver.setSummaryStore(summary_store.get());
+      run = analyzeAndRender(driver, files, render);
+      // A parse failure still leaves a partial trace showing where the
+      // time went.
+      if (!trace_path.empty() && driver.trace() != nullptr &&
+          !writeFile(trace_path, driver.trace()->toChromeTraceJson(),
+                     "trace.out")) {
+        return 2;
       }
-      if (!internal_error) {
-        std::vector<std::string> units = {files.front()};
-        std::vector<WorkerOutcome> outcomes(1);
-        outcomes[0].accepted = true;
-        outcomes[0].report = std::move(cached->report);
-        outcomes[0].exit_code = cached->exit_code;
-        MergedReport merged = mergeWorkerOutcomes(
-            units, outcomes, /*emit_stderr_headers=*/false);
-        // The original run's diagnostics, replayed verbatim (no worker
-        // headers on the in-process path).
-        merged.diagnostics_text = cached->stderr_text;
-        foldRegistrySnapshot(registry, &merged.stats);
-        merged.stats.resource = support::sampleResourceUsage();
-        if (cache_stats) std::cerr << cache.statsLine();
-        return emitMergedOutputs(merged, stats_json_path, stats_table,
-                                 json, quiet, metrics_out_path);
-      }
-      // Fall through to a plain cold run on the impossible round-trip
-      // failure; correctness beats the wasted parse.
+      if (cache.enabled()) cache.store(key, run);
+    }
+    if (cache_options.enabled) {
+      foldRegistrySnapshot(registry, &run.stats);
+      run.stats.resource = support::sampleResourceUsage();
     }
   }
-
-  SafeFlowDriver driver(options);
-  std::size_t files_ok = 0;
-  for (const std::string& f : files) {
-    // Per-file isolation: a file that fails to parse yields diagnostics
-    // and is skipped; the rest of the corpus is still analyzed.
-    if (driver.addFile(f)) ++files_ok;
+  // Why a requested cache did not run (fault injection, --dot, --trace).
+  run.stats.cache_disabled_reason = cache.disabledReason();
+  if (cache_stats) std::cerr << cache.statsLine();
+  const int code =
+      emit(run, stats_json_path, metrics_out_path, stats_table, render.json);
+  // Report an interruption the conventional shell way (128 + signal)
+  // after the output is out; a drained run must not look like a clean
+  // one.
+  if (supervised && support::terminationRequested()) {
+    return 128 + support::terminationSignal();
   }
-  if (files_ok == 0) {
-    // Nothing parsed at all; a partial trace still shows where the time
-    // went before the failure.
-    if (!trace_path.empty() && driver.trace() != nullptr) {
-      writeFile(trace_path, driver.trace()->toChromeTraceJson(),
-                "trace.out");
-    }
-    std::cerr << driver.diagnostics().render(driver.sources());
-    return 2;
-  }
-  const auto& report = driver.analyze();
-  if (!trace_path.empty() && driver.trace() != nullptr) {
-    if (!writeFile(trace_path, driver.trace()->toChromeTraceJson(),
-                   "trace.out")) {
-      return 2;
-    }
-  }
-  if (summary_stats && driver.summaryStore() != nullptr) {
-    std::cerr << driver.summaryStore()->statsLine() << "\n";
-  }
-  if (driver.summaryVerifyFailed()) {
-    std::cerr << driver.diagnostics().render(driver.sources());
-    return 2;
-  }
-  // The one divergence from driver.stats(): record why a requested
-  // cache did not run (the driver cannot know).
-  SafeFlowStats stats = driver.stats();
-  stats.cache_disabled_reason = cache_disabled_reason;
-  if (!stats_json_path.empty()) {
-    const std::string stats_json = stats.renderJson() + "\n";
-    if (stats_json_path == "-") {
-      std::cout << stats_json;
-    } else if (!writeFile(stats_json_path, stats_json, "stats.out")) {
-      return 2;
-    }
-  }
-  if (!metrics_out_path.empty() &&
-      !writeFile(metrics_out_path, stats.renderPrometheus(),
-                 "metrics.out")) {
-    return 2;
-  }
-  if (stats_table) {
-    std::cerr << stats.renderTable();
-  }
-  // Keep stdout pure JSON when the stats document goes there.
-  std::ostream& text_out =
-      stats_json_path == "-" ? std::cerr : std::cout;
-
-  if (driver.hasFrontendErrors()) {
-    // Diagnostics go to stderr, but partial results are still reported
-    // below; the exit code keeps signalling the parse failure.
-    std::cerr << driver.diagnostics().render(driver.sources());
-  }
-
-  const int exit_code = exitCodeFor(
-      report.dataErrorCount(), driver.hasFrontendErrors(), driver.degraded());
-
-  if (json) {
-    std::cout << report.renderJson(driver.sources(),
-                                   driver.stats().renderJson());
-    if (!dot_path.empty()) {
-      std::ofstream out(dot_path);
-      out << report.renderValueFlowDot(driver.sources());
-    }
-    return exit_code;
-  }
-  if (!quiet) {
-    text_out << report.render(driver.sources());
-  }
-  text_out << "safeflow: " << report.warnings.size() << " warning(s), "
-            << report.dataErrorCount() << " error dependency(ies), "
-            << report.controlErrorCount()
-            << " control-only (review manually), "
-            << report.restriction_violations.size()
-            << " restriction violation(s)\n";
-
-  if (!dot_path.empty()) {
-    std::ofstream out(dot_path);
-    if (!out) {
-      std::cerr << "cannot write " << dot_path << "\n";
-      return 2;
-    }
-    out << report.renderValueFlowDot(driver.sources());
-    text_out << "value-flow graph written to " << dot_path << "\n";
-  }
-
-  return exit_code;
+  return code;
 }

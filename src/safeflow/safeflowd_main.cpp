@@ -3,15 +3,15 @@
 //   safeflowd [options]
 //
 //   --socket <path>       Unix socket to listen on (safeflowd.sock)
-//   --jobs <n>            worker pool width per analyze request
-//   --max-inflight <n>    concurrent analyses before queuing
+//   --jobs <n>            concurrent analyses (one worker each) before
+//                         queuing
 //   --max-queue <n>       queued analyses before shedding `busy`
 //   --max-rss-mb <n>      shed while resident set exceeds n MiB (0 = off)
 //   --pressure-interval <dur> pressure watchdog sample period (1s; 0 = off)
 //   --max-open-fds <n>    fd budget for the pressure ladder (0 = off)
 //   --min-disk-free-mb <n> cache-dir free-space floor for the ladder
 //   --worker-timeout <dur> per-worker watchdog (default 60s)
-//   --retries <n>         crash/timeout retries per shard
+//   --retries <n>         crash/timeout retries per request
 //   --worker-stderr-cap <n> cap captured worker stderr at n bytes
 //   --worker-exe <path>   safeflow binary to spawn (default: sibling)
 //   --cache-dir <dir>     result cache directory (default .safeflow-cache)
@@ -50,15 +50,14 @@ void usage() {
   std::cerr
       << "usage: safeflowd [options]\n"
          "  --socket <path>        listen socket (default safeflowd.sock)\n"
-         "  --jobs <n>             workers per analyze request (default 2)\n"
-         "  --max-inflight <n>     concurrent analyses (default 2)\n"
+         "  --jobs <n>             concurrent analyses (default 2)\n"
          "  --max-queue <n>        queued analyses before `busy` (default 8)\n"
          "  --max-rss-mb <n>       RSS shed threshold, 0 = off (default 0)\n"
          "  --pressure-interval <dur> watchdog period, 0 = off (default 1s)\n"
          "  --max-open-fds <n>     fd budget for pressure, 0 = off\n"
          "  --min-disk-free-mb <n> cache-dir free floor, 0 = off\n"
          "  --worker-timeout <dur> per-worker watchdog (default 60s)\n"
-         "  --retries <n>          retries per shard (default 2)\n"
+         "  --retries <n>          retries per request (default 2)\n"
          "  --worker-stderr-cap <n> stderr capture cap (default 65536)\n"
          "  --worker-exe <path>    safeflow binary (default: sibling)\n"
          "  --cache-dir <dir>      cache dir (default .safeflow-cache)\n"
@@ -115,12 +114,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.jobs = static_cast<std::size_t>(n);
-    } else if (arg == "--max-inflight" && i + 1 < argc) {
-      if (!parseUnsigned(argv[++i], &n) || n == 0) {
-        std::cerr << "invalid --max-inflight '" << argv[i] << "'\n";
-        return 2;
-      }
-      options.max_inflight = static_cast<std::size_t>(n);
     } else if (arg == "--max-queue" && i + 1 < argc) {
       if (!parseUnsigned(argv[++i], &n)) {
         std::cerr << "invalid --max-queue '" << argv[i] << "'\n";

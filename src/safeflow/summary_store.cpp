@@ -254,7 +254,7 @@ bool SummaryStore::flush() {
     }
     entry.dirty = false;
     ++stats_.writes;
-    // A flush may race another shard's store of the same key; both
+    // A flush may race another worker's store of the same key; both
     // writes are whole-entry atomic renames, so last-writer-wins is
     // safe (entries under one key are interchangeable re-recordings).
   }

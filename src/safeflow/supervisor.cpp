@@ -1,18 +1,14 @@
 #include "safeflow/supervisor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <map>
-#include <set>
 #include <sstream>
 #include <thread>
 
 #include "safeflow/cache_manager.h"
-#include "safeflow/run_journal.h"
-#include "support/json.h"
 #include "support/log.h"
 #include "support/subprocess.h"
 
@@ -20,26 +16,10 @@ namespace safeflow {
 
 namespace {
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+using Clock = std::chrono::steady_clock;
+
+double secondsSince(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
 std::string tail(const std::string& text, std::size_t max_bytes = 2000) {
@@ -47,82 +27,56 @@ std::string tail(const std::string& text, std::size_t max_bytes = 2000) {
   return "..." + text.substr(text.size() - max_bytes);
 }
 
+/// What a run no worker finished prints: exit 2, the worker's stderr
+/// tail under a header, and one `[failed]` line — or, under --json, a
+/// document whose one `worker_failures` entry carries the postmortem.
+RunOutput renderFailure(const WorkerFailure& f, bool json) {
+  RunOutput out;
+  out.exit_code = 2;
+  out.stderr_text = "--- worker stderr (" + f.reason + ", " +
+                    std::to_string(f.attempts) + " attempt(s)) ---\n" +
+                    f.stderr_tail;
+  if (!f.stderr_tail.empty() && f.stderr_tail.back() != '\n') {
+    out.stderr_text += '\n';
+  }
+  if (!json) {
+    out.stdout_text = "  [failed] analysis worker " + f.reason + " after " +
+                      std::to_string(f.attempts) +
+                      " attempt(s); no report\n";
+    return out;
+  }
+  std::ostringstream doc;
+  doc << "{\n  \"schema_version\": 1,\n  \"worker_failures\": [\n"
+      << "    {\"reason\": \"" << support::json::escape(f.reason)
+      << "\", \"attempts\": " << f.attempts;
+  if (!f.flight_events.empty()) {
+    doc << ", \"flight_recorder\": [";
+    for (std::size_t e = 0; e < f.flight_events.size(); ++e) {
+      const support::FlightEvent& ev = f.flight_events[e];
+      doc << (e == 0 ? "" : ", ") << "{\"seq\": " << ev.seq
+          << ", \"kind\": \"" << support::json::escape(ev.kind)
+          << "\", \"detail\": \"" << support::json::escape(ev.detail)
+          << "\"}";
+    }
+    doc << "]";
+  }
+  doc << "}\n  ]\n}\n";
+  out.stdout_text = doc.str();
+  return out;
+}
+
 }  // namespace
-
-std::size_t MergedReport::dataErrorCount() const {
-  return static_cast<std::size_t>(std::count_if(
-      errors.begin(), errors.end(), [](const Error& e) { return e.data; }));
-}
-
-std::size_t MergedReport::controlErrorCount() const {
-  return errors.size() - dataErrorCount();
-}
 
 Supervisor::Supervisor(SupervisorOptions options,
                        support::MetricsRegistry* metrics)
-    : options_(std::move(options)), metrics_(metrics) {
-  if (options_.jobs == 0) options_.jobs = 1;
-}
+    : options_(std::move(options)), metrics_(metrics) {}
 
-void Supervisor::analyzeShard(std::size_t shard_index,
-                              const std::string& file,
-                              WorkerOutcome* result) {
-  const auto shard_start = std::chrono::steady_clock::now();
-  std::size_t shard_span = 0;
+SupervisedRun Supervisor::run(const std::vector<std::string>& files) {
+  SupervisedRun result;
+  const Clock::time_point start = Clock::now();
+  std::size_t run_span = 0;
   if (options_.trace != nullptr) {
-    shard_span = options_.trace->beginSpan("supervisor.shard");
-    options_.trace->setArg(shard_span, "file", file);
-  }
-  // Close the shard span and record the shard-latency histogram on
-  // every exit path.
-  struct ShardScope {
-    Supervisor* self;
-    const std::chrono::steady_clock::time_point start;
-    const std::size_t span;
-    ~ShardScope() {
-      self->metrics_->duration("supervisor.shard_seconds")
-          .record(std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count());
-      if (self->options_.trace != nullptr) {
-        self->options_.trace->endSpan(span);
-      }
-    }
-  } scope{this, shard_start, shard_span};
-
-  // The supervisor is being terminated (SIGTERM/SIGINT forwarded by
-  // installTerminationForwarding): do not start new shards; the pending
-  // ones are reported as interrupted failures so the merged report
-  // never silently omits a file.
-  if (support::terminationRequested()) {
-    result->failure_reason = "interrupted";
-    return;
-  }
-
-  // A journaled finished shard is replayed instead of re-analyzed: the
-  // interrupted run already paid for it. The replayed document joins
-  // the input-order merge like a live one; from_cache marks it so the
-  // stale telemetry epoch is not stitched into this run's trace.
-  if (options_.journal != nullptr) {
-    if (const RunJournal::Entry* done =
-            options_.journal->finished(shard_index, file)) {
-      support::json::Value doc;
-      std::string err;
-      if (support::json::parse(done->stdout_text, &doc, &err) &&
-          doc.isObject()) {
-        metrics_->counter("supervisor.shards_resumed_skipped").add();
-        support::flightRecord("journal", "resume skip " + file);
-        SAFEFLOW_LOG(support::LogLevel::kInfo, "supervisor",
-                     "resuming shard from run journal", {{"file", file}});
-        result->accepted = true;
-        result->from_cache = true;
-        result->report = std::move(doc);
-        result->exit_code = done->exit_code;
-        result->attempts = done->attempts;
-        result->stderr_text = done->stderr_text;
-        return;
-      }
-    }
+    run_span = options_.trace->beginSpan("supervisor.run");
   }
 
   CacheManager* cache =
@@ -130,62 +84,73 @@ void Supervisor::analyzeShard(std::size_t shard_index,
           ? options_.cache
           : nullptr;
   std::string key;
+  std::optional<RunOutput> hit;
   if (cache != nullptr) {
-    key = cache->keyFor({file});
+    key = cache->keyFor(files);
     std::size_t probe_span = 0;
     if (options_.trace != nullptr) {
       probe_span = options_.trace->beginSpan("supervisor.cache_probe");
       options_.trace->setArg(probe_span, "key", key);
     }
-    std::optional<CachedResult> hit = cache->lookup(key);
+    hit = cache->lookup(key);
     if (options_.trace != nullptr) {
       options_.trace->setArg(probe_span, "hit", hit ? "true" : "false");
       options_.trace->endSpan(probe_span);
     }
-    if (hit) {
-      // Cache hit: no worker is spawned at all. The cached document
-      // joins the input-order merge exactly like a live shard would.
-      result->accepted = true;
-      result->from_cache = true;
-      result->report = std::move(hit->report);
-      result->exit_code = hit->exit_code;
-      result->stderr_text = std::move(hit->stderr_text);
-      return;
+  }
+
+  SafeFlowStats::ShardStat worker;
+  if (hit) {
+    // Cache hit: no worker is spawned at all.
+    result.output = std::move(*hit);
+    result.from_cache = true;
+    worker.from_cache = true;
+  } else {
+    runWorker(files, &result, &worker.wall_seconds);
+    // Only first-attempt successes are stored: a retried attempt ran
+    // with a tightened --time-budget, i.e. a different effective
+    // configuration whose (possibly degraded) report must not be
+    // replayed for the original one.
+    if (cache != nullptr && !result.failure && result.attempts == 1) {
+      cache->store(key, result.output);
     }
   }
-  runShard(file, result);
-  // Journal live accepted outcomes as they complete, so a killed run
-  // resumes from here. Cache hits took the early return above: the
-  // cache already persists them, and replaying a cache probe is
-  // deterministic anyway.
-  if (options_.journal != nullptr && result->accepted) {
-    options_.journal->append(shard_index, file, result->exit_code,
-                             result->attempts, result->raw_stdout,
-                             result->stderr_text);
+  worker.attempts = result.attempts;
+  if (result.failure) {
+    metrics_->counter("supervisor.runs_failed").add();
+    result.output = renderFailure(*result.failure, options_.render.json);
+  } else if (!result.from_cache) {
+    worker.user_seconds = result.output.stats.resource.user_seconds;
+    worker.sys_seconds = result.output.stats.resource.sys_seconds;
+    worker.max_rss_kb = result.output.stats.resource.max_rss_kb;
   }
-  // Only first-attempt successes are stored: a retried attempt ran with
-  // a tightened --time-budget, i.e. a different effective configuration
-  // whose (possibly degraded) report must not be replayed for the
-  // original one.
-  if (cache != nullptr && result->accepted && result->attempts == 1) {
-    cache->store(key, result->raw_stdout, result->exit_code,
-                 result->stderr_text);
-  }
+  metrics_->duration("supervisor.run_seconds").record(secondsSince(start));
+  if (options_.trace != nullptr) options_.trace->endSpan(run_span);
+
+  // The run's stats: the worker's pipeline figures, one row attributing
+  // the worker, and the supervisor's own registry (including cache.*
+  // counters when a cache is attached) and resource sample.
+  SafeFlowStats& stats = result.output.stats;
+  stats.shards = {worker};
+  foldRegistrySnapshot(*metrics_, &stats);
+  stats.resource = support::sampleResourceUsage();
+  return result;
 }
 
-void Supervisor::runShard(const std::string& file, WorkerOutcome* result) {
+void Supervisor::runWorker(const std::vector<std::string>& files,
+                           SupervisedRun* run, double* wall_seconds) {
+  WorkerFailure failure;
   const int max_attempts = 1 + std::max(0, options_.max_retries);
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     if (support::terminationRequested()) {
       // Never retry (or even start an attempt) once the supervisor has
       // been told to die: the forwarded SIGTERM already killed the
       // previous attempt's worker.
-      if (result->failure_reason.empty()) {
-        result->failure_reason = "interrupted";
-      }
-      return;
+      if (failure.reason.empty()) failure.reason = "interrupted";
+      break;
     }
-    result->attempts = attempt;
+    run->attempts = attempt;
+    failure.attempts = attempt;
     if (attempt > 1) {
       // Exponential backoff before the retry (first retry waits the
       // base, each further retry doubles it).
@@ -196,7 +161,6 @@ void Supervisor::runShard(const std::string& file, WorkerOutcome* result) {
         std::size_t backoff_span = 0;
         if (options_.trace != nullptr) {
           backoff_span = options_.trace->beginSpan("supervisor.backoff");
-          options_.trace->setArg(backoff_span, "file", file);
         }
         std::this_thread::sleep_for(std::chrono::duration<double>(wait));
         if (options_.trace != nullptr) {
@@ -204,18 +168,20 @@ void Supervisor::runShard(const std::string& file, WorkerOutcome* result) {
         }
       }
       metrics_->counter("supervisor.workers_retried").add();
-      SAFEFLOW_LOG(support::LogLevel::kInfo, "supervisor", "retrying shard",
-                   {{"file", file},
-                    {"attempt", std::to_string(attempt)},
-                    {"previous_failure", result->failure_reason}});
+      SAFEFLOW_LOG(support::LogLevel::kInfo, "supervisor", "retrying worker",
+                   {{"attempt", std::to_string(attempt)},
+                    {"previous_failure", failure.reason}});
     }
 
     std::vector<std::string> argv;
-    argv.reserve(options_.worker_args.size() + 4);
+    argv.reserve(options_.worker_args.size() + files.size() + 4);
     argv.push_back(options_.worker_exe);
     argv.push_back("--worker");
     argv.insert(argv.end(), options_.worker_args.begin(),
                 options_.worker_args.end());
+    for (std::string& flag : options_.render.args()) {
+      argv.push_back(std::move(flag));
+    }
     if (attempt > 1) {
       // Tighten the analysis budget on retries: if the worker died or
       // hung, the productive outcome is a conservative degraded report,
@@ -234,7 +200,7 @@ void Supervisor::runShard(const std::string& file, WorkerOutcome* result) {
         argv.emplace_back(buf);
       }
     }
-    argv.push_back(file);
+    argv.insert(argv.end(), files.begin(), files.end());
 
     support::SubprocessOptions sub;
     sub.timeout_seconds = options_.worker_timeout_seconds;
@@ -245,131 +211,79 @@ void Supervisor::runShard(const std::string& file, WorkerOutcome* result) {
 
     metrics_->counter("supervisor.workers_spawned").add();
     SAFEFLOW_LOG(support::LogLevel::kDebug, "supervisor", "spawning worker",
-                 {{"file", file}, {"attempt", std::to_string(attempt)}});
+                 {{"attempt", std::to_string(attempt)}});
     std::size_t spawn_span = 0;
     if (options_.trace != nullptr) {
       spawn_span = options_.trace->beginSpan("supervisor.spawn");
-      options_.trace->setArg(spawn_span, "file", file);
       options_.trace->setArg(spawn_span, "attempt", std::to_string(attempt));
     }
-    const auto t0 = std::chrono::steady_clock::now();
-    const support::SubprocessResult run = support::runSubprocess(argv, sub);
-    const double wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
+    const Clock::time_point t0 = Clock::now();
+    const support::SubprocessResult child = support::runSubprocess(argv, sub);
+    *wall_seconds = secondsSince(t0);
     if (options_.trace != nullptr) options_.trace->endSpan(spawn_span);
-    metrics_->duration("supervisor.worker_wall").record(wall);
-    result->wall_seconds = wall;
-    result->stderr_text = run.err_text;
-    result->stderr_truncated = run.err_truncated;
-    if (run.err_truncated) {
+    metrics_->duration("supervisor.worker_wall").record(*wall_seconds);
+    std::string stderr_text = child.err_text;
+    if (child.err_truncated) {
       metrics_->counter("supervisor.worker_stderr_truncated").add();
-      result->stderr_text +=
-          "\n[safeflow: worker stderr truncated at " +
-          std::to_string(options_.worker_stderr_cap) + " bytes]\n";
+      stderr_text += "\n[safeflow: worker stderr truncated at " +
+                     std::to_string(options_.worker_stderr_cap) +
+                     " bytes]\n";
     }
 
+    bool retryable = true;
     using Status = support::SubprocessResult::Status;
-    switch (run.status) {
+    switch (child.status) {
       case Status::kExited: {
-        if (run.exit_code == 0 || run.exit_code == 1 ||
-            run.exit_code == 2 || run.exit_code == 3) {
-          support::json::Value doc;
-          std::string err;
-          if (support::json::parse(run.out_text, &doc, &err) &&
-              doc.isObject()) {
-            result->accepted = true;
-            result->report = std::move(doc);
-            result->raw_stdout = run.out_text;
-            result->exit_code = run.exit_code;
-            return;
-          }
-          if (run.exit_code == 2) {
-            // A frontend-style exit without a report is deterministic
-            // (the injected "exit2" fault and hard usage errors look
-            // like this): retrying cannot help.
-            result->failure_reason = "exit 2 (no report)";
-            return;
-          }
-          result->failure_reason =
-              "unparseable report (exit " +
-              std::to_string(run.exit_code) + ": " + err + ")";
-          break;  // torn stdout: worth a retry
+        if (child.exit_code < 0 || child.exit_code > 3) {
+          failure.reason = "exit " + std::to_string(child.exit_code);
+          retryable = child.exit_code != 127;  // exec failure: deterministic
+          break;
         }
-        result->failure_reason = "exit " + std::to_string(run.exit_code);
-        if (run.exit_code == 127) return;  // exec failure: deterministic
-        break;
+        support::json::Value doc;
+        std::string err;
+        if (support::json::parse(child.out_text, &doc, &err) &&
+            readEnvelope(doc, &run->output)) {
+          if (const support::json::Value* t = doc.find("telemetry")) {
+            run->worker_telemetry = *t;
+          }
+          return;
+        }
+        if (child.exit_code == 2) {
+          // A frontend-style exit without an envelope is deterministic
+          // (the injected "exit2" fault and hard usage errors look like
+          // this): retrying cannot help.
+          failure.reason = "exit 2 (no report)";
+          retryable = false;
+          break;
+        }
+        failure.reason = "unparseable report (exit " +
+                         std::to_string(child.exit_code) + ": " + err + ")";
+        break;  // torn stdout: worth a retry
       }
       case Status::kSignaled:
         metrics_->counter("supervisor.worker_crashes").add();
-        result->failure_reason = support::signalName(run.signal_number);
+        failure.reason = support::signalName(child.signal_number);
         break;
       case Status::kTimedOut:
         metrics_->counter("supervisor.workers_killed").add();
-        result->failure_reason = "timeout";
+        failure.reason = "timeout";
         break;
       case Status::kSpawnFailed:
-        result->failure_reason = "spawn failed: " + run.spawn_error;
-        return;  // environment problem, not input-dependent
+        failure.reason = "spawn failed: " + child.spawn_error;
+        retryable = false;  // environment problem, not input-dependent
+        break;
     }
+    failure.stderr_tail = tail(stderr_text);
+    // A dying worker dumps its flight recorder to stderr; decode the
+    // SAFEFLOW-FR lines so the failure names the phase and the events
+    // leading up to the death (DESIGN.md §13). A capped capture may have
+    // cut the dump mid-line, so the parser drops a final event it cannot
+    // prove complete.
+    failure.flight_events = support::parseFlightRecorderLines(
+        stderr_text, /*assume_truncated=*/child.err_truncated);
+    if (!retryable) break;
   }
-}
-
-MergedReport Supervisor::run(const std::vector<std::string>& files) {
-  std::vector<WorkerOutcome> shards(files.size());
-  metrics_->gauge("supervisor.jobs")
-      .set(static_cast<double>(options_.jobs));
-  if (options_.journal != nullptr) {
-    // Pre-register the resume counters so a journaled run always
-    // exports them: "0 shards replayed" and "0 workers spawned" are
-    // statements the resume tests assert on, not missing series.
-    metrics_->counter("supervisor.shards_resumed_skipped").add(0);
-    metrics_->counter("supervisor.workers_spawned").add(0);
-  }
-
-  const std::size_t nthreads =
-      std::min<std::size_t>(options_.jobs, files.size());
-  std::atomic<std::size_t> next{0};
-  auto pump = [&] {
-    while (true) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= files.size()) return;
-      analyzeShard(i, files[i], &shards[i]);
-    }
-  };
-  if (nthreads <= 1) {
-    pump();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(nthreads);
-    for (std::size_t t = 0; t < nthreads; ++t) pool.emplace_back(pump);
-    for (std::thread& t : pool) t.join();
-  }
-
-  const auto merge_start = std::chrono::steady_clock::now();
-  std::size_t merge_span = 0;
-  if (options_.trace != nullptr) {
-    merge_span = options_.trace->beginSpan("supervisor.merge");
-  }
-  MergedReport merged = mergeWorkerOutcomes(files, shards);
-  if (options_.trace != nullptr) options_.trace->endSpan(merge_span);
-  const double merge_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    merge_start)
-          .count();
-  metrics_->duration("supervisor.merge").record(merge_seconds);
-  metrics_->gauge("supervisor.merge_seconds").set(merge_seconds);
-  metrics_->counter("supervisor.shards_failed")
-      .add(merged.worker_failures.size());
-
-  // Fold the supervisor's own registry (including cache.* counters when
-  // a cache is attached) into the merged stats so --stats-json reports
-  // the orchestration alongside the analysis. The duration digests and
-  // resource sample are the supervisor's own: per-shard figures live in
-  // stats.shards, so re-folding worker histograms would double-count.
-  foldRegistrySnapshot(*metrics_, &merged.stats);
-  merged.stats.resource = support::sampleResourceUsage();
-  return merged;
+  run->failure = std::move(failure);
 }
 
 void foldRegistrySnapshot(const support::MetricsRegistry& metrics,
@@ -383,440 +297,16 @@ void foldRegistrySnapshot(const support::MetricsRegistry& metrics,
                                        stats->gauges.end());
   for (const auto& [name, value] : snap.gauges) gauges[name] = value;
   stats->gauges.assign(gauges.begin(), gauges.end());
-  // Histograms do not sum meaningfully across processes; the folded
-  // registry's own digests (supervisor.shard_seconds, worker_wall,
-  // merge) replace whatever was there.
-  stats->durations = std::move(snap.durations);
+  std::map<std::string, support::MetricsRegistry::DurationSnapshot>
+      durations;
+  for (auto& d : stats->durations) durations[d.name] = std::move(d);
+  for (auto& d : snap.durations) durations[d.name] = std::move(d);
+  stats->durations.clear();
+  for (auto& [name, d] : durations) stats->durations.push_back(std::move(d));
 }
 
-RenderedRun renderMergedRun(const MergedReport& merged, bool json,
-                            bool quiet) {
-  RenderedRun run;
-  run.stderr_text = merged.diagnostics_text;
-  run.exit_code = merged.exitCode();
-  if (json) {
-    run.stdout_text = merged.renderJson(merged.stats.renderJson());
-    return run;
-  }
-  std::ostringstream out;
-  if (!quiet) out << merged.render();
-  out << "safeflow: " << merged.warnings.size() << " warning(s), "
-      << merged.dataErrorCount() << " error dependency(ies), "
-      << merged.controlErrorCount() << " control-only (review manually), "
-      << merged.restriction_violations.size()
-      << " restriction violation(s)\n";
-  run.stdout_text = out.str();
-  return run;
-}
-
-MergedReport mergeWorkerOutcomes(const std::vector<std::string>& files,
-                                 std::vector<WorkerOutcome>& shards,
-                                 bool emit_stderr_headers) {
-  using support::json::Value;
-  MergedReport merged;
-  std::set<std::string> seen;        // finding dedup (headers in many TUs)
-  std::set<std::string> seen_checks; // runtime checks repeat per TU
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
-  std::vector<std::string> phase_order;  // first-seen = pipeline order
-  std::map<std::string, double> phase_seconds;
-  std::ostringstream diag;
-
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    WorkerOutcome& shard = shards[i];
-    // Every shard gets a wall/RSS attribution row; resource figures are
-    // filled from the worker's telemetry below when it reported any.
-    SafeFlowStats::ShardStat shard_stat;
-    shard_stat.file = files[i];
-    shard_stat.wall_seconds = shard.wall_seconds;
-    shard_stat.attempts = shard.attempts;
-    shard_stat.from_cache = shard.from_cache;
-    if (!shard.accepted) {
-      WorkerFailure failure;
-      failure.file = files[i];
-      failure.reason = shard.failure_reason;
-      failure.attempts = shard.attempts;
-      failure.stderr_tail = tail(shard.stderr_text);
-      // A dying worker dumps its flight recorder to stderr; decode the
-      // SAFEFLOW-FR lines so the failure entry names the phase and the
-      // events leading up to the death (DESIGN.md §13). A capped stderr
-      // capture may have cut the dump mid-line, so the parser drops a
-      // final event it cannot prove complete.
-      failure.flight_events = support::parseFlightRecorderLines(
-          shard.stderr_text, /*assume_truncated=*/shard.stderr_truncated);
-      merged.stats.shards.push_back(std::move(shard_stat));
-      merged.failed_files.push_back(files[i]);
-      merged.frontend_errors = true;
-      if (emit_stderr_headers) {
-        diag << "--- worker stderr: " << files[i] << " ("
-             << failure.reason << ", " << failure.attempts
-             << " attempt(s)) ---\n"
-             << failure.stderr_tail;
-        if (!failure.stderr_tail.empty() &&
-            failure.stderr_tail.back() != '\n') {
-          diag << '\n';
-        }
-      }
-      merged.worker_failures.push_back(std::move(failure));
-      continue;
-    }
-
-    const Value& doc = shard.report;
-    if (const Value* telemetry = doc.find("telemetry");
-        telemetry != nullptr && telemetry->isObject()) {
-      if (const Value* res = telemetry->find("resource");
-          res != nullptr && res->isObject()) {
-        shard_stat.user_seconds = res->memberNumber("user_seconds");
-        shard_stat.sys_seconds = res->memberNumber("sys_seconds");
-        shard_stat.max_rss_kb = res->memberUint("max_rss_kb");
-      }
-      // Cache-hit telemetry carries a previous run's clock epoch, which
-      // cannot be re-based onto this run's timeline: no trace lane.
-      if (!shard.from_cache) {
-        MergedReport::ShardTelemetry lane;
-        lane.shard_index = i;
-        lane.file = files[i];
-        lane.epoch_steady_ns = static_cast<std::int64_t>(
-            telemetry->memberNumber("epoch_steady_ns"));
-        lane.pid = telemetry->memberUint("pid");
-        if (const Value* spans = telemetry->find("spans");
-            spans != nullptr && spans->isArray()) {
-          lane.spans = *spans;
-        }
-        merged.shard_telemetry.push_back(std::move(lane));
-      }
-    }
-    merged.stats.shards.push_back(std::move(shard_stat));
-    if (shard.exit_code == 2) {
-      merged.frontend_errors = true;
-      if (emit_stderr_headers) {
-        diag << "--- worker stderr: " << files[i]
-             << " (frontend errors) ---\n"
-             << tail(shard.stderr_text);
-        if (!shard.stderr_text.empty() &&
-            shard.stderr_text.back() != '\n') {
-          diag << '\n';
-        }
-      }
-    }
-
-    if (const Value* ws = doc.find("warnings"); ws != nullptr) {
-      for (const Value& w : ws->array) {
-        MergedReport::Warning out;
-        out.location = w.memberString("location");
-        out.function = w.memberString("function");
-        out.region = w.memberString("region");
-        std::string key =
-            out.location + ":warning:" + out.function + ":" + out.region;
-        if (const Value* bytes = w.find("bytes");
-            bytes != nullptr && bytes->array.size() == 2) {
-          out.bytes_known = true;
-          out.lo = static_cast<std::int64_t>(bytes->array[0].numberOr(0));
-          out.hi = static_cast<std::int64_t>(bytes->array[1].numberOr(0));
-          key += ":" + std::to_string(out.lo) + ":" + std::to_string(out.hi);
-        }
-        if (seen.insert(std::move(key)).second) {
-          merged.warnings.push_back(std::move(out));
-        }
-      }
-    }
-    if (const Value* es = doc.find("errors"); es != nullptr) {
-      for (const Value& e : es->array) {
-        MergedReport::Error out;
-        out.data = e.memberString("kind") == "data";
-        out.location = e.memberString("location");
-        out.function = e.memberString("function");
-        out.critical = e.memberString("critical");
-        std::string key = out.location +
-                          (out.data ? ":error:" : ":control:") +
-                          out.function + ":" + out.critical;
-        if (const Value* rs = e.find("regions"); rs != nullptr) {
-          for (const Value& r : rs->array) {
-            out.regions.push_back(r.stringOr({}));
-            key += ":" + out.regions.back();
-          }
-        }
-        if (const Value* ss = e.find("sources"); ss != nullptr) {
-          for (const Value& s : ss->array) {
-            out.sources.push_back(s.stringOr({}));
-            key += ":" + out.sources.back();
-          }
-        }
-        if (seen.insert(std::move(key)).second) {
-          merged.errors.push_back(std::move(out));
-        }
-      }
-    }
-    if (const Value* vs = doc.find("restriction_violations");
-        vs != nullptr) {
-      for (const Value& v : vs->array) {
-        MergedReport::Violation out;
-        out.rule = v.memberString("rule");
-        out.location = v.memberString("location");
-        out.message = v.memberString("message");
-        std::string key = out.location + ":" + out.rule + ":" + out.message;
-        if (seen.insert(std::move(key)).second) {
-          merged.restriction_violations.push_back(std::move(out));
-        }
-      }
-    }
-    merged.asserts_checked += doc.memberUint("asserts_checked");
-    if (const Value* checks = doc.find("required_runtime_checks");
-        checks != nullptr) {
-      for (const Value& c : checks->array) {
-        if (seen_checks.insert(c.stringOr({})).second) {
-          merged.required_runtime_checks.push_back(c.stringOr({}));
-        }
-      }
-    }
-    if (const Value* phases = doc.find("degraded_phases");
-        phases != nullptr) {
-      for (const Value& p : phases->array) {
-        const std::string name = p.stringOr({});
-        if (std::find(merged.degraded_phases.begin(),
-                      merged.degraded_phases.end(),
-                      name) == merged.degraded_phases.end()) {
-          merged.degraded_phases.push_back(name);
-        }
-      }
-    }
-    if (const Value* failed = doc.find("failed_files"); failed != nullptr) {
-      for (const Value& f : failed->array) {
-        merged.failed_files.push_back(f.stringOr({}));
-        merged.frontend_errors = true;
-      }
-    }
-
-    // Fold the worker's embedded stats document.
-    if (const Value* stats = doc.find("stats"); stats != nullptr) {
-      SafeFlowStats& s = merged.stats;
-      s.files += stats->memberUint("files");
-      if (const Value* loc = stats->find("loc"); loc != nullptr) {
-        s.loc.total_lines += loc->memberUint("total_lines");
-        s.loc.code_lines += loc->memberUint("code_lines");
-        s.loc.comment_lines += loc->memberUint("comment_lines");
-        s.loc.blank_lines += loc->memberUint("blank_lines");
-      }
-      s.annotation_count += stats->memberUint("annotation_count");
-      s.annotation_lines += stats->memberUint("annotation_lines");
-      s.functions += stats->memberUint("functions");
-      s.monitor_functions += stats->memberUint("monitor_functions");
-      s.init_functions += stats->memberUint("init_functions");
-      s.shm_regions += stats->memberUint("shm_regions");
-      s.noncore_regions += stats->memberUint("noncore_regions");
-      s.shm_iterations += stats->memberUint("shm_iterations");
-      s.taint_body_analyses += stats->memberUint("taint_body_analyses");
-      s.frontend_seconds += stats->memberNumber("frontend_seconds");
-      s.analysis_seconds += stats->memberNumber("analysis_seconds");
-      s.total_seconds += stats->memberNumber("total_seconds");
-      if (const Value* events = stats->find("degraded_phases");
-          events != nullptr) {
-        for (const Value& e : events->array) {
-          support::BudgetEvent event;
-          event.phase = e.memberString("phase");
-          event.reason = e.memberString("reason");
-          event.steps = e.memberUint("steps");
-          s.budget_events.push_back(std::move(event));
-        }
-      }
-      if (const Value* failed = stats->find("failed_files");
-          failed != nullptr) {
-        for (const Value& f : failed->array) {
-          s.failed_files.push_back(f.stringOr({}));
-        }
-      }
-      if (const Value* phases = stats->find("phases"); phases != nullptr) {
-        for (const Value& p : phases->array) {
-          const std::string name = p.memberString("name");
-          if (phase_seconds.find(name) == phase_seconds.end()) {
-            phase_order.push_back(name);
-          }
-          phase_seconds[name] += p.memberNumber("seconds");
-        }
-      }
-      if (const Value* cs = stats->find("counters"); cs != nullptr) {
-        for (const auto& [name, value] : cs->members) {
-          counters[name] += value.uintOr(0);
-        }
-      }
-      if (const Value* gs = stats->find("gauges"); gs != nullptr) {
-        for (const auto& [name, value] : gs->members) {
-          gauges[name] += value.numberOr(0.0);
-        }
-      }
-    }
-  }
-
-  // Dead shards also appear in the stats-level failed list so the two
-  // documents agree.
-  for (const WorkerFailure& f : merged.worker_failures) {
-    merged.stats.failed_files.push_back(f.file);
-  }
-
-  // Workers all run the same pipeline, so first-seen order is pipeline
-  // order; merging preserves it.
-  for (const std::string& name : phase_order) {
-    merged.stats.phase_seconds.emplace_back(name, phase_seconds[name]);
-  }
-  merged.stats.counters.assign(counters.begin(), counters.end());
-  merged.stats.gauges.assign(gauges.begin(), gauges.end());
-  merged.diagnostics_text = diag.str();
-  return merged;
-}
-
-std::string MergedReport::render() const {
-  std::ostringstream out;
-  out << "== SafeFlow report ==\n";
-  out << "warnings (unmonitored non-core accesses): " << warnings.size()
-      << "\n";
-  for (const Warning& w : warnings) {
-    out << "  [warning] " << w.location << " in " << w.function
-        << ": unmonitored read of non-core region '" << w.region << "'";
-    if (w.bytes_known) out << " bytes [" << w.lo << ", " << w.hi << ")";
-    out << "\n";
-  }
-  out << "error dependencies: " << errors.size() << " (" << dataErrorCount()
-      << " data, " << controlErrorCount()
-      << " control-only; control-only entries require manual review)\n";
-  for (const Error& e : errors) {
-    out << "  [error/" << (e.data ? "data" : "control") << "] "
-        << e.location << " in " << e.function << ": critical value '"
-        << e.critical << "' depends on non-core region(s):";
-    for (const std::string& r : e.regions) out << " " << r;
-    out << "\n";
-    for (const std::string& s : e.sources) {
-      out << "      via unmonitored load at " << s << "\n";
-    }
-  }
-  out << "restriction violations: " << restriction_violations.size() << "\n";
-  for (const Violation& v : restriction_violations) {
-    out << "  [" << v.rule << "] " << v.location << ": " << v.message
-        << "\n";
-  }
-  for (const std::string& check : required_runtime_checks) {
-    out << "  [runtime-check] " << check << "\n";
-  }
-  std::set<std::string> dead;
-  for (const WorkerFailure& f : worker_failures) dead.insert(f.file);
-  for (const std::string& f : failed_files) {
-    if (dead.count(f) != 0) continue;
-    out << "  [partial] '" << f
-        << "' had parse errors; results cover the declarations that "
-           "survived recovery\n";
-  }
-  for (const WorkerFailure& f : worker_failures) {
-    out << "  [failed] '" << f.file << "': worker " << f.reason
-        << " after " << f.attempts
-        << " attempt(s); shard not analyzed\n";
-  }
-  if (!degraded_phases.empty()) {
-    out << "DEGRADED: analysis budget exhausted in";
-    for (const std::string& p : degraded_phases) out << " " << p;
-    out << "; results are conservative (findings valid, absences "
-           "unproven)\n";
-  }
-  return out.str();
-}
-
-std::string MergedReport::renderJson(const std::string& stats_json) const {
-  std::ostringstream out;
-  out << "{\n  \"schema_version\": 1,\n  \"warnings\": [";
-  for (std::size_t i = 0; i < warnings.size(); ++i) {
-    const Warning& w = warnings[i];
-    out << (i == 0 ? "\n" : ",\n") << "    {\"location\": \""
-        << jsonEscape(w.location) << "\", \"function\": \""
-        << jsonEscape(w.function) << "\", \"region\": \""
-        << jsonEscape(w.region) << "\"";
-    if (w.bytes_known) {
-      out << ", \"bytes\": [" << w.lo << ", " << w.hi << "]";
-    }
-    out << "}";
-  }
-  out << (warnings.empty() ? "]" : "\n  ]");
-  out << ",\n  \"errors\": [";
-  for (std::size_t i = 0; i < errors.size(); ++i) {
-    const Error& e = errors[i];
-    out << (i == 0 ? "\n" : ",\n") << "    {\"kind\": \""
-        << (e.data ? "data" : "control") << "\", \"location\": \""
-        << jsonEscape(e.location) << "\", \"function\": \""
-        << jsonEscape(e.function) << "\", \"critical\": \""
-        << jsonEscape(e.critical) << "\", \"regions\": [";
-    for (std::size_t r = 0; r < e.regions.size(); ++r) {
-      out << (r == 0 ? "" : ", ") << "\"" << jsonEscape(e.regions[r])
-          << "\"";
-    }
-    out << "], \"sources\": [";
-    for (std::size_t s = 0; s < e.sources.size(); ++s) {
-      out << (s == 0 ? "" : ", ") << "\"" << jsonEscape(e.sources[s])
-          << "\"";
-    }
-    out << "]}";
-  }
-  out << (errors.empty() ? "]" : "\n  ]");
-  out << ",\n  \"restriction_violations\": [";
-  for (std::size_t i = 0; i < restriction_violations.size(); ++i) {
-    const Violation& v = restriction_violations[i];
-    out << (i == 0 ? "\n" : ",\n") << "    {\"rule\": \""
-        << jsonEscape(v.rule) << "\", \"location\": \""
-        << jsonEscape(v.location) << "\", \"message\": \""
-        << jsonEscape(v.message) << "\"}";
-  }
-  out << (restriction_violations.empty() ? "]" : "\n  ]");
-  out << ",\n  \"asserts_checked\": " << asserts_checked
-      << ",\n  \"data_errors\": " << dataErrorCount()
-      << ",\n  \"control_only\": " << controlErrorCount();
-  if (!degraded_phases.empty()) {
-    out << ",\n  \"degraded\": true,\n  \"degraded_phases\": [";
-    for (std::size_t i = 0; i < degraded_phases.size(); ++i) {
-      out << (i == 0 ? "" : ", ") << "\"" << jsonEscape(degraded_phases[i])
-          << "\"";
-    }
-    out << "]";
-  }
-  if (!failed_files.empty()) {
-    out << ",\n  \"failed_files\": [";
-    for (std::size_t i = 0; i < failed_files.size(); ++i) {
-      out << (i == 0 ? "" : ", ") << "\"" << jsonEscape(failed_files[i])
-          << "\"";
-    }
-    out << "]";
-  }
-  if (!worker_failures.empty()) {
-    out << ",\n  \"worker_failures\": [";
-    for (std::size_t i = 0; i < worker_failures.size(); ++i) {
-      const WorkerFailure& f = worker_failures[i];
-      out << (i == 0 ? "\n" : ",\n") << "    {\"file\": \""
-          << jsonEscape(f.file) << "\", \"reason\": \""
-          << jsonEscape(f.reason) << "\", \"attempts\": " << f.attempts;
-      if (!f.flight_events.empty()) {
-        out << ", \"flight_recorder\": [";
-        for (std::size_t e = 0; e < f.flight_events.size(); ++e) {
-          const support::FlightEvent& ev = f.flight_events[e];
-          out << (e == 0 ? "" : ", ") << "{\"seq\": " << ev.seq
-              << ", \"kind\": \"" << jsonEscape(ev.kind)
-              << "\", \"detail\": \"" << jsonEscape(ev.detail) << "\"}";
-        }
-        out << "]";
-      }
-      out << "}";
-    }
-    out << "\n  ]";
-  }
-  if (!stats_json.empty()) {
-    std::string indented;
-    indented.reserve(stats_json.size());
-    for (char c : stats_json) {
-      indented += c;
-      if (c == '\n') indented += "  ";
-    }
-    out << ",\n  \"stats\": " << indented;
-  }
-  out << "\n}\n";
-  return out.str();
-}
-
-std::string MergedReport::renderStitchedTrace(
-    const support::TraceCollector& supervisor_trace) const {
+std::string renderStitchedTrace(const support::TraceCollector& supervisor_trace,
+                                const SupervisedRun& run) {
   std::ostringstream out;
   out << "{\"traceEvents\": [\n";
   bool first = true;
@@ -829,67 +319,59 @@ std::string MergedReport::renderStitchedTrace(
     std::snprintf(buf, sizeof buf, "%.3f", v);
     return std::string(buf);
   };
-  const auto meta = [&](std::uint64_t pid, const std::string& label) {
+  const auto meta = [&](int pid, const std::string& label) {
     emit("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " +
          std::to_string(pid) + ", \"tid\": 0, \"args\": {\"name\": \"" +
-         jsonEscape(label) + "\"}}");
+         support::json::escape(label) + "\"}}");
   };
-
-  // Lane 1: the supervisor's own orchestration spans, already on the
-  // reference clock.
-  meta(1, "safeflow supervisor");
-  for (const support::TraceCollector::Span& s : supervisor_trace.spans()) {
-    std::string event =
-        "{\"name\": \"" + jsonEscape(s.name) +
-        "\", \"ph\": \"X\", \"pid\": 1, \"tid\": " + std::to_string(s.tid) +
-        ", \"ts\": " + num(s.start_us) +
-        ", \"dur\": " + num(s.dur_us < 0.0 ? 0.0 : s.dur_us);
-    if (!s.args.empty()) {
+  using Args = std::vector<std::pair<std::string, std::string>>;
+  const auto span = [&](int pid, const std::string& name, std::uint64_t tid,
+                        double start_us, double dur_us, const Args& args) {
+    std::string event = "{\"name\": \"" + support::json::escape(name) +
+                        "\", \"ph\": \"X\", \"pid\": " + std::to_string(pid) +
+                        ", \"tid\": " + std::to_string(tid) +
+                        ", \"ts\": " + num(start_us) +
+                        ", \"dur\": " + num(dur_us < 0.0 ? 0.0 : dur_us);
+    if (!args.empty()) {
       event += ", \"args\": {";
-      bool first_arg = true;
-      for (const auto& [key, value] : s.args) {
-        event += (first_arg ? "" : ", ");
-        event += "\"" + jsonEscape(key) + "\": \"" + jsonEscape(value) + "\"";
-        first_arg = false;
+      for (std::size_t i = 0; i < args.size(); ++i) {
+        event += (i == 0 ? "\"" : ", \"") +
+                 support::json::escape(args[i].first) + "\": \"" +
+                 support::json::escape(args[i].second) + "\"";
       }
       event += "}";
     }
-    event += "}";
-    emit(event);
+    emit(event + "}");
+  };
+
+  // Lane 1: the supervisor's own spans, already on the reference clock.
+  meta(1, "safeflow supervisor");
+  for (const support::TraceCollector::Span& s : supervisor_trace.spans()) {
+    span(1, s.name, s.tid, s.start_us, s.dur_us, s.args);
   }
 
-  // One lane per live shard, at a deterministic pid (input-order index +
-  // 2) labeled with the file and the worker's real pid. Timestamps are
-  // re-based: both clocks are CLOCK_MONOTONIC readings on this machine,
-  // so the worker's span offsets shift by the epoch difference.
-  const std::int64_t sup_epoch_ns = supervisor_trace.epochSteadyNs();
-  for (const ShardTelemetry& lane : shard_telemetry) {
-    const std::uint64_t pid = static_cast<std::uint64_t>(lane.shard_index) + 2;
-    meta(pid, lane.file + " (pid " + std::to_string(lane.pid) + ")");
+  // Lane 2: the live worker, labeled with its real pid. Both clocks are
+  // CLOCK_MONOTONIC readings on this machine, so the worker's span
+  // offsets shift by the epoch difference. A cache hit has no worker.
+  const support::json::Value* spans = run.worker_telemetry.find("spans");
+  if (spans != nullptr && spans->isArray()) {
+    meta(2, "safeflow worker (pid " +
+                std::to_string(run.worker_telemetry.memberUint("pid")) + ")");
     const double base_us =
-        static_cast<double>(lane.epoch_steady_ns - sup_epoch_ns) / 1000.0;
-    for (const support::json::Value& span : lane.spans.array) {
-      const double dur = span.memberNumber("dur_us");
-      std::string event =
-          "{\"name\": \"" + jsonEscape(span.memberString("name")) +
-          "\", \"ph\": \"X\", \"pid\": " + std::to_string(pid) +
-          ", \"tid\": " + std::to_string(span.memberUint("tid")) +
-          ", \"ts\": " + num(base_us + span.memberNumber("start_us")) +
-          ", \"dur\": " + num(dur < 0.0 ? 0.0 : dur);
-      if (const support::json::Value* args = span.find("args");
-          args != nullptr && args->isObject() && !args->members.empty()) {
-        event += ", \"args\": {";
-        bool first_arg = true;
-        for (const auto& [key, value] : args->members) {
-          event += (first_arg ? "" : ", ");
-          event += "\"" + jsonEscape(key) + "\": \"" +
-                   jsonEscape(value.stringOr({})) + "\"";
-          first_arg = false;
+        (run.worker_telemetry.memberNumber("epoch_steady_ns") -
+         static_cast<double>(supervisor_trace.epochSteadyNs())) /
+        1000.0;
+    for (const support::json::Value& s : spans->array) {
+      Args args;
+      if (const support::json::Value* a = s.find("args");
+          a != nullptr && a->isObject()) {
+        for (const auto& [key, value] : a->members) {
+          args.emplace_back(key, value.stringOr({}));
         }
-        event += "}";
       }
-      event += "}";
-      emit(event);
+      span(2, s.memberString("name"), s.memberUint("tid"),
+           base_us + s.memberNumber("start_us"), s.memberNumber("dur_us"),
+           args);
     }
   }
   out << "\n]}\n";

@@ -1,42 +1,33 @@
-// Out-of-process analysis supervisor: shards a multi-file invocation
-// into per-TU `safeflow --worker` child processes so that a hard crash
-// (SIGSEGV in the frontend, a runaway loop, an OOM kill) on one
-// pathological translation unit cannot take down the whole run.
+// Out-of-process analysis supervisor: runs one whole-program analysis in
+// a `safeflow --worker` child process, so that a hard crash (SIGSEGV in
+// the frontend, a runaway loop, an OOM kill) cannot take down the
+// process that asked for it — the CLI under --isolate, or safeflowd.
 //
-// Scheduling: a pool of up to `jobs` concurrent workers, each analyzing
-// one input file. Every worker runs under a wall-clock watchdog
-// (SIGKILL on deadline) and its exit is classified: a normal exit in
-// {0,1,2,3} with a parseable JSON report is accepted; a signal death,
-// watchdog kill, or torn report is retried up to `max_retries` times
-// with exponential backoff and a tightened analysis time budget (the
-// retry hypothesis is "the input is pathological, degrade instead of
-// dying"). A shard that exhausts its retries is recorded in
-// `failed_files` with the signal name and captured stderr; every other
-// shard is unaffected.
-//
-// Merging: per-worker JSON reports (worker protocol =
-// SafeFlowReport::renderJson with worker extras) and per-worker stats
-// documents are merged in *input file order* — never completion order —
-// so the merged report is byte-identical for any --jobs value; only
-// wall-clock fields differ. Duplicate findings from headers included by
-// several TUs are dropped with the same file:line:category:message key
-// the in-process path uses. Exit-code semantics follow the shared
-// ladder in driver.h (exitCodeFor), and `degraded` / `failed_files`
-// carry the PR 2 meanings.
-//
-// Note on semantics: per-TU sharding analyzes each file as its own
-// program, like running `safeflow` once per file. Cross-TU value flow
-// (a region initialized in one file and read in another) is only seen
-// by the default whole-program in-process mode; `--isolate` trades that
-// for crash isolation and parallelism. See DESIGN.md §10.
+// The worker runs the same code as the default in-process path over the
+// whole file set and sends back that path's exact stdout, stderr and
+// exit code in one JSON envelope (run_output.h); the supervisor relays
+// them unchanged. Around that child it keeps four jobs:
+//   - a wall-clock watchdog (SIGKILL on deadline);
+//   - retries with exponential backoff and a tightened analysis time
+//     budget (the retry hypothesis is "the input is pathological,
+//     degrade instead of dying");
+//   - crash classification: a normal exit in {0,1,2,3} with a readable
+//     envelope is accepted; a signal death, watchdog kill or torn
+//     envelope is retried up to `max_retries` times;
+//   - the flight-recorder postmortem a dying worker dumps on stderr.
+// A worker that exhausts its retries fails the whole run loudly: exit 2,
+// one `[failed]` line (or one `worker_failures` entry under --json).
+// With a result cache attached, a hit replays the stored envelope and
+// spawns no worker at all.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "safeflow/driver.h"
+#include "safeflow/run_output.h"
 #include "support/flight_recorder.h"
 #include "support/json.h"
 #include "support/metrics.h"
@@ -44,12 +35,9 @@
 namespace safeflow {
 
 class CacheManager;
-class RunJournal;
 
 struct SupervisorOptions {
-  /// Maximum concurrent workers (>= 1).
-  std::size_t jobs = 1;
-  /// Retries after the first attempt for crash/timeout/torn-report
+  /// Retries after the first attempt for crash/timeout/torn-envelope
   /// failures (attempts = 1 + max_retries).
   int max_retries = 2;
   /// First backoff sleep before a retry; doubles per further retry.
@@ -66,57 +54,35 @@ struct SupervisorOptions {
   double base_time_budget_seconds = 0.0;
   /// Path to the safeflow executable to use as the worker.
   std::string worker_exe;
-  /// Analysis options forwarded verbatim to every worker (e.g. "-I",
-  /// "dir", "--mode=call-strings", "--time-budget", "250ms").
+  /// Options forwarded verbatim to the worker (e.g. "-I", "dir",
+  /// "--time-budget", "250ms").
   std::vector<std::string> worker_args;
-  /// Extra environment for every worker (tests use this to aim
-  /// SAFEFLOW_INJECT_FAULT at one shard without mutating global env).
+  /// What the run prints: forwarded to the worker as its rendering
+  /// flags, and the form (text or JSON) a failed run is reported in.
+  RenderOptions render;
+  /// Extra environment for the worker (tests use this to arm
+  /// SAFEFLOW_INJECT_FAULT without mutating the global environment).
   std::vector<std::pair<std::string, std::string>> extra_env;
-  /// Optional incremental result cache (DESIGN.md §11). On a hit the
-  /// supervisor skips spawning the shard's worker entirely and feeds the
-  /// cached worker-protocol document into the same input-order merge;
-  /// first-attempt accepted shards are stored back. May be null; must
+  /// Optional incremental result cache (DESIGN.md §11), keyed over the
+  /// whole file set. A hit replays the stored envelope without spawning
+  /// a worker; a first-attempt result is stored back. May be null; must
   /// outlive run().
   CacheManager* cache = nullptr;
-  /// Optional run journal (--resume). Shards already recorded as
-  /// finished are replayed from the journal without spawning a worker
-  /// (counted under supervisor.shards_resumed_skipped); freshly
-  /// accepted live outcomes are appended as they complete. May be
-  /// null; must outlive run().
-  RunJournal* journal = nullptr;
-  /// Optional span collector for the supervisor's own orchestration
-  /// spans (shard lifecycle, spawn/wait, backoff, cache probes, merge).
-  /// Its epoch is also the reference timeline worker spans are re-based
-  /// onto in the stitched trace (DESIGN.md §13). May be null.
+  /// Optional span collector for the supervisor's own spans (run,
+  /// cache probe, spawn, backoff). Its epoch is also the reference
+  /// timeline the worker's spans are re-based onto in the stitched
+  /// trace (DESIGN.md §13). May be null.
   support::TraceCollector* trace = nullptr;
   /// Cap on captured worker stderr per attempt (--worker-stderr-cap);
-  /// excess is dropped with a truncation marker so one log-spamming
-  /// shard cannot bloat failure records. 0 disables the cap.
+  /// excess is dropped with a truncation marker so a log-spamming worker
+  /// cannot bloat the failure record. 0 disables the cap.
   std::size_t worker_stderr_cap = 64u << 10;
 };
 
-/// The outcome of obtaining one shard's worker-protocol document,
-/// whether from a live worker or the incremental cache. This is the
-/// unit the merge consumes; the in-process cache path builds one by
-/// hand to reuse the exact same merge/rendering machinery.
-struct WorkerOutcome {
-  bool accepted = false;          // a JSON report was obtained
-  support::json::Value report;    // valid when accepted
-  int exit_code = -1;             // ladder exit code when accepted
-  int attempts = 0;               // 0 when served from cache
-  bool from_cache = false;
-  std::string raw_stdout;         // worker stdout verbatim (cache store)
-  std::string failure_reason;     // non-empty when !accepted
-  std::string stderr_text;        // last attempt's (or cached) stderr
-  bool stderr_truncated = false;  // stderr hit --worker-stderr-cap
-  double wall_seconds = 0.0;      // accepted attempt's wall clock
-};
-
-/// One shard that exhausted its retries (or failed unretryably).
+/// A worker that exhausted its retries (or failed unretryably).
 struct WorkerFailure {
-  std::string file;
   /// "SIGSEGV", "timeout", "exit 2 (no report)", "unparseable report",
-  /// "spawn failed: ...".
+  /// "spawn failed: ...", "interrupted".
   std::string reason;
   int attempts = 0;
   /// Tail of the last attempt's captured stderr.
@@ -127,127 +93,47 @@ struct WorkerFailure {
   std::vector<support::FlightEvent> flight_events;
 };
 
-/// The merged result of a supervised run. Field meanings mirror
-/// analysis::SafeFlowReport; entries are pre-rendered strings because
-/// they crossed the worker JSON protocol.
-struct MergedReport {
-  struct Warning {
-    std::string location, function, region;
-    bool bytes_known = false;
-    std::int64_t lo = 0, hi = 0;
-  };
-  struct Error {
-    bool data = true;
-    std::string location, function, critical;
-    std::vector<std::string> regions;
-    std::vector<std::string> sources;
-  };
-  struct Violation {
-    std::string rule, location, message;
-  };
-
-  std::vector<Warning> warnings;
-  std::vector<Error> errors;
-  std::vector<Violation> restriction_violations;
-  std::size_t asserts_checked = 0;
-  std::vector<std::string> required_runtime_checks;
-  std::vector<std::string> degraded_phases;
-  /// Files that failed: worker parse failures (from the worker's own
-  /// failed_files) and shards whose worker died (see worker_failures).
-  std::vector<std::string> failed_files;
-  std::vector<WorkerFailure> worker_failures;
-
-  /// Telemetry one live worker reported (the report document's
-  /// "telemetry" member), kept for trace stitching. Cache-hit shards
-  /// contribute none: their recorded epochs belong to a past run and
-  /// cannot be re-based onto this run's timeline.
-  struct ShardTelemetry {
-    std::size_t shard_index = 0;     // lane: input-order position
-    std::string file;
-    std::int64_t epoch_steady_ns = 0;  // worker TraceCollector epoch
-    std::uint64_t pid = 0;             // worker's real pid (lane label)
-    support::json::Value spans;        // worker span array (may be empty)
-  };
-  std::vector<ShardTelemetry> shard_telemetry;
-
-  /// Merged pipeline statistics (sums over workers + supervisor.*
-  /// counters); wall-clock fields are sums of per-worker wall time.
-  SafeFlowStats stats;
-  /// Captured stderr of shards with frontend errors or failures, in
-  /// input order, each block preceded by a "--- worker stderr ..."
-  /// header line. Printed to stderr by the CLI, never part of stdout.
-  std::string diagnostics_text;
-
-  bool frontend_errors = false;
-  [[nodiscard]] bool degraded() const { return !degraded_phases.empty(); }
-  [[nodiscard]] std::size_t dataErrorCount() const;
-  [[nodiscard]] std::size_t controlErrorCount() const;
-  [[nodiscard]] int exitCode() const {
-    return exitCodeFor(dataErrorCount(), frontend_errors, degraded());
-  }
-
-  /// Text rendering in the in-process report format (plus `[failed]`
-  /// lines for dead shards).
-  [[nodiscard]] std::string render() const;
-  /// JSON rendering in the in-process `--json` schema (plus a
-  /// "worker_failures" array when shards died); embeds `stats_json`
-  /// verbatim when non-empty.
-  [[nodiscard]] std::string renderJson(const std::string& stats_json) const;
-
-  /// One Chrome-trace (Perfetto-loadable) document stitching the
-  /// supervisor's own spans (pid 1) together with every live worker's
-  /// spans, one process lane per shard (pid = shard index + 2, labeled
-  /// with the file and real pid). Worker timestamps are re-based onto
-  /// the supervisor collector's monotonic epoch, so `--trace --jobs 8`
-  /// shows one coherent timeline (DESIGN.md §13).
-  [[nodiscard]] std::string renderStitchedTrace(
-      const support::TraceCollector& supervisor_trace) const;
+/// The outcome of one supervised run.
+struct SupervisedRun {
+  /// What to print: the worker's (or the cache's) output verbatim, or the
+  /// failure rendering. Its stats carry the worker's pipeline statistics
+  /// with the supervisor's counters folded in and one `shards` row for
+  /// the worker.
+  RunOutput output;
+  /// Set when no worker produced an output.
+  std::optional<WorkerFailure> failure;
+  bool from_cache = false;
+  /// Worker attempts made (0 on a cache hit).
+  int attempts = 0;
+  /// The live worker's "telemetry" member (pid, clock epoch and spans
+  /// when it ran with --telemetry-spans); null otherwise.
+  support::json::Value worker_telemetry;
 };
 
-/// Merges per-shard outcomes in input order (files[i] produced
-/// outcomes[i]; the two must be the same length). Findings are
-/// deduplicated with the in-process keys, stats documents are summed,
-/// failures become WorkerFailure entries. When `emit_stderr_headers` is
-/// false the "--- worker stderr ---" blocks are suppressed
-/// (merged.diagnostics_text stays empty) — the in-process cache path
-/// prints its own diagnostics verbatim instead.
-[[nodiscard]] MergedReport mergeWorkerOutcomes(
-    const std::vector<std::string>& files,
-    std::vector<WorkerOutcome>& outcomes, bool emit_stderr_headers = true);
-
-/// Folds a registry snapshot into `stats` the way the supervisor does
-/// before rendering: counters add, gauges overwrite.
+/// Folds a registry snapshot into `stats`: counters add, gauges
+/// overwrite, duration digests join the list (name-sorted).
 void foldRegistrySnapshot(const support::MetricsRegistry& metrics,
                           SafeFlowStats* stats);
 
-/// A merged run rendered to the exact byte streams the CLI emits: the
-/// report document on stdout, worker diagnostics on stderr, and the
-/// ladder exit code. Shared by the one-shot CLI and the daemon so a
-/// daemon-served response is byte-identical to the one-shot output for
-/// the same inputs and flags.
-struct RenderedRun {
-  std::string stdout_text;
-  std::string stderr_text;
-  int exit_code = 0;
-};
-[[nodiscard]] RenderedRun renderMergedRun(const MergedReport& merged,
-                                          bool json, bool quiet);
+/// One Chrome-trace (Perfetto-loadable) document: the supervisor's own
+/// spans on lane 1 and the live worker's spans on lane 2, re-based onto
+/// the supervisor collector's monotonic epoch (DESIGN.md §13).
+[[nodiscard]] std::string renderStitchedTrace(
+    const support::TraceCollector& supervisor_trace, const SupervisedRun& run);
 
 class Supervisor {
  public:
-  /// `metrics` receives supervisor.* counters/durations and may be the
-  /// registry whose snapshot lands in the merged stats; must outlive
-  /// run().
+  /// `metrics` receives supervisor.* counters/durations and lands in the
+  /// run's stats; must outlive run().
   Supervisor(SupervisorOptions options, support::MetricsRegistry* metrics);
 
-  /// Analyzes `files`, one worker per file. Blocking; never throws on
-  /// worker misbehavior (a dead worker becomes a WorkerFailure).
-  [[nodiscard]] MergedReport run(const std::vector<std::string>& files);
+  /// Analyzes `files` as one program in one worker. Blocking; never
+  /// throws on worker misbehavior (a dead worker becomes a failure).
+  [[nodiscard]] SupervisedRun run(const std::vector<std::string>& files);
 
  private:
-  void analyzeShard(std::size_t shard_index, const std::string& file,
-                    WorkerOutcome* result);
-  void runShard(const std::string& file, WorkerOutcome* result);
+  void runWorker(const std::vector<std::string>& files, SupervisedRun* run,
+                 double* wall_seconds);
 
   SupervisorOptions options_;
   support::MetricsRegistry* metrics_;

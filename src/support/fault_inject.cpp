@@ -4,6 +4,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include <unistd.h>
 
@@ -81,15 +82,10 @@ bool parseSpec(const char* text, FaultSpec* spec) {
 
 }  // namespace
 
-void armWorkerFaultInjection(const std::string& input_file) {
+void armWorkerFaultInjection() {
   const char* spec_text = std::getenv("SAFEFLOW_INJECT_FAULT");
   if (spec_text == nullptr || *spec_text == '\0') return;
 
-  if (const char* file = std::getenv("SAFEFLOW_INJECT_FAULT_FILE");
-      file != nullptr && *file != '\0' &&
-      input_file.find(file) == std::string::npos) {
-    return;  // spec targets a different shard
-  }
   if (const char* attempts = std::getenv("SAFEFLOW_INJECT_FAULT_ATTEMPTS");
       attempts != nullptr && *attempts != '\0') {
     const char* attempt = std::getenv("SAFEFLOW_WORKER_ATTEMPT");

@@ -16,10 +16,6 @@
 //           "ranges", "restrictions", "alias", "taint", "report")
 //     nth   trigger on the nth entry to that phase (default 1)
 //
-//   SAFEFLOW_INJECT_FAULT_FILE=<substr>
-//     arm only when the worker's input file path contains <substr>
-//     (lets a corpus-wide soak run target a single shard)
-//
 //   SAFEFLOW_INJECT_FAULT_ATTEMPTS=<n>
 //     arm only while the supervisor-provided SAFEFLOW_WORKER_ATTEMPT is
 //     <= n (exercises retry-then-succeed: fault on attempt 1, clean on
@@ -30,14 +26,11 @@
 // unchanged byte-for-byte.
 #pragma once
 
-#include <string>
-
 namespace safeflow::support {
 
 /// Parses the SAFEFLOW_INJECT_FAULT* environment and arms the hook for
-/// this process when the spec matches `input_file`. Called only by the
-/// `safeflow --worker` entry point.
-void armWorkerFaultInjection(const std::string& input_file);
+/// this process. Called only by the `safeflow --worker` entry point.
+void armWorkerFaultInjection();
 
 /// True when a fault is armed (test/introspection helper).
 [[nodiscard]] bool faultInjectionArmed();

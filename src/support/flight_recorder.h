@@ -16,7 +16,7 @@
 // formatting — no malloc, no stdio, no locks), so it is sound from a
 // signal handler running on a corrupted heap. The supervisor recognizes
 // the `SAFEFLOW-FR ` prefix in a dead worker's captured stderr and
-// attaches the events to that shard's `worker_failures` entry, so a
+// attaches the events to the run's `worker_failures` entry, so a
 // crash names the phase and the events leading up to it instead of just
 // "signal 11".
 //

@@ -19,7 +19,7 @@
 //                       which the checksummed cache envelope must catch
 //           fsync_fail  the nth fsync at <site> fails with EIO
 //     site  a writer identity: "cache.store", "metrics.out",
-//           "trace.out", "stats.out", "journal.append", "daemon.socket"
+//           "trace.out", "stats.out", "daemon.socket"
 //     nth   trigger on the nth matching operation (default 1)
 //
 // Injection is one-shot: after triggering once the hook disarms, so

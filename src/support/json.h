@@ -1,11 +1,11 @@
-// Minimal JSON reader for the analysis supervisor: parses the documents
-// the tool itself emits (worker `--json` reports, `--stats-json`
-// metrics) back into a small value tree so they can be merged. This is a
-// strict RFC-8259 subset reader — objects, arrays, strings with the
+// Minimal JSON reader and string escaper: parses the documents the tool
+// itself emits (the worker envelope, cache entries, `--stats-json`
+// metrics) and the daemon's requests back into a small value tree. This
+// is a strict RFC-8259 subset reader — objects, arrays, strings with the
 // escapes our writer produces, numbers, booleans, null — with a depth
 // cap so a corrupted or adversarial worker stream cannot blow the stack.
 // It is not a general-purpose JSON library and does not preserve number
-// formatting round-trips; merged documents are re-rendered from scratch.
+// formatting round-trips; documents are always rendered anew.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +57,11 @@ class Value {
   [[nodiscard]] std::uint64_t memberUint(std::string_view key,
                                          std::uint64_t fallback = 0) const;
 };
+
+/// Escapes `s` for use inside a JSON string literal: quote, backslash,
+/// newline and tab by name, every other control byte as \u00XX. The one
+/// escaper behind every document the tool writes.
+[[nodiscard]] std::string escape(std::string_view s);
 
 /// Parses `text` into `*out`. On failure returns false and, when `error`
 /// is non-null, stores a one-line description with byte offset.

@@ -8,33 +8,13 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include "support/json.h"
+
 namespace safeflow::support {
 
 namespace {
 
 std::mutex g_log_mu;
-
-std::string jsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -85,13 +65,13 @@ void Logger::log(LogLevel level, std::string_view component,
     out << "{\"ts\": " << ts << ", \"pid\": " << ::getpid()
         << ", \"level\": \"" << logLevelName(level) << "\"";
     if (!shard_.empty()) {
-      out << ", \"shard\": \"" << jsonEscape(shard_) << "\"";
+      out << ", \"shard\": \"" << json::escape(shard_) << "\"";
     }
-    out << ", \"component\": \"" << jsonEscape(component)
-        << "\", \"msg\": \"" << jsonEscape(message) << "\"";
+    out << ", \"component\": \"" << json::escape(component)
+        << "\", \"msg\": \"" << json::escape(message) << "\"";
     for (const LogKv& pair : kv) {
-      out << ", \"" << jsonEscape(pair.first) << "\": \""
-          << jsonEscape(pair.second) << "\"";
+      out << ", \"" << json::escape(pair.first) << "\": \""
+          << json::escape(pair.second) << "\"";
     }
     out << "}\n";
   } else {

@@ -5,8 +5,9 @@
 // ad-hoc std::cerr prints, so a fleet operator can (a) raise or lower
 // verbosity uniformly (--log-level) and (b) switch stderr to NDJSON
 // (--log-json): one JSON object per line carrying a wall-clock
-// timestamp, pid, shard label, level, component, message, and free-form
-// key/value pairs — the shape a log shipper ingests without regexes.
+// timestamp, pid, process label (the "shard" key), level, component,
+// message, and free-form key/value pairs — the shape a log shipper
+// ingests without regexes.
 //
 // Text mode keeps the historical `safeflow: <message>` prefix so
 // existing greps (CI checks, scripts) keep working; key/value pairs are
@@ -15,7 +16,7 @@
 // Levels, most to least severe: error > warn > note > info > debug.
 // The default threshold is `note`: errors, warnings, and explicit
 // operator-facing notes (e.g. "cache disabled under --trace") are
-// printed; info/debug chatter (per-shard lifecycle, cache store
+// printed; info/debug chatter (worker lifecycle, cache store
 // details) needs --log-level info / debug.
 //
 // The SAFEFLOW_LOG macro evaluates its message/kv arguments only when
@@ -56,8 +57,8 @@ class Logger {
   static Logger& instance();
 
   /// Installs the CLI configuration. `shard` labels every event from
-  /// this process ("supervisor", a worker's input file, "" for the
-  /// plain in-process path).
+  /// this process ("supervisor", "worker", "client", "safeflowd", ""
+  /// for the plain in-process path).
   void configure(LogLevel level, bool json, std::string shard);
 
   [[nodiscard]] LogLevel level() const { return level_; }

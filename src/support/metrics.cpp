@@ -9,6 +9,8 @@
 
 #include <sys/resource.h>
 
+#include "support/json.h"
+
 namespace safeflow::support {
 
 // ---------------------------------------------------------------------------
@@ -166,28 +168,6 @@ std::uint64_t threadKey() {
   return std::hash<std::thread::id>{}(std::this_thread::get_id());
 }
 
-std::string jsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string formatUs(double us) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.3f", us);
@@ -276,15 +256,15 @@ std::string TraceCollector::toChromeTraceJson() const {
   for (std::size_t i = 0; i < spans_.size(); ++i) {
     const Span& s = spans_[i];
     const double dur = s.dur_us >= 0.0 ? s.dur_us : now_us - s.start_us;
-    out << (i == 0 ? "\n" : ",\n") << "  {\"name\": \"" << jsonEscape(s.name)
+    out << (i == 0 ? "\n" : ",\n") << "  {\"name\": \"" << json::escape(s.name)
         << "\", \"cat\": \"safeflow\", \"ph\": \"X\", \"ts\": "
         << formatUs(s.start_us) << ", \"dur\": " << formatUs(dur)
         << ", \"pid\": 1, \"tid\": " << s.tid;
     if (!s.args.empty()) {
       out << ", \"args\": {";
       for (std::size_t a = 0; a < s.args.size(); ++a) {
-        out << (a == 0 ? "" : ", ") << "\"" << jsonEscape(s.args[a].first)
-            << "\": \"" << jsonEscape(s.args[a].second) << "\"";
+        out << (a == 0 ? "" : ", ") << "\"" << json::escape(s.args[a].first)
+            << "\": \"" << json::escape(s.args[a].second) << "\"";
       }
       out << "}";
     }
@@ -311,14 +291,14 @@ std::string TraceCollector::spansToJsonArray() const {
   for (std::size_t i = 0; i < spans_.size(); ++i) {
     const Span& s = spans_[i];
     const double dur = s.dur_us >= 0.0 ? s.dur_us : now_us - s.start_us;
-    out << (i == 0 ? "" : ", ") << "{\"name\": \"" << jsonEscape(s.name)
+    out << (i == 0 ? "" : ", ") << "{\"name\": \"" << json::escape(s.name)
         << "\", \"tid\": " << s.tid << ", \"start_us\": "
         << formatUs(s.start_us) << ", \"dur_us\": " << formatUs(dur);
     if (!s.args.empty()) {
       out << ", \"args\": {";
       for (std::size_t a = 0; a < s.args.size(); ++a) {
-        out << (a == 0 ? "" : ", ") << "\"" << jsonEscape(s.args[a].first)
-            << "\": \"" << jsonEscape(s.args[a].second) << "\"";
+        out << (a == 0 ? "" : ", ") << "\"" << json::escape(s.args[a].first)
+            << "\": \"" << json::escape(s.args[a].second) << "\"";
       }
       out << "}";
     }

@@ -2,7 +2,7 @@
 // known vectors, DiskCache durability and LRU eviction, CacheManager
 // key sensitivity (content, headers, flags, order, search path),
 // corrupt-entry fallback, and end-to-end warm runs through the real
-// supervisor (SAFEFLOW_EXE workers) including the edit-one-TU case.
+// supervisor (SAFEFLOW_EXE worker) including the edit-one-TU case.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -365,11 +365,14 @@ TEST(CacheKey, CyclicIncludesTerminate) {
 
 // --- CacheManager store/lookup robustness ---------------------------
 
-const char kMinimalReport[] =
-    "{\"schema_version\": 1, \"warnings\": [], \"errors\": [],"
-    " \"restriction_violations\": [], \"asserts_checked\": 0,"
-    " \"data_errors\": 0, \"control_only\": 0,"
-    " \"required_runtime_checks\": []}";
+RunOutput minimalRun(int exit_code, const std::string& stderr_text) {
+  RunOutput run;
+  run.exit_code = exit_code;
+  run.stdout_text = "safeflow: 0 warning(s), 0 error dependency(ies)\n";
+  run.stderr_text = stderr_text;
+  run.stats.files = 1;
+  return run;
+}
 
 TEST(CacheManagerTest, StoreThenLookupReturnsTheDecodedEntry) {
   CacheOptions options;
@@ -378,13 +381,13 @@ TEST(CacheManagerTest, StoreThenLookupReturnsTheDecodedEntry) {
   support::MetricsRegistry registry;
   CacheManager manager(options, &registry);
 
-  manager.store("deadbeefdeadbeef", kMinimalReport, 3, "some stderr\n");
+  manager.store("deadbeefdeadbeef", minimalRun(3, "some stderr\n"));
   const auto hit = manager.lookup("deadbeefdeadbeef");
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->exit_code, 3);
   EXPECT_EQ(hit->stderr_text, "some stderr\n");
-  EXPECT_TRUE(hit->report.isObject());
-  EXPECT_EQ(hit->report.memberUint("schema_version"), 1u);
+  EXPECT_EQ(hit->stdout_text, minimalRun(3, "").stdout_text);
+  EXPECT_EQ(hit->stats.files, 1u);
   EXPECT_EQ(registry.counterValue("cache.writes"), 1u);
   EXPECT_EQ(registry.counterValue("cache.hits"), 1u);
   EXPECT_EQ(registry.counterValue("cache.misses"), 0u);
@@ -396,7 +399,7 @@ TEST(CacheManagerTest, TruncatedEntryIsPurgedAndCounted) {
   options.dir = freshDir("mgr_corrupt");
   support::MetricsRegistry registry;
   CacheManager manager(options, &registry);
-  manager.store("deadbeefdeadbeef", kMinimalReport, 0, "");
+  manager.store("deadbeefdeadbeef", minimalRun(0, ""));
 
   // Truncate the entry the way a full disk or a kill -9 mid-copy would.
   const support::DiskCache disk_view({options.dir, 0});
@@ -424,7 +427,7 @@ TEST(CacheManagerTest, WrongKeyEchoAndVersionMismatchAreCorrupt) {
   options.dir = freshDir("mgr_echo");
   support::MetricsRegistry registry;
   CacheManager manager(options, &registry);
-  manager.store("aaaaaaaaaaaaaaaa", kMinimalReport, 0, "");
+  manager.store("aaaaaaaaaaaaaaaa", minimalRun(0, ""));
 
   // Copy the valid entry's decoded payload under a different key: the
   // storage envelope verifies fine, but the key echoed inside no longer
@@ -460,7 +463,6 @@ TEST(CacheManagerTest, FaultInjectionEnvDisablesTheCache) {
 SupervisorOptions supervisedOptions(CacheManager* cache) {
   SupervisorOptions opts;
   opts.worker_exe = SAFEFLOW_EXE;
-  opts.jobs = 4;
   opts.worker_timeout_seconds = 60.0;
   opts.cache = cache;
   return opts;
@@ -479,44 +481,52 @@ TEST(SupervisedCache, WarmRunHitsEveryShardAndSpawnsNoWorkers) {
   for (int run = 0; run < 2; ++run) {
     support::MetricsRegistry registry;
     CacheManager cache(cache_options, &registry);
-    Supervisor sup(supervisedOptions(&cache), &registry);
-    const MergedReport merged = sup.run(files);
-    EXPECT_EQ(merged.exitCode(), 0);
-    renders[run] = merged.render();
+    const SupervisedRun result =
+        Supervisor(supervisedOptions(&cache), &registry).run(files);
+    EXPECT_EQ(result.output.exit_code, 0);
+    EXPECT_EQ(result.from_cache, run == 1);
+    renders[run] = result.output.stdout_text;
     hits[run] = registry.counterValue("cache.hits");
     spawned[run] = registry.counterValue("supervisor.workers_spawned");
   }
+  // One entry covers the whole file set.
   EXPECT_EQ(hits[0], 0u);
-  EXPECT_EQ(spawned[0], files.size());
-  EXPECT_EQ(hits[1], files.size());  // 100% warm
-  EXPECT_EQ(spawned[1], 0u);        // no workers at all
+  EXPECT_EQ(spawned[0], 1u);
+  EXPECT_EQ(hits[1], 1u);     // 100% warm
+  EXPECT_EQ(spawned[1], 0u);  // no worker at all
   EXPECT_EQ(renders[0], renders[1]);
 }
 
 TEST(SupervisedCache, EditingOneTuMissesExactlyThatShard) {
+  // Two programs (file sets) share one cache dir. Editing a file of one
+  // misses exactly that program's entry; the other still hits.
   const std::string dir = freshDir("sup_edit");
   ASSERT_EQ(std::system(("mkdir -p '" + dir + "'").c_str()), 0);
   const std::string one = dir + "/one.c";
   const std::string two = dir + "/two.c";
+  const std::string other = dir + "/other.c";
   writeFile(one, "int first_unit(void) { return 1; }\n");
   writeFile(two, "int second_unit(void) { return 2; }\n");
+  writeFile(other, "int other_unit(void) { return 4; }\n");
 
   CacheOptions cache_options;
   cache_options.enabled = true;
   cache_options.dir = freshDir("sup_edit_cache");
+  const auto runBoth = [&](support::MetricsRegistry* registry) {
+    CacheManager cache(cache_options, registry);
+    Supervisor sup(supervisedOptions(&cache), registry);
+    return std::vector<bool>{sup.run({one, two}).from_cache,
+                             sup.run({other}).from_cache};
+  };
   {
     support::MetricsRegistry registry;
-    CacheManager cache(cache_options, &registry);
-    Supervisor sup(supervisedOptions(&cache), &registry);
-    (void)sup.run({one, two});
+    EXPECT_EQ(runBoth(&registry), (std::vector<bool>{false, false}));
     EXPECT_EQ(registry.counterValue("cache.writes"), 2u);
   }
   writeFile(one, "int first_unit(void) { return 3; }\n");
   {
     support::MetricsRegistry registry;
-    CacheManager cache(cache_options, &registry);
-    Supervisor sup(supervisedOptions(&cache), &registry);
-    (void)sup.run({one, two});
+    EXPECT_EQ(runBoth(&registry), (std::vector<bool>{false, true}));
     EXPECT_EQ(registry.counterValue("cache.misses"), 1u);
     EXPECT_EQ(registry.counterValue("cache.hits"), 1u);
     EXPECT_EQ(registry.counterValue("supervisor.workers_spawned"), 1u);
@@ -534,8 +544,9 @@ TEST(SupervisedCache, CorruptShardEntryFallsBackToColdAnalysis) {
   {
     support::MetricsRegistry registry;
     CacheManager cache(cache_options, &registry);
-    Supervisor sup(supervisedOptions(&cache), &registry);
-    cold_render = sup.run(files).render();
+    cold_render = Supervisor(supervisedOptions(&cache), &registry)
+                      .run(files)
+                      .output.stdout_text;
   }
   // Truncate the single entry on disk.
   const std::string cmd = "for f in '" + cache_options.dir +
@@ -543,15 +554,14 @@ TEST(SupervisedCache, CorruptShardEntryFallsBackToColdAnalysis) {
   ASSERT_EQ(std::system(cmd.c_str()), 0);
   {
     support::MetricsRegistry registry;
-    // Capture from construction: the torn entry is detected by the
-    // manager's verify-on-open sweep, before any lookup reaches it.
     testing::internal::CaptureStderr();
     CacheManager cache(cache_options, &registry);
-    Supervisor sup(supervisedOptions(&cache), &registry);
-    const MergedReport merged = sup.run(files);
+    const SupervisedRun run =
+        Supervisor(supervisedOptions(&cache), &registry).run(files);
     EXPECT_NE(testing::internal::GetCapturedStderr().find("is corrupt"),
               std::string::npos);
-    EXPECT_EQ(merged.render(), cold_render);  // cold fallback, same result
+    // Cold fallback, same result.
+    EXPECT_EQ(run.output.stdout_text, cold_render);
     EXPECT_EQ(registry.counterValue("cache.corrupt"), 1u);
     EXPECT_EQ(registry.counterValue("supervisor.workers_spawned"), 1u);
     EXPECT_EQ(registry.counterValue("cache.writes"), 1u);  // re-stored

@@ -98,7 +98,7 @@ TEST(DaemonSoak, InjectedFaultsAndHostileClientsNeverKillTheDaemon) {
         "_" + std::to_string(round) + ".sock";
 
     const pid_t pid = spawnDaemon(
-        {"--socket", socket, "--no-cache", "--max-inflight", "1",
+        {"--socket", socket, "--no-cache", "--jobs", "1",
          "--max-queue", "1", "--retries", "2", "--worker-timeout",
          hang ? "1s" : "30s", "--worker-exe", SAFEFLOW_EXE},
         {{"SAFEFLOW_INJECT_FAULT", std::string(kind) + "@" + phase},

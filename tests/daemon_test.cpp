@@ -1,5 +1,5 @@
 // End-to-end tests for safeflowd: protocol round trips, byte-identity
-// of daemon responses with the one-shot supervised CLI, request
+// of daemon responses with the one-shot in-process CLI, request
 // coalescing, admission-control shedding, malformed-request tolerance,
 // SIGTERM drain, and crash-recovery (kill -9, restart, warm cache).
 //
@@ -47,13 +47,12 @@ std::string scratchSocket(const std::string& tag) {
          std::to_string(::getpid()) + ".sock";
 }
 
-/// The one-shot CLI reference the daemon must match byte for byte.
+/// The one-shot reference the daemon must match byte for byte: the
+/// default in-process whole-program run.
 support::SubprocessResult oneShot(const std::vector<std::string>& files,
                                   const std::vector<std::string>& flags,
-                                  std::size_t jobs, bool json = false,
-                                  bool quiet = false) {
-  std::vector<std::string> argv = {SAFEFLOW_EXE, "--isolate", "--jobs",
-                                   std::to_string(jobs)};
+                                  bool json = false, bool quiet = false) {
+  std::vector<std::string> argv = {SAFEFLOW_EXE};
   if (json) argv.emplace_back("--json");
   if (quiet) argv.emplace_back("--quiet");
   argv.insert(argv.end(), flags.begin(), flags.end());
@@ -133,28 +132,32 @@ TEST(Daemon, AnalyzeMatchesOneShotByteForByte) {
   ASSERT_GT(pid, 0);
   ASSERT_TRUE(waitForSocket(socket));
 
-  for (const std::size_t jobs :
-       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
+  // Text, quiet, and --kill-critical (the Table 1 flags) all hold.
+  const std::vector<std::string> kill = {"--kill-critical", "-I",
+                                         kCorpus + "/ip/common"};
+  for (const auto& [flags, quiet] :
+       {std::pair{ipFlags(), false}, std::pair{ipFlags(), true},
+        std::pair{kill, false}}) {
     const support::SubprocessResult ref =
-        oneShot(ipCoreFiles(), ipFlags(), jobs);
+        oneShot(ipCoreFiles(), flags, /*json=*/false, quiet);
     ASSERT_EQ(ref.status, support::SubprocessResult::Status::kExited);
 
     const std::string response = rawRequest(
-        socket, analyzeRequest(ipCoreFiles(), ipFlags()), 120.0);
+        socket, analyzeRequest(ipCoreFiles(), flags, false, quiet), 120.0);
     const support::json::Value doc = parsed(response);
     ASSERT_EQ(doc.memberString("status"), "ok") << response;
-    // The daemon's worker pool width is fixed at spawn; the merge is
-    // deterministic across --jobs, so every reference matches anyway.
     EXPECT_EQ(doc.memberString("stdout"), ref.out_text);
     EXPECT_EQ(doc.memberString("stderr"), ref.err_text);
     EXPECT_EQ(static_cast<int>(doc.memberNumber("exit_code", -1)),
               ref.exit_code);
+    EXPECT_EQ(doc.memberUint("workers_spawned"), 1u);
+    EXPECT_EQ(doc.memberUint("worker_failures", 1), 0u);
   }
 
-  // JSON + quiet modes hold too (JSON carries wall-clock fields, so
-  // compare with those lines stripped).
+  // JSON mode holds too (JSON carries wall-clock fields, so compare
+  // with those lines stripped).
   const support::SubprocessResult json_ref =
-      oneShot(ipCoreFiles(), ipFlags(), 2, /*json=*/true);
+      oneShot(ipCoreFiles(), ipFlags(), /*json=*/true);
   const std::string json_response = rawRequest(
       socket,
       analyzeRequest(ipCoreFiles(), ipFlags(), /*json=*/true), 120.0);
@@ -181,16 +184,16 @@ TEST(Daemon, WarmCacheKeepsResponsesIdentical) {
   const support::json::Value cold_doc = parsed(cold);
   ASSERT_EQ(cold_doc.memberString("status"), "ok");
   EXPECT_EQ(cold_doc.memberUint("cache_hits"), 0u);
-  EXPECT_EQ(cold_doc.memberUint("workers_spawned"), ipCoreFiles().size());
+  EXPECT_EQ(cold_doc.memberUint("workers_spawned"), 1u);
 
   const std::string warm = rawRequest(socket, request, 120.0);
   const support::json::Value warm_doc = parsed(warm);
-  EXPECT_EQ(warm_doc.memberUint("cache_hits"), ipCoreFiles().size());
+  // One entry covers the whole file set.
+  EXPECT_EQ(warm_doc.memberUint("cache_hits"), 1u);
   EXPECT_EQ(warm_doc.memberUint("workers_spawned"), 0u);
   // The analysis payload is byte-identical: the cache replays the
-  // worker documents through the same merge/render path. (The envelope
-  // counters above differ by design — that is how a client tells a
-  // warm hit from a cold run.)
+  // worker's envelope. (The counters above differ by design — that is
+  // how a client tells a warm hit from a cold run.)
   EXPECT_EQ(warm_doc.memberString("stdout"), cold_doc.memberString("stdout"));
   EXPECT_EQ(warm_doc.memberString("stderr"), cold_doc.memberString("stderr"));
   EXPECT_EQ(warm_doc.memberNumber("exit_code", -1.0),
@@ -206,12 +209,11 @@ TEST(Daemon, IdenticalConcurrentRequestsCoalesce) {
   // arrive. Fault injection arms in the workers only; the daemon's
   // CacheManager sees the env and disables itself.
   const pid_t pid = spawnDaemon(
-      {"--socket", socket, "--no-cache", "--max-inflight", "1",
+      {"--socket", socket, "--no-cache", "--jobs", "1",
        "--worker-timeout", "1s", "--retries", "2", "--worker-exe",
        SAFEFLOW_EXE},
       {{"SAFEFLOW_INJECT_FAULT", "hang@taint"},
-       {"SAFEFLOW_INJECT_FAULT_ATTEMPTS", "1"},
-       {"SAFEFLOW_INJECT_FAULT_FILE", "core.c"}});
+       {"SAFEFLOW_INJECT_FAULT_ATTEMPTS", "1"}});
   ASSERT_GT(pid, 0);
   ASSERT_TRUE(waitForSocket(socket));
 
@@ -247,7 +249,7 @@ TEST(Daemon, AdmissionControlShedsWithRetryHint) {
   const std::string socket = scratchSocket("shed");
   // One slot, zero queue: anything beyond the in-flight leader sheds.
   const pid_t pid = spawnDaemon(
-      {"--socket", socket, "--no-cache", "--max-inflight", "1",
+      {"--socket", socket, "--no-cache", "--jobs", "1",
        "--max-queue", "0", "--worker-timeout", "2s", "--retries", "1",
        "--worker-exe", SAFEFLOW_EXE},
       {{"SAFEFLOW_INJECT_FAULT", "hang@taint"},
@@ -282,7 +284,7 @@ TEST(Daemon, AdmissionControlShedsWithRetryHint) {
 TEST(Daemon, QueuedDeadlineExpiresAsError) {
   const std::string socket = scratchSocket("deadline");
   const pid_t pid = spawnDaemon(
-      {"--socket", socket, "--no-cache", "--max-inflight", "1",
+      {"--socket", socket, "--no-cache", "--jobs", "1",
        "--worker-timeout", "2s", "--retries", "1", "--worker-exe",
        SAFEFLOW_EXE},
       {{"SAFEFLOW_INJECT_FAULT", "hang@taint"},
@@ -385,7 +387,7 @@ TEST(Daemon, RestartAfterKillServesWarmHitsOnTheSameSocket) {
   const std::string warm = rawRequest(socket, request, 120.0);
   const support::json::Value warm_doc = parsed(warm);
   ASSERT_EQ(warm_doc.memberString("status"), "ok");
-  EXPECT_EQ(warm_doc.memberUint("cache_hits"), ipCoreFiles().size());
+  EXPECT_EQ(warm_doc.memberUint("cache_hits"), 1u);
   EXPECT_EQ(warm_doc.memberUint("workers_spawned"), 0u);
   EXPECT_EQ(warm_doc.memberString("stdout"),
             parsed(cold).memberString("stdout"));

@@ -1,12 +1,10 @@
 // Tests for the I/O fault-injection shim (SAFEFLOW_INJECT_IO) and the
 // crash-consistency machinery built on it: spec parsing and one-shot
 // semantics, the hardened write helpers, DiskCache envelope
-// verification under torn renames / ENOSPC / fsync failures, the run
-// journal (torn-tail tolerance, run-key identity, write-failure
-// degradation), export-failure behavior of --metrics-out / --trace
-// (diagnose + classified exit, never a truncated artifact), and the
-// --resume end-to-end contract (byte-identical merged report,
-// finished shards never re-spawned).
+// verification under torn renames / ENOSPC / fsync failures, the cache
+// manager's recovery sweep, and export-failure behavior of
+// --metrics-out / --trace (diagnose + classified exit, never a
+// truncated artifact).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,7 +18,6 @@
 #include <unistd.h>
 
 #include "safeflow/cache_manager.h"
-#include "safeflow/run_journal.h"
 #include "support/cache.h"
 #include "support/io_faults.h"
 #include "support/metrics.h"
@@ -230,108 +227,14 @@ TEST(IoFaultCache, ManagerCountsTornEntriesPurgedOnOpen) {
   options.enabled = true;
   options.dir = dir;
   support::MetricsRegistry metrics;
+  // The directory owner sweeps once when it opens the cache.
   CacheManager manager(options, &metrics);
+  manager.recover();
   EXPECT_EQ(metrics.counterValue("cache.torn_entries_purged"), 1u);
+  EXPECT_FALSE(disk.lookup("aaaaaaaaaaaaaaaa").has_value());
 }
 
-// -- run journal ------------------------------------------------------------
-
-TEST(RunJournalTest, RunKeyTracksArgsFilesAndContent) {
-  const std::string dir = freshDir("journal_key");
-  const std::string tu = dir + "/a.c";
-  writeTextFile(tu, "int main(void) { return 0; }\n");
-
-  const std::string base = RunJournal::computeRunKey({"-I", "inc"}, {tu});
-  EXPECT_EQ(base.size(), 16u);
-  EXPECT_EQ(base, RunJournal::computeRunKey({"-I", "inc"}, {tu}));
-  EXPECT_NE(base, RunJournal::computeRunKey({"-I", "other"}, {tu}));
-  EXPECT_NE(base, RunJournal::computeRunKey({"-I", "inc"}, {}));
-  // Editing the file's bytes changes the key: a stale journal must not
-  // replay reports for sources that no longer exist.
-  writeTextFile(tu, "int main(void) { return 1; }\n");
-  EXPECT_NE(base, RunJournal::computeRunKey({"-I", "inc"}, {tu}));
-}
-
-TEST(RunJournalTest, AppendReopenReplaysOnlyMatchingRuns) {
-  const std::string dir = freshDir("journal_replay");
-  const std::string path = dir + "/run.ndjson";
-  std::string error;
-
-  {
-    RunJournal journal;
-    ASSERT_TRUE(journal.open(path, "0123456789abcdef", 3, nullptr, &error))
-        << error;
-    EXPECT_EQ(journal.finishedCount(), 0u);
-    journal.append(0, "a.c", 0, 1, "{\"report\": 1}\n", "");
-    journal.append(2, "c.c", 1, 2, "{\"report\": 3}\n", "warn\n");
-  }
-
-  // Same key: both records replay, with every field intact.
-  {
-    RunJournal journal;
-    ASSERT_TRUE(journal.open(path, "0123456789abcdef", 3, nullptr, &error))
-        << error;
-    EXPECT_EQ(journal.finishedCount(), 2u);
-    const RunJournal::Entry* done = journal.finished(2, "c.c");
-    ASSERT_NE(done, nullptr);
-    EXPECT_EQ(done->exit_code, 1);
-    EXPECT_EQ(done->attempts, 2);
-    EXPECT_EQ(done->stdout_text, "{\"report\": 3}\n");
-    EXPECT_EQ(done->stderr_text, "warn\n");
-    EXPECT_EQ(journal.finished(1, "b.c"), nullptr);       // never ran
-    EXPECT_EQ(journal.finished(0, "renamed.c"), nullptr);  // file mismatch
-  }
-
-  // Different key: the journal is someone else's run — discarded.
-  {
-    RunJournal journal;
-    ASSERT_TRUE(journal.open(path, "ffffffffffffffff", 3, nullptr, &error))
-        << error;
-    EXPECT_EQ(journal.finishedCount(), 0u);
-  }
-}
-
-TEST(RunJournalTest, TornTailCostsOnlyTheUnterminatedRecord) {
-  const std::string dir = freshDir("journal_torn");
-  const std::string path = dir + "/run.ndjson";
-  std::string error;
-  {
-    RunJournal journal;
-    ASSERT_TRUE(journal.open(path, "0123456789abcdef", 4, nullptr, &error));
-    journal.append(0, "a.c", 0, 1, "{\"report\": 1}\n", "");
-    journal.append(1, "b.c", 0, 1, "{\"report\": 2}\n", "");
-  }
-  // Simulate a SIGKILL mid-append: a record with no terminating newline.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    out << "{\"shard\": 2, \"file\": \"c.c\", \"exit_co";
-  }
-  RunJournal journal;
-  ASSERT_TRUE(journal.open(path, "0123456789abcdef", 4, nullptr, &error));
-  EXPECT_EQ(journal.finishedCount(), 2u);
-  EXPECT_NE(journal.finished(0, "a.c"), nullptr);
-  EXPECT_NE(journal.finished(1, "b.c"), nullptr);
-  EXPECT_EQ(journal.finished(2, "c.c"), nullptr);
-}
-
-TEST(RunJournalTest, WriteFailureDegradesToUnjournaledRun) {
-  DisarmOnExit disarm;
-  const std::string dir = freshDir("journal_fail");
-  support::MetricsRegistry metrics;
-  std::string error;
-  RunJournal journal;
-  ASSERT_TRUE(journal.open(dir + "/run.ndjson", "0123456789abcdef", 2,
-                           &metrics, &error));
-  ASSERT_TRUE(io::armIoFaultInjection("eio@journal.append"));
-  journal.append(0, "a.c", 0, 1, "{\"report\": 1}\n", "");
-  EXPECT_EQ(metrics.counterValue("supervisor.journal_write_failures"), 1u);
-  // The journal is broken for the rest of the run (no further appends,
-  // no further failures) but the process carries on.
-  journal.append(1, "b.c", 0, 1, "{\"report\": 2}\n", "");
-  EXPECT_EQ(metrics.counterValue("supervisor.journal_write_failures"), 1u);
-}
-
-// -- export failures: diagnose + classified exit, never a torn artifact ----
+// -- export failures -------------------------------------------------------
 
 support::SubprocessResult runCli(
     const std::vector<std::string>& args,
@@ -385,74 +288,6 @@ TEST(IoFaultExports, TraceOutEioFailsLoudlyWithNoArtifact) {
   const auto ok = runCli({tu, "--trace", trace_path});
   ASSERT_TRUE(ok.exitedWith(0)) << ok.err_text;
   EXPECT_EQ(::access(trace_path.c_str(), F_OK), 0);
-}
-
-// -- --resume end to end ----------------------------------------------------
-
-TEST(ResumeE2E, SecondRunReplaysEveryFinishedShardByteIdentically) {
-  const std::string dir = freshDir("resume_e2e");
-  const std::string journal = dir + "/run.ndjson";
-  const std::string metrics_path = dir + "/metrics.prom";
-  const std::vector<std::string> files = {
-      kCorpus + "/ip/core/comm.c", kCorpus + "/ip/core/decision.c",
-      kCorpus + "/ip/core/filter.c", kCorpus + "/ip/core/safety.c",
-  };
-
-  // Cache off so the only replay channel is the journal.
-  std::vector<std::string> argv = {"--resume", journal,   "--jobs",
-                                   "2",        "--no-cache", "-I",
-                                   kCorpus + "/ip/common"};
-  argv.insert(argv.end(), files.begin(), files.end());
-
-  const auto first = runCli(argv);
-  ASSERT_EQ(first.status, support::SubprocessResult::Status::kExited)
-      << first.spawn_error;
-  ASSERT_EQ(::access(journal.c_str(), F_OK), 0);
-
-  std::vector<std::string> argv2 = argv;
-  argv2.push_back("--metrics-out");
-  argv2.push_back(metrics_path);
-  const auto second = runCli(argv2);
-  ASSERT_EQ(second.status, support::SubprocessResult::Status::kExited);
-
-  // The merged report is byte-identical, and every shard came from the
-  // journal: no worker was spawned the second time.
-  EXPECT_EQ(second.out_text, first.out_text);
-  EXPECT_EQ(second.exit_code, first.exit_code);
-  const std::string prom = readFileOrEmpty(metrics_path);
-  EXPECT_NE(
-      prom.find("safeflow_supervisor_shards_resumed_skipped_total 4"),
-      std::string::npos)
-      << prom;
-  EXPECT_NE(prom.find("safeflow_supervisor_workers_spawned_total 0"),
-            std::string::npos)
-      << prom;
-}
-
-TEST(ResumeE2E, EditedSourceInvalidatesTheJournal) {
-  const std::string dir = freshDir("resume_edit");
-  const std::string journal = dir + "/run.ndjson";
-  const std::string tu = dir + "/evolving.c";
-  writeTextFile(tu, "int main(void) { return 0; }\n");
-
-  const std::vector<std::string> argv = {"--resume", journal, "--jobs", "2",
-                                         "--no-cache", tu};
-  const auto first = runCli(argv);
-  ASSERT_EQ(first.status, support::SubprocessResult::Status::kExited);
-
-  // Edit the source: the run key changes, so the journal must restart
-  // fresh instead of replaying the stale report.
-  writeTextFile(tu, "static int g;\nint main(void) { return g; }\n");
-  std::vector<std::string> argv2 = argv;
-  argv2.push_back("--metrics-out");
-  argv2.push_back(dir + "/metrics.prom");
-  const auto second = runCli(argv2);
-  ASSERT_EQ(second.status, support::SubprocessResult::Status::kExited);
-  const std::string prom = readFileOrEmpty(dir + "/metrics.prom");
-  EXPECT_NE(
-      prom.find("safeflow_supervisor_shards_resumed_skipped_total 0"),
-      std::string::npos)
-      << prom;
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // names, and the pointerlab corpus goldens that pin the precision delta
 // against the legacy alias engine. The subprocess tests spawn the real
 // `safeflow` binary (SAFEFLOW_EXE) to check report stability across
-// --jobs levels and warm cache runs under --alias=andersen.
+// --isolate and warm cache runs under --alias=andersen.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -435,22 +435,21 @@ TEST(PointerlabCorpus, PrecisionDeltaVersusLegacy) {
   }
 }
 
-TEST(PointerlabCorpus, ReportByteIdenticalAcrossJobsAndWarmCache) {
+TEST(PointerlabCorpus, ReportByteIdenticalAcrossIsolateAndWarmCache) {
   char tmpl[] = "/tmp/sf_pointsto_cache_XXXXXX";
   ASSERT_NE(mkdtemp(tmpl), nullptr);
   const std::string cache = tmpl;
-  const std::string base = std::string(SAFEFLOW_EXE) +
-                           " --alias=andersen --isolate --cache-dir " +
-                           cache + pointerlabFiles();
-  // Per-TU supervised analysis legitimately sees fewer cross-file flows
-  // than the whole-program mode (DESIGN.md §10); what must hold is that
-  // the report never varies with --jobs or cache temperature.
-  const RunResult cold = runCommand(base + " --jobs 1");
-  EXPECT_NE(cold.exit_code, 2) << cold.output;
-  const RunResult warm = runCommand(base + " --jobs 1");
-  const RunResult wide = runCommand(base + " --jobs 4");
-  EXPECT_EQ(cold.output, warm.output);
-  EXPECT_EQ(cold.output, wide.output);
+  const std::string exe = std::string(SAFEFLOW_EXE) + " --alias=andersen";
+  // Every entry point analyzes the same whole program, so the report
+  // never varies with isolation or cache temperature.
+  const RunResult local = runCommand(exe + pointerlabFiles());
+  EXPECT_NE(local.exit_code, 2) << local.output;
+  const std::string isolated = exe + " --isolate --cache-dir " + cache;
+  const RunResult cold = runCommand(isolated + pointerlabFiles());
+  const RunResult warm = runCommand(isolated + pointerlabFiles());
+  EXPECT_EQ(cold.output, local.output);
+  EXPECT_EQ(warm.output, local.output);
+  EXPECT_EQ(warm.exit_code, local.exit_code);
   runCommand("rm -rf " + cache);
 }
 
@@ -470,20 +469,20 @@ TEST(PointerlabCorpus, AliasFlagChangesCacheKey) {
   const std::string dir = tmpl;
   const std::string stats = dir + "/stats.json";
   const std::string base = std::string(SAFEFLOW_EXE) +
-                           " --isolate --jobs 2 --cache-dir " + dir +
+                           " --isolate --cache-dir " + dir +
                            "/cache --stats-json " + stats;
   const std::string files = pointerlabFiles();
   const RunResult andersen = runCommand(base + " --alias=andersen" + files);
   EXPECT_NE(andersen.exit_code, 2) << andersen.output;
   // Switching engines must never replay the other engine's cache: the
-  // legacy run misses on every shard, then a repeat legacy run hits.
+  // legacy run misses, then a repeat legacy run hits.
   const RunResult legacy = runCommand(base + " --alias=legacy" + files);
   EXPECT_NE(legacy.exit_code, 2) << legacy.output;
   EXPECT_EQ(statsCounter(stats, "cache.hits"), 0u);
-  EXPECT_EQ(statsCounter(stats, "cache.misses"), 5u);
+  EXPECT_EQ(statsCounter(stats, "cache.misses"), 1u);
   const RunResult again = runCommand(base + " --alias=legacy" + files);
   EXPECT_NE(again.exit_code, 2) << again.output;
-  EXPECT_EQ(statsCounter(stats, "cache.hits"), 5u);
+  EXPECT_EQ(statsCounter(stats, "cache.hits"), 1u);
   runCommand("rm -rf " + dir);
 }
 

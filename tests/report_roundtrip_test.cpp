@@ -1,9 +1,10 @@
-// Round-trip tests for the worker-protocol JSON serialization of
-// SafeFlowReport: every finding category, escape-heavy strings, and the
-// empty report must survive render -> parse -> merge with the text
-// rendering byte-identical to the in-process one. This is the contract
-// the incremental cache rests on — a cached entry replays through
-// mergeWorkerOutcomes, so anything the JSON loses the cache loses.
+// Round-trip tests for the worker envelope (run_output.h): every finding
+// category, escape-heavy strings, and the empty report must survive
+// render -> envelope -> parse with the relayed stdout byte-identical to
+// the in-process rendering, and the embedded stats document must read
+// back to the same rendering. This is the contract both `--isolate` and
+// the result cache rest on: a worker's run and a cached run are replayed
+// from exactly this envelope, so anything it loses they lose.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,7 +12,7 @@
 
 #include "analysis/report.h"
 #include "safeflow/driver.h"
-#include "safeflow/supervisor.h"
+#include "safeflow/run_output.h"
 #include "support/json.h"
 #include "support/source_manager.h"
 
@@ -19,30 +20,38 @@ namespace {
 
 using namespace safeflow;
 
-/// Renders `report` the way a worker does, parses it back, and merges
-/// it as a single accepted shard — the exact path a cache hit takes.
-MergedReport roundTrip(const analysis::SafeFlowReport& report,
-                       const support::SourceManager& sm) {
-  SafeFlowStats stats;
-  stats.files = 1;
-  const std::string doc_text =
-      report.renderJson(sm, stats.renderJson(), /*worker_protocol=*/true);
+/// The run the in-process path would print for `report`, in text or
+/// JSON form.
+RunOutput runFor(const analysis::SafeFlowReport& report,
+                 const support::SourceManager& sm, bool json) {
+  RunOutput run;
+  run.stats.files = 1;
+  run.stats.counters = {{"taint.body_analyses", 3}};
+  run.stats.phase_seconds = {{"taint", 0.25}};
+  run.exit_code = exitCodeFor(report.dataErrorCount(),
+                              !report.failed_files.empty(),
+                              !report.degraded_phases.empty());
+  run.stdout_text = json ? report.renderJson(sm, run.stats.renderJson())
+                         : report.render(sm);
+  run.stderr_text = "unit.c:1:1: note: \"quoted\"\tdiagnostic\n";
+  return run;
+}
 
+/// Sends `run` through the worker envelope and reads it back.
+RunOutput roundTrip(const RunOutput& run) {
   support::json::Value doc;
   std::string err;
-  EXPECT_TRUE(support::json::parse(doc_text, &doc, &err)) << err;
+  EXPECT_TRUE(support::json::parse(renderEnvelope(run), &doc, &err)) << err;
+  RunOutput back;
+  EXPECT_TRUE(readEnvelope(doc, &back));
+  return back;
+}
 
-  WorkerOutcome outcome;
-  outcome.accepted = true;
-  outcome.report = std::move(doc);
-  outcome.exit_code = exitCodeFor(report.dataErrorCount(),
-                                  !report.failed_files.empty(),
-                                  !report.degraded_phases.empty());
-  outcome.attempts = 1;
-  std::vector<WorkerOutcome> outcomes;
-  outcomes.push_back(std::move(outcome));
-  return mergeWorkerOutcomes({"roundtrip.c"}, outcomes,
-                             /*emit_stderr_headers=*/false);
+void expectSameRun(const RunOutput& a, const RunOutput& b) {
+  EXPECT_EQ(a.exit_code, b.exit_code);
+  EXPECT_EQ(a.stdout_text, b.stdout_text);
+  EXPECT_EQ(a.stderr_text, b.stderr_text);
+  EXPECT_EQ(a.stats.renderJson(), b.stats.renderJson());
 }
 
 analysis::SafeFlowReport fullReport() {
@@ -89,32 +98,20 @@ TEST(ReportRoundTrip, AllCategoriesSurviveTheWorkerProtocol) {
   analysis::SafeFlowReport report = fullReport();
   report.deduplicate(sm);  // the driver always dedups before rendering
 
-  const MergedReport merged = roundTrip(report, sm);
-  EXPECT_EQ(merged.warnings.size(), 2u);
-  EXPECT_TRUE(merged.warnings[0].bytes_known);
-  EXPECT_EQ(merged.warnings[0].lo, 4);
-  EXPECT_EQ(merged.warnings[0].hi, 12);
-  EXPECT_FALSE(merged.warnings[1].bytes_known);
-  ASSERT_EQ(merged.errors.size(), 2u);
-  EXPECT_TRUE(merged.errors[0].data);
-  EXPECT_FALSE(merged.errors[1].data);
-  EXPECT_EQ(merged.errors[0].regions,
-            (std::vector<std::string>{"ground_link", "param_table"}));
-  EXPECT_EQ(merged.errors[0].sources.size(), 2u);
-  EXPECT_EQ(merged.restriction_violations.size(), 1u);
-  EXPECT_EQ(merged.asserts_checked, 7u);
-  EXPECT_EQ(merged.required_runtime_checks.size(), 1u);
-  EXPECT_EQ(merged.degraded_phases,
-            (std::vector<std::string>{"taint"}));
-  EXPECT_TRUE(merged.frontend_errors);  // failed_files => frontend errors
-  EXPECT_EQ(merged.dataErrorCount(), 1u);
-  EXPECT_EQ(merged.controlErrorCount(), 1u);
-
-  // The decisive check: the merged text rendering is byte-identical to
-  // the in-process rendering of the same report.
-  EXPECT_EQ(merged.render(), report.render(sm));
-  // Exit ladder: 1 data error beats frontend errors and degradation.
-  EXPECT_EQ(merged.exitCode(), 1);
+  for (const bool json : {false, true}) {
+    const RunOutput run = runFor(report, sm, json);
+    // Exit ladder: 1 data error beats frontend errors and degradation.
+    EXPECT_EQ(run.exit_code, 1);
+    expectSameRun(roundTrip(run), run);
+  }
+  // Every category is in the relayed text, down to the runtime checks.
+  const RunOutput text = roundTrip(runFor(report, sm, false));
+  for (const char* needle :
+       {"telemetry_buf' bytes [4, 12)", "[error/data]", "[error/control]",
+        "[R2]", "[runtime-check] InitCheck(region 'param_table')",
+        "[partial] 'bad_input.c'", "DEGRADED"}) {
+    EXPECT_NE(text.stdout_text.find(needle), std::string::npos) << needle;
+  }
 }
 
 TEST(ReportRoundTrip, EscapeHeavyStringsAreLossless) {
@@ -138,39 +135,42 @@ TEST(ReportRoundTrip, EscapeHeavyStringsAreLossless) {
   report.errors = {e};
   report.required_runtime_checks = {"check \"quoted\"\tname"};
 
-  const MergedReport merged = roundTrip(report, sm);
-  ASSERT_EQ(merged.warnings.size(), 1u);
-  EXPECT_EQ(merged.warnings[0].function, "fn\"with\\quotes");
-  EXPECT_EQ(merged.warnings[0].region, "tab\there\nnewline");
-  ASSERT_EQ(merged.restriction_violations.size(), 1u);
-  EXPECT_EQ(merged.restriction_violations[0].message,
-            std::string("ctrl:\x01\x1f end") + "\tand \"both\" \\ kinds");
-  ASSERT_EQ(merged.errors.size(), 1u);
-  EXPECT_EQ(merged.errors[0].critical, "value\nwith\nnewlines");
-  EXPECT_EQ(merged.errors[0].regions[0], "region\\back\\slash");
-  ASSERT_EQ(merged.required_runtime_checks.size(), 1u);
-  EXPECT_EQ(merged.required_runtime_checks[0], "check \"quoted\"\tname");
-  EXPECT_EQ(merged.render(), report.render(sm));
+  for (const bool json : {false, true}) {
+    const RunOutput run = runFor(report, sm, json);
+    expectSameRun(roundTrip(run), run);
+  }
+  const RunOutput text = roundTrip(runFor(report, sm, false));
+  EXPECT_NE(text.stdout_text.find(std::string("ctrl:\x01\x1f end")),
+            std::string::npos);
+  EXPECT_NE(text.stdout_text.find("value\nwith\nnewlines"),
+            std::string::npos);
 }
 
 TEST(ReportRoundTrip, EmptyReportStaysEmptyAndClean) {
   support::SourceManager sm;
   const analysis::SafeFlowReport report;
-  const MergedReport merged = roundTrip(report, sm);
-  EXPECT_TRUE(merged.warnings.empty());
-  EXPECT_TRUE(merged.errors.empty());
-  EXPECT_TRUE(merged.restriction_violations.empty());
-  EXPECT_TRUE(merged.required_runtime_checks.empty());
-  EXPECT_TRUE(merged.degraded_phases.empty());
-  EXPECT_TRUE(merged.failed_files.empty());
-  EXPECT_FALSE(merged.frontend_errors);
-  EXPECT_EQ(merged.exitCode(), 0);
-  EXPECT_EQ(merged.render(), report.render(sm));
+  const RunOutput run = runFor(report, sm, false);
+  EXPECT_EQ(run.exit_code, 0);
+  const RunOutput back = roundTrip(run);
+  expectSameRun(back, run);
+  EXPECT_NE(
+      back.stdout_text.find("warnings (unmonitored non-core accesses): 0"),
+      std::string::npos);
+
+  // An envelope whose exit code is off the ladder, or that lacks a
+  // member, is refused rather than relayed.
+  support::json::Value doc;
+  ASSERT_TRUE(support::json::parse(
+      R"({"exit_code": 7, "stdout": "", "stderr": "", "stats": {}})", &doc));
+  RunOutput refused;
+  EXPECT_FALSE(readEnvelope(doc, &refused));
+  ASSERT_TRUE(support::json::parse(R"({"exit_code": 0, "stdout": ""})", &doc));
+  EXPECT_FALSE(readEnvelope(doc, &refused));
 }
 
 TEST(ReportRoundTrip, LocationsResolveThroughTheSourceManager) {
-  // With a live source manager the pre-rendered "file:line:col" strings
-  // must match what the in-process path prints.
+  // With a live source manager the rendered "file:line:col" strings
+  // travel inside the relayed bytes unchanged.
   support::SourceManager sm;
   const auto file = sm.addBuffer("unit.c", "int x;\nint y;\n");
   analysis::SafeFlowReport report;
@@ -180,10 +180,12 @@ TEST(ReportRoundTrip, LocationsResolveThroughTheSourceManager) {
   w.region_name = "r";
   report.warnings = {w};
 
-  const MergedReport merged = roundTrip(report, sm);
-  ASSERT_EQ(merged.warnings.size(), 1u);
-  EXPECT_EQ(merged.warnings[0].location, "unit.c:2:5");
-  EXPECT_EQ(merged.render(), report.render(sm));
+  for (const bool json : {false, true}) {
+    const RunOutput back = roundTrip(runFor(report, sm, json));
+    EXPECT_NE(back.stdout_text.find("unit.c:2:5"), std::string::npos)
+        << back.stdout_text;
+    EXPECT_EQ(back.stdout_text, runFor(report, sm, json).stdout_text);
+  }
 }
 
 }  // namespace

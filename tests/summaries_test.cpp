@@ -334,6 +334,7 @@ TEST(Summaries, BudgetLimitsDisableTheStoreWithAReason) {
 // --- End-to-end through the real supervisor -------------------------
 
 TEST(SupervisedSummaries, ShardsShareOneStoreAndStayByteIdentical) {
+  // Two programs (file sets) whose workers share one summary store.
   const std::string src_dir = freshDir("sup_sum_src");
   ASSERT_EQ(std::system(("mkdir -p '" + src_dir + "'").c_str()), 0);
   const std::string one = src_dir + "/one.c";
@@ -343,40 +344,33 @@ TEST(SupervisedSummaries, ShardsShareOneStoreAndStayByteIdentical) {
   writeFile(two, "int second_unit(void) { return 2; }\n");
 
   const std::string sum_dir = freshDir("sup_sum_store");
-  auto runSupervised = [&](int jobs) {
+  auto runSupervised = [&](const std::vector<std::string>& files,
+                           bool summaries) {
     SupervisorOptions opts;
     opts.worker_exe = SAFEFLOW_EXE;
-    opts.jobs = jobs;
     opts.worker_timeout_seconds = 60.0;
-    opts.worker_args = {"--summaries-dir", sum_dir};
+    if (summaries) opts.worker_args = {"--summaries-dir", sum_dir};
     support::MetricsRegistry registry;
-    Supervisor sup(opts, &registry);
-    const MergedReport merged = sup.run({one, two});
-    EXPECT_EQ(merged.exitCode(), 0);
-    return merged.render();
+    const SupervisedRun run = Supervisor(opts, &registry).run(files);
+    EXPECT_EQ(run.output.exit_code, 0);
+    return run.output.stdout_text;
   };
 
-  const std::string cold = runSupervised(2);
+  const std::string cold_both = runSupervised({one, two}, true);
+  const std::string cold_two = runSupervised({two}, true);
   // The workers persisted their summaries into the shared dir.
   SummaryStore probe(sum_dir, kAnalyzerVersion);
   EXPECT_GT(probe.diskBytes(), 0u);
 
-  // Warm, across job counts: byte-identical to the cold merge.
-  EXPECT_EQ(runSupervised(1), cold);
-  EXPECT_EQ(runSupervised(4), cold);
+  // Warm: byte-identical to the cold runs.
+  EXPECT_EQ(runSupervised({one, two}, true), cold_both);
+  EXPECT_EQ(runSupervised({two}, true), cold_two);
 
-  // Editing one TU leaves the merged report equal to a no-summaries
-  // control run over the edited sources.
+  // Editing one TU leaves the report equal to a no-summaries control
+  // run over the edited sources.
   writeFile(one, "int helper(int x) { return x + 7; }\n"
                  "int first_unit(void) { return helper(1); }\n");
-  const std::string warm_after_edit = runSupervised(2);
-  SupervisorOptions control;
-  control.worker_exe = SAFEFLOW_EXE;
-  control.jobs = 2;
-  control.worker_timeout_seconds = 60.0;
-  support::MetricsRegistry registry;
-  Supervisor sup(control, &registry);
-  EXPECT_EQ(warm_after_edit, sup.run({one, two}).render());
+  EXPECT_EQ(runSupervised({one, two}, true), runSupervised({one, two}, false));
 }
 
 TEST(SupervisedSummaries, VerifyModeStaysGreenOnTheCorpus) {
@@ -384,22 +378,21 @@ TEST(SupervisedSummaries, VerifyModeStaysGreenOnTheCorpus) {
   auto runSupervised = [&]() {
     SupervisorOptions opts;
     opts.worker_exe = SAFEFLOW_EXE;
-    opts.jobs = 4;
     opts.worker_timeout_seconds = 120.0;
     opts.worker_args = {"--summaries-dir", sum_dir, "--verify-summaries"};
     support::MetricsRegistry registry;
-    Supervisor sup(opts, &registry);
-    return sup.run({kCorpus + "/ip/core/comm.c",
-                    kCorpus + "/ip/core/decision.c",
-                    kCorpus + "/ip/core/safety.c"});
+    return Supervisor(opts, &registry)
+        .run({kCorpus + "/ip/core/comm.c", kCorpus + "/ip/core/decision.c",
+              kCorpus + "/ip/core/safety.c"});
   };
-  const MergedReport cold = runSupervised();
-  // A verification failure exits the worker with code 2, which the
-  // merge surfaces as a non-zero exit.
-  EXPECT_EQ(cold.exitCode(), 0);
-  const MergedReport warm = runSupervised();
-  EXPECT_EQ(warm.exitCode(), 0);
-  EXPECT_EQ(warm.render(), cold.render());
+  const SupervisedRun cold = runSupervised();
+  // A verification failure exits the worker with code 2, which the run
+  // relays.
+  EXPECT_FALSE(cold.failure.has_value());
+  EXPECT_EQ(cold.output.exit_code, 0);
+  const SupervisedRun warm = runSupervised();
+  EXPECT_EQ(warm.output.exit_code, 0);
+  EXPECT_EQ(warm.output.stdout_text, cold.output.stdout_text);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Fault-injection soak for the analysis supervisor: many iterations of
-// randomized fault kind / pipeline phase / target shard / job count,
-// asserting the supervisor itself never crashes, failures are
-// attributed to exactly the faulted file, every other shard is still
-// analyzed, and the merged report stays deterministic.
+// randomized fault kind / pipeline phase / retry budget, asserting the
+// supervisor itself never crashes, every dead worker fails the run
+// loudly (exit 2, a [failed] line or a worker_failures entry) with the
+// right attempt count, and a clean run afterwards still matches the
+// fault-free report.
 //
 // Iteration count defaults low so the suite stays fast locally; CI sets
 // SAFEFLOW_SOAK_ITERS=200 for the long soak. The random stream is a
@@ -60,67 +61,57 @@ TEST(SupervisorSoak, RandomizedFaultsNeverTakeDownTheSupervisor) {
                           "callgraph", "shm_propagation", "ranges",
                           "taint",     "report"};
 
-  // Fault-free baseline to compare shard survival against.
-  std::size_t clean_files = 0;
-  {
-    SupervisorOptions opts;
-    opts.worker_exe = SAFEFLOW_EXE;
-    support::MetricsRegistry registry;
-    const MergedReport clean = Supervisor(opts, &registry).run(files);
-    ASSERT_TRUE(clean.worker_failures.empty());
-    clean_files = clean.stats.files;
-  }
+  // Fault-free baseline: what every surviving run must print.
+  SupervisorOptions clean_opts;
+  clean_opts.worker_exe = SAFEFLOW_EXE;
+  support::MetricsRegistry clean_registry;
+  const SupervisedRun clean =
+      Supervisor(clean_opts, &clean_registry).run(files);
+  ASSERT_FALSE(clean.failure.has_value());
+  EXPECT_EQ(clean.output.stats.files, files.size());
 
   Lcg rng(0x5afef10e);
   const std::size_t iters = soakIterations();
   for (std::size_t iter = 0; iter < iters; ++iter) {
     const char* kind = kinds[rng.below(4)];
     const char* phase = phases[rng.below(8)];
-    const std::string& target = files[rng.below(files.size())];
     const bool hang = std::string(kind) == "hang";
     const bool exit2 = std::string(kind) == "exit2";
 
     SupervisorOptions opts;
     opts.worker_exe = SAFEFLOW_EXE;
-    opts.jobs = 1 + rng.below(8);  // 1..8
+    opts.render.json = rng.below(2) == 1;
     opts.backoff_base_seconds = 0.001;
     // Hangs burn the full watchdog per attempt; keep both short.
     opts.max_retries = hang ? 0 : static_cast<int>(rng.below(3));
     opts.worker_timeout_seconds = hang ? 2.0 : 30.0;
     opts.extra_env = {
-        {"SAFEFLOW_INJECT_FAULT", std::string(kind) + "@" + phase},
-        {"SAFEFLOW_INJECT_FAULT_FILE", target},
-    };
+        {"SAFEFLOW_INJECT_FAULT", std::string(kind) + "@" + phase}};
 
     support::MetricsRegistry registry;
-    Supervisor sup(opts, &registry);
-    const MergedReport merged = sup.run(files);
+    const SupervisedRun run = Supervisor(opts, &registry).run(files);
 
     SCOPED_TRACE("iter " + std::to_string(iter) + ": " + kind + "@" +
-                 phase + " -> " + target + " jobs=" +
-                 std::to_string(opts.jobs));
-    // Exactly the faulted shard died, with the right attribution.
-    ASSERT_EQ(merged.worker_failures.size(), 1u);
-    EXPECT_EQ(merged.worker_failures[0].file, target);
+                 phase + " retries=" + std::to_string(opts.max_retries));
+    // The worker died and the run says so.
+    ASSERT_TRUE(run.failure.has_value());
     // A deterministic exit 2 is never retried; crash/oom/hang use the
     // full retry budget.
-    EXPECT_EQ(merged.worker_failures[0].attempts,
-              exit2 ? 1 : 1 + opts.max_retries);
-    ASSERT_EQ(merged.failed_files.size(), 1u);
-    EXPECT_EQ(merged.failed_files[0], target);
-    // A dead worker is a frontend-class loss: exit 2 unless data errors
-    // from surviving shards outrank it.
-    EXPECT_TRUE(merged.frontend_errors);
-    EXPECT_EQ(merged.exitCode(),
-              merged.dataErrorCount() > 0 ? 1 : 2);
-    // Every other shard completed its analysis.
-    EXPECT_EQ(merged.stats.files, clean_files - 1);
-    // The report renders without throwing and names the loss.
-    EXPECT_NE(merged.render().find("[failed]"), std::string::npos);
-    EXPECT_NE(merged.renderJson(merged.stats.renderJson())
-                  .find("\"worker_failures\""),
-              std::string::npos);
+    EXPECT_EQ(run.failure->attempts, exit2 ? 1 : 1 + opts.max_retries);
+    EXPECT_EQ(run.output.exit_code, 2);
+    const char* loss =
+        opts.render.json ? "\"worker_failures\"" : "[failed]";
+    EXPECT_NE(run.output.stdout_text.find(loss), std::string::npos)
+        << run.output.stdout_text;
+    EXPECT_EQ(registry.counterValue("supervisor.runs_failed"), 1u);
   }
+
+  // The soak leaves nothing behind: a clean run still prints the
+  // fault-free report.
+  support::MetricsRegistry after_registry;
+  const SupervisedRun after =
+      Supervisor(clean_opts, &after_registry).run(files);
+  EXPECT_EQ(after.output.stdout_text, clean.output.stdout_text);
 
   // After the whole soak: every child reaped, no zombies left behind.
   errno = 0;

@@ -1,10 +1,11 @@
-// Tests for the out-of-process analysis supervisor: worker exit/signal
-// classification, watchdog kills, retry policy (then-succeed and
-// exhausted), merge determinism across --jobs values, finding dedup,
-// the shared exit-code ladder, and the JSON reader the merge rests on.
+// Tests for the out-of-process analysis supervisor: the relayed report
+// equals the in-process one, worker exit/signal classification,
+// watchdog kills, retry policy (then-succeed and exhausted), finding
+// dedup, the shared exit-code ladder, and the JSON reader the envelope
+// rests on.
 //
 // These spawn the real `safeflow` binary (path injected by CMake as
-// SAFEFLOW_EXE) as workers, with faults aimed via the supervisor's
+// SAFEFLOW_EXE) as the worker, with faults armed via the supervisor's
 // extra_env so the global test environment is never mutated.
 #include <gtest/gtest.h>
 
@@ -25,6 +26,7 @@
 #include <unistd.h>
 
 #include "analysis/report.h"
+#include "safeflow/run_output.h"
 #include "safeflow/supervisor.h"
 #include "support/json.h"
 #include "support/source_manager.h"
@@ -50,25 +52,6 @@ SupervisorOptions fastOptions() {
   opts.worker_timeout_seconds = 30.0;
   opts.backoff_base_seconds = 0.001;  // keep retry tests fast
   return opts;
-}
-
-/// Drops every line containing a wall-clock field so two documents can
-/// be compared for deterministic content ("modulo wall-clock fields").
-std::string stripTimes(const std::string& text) {
-  std::string out;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
-    const std::string line = text.substr(pos, eol - pos);
-    if (line.find("seconds") == std::string::npos &&
-        line.find("\"gauges\"") == std::string::npos) {
-      out += line;
-      out += '\n';
-    }
-    pos = eol + 1;
-  }
-  return out;
 }
 
 TEST(ExitCodeLadder, FrontendErrorsBeatDegraded) {
@@ -138,54 +121,58 @@ TEST(ReportDedup, DropsRepeatedFindingsKeepsFirst) {
   EXPECT_EQ(report.restriction_violations.size(), 2u);
 }
 
-TEST(Supervisor, CleanRunMatchesAcrossJobCounts) {
+TEST(Supervisor, CleanRunRelaysTheInProcessReport) {
   const auto files = ipCoreFiles();
-  std::string renders[2];
-  std::string stats[2];
-  const std::size_t job_counts[2] = {1, 8};
-  for (int i = 0; i < 2; ++i) {
+  for (const bool json : {false, true}) {
     SupervisorOptions opts = fastOptions();
-    opts.jobs = job_counts[i];
+    opts.worker_args = {"-I", kCorpus + "/ip/common"};
+    opts.render.json = json;
     support::MetricsRegistry registry;
-    Supervisor sup(opts, &registry);
-    const MergedReport merged = sup.run(files);
-    EXPECT_EQ(merged.exitCode(), 0);
-    EXPECT_TRUE(merged.worker_failures.empty());
-    EXPECT_EQ(merged.stats.files, files.size());
-    renders[i] = merged.render() +
-                 merged.renderJson(merged.stats.renderJson());
-    stats[i] = merged.stats.renderJson();
-    EXPECT_EQ(registry.counterValue("supervisor.workers_spawned"),
-              files.size());
+    const SupervisedRun run = Supervisor(opts, &registry).run(files);
+    ASSERT_FALSE(run.failure.has_value()) << run.failure->reason;
+
+    SafeFlowOptions options;
+    options.include_dirs = {kCorpus + "/ip/common"};
+    SafeFlowDriver driver(options);
+    RenderOptions render;
+    render.json = json;
+    const RunOutput local = analyzeAndRender(driver, files, render);
+    // One worker analyzed the whole program: the relayed bytes are the
+    // in-process bytes (the JSON form embeds timings, so compare the
+    // report up to its stats member).
+    const auto report = [json](const std::string& text) {
+      return json ? text.substr(0, text.find("\"stats\"")) : text;
+    };
+    EXPECT_EQ(report(run.output.stdout_text), report(local.stdout_text));
+    EXPECT_EQ(run.output.stderr_text, local.stderr_text);
+    EXPECT_EQ(run.output.exit_code, local.exit_code);
+    EXPECT_EQ(run.output.stats.files, files.size());
+    ASSERT_EQ(run.output.stats.shards.size(), 1u);
+    EXPECT_EQ(run.output.stats.shards[0].attempts, 1);
+    EXPECT_EQ(registry.counterValue("supervisor.workers_spawned"), 1u);
     EXPECT_EQ(registry.counterValue("supervisor.workers_retried"), 0u);
   }
-  EXPECT_EQ(stripTimes(renders[0]), stripTimes(renders[1]));
-  EXPECT_EQ(stripTimes(stats[0]), stripTimes(stats[1]));
 }
 
 TEST(Supervisor, WorkerSigsegvIsClassifiedAndAttributed) {
   const auto files = ipCoreFiles();
   SupervisorOptions opts = fastOptions();
-  opts.jobs = 4;
   opts.max_retries = 1;
-  opts.extra_env = {{"SAFEFLOW_INJECT_FAULT", "crash@taint"},
-                    {"SAFEFLOW_INJECT_FAULT_FILE", "decision.c"}};
+  opts.extra_env = {{"SAFEFLOW_INJECT_FAULT", "crash@taint"}};
   support::MetricsRegistry registry;
-  Supervisor sup(opts, &registry);
-  const MergedReport merged = sup.run(files);
+  const SupervisedRun run = Supervisor(opts, &registry).run(files);
 
-  ASSERT_EQ(merged.worker_failures.size(), 1u);
-  EXPECT_NE(merged.worker_failures[0].file.find("decision.c"),
-            std::string::npos);
-  EXPECT_EQ(merged.worker_failures[0].reason, "SIGSEGV");
-  EXPECT_EQ(merged.worker_failures[0].attempts, 2);  // 1 + max_retries
-  ASSERT_EQ(merged.failed_files.size(), 1u);
-  EXPECT_TRUE(merged.frontend_errors);
-  EXPECT_EQ(merged.exitCode(), 2);
-  // Every other shard was analyzed to completion.
-  EXPECT_EQ(merged.stats.files, files.size() - 1);
+  ASSERT_TRUE(run.failure.has_value());
+  EXPECT_EQ(run.failure->reason, "SIGSEGV");
+  EXPECT_EQ(run.failure->attempts, 2);  // 1 + max_retries
+  // The whole run failed, loudly: exit 2 and one [failed] line naming
+  // the signal, never a silently empty report.
+  EXPECT_EQ(run.output.exit_code, 2);
+  EXPECT_EQ(run.output.stdout_text,
+            "  [failed] analysis worker SIGSEGV after 2 attempt(s); "
+            "no report\n");
   EXPECT_GE(registry.counterValue("supervisor.worker_crashes"), 2u);
-  EXPECT_EQ(registry.counterValue("supervisor.shards_failed"), 1u);
+  EXPECT_EQ(registry.counterValue("supervisor.runs_failed"), 1u);
 }
 
 TEST(Supervisor, OomEmulationIsClassifiedAsSigkill) {
@@ -195,10 +182,9 @@ TEST(Supervisor, OomEmulationIsClassifiedAsSigkill) {
   opts.max_retries = 0;
   opts.extra_env = {{"SAFEFLOW_INJECT_FAULT", "oom@alias"}};
   support::MetricsRegistry registry;
-  Supervisor sup(opts, &registry);
-  const MergedReport merged = sup.run(files);
-  ASSERT_EQ(merged.worker_failures.size(), 1u);
-  EXPECT_EQ(merged.worker_failures[0].reason, "SIGKILL");
+  const SupervisedRun run = Supervisor(opts, &registry).run(files);
+  ASSERT_TRUE(run.failure.has_value());
+  EXPECT_EQ(run.failure->reason, "SIGKILL");
 }
 
 TEST(Supervisor, WatchdogKillsHangingWorker) {
@@ -209,10 +195,9 @@ TEST(Supervisor, WatchdogKillsHangingWorker) {
   opts.worker_timeout_seconds = 0.5;
   opts.extra_env = {{"SAFEFLOW_INJECT_FAULT", "hang@taint"}};
   support::MetricsRegistry registry;
-  Supervisor sup(opts, &registry);
-  const MergedReport merged = sup.run(files);
-  ASSERT_EQ(merged.worker_failures.size(), 1u);
-  EXPECT_EQ(merged.worker_failures[0].reason, "timeout");
+  const SupervisedRun run = Supervisor(opts, &registry).run(files);
+  ASSERT_TRUE(run.failure.has_value());
+  EXPECT_EQ(run.failure->reason, "timeout");
   EXPECT_EQ(registry.counterValue("supervisor.workers_killed"), 1u);
 }
 
@@ -223,12 +208,11 @@ TEST(Supervisor, InjectedExit2WithoutReportIsNotRetried) {
   opts.max_retries = 3;
   opts.extra_env = {{"SAFEFLOW_INJECT_FAULT", "exit2@frontend"}};
   support::MetricsRegistry registry;
-  Supervisor sup(opts, &registry);
-  const MergedReport merged = sup.run(files);
-  ASSERT_EQ(merged.worker_failures.size(), 1u);
-  EXPECT_EQ(merged.worker_failures[0].reason, "exit 2 (no report)");
-  EXPECT_EQ(merged.worker_failures[0].attempts, 1);  // deterministic: no retry
-  EXPECT_EQ(merged.exitCode(), 2);
+  const SupervisedRun run = Supervisor(opts, &registry).run(files);
+  ASSERT_TRUE(run.failure.has_value());
+  EXPECT_EQ(run.failure->reason, "exit 2 (no report)");
+  EXPECT_EQ(run.failure->attempts, 1);  // deterministic: no retry
+  EXPECT_EQ(run.output.exit_code, 2);
 }
 
 TEST(Supervisor, RetryAfterCrashSucceeds) {
@@ -239,11 +223,11 @@ TEST(Supervisor, RetryAfterCrashSucceeds) {
   opts.extra_env = {{"SAFEFLOW_INJECT_FAULT", "crash@taint"},
                     {"SAFEFLOW_INJECT_FAULT_ATTEMPTS", "1"}};
   support::MetricsRegistry registry;
-  Supervisor sup(opts, &registry);
-  const MergedReport merged = sup.run(files);
-  EXPECT_TRUE(merged.worker_failures.empty());
-  EXPECT_TRUE(merged.failed_files.empty());
-  EXPECT_EQ(merged.stats.files, 1u);
+  const SupervisedRun run = Supervisor(opts, &registry).run(files);
+  EXPECT_FALSE(run.failure.has_value());
+  EXPECT_EQ(run.attempts, 2);
+  EXPECT_EQ(run.output.exit_code, 0);
+  EXPECT_EQ(run.output.stats.files, 1u);
   EXPECT_EQ(registry.counterValue("supervisor.workers_retried"), 1u);
   EXPECT_EQ(registry.counterValue("supervisor.workers_spawned"), 2u);
   EXPECT_GE(registry.counterValue("supervisor.backoff_waits"), 1u);
@@ -252,21 +236,24 @@ TEST(Supervisor, RetryAfterCrashSucceeds) {
 TEST(Supervisor, RetryExhaustedRecordsFailureWithStderr) {
   const std::vector<std::string> files = {kCorpus +
                                           "/running_example/core.c"};
-  SupervisorOptions opts = fastOptions();
-  opts.max_retries = 2;
-  opts.extra_env = {{"SAFEFLOW_INJECT_FAULT", "crash@lowering"}};
-  support::MetricsRegistry registry;
-  Supervisor sup(opts, &registry);
-  const MergedReport merged = sup.run(files);
-  ASSERT_EQ(merged.worker_failures.size(), 1u);
-  EXPECT_EQ(merged.worker_failures[0].attempts, 3);
-  EXPECT_EQ(registry.counterValue("supervisor.workers_spawned"), 3u);
-  // The captured-stderr channel and the text report both carry the loss.
-  EXPECT_NE(merged.diagnostics_text.find("worker stderr"),
-            std::string::npos);
-  EXPECT_NE(merged.render().find("[failed]"), std::string::npos);
-  EXPECT_NE(merged.renderJson({}).find("\"worker_failures\""),
-            std::string::npos);
+  for (const bool json : {false, true}) {
+    SupervisorOptions opts = fastOptions();
+    opts.max_retries = 2;
+    opts.render.json = json;
+    opts.extra_env = {{"SAFEFLOW_INJECT_FAULT", "crash@lowering"}};
+    support::MetricsRegistry registry;
+    const SupervisedRun run = Supervisor(opts, &registry).run(files);
+    ASSERT_TRUE(run.failure.has_value());
+    EXPECT_EQ(run.failure->attempts, 3);
+    EXPECT_EQ(registry.counterValue("supervisor.workers_spawned"), 3u);
+    // The captured-stderr channel and the report both carry the loss.
+    EXPECT_NE(run.output.stderr_text.find("worker stderr"),
+              std::string::npos);
+    EXPECT_NE(run.output.stdout_text.find(json ? "\"worker_failures\""
+                                               : "[failed]"),
+              std::string::npos)
+        << run.output.stdout_text;
+  }
 }
 
 TEST(Supervisor, SpawnFailureIsReportedNotRetried) {
@@ -274,17 +261,16 @@ TEST(Supervisor, SpawnFailureIsReportedNotRetried) {
   opts.worker_exe = "/definitely/not/safeflow";
   opts.max_retries = 3;
   support::MetricsRegistry registry;
-  Supervisor sup(opts, &registry);
-  const MergedReport merged =
-      sup.run({kCorpus + "/running_example/core.c"});
-  ASSERT_EQ(merged.worker_failures.size(), 1u);
-  EXPECT_EQ(merged.worker_failures[0].attempts, 1);
-  EXPECT_EQ(merged.exitCode(), 2);
+  const SupervisedRun run = Supervisor(opts, &registry).run(
+      {kCorpus + "/running_example/core.c"});
+  ASSERT_TRUE(run.failure.has_value());
+  EXPECT_EQ(run.failure->attempts, 1);
+  EXPECT_EQ(run.output.exit_code, 2);
 }
 
 TEST(Supervisor, ParseFailureFileIsPartialNotDead) {
-  // A file with a syntax error: the worker exits 2 *with* a report
-  // (parser recovery), so the shard merges as [partial], not [failed].
+  // A file with a syntax error: the worker exits 2 *with* an envelope
+  // (parser recovery), so the run reports [partial], not [failed].
   const std::string bad = ::testing::TempDir() + "/sup_bad.c";
   {
     FILE* f = fopen(bad.c_str(), "w");
@@ -294,17 +280,16 @@ TEST(Supervisor, ParseFailureFileIsPartialNotDead) {
   }
   SupervisorOptions opts = fastOptions();
   support::MetricsRegistry registry;
-  Supervisor sup(opts, &registry);
-  const MergedReport merged =
-      sup.run({bad, kCorpus + "/running_example/core.c"});
-  EXPECT_TRUE(merged.worker_failures.empty());
-  ASSERT_EQ(merged.failed_files.size(), 1u);
-  EXPECT_EQ(merged.failed_files[0], bad);
-  EXPECT_TRUE(merged.frontend_errors);
-  EXPECT_EQ(merged.exitCode(), 2);
-  EXPECT_NE(merged.render().find("[partial]"), std::string::npos);
-  // The good shard still analyzed.
-  EXPECT_EQ(merged.stats.files, 2u);
+  const SupervisedRun run = Supervisor(opts, &registry).run(
+      {bad, kCorpus + "/running_example/core.c"});
+  EXPECT_FALSE(run.failure.has_value());
+  EXPECT_EQ(run.output.exit_code, 2);
+  EXPECT_NE(run.output.stdout_text.find("[partial] '" + bad + "'"),
+            std::string::npos)
+      << run.output.stdout_text;
+  EXPECT_NE(run.output.stderr_text.find("sup_bad.c"), std::string::npos);
+  // The good file still analyzed.
+  EXPECT_EQ(run.output.stats.files, 2u);
   ::remove(bad.c_str());
 }
 
@@ -353,10 +338,9 @@ TEST(Supervisor, ForwardedSigtermReapsWorkersAndExits143) {
   ASSERT_GE(pid, 0);
   if (pid == 0) {
     ::setenv("SAFEFLOW_INJECT_FAULT", "hang@taint", 1);
-    std::string store[] = {SAFEFLOW_EXE, "--isolate", "--jobs", "2",
-                           "--quiet",    input};
-    char* argv[7] = {};
-    for (int i = 0; i < 6; ++i) argv[i] = store[i].data();
+    std::string store[] = {SAFEFLOW_EXE, "--isolate", "--quiet", input};
+    char* argv[5] = {};
+    for (int i = 0; i < 4; ++i) argv[i] = store[i].data();
     ::execv(argv[0], argv);
     ::_exit(127);
   }
@@ -398,7 +382,6 @@ TEST(Supervisor, ForwardedSigtermReapsWorkersAndExits143) {
 
 TEST(Supervisor, NoZombiesSurviveARun) {
   SupervisorOptions opts = fastOptions();
-  opts.jobs = 4;
   support::MetricsRegistry registry;
   Supervisor sup(opts, &registry);
   (void)sup.run(ipCoreFiles());

@@ -4,10 +4,11 @@
 // per-stream stderr capture cap, Prometheus exposition, stats schema
 // v2 (shards / resource / durations), and end-to-end cross-process
 // trace stitching — one Chrome-trace timeline from a supervised run
-// with one lane per live worker, re-based onto the supervisor's clock.
+// with a supervisor lane and a worker lane, re-based onto the
+// supervisor's clock.
 //
-// The e2e tests spawn the real `safeflow` binary (SAFEFLOW_EXE) as
-// workers, aiming faults via extra_env like supervisor_test.cpp does.
+// The e2e tests spawn the real `safeflow` binary (SAFEFLOW_EXE) as the
+// worker, arming faults via extra_env like supervisor_test.cpp does.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -277,28 +278,28 @@ TEST(PrometheusExposition, CarriesCountersQuantilesAndResource) {
 
 TEST(TelemetryMergedStats, SchemaV2CarriesShardsDurationsResource) {
   const auto files = ipCoreFiles();
-  SupervisorOptions opts = fastOptions();
-  opts.jobs = 2;
   support::MetricsRegistry registry;
-  Supervisor sup(opts, &registry);
-  const MergedReport merged = sup.run(files);
-  ASSERT_TRUE(merged.worker_failures.empty());
+  const SupervisedRun run = Supervisor(fastOptions(), &registry).run(files);
+  ASSERT_FALSE(run.failure.has_value());
+  const SafeFlowStats& stats = run.output.stats;
 
-  ASSERT_EQ(merged.stats.shards.size(), files.size());
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    EXPECT_EQ(merged.stats.shards[i].file, files[i]);  // input order
-    EXPECT_GT(merged.stats.shards[i].wall_seconds, 0.0);
-    EXPECT_GT(merged.stats.shards[i].max_rss_kb, 0u);
-    EXPECT_EQ(merged.stats.shards[i].attempts, 1);
-    EXPECT_FALSE(merged.stats.shards[i].from_cache);
-  }
-  EXPECT_GT(merged.stats.resource.max_rss_kb, 0u);
-  const bool has_shard_digest = std::any_of(
-      merged.stats.durations.begin(), merged.stats.durations.end(),
-      [](const auto& d) { return d.name == "supervisor.shard_seconds"; });
-  EXPECT_TRUE(has_shard_digest);
+  // One row attributes the run's one worker.
+  ASSERT_EQ(stats.shards.size(), 1u);
+  EXPECT_GT(stats.shards[0].wall_seconds, 0.0);
+  EXPECT_GT(stats.shards[0].max_rss_kb, 0u);
+  EXPECT_EQ(stats.shards[0].attempts, 1);
+  EXPECT_FALSE(stats.shards[0].from_cache);
+  EXPECT_GT(stats.resource.max_rss_kb, 0u);
+  // The worker's phase digests arrive with the supervisor's own.
+  const auto has_digest = [&stats](const std::string& name) {
+    return std::any_of(stats.durations.begin(), stats.durations.end(),
+                       [&name](const auto& d) { return d.name == name; });
+  };
+  EXPECT_TRUE(has_digest("supervisor.run_seconds"));
+  EXPECT_TRUE(has_digest("phase.taint"));
+  EXPECT_EQ(stats.files, files.size());
 
-  const std::string json = merged.stats.renderJson();
+  const std::string json = stats.renderJson();
   EXPECT_NE(json.find("\"schema_version\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"durations\""), std::string::npos);
   EXPECT_NE(json.find("\"shards\""), std::string::npos);
@@ -337,21 +338,17 @@ struct StitchedTrace {
   std::vector<support::json::Value> events;  // the traceEvents array
 };
 
-StitchedTrace runStitched(const std::vector<std::string>& files,
-                          std::size_t jobs) {
+StitchedTrace runStitched(const std::vector<std::string>& files) {
   SupervisorOptions opts = fastOptions();
-  opts.jobs = jobs;
   opts.worker_args.emplace_back("--telemetry-spans");
   support::TraceCollector trace;
   opts.trace = &trace;
   support::MetricsRegistry registry;
-  Supervisor sup(opts, &registry);
-  const MergedReport merged = sup.run(files);
-  EXPECT_TRUE(merged.worker_failures.empty());
-  EXPECT_EQ(merged.shard_telemetry.size(), files.size());
+  const SupervisedRun run = Supervisor(opts, &registry).run(files);
+  EXPECT_FALSE(run.failure.has_value());
 
   StitchedTrace result;
-  const std::string json = merged.renderStitchedTrace(trace);
+  const std::string json = renderStitchedTrace(trace, run);
   std::string err;
   EXPECT_TRUE(support::json::parse(json, &result.doc, &err)) << err;
   const auto* events = result.doc.find("traceEvents");
@@ -361,14 +358,13 @@ StitchedTrace runStitched(const std::vector<std::string>& files,
   return result;
 }
 
-TEST(StitchedTraceE2E, JobsFourProducesOneLanePerShardPlusSupervisor) {
-  const auto files = ipCoreFiles();
-  const StitchedTrace trace = runStitched(files, 4);
+TEST(StitchedTraceE2E, IsolateProducesOneWorkerLanePlusSupervisor) {
+  const StitchedTrace trace = runStitched(ipCoreFiles());
   ASSERT_FALSE(trace.events.empty());
 
   std::set<std::uint64_t> span_pids;
-  std::size_t supervisor_shard_spans = 0;
-  bool supervisor_merge_span = false;
+  std::size_t supervisor_run_spans = 0;
+  bool worker_pipeline_span = false;
   for (const auto& e : trace.events) {
     const std::string ph = e.memberString("ph");
     const auto pid = static_cast<std::uint64_t>(e.memberNumber("pid"));
@@ -378,43 +374,36 @@ TEST(StitchedTraceE2E, JobsFourProducesOneLanePerShardPlusSupervisor) {
     // before the supervisor's epoch would go negative.
     EXPECT_GE(e.memberNumber("ts"), 0.0);
     EXPECT_GE(e.memberNumber("dur"), 0.0);
-    if (pid == 1) {
-      const std::string name = e.memberString("name");
-      if (name == "supervisor.shard") ++supervisor_shard_spans;
-      if (name == "supervisor.merge") supervisor_merge_span = true;
-    }
+    const std::string name = e.memberString("name");
+    if (pid == 1 && name == "supervisor.run") ++supervisor_run_spans;
+    if (pid == 2 && name == "safeflow.pipeline") worker_pipeline_span = true;
   }
-  // Lane 1 is the supervisor; every shard got its own lane.
-  EXPECT_TRUE(span_pids.count(1));
-  EXPECT_EQ(span_pids.size(), 1u + files.size());
-  EXPECT_EQ(supervisor_shard_spans, files.size());
-  EXPECT_TRUE(supervisor_merge_span);
+  // Lane 1 is the supervisor, lane 2 the one worker.
+  EXPECT_EQ(span_pids, (std::set<std::uint64_t>{1, 2}));
+  EXPECT_EQ(supervisor_run_spans, 1u);
+  EXPECT_TRUE(worker_pipeline_span);
 
-  // Every lane is labeled with its input file (plus the worker pid).
-  std::size_t labeled_lanes = 0;
+  // The worker lane is labeled with the worker's real pid.
+  std::size_t worker_labels = 0;
   for (const auto& e : trace.events) {
     if (e.memberString("ph") != "M") continue;
     const auto* args = e.find("args");
     ASSERT_NE(args, nullptr);
-    const std::string label = args->memberString("name");
-    const auto pid = static_cast<std::uint64_t>(e.memberNumber("pid"));
-    if (pid >= 2) {
-      const std::string file = files[pid - 2];
-      EXPECT_NE(label.find(file), std::string::npos) << label;
-      EXPECT_NE(label.find("pid "), std::string::npos) << label;
-      ++labeled_lanes;
+    if (static_cast<std::uint64_t>(e.memberNumber("pid")) == 2) {
+      EXPECT_NE(args->memberString("name").find("pid "), std::string::npos);
+      ++worker_labels;
     }
   }
-  EXPECT_EQ(labeled_lanes, files.size());
+  EXPECT_EQ(worker_labels, 1u);
 }
 
 TEST(StitchedTraceE2E, WorkerSpansLandInsideTheSupervisorTimeline) {
   const std::vector<std::string> files = {kCorpus + "/ip/core/filter.c",
                                           kCorpus + "/ip/core/comm.c"};
-  const StitchedTrace trace = runStitched(files, 1);
+  const StitchedTrace trace = runStitched(files);
 
   // The supervisor's whole-run window: its earliest span start to the
-  // latest span end (supervisor.merge runs last).
+  // latest span end (supervisor.run encloses everything).
   double sup_end = 0.0;
   for (const auto& e : trace.events) {
     if (e.memberString("ph") != "X") continue;
@@ -430,43 +419,39 @@ TEST(StitchedTraceE2E, WorkerSpansLandInsideTheSupervisorTimeline) {
     if (static_cast<std::uint64_t>(e.memberNumber("pid")) == 1) continue;
     ++worker_spans;
     // Re-based worker spans must sit inside the supervised run, not at
-    // raw worker-local offsets (which would start near zero before the
-    // shard was even spawned... for every shard at once).
+    // raw worker-local offsets (which would start near zero, before the
+    // worker was even spawned).
     EXPECT_GE(e.memberNumber("ts"), 0.0);
     EXPECT_LE(e.memberNumber("ts") + e.memberNumber("dur"),
               sup_end + 1e5)  // 100ms slack for clock sampling
         << e.memberString("name");
   }
-  // Both live workers contributed spans (at least a pipeline root each).
+  // The live worker contributed spans (a pipeline root and its phases).
   EXPECT_GE(worker_spans, 2u);
 }
 
 // -- crash postmortem (e2e) -------------------------------------------------
 
 TEST(TelemetryCrashE2E, TaintCrashAttachesFlightRecorderNamingPhase) {
-  const auto files = ipCoreFiles();
   SupervisorOptions opts = fastOptions();
-  opts.jobs = 4;
   opts.max_retries = 0;
-  opts.extra_env = {{"SAFEFLOW_INJECT_FAULT", "crash@taint"},
-                    {"SAFEFLOW_INJECT_FAULT_FILE", "decision.c"}};
+  opts.render.json = true;
+  opts.extra_env = {{"SAFEFLOW_INJECT_FAULT", "crash@taint"}};
   support::MetricsRegistry registry;
-  Supervisor sup(opts, &registry);
-  const MergedReport merged = sup.run(files);
+  const SupervisedRun run = Supervisor(opts, &registry).run(ipCoreFiles());
 
-  ASSERT_EQ(merged.worker_failures.size(), 1u);
-  const WorkerFailure& failure = merged.worker_failures[0];
-  EXPECT_EQ(failure.reason, "SIGSEGV");
-  ASSERT_FALSE(failure.flight_events.empty());
+  ASSERT_TRUE(run.failure.has_value());
+  EXPECT_EQ(run.failure->reason, "SIGSEGV");
+  ASSERT_FALSE(run.failure->flight_events.empty());
   // The last phase event names where the worker died.
   std::string last_phase;
-  for (const auto& event : failure.flight_events) {
+  for (const auto& event : run.failure->flight_events) {
     if (event.kind == "phase") last_phase = event.detail;
   }
   EXPECT_EQ(last_phase, "taint");
 
-  // The merged JSON carries the postmortem for offline triage.
-  const std::string json = merged.renderJson({});
+  // The JSON report carries the postmortem for offline triage.
+  const std::string& json = run.output.stdout_text;
   const std::size_t failures_pos = json.find("\"worker_failures\"");
   ASSERT_NE(failures_pos, std::string::npos);
   EXPECT_NE(json.find("\"flight_recorder\"", failures_pos),
