@@ -1,7 +1,10 @@
 #include "analysis/taint.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -207,9 +210,9 @@ bool TaintAnalysis::isCovered(const ShmPtrInfo& ptr,
 // Transfer functions
 // ---------------------------------------------------------------------------
 
-TaintPair TaintAnalysis::operandTaint(const ir::Value* v) const {
+const TaintPair& TaintAnalysis::operandTaint(const ir::Value* v) const {
   auto it = value_taint_.find(v);
-  return it == value_taint_.end() ? TaintPair{} : it->second;
+  return it == value_taint_.end() ? empty_taint_ : it->second;
 }
 
 TaintPair TaintAnalysis::resolveConcrete(const TaintPair& t,
@@ -217,18 +220,18 @@ TaintPair TaintAnalysis::resolveConcrete(const TaintPair& t,
   TaintPair out;
   out.data.sources = t.data.sources;
   out.control.sources = t.control.sources;
-  auto concrete_of = [this, &fn](unsigned p) -> TaintPair {
-    if (p >= fn.args().size()) return {};
+  auto concrete_of = [this, &fn](unsigned p) -> const TaintPair& {
+    if (p >= fn.args().size()) return empty_taint_;
     auto it = arg_concrete_.find(fn.args()[p].get());
-    return it == arg_concrete_.end() ? TaintPair{} : it->second;
+    return it == arg_concrete_.end() ? empty_taint_ : it->second;
   };
   for (unsigned p : t.data.params) {
-    const TaintPair a = concrete_of(p);
+    const TaintPair& a = concrete_of(p);
     out.data.mergeConcrete(a.data);
     out.control.mergeConcrete(a.control);
   }
   for (unsigned p : t.control.params) {
-    const TaintPair a = concrete_of(p);
+    const TaintPair& a = concrete_of(p);
     out.control.mergeConcrete(a.data);
     out.control.mergeConcrete(a.control);
   }
@@ -255,18 +258,18 @@ TaintPair TaintAnalysis::substituteSummary(const TaintPair& summary,
   TaintPair out;
   out.data.sources = summary.data.sources;
   out.control.sources = summary.control.sources;
-  auto arg_taint = [this, &call, first_arg](unsigned p) -> TaintPair {
+  auto arg_taint = [this, &call, first_arg](unsigned p) -> const TaintPair& {
     const std::size_t idx = first_arg + p;
-    if (idx >= call.numOperands()) return {};
+    if (idx >= call.numOperands()) return empty_taint_;
     return operandTaint(call.operand(idx));
   };
   for (unsigned p : summary.data.params) {
-    const TaintPair a = arg_taint(p);
+    const TaintPair& a = arg_taint(p);
     out.data.merge(a.data);          // caller's symbols stay symbolic
     out.control.merge(a.control);
   }
   for (unsigned p : summary.control.params) {
-    const TaintPair a = arg_taint(p);
+    const TaintPair& a = arg_taint(p);
     out.control.merge(a.data);
     out.control.merge(a.control);
   }
@@ -333,11 +336,247 @@ Taint TaintAnalysis::blockControlTaint(const ir::BasicBlock* bb) const {
       }
       continue;
     }
-    const TaintPair cond = operandTaint(term->operand(0));
+    const TaintPair& cond = operandTaint(term->operand(0));
     out.merge(cond.data);
     out.merge(cond.control);
   }
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// Body solver
+// ---------------------------------------------------------------------------
+
+/// The def-use index of one function body, plus the two round bitsets the
+/// sparse rounds drain. analyzeFunction builds it at the first growth of
+/// its first pass and drops it when it returns: flat arrays over
+/// instruction positions in block order, nothing keyed by object and
+/// nothing kept across calls.
+///
+/// Rounds follow the schedule of whole passes over the body. A growth at
+/// position `at` queues a reader after `at` into the current round and a
+/// reader at or before `at` into the next one, so each instruction is
+/// evaluated at most once per round, in block order, and sees exactly the
+/// state a whole pass would have shown it. The evaluations skipped are
+/// those whose inputs did not change, which a whole pass repeated to no
+/// effect. A block reads its control taint once, on entry, as a whole pass
+/// did; a control growth therefore reaches a block already entered only
+/// in the next round.
+class TaintAnalysis::BodyWorklist {
+ public:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  BodyWorklist(const TaintAnalysis& taint, const ir::Function& fn);
+
+  [[nodiscard]] const ir::Instruction& instruction(std::uint32_t pos) const {
+    return *insts_[pos];
+  }
+  /// Queues every reader of what `growth` says grew at position `at`.
+  void revisit(std::uint32_t at, unsigned growth);
+  /// Makes the queued next round current; false when it is empty.
+  bool nextRound();
+  /// The current round's next queued position in block order, or kNone.
+  std::uint32_t pop();
+
+ private:
+  using Edges = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+  /// Compressed adjacency: the targets of position p are
+  /// list[start[p] .. start[p + 1]).
+  struct Adjacency {
+    std::vector<std::uint32_t> start;
+    std::vector<std::uint32_t> list;
+  };
+  static Adjacency compress(const Edges& edges, std::size_t positions);
+  static void set(std::vector<std::uint64_t>& round, std::uint32_t pos) {
+    round[pos / 64] |= std::uint64_t{1} << (pos % 64);
+  }
+  void queue(std::uint32_t at, std::uint32_t pos) {
+    set(pos > at ? current_ : next_, pos);
+  }
+  void queueBlock(std::uint32_t at, std::uint32_t block);
+
+  std::vector<const ir::Instruction*> insts_;
+  /// First position of each block, plus one past the last instruction.
+  std::vector<std::uint32_t> block_start_;
+  /// Readers of each position's value: its SSA users, and the phis whose
+  /// incoming block ends in or is controlled by a branch on it.
+  Adjacency readers_;
+  /// Blocks whose control taint includes a branch on each position.
+  Adjacency controlled_;
+  std::vector<std::uint32_t> memory_loads_;  ///< loads that read objects
+  std::vector<std::uint32_t> self_calls_;    ///< calls that may target fn
+  /// Stores and calls: they resolve parameter symbols against the
+  /// function's own concrete argument taint.
+  std::vector<std::uint32_t> arg_readers_;
+  std::vector<std::uint64_t> current_;
+  std::vector<std::uint64_t> next_;
+  std::size_t word_ = 0;  ///< pop cursor into current_
+};
+
+TaintAnalysis::BodyWorklist::BodyWorklist(const TaintAnalysis& taint,
+                                          const ir::Function& fn) {
+  // Operand -> position through a sorted table rather than a map.
+  std::vector<std::pair<std::uintptr_t, std::uint32_t>> position_of;
+  for (const auto& bb : fn.blocks()) {
+    block_start_.push_back(static_cast<std::uint32_t>(insts_.size()));
+    for (const auto& inst : bb->instructions()) {
+      position_of.emplace_back(reinterpret_cast<std::uintptr_t>(inst.get()),
+                               static_cast<std::uint32_t>(insts_.size()));
+      insts_.push_back(inst.get());
+    }
+  }
+  block_start_.push_back(static_cast<std::uint32_t>(insts_.size()));
+  std::sort(position_of.begin(), position_of.end());
+  const auto position = [&position_of](const ir::Value* v) {
+    const auto key = reinterpret_cast<std::uintptr_t>(v);
+    const auto it = std::lower_bound(position_of.begin(), position_of.end(),
+                                     std::make_pair(key, std::uint32_t{0}));
+    return it != position_of.end() && it->first == key ? it->second : kNone;
+  };
+
+  const auto cd_it = taint.control_dep_.find(&fn);
+  const ControlDependence* cd =
+      cd_it != taint.control_dep_.end() ? &cd_it->second : nullptr;
+  // The position of the condition `bb`'s conditional branch tests.
+  const auto branch_condition = [&position](const ir::BasicBlock* bb) {
+    const ir::Instruction* term = bb->terminator();
+    if (term == nullptr || term->opcode() != ir::Opcode::kCondBr) {
+      return kNone;
+    }
+    return position(term->operand(0));
+  };
+
+  Edges reads;
+  Edges controls;
+  std::uint32_t block = 0;
+  for (const auto& bb : fn.blocks()) {
+    if (cd != nullptr) {
+      for (const ir::BasicBlock* controller : cd->controllers(bb.get())) {
+        const std::uint32_t cond = branch_condition(controller);
+        if (cond != kNone) controls.emplace_back(cond, block);
+      }
+    }
+    ++block;
+  }
+  for (std::uint32_t pos = 0; pos < insts_.size(); ++pos) {
+    const ir::Instruction& inst = *insts_[pos];
+    for (const ir::Value* op : inst.operands()) {
+      const std::uint32_t def = position(op);
+      if (def != kNone) reads.emplace_back(def, pos);
+    }
+    switch (inst.opcode()) {
+      case ir::Opcode::kLoad:
+        if (taint.shm_.info(inst.operand(0)) == nullptr) {
+          memory_loads_.push_back(pos);
+        }
+        break;
+      case ir::Opcode::kStore:
+        arg_readers_.push_back(pos);
+        break;
+      case ir::Opcode::kCall: {
+        arg_readers_.push_back(pos);
+        const auto targets = taint.callgraph_.targets(inst);
+        if (std::find(targets.begin(), targets.end(), &fn) != targets.end()) {
+          self_calls_.push_back(pos);
+        }
+        break;
+      }
+      case ir::Opcode::kPhi:
+        if (cd == nullptr) break;
+        for (const ir::BasicBlock* incoming : inst.block_refs) {
+          const std::uint32_t cond = branch_condition(incoming);
+          if (cond != kNone) reads.emplace_back(cond, pos);
+          for (const ir::BasicBlock* controller : cd->controllers(incoming)) {
+            const std::uint32_t c = branch_condition(controller);
+            if (c != kNone) reads.emplace_back(c, pos);
+          }
+        }
+        break;
+      default:
+        break;
+    }
+  }
+  readers_ = compress(reads, insts_.size());
+  controlled_ = compress(controls, insts_.size());
+  current_.assign((insts_.size() + 63) / 64, 0);
+  next_ = current_;
+}
+
+TaintAnalysis::BodyWorklist::Adjacency TaintAnalysis::BodyWorklist::compress(
+    const Edges& edges, std::size_t positions) {
+  Adjacency adj;
+  adj.start.assign(positions + 1, 0);
+  for (const auto& [from, to] : edges) ++adj.start[from + 1];
+  for (std::size_t p = 0; p < positions; ++p) {
+    adj.start[p + 1] += adj.start[p];
+  }
+  adj.list.resize(edges.size());
+  std::vector<std::uint32_t> fill(adj.start.begin(), adj.start.end() - 1);
+  for (const auto& [from, to] : edges) adj.list[fill[from]++] = to;
+  return adj;
+}
+
+void TaintAnalysis::BodyWorklist::queueBlock(std::uint32_t at,
+                                             std::uint32_t block) {
+  // A block entered at or before `at` has read its control taint already.
+  auto& round = block_start_[block] > at ? current_ : next_;
+  for (std::uint32_t pos = block_start_[block]; pos < block_start_[block + 1];
+       ++pos) {
+    set(round, pos);
+  }
+}
+
+void TaintAnalysis::BodyWorklist::revisit(std::uint32_t at, unsigned growth) {
+  if ((growth & kRanNestedBodies) != 0) {
+    // Nested analyses may have grown anything this body reads, its own
+    // values included: every later position this round, and every block
+    // already entered again next round.
+    for (std::uint32_t pos = at + 1; pos < insts_.size(); ++pos) {
+      set(current_, pos);
+    }
+    for (std::uint32_t b = 0; b + 1 < block_start_.size(); ++b) {
+      if (block_start_[b] <= at) queueBlock(at, b);
+    }
+    return;
+  }
+  if ((growth & kGrewValue) != 0) {
+    for (std::uint32_t i = readers_.start[at]; i < readers_.start[at + 1];
+         ++i) {
+      queue(at, readers_.list[i]);
+    }
+    for (std::uint32_t i = controlled_.start[at];
+         i < controlled_.start[at + 1]; ++i) {
+      queueBlock(at, controlled_.list[i]);
+    }
+  }
+  if ((growth & kGrewObject) != 0) {
+    for (const std::uint32_t pos : memory_loads_) queue(at, pos);
+  }
+  if ((growth & kGrewReturn) != 0) {
+    for (const std::uint32_t pos : self_calls_) queue(at, pos);
+  }
+  if ((growth & kGrewOwnArgs) != 0) {
+    for (const std::uint32_t pos : arg_readers_) queue(at, pos);
+  }
+}
+
+bool TaintAnalysis::BodyWorklist::nextRound() {
+  current_.swap(next_);
+  std::fill(next_.begin(), next_.end(), 0);
+  word_ = 0;
+  return std::any_of(current_.begin(), current_.end(),
+                     [](std::uint64_t w) { return w != 0; });
+}
+
+std::uint32_t TaintAnalysis::BodyWorklist::pop() {
+  for (; word_ < current_.size(); ++word_) {
+    std::uint64_t& word = current_[word_];
+    if (word == 0) continue;
+    const auto bit = static_cast<std::uint32_t>(std::countr_zero(word));
+    word &= word - 1;
+    return static_cast<std::uint32_t>(word_ * 64) + bit;
+  }
+  return kNone;
 }
 
 bool TaintAnalysis::analyzeFunction(const ir::Function& fn,
@@ -362,109 +601,161 @@ bool TaintAnalysis::analyzeFunction(const ir::Function& fn,
     symbol.data.params.insert(arg->index());
     changed_any |= value_taint_[arg.get()].merge(symbol);
   }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const auto& bb : fn.blocks()) {
-      Taint block_control;
-      if (options_.track_control_deps) {
-        block_control = blockControlTaint(bb.get());
-      }
-      for (const auto& inst : bb->instructions()) {
-        if (!support::budgetStep(budget_)) return false;
-        TaintPair result;
-        switch (inst->opcode()) {
-          case ir::Opcode::kLoad:
-            result = loadTaint(*inst, assumptions);
-            break;
-          case ir::Opcode::kStore: {
-            // Memory objects are shared across contexts, so escaping
-            // taints are resolved to their concrete form first.
-            TaintPair stored =
-                resolveConcrete(operandTaint(inst->operand(0)), fn);
-            stored.control.mergeConcrete(
-                resolveConcreteControl(block_control, fn));
-            if (!stored.empty()) {
-              for (ObjId obj : alias_.pointsTo(inst->operand(1))) {
-                if (alias_.regionOf(obj) >= 0) continue;  // shm writes do
-                // not change the region's core/non-core status (§2).
-                changed |= object_taint_[obj].merge(stored);
-              }
-            }
-            continue;
-          }
-          case ir::Opcode::kBinOp:
-          case ir::Opcode::kUnOp:
-          case ir::Opcode::kCmp:
-          case ir::Opcode::kCast:
-          case ir::Opcode::kFieldAddr:
-          case ir::Opcode::kIndexAddr:
-            for (std::size_t i = 0; i < inst->numOperands(); ++i) {
-              result.merge(operandTaint(inst->operand(i)));
-            }
-            break;
-          case ir::Opcode::kPhi: {
-            for (std::size_t i = 0; i < inst->numOperands(); ++i) {
-              // Values arriving over a statically-infeasible edge can
-              // never flow at runtime: skip the operand entirely.
-              if (ranges_ != nullptr && i < inst->block_refs.size() &&
-                  ranges_->edgeInfeasible(inst->block_refs[i], bb.get())) {
-                if (pruned_phi_edges_.insert({inst.get(), i}).second) {
-                  SAFEFLOW_COUNT("ranges.phi_edges_pruned");
-                }
-                continue;
-              }
-              result.merge(operandTaint(inst->operand(i)));
-              // The choice of incoming edge leaks the branch condition.
-              if (options_.track_control_deps &&
-                  i < inst->block_refs.size()) {
-                const ir::Instruction* pterm =
-                    inst->block_refs[i]->terminator();
-                if (pterm != nullptr &&
-                    pterm->opcode() == ir::Opcode::kCondBr &&
-                    !(ranges_ != nullptr &&
-                      ranges_->decidedBranch(pterm).has_value())) {
-                  const TaintPair cond = operandTaint(pterm->operand(0));
-                  result.control.merge(cond.data);
-                  result.control.merge(cond.control);
-                }
-                result.control.merge(
-                    blockControlTaint(inst->block_refs[i]));
-              }
-            }
-            break;
-          }
-          case ir::Opcode::kCall:
-            side_effect_changed_ = false;
-            result = evalCall(*inst, assumptions, depth);
-            changed |= side_effect_changed_;
-            break;
-          case ir::Opcode::kRet: {
-            if (inst->numOperands() == 1) {
-              TaintPair rt = operandTaint(inst->operand(0));
-              rt.control.merge(block_control);
-              {
-                const bool grew = return_taint_[&fn].merge(rt);
-                if (grew) SAFEFLOW_COUNT("taint.summaries_computed");
-                changed |= grew;
-              }
-            }
-            continue;
-          }
-          default:
-            continue;
-        }
-        if (options_.track_control_deps) {
-          result.control.merge(block_control);
-        }
-        if (!result.empty()) {
-          changed |= value_taint_[inst.get()].merge(result);
-        }
-      }
+
+  // What makes a round count as changed, as the whole-pass loop counted
+  // it: own argument growth also sets kGrewCalleeArgs, and a call that ran
+  // nested analyses counts only through the callee-argument bit it keeps.
+  constexpr unsigned kChanged =
+      kGrewValue | kGrewObject | kGrewReturn | kGrewCalleeArgs;
+  std::uint64_t evals = 0;  // added to the counter once, at the end
+  bool in_budget = true;
+  bool changed = false;
+
+  // First round: every instruction, in block order. The worklist is built
+  // at the first growth, so a body whose first pass grows nothing never
+  // pays for the index.
+  std::optional<BodyWorklist> worklist;
+  std::uint32_t pos = 0;
+  for (const auto& bb : fn.blocks()) {
+    Taint block_control;
+    if (options_.track_control_deps) {
+      block_control = blockControlTaint(bb.get());
     }
-    changed_any |= changed;
+    for (const auto& inst : bb->instructions()) {
+      in_budget = support::budgetStep(budget_);
+      if (!in_budget) break;
+      ++evals;
+      const unsigned growth =
+          evalInstruction(*inst, fn, block_control, assumptions, depth);
+      changed |= (growth & kChanged) != 0;
+      if (growth != 0) {
+        if (!worklist) worklist.emplace(*this, fn);
+        worklist->revisit(pos, growth);
+      }
+      ++pos;
+    }
+    if (!in_budget) break;
   }
-  return changed_any;
+  changed_any |= changed;
+
+  // Later rounds re-evaluate only what a growth queued, until a round
+  // changes nothing.
+  while (in_budget && changed && worklist && worklist->nextRound()) {
+    changed = false;
+    const ir::BasicBlock* entered = nullptr;
+    Taint block_control;
+    for (std::uint32_t at = worklist->pop(); at != BodyWorklist::kNone;
+         at = worklist->pop()) {
+      in_budget = support::budgetStep(budget_);
+      if (!in_budget) break;
+      ++evals;
+      const ir::Instruction& inst = worklist->instruction(at);
+      if (options_.track_control_deps && inst.parent() != entered) {
+        entered = inst.parent();
+        block_control = blockControlTaint(entered);
+      }
+      const unsigned growth =
+          evalInstruction(inst, fn, block_control, assumptions, depth);
+      changed |= (growth & kChanged) != 0;
+      worklist->revisit(at, growth);
+    }
+  }
+  SAFEFLOW_COUNT_N("taint.instruction_evals", evals);
+  return in_budget && changed_any;
+}
+
+unsigned TaintAnalysis::evalInstruction(const ir::Instruction& inst,
+                                        const ir::Function& fn,
+                                        const Taint& block_control,
+                                        const AssumptionSet& assumptions,
+                                        unsigned depth) {
+  unsigned growth = 0;
+  TaintPair result;
+  switch (inst.opcode()) {
+    case ir::Opcode::kLoad:
+      result = loadTaint(inst, assumptions);
+      break;
+    case ir::Opcode::kStore: {
+      // Memory objects are shared across contexts, so escaping taints are
+      // resolved to their concrete form first.
+      TaintPair stored = resolveConcrete(operandTaint(inst.operand(0)), fn);
+      stored.control.mergeConcrete(resolveConcreteControl(block_control, fn));
+      if (!stored.empty()) {
+        for (ObjId obj : alias_.pointsTo(inst.operand(1))) {
+          if (alias_.regionOf(obj) >= 0) continue;  // shm writes do not
+          // change the region's core/non-core status (§2).
+          if (object_taint_[obj].merge(stored)) growth |= kGrewObject;
+        }
+      }
+      return growth;
+    }
+    case ir::Opcode::kBinOp:
+    case ir::Opcode::kUnOp:
+    case ir::Opcode::kCmp:
+    case ir::Opcode::kCast:
+    case ir::Opcode::kFieldAddr:
+    case ir::Opcode::kIndexAddr:
+      for (const ir::Value* op : inst.operands()) {
+        result.merge(operandTaint(op));
+      }
+      break;
+    case ir::Opcode::kPhi:
+      for (std::size_t i = 0; i < inst.numOperands(); ++i) {
+        // Values arriving over a statically-infeasible edge can never flow
+        // at runtime: skip the operand entirely.
+        if (ranges_ != nullptr && i < inst.block_refs.size() &&
+            ranges_->edgeInfeasible(inst.block_refs[i], inst.parent())) {
+          if (pruned_phi_edges_.insert({&inst, i}).second) {
+            SAFEFLOW_COUNT("ranges.phi_edges_pruned");
+          }
+          continue;
+        }
+        result.merge(operandTaint(inst.operand(i)));
+        // The choice of incoming edge leaks the branch condition.
+        if (options_.track_control_deps && i < inst.block_refs.size()) {
+          const ir::Instruction* pterm = inst.block_refs[i]->terminator();
+          if (pterm != nullptr && pterm->opcode() == ir::Opcode::kCondBr &&
+              !(ranges_ != nullptr &&
+                ranges_->decidedBranch(pterm).has_value())) {
+            const TaintPair& cond = operandTaint(pterm->operand(0));
+            result.control.merge(cond.data);
+            result.control.merge(cond.control);
+          }
+          result.control.merge(blockControlTaint(inst.block_refs[i]));
+        }
+      }
+      break;
+    case ir::Opcode::kCall: {
+      call_growth_ = 0;
+      const std::size_t bodies = body_analyses_;
+      result = evalCall(inst, assumptions, depth);
+      // Nested analyses leave their own calls' bits behind; only the
+      // callee-argument bit counts then, and revisiting the whole body
+      // covers whatever they grew.
+      growth = body_analyses_ == bodies
+                   ? call_growth_
+                   : (call_growth_ & kGrewCalleeArgs) | kRanNestedBodies;
+      break;
+    }
+    case ir::Opcode::kRet:
+      if (inst.numOperands() == 1) {
+        TaintPair& ret = return_taint_[&fn];
+        const bool grew_value = ret.merge(operandTaint(inst.operand(0)));
+        const bool grew_control = ret.control.merge(block_control);
+        if (grew_value || grew_control) {
+          SAFEFLOW_COUNT("taint.summaries_computed");
+          growth |= kGrewReturn;
+        }
+      }
+      return growth;
+    default:
+      return growth;
+  }
+  if (options_.track_control_deps) result.control.merge(block_control);
+  if (!result.empty() && value_taint_[&inst].merge(result)) {
+    growth |= kGrewValue;
+  }
+  return growth;
 }
 
 namespace {
@@ -507,7 +798,7 @@ TaintPair TaintAnalysis::evalReceive(const ir::Instruction& call) {
     incoming.data.sources[channel->id].insert(&call);
     for (ObjId obj : alias_.pointsTo(call.operand(rc.buffer_arg))) {
       if (alias_.regionOf(obj) >= 0) continue;
-      object_taint_[obj].merge(incoming);
+      if (object_taint_[obj].merge(incoming)) call_growth_ |= kGrewObject;
     }
     return incoming;  // byte count / status also reflects the channel
   }
@@ -544,9 +835,9 @@ TaintPair TaintAnalysis::evalCall(const ir::Instruction& call,
       if (p >= target->args().size()) break;
       const TaintPair arg =
           resolveConcrete(operandTaint(call.operand(i)), *caller);
-      if (!arg.empty()) {
-        side_effect_changed_ |=
-            arg_concrete_[target->args()[p].get()].merge(arg);
+      if (!arg.empty() && arg_concrete_[target->args()[p].get()].merge(arg)) {
+        call_growth_ |= target == caller ? kGrewCalleeArgs | kGrewOwnArgs
+                                         : kGrewCalleeArgs;
       }
     }
 
@@ -674,27 +965,6 @@ std::vector<std::pair<std::string, int>> sortedRefs(
   }
   std::sort(refs.begin(), refs.end());
   return refs;
-}
-
-void hashTaint(support::Fnv1a& h, const Taint& t, const ModuleIndex& index) {
-  hashUint(h, t.sources.size());
-  for (const auto& [region, insts] : t.sources) {
-    hashInt(h, region);
-    const auto refs = sortedRefs(insts, index);
-    hashUint(h, refs.size());
-    for (const auto& [owner, id] : refs) {
-      hashToken(h, owner);
-      hashInt(h, id);
-    }
-  }
-  hashUint(h, t.params.size());
-  for (const unsigned p : t.params) hashUint(h, p);
-}
-
-void hashTaintPair(support::Fnv1a& h, const TaintPair& t,
-                   const ModuleIndex& index) {
-  hashTaint(h, t.data, index);
-  hashTaint(h, t.control, index);
 }
 
 void writeTaint(BlobWriter& w, const Taint& t, const ModuleIndex& index) {

@@ -148,12 +148,36 @@ class TaintAnalysis {
                                int region) const;
 
   // -- propagation ------------------------------------------------------------
-  /// One intraprocedural pass under the given assumptions; updates value
-  /// taints / object taints; returns true when anything changed. `depth`
-  /// threads the call-string recursion depth into evalCall.
+  /// Solves `fn`'s body under the given assumptions to its local fixpoint:
+  /// one pass over every instruction in block order, then a def-use
+  /// worklist (BodyWorklist) that re-evaluates, in block-order rounds,
+  /// only the instructions a growth can reach. Grows value, object,
+  /// argument and return taints; returns true when any of them grew, and
+  /// false once the budget trips. The rounds end in the same state, with
+  /// the same result and counters, as re-running whole passes until one
+  /// changes nothing (DESIGN.md §18). `depth` threads the call-string
+  /// recursion depth into evalCall.
   bool analyzeFunction(const ir::Function& fn,
                        const AssumptionSet& assumptions,
                        unsigned depth = 0);
+  /// What one evaluation grew, as bits; each kind has its own revisit
+  /// edges in BodyWorklist.
+  enum Growth : unsigned {
+    kGrewValue = 1u << 0,        ///< the instruction's own value taint
+    kGrewObject = 1u << 1,       ///< an object, through a store or recv
+    kGrewReturn = 1u << 2,       ///< the function's own return taint
+    kGrewCalleeArgs = 1u << 3,   ///< a callee's concrete argument taint
+    kGrewOwnArgs = 1u << 4,      ///< this function's, via a self call
+    kRanNestedBodies = 1u << 5,  ///< a call ran nested body analyses
+  };
+  /// Evaluates one instruction of `fn` and merges its result; returns the
+  /// Growth bits. `block_control` is the control taint of its block as of
+  /// the block's entry in the current round.
+  unsigned evalInstruction(const ir::Instruction& inst,
+                           const ir::Function& fn,
+                           const Taint& block_control,
+                           const AssumptionSet& assumptions, unsigned depth);
+  class BodyWorklist;
   /// Memoizing wrapper around analyzeFunction for the summary-mode SCC
   /// sweep (see summaries.h): digests the transformer's input, replays a
   /// recorded post-state on a hit, records one on a miss.
@@ -198,14 +222,15 @@ class TaintAnalysis {
                      const AssumptionSet& caller_assumptions,
                      unsigned depth);
   /// recv/read-style call through a possibly-noncore descriptor; taints
-  /// the buffer's objects and returns the result taint.
+  /// the buffer's objects (recording kGrewObject in call_growth_) and
+  /// returns the result taint.
   TaintPair evalReceive(const ir::Instruction& call);
   [[nodiscard]] bool isReceiveCall(const ir::Instruction& call) const;
   /// Call-string mode: (re)analyze `fn` under `ctx`, returning the summary
   /// (return taint) for that context. Memoized.
   TaintPair analyzeInContext(const ir::Function& fn, AssumptionSet ctx,
                              unsigned depth);
-  [[nodiscard]] TaintPair operandTaint(const ir::Value* v) const;
+  [[nodiscard]] const TaintPair& operandTaint(const ir::Value* v) const;
   /// Replaces parameter symbols with the concrete taints accumulated for
   /// `fn`'s arguments (data symbols keep data/control split; control
   /// symbols collapse into control).
@@ -267,10 +292,13 @@ class TaintAnalysis {
   std::map<std::pair<const ir::Function*, AssumptionSet>, TaintPair>
       context_memo_;
   std::size_t body_analyses_ = 0;
-  /// Set when evalCall grew a callee's concrete argument taint; folded
-  /// into the enclosing fixpoint's change flag.
-  bool side_effect_changed_ = false;
+  /// Growth bits evalCall/evalReceive record for the call being
+  /// evaluated: callee argument taints and receive buffers. Reset per
+  /// call, so nested body analyses overwrite it; kRanNestedBodies, which
+  /// revisits the whole body, covers that case.
+  unsigned call_growth_ = 0;
   AssumptionSet empty_assumptions_;
+  TaintPair empty_taint_;
 };
 
 }  // namespace safeflow::analysis

@@ -13,7 +13,15 @@
 // process or isolated. Counts and finding sets are compared with
 // locations ignored (concatenation moves every line).
 //
-// Both spawn the real `safeflow` and `safeflowd` binaries.
+// Goldens: the in-process text report of every system under each taint
+// configuration (summaries, call strings, no control dependences) must
+// match tests/report_goldens/ byte for byte. They pin what the analysis
+// finds and how it renders, so a change to how a fixpoint is solved has
+// to leave every byte in place; regenerate a golden only for an intended
+// change in findings or rendering.
+//
+// All spawn the real `safeflow` binary; the differential also spawns
+// `safeflowd`.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +30,7 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <dirent.h>
@@ -279,5 +288,62 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Values(kSystems[1], kSystems[2], kSystems[3], kSystems[4],
                     kSystems[5]),
     systemName);
+
+struct Config {
+  const char* name;
+  const char* flag;  // empty for the default engine
+};
+
+const Config kConfigs[] = {
+    {"summaries", ""},
+    {"call_strings", "--mode=call-strings"},
+    {"no_control_deps", "--no-control-deps"},
+};
+
+void PrintTo(const Config& config, std::ostream* os) { *os << config.name; }
+
+std::string readFile(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+/// Replaces the absolute corpus prefix with the repo-relative one the
+/// goldens use (they are rendered from the repo root).
+std::string normalizePaths(std::string text) {
+  std::size_t pos = 0;
+  while ((pos = text.find(kCorpus, pos)) != std::string::npos) {
+    text.replace(pos, kCorpus.size(), "corpus");
+    pos += 6;
+  }
+  return text;
+}
+
+class ReportGolden
+    : public testing::TestWithParam<std::tuple<System, Config>> {};
+
+TEST_P(ReportGolden, MatchesCheckedInRender) {
+  const auto& [sys, config] = GetParam();
+  std::vector<std::string> args = analysisFlags(sys);
+  if (*config.flag != '\0') args.emplace_back(config.flag);
+  const std::vector<std::string> files = coreFiles(sys);
+  ASSERT_FALSE(files.empty());
+  args.insert(args.end(), files.begin(), files.end());
+  const support::SubprocessResult got = runSafeflow(args);
+  ASSERT_TRUE(got.exitedWith(0) || got.exitedWith(1)) << got.err_text;
+  const std::string golden = std::string(SAFEFLOW_GOLDENS_DIR) + "/" +
+                             sys.name + "." + config.name + ".txt";
+  EXPECT_EQ(normalizePaths(got.out_text), readFile(golden)) << golden;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, ReportGolden,
+    testing::Combine(testing::ValuesIn(kSystems),
+                     testing::ValuesIn(kConfigs)),
+    [](const testing::TestParamInfo<std::tuple<System, Config>>& info) {
+      return std::string(std::get<0>(info.param).name) + "_" +
+             std::get<1>(info.param).name;
+    });
 
 }  // namespace
