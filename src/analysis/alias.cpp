@@ -1,8 +1,27 @@
 #include "analysis/alias.h"
 
+#include <algorithm>
+#include <tuple>
+
+#include "cfront/types.h"
 #include "support/metrics.h"
 
 namespace safeflow::analysis {
+
+namespace {
+
+// Byte size of the element a pointer value addresses, or 0 when unknown.
+std::int64_t pointeeSize(const ir::Value* v) {
+  if (v == nullptr || v->type() == nullptr || !v->type()->isPointer()) {
+    return 0;
+  }
+  const auto* pt = static_cast<const cfront::PointerType*>(v->type());
+  return pt->pointee() != nullptr
+             ? static_cast<std::int64_t>(pt->pointee()->size())
+             : 0;
+}
+
+}  // namespace
 
 AliasAnalysis::AliasAnalysis(const ir::Module& module,
                              const ShmRegionTable& regions,
@@ -14,33 +33,577 @@ AliasAnalysis::AliasAnalysis(const ir::Module& module,
       callgraph_(callgraph),
       options_(options),
       budget_(budget) {
-  if (options_.engine == AliasOptions::Engine::kAndersen) {
-    solver_ = std::make_unique<PointsToSolver>(
-        module_, regions_, callgraph_,
-        PointsToOptions{options_.field_sensitive}, budget_);
-    return;
-  }
-  ObjInfo unknown;
-  unknown.kind = ObjInfo::Kind::kUnknown;
+  Object unknown;
+  unknown.kind = ObjKind::kUnknown;
   unknown.name = "<unknown>";
   unknown_ = internObject(std::move(unknown));
-  // The unknown object may contain a pointer to itself (externals can
-  // return pointers to graphs of unknown memory).
-  contents_[unknown_].insert(unknown_);
+  // Externals can return pointers into graphs of unknown memory: the
+  // unknown object's contents include a pointer to itself.
+  addPts(objNode(unknown_), unknown_);
 }
 
-void AliasAnalysis::run() {
-  const support::ScopedTimer timer("phase.alias");
-  support::budgetBeginPhase(budget_, "alias");
-  if (solver_) {
-    solver_->solve();
-  } else {
-    runLegacy();
+// ---------------------------------------------------------------------------
+// Nodes and union-find
+// ---------------------------------------------------------------------------
+
+int AliasAnalysis::newNode() {
+  nodes_.emplace_back();
+  rep_.push_back(static_cast<int>(nodes_.size()) - 1);
+  return static_cast<int>(nodes_.size()) - 1;
+}
+
+int AliasAnalysis::valueNode(const ir::Value* v) {
+  auto it = value_nodes_.find(v);
+  if (it != value_nodes_.end()) return it->second;
+  const int n = newNode();
+  value_nodes_.emplace(v, n);
+  return n;
+}
+
+int AliasAnalysis::objNode(ObjId obj) {
+  if (objects_[static_cast<std::size_t>(obj)].node >= 0) {
+    return objects_[static_cast<std::size_t>(obj)].node;
   }
-  emitSharedCounters();
+  const int n = newNode();
+  objects_[static_cast<std::size_t>(obj)].node = n;
+  return n;
 }
 
-void AliasAnalysis::emitSharedCounters() const {
+int AliasAnalysis::find(int n) {
+  while (rep_[static_cast<std::size_t>(n)] != n) {
+    rep_[static_cast<std::size_t>(n)] =
+        rep_[static_cast<std::size_t>(rep_[static_cast<std::size_t>(n)])];
+    n = rep_[static_cast<std::size_t>(n)];
+  }
+  return n;
+}
+
+int AliasAnalysis::unite(int a, int b) {
+  a = find(a);
+  b = find(b);
+  if (a == b) return a;
+  // The smaller index survives so collapse order is deterministic.
+  if (b < a) std::swap(a, b);
+  Node& na = nodes_[static_cast<std::size_t>(a)];
+  Node& nb = nodes_[static_cast<std::size_t>(b)];
+  for (int s : nb.succs) na.succs.insert(s);
+  for (ObjId o : nb.pts) na.pts.insert(o);
+  na.constraints.insert(na.constraints.end(), nb.constraints.begin(),
+                        nb.constraints.end());
+  // The adopted constraints have never seen the survivor's objects (and
+  // vice versa): refire everything once over the merged set.
+  na.pending = na.pts;
+  nb = Node{};
+  rep_[static_cast<std::size_t>(b)] = a;
+  worklist_.insert(a);
+  ++n_collapsed_;
+  return a;
+}
+
+bool AliasAnalysis::addEdge(int from, int to) {
+  from = find(from);
+  to = find(to);
+  if (from == to) return false;
+  if (!nodes_[static_cast<std::size_t>(from)].succs.insert(to).second) {
+    return false;
+  }
+  edges_dirty_ = true;
+  // A brand-new edge must carry everything already known at the source;
+  // afterwards only deltas flow across it.
+  for (ObjId o : nodes_[static_cast<std::size_t>(from)].pts) {
+    addPts(to, o);
+  }
+  return true;
+}
+
+bool AliasAnalysis::addPts(int node, ObjId obj) {
+  node = find(node);
+  Node& n = nodes_[static_cast<std::size_t>(node)];
+  if (!n.pts.insert(obj).second) return false;
+  n.pending.insert(obj);
+  worklist_.insert(node);
+  return true;
+}
+
+// ---------------------------------------------------------------------------
+// Abstract objects and field cells
+// ---------------------------------------------------------------------------
+
+ObjId AliasAnalysis::internObject(Object obj) {
+  objects_.push_back(std::move(obj));
+  return static_cast<ObjId>(objects_.size() - 1);
+}
+
+namespace {
+
+// Fills size / element stride / element layout for a root object.
+// Arrays collapse element-wise: the stride is the element size and the
+// layout describes one element, so constant offsets normalize modulo the
+// stride. Non-array objects have stride == size.
+void setRootLayout(std::int64_t& size, std::int64_t& stride,
+                   const cfront::StructType*& layout, const cfront::Type* t) {
+  if (t == nullptr) {
+    size = 0;
+    stride = 0;
+    layout = nullptr;
+    return;
+  }
+  size = static_cast<std::int64_t>(t->size());
+  if (t->isArray()) {
+    const auto* at = static_cast<const cfront::ArrayType*>(t);
+    stride = std::max<std::int64_t>(
+        1, static_cast<std::int64_t>(at->element()->size()));
+    layout = at->element()->isStruct()
+                 ? static_cast<const cfront::StructType*>(at->element())
+                 : nullptr;
+  } else {
+    stride = size;
+    layout = t->isStruct() ? static_cast<const cfront::StructType*>(t)
+                           : nullptr;
+  }
+}
+
+}  // namespace
+
+ObjId AliasAnalysis::objectForAlloca(const ir::Instruction* alloca) {
+  auto it = value_objects_.find(alloca);
+  if (it != value_objects_.end()) return it->second;
+  Object o;
+  o.kind = ObjKind::kAlloca;
+  o.anchor = alloca;
+  // Qualify with the owning function: bare alloca names are not unique
+  // across functions and diagnostics must be unambiguous.
+  const ir::Function* fn =
+      alloca->parent() != nullptr ? alloca->parent()->parent() : nullptr;
+  const std::string base =
+      alloca->name().empty() ? std::string("<tmp>") : alloca->name();
+  o.name = (fn != nullptr ? fn->name() + "::" : std::string()) + base;
+  setRootLayout(o.size, o.stride, o.layout, alloca->allocated_type);
+  const ObjId id = internObject(std::move(o));
+  value_objects_.emplace(alloca, id);
+  return id;
+}
+
+ObjId AliasAnalysis::objectForGlobal(const ir::GlobalVar* g) {
+  auto it = value_objects_.find(g);
+  if (it != value_objects_.end()) return it->second;
+  Object o;
+  o.kind = ObjKind::kGlobal;
+  o.anchor = g;
+  o.name = g->name();
+  setRootLayout(o.size, o.stride, o.layout, g->valueType());
+  const ObjId id = internObject(std::move(o));
+  value_objects_.emplace(g, id);
+  return id;
+}
+
+ObjId AliasAnalysis::cellFor(ObjId root, std::int64_t offset,
+                              std::int64_t size) {
+  const auto key = std::make_tuple(root, offset, size);
+  auto it = cells_.find(key);
+  if (it != cells_.end()) return it->second;
+  Object c;
+  c.kind = ObjKind::kField;
+  c.parent = root;
+  c.region_id = objects_[static_cast<std::size_t>(root)].region_id;
+  c.offset = offset;
+  c.size = size;
+  // Recover the declared field identity when the cell lines up with the
+  // element layout; byte-offset views keep a positional name.
+  std::string suffix =
+      "+" + std::to_string(offset) + ":" + std::to_string(size);
+  if (const cfront::StructType* st =
+          objects_[static_cast<std::size_t>(root)].layout) {
+    const auto& fs = st->fields();
+    for (unsigned i = 0; i < fs.size(); ++i) {
+      const auto fo = static_cast<std::int64_t>(fs[i].offset);
+      const auto fsz = static_cast<std::int64_t>(fs[i].type->size());
+      if (fo == offset && fsz == size) {
+        c.field = i;
+        suffix = "." + fs[i].name;
+        break;
+      }
+      if (fo <= offset && offset + size <= fo + fsz) c.field = i;
+    }
+  }
+  c.name = objects_[static_cast<std::size_t>(root)].name + suffix;
+  const ObjId id = internObject(std::move(c));
+  cells_.emplace(key, id);
+  ++n_cells_;
+  // Link overlapping sibling cells (union punning, byte views): their
+  // stored pointers are mutually visible, and consumers see siblings in
+  // the expanded points-to sets so taint crosses the pun.
+  for (const auto& [k2, sib] : cells_) {
+    if (std::get<0>(k2) != root || sib == id) continue;
+    const std::int64_t so = std::get<1>(k2);
+    const std::int64_t ss = std::get<2>(k2);
+    if (offset < so + ss && so < offset + size) {
+      objects_[static_cast<std::size_t>(id)].overlaps.push_back(sib);
+      objects_[static_cast<std::size_t>(sib)].overlaps.push_back(id);
+      addEdge(objNode(id), objNode(sib));
+      addEdge(objNode(sib), objNode(id));
+    }
+  }
+  return id;
+}
+
+ObjId AliasAnalysis::resolveOffset(ObjId obj, std::int64_t delta,
+                                    std::int64_t size) {
+  if (isUnknown(obj)) return unknown_;
+  if (!options_.field_sensitive) return obj;
+  const Object& o = objects_[static_cast<std::size_t>(obj)];
+  const ObjId root = o.parent >= 0 ? o.parent : obj;
+  const std::int64_t raw = (o.parent >= 0 ? o.offset : 0) + delta;
+  const std::int64_t total =
+      objects_[static_cast<std::size_t>(root)].size;
+  const std::int64_t stride =
+      objects_[static_cast<std::size_t>(root)].stride;
+  if (total <= 0) return obj;  // unsized object: stay put
+  const std::int64_t want = std::max<std::int64_t>(1, size);
+  const bool array_like = stride > 0 && stride < total;
+  std::int64_t off = raw;
+  if (array_like) {
+    // Array collapse: all elements share one set of cells.
+    off = ((raw % stride) + stride) % stride;
+    if (off + want > stride) return root;  // spans elements
+  } else if (raw < 0 || raw + want > total) {
+    // A constant offset provably outside the object: unknown memory.
+    return unknown_;
+  }
+  const std::int64_t bound = array_like ? stride : total;
+  const Object& r = objects_[static_cast<std::size_t>(root)];
+  // A (0, whole-size) view is the root itself — except for unions, where
+  // every member view must stay a cell so that overlap linking connects
+  // it to the sibling members it shares bytes with.
+  const bool union_root = r.layout != nullptr && r.layout->isUnion();
+  if (off == 0 && want >= bound && !union_root) return root;
+  return cellFor(root, off, want);
+}
+
+// ---------------------------------------------------------------------------
+// Constraint generation
+// ---------------------------------------------------------------------------
+
+void AliasAnalysis::buildRegionObjects() {
+  for (const ShmRegion& rg : regions_.regions()) {
+    Object o;
+    o.kind = ObjKind::kRegion;
+    o.region_id = rg.id;
+    o.name = "shm:" + rg.name;
+    o.size = rg.size;
+    std::int64_t stride =
+        rg.pointee_type != nullptr
+            ? static_cast<std::int64_t>(rg.pointee_type->size())
+            : 0;
+    if (stride <= 0 || stride > o.size) stride = o.size;
+    o.stride = stride;
+    if (rg.pointee_type != nullptr && rg.pointee_type->isStruct()) {
+      o.layout = static_cast<const cfront::StructType*>(rg.pointee_type);
+    }
+    const ObjId id = internObject(std::move(o));
+    // The declared global pointer variable holds a pointer to the region.
+    if (rg.pointer_global != nullptr) {
+      addPts(objNode(objectForGlobal(rg.pointer_global)), id);
+      ++n_constraints_;
+    }
+  }
+}
+
+void AliasAnalysis::genInstruction(const ir::Instruction* inst) {
+  switch (inst->opcode()) {
+    case ir::Opcode::kAlloca:
+      addPts(valueNode(inst), objectForAlloca(inst));
+      ++n_constraints_;
+      break;
+    case ir::Opcode::kLoad:
+      if (inst->type()->isPointer()) {
+        const int pn = valueNode(inst->operand(0));
+        const int dn = valueNode(inst);
+        nodes_[static_cast<std::size_t>(pn)].constraints.push_back(
+            Constraint{Constraint::Kind::kLoad, dn, 0, 0});
+        worklist_.insert(find(pn));
+        ++n_constraints_;
+      }
+      break;
+    case ir::Opcode::kStore:
+      if (inst->operand(0)->type()->isPointer()) {
+        const int pn = valueNode(inst->operand(1));
+        const int vn = valueNode(inst->operand(0));
+        nodes_[static_cast<std::size_t>(pn)].constraints.push_back(
+            Constraint{Constraint::Kind::kStore, vn, 0, 0});
+        worklist_.insert(find(pn));
+        ++n_constraints_;
+      }
+      break;
+    case ir::Opcode::kCast:
+      addEdge(valueNode(inst->operand(0)), valueNode(inst));
+      ++n_constraints_;
+      break;
+    case ir::Opcode::kIndexAddr: {
+      const std::int64_t elem = pointeeSize(inst);
+      const ir::Value* idx = inst->operand(1);
+      if (options_.field_sensitive && elem > 0 &&
+          idx->kind() == ir::Value::Kind::kConstantInt) {
+        const std::int64_t k =
+            static_cast<const ir::ConstantInt*>(idx)->value();
+        const int pn = valueNode(inst->operand(0));
+        const int dn = valueNode(inst);
+        nodes_[static_cast<std::size_t>(pn)].constraints.push_back(
+            Constraint{Constraint::Kind::kOffset, dn, k * elem, elem});
+        worklist_.insert(find(pn));
+      } else {
+        // Variable index: the element pointer aliases the base cells.
+        addEdge(valueNode(inst->operand(0)), valueNode(inst));
+      }
+      ++n_constraints_;
+      break;
+    }
+    case ir::Opcode::kFieldAddr: {
+      std::int64_t delta = 0;
+      std::int64_t fsize = pointeeSize(inst);
+      const ir::Value* base = inst->operand(0);
+      if (base->type()->isPointer()) {
+        const auto* pt =
+            static_cast<const cfront::PointerType*>(base->type())
+                ->pointee();
+        if (pt != nullptr && pt->isStruct()) {
+          const auto* st = static_cast<const cfront::StructType*>(pt);
+          if (inst->field_index < st->fields().size()) {
+            const auto& f = st->fields()[inst->field_index];
+            delta = static_cast<std::int64_t>(f.offset);
+            fsize = static_cast<std::int64_t>(f.type->size());
+          }
+        }
+      }
+      if (options_.field_sensitive) {
+        const int pn = valueNode(base);
+        const int dn = valueNode(inst);
+        nodes_[static_cast<std::size_t>(pn)].constraints.push_back(
+            Constraint{Constraint::Kind::kOffset, dn, delta, fsize});
+        worklist_.insert(find(pn));
+      } else {
+        addEdge(valueNode(base), valueNode(inst));
+      }
+      ++n_constraints_;
+      break;
+    }
+    case ir::Opcode::kPhi:
+      for (std::size_t i = 0; i < inst->numOperands(); ++i) {
+        addEdge(valueNode(inst->operand(i)), valueNode(inst));
+        ++n_constraints_;
+      }
+      break;
+    case ir::Opcode::kCall: {
+      const std::size_t first_arg = inst->direct_callee == nullptr ? 1 : 0;
+      bool handled = false;
+      for (const ir::Function* target : callgraph_.targets(*inst)) {
+        if (target->isIntrinsic()) {
+          handled = true;
+          continue;
+        }
+        if (!target->isDefined()) continue;
+        handled = true;
+        for (std::size_t i = first_arg; i < inst->numOperands(); ++i) {
+          const std::size_t p = i - first_arg;
+          if (p >= target->args().size()) break;
+          addEdge(valueNode(inst->operand(i)),
+                  valueNode(target->args()[p].get()));
+          ++n_constraints_;
+        }
+        if (inst->type()->isPointer()) {
+          for (const auto& tbb : target->blocks()) {
+            const ir::Instruction* term = tbb->terminator();
+            if (term != nullptr && term->opcode() == ir::Opcode::kRet &&
+                term->numOperands() == 1) {
+              addEdge(valueNode(term->operand(0)), valueNode(inst));
+              ++n_constraints_;
+            }
+          }
+        }
+      }
+      if (!handled && inst->type()->isPointer()) {
+        // External returning a pointer: unknown memory.
+        addPts(valueNode(inst), unknown_);
+        ++n_constraints_;
+      }
+      break;
+    }
+    default:
+      break;
+  }
+  // Globals referenced as operands point at their own storage.
+  for (const ir::Value* op : inst->operands()) {
+    if (op->kind() == ir::Value::Kind::kGlobalVar) {
+      addPts(valueNode(op),
+             objectForGlobal(static_cast<const ir::GlobalVar*>(op)));
+    }
+  }
+}
+
+void AliasAnalysis::genConstraints() {
+  for (const auto& fn : module_.functions()) {
+    if (!fn->isDefined()) continue;
+    for (const auto& bb : fn->blocks()) {
+      for (const auto& inst : bb->instructions()) {
+        if (!support::budgetStep(budget_)) {
+          live_ = false;
+          return;
+        }
+        genInstruction(inst.get());
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Solving: periodic SCC condensation + worklist propagation
+// ---------------------------------------------------------------------------
+
+void AliasAnalysis::condense() {
+  const int n = static_cast<int>(nodes_.size());
+  std::vector<int> index(static_cast<std::size_t>(n), -1);
+  std::vector<int> low(static_cast<std::size_t>(n), 0);
+  std::vector<char> onstack(static_cast<std::size_t>(n), 0);
+  std::vector<int> stack;
+  std::vector<std::vector<int>> sccs;
+  int next = 0;
+
+  struct Frame {
+    int node;
+    std::vector<int> succs;
+    std::size_t i;
+  };
+  std::vector<Frame> frames;
+
+  for (int start = 0; start < n; ++start) {
+    if (find(start) != start || index[static_cast<std::size_t>(start)] >= 0) {
+      continue;
+    }
+    frames.push_back(Frame{start, {}, 0});
+    while (!frames.empty()) {
+      Frame& f = frames.back();
+      const auto un = static_cast<std::size_t>(f.node);
+      if (f.i == 0) {
+        index[un] = low[un] = next++;
+        stack.push_back(f.node);
+        onstack[un] = 1;
+        for (int s : nodes_[un].succs) {
+          const int r = find(s);
+          if (r != f.node) f.succs.push_back(r);
+        }
+      }
+      bool descended = false;
+      while (f.i < f.succs.size()) {
+        const int s = f.succs[f.i];
+        const auto us = static_cast<std::size_t>(s);
+        if (index[us] < 0) {
+          ++f.i;
+          frames.push_back(Frame{s, {}, 0});
+          descended = true;
+          break;
+        }
+        if (onstack[us] != 0) low[un] = std::min(low[un], index[us]);
+        ++f.i;
+      }
+      if (descended) continue;
+      if (low[un] == index[un]) {
+        std::vector<int> scc;
+        while (true) {
+          const int v = stack.back();
+          stack.pop_back();
+          onstack[static_cast<std::size_t>(v)] = 0;
+          scc.push_back(v);
+          if (v == f.node) break;
+        }
+        if (scc.size() > 1) sccs.push_back(std::move(scc));
+      }
+      const int child = f.node;
+      frames.pop_back();
+      if (!frames.empty()) {
+        Frame& p = frames.back();
+        const auto up = static_cast<std::size_t>(p.node);
+        low[up] =
+            std::min(low[up], low[static_cast<std::size_t>(child)]);
+      }
+    }
+  }
+
+  // Merge after the pass so the DFS never sees a mutating forest.
+  for (const auto& scc : sccs) {
+    int survivor = scc.front();
+    for (std::size_t i = 1; i < scc.size(); ++i) {
+      survivor = unite(survivor, scc[i]);
+    }
+  }
+}
+
+bool AliasAnalysis::propagate() {
+  edges_dirty_ = false;
+  while (!worklist_.empty() && live_) {
+    if (!support::budgetStep(budget_)) {
+      live_ = false;
+      break;
+    }
+    ++n_iterations_;
+    const int raw = *worklist_.begin();
+    worklist_.erase(worklist_.begin());
+    const int node = find(raw);
+    // Difference propagation: only the objects that arrived since the
+    // last visit flow through the constraints and copy edges. (A stale
+    // entry for a merged node drains the representative's delta, which
+    // is a superset of what the stale node owed.)
+    const std::set<ObjId> delta =
+        std::move(nodes_[static_cast<std::size_t>(node)].pending);
+    nodes_[static_cast<std::size_t>(node)].pending.clear();
+    if (delta.empty()) continue;
+    // Firing may create cells/content nodes and add copy edges.
+    const std::size_t ncons =
+        nodes_[static_cast<std::size_t>(node)].constraints.size();
+    for (std::size_t ci = 0; ci < ncons; ++ci) {
+      const Constraint c =
+          nodes_[static_cast<std::size_t>(node)].constraints[ci];
+      switch (c.kind) {
+        case Constraint::Kind::kLoad:
+          for (ObjId o : delta) addEdge(objNode(o), c.other);
+          break;
+        case Constraint::Kind::kStore:
+          for (ObjId o : delta) addEdge(c.other, objNode(o));
+          break;
+        case Constraint::Kind::kOffset:
+          for (ObjId o : delta) {
+            addPts(c.other, resolveOffset(o, c.delta, c.size));
+          }
+          break;
+      }
+    }
+    // Push the delta along copy edges.
+    const std::set<int> succs =
+        nodes_[static_cast<std::size_t>(node)].succs;
+    for (int s0 : succs) {
+      const int s = find(s0);
+      if (s == node) continue;
+      for (ObjId o : delta) addPts(s, o);
+    }
+  }
+  return edges_dirty_;
+}
+
+void AliasAnalysis::degrade() {
+  // The solve was cut short: sets may under-approximate. Widen every
+  // tracked pointer and every object's contents with unknown so
+  // consumers treat partially-resolved pointers as unresolved (unsafe).
+  for (const auto& [v, n] : value_nodes_) {
+    Node& node = nodes_[static_cast<std::size_t>(find(n))];
+    if (!node.pts.empty()) node.pts.insert(unknown_);
+  }
+  for (std::size_t i = 0; i < objects_.size(); ++i) {
+    if (objects_[i].node < 0) continue;
+    Node& node = nodes_[static_cast<std::size_t>(find(objects_[i].node))];
+    if (!node.pts.empty()) node.pts.insert(unknown_);
+  }
+}
+
+void AliasAnalysis::finalize() {
   // Precision feed for the CI alias baseline: how many values resolved
   // to concrete objects only (no unknown), how many reach a shm region,
   // and how many carry exact field/offset cells.
@@ -48,63 +611,88 @@ void AliasAnalysis::emitSharedCounters() const {
   std::size_t resolved = 0;
   std::size_t shm_resolved = 0;
   std::size_t field_precise = 0;
-  const auto tally = [&](const std::set<ObjId>& objs) {
-    edges += objs.size();
+  for (const auto& [v, n] : value_nodes_) {
+    const std::set<ObjId>& pts =
+        nodes_[static_cast<std::size_t>(find(n))].pts;
+    if (pts.empty()) continue;
+    std::set<ObjId> out = pts;
+    for (ObjId o : pts) {
+      for (ObjId sib : objects_[static_cast<std::size_t>(o)].overlaps) {
+        out.insert(sib);
+      }
+    }
     bool any_unknown = false;
     bool any_region = false;
     bool any_field = false;
-    for (ObjId o : objs) {
-      if (isUnknown(o)) any_unknown = true;
-      if (regionOf(o) >= 0) any_region = true;
-      if (kindOf(o) == ObjKind::kField) any_field = true;
+    for (ObjId o : out) {
+      const Object& obj = objects_[static_cast<std::size_t>(o)];
+      any_unknown |= isUnknown(o);
+      any_region |= obj.region_id >= 0;
+      any_field |= obj.kind == ObjKind::kField;
     }
+    edges += out.size();
     if (!any_unknown) ++resolved;
     // Region association is counted independently of unknown: the shmat
     // return is external (unknown), so every region pointer global also
     // holds unknown — what matters is whether the region survives at all.
     if (any_region) ++shm_resolved;
     if (any_field) ++field_precise;
-  };
-  if (solver_) {
-    for (const auto& [v, objs] : solver_->allPointsTo()) tally(objs);
-  } else {
-    for (const auto& [v, objs] : points_to_) tally(objs);
+    exposed_[v] = std::move(out);
   }
+  SAFEFLOW_COUNT_N("pointsto.constraints", n_constraints_);
+  SAFEFLOW_COUNT_N("pointsto.scc_collapsed", n_collapsed_);
+  SAFEFLOW_COUNT_N("pointsto.worklist_iterations", n_iterations_);
+  SAFEFLOW_COUNT_N("pointsto.field_cells", n_cells_);
   SAFEFLOW_COUNT_N("alias.points_to_edges", edges);
   SAFEFLOW_COUNT_N("alias.resolved_pointers", resolved);
   SAFEFLOW_COUNT_N("alias.shm_pointers_resolved", shm_resolved);
   SAFEFLOW_COUNT_N("alias.field_precise_pointers", field_precise);
-  SAFEFLOW_GAUGE("alias.objects", objectCount());
+  SAFEFLOW_GAUGE("alias.objects", objects_.size());
+}
+
+void AliasAnalysis::run() {
+  const support::ScopedTimer timer("phase.alias");
+  support::budgetBeginPhase(budget_, "alias");
+  buildRegionObjects();
+  genConstraints();
+  while (live_) {
+    condense();
+    if (!propagate()) break;
+  }
+  if (!live_) {
+    degraded_ = true;
+    degrade();
+  }
+  finalize();
 }
 
 // ---------------------------------------------------------------------------
-// Facade dispatch
+// Read API
 // ---------------------------------------------------------------------------
 
 const std::set<ObjId>& AliasAnalysis::pointsTo(const ir::Value* v) const {
-  if (solver_) return solver_->pointsTo(v);
-  auto it = points_to_.find(v);
-  return it == points_to_.end() ? empty_ : it->second;
+  auto it = exposed_.find(v);
+  return it == exposed_.end() ? empty_ : it->second;
 }
 
 ObjId AliasAnalysis::parentOf(ObjId obj) const {
-  if (solver_) return solver_->parentOf(obj);
-  if (obj < 0 || static_cast<std::size_t>(obj) >= infos_.size()) return -1;
-  const ObjInfo& info = infos_[static_cast<std::size_t>(obj)];
-  return info.kind == ObjInfo::Kind::kField ? info.parent : -1;
+  if (obj < 0 || static_cast<std::size_t>(obj) >= objects_.size()) {
+    return -1;
+  }
+  return objects_[static_cast<std::size_t>(obj)].parent;
 }
 
 int AliasAnalysis::regionOf(ObjId obj) const {
-  if (solver_) return solver_->regionOf(obj);
-  if (obj < 0 || static_cast<std::size_t>(obj) >= infos_.size()) return -1;
-  return infos_[static_cast<std::size_t>(obj)].region_id;
+  if (obj < 0 || static_cast<std::size_t>(obj) >= objects_.size()) {
+    return -1;
+  }
+  return objects_[static_cast<std::size_t>(obj)].region_id;
 }
 
 std::vector<ObjId> AliasAnalysis::objectsOfRegion(int region_id) const {
-  if (solver_) return solver_->objectsOfRegion(region_id);
   std::vector<ObjId> out;
-  for (std::size_t i = 0; i < infos_.size(); ++i) {
-    if (infos_[i].region_id == region_id) {
+  for (std::size_t i = 0; i < objects_.size(); ++i) {
+    if (objects_[i].region_id == region_id) {
       out.push_back(static_cast<ObjId>(i));
     }
   }
@@ -113,271 +701,18 @@ std::vector<ObjId> AliasAnalysis::objectsOfRegion(int region_id) const {
 
 std::pair<std::int64_t, std::int64_t> AliasAnalysis::extentOf(
     ObjId obj) const {
-  if (solver_) return solver_->extentOf(obj);
-  if (obj < 0 || static_cast<std::size_t>(obj) >= infos_.size()) {
+  if (obj < 0 || static_cast<std::size_t>(obj) >= objects_.size()) {
     return {0, 0};
   }
-  const ObjInfo& info = infos_[static_cast<std::size_t>(obj)];
-  if (info.kind != ObjInfo::Kind::kField) return {0, info.size};
-  // Field offset within the parent: recover from the parent's pointee
-  // struct layout when available. The region's pointee type carries it.
-  std::int64_t offset = 0;
-  const int region = info.region_id;
-  if (region >= 0) {
-    if (const ShmRegion* r = regions_.byId(region)) {
-      if (r->pointee_type != nullptr && r->pointee_type->isStruct()) {
-        const auto* st =
-            static_cast<const cfront::StructType*>(r->pointee_type);
-        if (info.field < st->fields().size()) {
-          offset = static_cast<std::int64_t>(
-              st->fields()[info.field].offset);
-        }
-      }
-    }
-  }
-  return {offset, info.size};
+  const Object& o = objects_[static_cast<std::size_t>(obj)];
+  return {o.offset, o.size};
 }
 
 std::string AliasAnalysis::describe(ObjId obj) const {
-  if (solver_) return solver_->describe(obj);
-  if (obj < 0 || static_cast<std::size_t>(obj) >= infos_.size()) {
+  if (obj < 0 || static_cast<std::size_t>(obj) >= objects_.size()) {
     return "<bad-object>";
   }
-  return infos_[static_cast<std::size_t>(obj)].name;
-}
-
-// ---------------------------------------------------------------------------
-// Legacy engine (pre-0.9.0 ad-hoc fixpoint, --alias=legacy)
-// ---------------------------------------------------------------------------
-
-ObjId AliasAnalysis::internObject(ObjInfo info) {
-  infos_.push_back(std::move(info));
-  return static_cast<ObjId>(infos_.size() - 1);
-}
-
-ObjId AliasAnalysis::objectForAlloca(const ir::Instruction* alloca) {
-  auto it = value_objects_.find(alloca);
-  if (it != value_objects_.end()) return it->second;
-  ObjInfo info;
-  info.kind = ObjInfo::Kind::kAlloca;
-  info.anchor = alloca;
-  // Qualified with the owning function: bare alloca names are not unique
-  // across functions and diagnostics must be unambiguous.
-  const ir::Function* fn =
-      alloca->parent() != nullptr ? alloca->parent()->parent() : nullptr;
-  const std::string base =
-      alloca->name().empty() ? std::string("<tmp>") : alloca->name();
-  info.name = (fn != nullptr ? fn->name() + "::" : std::string()) + base;
-  info.size = alloca->allocated_type
-                  ? static_cast<std::int64_t>(alloca->allocated_type->size())
-                  : 0;
-  const ObjId id = internObject(std::move(info));
-  value_objects_[alloca] = id;
-  return id;
-}
-
-ObjId AliasAnalysis::objectForGlobal(const ir::GlobalVar* g) {
-  auto it = value_objects_.find(g);
-  if (it != value_objects_.end()) return it->second;
-  ObjInfo info;
-  info.kind = ObjInfo::Kind::kGlobal;
-  info.anchor = g;
-  info.name = g->name();
-  info.size = static_cast<std::int64_t>(g->valueType()->size());
-  const ObjId id = internObject(std::move(info));
-  value_objects_[g] = id;
-  return id;
-}
-
-ObjId AliasAnalysis::fieldObject(ObjId base, unsigned field_index,
-                                 const ir::Type* field_type) {
-  if (!options_.field_sensitive) return base;
-  if (isUnknown(base)) return base;
-  const auto key = std::make_pair(base, field_index);
-  auto it = field_objects_.find(key);
-  if (it != field_objects_.end()) return it->second;
-  ObjInfo info;
-  info.kind = ObjInfo::Kind::kField;
-  info.parent = base;
-  info.field = field_index;
-  info.region_id = infos_[static_cast<std::size_t>(base)].region_id;
-  info.name = infos_[static_cast<std::size_t>(base)].name + ".#" +
-              std::to_string(field_index);
-  info.size =
-      field_type ? static_cast<std::int64_t>(field_type->size()) : 0;
-  const ObjId id = internObject(std::move(info));
-  field_objects_[key] = id;
-  return id;
-}
-
-bool AliasAnalysis::addPointsTo(const ir::Value* v, ObjId obj) {
-  return points_to_[v].insert(obj).second;
-}
-
-bool AliasAnalysis::addAll(const ir::Value* v, const std::set<ObjId>& objs) {
-  bool changed = false;
-  for (ObjId o : objs) changed |= addPointsTo(v, o);
-  return changed;
-}
-
-void AliasAnalysis::runLegacy() {
-  std::size_t rounds = 0;
-  bool live = true;
-  // Region objects.
-  for (const ShmRegion& r : regions_.regions()) {
-    ObjInfo info;
-    info.kind = ObjInfo::Kind::kRegion;
-    info.region_id = r.id;
-    info.name = "shm:" + r.name;
-    info.size = r.size;
-    const ObjId id = internObject(std::move(info));
-    region_objects_[r.id] = id;
-    // The global pointer variable holds a pointer to the region.
-    if (r.pointer_global != nullptr) {
-      contents_[objectForGlobal(r.pointer_global)].insert(id);
-    }
-  }
-
-  bool changed = true;
-  while (changed && live) {
-    changed = false;
-    ++rounds;
-    for (const auto& fn : module_.functions()) {
-      if (!live) break;
-      if (!fn->isDefined()) continue;
-      for (const auto& bb : fn->blocks()) {
-        if (!live) break;
-        for (const auto& inst : bb->instructions()) {
-          if (!support::budgetStep(budget_)) {
-            live = false;
-            break;
-          }
-          switch (inst->opcode()) {
-            case ir::Opcode::kAlloca:
-              changed |= addPointsTo(inst.get(),
-                                     objectForAlloca(inst.get()));
-              break;
-            case ir::Opcode::kLoad: {
-              const ir::Value* ptr = inst->operand(0);
-              // Address values: globals point at their own storage.
-              if (ptr->kind() == ir::Value::Kind::kGlobalVar) {
-                changed |= addPointsTo(
-                    ptr, objectForGlobal(
-                             static_cast<const ir::GlobalVar*>(ptr)));
-              }
-              if (!inst->type()->isPointer()) break;
-              for (ObjId obj : pointsTo(ptr)) {
-                changed |= addAll(inst.get(), contents_[obj]);
-              }
-              break;
-            }
-            case ir::Opcode::kStore: {
-              const ir::Value* ptr = inst->operand(1);
-              if (ptr->kind() == ir::Value::Kind::kGlobalVar) {
-                changed |= addPointsTo(
-                    ptr, objectForGlobal(
-                             static_cast<const ir::GlobalVar*>(ptr)));
-              }
-              const ir::Value* value = inst->operand(0);
-              if (!value->type()->isPointer()) break;
-              const std::set<ObjId>& value_pts = pointsTo(value);
-              if (value_pts.empty()) break;
-              for (ObjId obj : pointsTo(ptr)) {
-                for (ObjId v : value_pts) {
-                  changed |= contents_[obj].insert(v).second;
-                }
-              }
-              break;
-            }
-            case ir::Opcode::kCast:
-            case ir::Opcode::kIndexAddr:
-              // Arrays collapse: element pointer aliases the base object.
-              changed |= addAll(inst.get(), pointsTo(inst->operand(0)));
-              break;
-            case ir::Opcode::kFieldAddr: {
-              for (ObjId base : pointsTo(inst->operand(0))) {
-                const ir::Type* ft =
-                    inst->type()->isPointer()
-                        ? static_cast<const cfront::PointerType*>(
-                              inst->type())
-                              ->pointee()
-                        : nullptr;
-                changed |= addPointsTo(
-                    inst.get(), fieldObject(base, inst->field_index, ft));
-              }
-              break;
-            }
-            case ir::Opcode::kPhi:
-              for (std::size_t i = 0; i < inst->numOperands(); ++i) {
-                changed |= addAll(inst.get(), pointsTo(inst->operand(i)));
-              }
-              break;
-            case ir::Opcode::kCall: {
-              const std::size_t first_arg =
-                  inst->direct_callee == nullptr ? 1 : 0;
-              bool handled = false;
-              for (const ir::Function* target :
-                   callgraph_.targets(*inst)) {
-                if (target->isIntrinsic()) {
-                  handled = true;
-                  continue;
-                }
-                if (!target->isDefined()) continue;
-                handled = true;
-                for (std::size_t i = first_arg; i < inst->numOperands();
-                     ++i) {
-                  const std::size_t p = i - first_arg;
-                  if (p >= target->args().size()) break;
-                  changed |= addAll(target->args()[p].get(),
-                                    pointsTo(inst->operand(i)));
-                }
-                // Returned pointers.
-                if (inst->type()->isPointer()) {
-                  for (const auto& tbb : target->blocks()) {
-                    const ir::Instruction* term = tbb->terminator();
-                    if (term != nullptr &&
-                        term->opcode() == ir::Opcode::kRet &&
-                        term->numOperands() == 1) {
-                      changed |=
-                          addAll(inst.get(), pointsTo(term->operand(0)));
-                    }
-                  }
-                }
-              }
-              if (!handled && inst->type()->isPointer()) {
-                // External returning a pointer: unknown memory.
-                changed |= addPointsTo(inst.get(), unknown_);
-              }
-              break;
-            }
-            default:
-              break;
-          }
-        }
-      }
-      // Globals referenced as operands anywhere get their object.
-      for (const auto& bb : fn->blocks()) {
-        for (const auto& inst : bb->instructions()) {
-          for (std::size_t i = 0; i < inst->numOperands(); ++i) {
-            const ir::Value* op = inst->operand(i);
-            if (op->kind() == ir::Value::Kind::kGlobalVar) {
-              changed |= addPointsTo(
-                  op,
-                  objectForGlobal(static_cast<const ir::GlobalVar*>(op)));
-            }
-          }
-        }
-      }
-    }
-  }
-  if (!live) {
-    // Fixpoint cut short: points-to sets may under-approximate. Make every
-    // partially-resolved pointer also point at the unknown object so
-    // consumers fall back to their external/unresolved (unsafe) handling.
-    for (auto& [v, objs] : points_to_) objs.insert(unknown_);
-    for (auto& [obj, objs] : contents_) objs.insert(unknown_);
-  }
-  SAFEFLOW_COUNT_N("alias.fixpoint_rounds", rounds);
+  return objects_[static_cast<std::size_t>(obj)].name;
 }
 
 }  // namespace safeflow::analysis

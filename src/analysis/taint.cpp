@@ -684,7 +684,10 @@ unsigned TaintAnalysis::evalInstruction(const ir::Instruction& inst,
         for (ObjId obj : alias_.pointsTo(inst.operand(1))) {
           if (alias_.regionOf(obj) >= 0) continue;  // shm writes do not
           // change the region's core/non-core status (§2).
-          if (object_taint_[obj].merge(stored)) growth |= kGrewObject;
+          if (object_taint_[obj].merge(stored)) {
+            growth |= kGrewObject;
+            ++object_growths_;
+          }
         }
       }
       return growth;
@@ -728,13 +731,17 @@ unsigned TaintAnalysis::evalInstruction(const ir::Instruction& inst,
     case ir::Opcode::kCall: {
       call_growth_ = 0;
       const std::size_t bodies = body_analyses_;
+      const std::uint64_t object_growths = object_growths_;
       result = evalCall(inst, assumptions, depth);
       // Nested analyses leave their own calls' bits behind; only the
       // callee-argument bit counts then, and revisiting the whole body
-      // covers whatever they grew.
+      // covers whatever they grew. An object grown by a receive buffer
+      // or inside a nested analysis is this call's growth: the caller
+      // may have loaded it earlier in the round.
       growth = body_analyses_ == bodies
                    ? call_growth_
                    : (call_growth_ & kGrewCalleeArgs) | kRanNestedBodies;
+      if (object_growths_ != object_growths) growth |= kGrewObject;
       break;
     }
     case ir::Opcode::kRet:
@@ -798,7 +805,7 @@ TaintPair TaintAnalysis::evalReceive(const ir::Instruction& call) {
     incoming.data.sources[channel->id].insert(&call);
     for (ObjId obj : alias_.pointsTo(call.operand(rc.buffer_arg))) {
       if (alias_.regionOf(obj) >= 0) continue;
-      if (object_taint_[obj].merge(incoming)) call_growth_ |= kGrewObject;
+      if (object_taint_[obj].merge(incoming)) ++object_growths_;
     }
     return incoming;  // byte count / status also reflects the channel
   }

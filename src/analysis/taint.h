@@ -222,8 +222,8 @@ class TaintAnalysis {
                      const AssumptionSet& caller_assumptions,
                      unsigned depth);
   /// recv/read-style call through a possibly-noncore descriptor; taints
-  /// the buffer's objects (recording kGrewObject in call_growth_) and
-  /// returns the result taint.
+  /// the buffer's objects (counted in object_growths_) and returns the
+  /// result taint.
   TaintPair evalReceive(const ir::Instruction& call);
   [[nodiscard]] bool isReceiveCall(const ir::Instruction& call) const;
   /// Call-string mode: (re)analyze `fn` under `ctx`, returning the summary
@@ -292,11 +292,15 @@ class TaintAnalysis {
   std::map<std::pair<const ir::Function*, AssumptionSet>, TaintPair>
       context_memo_;
   std::size_t body_analyses_ = 0;
-  /// Growth bits evalCall/evalReceive record for the call being
-  /// evaluated: callee argument taints and receive buffers. Reset per
-  /// call, so nested body analyses overwrite it; kRanNestedBodies, which
-  /// revisits the whole body, covers that case.
+  /// Growth bits evalCall records for the call being evaluated: callee
+  /// argument taints. Reset per call, so nested body analyses overwrite
+  /// it; kRanNestedBodies, which revisits the whole body, covers that
+  /// case.
   unsigned call_growth_ = 0;
+  /// Object growths so far (stores and receive buffers). Monotone, so a
+  /// call compares it before and after to see whether it grew an object,
+  /// through its receive buffer or inside its nested body analyses.
+  std::uint64_t object_growths_ = 0;
   AssumptionSet empty_assumptions_;
   TaintPair empty_taint_;
 };

@@ -113,8 +113,7 @@ bool validateFlags(const std::vector<std::string>& flags,
       ++i;
     } else if (flag == "--mode=summaries" || flag == "--mode=call-strings" ||
                flag == "--no-control-deps" || flag == "--ranges" ||
-               flag == "--no-ranges" || flag == "--alias=andersen" ||
-               flag == "--alias=legacy" || flag == "--kill-critical") {
+               flag == "--no-ranges" || flag == "--kill-critical") {
       // No argument.
     } else if (flag == "--time-budget") {
       if (!has_arg ||

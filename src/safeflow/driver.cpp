@@ -91,9 +91,6 @@ std::string summaryConfigFingerprint(const SafeFlowOptions& options) {
   fp += "," + std::to_string(options.ranges.max_module_rounds);
   fp += "|alias:";
   fp += options.alias.field_sensitive ? "1" : "0";
-  fp += options.alias.engine == analysis::AliasOptions::Engine::kAndersen
-            ? ",andersen"
-            : ",legacy";
   fp += "|taint:";
   fp += options.taint.track_control_deps ? "1" : "0";
   for (const auto& [name, arg] : options.taint.implicit_critical_calls) {

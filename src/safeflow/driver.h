@@ -44,7 +44,7 @@ class SummaryStore;
 /// propagation, restriction rules, taint, rendering, defaults. The bump
 /// is what invalidates every stale cache entry; forgetting it means an
 /// upgraded analyzer can replay a report the old version produced.
-inline constexpr const char kAnalyzerVersion[] = "0.9.0";
+inline constexpr const char kAnalyzerVersion[] = "0.9.1";
 
 /// The exit-code ladder, shared by every entry point (the worker runs
 /// the in-process path) so no two can disagree:

@@ -108,9 +108,6 @@ void usage() {
          "  --no-ranges         disable the range analysis (pre-0.5.0\n"
          "                      behavior: no discharges, no edge pruning,\n"
          "                      no shm-bounds-const checks)\n"
-         "  --alias=andersen|legacy   points-to engine: the Andersen\n"
-         "                      constraint solver (default) or the\n"
-         "                      pre-0.9.0 ad-hoc pass\n"
          "  --kill-critical     kill's pid argument is critical data\n"
          "  --dot <file>        write the value-flow graph to <file>\n"
          "  --json              print the report as JSON\n"
@@ -321,12 +318,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-ranges") {
       options.ranges.enabled = false;
       forward({"--no-ranges"});
-    } else if (arg == "--alias=andersen") {
-      options.alias.engine = analysis::AliasOptions::Engine::kAndersen;
-      forward({"--alias=andersen"});
-    } else if (arg == "--alias=legacy") {
-      options.alias.engine = analysis::AliasOptions::Engine::kLegacy;
-      forward({"--alias=legacy"});
     } else if (arg == "--kill-critical") {
       options.taint.implicit_critical_calls.emplace_back("kill", 0u);
       forward({"--kill-critical"});

@@ -9,9 +9,10 @@
 // must also give the paper's counts.
 //
 // Metamorphic: the findings of a multi-file system must not change when
-// its files are concatenated into one or passed in reverse order, in
-// process or isolated. Counts and finding sets are compared with
-// locations ignored (concatenation moves every line).
+// its files are concatenated into one or passed in reverse order, or
+// when a file of functions nothing calls is added, in process or
+// isolated. Counts and finding sets are compared with locations ignored
+// (concatenation moves every line).
 //
 // Goldens: the in-process text report of every system under each taint
 // configuration (summaries, call strings, no control dependences) must
@@ -247,6 +248,15 @@ TEST_P(Metamorphic, ConcatenatedAndReversedInputsKeepTheFindings) {
     }
   }
   std::vector<std::string> reversed(files.rbegin(), files.rend());
+  // Plus one file of dead code: a static helper and the exported function
+  // that calls it, with no shared memory and no annotations.
+  std::vector<std::string> with_dead = files;
+  with_dead.push_back(dir + "/dead.c");
+  {
+    std::ofstream out(with_dead.back(), std::ios::trunc);
+    out << "static int deadHelper(int x)\n{\n    return x * 2 + 1;\n}\n"
+        << "int deadCaller(int y)\n{\n    return deadHelper(y) - 3;\n}\n";
+  }
   std::vector<std::string> joined_flags = {
       "-I", kCorpus + "/" + sys.name + "/core"};
 
@@ -259,6 +269,7 @@ TEST_P(Metamorphic, ConcatenatedAndReversedInputsKeepTheFindings) {
       {"files", {}, files},
       {"concatenated", joined_flags, {joined}},
       {"reversed", {}, reversed},
+      {"dead_functions", {}, with_dead},
   };
   std::vector<std::string> reference;
   for (const Shape& shape : shapes) {

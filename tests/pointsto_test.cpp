@@ -1,11 +1,12 @@
-// Unit and end-to-end tests for the Andersen-style points-to solver:
-// constraint generation, SCC cycle collapse, byte-offset field cells
-// (constant pointer arithmetic, union overlap, out-of-bounds constants),
-// budget degradation monotonicity, the function-qualified describe()
-// names, and the pointerlab corpus goldens that pin the precision delta
-// against the legacy alias engine. The subprocess tests spawn the real
-// `safeflow` binary (SAFEFLOW_EXE) to check report stability across
-// --isolate and warm cache runs under --alias=andersen.
+// Unit and end-to-end tests for the Andersen-style points-to analysis
+// (AliasAnalysis): constraint generation, SCC cycle collapse, byte-offset
+// field cells (constant pointer arithmetic, union overlap, out-of-bounds
+// constants) and their field-insensitive ablation, budget degradation
+// monotonicity, the function-qualified describe() names, and the
+// pointerlab corpus golden that pins what the analysis finds there. The
+// subprocess tests spawn the real `safeflow` binary (SAFEFLOW_EXE) to
+// check the golden and report stability across --isolate and warm cache
+// runs.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -19,7 +20,6 @@
 #include <vector>
 
 #include "analysis/alias.h"
-#include "analysis/pointsto.h"
 #include "analysis/shm_regions.h"
 #include "cfront/frontend.h"
 #include "ir/callgraph.h"
@@ -71,8 +71,8 @@ std::vector<const ir::Instruction*> instructionsOf(const ir::Function* fn,
 // Constraint generation and field-offset resolution
 // ---------------------------------------------------------------------------
 
-TEST(PointsTo, ConstantArithmeticResolvesAdjacentField) {
-  auto p = run(R"(
+// Three views of one two-int record: &t.a, &t.b, and &t.a + 1.
+const char* kAdjacentFields = R"(
 struct Two { int a; int b; };
 int readBoth(void)
 {
@@ -86,22 +86,47 @@ int readBoth(void)
     *pb = 2;
     return *pq;
 }
-)");
-  analysis::PointsToSolver solver(*p.module, p.regions, *p.callgraph,
-                                  analysis::PointsToOptions{true}, nullptr);
-  solver.solve();
+)";
+
+TEST(PointsTo, ConstantArithmeticResolvesAdjacentField) {
+  auto p = run(kAdjacentFields);
+  analysis::AliasAnalysis alias(*p.module, p.regions, *p.callgraph);
+  alias.run();
   const ir::Function* fn = p.module->findFunction("readBoth");
   const auto geps = instructionsOf(fn, ir::Opcode::kFieldAddr);
   ASSERT_EQ(geps.size(), 2u);
   const auto idx = instructionsOf(fn, ir::Opcode::kIndexAddr);
   ASSERT_EQ(idx.size(), 1u);
   // pa + 1 lands on the b cell, not on a and not on the whole object.
-  EXPECT_NE(solver.pointsTo(geps[0]), solver.pointsTo(idx[0]));
-  EXPECT_EQ(solver.pointsTo(geps[1]), solver.pointsTo(idx[0]));
-  const auto& cell = solver.pointsTo(idx[0]);
+  EXPECT_NE(alias.pointsTo(geps[0]), alias.pointsTo(idx[0]));
+  EXPECT_EQ(alias.pointsTo(geps[1]), alias.pointsTo(idx[0]));
+  const auto& cell = alias.pointsTo(idx[0]);
   ASSERT_EQ(cell.size(), 1u);
-  EXPECT_EQ(solver.extentOf(*cell.begin()),
+  EXPECT_EQ(alias.extentOf(*cell.begin()),
             (std::pair<std::int64_t, std::int64_t>{4, 4}));
+}
+
+TEST(PointsTo, FieldInsensitiveKeepsEveryFieldOnTheRoot) {
+  // The ablation setting: field addresses and constant arithmetic stay
+  // on the object they start from, so all three views are the root.
+  auto p = run(kAdjacentFields);
+  analysis::AliasAnalysis alias(*p.module, p.regions, *p.callgraph,
+                                analysis::AliasOptions{false});
+  alias.run();
+  const ir::Function* fn = p.module->findFunction("readBoth");
+  const auto geps = instructionsOf(fn, ir::Opcode::kFieldAddr);
+  ASSERT_EQ(geps.size(), 2u);
+  const auto idx = instructionsOf(fn, ir::Opcode::kIndexAddr);
+  ASSERT_EQ(idx.size(), 1u);
+  for (const ir::Instruction* view : {geps[0], geps[1], idx[0]}) {
+    const auto& pts = alias.pointsTo(view);
+    ASSERT_EQ(pts.size(), 1u);
+    EXPECT_EQ(alias.kindOf(*pts.begin()),
+              analysis::AliasAnalysis::ObjKind::kAlloca);
+    EXPECT_EQ(alias.describe(*pts.begin()), "readBoth::t");
+    EXPECT_EQ(alias.extentOf(*pts.begin()),
+              (std::pair<std::int64_t, std::int64_t>{0, 8}));
+  }
 }
 
 TEST(PointsTo, OutOfBoundsConstantOffsetIsUnknown) {
@@ -117,16 +142,15 @@ int stray(void)
     return *px;
 }
 )");
-  analysis::PointsToSolver solver(*p.module, p.regions, *p.callgraph,
-                                  analysis::PointsToOptions{true}, nullptr);
-  solver.solve();
+  analysis::AliasAnalysis alias(*p.module, p.regions, *p.callgraph);
+  alias.run();
   const ir::Function* fn = p.module->findFunction("stray");
   const auto idx = instructionsOf(fn, ir::Opcode::kIndexAddr);
   ASSERT_EQ(idx.size(), 1u);
-  const auto& pts = solver.pointsTo(idx[0]);
+  const auto& pts = alias.pointsTo(idx[0]);
   ASSERT_FALSE(pts.empty());
   bool any_unknown = false;
-  for (auto o : pts) any_unknown |= solver.isUnknown(o);
+  for (auto o : pts) any_unknown |= alias.isUnknown(o);
   EXPECT_TRUE(any_unknown);
 }
 
@@ -140,17 +164,16 @@ double launder(int x)
     return u.d;
 }
 )");
-  analysis::PointsToSolver solver(*p.module, p.regions, *p.callgraph,
-                                  analysis::PointsToOptions{true}, nullptr);
-  solver.solve();
+  analysis::AliasAnalysis alias(*p.module, p.regions, *p.callgraph);
+  alias.run();
   const ir::Function* fn = p.module->findFunction("launder");
   const auto geps = instructionsOf(fn, ir::Opcode::kFieldAddr);
   ASSERT_EQ(geps.size(), 2u);
   // The 4-byte int view and the 8-byte double view are distinct cells,
   // but each exposed set names the overlapping sibling too, so stores
   // through one member are visible through the other.
-  const auto& pi = solver.pointsTo(geps[0]);
-  const auto& pd = solver.pointsTo(geps[1]);
+  const auto& pi = alias.pointsTo(geps[0]);
+  const auto& pd = alias.pointsTo(geps[1]);
   EXPECT_EQ(pi, pd);
   EXPECT_EQ(pi.size(), 2u);
 }
@@ -168,9 +191,8 @@ int deref(void)
     return *back;
 }
 )");
-  analysis::PointsToSolver solver(*p.module, p.regions, *p.callgraph,
-                                  analysis::PointsToOptions{true}, nullptr);
-  solver.solve();
+  analysis::AliasAnalysis alias(*p.module, p.regions, *p.callgraph);
+  alias.run();
   const ir::Function* fn = p.module->findFunction("deref");
   const auto allocas = instructionsOf(fn, ir::Opcode::kAlloca);
   const ir::Instruction* target = nullptr;
@@ -178,14 +200,14 @@ int deref(void)
     if (a->name() == "target") target = a;
   }
   ASSERT_NE(target, nullptr);
-  const auto& ta = solver.pointsTo(target);
+  const auto& ta = alias.pointsTo(target);
   ASSERT_EQ(ta.size(), 1u);
   const auto loads = instructionsOf(fn, ir::Opcode::kLoad);
   // The load of port.typed must resolve back to the target alloca.
   bool resolved = false;
   for (const auto* ld : loads) {
     if (!ld->type()->isPointer()) continue;
-    if (solver.pointsTo(ld).count(*ta.begin()) != 0) resolved = true;
+    if (alias.pointsTo(ld).count(*ta.begin()) != 0) resolved = true;
   }
   EXPECT_TRUE(resolved);
 }
@@ -203,18 +225,17 @@ int readIt(void)
     return *pb;
 }
 )");
-  analysis::PointsToSolver solver(*p.module, p.regions, *p.callgraph,
-                                  analysis::PointsToOptions{true}, nullptr);
-  solver.solve();
+  analysis::AliasAnalysis alias(*p.module, p.regions, *p.callgraph);
+  alias.run();
   const ir::Function* fn = p.module->findFunction("readIt");
   const auto calls = instructionsOf(fn, ir::Opcode::kCall);
   ASSERT_EQ(calls.size(), 1u);
-  const auto& pts = solver.pointsTo(calls[0]);
+  const auto& pts = alias.pointsTo(calls[0]);
   ASSERT_EQ(pts.size(), 1u);
   // Resolved through two call boundaries to the b cell at byte 4.
-  EXPECT_EQ(solver.kindOf(*pts.begin()),
-            analysis::PointsToSolver::ObjKind::kField);
-  EXPECT_EQ(solver.extentOf(*pts.begin()),
+  EXPECT_EQ(alias.kindOf(*pts.begin()),
+            analysis::AliasAnalysis::ObjKind::kField);
+  EXPECT_EQ(alias.extentOf(*pts.begin()),
             (std::pair<std::int64_t, std::int64_t>{4, 4}));
 }
 
@@ -283,18 +304,17 @@ int readBoth(void)
 )";
   auto p = run(src);
 
-  analysis::PointsToSolver full(*p.module, p.regions, *p.callgraph,
-                                analysis::PointsToOptions{true}, nullptr);
-  full.solve();
+  analysis::AliasAnalysis full(*p.module, p.regions, *p.callgraph);
+  full.run();
   EXPECT_FALSE(full.degraded());
 
   support::BudgetLimits limits;
   limits.phase_steps = 3;  // trips mid-constraint-generation
   support::AnalysisBudget budget(limits);
   budget.start();
-  analysis::PointsToSolver starved(*p.module, p.regions, *p.callgraph,
-                                   analysis::PointsToOptions{true}, &budget);
-  starved.solve();
+  analysis::AliasAnalysis starved(*p.module, p.regions, *p.callgraph,
+                                  analysis::AliasOptions{}, &budget);
+  starved.run();
   EXPECT_TRUE(starved.degraded());
 
   // Monotone degradation: nothing tightens. Every surviving points-to
@@ -319,31 +339,26 @@ TEST(Alias, DescribeQualifiesAllocasWithFunction) {
 int first(void)  { int slot; int *p; p = &slot; *p = 1; return *p; }
 int second(void) { int slot; int *p; p = &slot; *p = 2; return *p; }
 )";
-  for (auto engine : {analysis::AliasOptions::Engine::kAndersen,
-                      analysis::AliasOptions::Engine::kLegacy}) {
-    auto p = run(src);
-    analysis::AliasOptions opts;
-    opts.engine = engine;
-    analysis::AliasAnalysis alias(*p.module, p.regions, *p.callgraph, opts);
-    alias.run();
-    std::vector<std::string> names;
-    for (const char* fn_name : {"first", "second"}) {
-      const ir::Function* fn = p.module->findFunction(fn_name);
-      const auto allocas = instructionsOf(fn, ir::Opcode::kAlloca);
-      ASSERT_EQ(allocas.size(), 1u);
-      const auto& pts = alias.pointsTo(allocas[0]);
-      ASSERT_EQ(pts.size(), 1u);
-      names.push_back(alias.describe(*pts.begin()));
-    }
-    // Same local name in two functions must not collide.
-    EXPECT_NE(names[0], names[1]);
-    EXPECT_EQ(names[0], "first::slot");
-    EXPECT_EQ(names[1], "second::slot");
+  auto p = run(src);
+  analysis::AliasAnalysis alias(*p.module, p.regions, *p.callgraph);
+  alias.run();
+  std::vector<std::string> names;
+  for (const char* fn_name : {"first", "second"}) {
+    const ir::Function* fn = p.module->findFunction(fn_name);
+    const auto allocas = instructionsOf(fn, ir::Opcode::kAlloca);
+    ASSERT_EQ(allocas.size(), 1u);
+    const auto& pts = alias.pointsTo(allocas[0]);
+    ASSERT_EQ(pts.size(), 1u);
+    names.push_back(alias.describe(*pts.begin()));
   }
+  // Same local name in two functions must not collide.
+  EXPECT_NE(names[0], names[1]);
+  EXPECT_EQ(names[0], "first::slot");
+  EXPECT_EQ(names[1], "second::slot");
 }
 
 // ---------------------------------------------------------------------------
-// Pointerlab corpus: goldens and the precision delta vs legacy
+// Pointerlab corpus: the report golden and report stability
 // ---------------------------------------------------------------------------
 
 struct RunResult {
@@ -393,53 +408,18 @@ std::string normalizePaths(std::string text) {
 }
 
 TEST(PointerlabCorpus, AndersenMatchesCheckedInGolden) {
-  const RunResult r = runCommand(std::string(SAFEFLOW_EXE) +
-                                 " --alias=andersen" + pointerlabFiles());
+  const RunResult r =
+      runCommand(std::string(SAFEFLOW_EXE) + pointerlabFiles());
   EXPECT_EQ(r.exit_code, 1) << r.output;  // the pun defect is a data error
   EXPECT_EQ(normalizePaths(r.output),
             readFile(corpusDir() + "/pointerlab/expected_andersen.txt"));
-}
-
-TEST(PointerlabCorpus, LegacyMatchesCheckedInGolden) {
-  const RunResult r = runCommand(std::string(SAFEFLOW_EXE) +
-                                 " --alias=legacy" + pointerlabFiles());
-  EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_EQ(normalizePaths(r.output),
-            readFile(corpusDir() + "/pointerlab/expected_legacy.txt"));
-}
-
-TEST(PointerlabCorpus, PrecisionDeltaVersusLegacy) {
-  const RunResult andersen = runCommand(std::string(SAFEFLOW_EXE) +
-                                        " --alias=andersen" +
-                                        pointerlabFiles());
-  const RunResult legacy = runCommand(std::string(SAFEFLOW_EXE) +
-                                      " --alias=legacy" + pointerlabFiles());
-  // Andersen resolves pickCmd's pointer arithmetic to the command word:
-  // the spurious flow into 'output' disappears, and the genuine union
-  // pun into 'wobble' is caught instead. Legacy has it exactly reversed.
-  EXPECT_EQ(andersen.output.find("critical value 'output'"),
-            std::string::npos)
-      << andersen.output;
-  EXPECT_NE(andersen.output.find("critical value 'wobble'"),
-            std::string::npos)
-      << andersen.output;
-  EXPECT_NE(legacy.output.find("critical value 'output'"), std::string::npos)
-      << legacy.output;
-  EXPECT_EQ(legacy.output.find("critical value 'wobble'"), std::string::npos)
-      << legacy.output;
-  // The seeded cross-region confusion defect is caught in BOTH engines.
-  for (const auto* out : {&andersen.output, &legacy.output}) {
-    EXPECT_NE(out->find("[shm-bounds-const]"), std::string::npos) << *out;
-    EXPECT_NE(out->find("always outside its 8 elements"), std::string::npos)
-        << *out;
-  }
 }
 
 TEST(PointerlabCorpus, ReportByteIdenticalAcrossIsolateAndWarmCache) {
   char tmpl[] = "/tmp/sf_pointsto_cache_XXXXXX";
   ASSERT_NE(mkdtemp(tmpl), nullptr);
   const std::string cache = tmpl;
-  const std::string exe = std::string(SAFEFLOW_EXE) + " --alias=andersen";
+  const std::string exe = SAFEFLOW_EXE;
   // Every entry point analyzes the same whole program, so the report
   // never varies with isolation or cache temperature.
   const RunResult local = runCommand(exe + pointerlabFiles());
@@ -451,39 +431,6 @@ TEST(PointerlabCorpus, ReportByteIdenticalAcrossIsolateAndWarmCache) {
   EXPECT_EQ(warm.output, local.output);
   EXPECT_EQ(warm.exit_code, local.exit_code);
   runCommand("rm -rf " + cache);
-}
-
-std::uint64_t statsCounter(const std::string& stats_path,
-                           const std::string& name) {
-  // Cheap extraction of `"name": <n>` from the stats JSON.
-  const std::string text = readFile(stats_path);
-  const std::string key = "\"" + name + "\":";
-  const std::size_t pos = text.find(key);
-  if (pos == std::string::npos) return 0;
-  return std::strtoull(text.c_str() + pos + key.size(), nullptr, 10);
-}
-
-TEST(PointerlabCorpus, AliasFlagChangesCacheKey) {
-  char tmpl[] = "/tmp/sf_pointsto_key_XXXXXX";
-  ASSERT_NE(mkdtemp(tmpl), nullptr);
-  const std::string dir = tmpl;
-  const std::string stats = dir + "/stats.json";
-  const std::string base = std::string(SAFEFLOW_EXE) +
-                           " --isolate --cache-dir " + dir +
-                           "/cache --stats-json " + stats;
-  const std::string files = pointerlabFiles();
-  const RunResult andersen = runCommand(base + " --alias=andersen" + files);
-  EXPECT_NE(andersen.exit_code, 2) << andersen.output;
-  // Switching engines must never replay the other engine's cache: the
-  // legacy run misses, then a repeat legacy run hits.
-  const RunResult legacy = runCommand(base + " --alias=legacy" + files);
-  EXPECT_NE(legacy.exit_code, 2) << legacy.output;
-  EXPECT_EQ(statsCounter(stats, "cache.hits"), 0u);
-  EXPECT_EQ(statsCounter(stats, "cache.misses"), 1u);
-  const RunResult again = runCommand(base + " --alias=legacy" + files);
-  EXPECT_NE(again.exit_code, 2) << again.output;
-  EXPECT_EQ(statsCounter(stats, "cache.hits"), 1u);
-  runCommand("rm -rf " + dir);
 }
 
 }  // namespace

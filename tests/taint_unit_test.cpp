@@ -617,6 +617,36 @@ int main(void)
                  GetParam() == Mode::kSummaries ? 4 : 5);
 }
 
+TEST_P(SparseSolver, NestedObjectGrowthAloneRevisitsAnEarlierLoad) {
+  // As above, but nothing else in main's loop grows: the object put()
+  // grows inside its nested analysis has to count as main's change, or
+  // main's solve stops before the load of box is revisited.
+  const auto d = analyze(R"(
+float box;
+void put(void)
+{
+    box = nc->value;
+}
+int main(void)
+{
+    float out;
+    int i;
+    initShm();
+    out = 0.0f;
+    for (i = 0; i < 4; i++) {
+        out = box;
+        put();
+    }
+    /*** SafeFlow Annotation assert(safe(out)); ***/
+    sink(out);
+    return 0;
+}
+)",
+                         inMode(GetParam()));
+  expectFindings(*d, 1, {{"out", Kind::kData}},
+                 GetParam() == Mode::kSummaries ? 4 : 5);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Engines, SparseSolver,
     testing::Values(Mode::kSummaries, Mode::kCallStrings),
