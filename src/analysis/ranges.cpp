@@ -8,6 +8,7 @@
 #include "analysis/report.h"
 #include "analysis/shm_propagation.h"
 #include "analysis/shm_regions.h"
+#include "ir/cfg.h"
 #include "support/diagnostics.h"
 #include "support/metrics.h"
 
@@ -323,9 +324,6 @@ void RangeAnalysis::run() {
 
 bool RangeAnalysis::analyzeFunction(const ir::Function& fn) {
   SAFEFLOW_COUNT("ranges.function_analyses");
-  if (!domtrees_.contains(&fn)) {
-    domtrees_.emplace(&fn, ir::DominatorTree::compute(fn));
-  }
   bool changed_any = false;
   bool changed = true;
   while (changed) {
@@ -599,11 +597,6 @@ bool RangeAnalysis::applyRecord(const ir::Function& fn,
     range_[formal] = rec.first;
     update_counts_[formal] = rec.second;
   }
-  // Later consumers (rangeAt from the restriction and bounds checks) need
-  // the dominator tree even when every local solve was replayed.
-  if (!domtrees_.contains(&fn)) {
-    domtrees_.emplace(&fn, ir::DominatorTree::compute(fn));
-  }
   module_changed_ |= module_delta;
   *changed_any = rc;
   return true;
@@ -615,16 +608,12 @@ bool RangeAnalysis::memoizedAnalyze(const ir::Function& fn) {
   const std::uint64_t digest = h.digest();
   if (const std::string* blob = memo_.bank->find(fn, digest)) {
     // Identity records changed nothing: skip the blob parse, replay only
-    // the recorded driver signals. The dominator tree side effect of a
-    // real apply is still needed by later range consumers.
+    // the recorded driver signals.
     BlobReader peek(*blob);
     const bool identity = peek.u64() != 0;
     const bool peek_changed = peek.u64() != 0;
     const bool peek_delta = peek.u64() != 0;
     if (peek.ok() && identity) {
-      if (!domtrees_.contains(&fn)) {
-        domtrees_.emplace(&fn, ir::DominatorTree::compute(fn));
-      }
       module_changed_ |= peek_delta;
       return peek_changed;
     }
@@ -957,7 +946,7 @@ std::optional<Interval> RangeAnalysis::contextRange(
 
 const std::vector<std::pair<const ir::BasicBlock*, const ir::BasicBlock*>>&
 RangeAnalysis::refineChain(const ir::BasicBlock* bb,
-                           const ir::DominatorTree& dt) const {
+                           const ir::CfgInfo& cfg) const {
   const auto hit = refine_chain_.find(bb);
   if (hit != refine_chain_.end()) return hit->second;
   auto& chain = refine_chain_[bb];
@@ -968,21 +957,16 @@ RangeAnalysis::refineChain(const ir::BasicBlock* bb,
   // for every value queried there.
   const ir::BasicBlock* b = bb;
   for (int guard = 0; guard < 4096; ++guard) {
-    const ir::BasicBlock* d = dt.idom(b);
+    const ir::BasicBlock* d = cfg.idom(b);
     if (d == nullptr) break;
     const ir::Instruction* term = d->terminator();
     bool edge_ok = term != nullptr && term->opcode() == ir::Opcode::kCondBr &&
                    term->block_refs.size() == 2 &&
-                   term->block_refs[0] != term->block_refs[1];
+                   term->block_refs[0] != term->block_refs[1] &&
+                   cfg.successors(d).contains(b);
     if (edge_ok) {
-      edge_ok = false;
-      for (const ir::BasicBlock* succ : d->successors()) {
-        if (succ == b) edge_ok = true;
-      }
-    }
-    if (edge_ok) {
-      for (const ir::BasicBlock* pred : b->predecessors()) {
-        if (pred != d && !dt.dominates(b, pred)) {
+      for (const ir::BasicBlock* pred : cfg.predecessors(b)) {
+        if (pred != d && !cfg.dominates(b, pred)) {
           edge_ok = false;
           break;
         }
@@ -996,13 +980,11 @@ RangeAnalysis::refineChain(const ir::BasicBlock* bb,
 
 Interval RangeAnalysis::refinedAt(Interval r, const ir::Value* v,
                                   const ir::BasicBlock* bb) const {
-  const auto dt_it = domtrees_.find(bb->parent());
-  if (dt_it == domtrees_.end()) return r;
-  const ir::DominatorTree& dt = dt_it->second;
+  const ir::CfgInfo& cfg = bb->parent()->cfg();
   const ir::BasicBlock* def =
       v->isInstruction() ? static_cast<const ir::Instruction*>(v)->parent()
                          : nullptr;
-  for (const auto& [d, b] : refineChain(bb, dt)) {
+  for (const auto& [d, b] : refineChain(bb, cfg)) {
     // Cheap pre-filter: the edge only constrains v when the branch
     // condition mentions it (directly, or as a cmp operand).
     const ir::Value* cond = d->terminator()->operand(0);
@@ -1014,7 +996,7 @@ Interval RangeAnalysis::refinedAt(Interval r, const ir::Value* v,
         continue;
       }
     }
-    if (def != nullptr && !dt.dominates(def, d)) continue;
+    if (def != nullptr && !cfg.dominates(def, d)) continue;
     // A nullopt here means the block is statically unreachable for v's
     // range; keep the unrefined interval (any answer is sound there).
     if (const auto refined = refineOnEdge(r, v, d, b)) r = *refined;

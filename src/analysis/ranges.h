@@ -30,7 +30,6 @@
 
 #include "analysis/summaries.h"
 #include "ir/callgraph.h"
-#include "ir/dominators.h"
 #include "ir/ir.h"
 #include "support/limits.h"
 
@@ -159,7 +158,7 @@ class RangeAnalysis {
   /// The (pred, succ) dominating edges whose CondBr can refine values in
   /// `bb`, cached per block (the CFG never changes during run()).
   const std::vector<std::pair<const ir::BasicBlock*, const ir::BasicBlock*>>&
-  refineChain(const ir::BasicBlock* bb, const ir::DominatorTree& dt) const;
+  refineChain(const ir::BasicBlock* bb, const ir::CfgInfo& cfg) const;
   /// valueRange + refinedAt: an operand's range in `bb`'s context.
   [[nodiscard]] std::optional<Interval> contextRange(
       const ir::Value* v, const ir::BasicBlock* bb) const;
@@ -186,7 +185,6 @@ class RangeAnalysis {
   std::map<const ir::Value*, Interval> range_;
   std::map<const ir::Function*, Interval> return_range_;
   std::map<const void*, unsigned> update_counts_;  // values & functions
-  std::map<const ir::Function*, ir::DominatorTree> domtrees_;
   mutable std::map<const ir::BasicBlock*,
                    std::vector<std::pair<const ir::BasicBlock*,
                                          const ir::BasicBlock*>>>

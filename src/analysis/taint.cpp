@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "analysis/ranges.h"
+#include "ir/cfg.h"
 #include "support/metrics.h"
 
 namespace safeflow::analysis {
@@ -323,9 +324,7 @@ TaintPair TaintAnalysis::loadTaint(const ir::Instruction& load,
 
 Taint TaintAnalysis::blockControlTaint(const ir::BasicBlock* bb) const {
   Taint out;
-  auto fn_it = control_dep_.find(bb->parent());
-  if (fn_it == control_dep_.end()) return out;
-  for (const ir::BasicBlock* branch : fn_it->second.controllers(bb)) {
+  for (const ir::BasicBlock* branch : bb->parent()->cfg().controllers(bb)) {
     const ir::Instruction* term = branch->terminator();
     if (term == nullptr || term->opcode() != ir::Opcode::kCondBr) continue;
     // A branch the range analysis decides always goes one way exerts no
@@ -434,9 +433,6 @@ TaintAnalysis::BodyWorklist::BodyWorklist(const TaintAnalysis& taint,
     return it != position_of.end() && it->first == key ? it->second : kNone;
   };
 
-  const auto cd_it = taint.control_dep_.find(&fn);
-  const ControlDependence* cd =
-      cd_it != taint.control_dep_.end() ? &cd_it->second : nullptr;
   // The position of the condition `bb`'s conditional branch tests.
   const auto branch_condition = [&position](const ir::BasicBlock* bb) {
     const ir::Instruction* term = bb->terminator();
@@ -449,9 +445,11 @@ TaintAnalysis::BodyWorklist::BodyWorklist(const TaintAnalysis& taint,
   Edges reads;
   Edges controls;
   std::uint32_t block = 0;
+  const bool track_control = taint.options_.track_control_deps;
+  const ir::CfgInfo& cfg = fn.cfg();
   for (const auto& bb : fn.blocks()) {
-    if (cd != nullptr) {
-      for (const ir::BasicBlock* controller : cd->controllers(bb.get())) {
+    if (track_control) {
+      for (const ir::BasicBlock* controller : cfg.controllers(bb.get())) {
         const std::uint32_t cond = branch_condition(controller);
         if (cond != kNone) controls.emplace_back(cond, block);
       }
@@ -482,11 +480,11 @@ TaintAnalysis::BodyWorklist::BodyWorklist(const TaintAnalysis& taint,
         break;
       }
       case ir::Opcode::kPhi:
-        if (cd == nullptr) break;
+        if (!track_control) break;
         for (const ir::BasicBlock* incoming : inst.block_refs) {
           const std::uint32_t cond = branch_condition(incoming);
           if (cond != kNone) reads.emplace_back(cond, pos);
-          for (const ir::BasicBlock* controller : cd->controllers(incoming)) {
+          for (const ir::BasicBlock* controller : cfg.controllers(incoming)) {
             const std::uint32_t c = branch_condition(controller);
             if (c != kNone) reads.emplace_back(c, pos);
           }
@@ -589,9 +587,6 @@ bool TaintAnalysis::analyzeFunction(const ir::Function& fn,
   SAFEFLOW_COUNT("taint.body_analyses");
   support::ScopedSpan span("taint.function");
   span.arg("fn", fn.name());
-  if (options_.track_control_deps && !control_dep_.contains(&fn)) {
-    control_dep_.emplace(&fn, ControlDependence::compute(fn));
-  }
 
   bool changed_any = false;
   // Seed each argument with its symbolic parameter taint; concrete taints

@@ -30,7 +30,6 @@
 #include <set>
 
 #include "analysis/alias.h"
-#include "analysis/control_dep.h"
 #include "analysis/report.h"
 #include "analysis/shm_propagation.h"
 #include "analysis/shm_regions.h"
@@ -287,7 +286,6 @@ class TaintAnalysis {
   /// reach a report site inside a callee.
   std::map<const ir::Argument*, TaintPair> arg_concrete_;
   std::map<const ir::Function*, TaintPair> return_taint_;
-  std::map<const ir::Function*, ControlDependence> control_dep_;
   // Call-string memoization: (function, context) -> return taint.
   std::map<std::pair<const ir::Function*, AssumptionSet>, TaintPair>
       context_memo_;

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
+
+#include "ir/cfg.h"
 
 namespace safeflow::ir {
 
@@ -21,6 +24,12 @@ Instruction* BasicBlock::prepend(std::unique_ptr<Instruction> inst) {
   inst->setParent(this);
   insts_.insert(insts_.begin(), std::move(inst));
   return insts_.front().get();
+}
+
+void BasicBlock::prepend(std::vector<std::unique_ptr<Instruction>> insts) {
+  for (const auto& inst : insts) inst->setParent(this);
+  insts_.insert(insts_.begin(), std::make_move_iterator(insts.begin()),
+                std::make_move_iterator(insts.end()));
 }
 
 void BasicBlock::erase(Instruction* inst) {
@@ -43,16 +52,11 @@ std::vector<BasicBlock*> BasicBlock::successors() const {
   return term->block_refs;
 }
 
-std::vector<BasicBlock*> BasicBlock::predecessors() const {
-  std::vector<BasicBlock*> preds;
-  for (const auto& bb : parent_->blocks()) {
-    const std::vector<BasicBlock*> succs = bb->successors();
-    if (std::find(succs.begin(), succs.end(), this) != succs.end()) {
-      preds.push_back(bb.get());
-    }
-  }
-  return preds;
-}
+Function::Function(std::string name, const cfront::FunctionType* type,
+                   Module* parent)
+    : name_(std::move(name)), type_(type), parent_(parent) {}
+
+Function::~Function() = default;
 
 Argument* Function::addArg(const Type* type, std::string name) {
   args_.push_back(std::make_unique<Argument>(
@@ -61,8 +65,14 @@ Argument* Function::addArg(const Type* type, std::string name) {
 }
 
 BasicBlock* Function::createBlock(std::string label) {
-  blocks_.push_back(std::make_unique<BasicBlock>(std::move(label), this));
+  blocks_.push_back(std::make_unique<BasicBlock>(
+      std::move(label), this, static_cast<std::uint32_t>(blocks_.size())));
   return blocks_.back().get();
+}
+
+const CfgInfo& Function::cfg() const {
+  if (cfg_ == nullptr) cfg_ = std::make_unique<CfgInfo>(*this);
+  return *cfg_;
 }
 
 Function* Module::getOrCreateFunction(const std::string& name,

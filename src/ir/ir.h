@@ -27,6 +27,7 @@ using support::SourceLocation;
 
 class Function;
 class BasicBlock;
+class CfgInfo;
 class Instruction;
 class Module;
 
@@ -218,11 +219,13 @@ class Instruction final : public Value {
 
 class BasicBlock {
  public:
-  BasicBlock(std::string label, Function* parent)
-      : label_(std::move(label)), parent_(parent) {}
+  BasicBlock(std::string label, Function* parent, std::uint32_t index)
+      : label_(std::move(label)), parent_(parent), index_(index) {}
 
   [[nodiscard]] const std::string& label() const { return label_; }
   [[nodiscard]] Function* parent() const { return parent_; }
+  /// Position in the parent's block list (layout order).
+  [[nodiscard]] std::uint32_t index() const { return index_; }
   [[nodiscard]] const std::vector<std::unique_ptr<Instruction>>&
   instructions() const {
     return insts_;
@@ -230,17 +233,26 @@ class BasicBlock {
 
   Instruction* append(std::unique_ptr<Instruction> inst);
   Instruction* prepend(std::unique_ptr<Instruction> inst);
+  /// Inserts `insts`, in order, ahead of the block's first instruction.
+  void prepend(std::vector<std::unique_ptr<Instruction>> insts);
   /// Removes (and destroys) the instruction; it must belong to this block.
   void erase(Instruction* inst);
+  /// Removes (and destroys) every instruction `pred` holds for, in one
+  /// pass over the block.
+  template <typename Pred>
+  void eraseIf(Pred pred) {
+    std::erase_if(insts_, [&pred](const std::unique_ptr<Instruction>& inst) {
+      return pred(static_cast<const Instruction*>(inst.get()));
+    });
+  }
 
   [[nodiscard]] Instruction* terminator() const;
   [[nodiscard]] std::vector<BasicBlock*> successors() const;
-  /// Predecessors are recomputed by scanning the parent function.
-  [[nodiscard]] std::vector<BasicBlock*> predecessors() const;
 
  private:
   std::string label_;
   Function* parent_;
+  std::uint32_t index_;
   std::vector<std::unique_ptr<Instruction>> insts_;
 };
 
@@ -254,8 +266,9 @@ struct FunctionAnnotations {
 
 class Function {
  public:
-  Function(std::string name, const cfront::FunctionType* type, Module* parent)
-      : name_(std::move(name)), type_(type), parent_(parent) {}
+  // Out of line, where CfgInfo is complete.
+  Function(std::string name, const cfront::FunctionType* type, Module* parent);
+  ~Function();
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const cfront::FunctionType* functionType() const {
@@ -278,6 +291,13 @@ class Function {
   }
   BasicBlock* createBlock(std::string label);
 
+  /// The function's CFG facts (numbering, dominators, post-dominators,
+  /// control dependence), built on first use and kept for the function's
+  /// lifetime. Call it only once lowering has finished the function: no
+  /// later pass changes a terminator, so the facts never go stale. Not
+  /// safe to call for the first time from two threads at once.
+  [[nodiscard]] const CfgInfo& cfg() const;
+
   FunctionAnnotations annotations;
   SourceLocation location;
 
@@ -292,6 +312,7 @@ class Function {
   Module* parent_;
   std::vector<std::unique_ptr<Argument>> args_;
   std::vector<std::unique_ptr<BasicBlock>> blocks_;
+  mutable std::unique_ptr<CfgInfo> cfg_;
 };
 
 class Module {

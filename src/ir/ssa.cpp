@@ -1,218 +1,304 @@
 #include "ir/ssa.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
-#include <sstream>
+#include <cstdint>
+#include <memory>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "ir/dominators.h"
+#include "ir/cfg.h"
 #include "support/metrics.h"
 
 namespace safeflow::ir {
 
 namespace {
 
-/// An alloca is promotable when it holds a scalar and its address is used
-/// only as the pointer operand of loads and stores.
-bool isPromotable(const Instruction* alloca, const Function& fn) {
-  if (alloca->allocated_type == nullptr ||
-      !alloca->allocated_type->isScalar()) {
-    return false;
+constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+/// mem2reg over one function, in time linear in its size (plus the
+/// phis it places). Each promoted alloca is a slot, numbered in entry
+/// order.
+class Promoter {
+ public:
+  Promoter(Function& fn, Module& module)
+      : fn_(fn), module_(module), cfg_(fn.cfg()) {}
+
+  SsaStats run();
+
+ private:
+  /// The slot of `v` when it is a promoted alloca. Looks `v` up by
+  /// address alone: rewrite() still asks once the allocas are destroyed.
+  [[nodiscard]] std::uint32_t slotOf(const Value* v) const {
+    const auto it = slot_of_.find(v);
+    return it == slot_of_.end() ? kNoSlot : it->second;
   }
-  for (const auto& bb : fn.blocks()) {
-    for (const auto& inst : bb->instructions()) {
-      for (std::size_t i = 0; i < inst->numOperands(); ++i) {
-        if (inst->operand(i) != alloca) continue;
-        if (inst->opcode() == Opcode::kLoad && i == 0) continue;
-        if (inst->opcode() == Opcode::kStore && i == 1) continue;
-        return false;  // address escapes
-      }
+  /// The slot `inst` loads from or stores to, when promoted.
+  [[nodiscard]] std::uint32_t accessedSlot(const Instruction& inst) const {
+    if (inst.opcode() == Opcode::kLoad && inst.numOperands() == 1) {
+      return slotOf(inst.operand(0));
     }
+    if (inst.opcode() == Opcode::kStore && inst.numOperands() == 2) {
+      return slotOf(inst.operand(1));
+    }
+    return kNoSlot;
   }
-  return true;
+  /// What the uses of `v` become once promoted loads are gone.
+  [[nodiscard]] Value* resolve(Value* v) const {
+    for (auto it = replacement_.find(v); it != replacement_.end();
+         it = replacement_.find(v)) {
+      v = it->second;
+    }
+    return v;
+  }
+  /// The definition of `slot` reaching the current point of the walk.
+  [[nodiscard]] Value* reaching(std::uint32_t slot, const Type* type) const {
+    const std::vector<Value*>& defs = stacks_[slot];
+    return defs.empty() ? module_.undef(type) : defs.back();
+  }
+  void define(std::uint32_t slot, Value* v) {
+    stacks_[slot].push_back(v);
+    pushed_.push_back(slot);
+  }
+
+  bool findPromotable();
+  void placePhis();
+  void rename();
+  void renameBlock(BasicBlock* bb);
+  void rewrite();
+
+  Function& fn_;
+  Module& module_;
+  const CfgInfo& cfg_;
+  SsaStats stats_;
+
+  std::vector<Instruction*> allocas_;  ///< by slot
+  std::unordered_map<const Value*, std::uint32_t> slot_of_;
+  /// Numbers of the blocks that store to each slot.
+  std::vector<std::vector<std::uint32_t>> def_blocks_;
+  /// Slots of the phis leading each block, in block order.
+  std::vector<std::vector<std::uint32_t>> phi_slots_;
+  /// Definition stack of each slot along the dominator-tree walk, and
+  /// the slot of every definition pushed, so a block's can be popped.
+  std::vector<std::vector<Value*>> stacks_;
+  std::vector<std::uint32_t> pushed_;
+  /// Each promoted load's replacement, applied in one final pass.
+  std::unordered_map<const Value*, Value*> replacement_;
+};
+
+SsaStats Promoter::run() {
+  if (!findPromotable()) return stats_;
+  placePhis();
+  rename();
+  rewrite();
+  return stats_;
 }
 
-struct Renamer {
-  Function& fn;
-  Module& module;
-  const DominatorTree& domtree;
-  // Per-alloca reaching definition stack entry is handled via a map of
-  // current values snapshotted along the dom-tree walk.
-  std::vector<const Instruction*> allocas;
-  std::map<const Instruction*, std::size_t> alloca_index;
-  std::map<const Instruction*, const Instruction*> phi_home;  // phi->alloca
-  std::set<Instruction*> dead;
-  SsaStats stats;
+/// A scalar alloca of the entry block is promotable when its address is
+/// used only as the pointer operand of loads and stores. One scan over
+/// the body finds the escaping allocas and the blocks that store to the
+/// others.
+bool Promoter::findPromotable() {
+  std::vector<Instruction*> candidates;
+  for (const auto& inst : fn_.entry()->instructions()) {
+    if (inst->opcode() == Opcode::kAlloca &&
+        inst->allocated_type != nullptr &&
+        inst->allocated_type->isScalar()) {
+      slot_of_.emplace(inst.get(), static_cast<std::uint32_t>(
+                                       candidates.size()));
+      candidates.push_back(inst.get());
+    }
+  }
+  if (candidates.empty()) return false;
 
-  void renameBlock(BasicBlock* bb, std::vector<Value*> current) {
-    for (const auto& inst_ptr : bb->instructions()) {
-      Instruction* inst = inst_ptr.get();
-      if (inst->opcode() == Opcode::kPhi) {
-        auto it = phi_home.find(inst);
-        if (it != phi_home.end()) {
-          current[alloca_index.at(it->second)] = inst;
-        }
-        continue;
-      }
-      if (inst->opcode() == Opcode::kLoad && inst->numOperands() == 1 &&
-          inst->operand(0)->isInstruction()) {
-        auto it = alloca_index.find(
-            static_cast<const Instruction*>(inst->operand(0)));
-        if (it != alloca_index.end()) {
-          Value* reaching = current[it->second];
-          if (reaching == nullptr) {
-            reaching = module.undef(inst->type());
+  std::vector<bool> escapes(candidates.size(), false);
+  std::vector<std::vector<std::uint32_t>> stores(candidates.size());
+  for (const auto& bb : fn_.blocks()) {
+    const std::uint32_t block = cfg_.number(bb.get());
+    for (const auto& inst : bb->instructions()) {
+      for (std::size_t i = 0; i < inst->numOperands(); ++i) {
+        const Value* op = inst->operand(i);
+        if (!op->isInstruction()) continue;
+        const std::uint32_t slot = slotOf(op);
+        if (slot == kNoSlot) continue;
+        if (inst->opcode() == Opcode::kLoad && i == 0) continue;
+        if (inst->opcode() == Opcode::kStore && i == 1) {
+          if (stores[slot].empty() || stores[slot].back() != block) {
+            stores[slot].push_back(block);
           }
-          // Replace all uses of this load with the reaching definition.
-          replaceEverywhere(inst, reaching);
-          dead.insert(inst);
-          ++stats.loads_removed;
           continue;
         }
+        escapes[slot] = true;
       }
-      if (inst->opcode() == Opcode::kStore && inst->numOperands() == 2 &&
-          inst->operand(1)->isInstruction()) {
-        auto it = alloca_index.find(
-            static_cast<const Instruction*>(inst->operand(1)));
-        if (it != alloca_index.end()) {
-          current[it->second] = inst->operand(0);
-          dead.insert(inst);
-          ++stats.stores_removed;
-          continue;
-        }
-      }
-    }
-
-    // Feed phi operands of successors.
-    for (BasicBlock* succ : bb->successors()) {
-      for (const auto& inst_ptr : succ->instructions()) {
-        Instruction* inst = inst_ptr.get();
-        if (inst->opcode() != Opcode::kPhi) break;  // phis lead the block
-        auto it = phi_home.find(inst);
-        if (it == phi_home.end()) continue;
-        Value* v = current[alloca_index.at(it->second)];
-        if (v == nullptr) v = module.undef(inst->type());
-        inst->addOperand(v);
-        inst->block_refs.push_back(bb);
-      }
-    }
-
-    for (const BasicBlock* child : domtree.children(bb)) {
-      renameBlock(const_cast<BasicBlock*>(child), current);
     }
   }
 
-  void replaceEverywhere(Value* from, Value* to) {
-    for (const auto& bb : fn.blocks()) {
-      for (const auto& inst : bb->instructions()) {
-        inst->replaceUsesOf(from, to);
+  slot_of_.clear();
+  for (std::size_t c = 0; c < candidates.size(); ++c) {
+    if (escapes[c]) continue;
+    slot_of_.emplace(candidates[c],
+                     static_cast<std::uint32_t>(allocas_.size()));
+    allocas_.push_back(candidates[c]);
+    def_blocks_.push_back(std::move(stores[c]));
+  }
+  stats_.promoted_allocas = allocas_.size();
+  return !allocas_.empty();
+}
+
+/// Phis go on the iterated dominance frontier of each slot's defining
+/// blocks (Cytron et al.). Each block's phis lead it in descending slot
+/// order, and they are inserted in one batch per block.
+void Promoter::placePhis() {
+  const std::uint32_t blocks = cfg_.size();
+  phi_slots_.resize(blocks);
+  std::vector<std::uint32_t> has_phi(blocks, kNoSlot);
+  std::vector<std::uint32_t> queued(blocks, kNoSlot);
+  std::vector<std::uint32_t> work;
+  for (std::uint32_t slot = 0; slot < allocas_.size(); ++slot) {
+    work = def_blocks_[slot];
+    for (const std::uint32_t b : work) queued[b] = slot;
+    while (!work.empty()) {
+      const std::uint32_t b = work.back();
+      work.pop_back();
+      for (const BasicBlock* frontier : cfg_.frontier(cfg_.block(b))) {
+        const std::uint32_t f = cfg_.number(frontier);
+        if (has_phi[f] == slot) continue;
+        has_phi[f] = slot;
+        phi_slots_[f].push_back(slot);
+        if (queued[f] != slot) {
+          queued[f] = slot;
+          work.push_back(f);
+        }
       }
     }
   }
-};
+
+  for (std::uint32_t b = 0; b < blocks; ++b) {
+    std::vector<std::uint32_t>& slots = phi_slots_[b];
+    if (slots.empty()) continue;
+    std::reverse(slots.begin(), slots.end());
+    std::vector<std::unique_ptr<Instruction>> phis;
+    phis.reserve(slots.size());
+    for (const std::uint32_t slot : slots) {
+      const Instruction* alloca = allocas_[slot];
+      auto phi = std::make_unique<Instruction>(
+          Opcode::kPhi, alloca->allocated_type, alloca->location());
+      phi->setName(alloca->name() + ".phi");
+      phis.push_back(std::move(phi));
+    }
+    stats_.phis_inserted += phis.size();
+    cfg_.block(b)->prepend(std::move(phis));
+  }
+}
+
+/// Renames along the dominator tree, depth first, children in reverse
+/// postorder; the walk is iterative and each block pops what it pushed.
+void Promoter::rename() {
+  stacks_.resize(allocas_.size());
+  // (block, leaving): a block is entered, then left after its subtree.
+  std::vector<std::pair<BasicBlock*, bool>> walk{{fn_.entry(), false}};
+  std::vector<std::size_t> marks;
+  while (!walk.empty()) {
+    const auto [bb, leaving] = walk.back();
+    walk.pop_back();
+    if (leaving) {
+      for (std::size_t i = pushed_.size(); i > marks.back(); --i) {
+        stacks_[pushed_[i - 1]].pop_back();
+      }
+      pushed_.resize(marks.back());
+      marks.pop_back();
+      continue;
+    }
+    marks.push_back(pushed_.size());
+    walk.emplace_back(bb, true);
+    renameBlock(bb);
+    const BlockList children = cfg_.children(bb);
+    for (std::size_t i = children.size(); i > 0; --i) {
+      walk.emplace_back(children[i - 1], false);
+    }
+  }
+
+  // Blocks unreachable from the entry are outside the dominator tree, so
+  // the walk never renamed them. Their accesses to promoted allocas must
+  // still go — the allocas are about to be deleted, and a surviving use
+  // would dangle. Unreachable code never executes, so undef is sound.
+  for (std::uint32_t b = cfg_.reachableCount(); b < cfg_.size(); ++b) {
+    for (const auto& inst : cfg_.block(b)->instructions()) {
+      if (accessedSlot(*inst) == kNoSlot) continue;
+      if (inst->opcode() == Opcode::kLoad) {
+        replacement_.emplace(inst.get(), module_.undef(inst->type()));
+        ++stats_.loads_removed;
+      } else {
+        ++stats_.stores_removed;
+      }
+    }
+  }
+}
+
+void Promoter::renameBlock(BasicBlock* bb) {
+  const std::vector<std::uint32_t>& phis = phi_slots_[cfg_.number(bb)];
+  const auto& insts = bb->instructions();
+  for (std::size_t i = 0; i < phis.size(); ++i) {
+    define(phis[i], insts[i].get());
+  }
+  for (std::size_t i = phis.size(); i < insts.size(); ++i) {
+    Instruction* inst = insts[i].get();
+    const std::uint32_t slot = accessedSlot(*inst);
+    if (slot == kNoSlot) continue;
+    if (inst->opcode() == Opcode::kLoad) {
+      // A load reaches itself only through a use its definition does not
+      // dominate, which lowering never emits in reachable code. Undef
+      // keeps the replacements acyclic, so resolve() always ends.
+      Value* v = resolve(reaching(slot, inst->type()));
+      if (v == inst) v = module_.undef(inst->type());
+      replacement_.emplace(inst, v);
+      ++stats_.loads_removed;
+    } else {
+      define(slot, resolve(inst->operand(0)));
+      ++stats_.stores_removed;
+    }
+  }
+
+  // Feed the phis of each successor; an edge named twice feeds twice.
+  for (BasicBlock* succ : cfg_.successors(bb)) {
+    const std::vector<std::uint32_t>& succ_phis =
+        phi_slots_[cfg_.number(succ)];
+    for (std::size_t i = 0; i < succ_phis.size(); ++i) {
+      Instruction* phi = succ->instructions()[i].get();
+      phi->addOperand(reaching(succ_phis[i], phi->type()));
+      phi->block_refs.push_back(bb);
+    }
+  }
+}
+
+/// Points every use of a promoted load at its replacement in one pass
+/// over the operands, then deletes the promoted allocas with their loads
+/// and stores in one pass per block. Deleting comes second: a use in a
+/// later block must not see a load already destroyed.
+void Promoter::rewrite() {
+  for (const auto& bb : fn_.blocks()) {
+    for (const auto& inst : bb->instructions()) {
+      for (std::size_t i = 0; i < inst->numOperands(); ++i) {
+        Value* op = inst->operand(i);
+        if (op->isInstruction() &&
+            static_cast<const Instruction*>(op)->opcode() == Opcode::kLoad) {
+          inst->setOperand(i, resolve(op));
+        }
+      }
+    }
+  }
+  for (const auto& bb : fn_.blocks()) {
+    bb->eraseIf([this](const Instruction* inst) {
+      return accessedSlot(*inst) != kNoSlot || slotOf(inst) != kNoSlot;
+    });
+  }
+}
 
 }  // namespace
 
 SsaStats promoteToSsa(Function& fn, Module& module) {
-  SsaStats stats;
-  if (!fn.isDefined()) return stats;
-  const DominatorTree domtree = DominatorTree::compute(fn);
-
-  // Collect promotable allocas (they all live in the entry block).
-  std::vector<Instruction*> allocas;
-  for (const auto& inst : fn.entry()->instructions()) {
-    if (inst->opcode() == Opcode::kAlloca && isPromotable(inst.get(), fn)) {
-      allocas.push_back(inst.get());
-    }
-  }
-  if (allocas.empty()) return stats;
-  stats.promoted_allocas = allocas.size();
-
-  // Phi insertion on iterated dominance frontiers of defining blocks.
-  Renamer renamer{fn, module, domtree, {}, {}, {}, {}, stats};
-  for (std::size_t i = 0; i < allocas.size(); ++i) {
-    renamer.allocas.push_back(allocas[i]);
-    renamer.alloca_index[allocas[i]] = i;
-  }
-
-  for (Instruction* alloca : allocas) {
-    // Blocks containing a store to this alloca.
-    std::set<BasicBlock*> def_blocks;
-    for (const auto& bb : fn.blocks()) {
-      for (const auto& inst : bb->instructions()) {
-        if (inst->opcode() == Opcode::kStore && inst->numOperands() == 2 &&
-            inst->operand(1) == alloca) {
-          def_blocks.insert(bb.get());
-        }
-      }
-    }
-    std::set<const BasicBlock*> has_phi;
-    std::vector<BasicBlock*> work(def_blocks.begin(), def_blocks.end());
-    while (!work.empty()) {
-      BasicBlock* bb = work.back();
-      work.pop_back();
-      auto it = domtree.frontiers().find(bb);
-      if (it == domtree.frontiers().end()) continue;
-      for (const BasicBlock* frontier : it->second) {
-        if (has_phi.contains(frontier)) continue;
-        has_phi.insert(frontier);
-        auto phi = std::make_unique<Instruction>(
-            Opcode::kPhi, alloca->allocated_type, alloca->location());
-        phi->setName(alloca->name() + ".phi");
-        Instruction* phi_raw =
-            const_cast<BasicBlock*>(frontier)->prepend(std::move(phi));
-        renamer.phi_home[phi_raw] = alloca;
-        ++renamer.stats.phis_inserted;
-        if (!def_blocks.contains(const_cast<BasicBlock*>(frontier))) {
-          work.push_back(const_cast<BasicBlock*>(frontier));
-        }
-      }
-    }
-  }
-
-  // Rename along the dominator tree.
-  renamer.renameBlock(fn.entry(),
-                      std::vector<Value*>(allocas.size(), nullptr));
-
-  // Blocks unreachable from the entry (error-recovery artifacts, code
-  // after a return) are outside the dominator tree, so the walk above
-  // never renamed them. Their accesses to promoted allocas must still be
-  // rewritten — the allocas are about to be deleted, and a surviving use
-  // would dangle. Unreachable code never executes, so undef is sound.
-  for (const auto& bb : fn.blocks()) {
-    for (const auto& inst_ptr : bb->instructions()) {
-      Instruction* inst = inst_ptr.get();
-      if (renamer.dead.contains(inst)) continue;
-      if (inst->opcode() == Opcode::kLoad && inst->numOperands() == 1 &&
-          inst->operand(0)->isInstruction() &&
-          renamer.alloca_index.contains(
-              static_cast<const Instruction*>(inst->operand(0)))) {
-        renamer.replaceEverywhere(inst, module.undef(inst->type()));
-        renamer.dead.insert(inst);
-        ++renamer.stats.loads_removed;
-      } else if (inst->opcode() == Opcode::kStore &&
-                 inst->numOperands() == 2 &&
-                 inst->operand(1)->isInstruction() &&
-                 renamer.alloca_index.contains(
-                     static_cast<const Instruction*>(inst->operand(1)))) {
-        renamer.dead.insert(inst);
-        ++renamer.stats.stores_removed;
-      }
-    }
-  }
-
-  // Delete dead loads/stores and the promoted allocas.
-  for (const auto& bb : fn.blocks()) {
-    std::vector<Instruction*> to_erase;
-    for (const auto& inst : bb->instructions()) {
-      if (renamer.dead.contains(inst.get())) to_erase.push_back(inst.get());
-    }
-    for (Instruction* inst : to_erase) bb->erase(inst);
-  }
-  for (Instruction* alloca : allocas) fn.entry()->erase(alloca);
-
-  return renamer.stats;
+  if (!fn.isDefined()) return {};
+  return Promoter(fn, module).run();
 }
 
 SsaStats promoteModuleToSsa(Module& module) {
@@ -235,17 +321,21 @@ SsaStats promoteModuleToSsa(Module& module) {
 
 std::string verifySsa(const Function& fn) {
   if (!fn.isDefined()) return {};
-  const DominatorTree domtree = DominatorTree::compute(fn);
+  const CfgInfo& cfg = fn.cfg();
 
   // Map each instruction to its defining block and intra-block position.
-  std::map<const Value*, std::pair<const BasicBlock*, std::size_t>> defs;
+  std::unordered_map<const Value*, std::pair<const BasicBlock*, std::size_t>>
+      defs;
   for (const auto& bb : fn.blocks()) {
     for (std::size_t i = 0; i < bb->instructions().size(); ++i) {
-      defs[bb->instructions()[i].get()] = {bb.get(), i};
+      defs.emplace(bb->instructions()[i].get(), std::make_pair(bb.get(), i));
     }
   }
 
   for (const auto& bb : fn.blocks()) {
+    // Dominance means nothing in code the entry cannot reach (LLVM's
+    // verifier skips it too); dangling operands are still caught there.
+    const bool reachable = cfg.reachable(bb.get());
     for (std::size_t i = 0; i < bb->instructions().size(); ++i) {
       const Instruction* inst = bb->instructions()[i].get();
       for (std::size_t oi = 0; oi < inst->numOperands(); ++oi) {
@@ -256,13 +346,15 @@ std::string verifySsa(const Function& fn) {
           return "operand of '" + inst->name() + "' in " + bb->label() +
                  " is not defined in this function";
         }
+        if (!reachable) continue;
         const auto [def_bb, def_pos] = it->second;
         if (inst->opcode() == Opcode::kPhi) {
           // Phi operand must be defined in a block dominating the incoming
           // edge's source.
           if (oi < inst->block_refs.size()) {
             const BasicBlock* incoming = inst->block_refs[oi];
-            if (!domtree.dominates(def_bb, incoming)) {
+            if (cfg.reachable(incoming) &&
+                !cfg.dominates(def_bb, incoming)) {
               return "phi operand does not dominate incoming edge in " +
                      bb->label();
             }
@@ -273,7 +365,7 @@ std::string verifySsa(const Function& fn) {
           if (def_pos >= i) {
             return "use before def inside block " + bb->label();
           }
-        } else if (!domtree.dominates(def_bb, bb.get())) {
+        } else if (!cfg.dominates(def_bb, bb.get())) {
           return "definition in " + def_bb->label() +
                  " does not dominate use in " + bb->label();
         }

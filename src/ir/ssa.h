@@ -21,10 +21,11 @@ SsaStats promoteToSsa(Function& fn, Module& module);
 /// Convenience: promotes every defined function in the module.
 SsaStats promoteModuleToSsa(Module& module);
 
-/// Verifies SSA well-formedness: every instruction operand is defined in a
-/// block that dominates the use (phi uses checked at the incoming edge).
-/// Returns an empty string when valid, else a description of the first
-/// violation.
+/// Verifies SSA well-formedness: every instruction operand is defined in
+/// this function, and in code reachable from the entry, in a block that
+/// dominates the use (phi uses checked at the incoming edge; an incoming
+/// edge from unreachable code is not checked). Returns an empty string
+/// when valid, else a description of the first violation.
 [[nodiscard]] std::string verifySsa(const Function& fn);
 
 }  // namespace safeflow::ir

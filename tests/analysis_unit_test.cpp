@@ -7,11 +7,11 @@
 #include <memory>
 
 #include "analysis/alias.h"
-#include "analysis/control_dep.h"
 #include "analysis/shm_propagation.h"
 #include "analysis/shm_regions.h"
 #include "cfront/frontend.h"
 #include "ir/callgraph.h"
+#include "ir/cfg.h"
 #include "ir/lowering.h"
 #include "ir/ssa.h"
 #include "safeflow/driver.h"
@@ -332,7 +332,7 @@ TEST(ControlDep, ThenBlockDependsOnBranch) {
 int f(int c) { int r; r = 0; if (c) { r = 1; } return r; }
 )");
   const ir::Function* f = p.module->findFunction("f");
-  const auto cd = analysis::ControlDependence::compute(*f);
+  const ir::CfgInfo& cd = f->cfg();
   const ir::BasicBlock* then_bb = nullptr;
   for (const auto& bb : f->blocks()) {
     if (bb->label().rfind("if.then", 0) == 0) then_bb = bb.get();
@@ -347,7 +347,7 @@ TEST(ControlDep, MergeBlockDoesNotDependOnBranch) {
 int f(int c) { int r; if (c) { r = 1; } else { r = 2; } return r; }
 )");
   const ir::Function* f = p.module->findFunction("f");
-  const auto cd = analysis::ControlDependence::compute(*f);
+  const ir::CfgInfo& cd = f->cfg();
   const ir::BasicBlock* end_bb = nullptr;
   for (const auto& bb : f->blocks()) {
     if (bb->label().rfind("if.end", 0) == 0) end_bb = bb.get();
@@ -363,7 +363,7 @@ int f(int n) { int s; int i; s = 0;
   return s; }
 )");
   const ir::Function* f = p.module->findFunction("f");
-  const auto cd = analysis::ControlDependence::compute(*f);
+  const ir::CfgInfo& cd = f->cfg();
   const ir::BasicBlock* body = nullptr;
   const ir::BasicBlock* cond = nullptr;
   for (const auto& bb : f->blocks()) {

@@ -12,7 +12,8 @@
 // Every mutant runs through the full driver (front end through taint
 // analysis) under a step budget, and the harness asserts the three
 // robustness guarantees of DESIGN.md: no crash, no hang (the budget bounds
-// every fixpoint), and well-formed diagnostics.
+// every fixpoint), and well-formed diagnostics; and that SSA construction
+// leaves every function well formed (ir::verifySsa).
 //
 // A second fuzzer in this file aims the same LCG at the safeflowd NDJSON
 // protocol: random bytes, structurally-plausible-but-wrong documents,
@@ -40,6 +41,8 @@
 #include <unistd.h>
 
 #include "daemon_test_util.h"
+#include "ir/ir.h"
+#include "ir/ssa.h"
 #include "safeflow/driver.h"
 #include "support/json.h"
 
@@ -232,6 +235,13 @@ void runOne(const std::vector<std::string>& seeds, Lcg& rng,
   const std::string rendered = report.render(driver.sources());
   EXPECT_FALSE(rendered.empty()) << "iteration " << iter;
   (void)report.renderJson(driver.sources(), driver.stats().renderJson());
+  // Whatever lowering recovered from, SSA construction leaves every
+  // function well formed: no dangling operand anywhere, and every
+  // reachable use dominated by its definition.
+  for (const auto& fn : driver.module()->functions()) {
+    EXPECT_EQ(ir::verifySsa(*fn), "")
+        << "iteration " << iter << ", function " << fn->name();
+  }
 }
 
 TEST(FuzzHarness, MutatedCorpusSourcesNeverCrashOrHang) {

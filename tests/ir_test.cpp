@@ -1,15 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "bench/synthetic.h"
 #include "cfront/frontend.h"
 #include "ir/callgraph.h"
-#include "ir/dominators.h"
+#include "ir/cfg.h"
 #include "ir/ir.h"
 #include "ir/lowering.h"
 #include "ir/printer.h"
 #include "ir/ssa.h"
+#include "safeflow/driver.h"
 
 namespace {
 
@@ -18,6 +23,7 @@ using namespace safeflow;
 struct Built {
   std::unique_ptr<cfront::Frontend> fe;
   std::unique_ptr<ir::Module> module;
+  ir::SsaStats ssa;
 };
 
 Built build(const std::string& src, bool run_ssa = true) {
@@ -29,7 +35,7 @@ Built build(const std::string& src, bool run_ssa = true) {
   ir::Lowering lowering(b.fe->unit(), *b.module, b.fe->diagnostics());
   EXPECT_TRUE(lowering.run())
       << b.fe->diagnostics().render(b.fe->sources());
-  if (run_ssa) ir::promoteModuleToSsa(*b.module);
+  if (run_ssa) b.ssa = ir::promoteModuleToSsa(*b.module);
   return b;
 }
 
@@ -293,73 +299,264 @@ TEST(Ssa, VerifierAcceptsComplexFunctions) {
 }
 
 // ---------------------------------------------------------------------------
-// Dominators
+// SSA on the real inputs
 // ---------------------------------------------------------------------------
 
+const std::string kCorpus = SAFEFLOW_CORPUS_DIR;
+const char* const kCorpusSystems[] = {"running_example", "ip",
+                                      "generic_simplex", "double_ip",
+                                      "rangelab",        "pointerlab"};
+
+/// A corpus system's core files in name order.
+std::vector<std::string> corpusFiles(const std::string& sys) {
+  if (sys == "running_example") return {kCorpus + "/running_example/core.c"};
+  std::vector<std::string> files;
+  for (const auto& e :
+       std::filesystem::directory_iterator(kCorpus + "/" + sys + "/core")) {
+    if (e.path().extension() == ".c") files.push_back(e.path().string());
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+/// Lowers a corpus system to SSA with `<sys>/common` on the include
+/// path, as the Table 1 runs have it.
+Built buildCorpusSystem(const std::string& sys) {
+  Built b;
+  b.fe = std::make_unique<cfront::Frontend>(
+      std::vector<std::string>{kCorpus + "/" + sys + "/common"});
+  for (const std::string& file : corpusFiles(sys)) {
+    EXPECT_TRUE(b.fe->parseFile(file)) << file;
+  }
+  b.module = std::make_unique<ir::Module>(b.fe->types());
+  ir::Lowering lowering(b.fe->unit(), *b.module, b.fe->diagnostics());
+  EXPECT_TRUE(lowering.run()) << sys;
+  b.ssa = ir::promoteModuleToSsa(*b.module);
+  return b;
+}
+
+void addStats(ir::SsaStats& total, const ir::SsaStats& s) {
+  total.promoted_allocas += s.promoted_allocas;
+  total.phis_inserted += s.phis_inserted;
+  total.loads_removed += s.loads_removed;
+  total.stores_removed += s.stores_removed;
+}
+
+/// Checks every defined function; returns how many there were.
+std::size_t expectWellFormed(const ir::Module& module) {
+  std::size_t defined = 0;
+  for (const auto& fn : module.functions()) {
+    if (!fn->isDefined()) continue;
+    ++defined;
+    EXPECT_EQ(ir::verifySsa(*fn), "") << fn->name();
+  }
+  return defined;
+}
+
+// The counters are pinned from the SSA construction that rescanned the
+// body per alloca and per load; the linear one must place and remove
+// exactly the same instructions.
+TEST(SsaInputs, CorpusIsWellFormedWithUnchangedCounters) {
+  ir::SsaStats total;
+  std::size_t functions = 0;
+  for (const char* sys : kCorpusSystems) {
+    const Built b = buildCorpusSystem(sys);
+    functions += expectWellFormed(*b.module);
+    addStats(total, b.ssa);
+  }
+  EXPECT_EQ(functions, 144u);
+  EXPECT_EQ(total.promoted_allocas, 357u);
+  EXPECT_EQ(total.phis_inserted, 131u);
+  EXPECT_EQ(total.loads_removed, 667u);
+  EXPECT_EQ(total.stores_removed, 455u);
+}
+
+TEST(SsaInputs, WorkloadProgramsAreWellFormedWithUnchangedCounters) {
+  ir::SsaStats total;
+  std::size_t functions = 0;
+  for (const std::string& src :
+       {bench::scalingProgram(2000), bench::accumulatorCycleProgram(12, 96),
+        bench::pointerChurnProgram(200, 32)}) {
+    const Built b = build(src);
+    functions += expectWellFormed(*b.module);
+    addStats(total, b.ssa);
+  }
+  EXPECT_EQ(functions, 2250u);
+  EXPECT_EQ(total.promoted_allocas, 10426u);
+  EXPECT_EQ(total.phis_inserted, 7964u);
+  EXPECT_EQ(total.loads_removed, 23033u);
+  EXPECT_EQ(total.stores_removed, 20612u);
+}
+
+// ---------------------------------------------------------------------------
+// CfgInfo: dominators, post-dominators
+// ---------------------------------------------------------------------------
+
+const char* const kDiamond =
+    "int f(int x) { int r; if (x) r = 1; else r = 2; return r; }";
+
+const ir::BasicBlock* blockWithPrefix(const ir::Function& f,
+                                      const std::string& prefix) {
+  for (const auto& bb : f.blocks()) {
+    if (bb->label().rfind(prefix, 0) == 0) return bb.get();
+  }
+  return nullptr;
+}
+
 TEST(Dominators, EntryDominatesAll) {
-  const auto b = build(
-      "int f(int x) { int r; if (x) r = 1; else r = 2; return r; }");
+  const auto b = build(kDiamond);
   const ir::Function* f = b.module->findFunction("f");
-  const auto dt = ir::DominatorTree::compute(*f);
+  const ir::CfgInfo& cfg = f->cfg();
   for (const auto& bb : f->blocks()) {
-    EXPECT_TRUE(dt.dominates(f->entry(), bb.get())) << bb->label();
+    EXPECT_TRUE(cfg.dominates(f->entry(), bb.get())) << bb->label();
   }
 }
 
 TEST(Dominators, BranchesDoNotDominateMerge) {
-  const auto b = build(
-      "int f(int x) { int r; if (x) r = 1; else r = 2; return r; }");
+  const auto b = build(kDiamond);
   const ir::Function* f = b.module->findFunction("f");
-  const auto dt = ir::DominatorTree::compute(*f);
-  const ir::BasicBlock* then_bb = nullptr;
-  const ir::BasicBlock* end_bb = nullptr;
-  for (const auto& bb : f->blocks()) {
-    if (bb->label().rfind("if.then", 0) == 0) then_bb = bb.get();
-    if (bb->label().rfind("if.end", 0) == 0) end_bb = bb.get();
-  }
+  const ir::CfgInfo& cfg = f->cfg();
+  const ir::BasicBlock* then_bb = blockWithPrefix(*f, "if.then");
+  const ir::BasicBlock* end_bb = blockWithPrefix(*f, "if.end");
   ASSERT_NE(then_bb, nullptr);
   ASSERT_NE(end_bb, nullptr);
-  EXPECT_FALSE(dt.dominates(then_bb, end_bb));
-  EXPECT_EQ(dt.idom(end_bb), f->entry());
+  EXPECT_FALSE(cfg.dominates(then_bb, end_bb));
+  EXPECT_EQ(cfg.idom(end_bb), f->entry());
 }
 
 TEST(Dominators, FrontierOfBranchIsMerge) {
-  const auto b = build(
-      "int f(int x) { int r; if (x) r = 1; else r = 2; return r; }");
+  const auto b = build(kDiamond);
   const ir::Function* f = b.module->findFunction("f");
-  const auto dt = ir::DominatorTree::compute(*f);
-  const ir::BasicBlock* then_bb = nullptr;
-  const ir::BasicBlock* end_bb = nullptr;
-  for (const auto& bb : f->blocks()) {
-    if (bb->label().rfind("if.then", 0) == 0) then_bb = bb.get();
-    if (bb->label().rfind("if.end", 0) == 0) end_bb = bb.get();
-  }
-  auto it = dt.frontiers().find(then_bb);
-  ASSERT_NE(it, dt.frontiers().end());
-  EXPECT_TRUE(it->second.contains(end_bb));
+  const ir::BasicBlock* then_bb = blockWithPrefix(*f, "if.then");
+  const ir::BasicBlock* end_bb = blockWithPrefix(*f, "if.end");
+  ASSERT_NE(then_bb, nullptr);
+  EXPECT_TRUE(f->cfg().frontier(then_bb).contains(end_bb));
 }
 
 TEST(Dominators, PostDominatorsOfDiamond) {
-  const auto b = build(
-      "int f(int x) { int r; if (x) r = 1; else r = 2; return r; }");
+  const auto b = build(kDiamond);
   const ir::Function* f = b.module->findFunction("f");
-  const auto pdt = ir::DominatorTree::computePost(*f);
-  const ir::BasicBlock* end_bb = nullptr;
-  for (const auto& bb : f->blocks()) {
-    if (bb->label().rfind("if.end", 0) == 0) end_bb = bb.get();
-  }
+  const ir::BasicBlock* end_bb = blockWithPrefix(*f, "if.end");
   ASSERT_NE(end_bb, nullptr);
   // The merge block post-dominates the entry.
-  EXPECT_TRUE(pdt.dominates(end_bb, f->entry()));
+  EXPECT_TRUE(f->cfg().postDominates(end_bb, f->entry()));
 }
 
 TEST(Dominators, InfiniteLoopPostDomDoesNotCrash) {
   const auto b = build(
-      "void run(void) { while (1) { } }");
-  const ir::Function* f = b.module->findFunction("run");
-  const auto pdt = ir::DominatorTree::computePost(*f);
-  (void)pdt;  // completing without assert/hang is the property
-  SUCCEED();
+      "void run(void) { while (1) { } }\n"
+      "int spin(int x) { for (;;) { x = x + 1; } return x; }");
+  (void)b.module->findFunction("run")->cfg();
+  // No block of spin's loop reaches a ret: each hangs under the virtual
+  // exit, so nothing is control dependent on the loop's missing exits.
+  const ir::Function* spin = b.module->findFunction("spin");
+  const ir::CfgInfo& cfg = spin->cfg();
+  const ir::BasicBlock* body = blockWithPrefix(*spin, "for.body");
+  ASSERT_NE(body, nullptr) << ir::print(*spin);
+  EXPECT_EQ(cfg.ipdom(body), nullptr);
+  EXPECT_TRUE(cfg.controllers(body).empty());
+}
+
+TEST(CfgInfo, NumberingIsReversePostorderAndChildrenFollowIt) {
+  for (const char* sys : kCorpusSystems) {
+    const Built b = buildCorpusSystem(sys);
+    for (const auto& fn : b.module->functions()) {
+      if (!fn->isDefined()) continue;
+      const ir::CfgInfo& cfg = fn->cfg();
+      ASSERT_EQ(cfg.block(0), fn->entry());
+      for (std::uint32_t n = 0; n < cfg.reachableCount(); ++n) {
+        const ir::BasicBlock* bb = cfg.block(n);
+        // Every edge but a back edge goes forward in reverse postorder.
+        for (const ir::BasicBlock* s : cfg.successors(bb)) {
+          if (!cfg.dominates(s, bb)) {
+            EXPECT_LT(n, cfg.number(s)) << fn->name() << " " << bb->label();
+          }
+        }
+        const ir::BlockList children = cfg.children(bb);
+        for (std::size_t i = 1; i < children.size(); ++i) {
+          EXPECT_LT(cfg.number(children[i - 1]), cfg.number(children[i]))
+              << fn->name() << " " << bb->label();
+        }
+        for (const ir::BasicBlock* c : children) {
+          EXPECT_EQ(cfg.idom(c), bb);
+        }
+      }
+    }
+  }
+}
+
+TEST(CfgInfo, DominatesAgreesWithIdomChainWalk) {
+  std::size_t pairs = 0;
+  for (const char* sys : kCorpusSystems) {
+    const Built built = buildCorpusSystem(sys);
+    for (const auto& fn : built.module->functions()) {
+      if (!fn->isDefined()) continue;
+      const ir::CfgInfo& cfg = fn->cfg();
+      for (const auto& a : fn->blocks()) {
+        for (const auto& b : fn->blocks()) {
+          bool walked = false;
+          for (const ir::BasicBlock* cur = b.get(); cur != nullptr;
+               cur = cfg.idom(cur)) {
+            if (cur == a.get()) walked = true;
+          }
+          EXPECT_EQ(cfg.dominates(a.get(), b.get()), walked)
+              << fn->name() << ": " << a->label() << " / " << b->label();
+          ++pairs;
+        }
+      }
+    }
+  }
+  EXPECT_GT(pairs, 0u);
+}
+
+TEST(CfgInfo, UnreachableBlockHasNoIdomAndDominatesOnlyItself) {
+  const auto b = build(
+      "int f(int x) { if (x) return 1; return 2; x = x + 1; return x; }");
+  const ir::Function* f = b.module->findFunction("f");
+  const ir::CfgInfo& cfg = f->cfg();
+  const ir::BasicBlock* dead = nullptr;
+  for (const auto& bb : f->blocks()) {
+    if (!cfg.reachable(bb.get())) dead = bb.get();
+  }
+  ASSERT_NE(dead, nullptr) << ir::print(*f);
+  EXPECT_EQ(cfg.idom(dead), nullptr);
+  EXPECT_TRUE(cfg.frontier(dead).empty());
+  for (const auto& bb : f->blocks()) {
+    EXPECT_EQ(cfg.dominates(dead, bb.get()), bb.get() == dead) << bb->label();
+    EXPECT_EQ(cfg.dominates(bb.get(), dead), bb.get() == dead) << bb->label();
+  }
+  EXPECT_EQ(ir::verifySsa(*f), "");
+}
+
+/// The printed IR of double_ip after a driver run, with `before` systems
+/// analyzed (and kept alive) first in the same process.
+std::string printDoubleIpAfter(const std::vector<std::string>& before) {
+  std::vector<std::unique_ptr<SafeFlowDriver>> earlier;
+  for (const std::string& sys : before) {
+    SafeFlowOptions o;
+    o.include_dirs = {kCorpus + "/" + sys + "/common"};
+    earlier.push_back(std::make_unique<SafeFlowDriver>(o));
+    for (const std::string& file : corpusFiles(sys)) {
+      earlier.back()->addFile(file);
+    }
+    earlier.back()->analyze();
+  }
+  SafeFlowOptions o;
+  o.include_dirs = {kCorpus + "/double_ip/common"};
+  SafeFlowDriver d(o);
+  for (const std::string& file : corpusFiles("double_ip")) d.addFile(file);
+  d.analyze();
+  return ir::print(*d.module());
+}
+
+// Phi operand order follows the rename walk, which follows the dominator
+// tree's children; in reverse postorder, nothing the process allocated
+// before can move it. NumberingIsReversePostorderAndChildrenFollowIt
+// checks the order itself.
+TEST(CfgInfo, PrintedSsaDoesNotDependOnEarlierRuns) {
+  const std::string alone = printDoubleIpAfter({});
+  EXPECT_NE(alone.find("%applied.phi"), std::string::npos);
+  EXPECT_EQ(printDoubleIpAfter({"ip", "generic_simplex"}), alone);
 }
 
 // ---------------------------------------------------------------------------

@@ -313,6 +313,32 @@ TEST(RangeDegradation, BudgetTripDegradesToTopAndReportsNothing) {
 }
 
 // ---------------------------------------------------------------------------
+// Long functions
+// ---------------------------------------------------------------------------
+
+// 2,000 sequential ifs make one function whose dominator tree is about
+// 4,000 blocks deep. Every block's refinement chain walks up that tree, so
+// a predecessor scan or a dominance query that grows with the function
+// inside the walk made the pass cubic: 1,000 ifs took most of a minute.
+TEST(RangeScaling, LongStraightLineFunctionStaysClean) {
+  std::string src = "int longFunction(int x)\n{\n    int y;\n    y = 0;\n";
+  for (int k = 0; k < 2000; ++k) {
+    src += "    if (x > " + std::to_string(k) + ") { y = y + 1; }\n";
+  }
+  src += "    return y;\n}\n";
+  SafeFlowDriver d;
+  d.addSource("long.c", src);
+  const auto& report = d.analyze();
+  EXPECT_FALSE(d.hasFrontendErrors());
+  EXPECT_FALSE(d.degraded());
+  EXPECT_TRUE(report.warnings.empty());
+  EXPECT_EQ(report.dataErrorCount(), 0u);
+  EXPECT_EQ(report.controlErrorCount(), 0u);
+  EXPECT_TRUE(report.restriction_violations.empty());
+  EXPECT_GT(counter(d, "ranges.function_analyses"), 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Determinism: in-process report identical with ranges on across reruns
 // ---------------------------------------------------------------------------
 
