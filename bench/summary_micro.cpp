@@ -81,9 +81,8 @@ int main(int argc, char** argv) {
   const std::string base =
       bench::accumulatorCycleProgram(kFunctions, kCycle);
 
-  // Memory-only resident store: the in-memory tier survives across
-  // SafeFlowDriver instances, which is exactly the daemon / supervisor
-  // warm path without disk noise in the timings.
+  // The resident store outlives each SafeFlowDriver, so later runs
+  // replay what earlier ones recorded.
   SummaryStore store("", kAnalyzerVersion);
   const RunResult cold = runOnce(base, &store);
 

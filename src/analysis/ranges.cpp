@@ -19,6 +19,14 @@ namespace {
 constexpr std::int64_t kMin = Interval::kMin;
 constexpr std::int64_t kMax = Interval::kMax;
 
+/// Updates a value may take before its grown bounds are widened to the
+/// bounds of its type (loop accumulators hit this).
+constexpr unsigned kWidenAfter = 4;
+/// Interprocedural rounds (argument/return range propagation). The
+/// fixpoint almost always settles in 2-3 rounds thanks to widening; if
+/// it is still moving after this many, the pass degrades to ⊤.
+constexpr unsigned kMaxModuleRounds = 16;
+
 // --- saturating bound arithmetic -------------------------------------------
 // Lower bounds saturate toward kMin (-inf), upper bounds toward kMax
 // (+inf): an overflowing bound degrades to "unbounded", never wraps.
@@ -294,7 +302,7 @@ void RangeAnalysis::run() {
   unsigned round = 0;
   bool changed = true;
   while (changed && !degraded_) {
-    if (++round > options_.max_module_rounds) {
+    if (++round > kMaxModuleRounds) {
       // The interprocedural fixpoint failed to settle (it practically
       // never does with widening on); degrade rather than ship a
       // possibly-unstable result.
@@ -794,7 +802,7 @@ bool RangeAnalysis::joinInto(const ir::Value* key, Interval value,
   }
   Interval merged = it->second.join(value);
   if (merged == it->second) return false;
-  if (++update_counts_[key] > options_.widen_after) {
+  if (++update_counts_[key] > kWidenAfter) {
     const Interval ti = typeInterval(type);
     if (merged.lo < it->second.lo) merged.lo = ti.lo;
     if (merged.hi > it->second.hi) merged.hi = ti.hi;
@@ -812,7 +820,7 @@ bool RangeAnalysis::joinReturn(const ir::Function* fn, Interval value) {
   }
   Interval merged = it->second.join(value);
   if (merged == it->second) return false;
-  if (++update_counts_[fn] > options_.widen_after) {
+  if (++update_counts_[fn] > kWidenAfter) {
     const Interval ti =
         typeInterval(fn->functionType() != nullptr
                          ? fn->functionType()->returnType()

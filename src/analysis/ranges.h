@@ -76,13 +76,6 @@ struct RangeOptions {
   /// returns ⊤, keeping the pipeline byte-identical to a build without
   /// the pass.
   bool enabled = true;
-  /// Updates a value may take before its grown bounds are widened to the
-  /// bounds of its type (loop accumulators hit this).
-  unsigned widen_after = 4;
-  /// Interprocedural rounds (argument/return range propagation). The
-  /// fixpoint almost always settles in 2-3 rounds thanks to widening; if
-  /// it is still moving after this many, the pass degrades to ⊤.
-  unsigned max_module_rounds = 16;
 };
 
 /// The queryable result ("RangeInfo"). Construct, run() once after SSA,
@@ -123,7 +116,7 @@ class RangeAnalysis {
 
   /// Order-independent digest of the final analysis state (value ranges,
   /// return ranges, decided branches under cross-run stable names) for
-  /// --verify-summaries.
+  /// SummaryOptions::verify.
   [[nodiscard]] std::uint64_t digestState(const ModuleIndex& index) const;
 
  private:
@@ -145,7 +138,7 @@ class RangeAnalysis {
   /// value yet, e.g. a phi whose operands are all unvisited back edges).
   std::optional<Interval> transfer(const ir::Instruction& inst);
   /// Joins `value` into the stored range for `key`, applying widening
-  /// after options_.widen_after growths. Returns true when it changed.
+  /// after kWidenAfter growths. Returns true when it changed.
   bool joinInto(const ir::Value* key, Interval value, const ir::Type* type);
   /// Range of an operand; nullopt = bottom.
   [[nodiscard]] std::optional<Interval> valueRange(const ir::Value* v) const;

@@ -57,7 +57,7 @@ class ShmPointerAnalysis {
   [[nodiscard]] std::size_t iterations() const { return iterations_; }
 
   /// Order-independent digest of the final analysis state (facts and
-  /// return infos under cross-run stable names); --verify-summaries
+  /// return infos under cross-run stable names); SummaryOptions::verify
   /// compares a memoized run's digest against a cold re-solve.
   [[nodiscard]] std::uint64_t digestState(const ModuleIndex& index) const;
 

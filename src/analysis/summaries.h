@@ -27,7 +27,7 @@
 //      still runs, so convergence and final state are identical to a
 //      cold run by construction.
 //
-// The persistent store behind SummaryBank lives in
+// The resident store behind SummaryBank lives in
 // src/safeflow/summary_store.h; this header is IR-level only.
 #pragma once
 
@@ -138,7 +138,7 @@ using FunctionKeyMap = std::map<const ir::Function*, std::string>;
     std::string_view config_fingerprint);
 
 /// Where a phase looks up / records per-function memo blobs. The store
-/// behind it decides persistence, eviction, and corruption handling.
+/// behind it decides how many records it keeps.
 class SummaryBank {
  public:
   virtual ~SummaryBank() = default;

@@ -134,7 +134,7 @@ class TaintAnalysis {
 
   /// Order-independent digest of the final analysis state (value, object,
   /// argument, and return taints under cross-run stable names) for
-  /// --verify-summaries.
+  /// SummaryOptions::verify.
   [[nodiscard]] std::uint64_t digestState(const ModuleIndex& index) const;
 
  private:

@@ -15,7 +15,7 @@
 //   - the analysis flags the CLI forwards to a worker (-I/-D/--mode/
 //     --no-control-deps/--kill-critical/--time-budget/--step-budget/
 //     --max-depth/--ranges), then the rendering flags
-//     (--json/--quiet/--summary-stats), since the entry stores printed
+//     (--json/--quiet), since the entry stores printed
 //     bytes. Scheduling and export flags (--isolate/--worker-timeout/
 //     --retries/--stats*/--metrics-out) are excluded: they change
 //     neither findings nor the report;
@@ -112,8 +112,8 @@ class CacheManager {
   [[nodiscard]] std::optional<RunOutput> lookup(const std::string& key);
 
   /// Persists a finished run under `key`. Runs that exit 2 (front-end
-  /// errors, a failed summary verification) are not stored. Failures to
-  /// write are diagnosed on stderr but never fail the run.
+  /// errors) are not stored. Failures to write are diagnosed on stderr
+  /// but never fail the run.
   void store(const std::string& key, const RunOutput& run);
 
   /// One-line human summary for --cache-stats.

@@ -18,7 +18,6 @@
 #include <unistd.h>
 
 #include "safeflow/driver.h"
-#include "safeflow/summary_store.h"
 #include "safeflow/supervisor.h"
 #include "support/cache.h"
 #include "support/flight_recorder.h"
@@ -194,18 +193,10 @@ bool Daemon::start(std::string* error) {
   }
   // Crash recovery half two, once for the daemon's lifetime: age out
   // cache temp files a SIGKILLed predecessor abandoned mid-store and
-  // purge entries (results and the summary store the workers share)
-  // whose envelopes no longer verify. Requests and workers never sweep.
+  // purge entries whose envelopes no longer verify. Requests and workers
+  // never sweep.
   if (options_.cache.enabled) {
     CacheManager(options_.cache, &metrics_).recover();
-    SummaryStore summaries(options_.cache.dir + "/summaries",
-                           kAnalyzerVersion);
-    const std::uint64_t purged = summaries.recoverDir();
-    if (purged > 0) {
-      metrics_.counter("summaries.torn_entries_purged").add(purged);
-    }
-    metrics_.gauge("summaries.store_bytes")
-        .set(static_cast<double>(summaries.diskBytes()));
   }
   SAFEFLOW_LOG(support::LogLevel::kNote, "daemon", "listening",
                {{"socket", options_.socket_path},
@@ -646,15 +637,6 @@ std::string Daemon::runAnalysis(const std::vector<std::string>& files,
   sup.max_retries = options_.max_retries;
   sup.worker_exe = options_.worker_exe;
   sup.worker_args = flags;
-  if (options_.cache.enabled) {
-    // Every request's worker shares one on-disk summary store next to
-    // the result cache, so a function analyzed for one client is spliced
-    // for the next. Appended here, not taken from the request flags: the
-    // store location is daemon policy, stays outside the validateFlags
-    // whitelist, and must not perturb the cache key.
-    sup.worker_args.push_back("--summaries-dir");
-    sup.worker_args.push_back(options_.cache.dir + "/summaries");
-  }
   sup.render = render;
   sup.worker_stderr_cap = options_.worker_stderr_cap;
   sup.base_time_budget_seconds = time_budget_seconds;

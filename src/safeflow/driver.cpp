@@ -14,7 +14,6 @@
 #include "safeflow/summary_store.h"
 #include "support/fault_inject.h"
 #include "support/json.h"
-#include "support/log.h"
 
 namespace safeflow {
 
@@ -87,8 +86,6 @@ std::string summaryConfigFingerprint(const SafeFlowOptions& options) {
   std::string fp = kAnalyzerVersion;
   fp += "|ranges:";
   fp += options.ranges.enabled ? "1" : "0";
-  fp += "," + std::to_string(options.ranges.widen_after);
-  fp += "," + std::to_string(options.ranges.max_module_rounds);
   fp += "|alias:";
   fp += options.alias.field_sensitive ? "1" : "0";
   fp += "|taint:";
@@ -234,24 +231,18 @@ const analysis::SafeFlowReport& SafeFlowDriver::analyze() {
   ir::CallGraph callgraph(*module_);
 
   // Function-level summary memoization (DESIGN.md §16): bind this run's
-  // Merkle keys and hand each interprocedural phase its memo seam. Off
-  // by default; disabled with a recorded reason under configurations
-  // where a replay could diverge from a cold solve.
+  // Merkle keys in the resident store and hand each interprocedural
+  // phase its memo seam. Off unless a caller enables it and hands in a
+  // store; disabled with a recorded reason under configurations where a
+  // replay could diverge from a cold solve.
   std::unique_ptr<analysis::ModuleIndex> summary_index;
   analysis::PhaseMemoHooks shm_memo, ranges_memo, taint_memo;
   SummaryStore* summaries = nullptr;
-  if (options_.summaries.enabled) {
+  if (options_.summaries.enabled && summary_store_ != nullptr) {
     const std::string reason = summariesDisabledReason(options_);
     if (!reason.empty()) {
       stats_.summaries_disabled_reason = reason;
-      summary_store_ = nullptr;
     } else {
-      if (summary_store_ == nullptr) {
-        owned_summary_store_ = std::make_unique<SummaryStore>(
-            options_.summaries.dir, kAnalyzerVersion);
-        owned_summary_store_->recoverDir();
-        summary_store_ = owned_summary_store_.get();
-      }
       summaries = summary_store_;
       summary_index = std::make_unique<analysis::ModuleIndex>(*module_);
       summaries->beginRun(analysis::computeFunctionKeys(
@@ -306,9 +297,9 @@ const analysis::SafeFlowReport& SafeFlowDriver::analyze() {
   stats_.taint_body_analyses = taint.bodyAnalyses();
 
   if (summaries != nullptr) {
-    // --verify-summaries: re-solve all three phases cold (no memo, no
-    // budget) and assert the final abstract states are identical. A
-    // divergence is a memoization bug; the CLI turns it into exit 2.
+    // summaries.verify: re-solve all three phases cold (no memo, no
+    // budget) and compare the final abstract states. A divergence is a
+    // memoization bug.
     if (options_.summaries.verify && !degraded()) {
       analysis::RangeAnalysis ranges2(*module_, callgraph, options_.ranges,
                                       nullptr);
@@ -328,21 +319,8 @@ const analysis::SafeFlowReport& SafeFlowDriver::analyze() {
               shm2.digestState(*summary_index) ||
           taint.digestState(*summary_index) !=
               taint2.digestState(*summary_index);
-      if (summary_verify_failed_) {
-        SAFEFLOW_LOG(support::LogLevel::kError, "summaries",
-                     "--verify-summaries: memoized state diverges from a "
-                     "cold solve");
-        diags.report(support::Severity::kError, support::SourceLocation{},
-                     "summaries.verify",
-                     "summary verification failed: memoized analysis state "
-                     "diverges from a cold re-solve");
-      }
     }
     summaries->finishRun();
-    // A degraded run's post-states reflect a tripped budget, not the
-    // program; never persist them (beginRun gating already prevents
-    // this configuration, but belt and braces).
-    if (!degraded()) summaries->flush();
   }
 
   // Mirror report entries into the diagnostic stream so tooling that only
@@ -492,9 +470,6 @@ std::string SafeFlowStats::renderTable() const {
   if (!cache_disabled_reason.empty()) {
     out << "cache disabled: " << cache_disabled_reason << "\n";
   }
-  if (!summaries_disabled_reason.empty()) {
-    out << "summaries disabled: " << summaries_disabled_reason << "\n";
-  }
   if (!counters.empty()) {
     out << "counters:\n";
     for (const auto& [name, value] : counters) {
@@ -605,10 +580,6 @@ std::string SafeFlowStats::renderJson() const {
     out << ",\n  \"cache_disabled_reason\": \""
         << escape(cache_disabled_reason) << "\"";
   }
-  if (!summaries_disabled_reason.empty()) {
-    out << ",\n  \"summaries_disabled_reason\": \""
-        << escape(summaries_disabled_reason) << "\"";
-  }
   out << "\n}";
   return out.str();
 }
@@ -698,7 +669,6 @@ bool SafeFlowStats::fromJson(const support::json::Value& doc,
     s.resource.max_rss_kb = res->memberUint("max_rss_kb");
   }
   s.cache_disabled_reason = doc.memberString("cache_disabled_reason");
-  s.summaries_disabled_reason = doc.memberString("summaries_disabled_reason");
   *out = std::move(s);
   return true;
 }

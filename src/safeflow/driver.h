@@ -64,14 +64,13 @@ inline constexpr const char kAnalyzerVersion[] = "0.9.1";
   return 0;
 }
 
-/// Function-level summary memoization (--summaries, DESIGN.md §16).
+/// Function-level summary memoization against a resident store
+/// (DESIGN.md §16). Runs only when `enabled` is set and a store was
+/// handed in with SafeFlowDriver::setSummaryStore().
 struct SummaryOptions {
   bool enabled = false;
-  /// On-disk store directory; empty = memory-only (still useful for a
-  /// resident store handed in via setSummaryStore()).
-  std::string dir;
-  /// --verify-summaries: after the memoized phases, re-solve everything
-  /// cold and assert state identity (summaryVerifyFailed()).
+  /// After the memoized phases, re-solve everything cold and compare the
+  /// final states (summaryVerifyFailed()): the tests' oracle.
   bool verify = false;
 };
 
@@ -152,7 +151,8 @@ struct SafeFlowStats {
   /// "fault-injection", "trace", or "dot" (CacheManager::disabledReason).
   std::string cache_disabled_reason;
   /// Why requested summary memoization was disabled ("" when it ran):
-  /// "budget", "call-strings", or "fault-injection".
+  /// "budget", "call-strings", or "fault-injection". In-process only:
+  /// no entry point enables memoization, so it is never rendered.
   std::string summaries_disabled_reason;
 
   /// Human-readable statistics table (what `safeflow --stats` prints).
@@ -215,15 +215,12 @@ class SafeFlowDriver {
     return trace_.get();
   }
 
-  /// Hands the driver an external (typically resident or shared) summary
-  /// store instead of letting it own one. Must be called before
-  /// analyze(); requires options.summaries.enabled to take effect.
+  /// Hands the driver a resident summary store, which may outlive it and
+  /// serve later drivers. Must be called before analyze(); requires
+  /// options.summaries.enabled to take effect.
   void setSummaryStore(SummaryStore* store) { summary_store_ = store; }
-  /// The store summaries ran against this run (owned or external), or
-  /// nullptr when summaries were off or disabled.
-  [[nodiscard]] SummaryStore* summaryStore() const { return summary_store_; }
-  /// True when --verify-summaries re-solved cold and found a state
-  /// divergence (a memoization bug — the CLI exits 2 on it).
+  /// True when options.summaries.verify re-solved cold and found a state
+  /// divergence (a memoization bug).
   [[nodiscard]] bool summaryVerifyFailed() const {
     return summary_verify_failed_;
   }
@@ -237,7 +234,6 @@ class SafeFlowDriver {
 
   SafeFlowOptions options_;
   support::AnalysisBudget budget_;
-  std::unique_ptr<SummaryStore> owned_summary_store_;
   SummaryStore* summary_store_ = nullptr;
   bool summary_verify_failed_ = false;
   std::vector<std::string> failed_files_;

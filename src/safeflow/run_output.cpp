@@ -3,15 +3,12 @@
 #include <fstream>
 #include <sstream>
 
-#include "safeflow/summary_store.h"
-
 namespace safeflow {
 
 std::vector<std::string> RenderOptions::args() const {
   std::vector<std::string> out;
   if (json) out.emplace_back("--json");
   if (quiet) out.emplace_back("--quiet");
-  if (summary_stats) out.emplace_back("--summary-stats");
   if (!dot_path.empty()) {
     out.emplace_back("--dot");
     out.push_back(dot_path);
@@ -37,14 +34,6 @@ RunOutput analyzeAndRender(SafeFlowDriver& driver,
   const analysis::SafeFlowReport& report = driver.analyze();
   run.stats = driver.stats();
   std::ostringstream out, err;
-  if (render.summary_stats && driver.summaryStore() != nullptr) {
-    err << driver.summaryStore()->statsLine() << "\n";
-  }
-  if (driver.summaryVerifyFailed()) {
-    err << driver.diagnostics().render(driver.sources());
-    run.stderr_text = err.str();
-    return run;
-  }
   if (driver.hasFrontendErrors()) {
     // Partial results are still reported; the exit code keeps
     // signalling the parse failure.

@@ -22,8 +22,6 @@ namespace safeflow {
 struct RenderOptions {
   bool json = false;
   bool quiet = false;
-  /// Print the summary store's hit/miss line on stderr.
-  bool summary_stats = false;
   /// Write the value-flow graph (Graphviz) here when non-empty.
   std::string dot_path;
 
@@ -43,8 +41,8 @@ struct RunOutput {
 /// Adds `files` to `driver`, analyzes them as one program and renders
 /// the report the way `safeflow` prints it. A file that fails to parse
 /// yields diagnostics on stderr; when none parses there is no report.
-/// The caller configures the driver first (options, summary store) and
-/// may read its trace afterwards.
+/// The caller configures the driver first and may read its trace
+/// afterwards.
 [[nodiscard]] RunOutput analyzeAndRender(SafeFlowDriver& driver,
                                          const std::vector<std::string>& files,
                                          const RenderOptions& render);

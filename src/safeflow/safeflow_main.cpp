@@ -42,14 +42,6 @@
 //   --no-cache          force the cache off
 //   --cache-max-mb <n>  cache size cap before LRU eviction (default 256)
 //   --cache-stats       print cache hit/miss/write/eviction line to stderr
-//   --summaries         enable function-level summary memoization at
-//                       <cache-dir>/summaries (DESIGN.md §16)
-//   --summaries-dir <dir>  enable it with an explicit store directory
-//   --no-summaries      force summary memoization off
-//   --summary-stats     print the summaries hit/miss line to stderr
-//   --verify-summaries  re-solve everything cold after the memoized
-//                       phases and assert state identity (exit 2 on
-//                       divergence; implies --summaries)
 //   --version           print the analyzer version and exit
 //   --quiet             print only the summary line
 //
@@ -70,7 +62,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -81,7 +72,6 @@
 #include "safeflow/cache_manager.h"
 #include "safeflow/driver.h"
 #include "safeflow/run_output.h"
-#include "safeflow/summary_store.h"
 #include "safeflow/supervisor.h"
 #include "support/cache.h"
 #include "support/fault_inject.h"
@@ -139,16 +129,6 @@ void usage() {
          "  --cache-max-mb <n>  size cap before LRU eviction (default 256,\n"
          "                      0 = unlimited)\n"
          "  --cache-stats       print the cache hit/miss line to stderr\n"
-         "  --summaries         function-level summary memoization at\n"
-         "                      <cache-dir>/summaries: warm runs re-solve\n"
-         "                      only the functions an edit invalidated\n"
-         "  --summaries-dir <dir>  summary store at <dir>\n"
-         "  --no-summaries      force summary memoization off\n"
-         "  --summary-stats     print the summaries hit/miss line to\n"
-         "                      stderr\n"
-         "  --verify-summaries  cold re-solve + state identity assert\n"
-         "                      (exit 2 on divergence; implies\n"
-         "                      --summaries)\n"
          "  --version           print the analyzer version and exit\n"
          "  --quiet             print only the summary line\n";
 }
@@ -278,9 +258,6 @@ int main(int argc, char** argv) {
   bool cache_stats = false;
   std::string cache_dir = ".safeflow-cache";
   std::uint64_t cache_max_mb = 256;
-  bool summaries_enabled = false;
-  bool summaries_disabled = false;
-  std::string summaries_dir;  // default derived from cache_dir below
   SupervisorOptions sup_options;
   // Analysis options forwarded verbatim to the worker and the daemon.
   std::vector<std::string> passthrough;
@@ -420,18 +397,6 @@ int main(int argc, char** argv) {
       cache_disabled = true;
     } else if (arg == "--cache-stats") {
       cache_stats = true;
-    } else if (arg == "--summaries") {
-      summaries_enabled = true;
-    } else if (arg == "--summaries-dir" && i + 1 < argc) {
-      summaries_enabled = true;
-      summaries_dir = argv[++i];
-    } else if (arg == "--no-summaries") {
-      summaries_disabled = true;
-    } else if (arg == "--summary-stats") {
-      render.summary_stats = true;
-    } else if (arg == "--verify-summaries") {
-      summaries_enabled = true;
-      options.summaries.verify = true;
     } else if (arg == "--cache-max-mb" && i + 1 < argc) {
       char* end = nullptr;
       const unsigned long long n = std::strtoull(argv[++i], &end, 10);
@@ -484,43 +449,23 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Function-level summary memoization (DESIGN.md §16). The store rides
-  // under the cache directory by default. Deliberately NOT folded into
-  // `passthrough`: that vector doubles as the cache key identity, and
-  // summary memoization never changes analysis output, so flipping it
-  // must not invalidate cache entries.
-  const bool use_summaries = summaries_enabled && !summaries_disabled;
-  std::vector<std::string> summary_args;
-  if (use_summaries) {
-    if (summaries_dir.empty()) summaries_dir = cache_dir + "/summaries";
-    options.summaries.enabled = true;
-    summary_args = {"--summaries-dir", summaries_dir};
-    if (options.summaries.verify) {
-      summary_args.emplace_back("--verify-summaries");
-    }
-  } else {
-    options.summaries.verify = false;
-  }
-
   // --connect: hand the analysis to a resident safeflowd. The response
   // carries the exact bytes a local run would print, so the client only
   // relays. Anything the daemon protocol cannot express (--dot, --trace,
-  // stats/metrics documents, local cache and summary control) runs
-  // locally instead — with a note, never silently. Transport failures
-  // and busy/draining shedding also fall back to the local path, which
-  // prints the same report.
+  // stats/metrics documents, local cache control) runs locally instead —
+  // with a note, never silently. Transport failures and busy/draining
+  // shedding also fall back to the local path, which prints the same
+  // report.
   if (!connect_path.empty() && !worker_mode) {
     support::Logger::instance().configure(log_level, log_json, "client");
     const bool expressible =
-        render.dot_path.empty() && !render.summary_stats &&
-        trace_path.empty() && stats_json_path.empty() &&
-        metrics_out_path.empty() && !stats_table && !cache_enabled &&
-        !cache_disabled && !cache_stats && !summaries_enabled &&
-        !summaries_disabled;
+        render.dot_path.empty() && trace_path.empty() &&
+        stats_json_path.empty() && metrics_out_path.empty() &&
+        !stats_table && !cache_enabled && !cache_disabled && !cache_stats;
     if (!expressible) {
       SAFEFLOW_LOG(support::LogLevel::kNote, "client",
-                   "--connect cannot express --dot/--trace/--stats/cache/"
-                   "summary flags; analyzing locally");
+                   "--connect cannot express --dot/--trace/--stats/cache "
+                   "flags; analyzing locally");
     } else {
       const double deadline_seconds =
           client_deadline_seconds > 0.0 ? client_deadline_seconds : 300.0;
@@ -600,21 +545,11 @@ int main(int argc, char** argv) {
       log_level, log_json,
       worker_mode ? "worker" : (supervised ? "supervisor" : ""));
 
-  // Crash recovery runs once per run, in the process that owns the
-  // directories: never in a worker, whose parent swept them already.
-  std::unique_ptr<SummaryStore> summary_store;
-  if (use_summaries) {
-    summary_store =
-        std::make_unique<SummaryStore>(summaries_dir, kAnalyzerVersion);
-    if (!worker_mode) summary_store->recoverDir();
-  }
-
   if (worker_mode) {
     // The supervisor's child: the default path below, printed as one
     // JSON envelope. Fault injection arms only here.
     support::armWorkerFaultInjection();
     SafeFlowDriver driver(options);
-    driver.setSummaryStore(summary_store.get());
     const RunOutput run = analyzeAndRender(driver, files, render);
     std::string telemetry;
     if (telemetry_spans && driver.trace() != nullptr) {
@@ -653,10 +588,8 @@ int main(int argc, char** argv) {
   if (supervised) {
     sup_options.worker_exe = selfExePath(argv[0]);
     sup_options.worker_args = passthrough;
-    for (const auto* extra : {&obs_args, &summary_args}) {
-      sup_options.worker_args.insert(sup_options.worker_args.end(),
-                                     extra->begin(), extra->end());
-    }
+    sup_options.worker_args.insert(sup_options.worker_args.end(),
+                                   obs_args.begin(), obs_args.end());
     sup_options.render = render;
     sup_options.base_time_budget_seconds = options.budget.time_seconds;
     if (cache.enabled()) sup_options.cache = &cache;
@@ -688,7 +621,6 @@ int main(int argc, char** argv) {
       run = std::move(*hit);
     } else {
       SafeFlowDriver driver(options);
-      driver.setSummaryStore(summary_store.get());
       run = analyzeAndRender(driver, files, render);
       // A parse failure still leaves a partial trace showing where the
       // time went.

@@ -1,39 +1,29 @@
-// Content-addressed persistent store for per-function analysis
-// summaries (DESIGN.md §16).
+// Resident memo table for per-function analysis summaries (DESIGN.md
+// §16).
 //
 // One entry per function Merkle key (summaries.h: body hash + callee
-// keys + analyzer version + config fingerprint), holding the recorded
-// memo blobs of all three interprocedural phases (shm-pointer
-// propagation, ranges, taint). An edit to a function changes its key —
-// and, Merkle-style, the key of everything that calls it — so the edited
-// cone misses the store and re-solves while the rest of the module
-// replays recorded post-states.
+// keys + config fingerprint), holding the recorded memo blobs of all
+// three interprocedural phases (shm-pointer propagation, ranges, taint).
+// An edit to a function changes its key — and, Merkle-style, the key of
+// everything that calls it — so the edited cone misses the table and
+// re-solves while the rest of the module replays recorded post-states.
 //
-// Durability rides on support::DiskCache: entries are written through
-// the checksummed SFC1 envelope (fsync + temp + rename), so a killed
-// writer never leaves an undetected torn entry. On top of that, each
-// payload carries its own text header (format tag, analyzer version,
-// key echo); anything that fails validation is purged, counted in
-// summaries.corrupt, and falls back to cold analysis — never a wrong
-// replay. An empty dir makes the store memory-only (the resident tier
-// safeflowd workers inherit is still the shared on-disk dir).
-//
-// The in-memory tier survives beginRun(), so a long-lived process (or a
-// test driving several SafeFlowDriver instances) keeps its summaries
-// resident between runs; invalidation is entirely by content key, no
-// epochs or timestamps.
+// The table lives in memory only and survives beginRun(), so a caller
+// that hands one store to several SafeFlowDriver instances (see
+// setSummaryStore) keeps its summaries between runs; invalidation is
+// entirely by content key. No entry point of the product uses it: the
+// callers are verdictbench's warm-edit probe, bench/summary_micro and
+// tests/summaries_test.cpp. Not thread-safe; one run at a time.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "analysis/summaries.h"
-#include "support/cache.h"
 
 namespace safeflow {
 
@@ -50,56 +40,39 @@ inline constexpr int kSummaryPhaseCount = 3;
 struct SummaryStoreStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  /// Bound keys with no loadable entry — the invalidated cone of an
-  /// edit (plus genuinely-new functions).
+  /// Bound keys with no entry — the invalidated cone of an edit (plus
+  /// genuinely-new functions).
   std::uint64_t invalidated = 0;
   /// (phase, function) pairs fully replayed from recorded blobs (zero
   /// live solves in that phase this run).
   std::uint64_t spliced = 0;
-  /// Entries written to disk by flush().
-  std::uint64_t writes = 0;
-  /// Entries purged for torn envelopes, version mismatch, key-echo
-  /// mismatch, or unparsable payloads.
-  std::uint64_t corrupt = 0;
 };
 
-/// The store. Not copyable; one instance may serve many runs (daemon /
-/// resident use) — bind each run's keys with beginRun() first.
+/// The store. Not copyable; one instance may serve many runs — bind each
+/// run's keys with beginRun() first.
 class SummaryStore {
  public:
-  /// `analyzer_version` is echoed into every entry and checked on load
-  /// (the driver passes kAnalyzerVersion). Empty `dir` = memory-only.
-  /// The byte cap must comfortably exceed the working set: once eviction
-  /// starts dropping live entries, every run re-records what the last
-  /// run lost and warm hit rates degrade run over run.
-  explicit SummaryStore(std::string dir, std::string analyzer_version,
-                        std::uint64_t max_bytes = 512ull << 20);
+  /// Kept in this shape because verdictbench constructs the store as
+  /// `SummaryStore("", kAnalyzerVersion)` and verdictbench/ only changes
+  /// with the benchmark. `dir` must be empty; `analyzer_version` goes
+  /// unread (the version is already part of every key's fingerprint).
+  SummaryStore(const std::string& dir, const std::string& analyzer_version);
 
   SummaryStore(const SummaryStore&) = delete;
   SummaryStore& operator=(const SummaryStore&) = delete;
 
-  /// Startup recovery for the on-disk tier: mkdir -p, purge entries
-  /// failing envelope verification, sweep aged-out stray temps. Returns
-  /// the number of files removed. No-op when memory-only.
-  std::uint64_t recoverDir();
-
   /// Binds this run's function keys and resets per-run stats. Keys come
   /// from analysis::computeFunctionKeys over the *current* module, so a
-  /// stale resident entry is simply never addressed again.
+  /// stale entry is simply never addressed again.
   void beginRun(const analysis::FunctionKeyMap& keys);
 
   /// The memo seam handed to one phase (see PhaseMemoHooks). Valid for
   /// the store's lifetime.
   [[nodiscard]] analysis::SummaryBank* bank(SummaryPhase phase);
 
-  /// Folds per-run derived stats (spliced pairs) and publishes the
-  /// summaries.* metrics. Call once per run, after the phases.
+  /// Folds the per-run derived stat (spliced pairs). Call once per run,
+  /// after the phases.
   void finishRun();
-
-  /// Persists dirty entries to disk (atomic per entry). The driver
-  /// skips this on degraded runs so a budget-truncated post-state is
-  /// never stored. Returns false when any store() failed.
-  bool flush();
 
   /// Functions that needed >=1 live solve in `phase` this run (by
   /// name). On a fully-warm run this is empty; after an edit it is
@@ -111,22 +84,15 @@ class SummaryStore {
   [[nodiscard]] std::set<std::string> memoizedFunctions(
       SummaryPhase phase) const;
 
-  [[nodiscard]] SummaryStoreStats stats() const;
-  /// Human-readable one-liner for --summary-stats.
-  [[nodiscard]] std::string statsLine() const;
-
-  [[nodiscard]] std::uint64_t residentEntries() const;
-  [[nodiscard]] std::uint64_t diskBytes() const;
-  [[nodiscard]] const std::string& dir() const { return cache_.dir(); }
+  [[nodiscard]] SummaryStoreStats stats() const { return stats_; }
+  [[nodiscard]] std::uint64_t residentEntries() const {
+    return entries_.size();
+  }
 
  private:
-  struct Entry {
-    /// Per phase: (input digest, recorded blob), FIFO-capped.
-    std::array<std::vector<std::pair<std::uint64_t, std::string>>,
-               kSummaryPhaseCount>
-        records;
-    bool dirty = false;
-  };
+  /// Per phase: (input digest, recorded blob), FIFO-capped.
+  using Entry = std::array<std::vector<std::pair<std::uint64_t, std::string>>,
+                           kSummaryPhaseCount>;
 
   class PhaseBank final : public analysis::SummaryBank {
    public:
@@ -149,24 +115,8 @@ class SummaryStore {
                           std::uint64_t digest);
   void record(SummaryPhase phase, const ir::Function& fn,
               std::uint64_t digest, std::string blob);
-  /// Entry for `key`, loading (and validating) from disk on first
-  /// touch. Returns nullptr when absent everywhere. Caller holds mu_.
-  Entry* loadEntry(const std::string& key);
-  [[nodiscard]] std::string serialize(const std::string& key,
-                                      const Entry& entry) const;
-  bool deserialize(const std::string& key, const std::string& payload,
-                   Entry* out) const;
-  void noteCorrupt(const std::string& key, const char* why);
 
-  support::DiskCache cache_;
-  const std::string analyzer_version_;
-  const bool disk_enabled_;
-
-  mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;
-  /// Keys whose disk load already failed or missed this process — do
-  /// not retry the filesystem on every probe.
-  std::set<std::string> load_failed_;
   std::map<const ir::Function*, std::string> run_keys_;
   std::array<PhaseBank, kSummaryPhaseCount> banks_;
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -185,6 +186,9 @@ TEST(Daemon, WarmCacheKeepsResponsesIdentical) {
   ASSERT_EQ(cold_doc.memberString("status"), "ok");
   EXPECT_EQ(cold_doc.memberUint("cache_hits"), 0u);
   EXPECT_EQ(cold_doc.memberUint("workers_spawned"), 1u);
+  // Workers analyze without a summary store: nothing beside the result
+  // cache is written under the cache dir.
+  EXPECT_FALSE(std::filesystem::exists(cache_dir + "/summaries"));
 
   const std::string warm = rawRequest(socket, request, 120.0);
   const support::json::Value warm_doc = parsed(warm);

@@ -2,11 +2,10 @@
 //
 // Differential: each corpus system runs through the default in-process
 // CLI path, --isolate, safeflowd via --connect, --connect with no daemon
-// listening (local fallback), --cache-dir cold then warm, and
-// --summaries-dir cold then warm. Every text report must be
-// byte-identical to the in-process one, and every --json report too once
-// its "stats" member (timings, counters) is dropped. The Table 1 systems
-// must also give the paper's counts.
+// listening (local fallback), and --cache-dir cold then warm. Every text
+// report must be byte-identical to the in-process one, and every --json
+// report too once its "stats" member (timings, counters) is dropped. The
+// Table 1 systems must also give the paper's counts.
 //
 // Metamorphic: the findings of a multi-file system must not change when
 // its files are concatenated into one or passed in reverse order, or
@@ -144,8 +143,6 @@ TEST_P(EntryPoints, EveryPathPrintsTheInProcessReport) {
       {"no daemon", {"--connect", dir + "/nobody.sock"}},
       {"cache cold", {"--cache-dir", dir + "/cache"}},
       {"cache warm", {"--cache-dir", dir + "/cache"}},
-      {"summaries cold", {"--summaries-dir", dir + "/summaries"}},
-      {"summaries warm", {"--summaries-dir", dir + "/summaries"}},
   };
   for (const bool json : {false, true}) {
     std::vector<std::string> base = analysisFlags(sys);

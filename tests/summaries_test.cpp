@@ -1,10 +1,10 @@
 // Tests for function-level incremental analysis (DESIGN.md §16): the
 // Merkle key map over the callgraph, the per-phase memo seam through a
-// shared SummaryStore, edit-cone invalidation scenarios (leaf edit,
+// resident SummaryStore, edit-cone invalidation scenarios (leaf edit,
 // shared callee, signature change, call-edge add/remove, comment-only
-// touch), corrupt / version-mismatch purge-and-fallback, the
-// --verify-summaries self-check, budget gating, and warm runs through
-// the real supervisor sharing one on-disk store.
+// touch), the cold re-solve oracle (SummaryOptions::verify), budget
+// gating, and cold, warm and edited runs over the three Table 1
+// systems.
 //
 // Assertions are on resolvedFunctions()/memoizedFunctions() NAME SETS,
 // not on raw hit/miss counters: a cold run already produces intra-run
@@ -13,17 +13,20 @@
 // distinguish "replayed from the store" from "converged quickly".
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
+#include "ir/callgraph.h"
 #include "safeflow/driver.h"
 #include "safeflow/summary_store.h"
-#include "safeflow/supervisor.h"
 
 namespace {
 
@@ -86,17 +89,15 @@ struct RunResult {
   std::string disabled_reason;
 };
 
-RunResult runWith(SummaryStore& store, const std::string& src,
-                  bool verify = false, SafeFlowOptions opt = {}) {
-  opt.summaries.enabled = true;
-  opt.summaries.verify = verify;
-  SafeFlowDriver driver(opt);
-  driver.setSummaryStore(&store);
-  EXPECT_TRUE(driver.addSource("prog.c", src));
-  const analysis::SafeFlowReport& report = driver.analyze();
+std::string renderOf(const SafeFlowDriver& driver) {
+  return driver.report().render(driver.sources()) +
+         driver.diagnostics().render(driver.sources());
+}
+
+/// What an analyzed driver and its store say about the run.
+RunResult collect(const SafeFlowDriver& driver, const SummaryStore& store) {
   RunResult r;
-  r.render = report.render(driver.sources()) +
-             driver.diagnostics().render(driver.sources());
+  r.render = renderOf(driver);
   for (int p = 0; p < kSummaryPhaseCount; ++p) {
     r.resolved[p] = store.resolvedFunctions(static_cast<SummaryPhase>(p));
     r.memoized[p] = store.memoizedFunctions(static_cast<SummaryPhase>(p));
@@ -105,6 +106,17 @@ RunResult runWith(SummaryStore& store, const std::string& src,
   r.verify_failed = driver.summaryVerifyFailed();
   r.disabled_reason = driver.stats().summaries_disabled_reason;
   return r;
+}
+
+RunResult runWith(SummaryStore& store, const std::string& src,
+                  bool verify = false, SafeFlowOptions opt = {}) {
+  opt.summaries.enabled = true;
+  opt.summaries.verify = verify;
+  SafeFlowDriver driver(opt);
+  driver.setSummaryStore(&store);
+  EXPECT_TRUE(driver.addSource("prog.c", src));
+  driver.analyze();
+  return collect(driver, store);
 }
 
 // Union of live-solved function names across all three phases.
@@ -116,18 +128,14 @@ std::set<std::string> resolvedAnywhere(const RunResult& r) {
   return names;
 }
 
-TEST(SummaryStore, PhaseNamesAndStatsLine) {
+TEST(SummaryStore, PhaseNames) {
   EXPECT_EQ(summaryPhaseName(SummaryPhase::kShm), "shm");
   EXPECT_EQ(summaryPhaseName(SummaryPhase::kRanges), "ranges");
   EXPECT_EQ(summaryPhaseName(SummaryPhase::kTaint), "taint");
-  SummaryStore store("", kAnalyzerVersion);
-  const std::string line = store.statsLine();
-  EXPECT_NE(line.find("hits=0"), std::string::npos);
-  EXPECT_NE(line.find("corrupt=0"), std::string::npos);
 }
 
 TEST(Summaries, WarmUneditedRunResolvesNothing) {
-  SummaryStore store("", kAnalyzerVersion);  // memory-only is enough
+  SummaryStore store("", kAnalyzerVersion);
   const RunResult cold = runWith(store, kShmProgram);
   EXPECT_FALSE(resolvedAnywhere(cold).empty());
 
@@ -272,53 +280,6 @@ TEST(Summaries, VerifyModeIsGreenOnColdWarmAndEditedRuns) {
   EXPECT_FALSE(warm_edit.verify_failed);
 }
 
-TEST(Summaries, CorruptDiskEntriesArePurgedAndFallBackCold) {
-  const std::string dir = freshDir("sum_corrupt");
-  std::string cold_render;
-  {
-    SummaryStore store(dir, kAnalyzerVersion);
-    store.recoverDir();
-    cold_render = runWith(store, kConeBase).render;
-    EXPECT_GT(store.diskBytes(), 0u);  // flush() persisted the entries
-  }
-  // Truncate every entry mid-payload: the checksummed envelope catches
-  // it on load. (DiskCache entries live directly under the store dir.)
-  ASSERT_EQ(std::system(("for f in '" + dir +
-                         "'/*; do truncate -s 7 \"$f\"; done")
-                            .c_str()),
-            0);
-  {
-    SummaryStore store(dir, kAnalyzerVersion);
-    const RunResult warm = runWith(store, kConeBase);
-    EXPECT_GT(warm.stats.corrupt, 0u);
-    // Cold fallback: everything re-solves, the report is unaffected.
-    EXPECT_FALSE(
-        warm.resolved[static_cast<int>(SummaryPhase::kTaint)].empty());
-    EXPECT_EQ(warm.render, cold_render);
-  }
-}
-
-TEST(Summaries, AnalyzerVersionBumpInvalidatesPersistedEntries) {
-  const std::string dir = freshDir("sum_version");
-  std::string old_render;
-  {
-    // Entries written by a previous analyzer version...
-    SummaryStore store(dir, "0.7.99-previous");
-    store.recoverDir();
-    old_render = runWith(store, kConeBase).render;
-  }
-  {
-    // ...are purged (version-echo mismatch), never replayed.
-    SummaryStore store(dir, kAnalyzerVersion);
-    store.recoverDir();
-    const RunResult warm = runWith(store, kConeBase);
-    EXPECT_GT(warm.stats.corrupt, 0u);
-    EXPECT_FALSE(
-        warm.resolved[static_cast<int>(SummaryPhase::kTaint)].empty());
-    EXPECT_EQ(warm.render, old_render);
-  }
-}
-
 TEST(Summaries, BudgetLimitsDisableTheStoreWithAReason) {
   // A budget-limited run may truncate fixpoints; storing or splicing
   // its post-states could replay degraded results into healthy runs.
@@ -331,68 +292,119 @@ TEST(Summaries, BudgetLimitsDisableTheStoreWithAReason) {
   EXPECT_EQ(store.residentEntries(), 0u);
 }
 
-// --- End-to-end through the real supervisor -------------------------
+// --- The Table 1 systems -------------------------------------------
 
-TEST(SupervisedSummaries, ShardsShareOneStoreAndStayByteIdentical) {
-  // Two programs (file sets) whose workers share one summary store.
-  const std::string src_dir = freshDir("sup_sum_src");
-  ASSERT_EQ(std::system(("mkdir -p '" + src_dir + "'").c_str()), 0);
-  const std::string one = src_dir + "/one.c";
-  const std::string two = src_dir + "/two.c";
-  writeFile(one, "int helper(int x) { return x + 1; }\n"
-                 "int first_unit(void) { return helper(1); }\n");
-  writeFile(two, "int second_unit(void) { return 2; }\n");
+/// One function-body edit per Table 1 system that keeps its findings.
+struct Table1Edit {
+  const char* system;
+  const char* file;  // under core/
+  const char* from;
+  const char* to;
+  const char* function;  // the function the edit lands in
+};
 
-  const std::string sum_dir = freshDir("sup_sum_store");
-  auto runSupervised = [&](const std::vector<std::string>& files,
-                           bool summaries) {
-    SupervisorOptions opts;
-    opts.worker_exe = SAFEFLOW_EXE;
-    opts.worker_timeout_seconds = 60.0;
-    if (summaries) opts.worker_args = {"--summaries-dir", sum_dir};
-    support::MetricsRegistry registry;
-    const SupervisedRun run = Supervisor(opts, &registry).run(files);
-    EXPECT_EQ(run.output.exit_code, 0);
-    return run.output.stdout_text;
-  };
+const Table1Edit kTable1Edits[] = {
+    {"ip", "decision.c", "return rejectCount;", "return rejectCount + 0;",
+     "decisionRejectCount"},
+    {"generic_simplex", "monitors.c", "return acceptCount;",
+     "return acceptCount + 0;", "decisionAcceptCount"},
+    {"double_ip", "decision.c", "return rejectCount;",
+     "return rejectCount + 0;", "decisionRejectCount"},
+};
 
-  const std::string cold_both = runSupervised({one, two}, true);
-  const std::string cold_two = runSupervised({two}, true);
-  // The workers persisted their summaries into the shared dir.
-  SummaryStore probe(sum_dir, kAnalyzerVersion);
-  EXPECT_GT(probe.diskBytes(), 0u);
-
-  // Warm: byte-identical to the cold runs.
-  EXPECT_EQ(runSupervised({one, two}, true), cold_both);
-  EXPECT_EQ(runSupervised({two}, true), cold_two);
-
-  // Editing one TU leaves the report equal to a no-summaries control
-  // run over the edited sources.
-  writeFile(one, "int helper(int x) { return x + 7; }\n"
-                 "int first_unit(void) { return helper(1); }\n");
-  EXPECT_EQ(runSupervised({one, two}, true), runSupervised({one, two}, false));
+/// `fn` and every function that calls it, directly or transitively.
+std::set<std::string> callerCone(const ir::Module& module,
+                                 const std::string& fn) {
+  const ir::CallGraph graph(module);
+  std::set<std::string> cone;
+  std::vector<const ir::Function*> work;
+  for (const auto& f : module.functions()) {
+    if (f->name() == fn) work.push_back(f.get());
+  }
+  while (!work.empty()) {
+    const ir::Function* f = work.back();
+    work.pop_back();
+    if (!cone.insert(f->name()).second) continue;
+    for (const ir::Function* caller : graph.callers(f)) {
+      work.push_back(caller);
+    }
+  }
+  return cone;
 }
 
-TEST(SupervisedSummaries, VerifyModeStaysGreenOnTheCorpus) {
-  const std::string sum_dir = freshDir("sup_sum_verify");
-  auto runSupervised = [&]() {
-    SupervisorOptions opts;
-    opts.worker_exe = SAFEFLOW_EXE;
-    opts.worker_timeout_seconds = 120.0;
-    opts.worker_args = {"--summaries-dir", sum_dir, "--verify-summaries"};
-    support::MetricsRegistry registry;
-    return Supervisor(opts, &registry)
-        .run({kCorpus + "/ip/core/comm.c", kCorpus + "/ip/core/decision.c",
-              kCorpus + "/ip/core/safety.c"});
-  };
-  const SupervisedRun cold = runSupervised();
-  // A verification failure exits the worker with code 2, which the run
-  // relays.
-  EXPECT_FALSE(cold.failure.has_value());
-  EXPECT_EQ(cold.output.exit_code, 0);
-  const SupervisedRun warm = runSupervised();
-  EXPECT_EQ(warm.output.exit_code, 0);
-  EXPECT_EQ(warm.output.stdout_text, cold.output.stdout_text);
-}
+TEST(Summaries, Table1ColdWarmAndEditedRunsMatchAStorelessRun) {
+  for (const Table1Edit& edit : kTable1Edits) {
+    SCOPED_TRACE(edit.system);
+    // A copy of the system, so the edit never touches the corpus.
+    const std::string dir = freshDir(std::string("sum_") + edit.system);
+    std::filesystem::copy(kCorpus + "/" + edit.system, dir,
+                          std::filesystem::copy_options::recursive);
+    std::vector<std::string> files;
+    for (const auto& e : std::filesystem::directory_iterator(dir + "/core")) {
+      if (e.path().extension() == ".c") files.push_back(e.path().string());
+    }
+    std::sort(files.begin(), files.end());
+    ASSERT_FALSE(files.empty());
+    SafeFlowOptions options;
+    options.include_dirs = {dir + "/common"};
+    options.taint.implicit_critical_calls.emplace_back("kill", 0u);
 
+    // Without a store: the reference report, and the call graph.
+    const auto storeless = [&](std::set<std::string>* cone) {
+      SafeFlowDriver driver(options);
+      for (const std::string& f : files) EXPECT_TRUE(driver.addFile(f)) << f;
+      driver.analyze();
+      if (cone != nullptr) *cone = callerCone(*driver.module(), edit.function);
+      return renderOf(driver);
+    };
+    // With the resident store and the cold re-solve oracle.
+    SummaryStore store("", kAnalyzerVersion);
+    const auto memoized = [&] {
+      SafeFlowOptions opt = options;
+      opt.summaries.enabled = true;
+      opt.summaries.verify = true;
+      SafeFlowDriver driver(opt);
+      driver.setSummaryStore(&store);
+      for (const std::string& f : files) EXPECT_TRUE(driver.addFile(f)) << f;
+      driver.analyze();
+      EXPECT_FALSE(driver.degraded());
+      return collect(driver, store);
+    };
+
+    const std::string reference = storeless(nullptr);
+    const RunResult cold = memoized();
+    EXPECT_FALSE(cold.verify_failed);
+    EXPECT_EQ(cold.render, reference);
+    EXPECT_FALSE(resolvedAnywhere(cold).empty());
+
+    const RunResult warm = memoized();
+    EXPECT_FALSE(warm.verify_failed);
+    EXPECT_EQ(warm.render, reference);
+    EXPECT_TRUE(resolvedAnywhere(warm).empty())
+        << "warm run re-solved: " << *resolvedAnywhere(warm).begin();
+
+    const std::string path = dir + "/core/" + edit.file;
+    std::string text;
+    {
+      std::ifstream in(path, std::ios::binary);
+      text.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    const auto pos = text.find(edit.from);
+    ASSERT_NE(pos, std::string::npos) << path;
+    text.replace(pos, std::string(edit.from).size(), edit.to);
+    writeFile(path, text);
+
+    std::set<std::string> cone;
+    const std::string edited_reference = storeless(&cone);
+    ASSERT_TRUE(cone.count(edit.function));
+    const RunResult edited = memoized();
+    EXPECT_FALSE(edited.verify_failed);
+    EXPECT_EQ(edited.render, edited_reference);
+    // Exactly the cone: every key in it changed, none outside it did.
+    EXPECT_EQ(resolvedAnywhere(edited), cone);
+    EXPECT_FALSE(
+        edited.memoized[static_cast<int>(SummaryPhase::kTaint)].empty());
+    std::filesystem::remove_all(dir);
+  }
+}
 }  // namespace
