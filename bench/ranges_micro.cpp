@@ -1,6 +1,6 @@
 // Overhead and precision of the value-range pass: runs the in-process
-// pipeline over the checked-in corpus systems with --no-ranges and with
-// --ranges (best-of-N wall time each), and emits BENCH_ranges.json with
+// pipeline over the checked-in corpus systems with and without
+// --no-ranges (best-of-N wall time each), and emits BENCH_ranges.json with
 // the overhead ratio plus the precision counters the pass is paid in
 // (A2 discharges, pruned control/phi edges, shm-bounds-const findings).
 // Exits non-zero when the run is invalid: the pass degraded, produced no

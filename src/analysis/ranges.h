@@ -72,7 +72,7 @@ struct Interval {
 };
 
 struct RangeOptions {
-  /// --ranges / --no-ranges. Disabled: run() is a no-op and every query
+  /// Cleared by --no-ranges. Disabled: run() is a no-op and every query
   /// returns ⊤, keeping the pipeline byte-identical to a build without
   /// the pass.
   bool enabled = true;

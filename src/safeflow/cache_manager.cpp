@@ -306,17 +306,4 @@ void CacheManager::store(const std::string& key, const RunOutput& run) {
   }
 }
 
-std::string CacheManager::statsLine() const {
-  const auto value = [this](const char* name) -> std::uint64_t {
-    return metrics_ == nullptr ? 0 : metrics_->counterValue(name);
-  };
-  std::ostringstream out;
-  out << "safeflow cache: " << value("cache.hits") << " hit(s), "
-      << value("cache.misses") << " miss(es), " << value("cache.writes")
-      << " write(s), " << value("cache.evictions") << " eviction(s), "
-      << value("cache.corrupt") << " corrupt, " << disk_.totalBytes()
-      << " bytes in " << options_.dir << "\n";
-  return out.str();
-}
-
 }  // namespace safeflow

@@ -14,7 +14,7 @@
 //   - kAnalyzerVersion (driver.h; bumped on analysis-semantics changes);
 //   - the analysis flags the CLI forwards to a worker (-I/-D/--mode/
 //     --no-control-deps/--kill-critical/--time-budget/--step-budget/
-//     --max-depth/--ranges), then the rendering flags
+//     --max-depth/--no-ranges), then the rendering flags
 //     (--json/--quiet), since the entry stores printed
 //     bytes. Scheduling and export flags (--isolate/--worker-timeout/
 //     --retries/--stats*/--metrics-out) are excluded: they change
@@ -115,9 +115,6 @@ class CacheManager {
   /// errors) are not stored. Failures to write are diagnosed on stderr
   /// but never fail the run.
   void store(const std::string& key, const RunOutput& run);
-
-  /// One-line human summary for --cache-stats.
-  [[nodiscard]] std::string statsLine() const;
 
  private:
   void count(const char* name, std::uint64_t delta = 1);

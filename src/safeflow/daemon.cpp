@@ -10,11 +10,9 @@
 #include <sstream>
 #include <thread>
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/statvfs.h>
 #include <unistd.h>
 
 #include "safeflow/driver.h"
@@ -34,6 +32,19 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Hard cap on one request line; longer is rejected as oversized.
+constexpr std::size_t kMaxRequestBytes = 4u << 20;
+/// Per-connection read deadline: a client that connects and dribbles
+/// (or sends nothing) is cut off after this long.
+constexpr double kIoTimeoutSeconds = 10.0;
+/// retry_after_ms hint in `busy` responses.
+constexpr double kRetryAfterSeconds = 0.25;
+/// How long the accept loop backs off after accept() failed for want of
+/// descriptors or memory. The pending connection stays queued and keeps
+/// the listener readable until a connection thread frees a descriptor,
+/// so polling the listener again at once would spin.
+constexpr int kAcceptBackoffMs = 50;
+
 std::string errorResponse(const std::string& message) {
   return "{\"safeflowd\": 1, \"status\": \"error\", \"message\": \"" +
          escape(message) + "\"}\n";
@@ -50,38 +61,6 @@ std::uint64_t residentBytes() {
   if (!statm) return 0;
   const long page = ::sysconf(_SC_PAGESIZE);
   return resident_pages * static_cast<std::uint64_t>(page > 0 ? page : 4096);
-}
-
-/// Open descriptors of this process via /proc/self/fd (0 off-Linux or
-/// on failure — the fd axis then never reads as pressured).
-std::uint64_t countOpenFds() {
-  DIR* dir = ::opendir("/proc/self/fd");
-  if (dir == nullptr) return 0;
-  std::uint64_t count = 0;
-  while (::readdir(dir) != nullptr) ++count;
-  ::closedir(dir);
-  // ".", "..", and the directory's own fd are not real load.
-  return count > 3 ? count - 3 : 0;
-}
-
-/// Free bytes on the filesystem holding `path`; false when statvfs
-/// fails (unknown free space must not read as pressure).
-bool diskFreeBytes(const std::string& path, std::uint64_t* out) {
-  struct statvfs vfs{};
-  if (::statvfs(path.c_str(), &vfs) != 0) return false;
-  *out = static_cast<std::uint64_t>(vfs.f_bavail) * vfs.f_frsize;
-  return true;
-}
-
-const char* pressureLevelName(int level) {
-  switch (level) {
-    case 0: return "nominal";
-    case 1: return "elevated";
-    case 2: return "shedding";
-    case 3: return "critical";
-    case 4: return "draining";
-  }
-  return "?";
 }
 
 /// Server-side validation of the request's analysis flags. Only the
@@ -111,8 +90,8 @@ bool validateFlags(const std::vector<std::string>& flags,
       if (flag == "-I") include_dirs->push_back(flags[i + 1]);
       ++i;
     } else if (flag == "--mode=summaries" || flag == "--mode=call-strings" ||
-               flag == "--no-control-deps" || flag == "--ranges" ||
-               flag == "--no-ranges" || flag == "--kill-critical") {
+               flag == "--no-control-deps" || flag == "--no-ranges" ||
+               flag == "--kill-critical") {
       // No argument.
     } else if (flag == "--time-budget") {
       if (!has_arg ||
@@ -153,10 +132,6 @@ Daemon::Daemon(DaemonOptions options) : options_(std::move(options)) {
 }
 
 Daemon::~Daemon() {
-  if (pressure_thread_.joinable()) {
-    stopping_.store(true, std::memory_order_release);
-    pressure_thread_.join();
-  }
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (stop_pipe_[0] >= 0) ::close(stop_pipe_[0]);
   if (stop_pipe_[1] >= 0) ::close(stop_pipe_[1]);
@@ -169,12 +144,11 @@ bool Daemon::start(std::string* error) {
   for (const char* name :
        {"daemon.requests", "daemon.analyze", "daemon.coalesced",
         "daemon.shed", "daemon.deadline_expired", "daemon.protocol_errors",
-        "daemon.disconnects", "daemon.pressure.transitions"}) {
+        "daemon.disconnects", "daemon.accept_failures"}) {
     metrics_.counter(name).add(0);
   }
   metrics_.gauge("daemon.queue_depth").set(0.0);
   metrics_.gauge("daemon.in_flight").set(0.0);
-  metrics_.gauge("daemon.pressure.level").set(0.0);
   if (::pipe2(stop_pipe_, O_CLOEXEC) != 0) {
     if (error != nullptr) {
       *error = std::string("pipe: ") + std::strerror(errno);
@@ -214,9 +188,6 @@ void Daemon::requestStop() {
 }
 
 int Daemon::serve() {
-  if (options_.pressure_interval_seconds > 0.0) {
-    pressure_thread_ = std::thread([this] { pressureWatchdog(); });
-  }
   while (!stopping_.load(std::memory_order_acquire)) {
     struct pollfd fds[2] = {{listen_fd_, POLLIN, 0},
                             {stop_pipe_[0], POLLIN, 0}};
@@ -228,7 +199,17 @@ int Daemon::serve() {
     if ((fds[1].revents & POLLIN) != 0) break;  // requestStop woke us
     if ((fds[0].revents & POLLIN) == 0) continue;
     const int client = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (client < 0) continue;
+    if (client < 0) {
+      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+          errno == ENOMEM) {
+        // Back off on the stop pipe alone, so a drain still wakes the
+        // loop at once.
+        metrics_.counter("daemon.accept_failures").add();
+        struct pollfd stop = {stop_pipe_[0], POLLIN, 0};
+        (void)::poll(&stop, 1, kAcceptBackoffMs);
+      }
+      continue;
+    }
     {
       const std::lock_guard<std::mutex> lock(mu_);
       ++connections_;
@@ -252,129 +233,16 @@ int Daemon::serve() {
     slots_cv_.notify_all();
     connections_cv_.wait(lock, [this] { return connections_ == 0; });
   }
-  if (pressure_thread_.joinable()) pressure_thread_.join();
   flushMetrics();
   SAFEFLOW_LOG(support::LogLevel::kNote, "daemon", "drained; exiting",
                {{"socket", options_.socket_path}});
   return 0;
 }
 
-void Daemon::pressureWatchdog() {
-  int sustained_critical = 0;
-  while (!stopping_.load(std::memory_order_acquire)) {
-    (void)samplePressure(&sustained_critical);
-    // Sleep in short slices so a drain request is honored promptly even
-    // under a long sampling interval.
-    double remaining = options_.pressure_interval_seconds;
-    while (remaining > 0.0 && !stopping_.load(std::memory_order_acquire)) {
-      const double slice = std::min(remaining, 0.05);
-      std::this_thread::sleep_for(std::chrono::duration<double>(slice));
-      remaining -= slice;
-    }
-  }
-}
-
-int Daemon::samplePressure(int* sustained_critical) {
-  // Saturated samples before critical escalates to drain: long enough
-  // to ride out one heavy request completing, short enough that a
-  // genuinely wedged process exits before the OOM killer chooses for
-  // it (8 samples = 8s at the default interval).
-  constexpr int kSustainedCriticalSamples = 8;
-
-  const std::uint64_t rss = residentBytes();
-  const std::uint64_t fds = countOpenFds();
-  std::uint64_t disk_free = 0;
-  bool have_disk = false;
-  if (options_.min_disk_free_mb > 0 && options_.cache.enabled) {
-    have_disk = diskFreeBytes(options_.cache.dir, &disk_free);
-  }
-
-  // Ladder level = worst per-resource usage fraction. Each axis is
-  // opt-in: an unset budget contributes nothing.
-  double worst = 0.0;
-  const char* axis = "none";
-  if (options_.max_rss_mb > 0 && rss > 0) {
-    const double frac = static_cast<double>(rss) /
-                        static_cast<double>(options_.max_rss_mb << 20);
-    if (frac > worst) { worst = frac; axis = "rss"; }
-  }
-  if (options_.max_open_fds > 0 && fds > 0) {
-    const double frac = static_cast<double>(fds) /
-                        static_cast<double>(options_.max_open_fds);
-    if (frac > worst) { worst = frac; axis = "fds"; }
-  }
-  if (have_disk) {
-    // Free space below the floor is full saturation; at twice the floor
-    // the axis reads half-used.
-    const double floor_bytes =
-        static_cast<double>(options_.min_disk_free_mb) * 1048576.0;
-    const double frac =
-        floor_bytes / std::max(static_cast<double>(disk_free), 1.0);
-    if (frac > worst) { worst = frac; axis = "disk"; }
-  }
-
-  metrics_.gauge("daemon.pressure.rss_mb")
-      .set(static_cast<double>(rss) / 1048576.0);
-  metrics_.gauge("daemon.pressure.open_fds").set(static_cast<double>(fds));
-  if (have_disk) {
-    metrics_.gauge("daemon.pressure.disk_free_mb")
-        .set(static_cast<double>(disk_free) / 1048576.0);
-  }
-
-  int level = worst >= 1.0 ? 3 : worst >= 0.90 ? 2 : worst >= 0.75 ? 1 : 0;
-  if (level >= 3) {
-    ++*sustained_critical;
-  } else {
-    *sustained_critical = 0;
-  }
-  if (*sustained_critical >= kSustainedCriticalSamples) level = 4;
-
-  const int old_level = pressure_level_.load(std::memory_order_relaxed);
-  if (level == old_level) return level;
-
-  pressure_level_.store(level, std::memory_order_relaxed);
-  metrics_.gauge("daemon.pressure.level").set(static_cast<double>(level));
-  metrics_.counter("daemon.pressure.transitions").add();
-  char frac_text[32];
-  std::snprintf(frac_text, sizeof frac_text, "%.2f", worst);
-  support::flightRecord(
-      "pressure", std::string(pressureLevelName(old_level)) + " -> " +
-                      pressureLevelName(level) + " (" + axis + " at " +
-                      frac_text + ")");
-  SAFEFLOW_LOG(level > old_level ? support::LogLevel::kWarn
-                                 : support::LogLevel::kNote,
-               "daemon", "pressure level changed",
-               {{"from", pressureLevelName(old_level)},
-                {"to", pressureLevelName(level)},
-                {"axis", axis},
-                {"usage", frac_text}});
-
-  // Entering critical: give back disk before anything else — the cache
-  // is the one resource the daemon can shed without failing requests.
-  if (level >= 3 && old_level < 3 && options_.cache.enabled &&
-      options_.cache.max_bytes > 0) {
-    support::DiskCache disk({options_.cache.dir, options_.cache.max_bytes});
-    const std::uint64_t evicted =
-        disk.evictToBytes(options_.cache.max_bytes / 2);
-    metrics_.counter("daemon.pressure.cache_evicted").add(evicted);
-    if (evicted > 0) {
-      SAFEFLOW_LOG(support::LogLevel::kNote, "daemon",
-                   "pressure eviction shrank the disk cache",
-                   {{"entries", std::to_string(evicted)}});
-    }
-  }
-  if (level == 4) {
-    SAFEFLOW_LOG(support::LogLevel::kWarn, "daemon",
-                 "resource pressure stayed critical; draining", {});
-    requestStop();
-  }
-  return level;
-}
-
 void Daemon::handleConnection(int fd) {
   std::string line;
   const support::LineIo io = support::readLine(
-      fd, &line, options_.max_request_bytes, options_.io_timeout_seconds);
+      fd, &line, kMaxRequestBytes, kIoTimeoutSeconds);
   metrics_.counter("daemon.requests").add();
   std::string response;
   switch (io) {
@@ -389,14 +257,12 @@ void Daemon::handleConnection(int fd) {
     case support::LineIo::kOversized:
       metrics_.counter("daemon.protocol_errors").add();
       response = errorResponse("request exceeds " +
-                               std::to_string(options_.max_request_bytes) +
-                               " bytes");
+                               std::to_string(kMaxRequestBytes) + " bytes");
       break;
     case support::LineIo::kTimeout:
       metrics_.counter("daemon.protocol_errors").add();
       response = errorResponse("request not received within " +
-                               std::to_string(options_.io_timeout_seconds) +
-                               "s");
+                               std::to_string(kIoTimeoutSeconds) + "s");
       break;
     case support::LineIo::kError:
       metrics_.counter("daemon.disconnects").add();
@@ -446,7 +312,7 @@ std::string Daemon::busyResponse() {
   }
   std::ostringstream out;
   out << "{\"safeflowd\": 1, \"status\": \"busy\", \"retry_after_ms\": "
-      << static_cast<std::uint64_t>(options_.retry_after_seconds * 1000.0)
+      << static_cast<std::uint64_t>(kRetryAfterSeconds * 1000.0)
       << ", \"queue_depth\": " << depth << "}\n";
   return out.str();
 }
@@ -485,7 +351,7 @@ std::string Daemon::handleAnalyze(const support::json::Value& request) {
   RenderOptions render;
   render.json = json_member != nullptr && json_member->boolOr(false);
   render.quiet = quiet_member != nullptr && quiet_member->boolOr(false);
-  double deadline_seconds = options_.default_deadline_seconds;
+  double deadline_seconds = kDefaultDeadlineSeconds;
   if (const support::json::Value* dl = request.find("deadline_ms");
       dl != nullptr && dl->isNumber() && dl->number_value > 0) {
     deadline_seconds = dl->number_value / 1000.0;
@@ -502,11 +368,6 @@ std::string Daemon::handleAnalyze(const support::json::Value& request) {
   // unbounded latency cliff.
   if (options_.max_rss_mb > 0 &&
       residentBytes() > options_.max_rss_mb << 20) {
-    return busyResponse();
-  }
-  // Pressure ladder, level 2+: the watchdog found some resource within
-  // 10% of its ceiling — shed new work until it recedes.
-  if (pressure_level_.load(std::memory_order_relaxed) >= 2) {
     return busyResponse();
   }
 
@@ -548,13 +409,8 @@ std::string Daemon::handleAnalyze(const support::json::Value& request) {
     // Shed only requests that would actually have to wait: total
     // occupancy (running + admitted-but-waiting) is bounded by
     // slots + waiting room, so --max-queue 0 means "no waiting room",
-    // not "no service". Pressure level 1 halves the waiting room —
-    // the first, gentlest rung of the degradation ladder.
-    const std::size_t waiting_room =
-        pressure_level_.load(std::memory_order_relaxed) >= 1
-            ? options_.max_queue / 2
-            : options_.max_queue;
-    if (in_flight_ + queued_ >= options_.jobs + waiting_room) {
+    // not "no service".
+    if (in_flight_ + queued_ >= options_.jobs + options_.max_queue) {
       lock.unlock();
       return busyResponse();
     }
@@ -683,8 +539,6 @@ std::string Daemon::statusResponse() {
   out << "{\"safeflowd\": 1, \"status\": \"ok\", \"version\": \""
       << escape(kAnalyzerVersion) << "\", \"pid\": " << ::getpid()
       << ", \"queue_depth\": " << queued << ", \"in_flight\": " << in_flight
-      << ", \"pressure_level\": "
-      << pressure_level_.load(std::memory_order_relaxed)
       << ", \"draining\": "
       << (stopping_.load(std::memory_order_acquire) ? "true" : "false")
       << ", \"counters\": {";

@@ -1,7 +1,7 @@
 // safeflowd — the resident analysis daemon (DESIGN.md §14): a
 // Unix-domain-socket server that keeps the DiskCache warm and runs each
-// analyze request in one supervised worker, so every IDE keystroke or CI
-// job stops paying full process startup and cold caches.
+// analyze request in one supervised worker. A cache hit is answered
+// without spawning one; a miss costs about what a one-shot run does.
 //
 // Protocol: NDJSON, one request per connection. The client sends one
 // JSON object terminated by '\n', the daemon replies with one JSON
@@ -38,14 +38,9 @@
 //     the response like the one-shot CLI surfaces them;
 //   - malformed/oversized/disconnected requests cost one connection
 //     thread an error path, never the daemon;
-//   - a pressure watchdog samples RSS, open fds, and cache-dir disk
-//     free every pressure_interval_seconds and walks a degradation
-//     ladder (level = worst resource's usage fraction): level 1
-//     (>=75%) halves the waiting room, level 2 (>=90%) sheds new
-//     analyzes with `busy`, level 3 (>=100%) additionally evicts the
-//     disk cache to half its cap, and a level that stays saturated for
-//     ~8 consecutive samples becomes level 4: drain. Every transition
-//     is counted, flight-recorded, and exported as daemon.pressure.*;
+//   - an accept() that fails for want of descriptors or memory backs
+//     off on the stop pipe instead of spinning on the still-readable
+//     listener (counted in daemon.accept_failures);
 //   - SIGTERM drains: stop accepting, finish in-flight, flush metrics,
 //     exit 0. A SIGKILLed daemon restarts clean: the stale socket file
 //     is probed-then-swept, stale cache temp files are aged out, and a
@@ -60,7 +55,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "safeflow/cache_manager.h"
@@ -68,6 +62,10 @@
 #include "support/metrics.h"
 
 namespace safeflow {
+
+/// Deadline of an analyze request that carries no deadline_ms; the
+/// `--connect` client sends it when `--deadline` is not given.
+inline constexpr double kDefaultDeadlineSeconds = 300.0;
 
 struct DaemonOptions {
   std::string socket_path = "safeflowd.sock";
@@ -78,33 +76,13 @@ struct DaemonOptions {
   /// which new ones are shed with `busy`.
   std::size_t max_queue = 8;
   /// Shed new analyze requests while the daemon's resident set exceeds
-  /// this many MiB; 0 disables the RSS gate. Also the RSS axis of the
-  /// pressure ladder (level = RSS / max_rss_mb).
+  /// this many MiB; 0 disables the RSS gate.
   std::uint64_t max_rss_mb = 0;
-  /// Pressure watchdog sampling period in seconds; <= 0 disables the
-  /// watchdog entirely (the one-shot RSS gate above still applies).
-  double pressure_interval_seconds = 1.0;
-  /// Open-fd budget for the pressure ladder (usage fraction =
-  /// open fds / max_open_fds); 0 disables the fd axis.
-  std::uint64_t max_open_fds = 0;
-  /// Free-space floor (MiB) on the cache directory's filesystem: at or
-  /// below this the disk axis reads fully saturated, at 2x it reads
-  /// half. 0 disables the disk axis.
-  std::uint64_t min_disk_free_mb = 0;
   /// Watchdog deadline per worker attempt; a request deadline tightens
   /// it further.
   double worker_timeout_seconds = 60.0;
   int max_retries = 2;
   std::size_t worker_stderr_cap = 64u << 10;
-  /// Applied when a request carries no deadline_ms.
-  double default_deadline_seconds = 300.0;
-  /// Hard cap on one request line; longer is rejected as oversized.
-  std::size_t max_request_bytes = 4u << 20;
-  /// Per-connection read deadline: a client that connects and dribbles
-  /// (or sends nothing) is cut off after this long.
-  double io_timeout_seconds = 10.0;
-  /// retry_after_ms hint in `busy` responses.
-  double retry_after_seconds = 0.25;
   /// Path of the safeflow binary spawned as --worker.
   std::string worker_exe;
   /// Shared across every client request (one content-addressed dir).
@@ -161,23 +139,12 @@ class Daemon {
   std::string statusResponse();
   [[nodiscard]] std::string busyResponse();
   void flushMetrics();
-  /// Watchdog thread body: sample resources, publish daemon.pressure.*
-  /// gauges, walk the degradation ladder, act on transitions.
-  void pressureWatchdog();
-  /// One sample: returns the new ladder level (0..4).
-  /// `sustained_critical` counts consecutive saturated samples and is
-  /// owned by the watchdog thread.
-  int samplePressure(int* sustained_critical);
 
   DaemonOptions options_;
   support::MetricsRegistry metrics_;
   int listen_fd_ = -1;
   int stop_pipe_[2] = {-1, -1};
   std::atomic<bool> stopping_{false};
-  /// Current degradation-ladder level, written by the watchdog thread,
-  /// read (relaxed) by admission control and the status document.
-  std::atomic<int> pressure_level_{0};
-  std::thread pressure_thread_;
 
   std::mutex mu_;
   std::condition_variable slots_cv_;      // in-flight slot released

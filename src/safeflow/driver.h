@@ -80,7 +80,7 @@ struct SafeFlowOptions {
   analysis::TaintOptions taint;
   analysis::AliasOptions alias;
   analysis::RestrictionOptions restrictions;
-  /// Value-range analysis (--ranges / --no-ranges). Enabled by default;
+  /// Value-range analysis (off with --no-ranges). Enabled by default;
   /// disabling it keeps the whole pipeline byte-identical to pre-0.5.0
   /// output (no ranges.* counters, no "ranges" phase, no discharges).
   analysis::RangeOptions ranges;

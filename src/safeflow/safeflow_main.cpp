@@ -3,47 +3,10 @@
 //
 //   safeflow [options] file.c [file2.c ...]
 //
-//   -I <dir>            add an include directory
-//   -D NAME[=VALUE]     predefine a macro
-//   --mode=summaries    ESP-style parameterized summaries (default)
-//   --mode=call-strings the prototype's context-cloning algorithm
-//   --no-control-deps   do not track control dependence
-//   --ranges            interprocedural value-range analysis (default on)
-//   --no-ranges         disable it (pre-0.5.0 pipeline behavior)
-//   --kill-critical     treat kill's pid argument as implicitly critical
-//   --dot <file>        write the value-flow graph (Graphviz) to <file>
-//   --trace <file>      write a Chrome trace-event JSON of the pipeline
-//   --stats             print the pipeline statistics table to stderr
-//   --stats-json <file> write pipeline statistics as JSON ("-" = stdout)
-//   --time-budget <dur> wall-clock budget for the pipeline (e.g. 250ms)
-//   --step-budget <n>   per-phase work-unit cap
-//   --max-depth <n>     recursion / call-string context-depth cap
-//   --isolate           run the analysis in one crash-isolated worker
-//                       process (same report as the default path)
-//   --worker-timeout <dur>  watchdog deadline per worker (default 60s)
-//   --retries <n>       crash/timeout retries (default 2)
-//   --worker-stderr-cap <n> cap captured worker stderr at n bytes
-//   --log-level <lvl>   error|warn|note|info|debug (default note)
-//   --log-json          emit stderr logs as NDJSON events
-//   --metrics-out <file> write Prometheus text exposition to <file>
-//   --worker            (internal) print the run as a JSON envelope for
-//                       the supervisor (see run_output.h)
-//   --telemetry-spans   (internal) worker embeds trace spans in its
-//                       envelope's telemetry member for trace stitching
-//   --connect <sock>    send the analysis to a running safeflowd and
-//                       print its response; falls back to a local run
-//                       when the daemon is unreachable
-//   --deadline <dur>    give the daemon this long before the request
-//                       expires (default 300s)
-//   --daemon-status     print the daemon's status document and exit
-//   --daemon-shutdown   ask the daemon to drain and exit
-//   --cache             enable the result cache at .safeflow-cache/
-//   --cache-dir <dir>   enable the result cache at <dir> (parents created)
-//   --no-cache          force the cache off
-//   --cache-max-mb <n>  cache size cap before LRU eviction (default 256)
-//   --cache-stats       print cache hit/miss/write/eviction line to stderr
-//   --version           print the analyzer version and exit
-//   --quiet             print only the summary line
+// `safeflow --help` lists every user option (usage() below is the one
+// list). Two internal flags are left out of it: `--worker` prints the
+// run as a JSON envelope for the supervisor (run_output.h), and
+// `--telemetry-spans` makes that worker embed its trace spans.
 //
 // A file that fails to parse does not abort the run: the remaining files
 // are analyzed and the report covers what survived (exit 2 still signals
@@ -70,6 +33,7 @@
 #include <unistd.h>
 
 #include "safeflow/cache_manager.h"
+#include "safeflow/daemon.h"
 #include "safeflow/driver.h"
 #include "safeflow/run_output.h"
 #include "safeflow/supervisor.h"
@@ -93,9 +57,7 @@ void usage() {
          "  -D NAME[=VALUE]     predefine a macro\n"
          "  --mode=summaries|call-strings   interprocedural engine\n"
          "  --no-control-deps   disable control-dependence tracking\n"
-         "  --ranges            interprocedural value-range analysis\n"
-         "                      (default: on)\n"
-         "  --no-ranges         disable the range analysis (pre-0.5.0\n"
+         "  --no-ranges         disable the value-range analysis (pre-0.5.0\n"
          "                      behavior: no discharges, no edge pruning,\n"
          "                      no shm-bounds-const checks)\n"
          "  --kill-critical     kill's pid argument is critical data\n"
@@ -128,9 +90,18 @@ void usage() {
          "  --no-cache          force the cache off\n"
          "  --cache-max-mb <n>  size cap before LRU eviction (default 256,\n"
          "                      0 = unlimited)\n"
-         "  --cache-stats       print the cache hit/miss line to stderr\n"
+         "  --connect <sock>    send the analysis to a running safeflowd;\n"
+         "                      falls back to a local run when the daemon\n"
+         "                      is unreachable\n"
+         "  --deadline <dur>    how long the daemon may take before the\n"
+         "                      request expires (default 300s)\n"
+         "  --daemon-status     print the daemon's status document and\n"
+         "                      exit (needs --connect)\n"
+         "  --daemon-shutdown   ask the daemon to drain and exit (needs\n"
+         "                      --connect)\n"
          "  --version           print the analyzer version and exit\n"
-         "  --quiet             print only the summary line\n";
+         "  --quiet             print only the summary line\n"
+         "  -h, --help          print this list and exit\n";
 }
 
 /// Export writer for --stats-json/--metrics-out/--trace documents: a
@@ -255,7 +226,6 @@ int main(int argc, char** argv) {
   bool daemon_shutdown = false;
   bool cache_enabled = false;
   bool cache_disabled = false;
-  bool cache_stats = false;
   std::string cache_dir = ".safeflow-cache";
   std::uint64_t cache_max_mb = 256;
   SupervisorOptions sup_options;
@@ -289,9 +259,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-control-deps") {
       options.taint.track_control_deps = false;
       forward({"--no-control-deps"});
-    } else if (arg == "--ranges") {
-      options.ranges.enabled = true;
-      forward({"--ranges"});
     } else if (arg == "--no-ranges") {
       options.ranges.enabled = false;
       forward({"--no-ranges"});
@@ -395,8 +362,6 @@ int main(int argc, char** argv) {
       cache_dir = argv[++i];
     } else if (arg == "--no-cache") {
       cache_disabled = true;
-    } else if (arg == "--cache-stats") {
-      cache_stats = true;
     } else if (arg == "--cache-max-mb" && i + 1 < argc) {
       char* end = nullptr;
       const unsigned long long n = std::strtoull(argv[++i], &end, 10);
@@ -461,14 +426,15 @@ int main(int argc, char** argv) {
     const bool expressible =
         render.dot_path.empty() && trace_path.empty() &&
         stats_json_path.empty() && metrics_out_path.empty() &&
-        !stats_table && !cache_enabled && !cache_disabled && !cache_stats;
+        !stats_table && !cache_enabled && !cache_disabled;
     if (!expressible) {
       SAFEFLOW_LOG(support::LogLevel::kNote, "client",
                    "--connect cannot express --dot/--trace/--stats/cache "
                    "flags; analyzing locally");
     } else {
       const double deadline_seconds =
-          client_deadline_seconds > 0.0 ? client_deadline_seconds : 300.0;
+          client_deadline_seconds > 0.0 ? client_deadline_seconds
+                                        : kDefaultDeadlineSeconds;
       std::ostringstream request;
       request << "{\"safeflowd\": 1, \"op\": \"analyze\", \"files\": [";
       for (std::size_t i = 0; i < files.size(); ++i) {
@@ -638,7 +604,6 @@ int main(int argc, char** argv) {
   }
   // Why a requested cache did not run (fault injection, --dot, --trace).
   run.stats.cache_disabled_reason = cache.disabledReason();
-  if (cache_stats) std::cerr << cache.statsLine();
   const int code =
       emit(run, stats_json_path, metrics_out_path, stats_table, render.json);
   // Report an interruption the conventional shell way (128 + signal)

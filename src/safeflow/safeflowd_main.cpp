@@ -2,24 +2,7 @@
 //
 //   safeflowd [options]
 //
-//   --socket <path>       Unix socket to listen on (safeflowd.sock)
-//   --jobs <n>            concurrent analyses (one worker each) before
-//                         queuing
-//   --max-queue <n>       queued analyses before shedding `busy`
-//   --max-rss-mb <n>      shed while resident set exceeds n MiB (0 = off)
-//   --pressure-interval <dur> pressure watchdog sample period (1s; 0 = off)
-//   --max-open-fds <n>    fd budget for the pressure ladder (0 = off)
-//   --min-disk-free-mb <n> cache-dir free-space floor for the ladder
-//   --worker-timeout <dur> per-worker watchdog (default 60s)
-//   --retries <n>         crash/timeout retries per request
-//   --worker-stderr-cap <n> cap captured worker stderr at n bytes
-//   --worker-exe <path>   safeflow binary to spawn (default: sibling)
-//   --cache-dir <dir>     result cache directory (default .safeflow-cache)
-//   --no-cache            run without the result cache
-//   --cache-max-mb <n>    cache size cap before LRU eviction
-//   --log-level <lvl>     error|warn|note|info|debug
-//   --log-json            NDJSON logs on stderr
-//   --metrics-out <file>  Prometheus exposition flushed at drain
+// `safeflowd --help` lists the options (usage() below is the one list).
 //
 // SIGTERM/SIGINT drain gracefully (finish in-flight, reject new, flush
 // metrics, exit 0). A SIGKILLed daemon restarts clean: the stale socket
@@ -53,9 +36,6 @@ void usage() {
          "  --jobs <n>             concurrent analyses (default 2)\n"
          "  --max-queue <n>        queued analyses before `busy` (default 8)\n"
          "  --max-rss-mb <n>       RSS shed threshold, 0 = off (default 0)\n"
-         "  --pressure-interval <dur> watchdog period, 0 = off (default 1s)\n"
-         "  --max-open-fds <n>     fd budget for pressure, 0 = off\n"
-         "  --min-disk-free-mb <n> cache-dir free floor, 0 = off\n"
          "  --worker-timeout <dur> per-worker watchdog (default 60s)\n"
          "  --retries <n>          retries per request (default 2)\n"
          "  --worker-stderr-cap <n> stderr capture cap (default 65536)\n"
@@ -126,24 +106,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.max_rss_mb = n;
-    } else if (arg == "--pressure-interval" && i + 1 < argc) {
-      if (!support::parseDuration(argv[++i],
-                                  &options.pressure_interval_seconds)) {
-        std::cerr << "invalid --pressure-interval '" << argv[i] << "'\n";
-        return 2;
-      }
-    } else if (arg == "--max-open-fds" && i + 1 < argc) {
-      if (!parseUnsigned(argv[++i], &n)) {
-        std::cerr << "invalid --max-open-fds '" << argv[i] << "'\n";
-        return 2;
-      }
-      options.max_open_fds = n;
-    } else if (arg == "--min-disk-free-mb" && i + 1 < argc) {
-      if (!parseUnsigned(argv[++i], &n)) {
-        std::cerr << "invalid --min-disk-free-mb '" << argv[i] << "'\n";
-        return 2;
-      }
-      options.min_disk_free_mb = n;
     } else if (arg == "--worker-timeout" && i + 1 < argc) {
       if (!support::parseDuration(argv[++i],
                                   &options.worker_timeout_seconds)) {

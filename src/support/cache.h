@@ -116,13 +116,6 @@ class DiskCache {
   /// until the directory is back under max_bytes.
   StoreResult store(std::string_view key_hex, std::string_view payload);
 
-  /// Evicts least-recently-used entries (and aged-out stray temps) until
-  /// the directory holds at most `target_bytes` of payload; the pressure
-  /// watchdog uses this to shed disk under resource pressure. Returns
-  /// the number of files removed.
-  std::uint64_t evictToBytes(std::uint64_t target_bytes,
-                             std::string_view keep_key_hex = {});
-
   /// Deletes the entry if present (used to purge corrupt payloads so
   /// they are not re-parsed on every run).
   void remove(std::string_view key_hex);
@@ -146,6 +139,12 @@ class DiskCache {
   [[nodiscard]] std::uint64_t maxBytes() const { return options_.max_bytes; }
 
  private:
+  /// Evicts least-recently-used entries (and aged-out stray temps) until
+  /// the directory holds at most `target_bytes` of payload, never
+  /// `keep_key_hex`. Returns the number of files removed.
+  std::uint64_t evictToBytes(std::uint64_t target_bytes,
+                             std::string_view keep_key_hex);
+
   DiskCacheOptions options_;
 };
 

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -22,14 +23,21 @@ namespace daemon_test {
 
 /// Forks and execs safeflowd with `args` appended after the binary path.
 /// Returns the child pid (-1 on fork failure). The daemon's stdout and
-/// stderr are inherited so failures show up in the test log.
+/// stderr are inherited so failures show up in the test log. A nonzero
+/// `max_open_files` lowers the daemon's RLIMIT_NOFILE to that many
+/// descriptors.
 inline pid_t spawnDaemon(
     const std::vector<std::string>& args,
-    const std::vector<std::pair<std::string, std::string>>& extra_env = {}) {
+    const std::vector<std::pair<std::string, std::string>>& extra_env = {},
+    rlim_t max_open_files = 0) {
   const pid_t pid = ::fork();
   if (pid != 0) return pid;
   for (const auto& [name, value] : extra_env) {
     ::setenv(name.c_str(), value.c_str(), 1);
+  }
+  if (max_open_files > 0) {
+    const struct rlimit limit = {max_open_files, max_open_files};
+    if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) ::_exit(126);
   }
   std::vector<std::string> store;
   store.emplace_back(SAFEFLOWD_EXE);
