@@ -1,6 +1,7 @@
 #include "analysis/alias.h"
 
 #include <algorithm>
+#include <limits>
 #include <tuple>
 
 #include "cfront/types.h"
@@ -22,6 +23,97 @@ std::int64_t pointeeSize(const ir::Value* v) {
 }
 
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// ObjSet
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// The word index and the bit within that word of an object id.
+std::pair<std::uint32_t, std::uint64_t> slotOf(ObjId id) {
+  const auto u = static_cast<std::uint32_t>(id);
+  return {u / 64, std::uint64_t{1} << (u % 64)};
+}
+
+// Orders an ObjSet word before a word index (for lower_bound).
+constexpr auto kIndexBelow = [](const auto& word, std::uint32_t index) {
+  return word.index < index;
+};
+
+}  // namespace
+
+bool ObjSet::insert(ObjId id) {
+  const auto [index, bit] = slotOf(id);
+  auto it = std::lower_bound(words_.begin(), words_.end(), index, kIndexBelow);
+  if (it == words_.end() || it->index != index) {
+    words_.insert(it, Word{index, bit});
+    return true;
+  }
+  const bool fresh = (it->bits & bit) == 0;
+  it->bits |= bit;
+  return fresh;
+}
+
+bool ObjSet::contains(ObjId id) const {
+  const auto [index, bit] = slotOf(id);
+  auto it = std::lower_bound(words_.begin(), words_.end(), index, kIndexBelow);
+  return it != words_.end() && it->index == index && (it->bits & bit) != 0;
+}
+
+std::size_t ObjSet::size() const {
+  std::size_t n = 0;
+  for (const Word& w : words_) {
+    n += static_cast<std::size_t>(std::popcount(w.bits));
+  }
+  return n;
+}
+
+bool ObjSet::orMasked(const ObjSet& src, const ObjSet* except) {
+  // The bits of `s` outside `except`; `cursor` walks except's words
+  // forward, as `s` ascends.
+  auto fresh = [except](const Word& s, std::size_t& cursor) {
+    if (except == nullptr) return s.bits;
+    const Words& ex = except->words_;
+    while (cursor < ex.size() && ex[cursor].index < s.index) ++cursor;
+    return cursor < ex.size() && ex[cursor].index == s.index
+               ? s.bits & ~ex[cursor].bits
+               : s.bits;
+  };
+  // Pass 1: OR in place where this set already has the word; count the
+  // words it lacks.
+  bool grew = false;
+  std::size_t missing = 0;
+  std::size_t cursor = 0;
+  auto it = words_.begin();
+  for (const Word& s : src.words_) {
+    const std::uint64_t bits = fresh(s, cursor);
+    if (bits == 0) continue;
+    while (it != words_.end() && it->index < s.index) ++it;
+    if (it != words_.end() && it->index == s.index) {
+      grew |= (bits & ~it->bits) != 0;
+      it->bits |= bits;
+    } else {
+      ++missing;
+    }
+  }
+  if (missing == 0) return grew;
+  // Pass 2: merge the lacking words in.
+  Words merged;
+  merged.reserve(words_.size() + missing);
+  cursor = 0;
+  it = words_.begin();
+  for (const Word& s : src.words_) {
+    const std::uint64_t bits = fresh(s, cursor);
+    if (bits == 0) continue;
+    while (it != words_.end() && it->index < s.index) merged.push_back(*it++);
+    if (it != words_.end() && it->index == s.index) continue;  // ORed above
+    merged.push_back(Word{s.index, bits});
+  }
+  merged.insert(merged.end(), it, words_.end());
+  words_ = std::move(merged);
+  return true;
+}
 
 AliasAnalysis::AliasAnalysis(const ir::Module& module,
                              const ShmRegionTable& regions,
@@ -49,6 +141,7 @@ AliasAnalysis::AliasAnalysis(const ir::Module& module,
 int AliasAnalysis::newNode() {
   nodes_.emplace_back();
   rep_.push_back(static_cast<int>(nodes_.size()) - 1);
+  queued_.push_back(0);
   return static_cast<int>(nodes_.size()) - 1;
 }
 
@@ -86,8 +179,12 @@ int AliasAnalysis::unite(int a, int b) {
   if (b < a) std::swap(a, b);
   Node& na = nodes_[static_cast<std::size_t>(a)];
   Node& nb = nodes_[static_cast<std::size_t>(b)];
-  for (int s : nb.succs) na.succs.insert(s);
-  for (ObjId o : nb.pts) na.pts.insert(o);
+  std::vector<int> succs;
+  succs.reserve(na.succs.size() + nb.succs.size());
+  std::set_union(na.succs.begin(), na.succs.end(), nb.succs.begin(),
+                 nb.succs.end(), std::back_inserter(succs));
+  na.succs = std::move(succs);
+  na.pts.unionWith(nb.pts);
   na.constraints.insert(na.constraints.end(), nb.constraints.begin(),
                         nb.constraints.end());
   // The adopted constraints have never seen the survivor's objects (and
@@ -95,7 +192,7 @@ int AliasAnalysis::unite(int a, int b) {
   na.pending = na.pts;
   nb = Node{};
   rep_[static_cast<std::size_t>(b)] = a;
-  worklist_.insert(a);
+  enqueue(a);
   ++n_collapsed_;
   return a;
 }
@@ -104,14 +201,17 @@ bool AliasAnalysis::addEdge(int from, int to) {
   from = find(from);
   to = find(to);
   if (from == to) return false;
-  if (!nodes_[static_cast<std::size_t>(from)].succs.insert(to).second) {
-    return false;
-  }
+  std::vector<int>& succs = nodes_[static_cast<std::size_t>(from)].succs;
+  const auto pos = std::lower_bound(succs.begin(), succs.end(), to);
+  if (pos != succs.end() && *pos == to) return false;
+  succs.insert(pos, to);
   edges_dirty_ = true;
   // A brand-new edge must carry everything already known at the source;
   // afterwards only deltas flow across it.
-  for (ObjId o : nodes_[static_cast<std::size_t>(from)].pts) {
-    addPts(to, o);
+  Node& dst = nodes_[static_cast<std::size_t>(to)];
+  if (dst.pts.unionWith(nodes_[static_cast<std::size_t>(from)].pts,
+                        dst.pending)) {
+    enqueue(to);
   }
   return true;
 }
@@ -119,10 +219,17 @@ bool AliasAnalysis::addEdge(int from, int to) {
 bool AliasAnalysis::addPts(int node, ObjId obj) {
   node = find(node);
   Node& n = nodes_[static_cast<std::size_t>(node)];
-  if (!n.pts.insert(obj).second) return false;
+  if (!n.pts.insert(obj)) return false;
   n.pending.insert(obj);
-  worklist_.insert(node);
+  enqueue(node);
   return true;
+}
+
+void AliasAnalysis::enqueue(int node) {
+  char& queued = queued_[static_cast<std::size_t>(node)];
+  if (queued != 0) return;
+  queued = 1;
+  worklist_.push(node);
 }
 
 // ---------------------------------------------------------------------------
@@ -232,9 +339,13 @@ ObjId AliasAnalysis::cellFor(ObjId root, std::int64_t offset,
   ++n_cells_;
   // Link overlapping sibling cells (union punning, byte views): their
   // stored pointers are mutually visible, and consumers see siblings in
-  // the expanded points-to sets so taint crosses the pun.
-  for (const auto& [k2, sib] : cells_) {
-    if (std::get<0>(k2) != root || sib == id) continue;
+  // the expanded points-to sets so taint crosses the pun. Only this
+  // root's cells, which cells_ keeps contiguous, can overlap.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  for (auto sit = cells_.lower_bound(std::make_tuple(root, kMin, kMin));
+       sit != cells_.end() && std::get<0>(sit->first) == root; ++sit) {
+    const auto& [k2, sib] = *sit;
+    if (sib == id) continue;
     const std::int64_t so = std::get<1>(k2);
     const std::int64_t ss = std::get<2>(k2);
     if (offset < so + ss && so < offset + size) {
@@ -321,7 +432,7 @@ void AliasAnalysis::genInstruction(const ir::Instruction* inst) {
         const int dn = valueNode(inst);
         nodes_[static_cast<std::size_t>(pn)].constraints.push_back(
             Constraint{Constraint::Kind::kLoad, dn, 0, 0});
-        worklist_.insert(find(pn));
+        enqueue(find(pn));
         ++n_constraints_;
       }
       break;
@@ -331,7 +442,7 @@ void AliasAnalysis::genInstruction(const ir::Instruction* inst) {
         const int vn = valueNode(inst->operand(0));
         nodes_[static_cast<std::size_t>(pn)].constraints.push_back(
             Constraint{Constraint::Kind::kStore, vn, 0, 0});
-        worklist_.insert(find(pn));
+        enqueue(find(pn));
         ++n_constraints_;
       }
       break;
@@ -350,7 +461,7 @@ void AliasAnalysis::genInstruction(const ir::Instruction* inst) {
         const int dn = valueNode(inst);
         nodes_[static_cast<std::size_t>(pn)].constraints.push_back(
             Constraint{Constraint::Kind::kOffset, dn, k * elem, elem});
-        worklist_.insert(find(pn));
+        enqueue(find(pn));
       } else {
         // Variable index: the element pointer aliases the base cells.
         addEdge(valueNode(inst->operand(0)), valueNode(inst));
@@ -380,7 +491,7 @@ void AliasAnalysis::genInstruction(const ir::Instruction* inst) {
         const int dn = valueNode(inst);
         nodes_[static_cast<std::size_t>(pn)].constraints.push_back(
             Constraint{Constraint::Kind::kOffset, dn, delta, fsize});
-        worklist_.insert(find(pn));
+        enqueue(find(pn));
       } else {
         addEdge(valueNode(base), valueNode(inst));
       }
@@ -468,9 +579,10 @@ void AliasAnalysis::condense() {
   std::vector<std::vector<int>> sccs;
   int next = 0;
 
+  // The DFS reads each node's succs in place (through find(), which
+  // cannot change before the merges below); `i` is the next one to visit.
   struct Frame {
     int node;
-    std::vector<int> succs;
     std::size_t i;
   };
   std::vector<Frame> frames;
@@ -479,31 +591,28 @@ void AliasAnalysis::condense() {
     if (find(start) != start || index[static_cast<std::size_t>(start)] >= 0) {
       continue;
     }
-    frames.push_back(Frame{start, {}, 0});
+    frames.push_back(Frame{start, 0});
     while (!frames.empty()) {
       Frame& f = frames.back();
       const auto un = static_cast<std::size_t>(f.node);
-      if (f.i == 0) {
+      if (index[un] < 0) {
         index[un] = low[un] = next++;
         stack.push_back(f.node);
         onstack[un] = 1;
-        for (int s : nodes_[un].succs) {
-          const int r = find(s);
-          if (r != f.node) f.succs.push_back(r);
-        }
       }
+      const std::vector<int>& succs = nodes_[un].succs;
       bool descended = false;
-      while (f.i < f.succs.size()) {
-        const int s = f.succs[f.i];
+      while (f.i < succs.size()) {
+        const int s = find(succs[f.i]);
+        ++f.i;
+        if (s == f.node) continue;
         const auto us = static_cast<std::size_t>(s);
         if (index[us] < 0) {
-          ++f.i;
-          frames.push_back(Frame{s, {}, 0});
+          frames.push_back(Frame{s, 0});
           descended = true;
           break;
         }
         if (onstack[us] != 0) low[un] = std::min(low[un], index[us]);
-        ++f.i;
       }
       if (descended) continue;
       if (low[un] == index[un]) {
@@ -545,14 +654,15 @@ bool AliasAnalysis::propagate() {
       break;
     }
     ++n_iterations_;
-    const int raw = *worklist_.begin();
-    worklist_.erase(worklist_.begin());
+    const int raw = worklist_.top();
+    worklist_.pop();
+    queued_[static_cast<std::size_t>(raw)] = 0;
     const int node = find(raw);
     // Difference propagation: only the objects that arrived since the
     // last visit flow through the constraints and copy edges. (A stale
     // entry for a merged node drains the representative's delta, which
     // is a superset of what the stale node owed.)
-    const std::set<ObjId> delta =
+    const ObjSet delta =
         std::move(nodes_[static_cast<std::size_t>(node)].pending);
     nodes_[static_cast<std::size_t>(node)].pending.clear();
     if (delta.empty()) continue;
@@ -576,13 +686,13 @@ bool AliasAnalysis::propagate() {
           break;
       }
     }
-    // Push the delta along copy edges.
-    const std::set<int> succs =
-        nodes_[static_cast<std::size_t>(node)].succs;
-    for (int s0 : succs) {
+    // Push the delta along copy edges, one union per successor. Unions
+    // add no node and no edge, so succs is walked in place.
+    for (int s0 : nodes_[static_cast<std::size_t>(node)].succs) {
       const int s = find(s0);
       if (s == node) continue;
-      for (ObjId o : delta) addPts(s, o);
+      Node& dst = nodes_[static_cast<std::size_t>(s)];
+      if (dst.pts.unionWith(delta, dst.pending)) enqueue(s);
     }
   }
   return edges_dirty_;
@@ -606,38 +716,52 @@ void AliasAnalysis::degrade() {
 void AliasAnalysis::finalize() {
   // Precision feed for the CI alias baseline: how many values resolved
   // to concrete objects only (no unknown), how many reach a shm region,
-  // and how many carry exact field/offset cells.
+  // and how many carry exact field/offset cells. Each representative's
+  // set is expanded and classified once, however many values share it.
+  struct RepView {
+    bool seen = false;
+    bool any_unknown = false;
+    bool any_region = false;
+    bool any_field = false;
+    std::size_t size = 0;
+  };
+  std::vector<RepView> views(nodes_.size());
   std::size_t edges = 0;
   std::size_t resolved = 0;
   std::size_t shm_resolved = 0;
   std::size_t field_precise = 0;
+  exposed_.reserve(value_nodes_.size());
   for (const auto& [v, n] : value_nodes_) {
-    const std::set<ObjId>& pts =
-        nodes_[static_cast<std::size_t>(find(n))].pts;
+    const int r = find(n);
+    ObjSet& pts = nodes_[static_cast<std::size_t>(r)].pts;
     if (pts.empty()) continue;
-    std::set<ObjId> out = pts;
-    for (ObjId o : pts) {
-      for (ObjId sib : objects_[static_cast<std::size_t>(o)].overlaps) {
-        out.insert(sib);
+    RepView& view = views[static_cast<std::size_t>(r)];
+    if (!view.seen) {
+      view.seen = true;
+      // The solve is over: the set becomes the exposed one in place.
+      ObjSet siblings;
+      for (ObjId o : pts) {
+        for (ObjId sib : objects_[static_cast<std::size_t>(o)].overlaps) {
+          siblings.insert(sib);
+        }
       }
+      pts.unionWith(siblings);
+      for (ObjId o : pts) {
+        const Object& obj = objects_[static_cast<std::size_t>(o)];
+        view.any_unknown |= isUnknown(o);
+        view.any_region |= obj.region_id >= 0;
+        view.any_field |= obj.kind == ObjKind::kField;
+      }
+      view.size = pts.size();
     }
-    bool any_unknown = false;
-    bool any_region = false;
-    bool any_field = false;
-    for (ObjId o : out) {
-      const Object& obj = objects_[static_cast<std::size_t>(o)];
-      any_unknown |= isUnknown(o);
-      any_region |= obj.region_id >= 0;
-      any_field |= obj.kind == ObjKind::kField;
-    }
-    edges += out.size();
-    if (!any_unknown) ++resolved;
+    edges += view.size;
+    if (!view.any_unknown) ++resolved;
     // Region association is counted independently of unknown: the shmat
     // return is external (unknown), so every region pointer global also
     // holds unknown — what matters is whether the region survives at all.
-    if (any_region) ++shm_resolved;
-    if (any_field) ++field_precise;
-    exposed_[v] = std::move(out);
+    if (view.any_region) ++shm_resolved;
+    if (view.any_field) ++field_precise;
+    exposed_.emplace(v, &pts);
   }
   SAFEFLOW_COUNT_N("pointsto.constraints", n_constraints_);
   SAFEFLOW_COUNT_N("pointsto.scc_collapsed", n_collapsed_);
@@ -670,9 +794,9 @@ void AliasAnalysis::run() {
 // Read API
 // ---------------------------------------------------------------------------
 
-const std::set<ObjId>& AliasAnalysis::pointsTo(const ir::Value* v) const {
+const ObjSet& AliasAnalysis::pointsTo(const ir::Value* v) const {
   auto it = exposed_.find(v);
-  return it == exposed_.end() ? empty_ : it->second;
+  return it == exposed_.end() ? empty_ : *it->second;
 }
 
 ObjId AliasAnalysis::parentOf(ObjId obj) const {
@@ -687,16 +811,6 @@ int AliasAnalysis::regionOf(ObjId obj) const {
     return -1;
   }
   return objects_[static_cast<std::size_t>(obj)].region_id;
-}
-
-std::vector<ObjId> AliasAnalysis::objectsOfRegion(int region_id) const {
-  std::vector<ObjId> out;
-  for (std::size_t i = 0; i < objects_.size(); ++i) {
-    if (objects_[i].region_id == region_id) {
-      out.push_back(static_cast<ObjId>(i));
-    }
-  }
-  return out;
 }
 
 std::pair<std::int64_t, std::int64_t> AliasAnalysis::extentOf(

@@ -7,6 +7,11 @@
 // solve stays near-linear on the deep phi/copy chains embedded control
 // code produces.
 //
+// Points-to sets are ObjSets: sparse bitsets of 64-bit words. Difference
+// propagation moves a node's pending delta to each successor with one
+// word-wise union, and pointsTo() hands out the representative node's
+// set by reference, so every value of a collapsed cycle shares one set.
+//
 // Objects are allocas, globals, declared shm regions, field cells, and
 // one "unknown" object for externals. Field sensitivity is byte-offset
 // based: every struct/union/region base object can grow sub-object
@@ -26,11 +31,16 @@
 // results only ever widen, never tighten.
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <iterator>
 #include <map>
-#include <set>
+#include <queue>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -42,6 +52,86 @@
 namespace safeflow::analysis {
 
 using ObjId = int;
+
+/// A set of object ids as a sparse bitset: (word index, 64-bit word)
+/// pairs sorted by index, with no all-zero word, so two sets with the
+/// same members compare equal. Iterates ids in ascending order. Unions
+/// walk both word lists once and OR whole words in place; only a word
+/// index the set has never held makes it reallocate.
+class ObjSet {
+  struct Word {
+    std::uint32_t index;  // holds ids [64 * index, 64 * index + 63]
+    std::uint64_t bits;
+    bool operator==(const Word&) const = default;
+  };
+  using Words = std::vector<Word>;
+
+ public:
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = ObjId;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const ObjId*;
+    using reference = ObjId;
+
+    const_iterator() = default;
+    ObjId operator*() const {
+      return static_cast<ObjId>(64 * word_->index +
+                                static_cast<unsigned>(std::countr_zero(bits_)));
+    }
+    const_iterator& operator++() {
+      bits_ &= bits_ - 1;  // drop the lowest member
+      if (bits_ == 0 && ++word_ != end_) bits_ = word_->bits;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator old = *this;
+      ++*this;
+      return old;
+    }
+    bool operator==(const const_iterator& o) const {
+      return word_ == o.word_ && bits_ == o.bits_;
+    }
+
+   private:
+    friend class ObjSet;
+    const_iterator(Words::const_iterator word, Words::const_iterator end)
+        : word_(word), end_(end), bits_(word != end ? word->bits : 0) {}
+    Words::const_iterator word_{};
+    Words::const_iterator end_{};
+    std::uint64_t bits_ = 0;  // members of *word_ not yet visited
+  };
+
+  /// Adds `id`; false when it was already a member.
+  bool insert(ObjId id);
+  [[nodiscard]] bool contains(ObjId id) const;
+  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] bool empty() const { return words_.empty(); }
+  void clear() { words_.clear(); }
+  /// this ∪= src; true when the set grew.
+  bool unionWith(const ObjSet& src) { return orMasked(src, nullptr); }
+  /// this ∪= src, and added ∪= (src \ this) — exactly the members that
+  /// were new here. `added` must be a different set from both.
+  bool unionWith(const ObjSet& src, ObjSet& added) {
+    added.orMasked(src, this);
+    return orMasked(src, nullptr);
+  }
+  bool operator==(const ObjSet&) const = default;
+  [[nodiscard]] const_iterator begin() const {
+    return {words_.begin(), words_.end()};
+  }
+  [[nodiscard]] const_iterator end() const {
+    return {words_.end(), words_.end()};
+  }
+
+ private:
+  /// ORs into this set the members of `src` that are not in `except`
+  /// (null: none excluded); true when the set grew.
+  bool orMasked(const ObjSet& src, const ObjSet* except);
+
+  Words words_;
+};
 
 struct AliasOptions {
   /// Off: field addresses and constant pointer arithmetic stay on the
@@ -67,15 +157,18 @@ class AliasAnalysis {
   /// as unresolved (unsafe). Emits the pointsto.* and alias.* counters.
   void run();
 
+  // pointsTo() hands out references into the solver's own nodes.
+  AliasAnalysis(const AliasAnalysis&) = delete;
+  AliasAnalysis& operator=(const AliasAnalysis&) = delete;
+
   /// Objects the pointer value may point at, overlapping sibling cells
   /// included (empty when not a pointer or nothing is known — treat as
-  /// "no memory effect").
-  [[nodiscard]] const std::set<ObjId>& pointsTo(const ir::Value* v) const;
+  /// "no memory effect"). Values in one collapsed cycle share one set;
+  /// the reference lives as long as the analysis.
+  [[nodiscard]] const ObjSet& pointsTo(const ir::Value* v) const;
 
   /// The shm region an object denotes, or -1.
   [[nodiscard]] int regionOf(ObjId obj) const;
-  /// Region sub-objects of one region (all field cells plus the base).
-  [[nodiscard]] std::vector<ObjId> objectsOfRegion(int region_id) const;
   /// (byte offset within the root object, size). Cells report their
   /// exact resolved extent; base objects report (0, object size).
   [[nodiscard]] std::pair<std::int64_t, std::int64_t> extentOf(
@@ -100,11 +193,6 @@ class AliasAnalysis {
   }
   /// True when the budget tripped mid-solve (results were widened).
   [[nodiscard]] bool degraded() const { return degraded_; }
-  /// Every value with a non-empty points-to set, as pointsTo() reports it.
-  [[nodiscard]] const std::map<const ir::Value*, std::set<ObjId>>&
-  allPointsTo() const {
-    return exposed_;
-  }
 
  private:
   struct Object {
@@ -141,12 +229,14 @@ class AliasAnalysis {
   };
 
   struct Node {
-    std::set<int> succs;  // copy edges (inclusion: succ ⊇ this)
-    std::set<ObjId> pts;
+    // Copy edges (inclusion: succ ⊇ this), sorted. Entries are node ids
+    // as added; a merged one is read through find().
+    std::vector<int> succs;
+    ObjSet pts;
     // Difference propagation: objects added to pts but not yet pushed
     // through this node's constraints and copy edges. Each (constraint,
     // object) pair fires once; a full refire happens only on SCC merge.
-    std::set<ObjId> pending;
+    ObjSet pending;
     std::vector<Constraint> constraints;
   };
 
@@ -158,6 +248,8 @@ class AliasAnalysis {
   int unite(int a, int b);
   bool addEdge(int from, int to);
   bool addPts(int node, ObjId obj);
+  /// Queues a representative for propagation unless it is queued.
+  void enqueue(int node);
 
   ObjId internObject(Object obj);
   ObjId objectForAlloca(const ir::Instruction* alloca);
@@ -176,7 +268,8 @@ class AliasAnalysis {
   /// a new copy edge (the graph needs re-condensing).
   bool propagate();
   void degrade();
-  /// Builds the exposed per-value sets and emits the counters.
+  /// Expands each representative's set with overlap siblings, maps every
+  /// value to its representative's set, and emits the counters.
   void finalize();
 
   const ir::Module& module_;
@@ -188,20 +281,24 @@ class AliasAnalysis {
   std::vector<Object> objects_;
   std::vector<Node> nodes_;
   std::vector<int> rep_;  // union-find forest over nodes_
-  std::map<const ir::Value*, int> value_nodes_;
-  std::map<const ir::Value*, ObjId> value_objects_;
+  std::unordered_map<const ir::Value*, int> value_nodes_;
+  std::unordered_map<const ir::Value*, ObjId> value_objects_;
+  // Ordered by (root, offset, size): one root's cells are contiguous.
   std::map<std::tuple<ObjId, std::int64_t, std::int64_t>, ObjId> cells_;
-  std::map<int, ObjId> region_objects_;
   ObjId unknown_ = -1;
 
-  std::set<int> worklist_;
+  // Pops the smallest queued node id first; queued_[n] keeps n from
+  // being queued twice.
+  std::priority_queue<int, std::vector<int>, std::greater<>> worklist_;
+  std::vector<char> queued_;
   bool live_ = true;
   bool degraded_ = false;
   bool edges_dirty_ = false;
 
-  // Final per-value view (points-to sets expanded with overlap siblings).
-  std::map<const ir::Value*, std::set<ObjId>> exposed_;
-  std::set<ObjId> empty_;
+  // Final per-value view: the representative node's set, expanded with
+  // overlap siblings. Only values with a non-empty set are present.
+  std::unordered_map<const ir::Value*, const ObjSet*> exposed_;
+  ObjSet empty_;
 
   // Counter feeds for --stats-json (pointsto.* namespace).
   std::size_t n_constraints_ = 0;

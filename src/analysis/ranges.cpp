@@ -4,7 +4,6 @@
 #include <sstream>
 #include <tuple>
 
-#include "analysis/alias.h"
 #include "analysis/report.h"
 #include "analysis/shm_propagation.h"
 #include "analysis/shm_regions.h"
@@ -1077,7 +1076,7 @@ void RangeAnalysis::degradeToTop() {
 std::size_t checkShmConstBounds(const ir::Module& module,
                                 const ShmRegionTable& regions,
                                 const ShmPointerAnalysis& shm,
-                                const AliasAnalysis& alias,
+                                const AliasAnalysis& /*alias*/,
                                 const RangeAnalysis& ranges,
                                 SafeFlowReport& report,
                                 support::DiagnosticEngine& diags) {
@@ -1103,14 +1102,7 @@ std::size_t checkShmConstBounds(const ir::Module& module,
         for (int region_id : base->regions) {
           const ShmRegion* region = regions.byId(region_id);
           if (region == nullptr || region->size == 0) continue;
-          // Region extent via the alias analysis' object model: the
-          // region's root object spans the whole mapping.
-          std::int64_t extent = static_cast<std::int64_t>(region->size);
-          for (ObjId obj : alias.objectsOfRegion(region_id)) {
-            if (alias.parentOf(obj) >= 0) continue;
-            const auto [off, size] = alias.extentOf(obj);
-            if (off == 0 && size > 0) extent = size;
-          }
+          const auto extent = static_cast<std::int64_t>(region->size);
           const std::int64_t base_lo = base->offset_known ? base->lo : 0;
           const std::int64_t count = extent / elem_size;
           const std::int64_t base_elems = base_lo / elem_size;

@@ -195,11 +195,11 @@ class AliasAnalysis;
 struct SafeFlowReport;
 
 /// Consumer 3: flags shm accesses whose index range is provably *always*
-/// outside the region extent (AliasAnalysis::extentOf), as
-/// "shm-bounds-const" restriction violations + diagnostics. Runs after
-/// the alias phase; returns the number of findings. A disabled or
-/// degraded range pass reports nothing (conservative: absence of range
-/// information must not invent findings).
+/// outside the declared region size, as "shm-bounds-const" restriction
+/// violations + diagnostics; returns the number of findings. `alias` is
+/// not read: a region's root alias object spans exactly that size. A
+/// disabled or degraded range pass reports nothing (conservative:
+/// absence of range information must not invent findings).
 std::size_t checkShmConstBounds(const ir::Module& module,
                                 const ShmRegionTable& regions,
                                 const ShmPointerAnalysis& shm,

@@ -283,8 +283,8 @@ const analysis::SafeFlowReport& SafeFlowDriver::analyze() {
   alias.run();
 
   if (options_.ranges.enabled) {
-    // Consumer 3 needs the alias analysis' region extents, so it runs
-    // here rather than inside the restriction phase.
+    // Consumer 3 appends its shm-bounds-const findings after the
+    // restriction phase's.
     analysis::checkShmConstBounds(*module_, regions, shm, alias, ranges,
                                   report_, diags);
   }

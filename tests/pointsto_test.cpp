@@ -1,25 +1,27 @@
 // Unit and end-to-end tests for the Andersen-style points-to analysis
-// (AliasAnalysis): constraint generation, SCC cycle collapse, byte-offset
-// field cells (constant pointer arithmetic, union overlap, out-of-bounds
-// constants) and their field-insensitive ablation, budget degradation
-// monotonicity, the function-qualified describe() names, and the
-// pointerlab corpus golden that pins what the analysis finds there. The
-// subprocess tests spawn the real `safeflow` binary (SAFEFLOW_EXE) to
-// check the golden and report stability across --isolate and warm cache
-// runs.
+// (AliasAnalysis): the ObjSet sparse bitset its sets are stored in,
+// constraint generation, SCC cycle collapse, byte-offset field cells
+// (constant pointer arithmetic, union overlap, out-of-bounds constants)
+// and their field-insensitive ablation, budget degradation monotonicity,
+// the function-qualified describe() names, the solver's exact work on
+// the benchmark workload programs, and the pointerlab corpus golden that
+// pins what the analysis finds there. The subprocess tests spawn the
+// real `safeflow` binary (SAFEFLOW_EXE) to check the golden and report
+// stability across --isolate and warm cache runs.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/alias.h"
+#include "bench/synthetic.h"
 #include "analysis/shm_regions.h"
 #include "cfront/frontend.h"
 #include "ir/callgraph.h"
@@ -65,6 +67,97 @@ std::vector<const ir::Instruction*> instructionsOf(const ir::Function* fn,
     }
   }
   return out;
+}
+
+std::vector<analysis::ObjId> members(const analysis::ObjSet& set) {
+  return {set.begin(), set.end()};
+}
+
+// ---------------------------------------------------------------------------
+// ObjSet: the sparse bitset points-to sets are stored in
+// ---------------------------------------------------------------------------
+
+TEST(ObjSet, IteratesAscendingAcrossWords) {
+  analysis::ObjSet set;
+  for (analysis::ObjId id : {1000, 65, 0, 64, 63}) {
+    EXPECT_TRUE(set.insert(id)) << id;
+  }
+  EXPECT_EQ(members(set), (std::vector<analysis::ObjId>{0, 63, 64, 65, 1000}));
+  EXPECT_EQ(set.size(), 5u);
+  EXPECT_TRUE(set.contains(64));
+  EXPECT_TRUE(set.contains(1000));
+  EXPECT_FALSE(set.contains(1));
+  EXPECT_FALSE(set.contains(999));
+}
+
+TEST(ObjSet, InsertReportsDuplicates) {
+  analysis::ObjSet set;
+  EXPECT_TRUE(set.insert(7));
+  EXPECT_FALSE(set.insert(7));
+  EXPECT_TRUE(set.insert(71));
+  EXPECT_FALSE(set.insert(71));
+  EXPECT_EQ(set.size(), 2u);
+}
+
+TEST(ObjSet, UnionReportsExactlyTheNewBitsInExistingWords) {
+  // Every word of src already has a slot in dst: the union ORs in place.
+  analysis::ObjSet dst;
+  analysis::ObjSet src;
+  for (analysis::ObjId id : {1, 2, 70}) dst.insert(id);
+  for (analysis::ObjId id : {2, 3, 70, 71}) src.insert(id);
+  analysis::ObjSet added;
+  added.insert(1);  // already pending: stays, and is not reported again
+  EXPECT_TRUE(dst.unionWith(src, added));
+  EXPECT_EQ(members(dst), (std::vector<analysis::ObjId>{1, 2, 3, 70, 71}));
+  EXPECT_EQ(members(added), (std::vector<analysis::ObjId>{1, 3, 71}));
+  // A second union brings nothing new and leaves `added` alone.
+  analysis::ObjSet again;
+  EXPECT_FALSE(dst.unionWith(src, again));
+  EXPECT_TRUE(again.empty());
+}
+
+TEST(ObjSet, UnionReportsExactlyTheNewBitsInNewWords) {
+  // src has words dst has never held, below, between and above its own.
+  analysis::ObjSet dst;
+  analysis::ObjSet src;
+  for (analysis::ObjId id : {64, 200}) dst.insert(id);
+  for (analysis::ObjId id : {5, 64, 65, 130, 1000}) src.insert(id);
+  analysis::ObjSet added;
+  added.insert(300);
+  EXPECT_TRUE(dst.unionWith(src, added));
+  EXPECT_EQ(members(dst),
+            (std::vector<analysis::ObjId>{5, 64, 65, 130, 200, 1000}));
+  EXPECT_EQ(members(added),
+            (std::vector<analysis::ObjId>{5, 65, 130, 300, 1000}));
+  // The plain union agrees with the reporting one.
+  analysis::ObjSet plain;
+  for (analysis::ObjId id : {64, 200}) plain.insert(id);
+  EXPECT_TRUE(plain.unionWith(src));
+  EXPECT_EQ(plain, dst);
+  EXPECT_FALSE(plain.unionWith(src));
+}
+
+TEST(ObjSet, EqualityComparesContents) {
+  analysis::ObjSet a;
+  analysis::ObjSet b;
+  EXPECT_EQ(a, b);
+  for (analysis::ObjId id : {3, 130, 64}) a.insert(id);
+  for (analysis::ObjId id : {64, 3, 130}) b.insert(id);
+  EXPECT_EQ(a, b);
+  b.insert(4);
+  EXPECT_NE(a, b);
+  analysis::ObjSet c;
+  c.insert(3);
+  EXPECT_NE(a, c);
+}
+
+TEST(ObjSet, EmptySetIteratesNothing) {
+  const analysis::ObjSet set;
+  EXPECT_TRUE(set.empty());
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_EQ(set.begin(), set.end());
+  EXPECT_TRUE(members(set).empty());
+  EXPECT_FALSE(set.contains(0));
 }
 
 // ---------------------------------------------------------------------------
@@ -207,7 +300,7 @@ int deref(void)
   bool resolved = false;
   for (const auto* ld : loads) {
     if (!ld->type()->isPointer()) continue;
-    if (alias.pointsTo(ld).count(*ta.begin()) != 0) resolved = true;
+    if (alias.pointsTo(ld).contains(*ta.begin())) resolved = true;
   }
   EXPECT_TRUE(resolved);
 }
@@ -320,11 +413,74 @@ int readBoth(void)
   // Monotone degradation: nothing tightens. Every surviving points-to
   // set names unknown in addition to whatever it resolved, so consumers
   // treat partially-solved pointers as unresolved.
-  ASSERT_FALSE(starved.allPointsTo().empty());
-  for (const auto& [v, pts] : starved.allPointsTo()) {
+  std::vector<const ir::Value*> values;
+  for (const auto& fn : p.module->functions()) {
+    for (const auto& arg : fn->args()) values.push_back(arg.get());
+    for (const auto& bb : fn->blocks()) {
+      for (const auto& inst : bb->instructions()) {
+        values.push_back(inst.get());
+        for (const ir::Value* op : inst->operands()) values.push_back(op);
+      }
+    }
+  }
+  std::size_t surviving = 0;
+  for (const ir::Value* v : values) {
+    const auto& pts = starved.pointsTo(v);
+    if (pts.empty()) continue;
+    ++surviving;
     bool any_unknown = false;
     for (auto o : pts) any_unknown |= starved.isUnknown(o);
     EXPECT_TRUE(any_unknown) << "tight set survived budget exhaustion";
+  }
+  EXPECT_GT(surviving, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Exact solver work on the benchmark workload programs
+// ---------------------------------------------------------------------------
+
+// The counts are pinned from the solver that kept its sets in search
+// trees. The sparse-bitset solver takes the same steps in the same order
+// (smallest node first), so it creates the same cells under the same
+// ids and every count repeats exactly.
+TEST(PointsTo, WorkloadProgramsKeepEveryCounter) {
+  struct Expected {
+    const char* name;
+    std::string source;
+    std::vector<std::uint64_t> counters;  // in kCounters order
+    double objects;
+  };
+  const char* const kCounters[] = {
+      "pointsto.constraints",          "pointsto.scc_collapsed",
+      "pointsto.worklist_iterations",  "pointsto.field_cells",
+      "alias.points_to_edges",         "alias.resolved_pointers",
+      "alias.shm_pointers_resolved",   "alias.field_precise_pointers"};
+  const Expected programs[] = {
+      {"pointerChurnProgram(200, 32)", bench::pointerChurnProgram(200, 32),
+       {4678, 200, 95080, 800, 348016, 2865, 4, 1600}, 1205},
+      {"scalingProgram(2000)", bench::scalingProgram(2000),
+       {24016, 0, 17, 0, 16, 2, 4, 0}, 5},
+      {"accumulatorCycleProgram(12, 96)",
+       bench::accumulatorCycleProgram(12, 96),
+       {4696, 0, 69, 6, 92, 6, 36, 12}, 19},
+  };
+  for (const Expected& e : programs) {
+    SafeFlowDriver driver;
+    driver.addSource("workload.c", e.source);
+    driver.analyze();
+    ASSERT_FALSE(driver.hasFrontendErrors()) << e.name;
+    const std::map<std::string, std::uint64_t> counters(
+        driver.stats().counters.begin(), driver.stats().counters.end());
+    const std::map<std::string, double> gauges(
+        driver.stats().gauges.begin(), driver.stats().gauges.end());
+    for (std::size_t i = 0; i < e.counters.size(); ++i) {
+      const auto it = counters.find(kCounters[i]);
+      ASSERT_NE(it, counters.end()) << e.name << " " << kCounters[i];
+      EXPECT_EQ(it->second, e.counters[i]) << e.name << " " << kCounters[i];
+    }
+    const auto objects = gauges.find("alias.objects");
+    ASSERT_NE(objects, gauges.end()) << e.name;
+    EXPECT_EQ(objects->second, e.objects) << e.name;
   }
 }
 
