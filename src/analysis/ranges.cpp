@@ -384,10 +384,13 @@ bool RangeAnalysis::analyzeFunction(const ir::Function& fn) {
       }
       const auto it = range_.find(inst.get());
       if (it == range_.end()) continue;
+      // transfer() may add entries (a call joins its callee's formals);
+      // a rehash keeps references valid, not iterators.
+      Interval& stored = it->second;
       if (const auto result = transfer(*inst)) {
-        if (const auto narrowed = it->second.meet(*result)) {
-          if (*narrowed != it->second) {
-            it->second = *narrowed;
+        if (const auto narrowed = stored.meet(*result)) {
+          if (*narrowed != stored) {
+            stored = *narrowed;
             changed_any = true;
             SAFEFLOW_COUNT("ranges.narrowings");
           }

@@ -25,6 +25,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -175,12 +176,14 @@ class RangeAnalysis {
   support::AnalysisBudget* budget_ = nullptr;
   PhaseMemoHooks memo_;
 
-  std::map<const ir::Value*, Interval> range_;
+  // Reached only through find/emplace/clear/size (digestState sorts by
+  // stable name), so these three are hashed rather than ordered.
+  std::unordered_map<const ir::Value*, Interval> range_;
   std::map<const ir::Function*, Interval> return_range_;
-  std::map<const void*, unsigned> update_counts_;  // values & functions
-  mutable std::map<const ir::BasicBlock*,
-                   std::vector<std::pair<const ir::BasicBlock*,
-                                         const ir::BasicBlock*>>>
+  std::unordered_map<const void*, unsigned> update_counts_;  // values & fns
+  mutable std::unordered_map<const ir::BasicBlock*,
+                             std::vector<std::pair<const ir::BasicBlock*,
+                                                   const ir::BasicBlock*>>>
       refine_chain_;
   std::map<const ir::Instruction*, unsigned> decided_;
   std::set<const ir::Function*> top_arg_fns_;  // roots & address-taken

@@ -47,6 +47,77 @@ bool TaintPair::merge(const TaintPair& other) {
   return a || b;
 }
 
+// ---------------------------------------------------------------------------
+// Taint pool
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::uint64_t mixHash(std::uint64_t h, std::uint64_t v) {
+  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  return h;
+}
+
+std::uint64_t hashTaint(std::uint64_t h, const Taint& t) {
+  for (const auto& [region, loads] : t.sources) {
+    h = mixHash(h, static_cast<std::uint64_t>(region));
+    h = mixHash(h, loads.size());
+    for (const ir::Instruction* load : loads) {
+      h = mixHash(h, reinterpret_cast<std::uintptr_t>(load));
+    }
+  }
+  h = mixHash(h, t.params.size());
+  for (const unsigned p : t.params) h = mixHash(h, p);
+  return h;
+}
+
+std::uint64_t hashPair(const TaintPair& t) {
+  return hashTaint(hashTaint(0, t.data), t.control);
+}
+
+}  // namespace
+
+TaintPool::TaintPool() { intern(TaintPair{}); }
+
+TaintId TaintPool::intern(TaintPair&& pair) {
+  const std::uint64_t h = hashPair(pair);
+  const auto [first, last] = index_.equal_range(h);
+  for (auto it = first; it != last; ++it) {
+    if (pairs_[it->second] == pair) return it->second;
+  }
+  const auto id = static_cast<TaintId>(pairs_.size());
+  symbol_free_.push_back(pair.data.params.empty() &&
+                         pair.control.params.empty());
+  control_of_.push_back(kUnknown);
+  pairs_.push_back(std::move(pair));
+  index_.emplace(h, id);
+  return id;
+}
+
+TaintId TaintPool::join(TaintId a, TaintId b) {
+  if (a == b || b == kEmpty) return a;
+  if (a == kEmpty) return b;
+  const std::uint64_t key = (std::uint64_t{std::min(a, b)} << 32) |
+                            std::max(a, b);
+  const auto hit = joins_.find(key);
+  if (hit != joins_.end()) return hit->second;
+  TaintPair merged = pairs_[a];
+  merged.merge(pairs_[b]);
+  const TaintId id = intern(std::move(merged));
+  joins_.emplace(key, id);
+  return id;
+}
+
+TaintId TaintPool::controlOf(TaintId a) {
+  if (control_of_[a] != kUnknown) return control_of_[a];
+  TaintPair leak;
+  leak.control = pairs_[a].data;
+  leak.control.merge(pairs_[a].control);
+  const TaintId id = intern(std::move(leak));
+  control_of_[a] = id;
+  return id;
+}
+
 TaintAnalysis::TaintAnalysis(const ir::Module& module,
                              const ShmRegionTable& regions,
                              const ShmPointerAnalysis& shm,
@@ -211,94 +282,102 @@ bool TaintAnalysis::isCovered(const ShmPtrInfo& ptr,
 // Transfer functions
 // ---------------------------------------------------------------------------
 
-const TaintPair& TaintAnalysis::operandTaint(const ir::Value* v) const {
-  auto it = value_taint_.find(v);
-  return it == value_taint_.end() ? empty_taint_ : it->second;
+TaintId TaintAnalysis::operandTaint(const ir::Value* v) const {
+  const auto it = value_taint_.find(v);
+  return it == value_taint_.end() ? TaintPool::kEmpty : it->second;
 }
 
-TaintPair TaintAnalysis::resolveConcrete(const TaintPair& t,
-                                         const ir::Function& fn) const {
+bool TaintAnalysis::grow(TaintId& slot, TaintId t) {
+  const TaintId joined = pool_.join(slot, t);
+  if (joined == slot) return false;
+  slot = joined;
+  return true;
+}
+
+TaintId TaintAnalysis::resolveConcrete(TaintId t, const ir::Function& fn) {
+  if (pool_.symbolFree(t)) return t;
+  const TaintPair& in = pool_.get(t);
   TaintPair out;
-  out.data.sources = t.data.sources;
-  out.control.sources = t.control.sources;
+  out.data.sources = in.data.sources;
+  out.control.sources = in.control.sources;
   auto concrete_of = [this, &fn](unsigned p) -> const TaintPair& {
-    if (p >= fn.args().size()) return empty_taint_;
-    auto it = arg_concrete_.find(fn.args()[p].get());
-    return it == arg_concrete_.end() ? empty_taint_ : it->second;
+    TaintId id = TaintPool::kEmpty;
+    if (p < fn.args().size()) {
+      const auto it = arg_concrete_.find(fn.args()[p].get());
+      if (it != arg_concrete_.end()) id = it->second;
+    }
+    return pool_.get(id);
   };
-  for (unsigned p : t.data.params) {
+  for (unsigned p : in.data.params) {
     const TaintPair& a = concrete_of(p);
     out.data.mergeConcrete(a.data);
     out.control.mergeConcrete(a.control);
   }
-  for (unsigned p : t.control.params) {
+  for (unsigned p : in.control.params) {
     const TaintPair& a = concrete_of(p);
     out.control.mergeConcrete(a.data);
     out.control.mergeConcrete(a.control);
   }
-  return out;
+  return pool_.intern(std::move(out));
 }
 
-Taint TaintAnalysis::resolveConcreteControl(const Taint& t,
-                                            const ir::Function& fn) const {
-  Taint out;
-  out.sources = t.sources;
-  for (unsigned p : t.params) {
-    if (p >= fn.args().size()) continue;
-    auto it = arg_concrete_.find(fn.args()[p].get());
-    if (it == arg_concrete_.end()) continue;
-    out.mergeConcrete(it->second.data);
-    out.mergeConcrete(it->second.control);
-  }
-  return out;
-}
-
-TaintPair TaintAnalysis::substituteSummary(const TaintPair& summary,
-                                           const ir::Instruction& call,
-                                           std::size_t first_arg) const {
+TaintId TaintAnalysis::substituteSummary(TaintId summary,
+                                         const ir::Instruction& call,
+                                         std::size_t first_arg) {
+  if (pool_.symbolFree(summary)) return summary;
+  const TaintPair& in = pool_.get(summary);
   TaintPair out;
-  out.data.sources = summary.data.sources;
-  out.control.sources = summary.control.sources;
+  out.data.sources = in.data.sources;
+  out.control.sources = in.control.sources;
   auto arg_taint = [this, &call, first_arg](unsigned p) -> const TaintPair& {
     const std::size_t idx = first_arg + p;
-    if (idx >= call.numOperands()) return empty_taint_;
-    return operandTaint(call.operand(idx));
+    return pool_.get(idx < call.numOperands()
+                         ? operandTaint(call.operand(idx))
+                         : TaintPool::kEmpty);
   };
-  for (unsigned p : summary.data.params) {
+  for (unsigned p : in.data.params) {
     const TaintPair& a = arg_taint(p);
     out.data.merge(a.data);          // caller's symbols stay symbolic
     out.control.merge(a.control);
   }
-  for (unsigned p : summary.control.params) {
+  for (unsigned p : in.control.params) {
     const TaintPair& a = arg_taint(p);
     out.control.merge(a.data);
     out.control.merge(a.control);
   }
-  return out;
+  return pool_.intern(std::move(out));
 }
 
 TaintPair TaintAnalysis::taintOf(const ir::Value* v) const {
-  return operandTaint(v);
+  return pool_.get(operandTaint(v));
 }
 
-TaintPair TaintAnalysis::loadTaint(const ir::Instruction& load,
-                                   const AssumptionSet& assumptions) const {
-  TaintPair out;
+TaintId TaintAnalysis::loadTaint(const ir::Instruction& load,
+                                 const AssumptionSet& assumptions) {
+  TaintId out = TaintPool::kEmpty;
   const ir::Value* ptr = load.operand(0);
   const std::int64_t access_size =
       static_cast<std::int64_t>(load.type()->size());
 
   if (const ShmPtrInfo* info = shm_.info(ptr)) {
+    TaintPair sourced;
     for (int region : info->regions) {
       const ShmRegion* r = regions_.byId(region);
       if (r == nullptr || !r->noncore) continue;  // core regions are safe
       if (isCovered(*info, access_size, assumptions, region)) continue;
-      out.data.sources[region].insert(&load);
+      sourced.data.sources[region].insert(&load);
     }
+    if (!sourced.empty()) out = pool_.intern(std::move(sourced));
   } else {
     // Ordinary memory: pick up whatever taint was stored in the objects
     // the pointer may reference. Message-channel taints (paper §3.4.3)
     // are dropped when the enclosing function monitors the channel.
+    const bool monitors_channel =
+        std::any_of(assumptions.begin(), assumptions.end(),
+                    [this](const CoreAssumption& a) {
+                      const ShmRegion* r = regions_.byId(a.region);
+                      return r != nullptr && r->is_message_channel;
+                    });
     for (ObjId base : alias_.pointsTo(ptr)) {
       if (alias_.regionOf(base) >= 0) continue;  // shm handled above
       // A field read sees the taints of the whole object (writes through
@@ -306,24 +385,27 @@ TaintPair TaintAnalysis::loadTaint(const ir::Instruction& load,
       for (ObjId obj = base; obj >= 0; obj = alias_.parentOf(obj)) {
         auto it = object_taint_.find(obj);
         if (it == object_taint_.end()) continue;
-        TaintPair t = it->second;
+        if (!monitors_channel) {
+          out = pool_.join(out, it->second);
+          continue;
+        }
+        TaintPair t = pool_.get(it->second);
         for (const CoreAssumption& a : assumptions) {
           const ShmRegion* r = regions_.byId(a.region);
           if (r == nullptr || !r->is_message_channel) continue;
           t.data.sources.erase(a.region);
           t.control.sources.erase(a.region);
         }
-        out.merge(t);
+        out = pool_.join(out, pool_.intern(std::move(t)));
       }
     }
   }
   // A tainted address taints the loaded value too.
-  out.merge(operandTaint(ptr));
-  return out;
+  return pool_.join(out, operandTaint(ptr));
 }
 
-Taint TaintAnalysis::blockControlTaint(const ir::BasicBlock* bb) const {
-  Taint out;
+TaintId TaintAnalysis::blockControlTaint(const ir::BasicBlock* bb) {
+  TaintId out = TaintPool::kEmpty;
   for (const ir::BasicBlock* branch : bb->parent()->cfg().controllers(bb)) {
     const ir::Instruction* term = branch->terminator();
     if (term == nullptr || term->opcode() != ir::Opcode::kCondBr) continue;
@@ -335,9 +417,7 @@ Taint TaintAnalysis::blockControlTaint(const ir::BasicBlock* bb) const {
       }
       continue;
     }
-    const TaintPair& cond = operandTaint(term->operand(0));
-    out.merge(cond.data);
-    out.merge(cond.control);
+    out = pool_.join(out, pool_.controlOf(operandTaint(term->operand(0))));
   }
   return out;
 }
@@ -594,7 +674,8 @@ bool TaintAnalysis::analyzeFunction(const ir::Function& fn,
   for (const auto& arg : fn.args()) {
     TaintPair symbol;
     symbol.data.params.insert(arg->index());
-    changed_any |= value_taint_[arg.get()].merge(symbol);
+    changed_any |=
+        grow(value_taint_[arg.get()], pool_.intern(std::move(symbol)));
   }
 
   // What makes a round count as changed, as the whole-pass loop counted
@@ -612,7 +693,7 @@ bool TaintAnalysis::analyzeFunction(const ir::Function& fn,
   std::optional<BodyWorklist> worklist;
   std::uint32_t pos = 0;
   for (const auto& bb : fn.blocks()) {
-    Taint block_control;
+    TaintId block_control = TaintPool::kEmpty;
     if (options_.track_control_deps) {
       block_control = blockControlTaint(bb.get());
     }
@@ -638,7 +719,7 @@ bool TaintAnalysis::analyzeFunction(const ir::Function& fn,
   while (in_budget && changed && worklist && worklist->nextRound()) {
     changed = false;
     const ir::BasicBlock* entered = nullptr;
-    Taint block_control;
+    TaintId block_control = TaintPool::kEmpty;
     for (std::uint32_t at = worklist->pop(); at != BodyWorklist::kNone;
          at = worklist->pop()) {
       in_budget = support::budgetStep(budget_);
@@ -661,11 +742,11 @@ bool TaintAnalysis::analyzeFunction(const ir::Function& fn,
 
 unsigned TaintAnalysis::evalInstruction(const ir::Instruction& inst,
                                         const ir::Function& fn,
-                                        const Taint& block_control,
+                                        TaintId block_control,
                                         const AssumptionSet& assumptions,
                                         unsigned depth) {
   unsigned growth = 0;
-  TaintPair result;
+  TaintId result = TaintPool::kEmpty;
   switch (inst.opcode()) {
     case ir::Opcode::kLoad:
       result = loadTaint(inst, assumptions);
@@ -673,13 +754,14 @@ unsigned TaintAnalysis::evalInstruction(const ir::Instruction& inst,
     case ir::Opcode::kStore: {
       // Memory objects are shared across contexts, so escaping taints are
       // resolved to their concrete form first.
-      TaintPair stored = resolveConcrete(operandTaint(inst.operand(0)), fn);
-      stored.control.mergeConcrete(resolveConcreteControl(block_control, fn));
-      if (!stored.empty()) {
+      const TaintId stored =
+          pool_.join(resolveConcrete(operandTaint(inst.operand(0)), fn),
+                     resolveConcrete(block_control, fn));
+      if (stored != TaintPool::kEmpty) {
         for (ObjId obj : alias_.pointsTo(inst.operand(1))) {
           if (alias_.regionOf(obj) >= 0) continue;  // shm writes do not
           // change the region's core/non-core status (§2).
-          if (object_taint_[obj].merge(stored)) {
+          if (grow(object_taint_[obj], stored)) {
             growth |= kGrewObject;
             ++object_growths_;
           }
@@ -694,7 +776,7 @@ unsigned TaintAnalysis::evalInstruction(const ir::Instruction& inst,
     case ir::Opcode::kFieldAddr:
     case ir::Opcode::kIndexAddr:
       for (const ir::Value* op : inst.operands()) {
-        result.merge(operandTaint(op));
+        result = pool_.join(result, operandTaint(op));
       }
       break;
     case ir::Opcode::kPhi:
@@ -708,18 +790,18 @@ unsigned TaintAnalysis::evalInstruction(const ir::Instruction& inst,
           }
           continue;
         }
-        result.merge(operandTaint(inst.operand(i)));
+        result = pool_.join(result, operandTaint(inst.operand(i)));
         // The choice of incoming edge leaks the branch condition.
         if (options_.track_control_deps && i < inst.block_refs.size()) {
           const ir::Instruction* pterm = inst.block_refs[i]->terminator();
           if (pterm != nullptr && pterm->opcode() == ir::Opcode::kCondBr &&
               !(ranges_ != nullptr &&
                 ranges_->decidedBranch(pterm).has_value())) {
-            const TaintPair& cond = operandTaint(pterm->operand(0));
-            result.control.merge(cond.data);
-            result.control.merge(cond.control);
+            result = pool_.join(
+                result, pool_.controlOf(operandTaint(pterm->operand(0))));
           }
-          result.control.merge(blockControlTaint(inst.block_refs[i]));
+          result =
+              pool_.join(result, blockControlTaint(inst.block_refs[i]));
         }
       }
       break;
@@ -741,9 +823,9 @@ unsigned TaintAnalysis::evalInstruction(const ir::Instruction& inst,
     }
     case ir::Opcode::kRet:
       if (inst.numOperands() == 1) {
-        TaintPair& ret = return_taint_[&fn];
-        const bool grew_value = ret.merge(operandTaint(inst.operand(0)));
-        const bool grew_control = ret.control.merge(block_control);
+        TaintId& ret = return_taint_[&fn];
+        const bool grew_value = grow(ret, operandTaint(inst.operand(0)));
+        const bool grew_control = grow(ret, block_control);
         if (grew_value || grew_control) {
           SAFEFLOW_COUNT("taint.summaries_computed");
           growth |= kGrewReturn;
@@ -753,8 +835,10 @@ unsigned TaintAnalysis::evalInstruction(const ir::Instruction& inst,
     default:
       return growth;
   }
-  if (options_.track_control_deps) result.control.merge(block_control);
-  if (!result.empty() && value_taint_[&inst].merge(result)) {
+  if (options_.track_control_deps) {
+    result = pool_.join(result, block_control);
+  }
+  if (result != TaintPool::kEmpty && grow(value_taint_[&inst], result)) {
     growth |= kGrewValue;
   }
   return growth;
@@ -780,7 +864,7 @@ const ir::GlobalVar* traceLoadToGlobal(const ir::Value* v, int depth = 0) {
 }
 }  // namespace
 
-TaintPair TaintAnalysis::evalReceive(const ir::Instruction& call) {
+TaintId TaintAnalysis::evalReceive(const ir::Instruction& call) {
   // Returns the call-result taint; buffer objects are tainted in place.
   for (const auto& rc : options_.receive_calls) {
     if (call.direct_callee == nullptr ||
@@ -795,16 +879,18 @@ TaintPair TaintAnalysis::evalReceive(const ir::Instruction& call) {
         traceLoadToGlobal(call.operand(rc.socket_arg));
     const ShmRegion* channel =
         fd != nullptr ? regions_.channelByGlobal(fd) : nullptr;
-    if (channel == nullptr) return {};  // core channel: received data safe
-    TaintPair incoming;
-    incoming.data.sources[channel->id].insert(&call);
+    // A core channel's received data is safe.
+    if (channel == nullptr) return TaintPool::kEmpty;
+    TaintPair received;
+    received.data.sources[channel->id].insert(&call);
+    const TaintId incoming = pool_.intern(std::move(received));
     for (ObjId obj : alias_.pointsTo(call.operand(rc.buffer_arg))) {
       if (alias_.regionOf(obj) >= 0) continue;
-      if (object_taint_[obj].merge(incoming)) ++object_growths_;
+      if (grow(object_taint_[obj], incoming)) ++object_growths_;
     }
     return incoming;  // byte count / status also reflects the channel
   }
-  return {};
+  return TaintPool::kEmpty;
 }
 
 bool TaintAnalysis::isReceiveCall(const ir::Instruction& call) const {
@@ -815,10 +901,10 @@ bool TaintAnalysis::isReceiveCall(const ir::Instruction& call) const {
   return false;
 }
 
-TaintPair TaintAnalysis::evalCall(const ir::Instruction& call,
-                                  const AssumptionSet& caller_assumptions,
-                                  unsigned depth) {
-  TaintPair result;
+TaintId TaintAnalysis::evalCall(const ir::Instruction& call,
+                                const AssumptionSet& caller_assumptions,
+                                unsigned depth) {
+  TaintId result = TaintPool::kEmpty;
   const std::size_t first_arg = call.direct_callee == nullptr ? 1 : 0;
   const ir::Function* caller = call.parent()->parent();
 
@@ -826,7 +912,7 @@ TaintPair TaintAnalysis::evalCall(const ir::Instruction& call,
 
   bool any_defined = false;
   for (const ir::Function* target : callgraph_.targets(call)) {
-    if (target->isIntrinsic()) return {};
+    if (target->isIntrinsic()) return TaintPool::kEmpty;
     if (!target->isDefined() || regions_.isInitFunction(target)) continue;
     any_defined = true;
 
@@ -835,15 +921,16 @@ TaintPair TaintAnalysis::evalCall(const ir::Instruction& call,
     for (std::size_t i = first_arg; i < call.numOperands(); ++i) {
       const std::size_t p = i - first_arg;
       if (p >= target->args().size()) break;
-      const TaintPair arg =
+      const TaintId arg =
           resolveConcrete(operandTaint(call.operand(i)), *caller);
-      if (!arg.empty() && arg_concrete_[target->args()[p].get()].merge(arg)) {
+      if (arg != TaintPool::kEmpty &&
+          grow(arg_concrete_[target->args()[p].get()], arg)) {
         call_growth_ |= target == caller ? kGrewCalleeArgs | kGrewOwnArgs
                                          : kGrewCalleeArgs;
       }
     }
 
-    TaintPair summary;
+    TaintId summary = TaintPool::kEmpty;
     if (options_.mode == TaintOptions::Mode::kCallStrings &&
         depth < options_.max_context_depth) {
       AssumptionSet ctx = caller_assumptions;
@@ -857,22 +944,21 @@ TaintPair TaintAnalysis::evalCall(const ir::Instruction& call,
     // Instantiate the summary for THIS call site: parameter symbols are
     // replaced by the actual argument taints (context sensitivity in the
     // function's inputs, per the paper's value-flow-graph summaries).
-    result.merge(substituteSummary(summary, call, first_arg));
+    result = pool_.join(result, substituteSummary(summary, call, first_arg));
   }
 
   if (!any_defined) {
     // External function: its result conservatively depends on all
     // arguments.
     for (std::size_t i = first_arg; i < call.numOperands(); ++i) {
-      result.merge(operandTaint(call.operand(i)));
+      result = pool_.join(result, operandTaint(call.operand(i)));
     }
   }
   return result;
 }
 
-TaintPair TaintAnalysis::analyzeInContext(const ir::Function& fn,
-                                          AssumptionSet ctx,
-                                          unsigned depth) {
+TaintId TaintAnalysis::analyzeInContext(const ir::Function& fn,
+                                        AssumptionSet ctx, unsigned depth) {
   const auto key = std::make_pair(&fn, ctx);
   auto it = context_memo_.find(key);
   if (it != context_memo_.end()) {
@@ -880,14 +966,14 @@ TaintPair TaintAnalysis::analyzeInContext(const ir::Function& fn,
     return it->second;
   }
   SAFEFLOW_COUNT("taint.context_clones");
-  context_memo_[key] = TaintPair{};  // break recursion
+  context_memo_[key] = TaintPool::kEmpty;  // break recursion
 
   // Run the body fixpoint under ctx; value/object taints accumulate
   // globally, and the return taint after convergence is this context's
   // summary.
   while (analyzeFunction(fn, ctx, depth)) {
   }
-  TaintPair after = return_taint_[&fn];
+  const TaintId after = return_taint_[&fn];
   context_memo_[key] = after;
   return after;
 }
@@ -1225,26 +1311,28 @@ void TaintAnalysis::digestInput(const ir::Function& fn,
     const auto it = value_taint_.find(values[id]);
     if (it == value_taint_.end()) continue;
     hashUint(h, id);
-    hashTaintPairDigest(h, it->second);
+    hashTaintPairDigest(h, pool_.get(it->second));
   }
   hashToken(h, "argc");
   for (std::size_t p = 0; p < fn.args().size(); ++p) {
     const auto it = arg_concrete_.find(fn.args()[p].get());
     if (it == arg_concrete_.end()) continue;
     hashUint(h, p);
-    hashTaintPairDigest(h, it->second);
+    hashTaintPairDigest(h, pool_.get(it->second));
   }
   hashToken(h, "ret");
   const auto rit = return_taint_.find(&fn);
   hashUint(h, rit == return_taint_.end() ? 0 : 1);
-  if (rit != return_taint_.end()) hashTaintPairDigest(h, rit->second);
+  if (rit != return_taint_.end()) {
+    hashTaintPairDigest(h, pool_.get(rit->second));
+  }
 
   hashToken(h, "objs");
   for (const auto& [name_hash, obj] : st.footprint_hashed) {
     const auto it = object_taint_.find(obj);
     if (it == object_taint_.end()) continue;
     hashUint(h, name_hash);
-    hashTaintPairDigest(h, it->second);
+    hashTaintPairDigest(h, pool_.get(it->second));
   }
 
   hashToken(h, "calls");
@@ -1252,12 +1340,14 @@ void TaintAnalysis::digestInput(const ir::Function& fn,
     hashUint(h, name_hash);
     const auto trit = return_taint_.find(target);
     hashUint(h, trit == return_taint_.end() ? 0 : 1);
-    if (trit != return_taint_.end()) hashTaintPairDigest(h, trit->second);
+    if (trit != return_taint_.end()) {
+      hashTaintPairDigest(h, pool_.get(trit->second));
+    }
     for (std::size_t p = 0; p < target->args().size(); ++p) {
       const auto ait = arg_concrete_.find(target->args()[p].get());
       if (ait == arg_concrete_.end()) continue;
       hashUint(h, p);
-      hashTaintPairDigest(h, ait->second);
+      hashTaintPairDigest(h, pool_.get(ait->second));
     }
   }
 }
@@ -1275,9 +1365,9 @@ std::string TaintAnalysis::captureRecord(const ir::Function& fn,
   // module whose distinct state fits in kilobytes.
   std::vector<std::string> table;
   std::map<std::string, std::uint64_t> interned;
-  const auto intern = [&](const TaintPair& t) {
+  const auto intern = [&](TaintId t) {
     BlobWriter pw;
-    writeTaintPair(pw, t, index);
+    writeTaintPair(pw, pool_.get(t), index);
     std::string bytes = pw.take();
     const auto it = interned.find(bytes);
     if (it != interned.end()) return it->second;
@@ -1370,65 +1460,62 @@ bool TaintAnalysis::applyRecord(const ir::Function& fn,
   // Intern table first (see captureRecord): each distinct pair is parsed
   // once, slots reference it by index.
   const std::uint64_t ntable = r.u64();
-  std::vector<TaintPair> table;
+  std::vector<TaintId> table;
   for (std::uint64_t i = 0; i < ntable && r.ok(); ++i) {
     const std::string bytes = r.str();
     BlobReader pr(bytes);
     TaintPair t;
     if (!readTaintPair(pr, &t, index) || !pr.atEnd()) return false;
-    table.push_back(std::move(t));
+    table.push_back(pool_.intern(std::move(t)));
   }
-  const auto pair_at = [&](std::uint64_t idx) -> const TaintPair* {
-    return idx < table.size() ? &table[idx] : nullptr;
+  const auto pair_at = [&](std::uint64_t idx) -> std::optional<TaintId> {
+    if (idx >= table.size()) return std::nullopt;
+    return table[idx];
   };
 
-  std::vector<std::pair<const ir::Value*, const TaintPair*>> staged_values;
+  std::vector<std::pair<const ir::Value*, TaintId>> staged_values;
   const std::uint64_t own = r.u64();
   for (std::uint64_t i = 0; i < own && r.ok(); ++i) {
     const std::uint64_t id = r.u64();
-    const TaintPair* t = pair_at(r.u64());
-    if (!r.ok() || t == nullptr || id >= values.size()) return false;
-    staged_values.push_back({values[id], t});
+    const auto t = pair_at(r.u64());
+    if (!r.ok() || !t || id >= values.size()) return false;
+    staged_values.push_back({values[id], *t});
   }
-  const TaintPair* ret_taint = nullptr;
+  std::optional<TaintId> ret_taint;
   if (r.u64() != 0) {
     ret_taint = pair_at(r.u64());
-    if (!r.ok() || ret_taint == nullptr) return false;
+    if (!r.ok() || !ret_taint) return false;
   }
   const auto sit = memo_statics_.find(&fn);
   const auto footprint =
       sit != memo_statics_.end() ? sit->second.footprint : memoFootprint(fn);
-  std::vector<std::pair<ObjId, const TaintPair*>> staged_objects;
+  std::vector<std::pair<ObjId, TaintId>> staged_objects;
   const std::uint64_t nobjs = r.u64();
   for (std::uint64_t i = 0; i < nobjs && r.ok(); ++i) {
     const std::string name = r.str();
-    const TaintPair* t = pair_at(r.u64());
+    const auto t = pair_at(r.u64());
     const auto it = footprint.find(name);
-    if (!r.ok() || t == nullptr || it == footprint.end()) return false;
-    staged_objects.push_back({it->second, t});
+    if (!r.ok() || !t || it == footprint.end()) return false;
+    staged_objects.push_back({it->second, *t});
   }
-  std::vector<std::pair<const ir::Argument*, const TaintPair*>>
-      staged_formals;
+  std::vector<std::pair<const ir::Argument*, TaintId>> staged_formals;
   const std::uint64_t nformals = r.u64();
   for (std::uint64_t i = 0; i < nformals && r.ok(); ++i) {
     const std::string name = r.str();
     const std::uint64_t p = r.u64();
-    const TaintPair* t = pair_at(r.u64());
+    const auto t = pair_at(r.u64());
     const ir::Function* target = index.function(name);
-    if (!r.ok() || t == nullptr || target == nullptr ||
-        p >= target->args().size()) {
+    if (!r.ok() || !t || target == nullptr || p >= target->args().size()) {
       return false;
     }
-    staged_formals.push_back({target->args()[p].get(), t});
+    staged_formals.push_back({target->args()[p].get(), *t});
   }
   if (!r.ok() || !r.atEnd()) return false;
 
-  for (const auto& [v, t] : staged_values) value_taint_[v] = *t;
-  if (ret_taint != nullptr) return_taint_[&fn] = *ret_taint;
-  for (const auto& [obj, t] : staged_objects) object_taint_[obj] = *t;
-  for (const auto& [formal, t] : staged_formals) {
-    arg_concrete_[formal] = *t;
-  }
+  for (const auto& [v, t] : staged_values) value_taint_[v] = t;
+  if (ret_taint) return_taint_[&fn] = *ret_taint;
+  for (const auto& [obj, t] : staged_objects) object_taint_[obj] = t;
+  for (const auto& [formal, t] : staged_formals) arg_concrete_[formal] = t;
   *changed_any = rc;
   return true;
 }
@@ -1470,17 +1557,17 @@ std::uint64_t TaintAnalysis::digestState(const ModuleIndex& index) const {
            std::to_string(id);
   };
   for (const auto& [v, t] : value_taint_) {
-    items["v:" + stable(v)] = taintPairStr(t, index);
+    items["v:" + stable(v)] = taintPairStr(pool_.get(t), index);
   }
   for (const auto& [obj, t] : object_taint_) {
     items["o:" + stableObjectName(alias_, index, obj)] =
-        taintPairStr(t, index);
+        taintPairStr(pool_.get(t), index);
   }
   for (const auto& [arg, t] : arg_concrete_) {
-    items["a:" + stable(arg)] = taintPairStr(t, index);
+    items["a:" + stable(arg)] = taintPairStr(pool_.get(t), index);
   }
   for (const auto& [fn, t] : return_taint_) {
-    items["r:" + fn->name()] = taintPairStr(t, index);
+    items["r:" + fn->name()] = taintPairStr(pool_.get(t), index);
   }
   support::Fnv1a h;
   for (const auto& [k, v] : items) {
@@ -1506,7 +1593,7 @@ void TaintAnalysis::reportWarnings(SafeFlowReport& report) {
             for (ObjId obj = base; obj >= 0; obj = alias_.parentOf(obj)) {
               auto it = object_taint_.find(obj);
               if (it == object_taint_.end()) continue;
-              for (int region : it->second.data.regions()) {
+              for (int region : pool_.get(it->second).data.regions()) {
                 const ShmRegion* r = regions_.byId(region);
                 if (r != nullptr && r->is_message_channel) {
                   channels.insert(region);
@@ -1556,8 +1643,8 @@ void TaintAnalysis::reportCriticalValue(SafeFlowReport& report,
                                         const std::string& name) {
   // Resolve any parameter symbols against the concrete taints this
   // function receives (merged over its callers).
-  const TaintPair taint =
-      resolveConcrete(operandTaint(checked), *site.parent()->parent());
+  const TaintPair& taint = pool_.get(
+      resolveConcrete(operandTaint(checked), *site.parent()->parent()));
   if (taint.empty()) return;
 
   // One entry per involved region: a region reaching through data flow is

@@ -23,11 +23,20 @@
 //   kCallStrings  context cloning keyed on the inherited assumption set,
 //                 the prototype's "analyze each function multiple times
 //                 for different call sequences" exponential algorithm.
+//
+// Taint values are hash-consed: a TaintPool interns every distinct
+// TaintPair once, the solver state holds 32-bit TaintIds, and merging is
+// a memoized join on ids. Equal ids mean equal contents, so a slot grows
+// exactly when its join with the incoming id yields a different id
+// (DESIGN.md §18, "Interned taint values").
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "analysis/alias.h"
 #include "analysis/report.h"
@@ -59,6 +68,7 @@ struct Taint {
   /// Merges only the concrete (region) part of other.
   bool mergeConcrete(const Taint& other);
   [[nodiscard]] std::set<int> regions() const;
+  bool operator==(const Taint&) const = default;
 };
 
 /// Data and control components tracked separately so the report can
@@ -69,6 +79,45 @@ struct TaintPair {
 
   [[nodiscard]] bool empty() const { return data.empty() && control.empty(); }
   bool merge(const TaintPair& other);
+  bool operator==(const TaintPair&) const = default;
+};
+
+/// Handle of an interned TaintPair; 0 is the empty pair.
+using TaintId = std::uint32_t;
+
+/// Hash-consing pool of TaintPairs. Equal contents intern to one id, so
+/// id equality is content equality, and join and controlOf are memoized
+/// on ids. Pairs live in a deque: a reference from get() stays valid
+/// across later interning.
+class TaintPool {
+ public:
+  static constexpr TaintId kEmpty = 0;
+
+  TaintPool();
+
+  /// The id of `pair`'s contents, adding them if they are new.
+  TaintId intern(TaintPair&& pair);
+  [[nodiscard]] const TaintPair& get(TaintId id) const { return pairs_[id]; }
+  /// The id of get(a) merged with get(b).
+  TaintId join(TaintId a, TaintId b);
+  /// {∅, data ∪ control} of `a`: what a branch on a value tainted with
+  /// `a` leaks into the blocks it controls.
+  TaintId controlOf(TaintId a);
+  /// True when neither half of the pair holds a parameter symbol.
+  [[nodiscard]] bool symbolFree(TaintId id) const {
+    return symbol_free_[id] != 0;
+  }
+
+ private:
+  static constexpr TaintId kUnknown = ~TaintId{0};
+
+  std::deque<TaintPair> pairs_;
+  std::vector<std::uint8_t> symbol_free_;
+  std::vector<TaintId> control_of_;  ///< kUnknown until first asked
+  /// Content hash -> ids with that hash.
+  std::unordered_multimap<std::uint64_t, TaintId> index_;
+  /// (smaller id << 32 | larger id) -> join.
+  std::unordered_map<std::uint64_t, TaintId> joins_;
 };
 
 /// One assumption: bytes [offset, offset+size) of `region` are core.
@@ -173,8 +222,7 @@ class TaintAnalysis {
   /// Growth bits. `block_control` is the control taint of its block as of
   /// the block's entry in the current round.
   unsigned evalInstruction(const ir::Instruction& inst,
-                           const ir::Function& fn,
-                           const Taint& block_control,
+                           const ir::Function& fn, TaintId block_control,
                            const AssumptionSet& assumptions, unsigned depth);
   class BodyWorklist;
   /// Memoizing wrapper around analyzeFunction for the summary-mode SCC
@@ -217,37 +265,35 @@ class TaintAnalysis {
   /// sorted memoRefHash values — no per-visit string building.
   void hashTaintDigest(support::Fnv1a& h, const Taint& t) const;
   void hashTaintPairDigest(support::Fnv1a& h, const TaintPair& t) const;
-  TaintPair evalCall(const ir::Instruction& call,
-                     const AssumptionSet& caller_assumptions,
-                     unsigned depth);
+  TaintId evalCall(const ir::Instruction& call,
+                   const AssumptionSet& caller_assumptions, unsigned depth);
   /// recv/read-style call through a possibly-noncore descriptor; taints
   /// the buffer's objects (counted in object_growths_) and returns the
   /// result taint.
-  TaintPair evalReceive(const ir::Instruction& call);
+  TaintId evalReceive(const ir::Instruction& call);
   [[nodiscard]] bool isReceiveCall(const ir::Instruction& call) const;
   /// Call-string mode: (re)analyze `fn` under `ctx`, returning the summary
   /// (return taint) for that context. Memoized.
-  TaintPair analyzeInContext(const ir::Function& fn, AssumptionSet ctx,
-                             unsigned depth);
-  [[nodiscard]] const TaintPair& operandTaint(const ir::Value* v) const;
+  TaintId analyzeInContext(const ir::Function& fn, AssumptionSet ctx,
+                           unsigned depth);
+  [[nodiscard]] TaintId operandTaint(const ir::Value* v) const;
   /// Replaces parameter symbols with the concrete taints accumulated for
   /// `fn`'s arguments (data symbols keep data/control split; control
-  /// symbols collapse into control).
-  [[nodiscard]] TaintPair resolveConcrete(const TaintPair& t,
-                                          const ir::Function& fn) const;
-  [[nodiscard]] Taint resolveConcreteControl(const Taint& t,
-                                             const ir::Function& fn) const;
+  /// symbols collapse into control). A symbol-free `t` comes back as is.
+  TaintId resolveConcrete(TaintId t, const ir::Function& fn);
   /// Instantiates a callee summary at a call site, substituting parameter
   /// symbols with the call's argument taints.
-  [[nodiscard]] TaintPair substituteSummary(const TaintPair& summary,
-                                            const ir::Instruction& call,
-                                            std::size_t first_arg) const;
+  TaintId substituteSummary(TaintId summary, const ir::Instruction& call,
+                            std::size_t first_arg);
   /// The taint a load yields (region taint for unmonitored noncore loads,
   /// plus object taint), given the active assumptions.
-  TaintPair loadTaint(const ir::Instruction& load,
-                      const AssumptionSet& assumptions) const;
-  /// Control taint contributed by the block's controlling branches.
-  Taint blockControlTaint(const ir::BasicBlock* bb) const;
+  TaintId loadTaint(const ir::Instruction& load,
+                    const AssumptionSet& assumptions);
+  /// Control taint contributed by the block's controlling branches: a
+  /// pair whose data half is empty.
+  TaintId blockControlTaint(const ir::BasicBlock* bb);
+  /// Joins `t` into `slot`; true when the slot grew.
+  bool grow(TaintId& slot, TaintId t);
 
   void reportWarnings(SafeFlowReport& report);
   void reportAsserts(SafeFlowReport& report);
@@ -271,23 +317,24 @@ class TaintAnalysis {
   /// Branches / phi edges pruned via the range analysis. Sets (not raw
   /// counters) so fixpoint revisits count each edge once and the metric
   /// totals stay independent of iteration order.
-  mutable std::set<const ir::Instruction*> pruned_branches_;
-  mutable std::set<std::pair<const ir::Instruction*, std::size_t>>
-      pruned_phi_edges_;
+  std::set<const ir::Instruction*> pruned_branches_;
+  std::set<std::pair<const ir::Instruction*, std::size_t>> pruned_phi_edges_;
 
   std::map<const ir::Function*, AssumptionSet> local_assumptions_;
   std::map<const ir::Function*, AssumptionSet> effective_;
   std::map<const ir::Function*, bool> effective_is_top_;
 
-  std::map<const ir::Value*, TaintPair> value_taint_;
-  std::map<ObjId, TaintPair> object_taint_;
+  /// Every taint value below is an id into this pool.
+  TaintPool pool_;
+  std::unordered_map<const ir::Value*, TaintId> value_taint_;
+  std::unordered_map<ObjId, TaintId> object_taint_;
   /// Concrete (symbol-free) taint each parameter receives, merged over
   /// call sites — used when parameter symbols escape through memory or
   /// reach a report site inside a callee.
-  std::map<const ir::Argument*, TaintPair> arg_concrete_;
-  std::map<const ir::Function*, TaintPair> return_taint_;
+  std::unordered_map<const ir::Argument*, TaintId> arg_concrete_;
+  std::unordered_map<const ir::Function*, TaintId> return_taint_;
   // Call-string memoization: (function, context) -> return taint.
-  std::map<std::pair<const ir::Function*, AssumptionSet>, TaintPair>
+  std::map<std::pair<const ir::Function*, AssumptionSet>, TaintId>
       context_memo_;
   std::size_t body_analyses_ = 0;
   /// Growth bits evalCall records for the call being evaluated: callee
@@ -300,7 +347,6 @@ class TaintAnalysis {
   /// through its receive buffer or inside its nested body analyses.
   std::uint64_t object_growths_ = 0;
   AssumptionSet empty_assumptions_;
-  TaintPair empty_taint_;
 };
 
 }  // namespace safeflow::analysis

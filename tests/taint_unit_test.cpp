@@ -1,7 +1,7 @@
 // Focused tests for the phase-3 value-flow engine: parameterized
 // summaries (per-call-site context sensitivity), effective-assumption
-// intersection, implicit critical calls, provenance, and the revisit
-// edges of the sparse body solver.
+// intersection, implicit critical calls, provenance, the revisit edges of
+// the sparse body solver, and the pool that interns taint values.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/taint.h"
 #include "bench/synthetic.h"
 #include "safeflow/driver.h"
 
@@ -670,6 +671,173 @@ TEST(SparseSolver, InstructionEvalsGrowLinearlyWithRotationLength) {
   ASSERT_GT(at48, 0u);
   EXPECT_LT(static_cast<double>(at96) / static_cast<double>(at48), 2.5)
       << at48 << " evaluations at k=48, " << at96 << " at k=96";
+}
+
+TEST(TaintWorkload, ProgramsKeepEveryCounter) {
+  // How taint values are stored must not change the steps the solver
+  // takes: every body analysis, evaluation, summary growth, sweep round
+  // and context clone is pinned on the three workload programs, in both
+  // engines.
+  struct Expected {
+    const char* name;
+    std::string source;
+    Mode mode;
+    std::vector<std::uint64_t> counters;  // in kCounters order
+  };
+  const char* const kCounters[] = {
+      "taint.body_analyses",      "taint.instruction_evals",
+      "taint.summaries_computed", "taint.sweep_rounds",
+      "taint.context_clones",     "taint.context_cache_hits"};
+  const std::string scaling = bench::scalingProgram(2000);
+  const std::string cycle = bench::accumulatorCycleProgram(12, 96);
+  const std::string churn = bench::pointerChurnProgram(200, 32);
+  const Expected runs[] = {
+      {"scalingProgram(2000)", scaling, Mode::kSummaries,
+       {4002, 140010, 4000, 2, 0, 0}},
+      {"scalingProgram(2000)", scaling, Mode::kCallStrings,
+       {4001, 136005, 4000, 1, 2000, 0}},
+      {"accumulatorCycleProgram(12, 96)", cycle, Mode::kSummaries,
+       {26, 19954, 36, 2, 0, 0}},
+      {"accumulatorCycleProgram(12, 96)", cycle, Mode::kCallStrings,
+       {38, 24711, 36, 2, 24, 12}},
+      {"pointerChurnProgram(200, 32)", churn, Mode::kSummaries,
+       {466, 18534, 232, 2, 0, 0}},
+      {"pointerChurnProgram(200, 32)", churn, Mode::kCallStrings,
+       {463, 17346, 200, 1, 231, 629}},
+  };
+  for (const Expected& e : runs) {
+    SafeFlowDriver driver(inMode(e.mode));
+    driver.addSource("workload.c", e.source);
+    driver.analyze();
+    ASSERT_FALSE(driver.hasFrontendErrors()) << e.name;
+    const char* engine =
+        e.mode == Mode::kSummaries ? " summaries " : " call strings ";
+    for (std::size_t i = 0; i < e.counters.size(); ++i) {
+      EXPECT_EQ(counter(driver, kCounters[i]), e.counters[i])
+          << e.name << engine << kCounters[i];
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// TaintPool: hash-consed taint values
+// ---------------------------------------------------------------------------
+
+using analysis::TaintId;
+using analysis::TaintPair;
+using analysis::TaintPool;
+
+class TaintPoolTest : public testing::Test {
+ protected:
+  TaintPoolTest() {
+    for (int i = 0; i < 3; ++i) {
+      loads_.push_back(std::make_unique<ir::Instruction>(
+          ir::Opcode::kLoad, nullptr, ir::SourceLocation{}));
+    }
+  }
+
+  /// A pair whose data half holds `region` sourced by load `load`.
+  [[nodiscard]] TaintPair dataFrom(int region, int load) const {
+    TaintPair t;
+    t.data.sources[region].insert(loads_[load].get());
+    return t;
+  }
+
+  /// Interns a copy, leaving `t` for comparisons.
+  TaintId intern(const TaintPair& t) { return pool_.intern(TaintPair(t)); }
+
+  TaintPool pool_;
+  /// Stand-in source loads: the pool compares their addresses only.
+  std::vector<std::unique_ptr<ir::Instruction>> loads_;
+};
+
+TEST_F(TaintPoolTest, EqualContentsInternToEqualIds) {
+  EXPECT_EQ(pool_.intern(TaintPair{}), TaintPool::kEmpty);
+  EXPECT_TRUE(pool_.get(TaintPool::kEmpty).empty());
+
+  const TaintId a = intern(dataFrom(1, 0));
+  EXPECT_NE(a, TaintPool::kEmpty);
+  EXPECT_EQ(intern(dataFrom(1, 0)), a);  // built separately, same contents
+  EXPECT_NE(intern(dataFrom(1, 1)), a);  // another load
+  EXPECT_NE(intern(dataFrom(2, 0)), a);  // another region
+  TaintPair in_control;
+  in_control.control = dataFrom(1, 0).data;
+  EXPECT_NE(intern(in_control), a);  // the same taint in the other half
+  EXPECT_EQ(pool_.get(a), dataFrom(1, 0));
+}
+
+TEST_F(TaintPoolTest, JoinIsIdempotentCommutativeAndMerges) {
+  TaintPair x = dataFrom(1, 0);
+  x.data.params.insert(0);
+  TaintPair y = dataFrom(1, 1);
+  y.control.sources[2].insert(loads_[2].get());
+  y.control.params.insert(3);
+  const TaintId a = intern(x);
+  const TaintId b = intern(y);
+
+  EXPECT_EQ(pool_.join(a, a), a);
+  EXPECT_EQ(pool_.join(a, TaintPool::kEmpty), a);
+  EXPECT_EQ(pool_.join(TaintPool::kEmpty, a), a);
+  const TaintId ab = pool_.join(a, b);
+  EXPECT_EQ(pool_.join(b, a), ab);
+  EXPECT_EQ(pool_.join(ab, ab), ab);
+
+  TaintPair merged = x;
+  EXPECT_TRUE(merged.merge(y));
+  EXPECT_EQ(pool_.get(ab), merged);
+  EXPECT_EQ(intern(merged), ab);
+  // A join that adds nothing returns the id it started from, which is
+  // what makes `join(slot, x) != slot` the growth test merge() was.
+  EXPECT_FALSE(merged.merge(x));
+  EXPECT_EQ(pool_.join(ab, a), ab);
+}
+
+TEST_F(TaintPoolTest, ControlOfMovesBothHalvesIntoControl) {
+  TaintPair t = dataFrom(1, 0);
+  t.data.params.insert(1);
+  t.control.sources[2].insert(loads_[1].get());
+  t.control.params.insert(2);
+  const TaintId id = intern(t);
+
+  const TaintId leak = pool_.controlOf(id);
+  const TaintPair& got = pool_.get(leak);
+  EXPECT_TRUE(got.data.empty());
+  TaintPair expected;
+  expected.control = t.data;
+  expected.control.merge(t.control);
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(got.control.params, (std::set<unsigned>{1, 2}));
+  EXPECT_EQ(pool_.controlOf(id), leak);  // memoized
+  EXPECT_EQ(pool_.controlOf(leak), leak);
+  EXPECT_EQ(pool_.controlOf(TaintPool::kEmpty), TaintPool::kEmpty);
+}
+
+TEST_F(TaintPoolTest, SymbolFreeFlagTracksParameterSymbols) {
+  EXPECT_TRUE(pool_.symbolFree(TaintPool::kEmpty));
+  EXPECT_TRUE(pool_.symbolFree(intern(dataFrom(1, 0))));
+  TaintPair data_param = dataFrom(1, 0);
+  data_param.data.params.insert(0);
+  EXPECT_FALSE(pool_.symbolFree(intern(data_param)));
+  TaintPair control_param;
+  control_param.control.params.insert(4);
+  const TaintId c = intern(control_param);
+  EXPECT_FALSE(pool_.symbolFree(c));
+  EXPECT_FALSE(pool_.symbolFree(pool_.join(intern(dataFrom(2, 1)), c)));
+}
+
+TEST_F(TaintPoolTest, ReferencesSurviveLaterInterning) {
+  const TaintPair expected = dataFrom(1, 0);
+  const TaintId id = intern(expected);
+  const TaintPair& ref = pool_.get(id);
+  TaintId last = id;
+  for (unsigned i = 0; i < 1000; ++i) {
+    TaintPair t = dataFrom(static_cast<int>(i % 7), static_cast<int>(i % 3));
+    t.data.params.insert(i);
+    last = pool_.intern(std::move(t));
+  }
+  EXPECT_EQ(last, id + 1000);  // every one of them was new
+  EXPECT_EQ(&pool_.get(id), &ref);
+  EXPECT_EQ(ref, expected);
 }
 
 }  // namespace
