@@ -5,14 +5,15 @@
 namespace safeflow::cfront {
 
 Frontend::Frontend(std::vector<std::string> include_dirs)
-    : tu_(std::make_unique<TranslationUnit>(types_)),
+    : headers_(sm_),
+      tu_(std::make_unique<TranslationUnit>(types_)),
       include_dirs_(std::move(include_dirs)) {}
 
 void Frontend::predefine(std::string name, std::string value) {
   predefines_.emplace_back(std::move(name), std::move(value));
 }
 
-bool Frontend::parseFile(const std::string& path) {
+bool Frontend::parseFile(const std::string& path, support::FileId* file) {
   support::ScopedTimer timer("phase.frontend");
   timer.arg("file", path);
   const std::optional<support::FileId> id = sm_.addFile(path);
@@ -20,33 +21,25 @@ bool Frontend::parseFile(const std::string& path) {
     diags_.error({}, "io", "cannot open file '" + path + "'");
     return false;
   }
-  SAFEFLOW_COUNT("frontend.files");
-  std::vector<Token> tokens;
-  {
-    const support::ScopedSpan span("frontend.preprocess");
-    Preprocessor pp(sm_, diags_, include_dirs_);
-    for (const auto& [name, value] : predefines_) pp.predefine(name, value);
-    tokens = pp.run(*id);
-  }
-  return parseTokens(std::move(tokens));
+  if (file != nullptr) *file = *id;
+  return parseRoot(*id);
 }
 
 bool Frontend::parseBuffer(std::string name, std::string text) {
   support::ScopedTimer timer("phase.frontend");
   timer.arg("file", name);
-  const support::FileId id = sm_.addBuffer(std::move(name), std::move(text));
+  return parseRoot(sm_.addBuffer(std::move(name), std::move(text)));
+}
+
+bool Frontend::parseRoot(support::FileId root) {
   SAFEFLOW_COUNT("frontend.files");
   std::vector<Token> tokens;
   {
     const support::ScopedSpan span("frontend.preprocess");
-    Preprocessor pp(sm_, diags_, include_dirs_);
-    for (const auto& [macro, value] : predefines_) pp.predefine(macro, value);
-    tokens = pp.run(id);
+    Preprocessor pp(sm_, diags_, include_dirs_, &headers_);
+    for (const auto& [name, value] : predefines_) pp.predefine(name, value);
+    tokens = pp.run(root);
   }
-  return parseTokens(std::move(tokens));
-}
-
-bool Frontend::parseTokens(std::vector<Token> tokens) {
   const support::ScopedSpan span("frontend.parse");
   SAFEFLOW_COUNT_N("frontend.tokens", tokens.size());
   const std::size_t errors_before = diags_.errorCount();

@@ -24,10 +24,17 @@ class Frontend {
 
   /// Parses a file from disk into the shared translation unit. Returns
   /// false on I/O, preprocess, or parse errors (diagnostics describe them).
-  bool parseFile(const std::string& path);
+  /// When `file` is given and the file could be read, it receives the
+  /// file's id in sources().
+  bool parseFile(const std::string& path, support::FileId* file = nullptr);
 
   /// Parses an in-memory buffer (used heavily by tests).
   bool parseBuffer(std::string name, std::string text);
+
+  /// Frees the cached header tokens once every file is parsed, so they do
+  /// not stay resident through the analyses. A later parse reads its
+  /// headers again.
+  void releaseHeaders() { headers_.clear(); }
 
   [[nodiscard]] const TranslationUnit& unit() const { return *tu_; }
   [[nodiscard]] TypeContext& types() { return types_; }
@@ -39,9 +46,11 @@ class Frontend {
   [[nodiscard]] support::DiagnosticEngine& diagnostics() { return diags_; }
 
  private:
-  bool parseTokens(std::vector<Token> tokens);
+  bool parseRoot(support::FileId root);
 
   support::SourceManager sm_;
+  // Every header this run has read; shared by the files it parses.
+  HeaderCache headers_;
   support::DiagnosticEngine diags_;
   TypeContext types_;
   std::unique_ptr<TranslationUnit> tu_;

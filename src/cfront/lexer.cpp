@@ -1,7 +1,8 @@
 #include "cfront/lexer.h"
 
+#include <algorithm>
 #include <array>
-#include <cctype>
+#include <cstdint>
 #include <utility>
 
 #include "support/string_utils.h"
@@ -10,51 +11,108 @@ namespace safeflow::cfront {
 
 namespace {
 
+// Sorted by first letter, so each letter's keywords are contiguous.
 constexpr std::array<std::pair<std::string_view, TokenKind>, 30> kKeywords{{
-    {"void", TokenKind::kKwVoid},
-    {"char", TokenKind::kKwChar},
-    {"short", TokenKind::kKwShort},
-    {"int", TokenKind::kKwInt},
-    {"long", TokenKind::kKwLong},
-    {"float", TokenKind::kKwFloat},
-    {"double", TokenKind::kKwDouble},
-    {"signed", TokenKind::kKwSigned},
-    {"unsigned", TokenKind::kKwUnsigned},
-    {"struct", TokenKind::kKwStruct},
-    {"union", TokenKind::kKwUnion},
-    {"enum", TokenKind::kKwEnum},
-    {"typedef", TokenKind::kKwTypedef},
-    {"extern", TokenKind::kKwExtern},
-    {"static", TokenKind::kKwStatic},
-    {"const", TokenKind::kKwConst},
-    {"volatile", TokenKind::kKwVolatile},
-    {"if", TokenKind::kKwIf},
-    {"else", TokenKind::kKwElse},
-    {"while", TokenKind::kKwWhile},
-    {"do", TokenKind::kKwDo},
-    {"for", TokenKind::kKwFor},
-    {"return", TokenKind::kKwReturn},
     {"break", TokenKind::kKwBreak},
+    {"char", TokenKind::kKwChar},
+    {"const", TokenKind::kKwConst},
     {"continue", TokenKind::kKwContinue},
-    {"switch", TokenKind::kKwSwitch},
     {"case", TokenKind::kKwCase},
+    {"double", TokenKind::kKwDouble},
+    {"do", TokenKind::kKwDo},
     {"default", TokenKind::kKwDefault},
-    {"sizeof", TokenKind::kKwSizeof},
+    {"else", TokenKind::kKwElse},
+    {"enum", TokenKind::kKwEnum},
+    {"extern", TokenKind::kKwExtern},
+    {"float", TokenKind::kKwFloat},
+    {"for", TokenKind::kKwFor},
     {"goto", TokenKind::kKwGoto},
+    {"int", TokenKind::kKwInt},
+    {"if", TokenKind::kKwIf},
+    {"long", TokenKind::kKwLong},
+    {"return", TokenKind::kKwReturn},
+    {"short", TokenKind::kKwShort},
+    {"signed", TokenKind::kKwSigned},
+    {"struct", TokenKind::kKwStruct},
+    {"static", TokenKind::kKwStatic},
+    {"switch", TokenKind::kKwSwitch},
+    {"sizeof", TokenKind::kKwSizeof},
+    {"typedef", TokenKind::kKwTypedef},
+    {"unsigned", TokenKind::kKwUnsigned},
+    {"union", TokenKind::kKwUnion},
+    {"void", TokenKind::kKwVoid},
+    {"volatile", TokenKind::kKwVolatile},
+    {"while", TokenKind::kKwWhile},
 }};
 
-bool isIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+static_assert(std::is_sorted(kKeywords.begin(), kKeywords.end(),
+                             [](const auto& a, const auto& b) {
+                               return a.first[0] < b.first[0];
+                             }));
+
+constexpr std::size_t kMinKeywordLength = 2;
+constexpr std::size_t kMaxKeywordLength = 8;
+
+/// [begin, end) of the keywords in kKeywords that start with each letter.
+struct KeywordRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+constexpr std::array<KeywordRange, 26> kKeywordsByLetter = [] {
+  std::array<KeywordRange, 26> ranges{};
+  for (std::size_t i = 0; i < kKeywords.size(); ++i) {
+    KeywordRange& r =
+        ranges[static_cast<std::size_t>(kKeywords[i].first[0] - 'a')];
+    if (r.begin == r.end) r.begin = i;
+    r.end = i + 1;
+  }
+  return ranges;
+}();
+
+// ASCII character classes, as <cctype> gives them in the "C" locale.
+enum CharClass : std::uint8_t {
+  kIdentStart = 1,
+  kDigit = 2,
+  kHexDigit = 4,
+};
+constexpr std::array<std::uint8_t, 256> kCharClass = [] {
+  std::array<std::uint8_t, 256> table{};
+  const auto mark = [&table](char first, char last, std::uint8_t cls) {
+    for (char c = first; c <= last; ++c) {
+      table[static_cast<unsigned char>(c)] |= cls;
+    }
+  };
+  mark('a', 'z', kIdentStart);
+  mark('A', 'Z', kIdentStart);
+  mark('_', '_', kIdentStart);
+  mark('0', '9', kDigit | kHexDigit);
+  mark('a', 'f', kHexDigit);
+  mark('A', 'F', kHexDigit);
+  return table;
+}();
+
+bool hasClass(char c, std::uint8_t cls) {
+  return (kCharClass[static_cast<unsigned char>(c)] & cls) != 0;
 }
-bool isIdentCont(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
+bool isIdentStart(char c) { return hasClass(c, kIdentStart); }
+bool isIdentCont(char c) { return hasClass(c, kIdentStart | kDigit); }
+bool isDigit(char c) { return hasClass(c, kDigit); }
+bool isHexDigit(char c) { return hasClass(c, kHexDigit); }
 
 }  // namespace
 
 TokenKind classifyKeyword(std::string_view spelling) {
-  for (const auto& [name, kind] : kKeywords) {
-    if (name == spelling) return kind;
+  // Most identifiers are rejected by their length or first character
+  // before any string comparison.
+  if (spelling.size() < kMinKeywordLength ||
+      spelling.size() > kMaxKeywordLength || spelling[0] < 'a' ||
+      spelling[0] > 'z') {
+    return TokenKind::kIdentifier;
+  }
+  const KeywordRange r =
+      kKeywordsByLetter[static_cast<std::size_t>(spelling[0] - 'a')];
+  for (std::size_t i = r.begin; i < r.end; ++i) {
+    if (kKeywords[i].first == spelling) return kKeywords[i].second;
   }
   return TokenKind::kIdentifier;
 }
@@ -110,11 +168,25 @@ support::SourceLocation Lexer::here() const {
   return support::SourceLocation{file_, line_, column_};
 }
 
+void Lexer::skipTo(std::size_t end) {
+  const std::string_view span = buffer_.substr(pos_, end - pos_);
+  const std::size_t last_newline = span.rfind('\n');
+  if (last_newline == std::string_view::npos) {
+    column_ += static_cast<std::uint32_t>(span.size());
+  } else {
+    line_ += static_cast<std::uint32_t>(
+        std::count(span.begin(), span.end(), '\n'));
+    column_ = static_cast<std::uint32_t>(span.size() - last_newline);
+    at_line_start_ = true;
+  }
+  pos_ = end;
+}
+
 Token Lexer::makeToken(TokenKind kind, support::SourceLocation loc,
-                       std::string text) {
+                       std::string_view text) {
   Token t;
   t.kind = kind;
-  t.text = std::move(text);
+  t.text = text;
   t.location = loc;
   return t;
 }
@@ -128,7 +200,7 @@ Token Lexer::next() {
       continue;
     }
     if (c == '/' && peek(1) == '/') {
-      while (!atEnd() && peek() != '\n') advance();
+      skipTo(std::min(buffer_.find('\n', pos_), buffer_.size()));
       continue;
     }
     if (c == '/' && peek(1) == '*') {
@@ -151,13 +223,12 @@ Token Lexer::next() {
   Token tok;
   if (isIdentStart(c)) {
     tok = lexIdentifier(loc);
-  } else if (std::isdigit(static_cast<unsigned char>(c)) ||
-             (c == '.' && std::isdigit(static_cast<unsigned char>(peek(1))))) {
+  } else if (isDigit(c) || (c == '.' && isDigit(peek(1)))) {
     tok = lexNumber(loc);
   } else if (c == '\'') {
-    tok = lexCharLiteral(loc);
+    tok = lexQuoted(loc, TokenKind::kCharLiteral);
   } else if (c == '"') {
-    tok = lexStringLiteral(loc);
+    tok = lexQuoted(loc, TokenKind::kStringLiteral);
   } else {
     advance();
     const char n = peek();
@@ -264,43 +335,38 @@ Token Lexer::next() {
 }
 
 Token Lexer::lexIdentifier(support::SourceLocation loc) {
-  std::string text;
-  while (!atEnd() && isIdentCont(peek())) text.push_back(advance());
-  const TokenKind kind = classifyKeyword(text);
-  return makeToken(kind, loc, kind == TokenKind::kIdentifier
-                                  ? std::move(text)
-                                  : std::string(text));
+  const std::size_t start = pos_;
+  while (pos_ < buffer_.size() && isIdentCont(buffer_[pos_])) ++pos_;
+  column_ += static_cast<std::uint32_t>(pos_ - start);
+  const std::string_view text = buffer_.substr(start, pos_ - start);
+  return makeToken(classifyKeyword(text), loc, text);
 }
 
 Token Lexer::lexNumber(support::SourceLocation loc) {
-  std::string text;
+  const std::size_t start = pos_;
   bool is_float = false;
+  const auto skipDigits = [this](bool (*is)(char)) {
+    while (!atEnd() && is(peek())) advance();
+  };
   if (peek() == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
-    text.push_back(advance());
-    text.push_back(advance());
-    while (!atEnd() && std::isxdigit(static_cast<unsigned char>(peek()))) {
-      text.push_back(advance());
-    }
+    advance();
+    advance();
+    skipDigits(isHexDigit);
   } else {
-    while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek()))) {
-      text.push_back(advance());
-    }
+    skipDigits(isDigit);
     if (peek() == '.') {
       is_float = true;
-      text.push_back(advance());
-      while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek()))) {
-        text.push_back(advance());
-      }
+      advance();
+      skipDigits(isDigit);
     }
     if (peek() == 'e' || peek() == 'E') {
       is_float = true;
-      text.push_back(advance());
-      if (peek() == '+' || peek() == '-') text.push_back(advance());
-      while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek()))) {
-        text.push_back(advance());
-      }
+      advance();
+      if (peek() == '+' || peek() == '-') advance();
+      skipDigits(isDigit);
     }
   }
+  const std::string_view text = buffer_.substr(start, pos_ - start);
   // Suffixes (u, l, f) are consumed but not distinguished further.
   while (peek() == 'u' || peek() == 'U' || peek() == 'l' || peek() == 'L' ||
          peek() == 'f' || peek() == 'F') {
@@ -309,69 +375,53 @@ Token Lexer::lexNumber(support::SourceLocation loc) {
   }
   return makeToken(is_float ? TokenKind::kFloatLiteral
                             : TokenKind::kIntLiteral,
-                   loc, std::move(text));
+                   loc, text);
 }
 
-Token Lexer::lexCharLiteral(support::SourceLocation loc) {
-  advance();  // opening quote
-  std::string text;
-  while (!atEnd() && peek() != '\'') {
-    if (peek() == '\\') text.push_back(advance());
-    if (!atEnd()) text.push_back(advance());
+Token Lexer::lexQuoted(support::SourceLocation loc, TokenKind kind) {
+  const char quote = advance();
+  const std::size_t start = pos_;
+  while (!atEnd() && peek() != quote) {
+    if (peek() == '\\') advance();
+    if (!atEnd()) advance();
   }
+  const std::string_view text = buffer_.substr(start, pos_ - start);
   if (atEnd()) {
-    diags_.error(loc, "lex", "unterminated character literal");
+    diags_.error(loc, "lex",
+                 kind == TokenKind::kCharLiteral
+                     ? "unterminated character literal"
+                     : "unterminated string literal");
   } else {
     advance();  // closing quote
   }
-  return makeToken(TokenKind::kCharLiteral, loc, std::move(text));
-}
-
-Token Lexer::lexStringLiteral(support::SourceLocation loc) {
-  advance();  // opening quote
-  std::string text;
-  while (!atEnd() && peek() != '"') {
-    if (peek() == '\\') text.push_back(advance());
-    if (!atEnd()) text.push_back(advance());
-  }
-  if (atEnd()) {
-    diags_.error(loc, "lex", "unterminated string literal");
-  } else {
-    advance();  // closing quote
-  }
-  return makeToken(TokenKind::kStringLiteral, loc, std::move(text));
+  return makeToken(kind, loc, text);
 }
 
 bool Lexer::lexBlockComment(support::SourceLocation loc, Token& out) {
-  std::string body;
-  while (!atEnd()) {
-    if (peek() == '*' && peek(1) == '/') {
-      advance();
-      advance();
-      // Annotation comments begin (after any leading '*'s and spaces) with
-      // the marker string used by the paper's examples.
-      std::string_view view = support::trim(body);
-      while (!view.empty() && view.front() == '*') {
-        view.remove_prefix(1);
-        view = support::trim(view);
-      }
-      constexpr std::string_view kMarker = "SafeFlow Annotation";
-      if (support::startsWith(view, kMarker)) {
-        std::string_view rest = view.substr(kMarker.size());
-        // Strip a trailing "/**" artifact of the paper's closing style.
-        while (!rest.empty() && (rest.back() == '*' || rest.back() == '/')) {
-          rest.remove_suffix(1);
-        }
-        out = makeToken(TokenKind::kAnnotation, loc,
-                        std::string(support::trim(rest)));
-        return true;
-      }
-      return false;
-    }
-    body.push_back(advance());
+  const std::size_t close = buffer_.find("*/", pos_);
+  if (close == std::string_view::npos) {
+    skipTo(buffer_.size());
+    diags_.error(loc, "lex", "unterminated block comment");
+    return false;
   }
-  diags_.error(loc, "lex", "unterminated block comment");
-  return false;
+  const std::string_view body = buffer_.substr(pos_, close - pos_);
+  skipTo(close + 2);
+  // Annotation comments begin (after any leading '*'s and spaces) with
+  // the marker string used by the paper's examples.
+  std::string_view view = support::trim(body);
+  while (!view.empty() && view.front() == '*') {
+    view.remove_prefix(1);
+    view = support::trim(view);
+  }
+  constexpr std::string_view kMarker = "SafeFlow Annotation";
+  if (!support::startsWith(view, kMarker)) return false;
+  std::string_view rest = view.substr(kMarker.size());
+  // Strip a trailing "/**" artifact of the paper's closing style.
+  while (!rest.empty() && (rest.back() == '*' || rest.back() == '/')) {
+    rest.remove_suffix(1);
+  }
+  out = makeToken(TokenKind::kAnnotation, loc, support::trim(rest));
+  return true;
 }
 
 }  // namespace safeflow::cfront

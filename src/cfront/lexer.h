@@ -1,5 +1,6 @@
 // Hand-written lexer for the C subset. One Lexer instance scans one file
-// buffer; the preprocessor stacks lexers to implement #include.
+// buffer without copying it: every token's spelling is a view into that
+// buffer (see token.h for the lifetime this implies).
 #pragma once
 
 #include <string_view>
@@ -27,12 +28,15 @@ class Lexer {
   [[nodiscard]] bool atEnd() const { return pos_ >= buffer_.size(); }
   [[nodiscard]] support::SourceLocation here() const;
 
+  /// Moves to `end`, updating line and column over the skipped span.
+  void skipTo(std::size_t end);
+
   Token makeToken(TokenKind kind, support::SourceLocation loc,
-                  std::string text = {});
+                  std::string_view text = {});
   Token lexIdentifier(support::SourceLocation loc);
   Token lexNumber(support::SourceLocation loc);
-  Token lexCharLiteral(support::SourceLocation loc);
-  Token lexStringLiteral(support::SourceLocation loc);
+  /// Char or string literal; the spelling excludes the quotes.
+  Token lexQuoted(support::SourceLocation loc, TokenKind kind);
   /// Called after "/*" is consumed; either returns an annotation token or
   /// skips the comment and returns false via `out` being untouched.
   bool lexBlockComment(support::SourceLocation loc, Token& out);

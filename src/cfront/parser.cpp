@@ -86,11 +86,12 @@ std::optional<BinaryOp> compoundOpFor(TokenKind k) {
   }
 }
 
-std::int64_t parseIntText(const std::string& text) {
-  return static_cast<std::int64_t>(std::strtoll(text.c_str(), nullptr, 0));
+std::int64_t parseIntText(std::string_view text) {
+  return static_cast<std::int64_t>(
+      std::strtoll(std::string(text).c_str(), nullptr, 0));
 }
 
-std::int64_t charLiteralValue(const std::string& text) {
+std::int64_t charLiteralValue(std::string_view text) {
   if (text.empty()) return 0;
   if (text[0] != '\\') return static_cast<unsigned char>(text[0]);
   if (text.size() < 2) return 0;
@@ -142,7 +143,8 @@ bool Parser::expect(TokenKind k, std::string_view context) {
   if (accept(k)) return true;
   diags_.error(peek().location, "parse",
                "expected " + std::string(tokenKindName(k)) + " " +
-                   std::string(context) + ", found '" + peek().text + "' (" +
+                   std::string(context) + ", found '" +
+                   std::string(peek().text) + "' (" +
                    std::string(tokenKindName(peek().kind)) + ")");
   return false;
 }
@@ -170,22 +172,26 @@ void Parser::synchronizeToSemi() {
   }
 }
 
-void Parser::declareValue(const std::string& name, const ValueDecl* decl) {
+void Parser::declareValue(std::string_view name, const ValueDecl* decl) {
   if (scopes_.empty()) scopes_.emplace_back();  // error recovery may have
                                                 // unwound the file scope
-  scopes_.back().values[name] = decl;
+  scopes_.back().values.insert_or_assign(std::string(name), decl);
 }
 
-const ValueDecl* Parser::lookupValue(const std::string& name) const {
+// A lookup by string_view hashes the name even in an empty table, and
+// most block scopes and nearly all enum tables are empty: skip them.
+const ValueDecl* Parser::lookupValue(std::string_view name) const {
   for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
+    if (it->values.empty()) continue;
     auto found = it->values.find(name);
     if (found != it->values.end()) return found->second;
   }
   return nullptr;
 }
 
-const std::int64_t* Parser::lookupEnumConstant(const std::string& name) const {
+const std::int64_t* Parser::lookupEnumConstant(std::string_view name) const {
   for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
+    if (it->enum_constants.empty()) continue;
     auto found = it->enum_constants.find(name);
     if (found != it->enum_constants.end()) return &found->second;
   }
@@ -299,8 +305,7 @@ const Type* Parser::parseStructSpecifier() {
   advance();  // struct / union
   std::string tag;
   if (check(TokenKind::kIdentifier)) tag = advance().text;
-  static unsigned anon_counter = 0;
-  if (tag.empty()) tag = "<anon" + std::to_string(anon_counter++) + ">";
+  if (tag.empty()) tag = types_.nextAnonymousTag();
   if (is_union) tag = "union " + tag;
 
   StructType* st = types_.getOrCreateStruct(tag);
@@ -340,7 +345,7 @@ const Type* Parser::parseEnumSpecifier() {
         synchronizeToSemi();
         break;
       }
-      const std::string name = advance().text;
+      const std::string_view name = advance().text;
       if (accept(TokenKind::kAssign)) {
         ExprPtr value = parseConditional();
         bool ok = true;
@@ -351,7 +356,8 @@ const Type* Parser::parseEnumSpecifier() {
         }
       }
       if (scopes_.empty()) scopes_.emplace_back();
-      scopes_.back().enum_constants[name] = next_value;
+      scopes_.back().enum_constants.insert_or_assign(std::string(name),
+                                                     next_value);
       ++next_value;
       if (!accept(TokenKind::kComma)) break;
     }
@@ -512,13 +518,15 @@ bool Parser::parseTranslationUnit(TranslationUnit& tu) {
   // same TU), so later files see earlier globals/functions/typedefs.
   for (const auto& g : tu.globals()) declareValue(g->name(), g.get());
   for (const auto& f : tu.functions()) declareValue(f->name(), f.get());
-  for (const auto& [name, type] : tu.typedefs()) typedefs_[name] = type;
+  for (const auto& [name, type] : tu.typedefs()) {
+    typedefs_.insert_or_assign(name, type);
+  }
 
   std::vector<RawAnnotation> pending;
   while (!check(TokenKind::kEof) && !fatal_) {
     if (check(TokenKind::kAnnotation)) {
       const Token& t = advance();
-      pending.push_back(RawAnnotation{t.text, t.location});
+      pending.push_back(RawAnnotation{std::string(t.text), t.location});
       continue;
     }
     if (!parseExternalDeclaration(tu, pending)) {
@@ -536,7 +544,8 @@ bool Parser::parseExternalDeclaration(TranslationUnit& tu,
   DeclSpec spec;
   if (!parseDeclSpec(spec)) {
     diags_.error(peek().location, "parse",
-                 "expected declaration, found '" + peek().text + "'");
+                 "expected declaration, found '" + std::string(peek().text) +
+                     "'");
     advance();
     return false;
   }
@@ -569,7 +578,8 @@ bool Parser::parseExternalDeclaration(TranslationUnit& tu,
       // Annotations between the signature and the body.
       while (check(TokenKind::kAnnotation)) {
         const Token& t = advance();
-        fn_raw->addEntryAnnotation(RawAnnotation{t.text, t.location});
+        fn_raw->addEntryAnnotation(
+            RawAnnotation{std::string(t.text), t.location});
       }
       if (first && check(TokenKind::kLBrace)) {
         tu.addFunction(std::move(fn));
@@ -668,7 +678,7 @@ StmtPtr Parser::parseStatement() {
     case TokenKind::kAnnotation: {
       const Token& t = advance();
       return std::make_unique<AnnotationStmt>(
-          RawAnnotation{t.text, t.location}, loc);
+          RawAnnotation{std::string(t.text), t.location}, loc);
     }
     case TokenKind::kKwIf: {
       advance();
@@ -1019,7 +1029,7 @@ ExprPtr Parser::parsePostfix() {
         diags_.error(loc, "parse", "expected member name");
         return e;
       }
-      const std::string member = advance().text;
+      const std::string member(advance().text);
       const Type* base_t = e->type();
       if (is_arrow) {
         base_t = decay(base_t);
@@ -1087,7 +1097,7 @@ ExprPtr Parser::parsePrimary() {
       return std::make_unique<IntLitExpr>(v, types_.intType(), loc);
     }
     case TokenKind::kFloatLiteral: {
-      const double v = std::strtod(t.text.c_str(), nullptr);
+      const double v = std::strtod(std::string(t.text).c_str(), nullptr);
       advance();
       return std::make_unique<FloatLitExpr>(v, types_.doubleType(), loc);
     }
@@ -1097,7 +1107,7 @@ ExprPtr Parser::parsePrimary() {
       return std::make_unique<IntLitExpr>(v, types_.intType(), loc);
     }
     case TokenKind::kStringLiteral: {
-      std::string s = t.text;
+      std::string s(t.text);
       advance();
       // Adjacent string literal concatenation.
       while (check(TokenKind::kStringLiteral)) s += advance().text;
@@ -1111,7 +1121,7 @@ ExprPtr Parser::parsePrimary() {
       return e;
     }
     case TokenKind::kIdentifier: {
-      const std::string name = t.text;
+      const std::string_view name = t.text;
       if (const std::int64_t* ev = lookupEnumConstant(name)) {
         advance();
         return std::make_unique<IntLitExpr>(*ev, types_.intType(), loc);
@@ -1126,24 +1136,25 @@ ExprPtr Parser::parsePrimary() {
         advance();
         const FunctionType* ft =
             types_.functionType(types_.intType(), {}, /*variadic=*/true);
-        auto fn = std::make_unique<FunctionDecl>(name, ft,
+        auto fn = std::make_unique<FunctionDecl>(std::string(name), ft,
                                                  std::vector<std::unique_ptr<VarDecl>>{},
                                                  loc);
         FunctionDecl* raw = tu_->addFunction(std::move(fn));
         // Declare at file scope so later uses resolve to the same decl.
-        scopes_.front().values[name] = raw;
-        diags_.warning(loc, "sema",
-                       "implicit declaration of function '" + name + "'");
+        scopes_.front().values.insert_or_assign(std::string(name), raw);
+        diags_.warning(loc, "sema", "implicit declaration of function '" +
+                                        std::string(name) + "'");
         return std::make_unique<DeclRefExpr>(raw, ft, loc);
       }
       advance();
-      diags_.error(loc, "sema", "use of undeclared identifier '" + name +
-                                    "'");
+      diags_.error(loc, "sema", "use of undeclared identifier '" +
+                                    std::string(name) + "'");
       return std::make_unique<IntLitExpr>(0, types_.intType(), loc);
     }
     default:
       diags_.error(loc, "parse",
-                   "expected expression, found '" + t.text + "' (" +
+                   "expected expression, found '" + std::string(t.text) +
+                       "' (" +
                        std::string(tokenKindName(t.kind)) + ")");
       advance();
       if (check(TokenKind::kEof)) fatal_ = true;

@@ -5,15 +5,16 @@
 // function entry annotations or AnnotationStmts.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cfront/ast.h"
 #include "cfront/token.h"
 #include "cfront/types.h"
 #include "support/diagnostics.h"
+#include "support/string_utils.h"
 
 namespace safeflow::cfront {
 
@@ -37,8 +38,8 @@ class Parser {
 
   // -- scopes ---------------------------------------------------------------
   struct Scope {
-    std::map<std::string, const ValueDecl*> values;
-    std::map<std::string, std::int64_t> enum_constants;
+    support::StringMap<const ValueDecl*> values;
+    support::StringMap<std::int64_t> enum_constants;
   };
   void pushScope() { scopes_.emplace_back(); }
   void popScope() {
@@ -46,10 +47,10 @@ class Parser {
     // empty stack would be UB.
     if (!scopes_.empty()) scopes_.pop_back();
   }
-  void declareValue(const std::string& name, const ValueDecl* decl);
-  [[nodiscard]] const ValueDecl* lookupValue(const std::string& name) const;
+  void declareValue(std::string_view name, const ValueDecl* decl);
+  [[nodiscard]] const ValueDecl* lookupValue(std::string_view name) const;
   [[nodiscard]] const std::int64_t* lookupEnumConstant(
-      const std::string& name) const;
+      std::string_view name) const;
 
   // -- declarations ---------------------------------------------------------
   /// True when the token `ahead` positions away starts a type (keyword,
@@ -113,7 +114,7 @@ class Parser {
   TypeContext& types_;
   support::DiagnosticEngine& diags_;
   std::vector<Scope> scopes_;
-  std::map<std::string, const Type*> typedefs_;
+  support::StringMap<const Type*> typedefs_;
   TranslationUnit* tu_ = nullptr;
   bool fatal_ = false;
 };

@@ -13,10 +13,36 @@ std::string directoryOf(std::string_view path) {
 }
 }  // namespace
 
+const HeaderCache::Header& HeaderCache::get(const std::string& path) {
+  const auto [it, inserted] = headers_.try_emplace(path);
+  Header& header = it->second;
+  if (!inserted) return header;
+  header.file = sm_.addFile(path);
+  if (!header.file.has_value()) return header;
+  support::DiagnosticEngine lexer_diags;
+  Lexer lexer(*header.file, sm_.contents(*header.file), lexer_diags);
+  while (true) {
+    Token t = lexer.next();
+    for (std::size_t i = header.diagnostics.size();
+         i < lexer_diags.diagnostics().size(); ++i) {
+      header.diagnostics.emplace_back(header.tokens.size(),
+                                      lexer_diags.diagnostics()[i]);
+    }
+    if (t.is(TokenKind::kEof)) break;
+    header.tokens.push_back(std::move(t));
+  }
+  return header;
+}
+
 Preprocessor::Preprocessor(support::SourceManager& sm,
                            support::DiagnosticEngine& diags,
-                           std::vector<std::string> include_dirs)
-    : sm_(sm), diags_(diags), include_dirs_(std::move(include_dirs)) {}
+                           std::vector<std::string> include_dirs,
+                           HeaderCache* headers)
+    : sm_(sm),
+      diags_(diags),
+      include_dirs_(std::move(include_dirs)),
+      own_headers_(sm),
+      headers_(headers != nullptr ? *headers : own_headers_) {}
 
 void Preprocessor::predefine(std::string name, std::string value) {
   Macro m;
@@ -43,12 +69,24 @@ Token Preprocessor::rawNext() {
       top.pushback.pop_back();
       return t;
     }
-    Token t = top.lexer.next();
-    if (t.is(TokenKind::kEof)) {
-      frames_.pop_back();
-      continue;
+    if (top.lexer.has_value()) {
+      Token t = top.lexer->next();
+      if (!t.is(TokenKind::kEof)) return t;
+    } else {
+      const HeaderCache::Header& header = *top.header;
+      // Re-emit the diagnostics that lexing this token emitted.
+      for (; top.next_diagnostic < header.diagnostics.size() &&
+             header.diagnostics[top.next_diagnostic].first <= top.next_token;
+           ++top.next_diagnostic) {
+        const support::Diagnostic& d =
+            header.diagnostics[top.next_diagnostic].second;
+        diags_.report(d.severity, d.location, d.category, d.message);
+      }
+      if (top.next_token < header.tokens.size()) {
+        return header.tokens[top.next_token++];
+      }
     }
-    return t;
+    frames_.pop_back();
   }
   return Token{};  // kEof
 }
@@ -63,7 +101,7 @@ void Preprocessor::pushBack(Token t) {
 std::vector<Token> Preprocessor::readRestOfLine(std::uint32_t line) {
   std::vector<Token> tokens;
   const support::FileId file =
-      frames_.empty() ? support::FileId{} : frames_.back().lexer.file();
+      frames_.empty() ? support::FileId{} : frames_.back().file;
   while (true) {
     Token t = rawNext();
     if (t.is(TokenKind::kEof) || t.location.file != file ||
@@ -82,9 +120,10 @@ void Preprocessor::skipToEndOfLine(std::uint32_t line) {
 std::vector<Token> Preprocessor::run(support::FileId root) {
   frames_.clear();
   conditionals_.clear();
-  frames_.push_back(
-      Frame{Lexer(root, sm_.contents(root), diags_),
-            directoryOf(sm_.name(root)), {}});
+  Frame& frame = frames_.emplace_back();
+  frame.lexer.emplace(root, sm_.contents(root), diags_);
+  frame.file = root;
+  frame.directory = directoryOf(sm_.name(root));
 
   std::vector<Token> out;
   while (true) {
@@ -116,9 +155,9 @@ void Preprocessor::handleDirective(const Token& hash) {
     diags_.error(hash.location, "preprocess", "malformed directive");
     return;
   }
-  const std::string directive = name.is(TokenKind::kKwIf)     ? "if"
-                                : name.is(TokenKind::kKwElse) ? "else"
-                                                              : name.text;
+  const std::string_view directive = name.is(TokenKind::kKwIf)     ? "if"
+                                     : name.is(TokenKind::kKwElse) ? "else"
+                                                                   : name.text;
 
   if (directive == "endif") {
     skipToEndOfLine(line);
@@ -165,20 +204,21 @@ void Preprocessor::handleDirective(const Token& hash) {
   } else if (directive == "undef") {
     std::vector<Token> rest = readRestOfLine(line);
     if (rest.size() == 1 && rest[0].is(TokenKind::kIdentifier)) {
-      macros_.erase(rest[0].text);
+      if (const auto it = macros_.find(rest[0].text); it != macros_.end()) {
+        macros_.erase(it);
+      }
     } else {
       diags_.error(hash.location, "preprocess", "malformed #undef");
     }
   } else if (directive == "pragma") {
     std::vector<Token> rest = readRestOfLine(line);
     if (rest.size() == 1 && rest[0].isIdent("once") && !frames_.empty()) {
-      pragma_once_files_.insert(
-          std::string(sm_.name(frames_.back().lexer.file())));
+      pragma_once_files_.insert(std::string(sm_.name(frames_.back().file)));
     }
   } else {
     skipToEndOfLine(line);
     diags_.error(hash.location, "preprocess",
-                 "unsupported directive '#" + directive + "'");
+                 "unsupported directive '#" + std::string(directive) + "'");
   }
 }
 
@@ -187,7 +227,7 @@ void Preprocessor::handleInclude(std::uint32_t line) {
   // Accept "file.h" (string literal). Angle-bracket system includes are
   // tolerated and ignored: the analyzer models libc by signature.
   if (rest.size() == 1 && rest[0].is(TokenKind::kStringLiteral)) {
-    const std::string& name = rest[0].text;
+    const std::string name(rest[0].text);
     std::vector<std::string> candidates;
     if (!frames_.empty()) {
       candidates.push_back(frames_.back().directory + "/" + name);
@@ -197,12 +237,13 @@ void Preprocessor::handleInclude(std::uint32_t line) {
     }
     for (const std::string& path : candidates) {
       if (pragma_once_files_.contains(path)) return;
-      if (std::optional<support::FileId> id = sm_.addFile(path)) {
-        if (pragma_once_files_.contains(std::string(sm_.name(*id)))) return;
-        frames_.push_back(Frame{Lexer(*id, sm_.contents(*id), diags_),
-                                directoryOf(path), {}});
-        return;
-      }
+      const HeaderCache::Header& header = headers_.get(path);
+      if (!header.file.has_value()) continue;
+      Frame& frame = frames_.emplace_back();
+      frame.header = &header;
+      frame.file = *header.file;
+      frame.directory = directoryOf(path);
+      return;
     }
     diags_.error(rest[0].location, "preprocess",
                  "cannot open include file \"" + name + "\"");
@@ -246,7 +287,7 @@ void Preprocessor::handleDefine(std::uint32_t line) {
   }
   m.body.assign(rest.begin() + static_cast<std::ptrdiff_t>(body_start),
                 rest.end());
-  macros_[rest[0].text] = std::move(m);
+  macros_.insert_or_assign(std::string(rest[0].text), std::move(m));
 }
 
 void Preprocessor::handleIf(std::uint32_t line, bool is_ifdef, bool negate) {
@@ -269,7 +310,7 @@ void Preprocessor::handleIf(std::uint32_t line, bool is_ifdef, bool negate) {
       ++i;
     }
     if (i < rest.size() && rest[i].is(TokenKind::kIntLiteral)) {
-      condition = std::stol(rest[i].text) != 0;
+      condition = std::stol(std::string(rest[i].text)) != 0;
     } else if (i + 3 < rest.size() && rest[i].isIdent("defined") &&
                rest[i + 1].is(TokenKind::kLParen) &&
                rest[i + 2].is(TokenKind::kIdentifier) &&
@@ -311,7 +352,8 @@ bool Preprocessor::maybeExpand(const Token& tok) {
       Token t = rawNext();
       if (t.is(TokenKind::kEof)) {
         diags_.error(tok.location, "preprocess",
-                     "unterminated macro invocation of '" + tok.text + "'");
+                     "unterminated macro invocation of '" +
+                         std::string(tok.text) + "'");
         return true;
       }
       if (t.is(TokenKind::kLParen)) ++depth;
@@ -328,7 +370,7 @@ bool Preprocessor::maybeExpand(const Token& tok) {
     if (args.size() == 1 && args[0].empty() && m.params.empty()) args.clear();
     if (args.size() != m.params.size()) {
       diags_.error(tok.location, "preprocess",
-                   "macro '" + tok.text + "' expects " +
+                   "macro '" + std::string(tok.text) + "' expects " +
                        std::to_string(m.params.size()) + " arguments");
       return true;
     }

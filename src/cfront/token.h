@@ -2,9 +2,13 @@
 // annotation comments (block comments whose body begins with "SafeFlow
 // Annotation") into kAnnotation tokens carrying the annotation text; all
 // other comments are skipped.
+//
+// Lifetime: a token's spelling is a view into the buffer of the
+// SourceManager that holds its file, so lexing a token allocates nothing
+// and copying one is cheap. A token must not outlive that SourceManager.
+// Anything kept longer (AST names, annotation text) is copied out.
 #pragma once
 
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -47,12 +51,15 @@ enum class TokenKind {
 
 struct Token {
   TokenKind kind = TokenKind::kEof;
-  std::string text;  // identifier spelling, literal spelling, annotation body
+  // Identifier spelling, literal spelling (without quotes) or annotation
+  // body: always an exact substring of the source buffer.
+  std::string_view text;
   support::SourceLocation location;
   bool at_line_start = false;  // for preprocessor directive recognition
   // Macro names this token must not be re-expanded as ("blue paint"),
-  // preventing infinite recursion during preprocessing.
-  std::vector<std::string> no_expand;
+  // preventing infinite recursion during preprocessing. Empty except on
+  // tokens produced by a macro expansion.
+  std::vector<std::string_view> no_expand;
 
   [[nodiscard]] bool is(TokenKind k) const { return kind == k; }
   [[nodiscard]] bool isIdent(std::string_view name) const {

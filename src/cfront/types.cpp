@@ -134,6 +134,10 @@ const FunctionType* TypeContext::functionType(
   return raw;
 }
 
+std::string TypeContext::nextAnonymousTag() {
+  return "<anon" + std::to_string(anonymous_tags_++) + ">";
+}
+
 StructType* TypeContext::getOrCreateStruct(const std::string& tag) {
   auto it = structs_.find(tag);
   if (it != structs_.end()) return it->second;

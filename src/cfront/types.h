@@ -224,6 +224,10 @@ class TypeContext {
   /// Returns the struct with this tag, creating an incomplete one if new.
   StructType* getOrCreateStruct(const std::string& tag);
   [[nodiscard]] const StructType* findStruct(const std::string& tag) const;
+  /// Tag for the next anonymous struct or union: "<anon0>", "<anon1>", ...
+  /// Numbered per context, so the names a run prints do not depend on
+  /// what the process parsed before it.
+  std::string nextAnonymousTag();
 
  private:
   std::vector<std::unique_ptr<Type>> owned_;
@@ -242,6 +246,7 @@ class TypeContext {
   std::map<std::pair<const Type*, std::uint64_t>, const ArrayType*> arrays_;
   std::map<std::string, StructType*> structs_;
   std::vector<const FunctionType*> function_types_;
+  unsigned anonymous_tags_ = 0;
 };
 
 /// True when a value of `from` may be assigned/cast to `to` without the

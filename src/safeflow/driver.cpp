@@ -142,32 +142,30 @@ bool SafeFlowDriver::addFile(const std::string& path) {
   beginPipeline();
   ++stats_.files;
   support::faultInjectionPoint("frontend");
-  const bool ok = frontend_.parseFile(path);
+  support::FileId file;
+  const bool ok = frontend_.parseFile(path, &file);
   if (!ok) {
     frontend_errors_ = true;
     failed_files_.push_back(path);
   }
-  // Aggregate LOC over the file as it exists on disk.
-  support::SourceManager probe;
-  if (auto id = probe.addFile(path)) {
-    const auto loc = support::countLoc(probe.contents(*id));
-    stats_.loc.total_lines += loc.total_lines;
-    stats_.loc.code_lines += loc.code_lines;
-    stats_.loc.comment_lines += loc.comment_lines;
-    stats_.loc.blank_lines += loc.blank_lines;
-  }
+  // Aggregate LOC over the file as the frontend read it.
+  if (file.valid()) addLoc(frontend_.sources().contents(file));
   return ok;
+}
+
+void SafeFlowDriver::addLoc(std::string_view text) {
+  const auto loc = support::countLoc(text);
+  stats_.loc.total_lines += loc.total_lines;
+  stats_.loc.code_lines += loc.code_lines;
+  stats_.loc.comment_lines += loc.comment_lines;
+  stats_.loc.blank_lines += loc.blank_lines;
 }
 
 bool SafeFlowDriver::addSource(std::string name, std::string text) {
   const support::ScopedObserver install(&observer_);
   beginPipeline();
   ++stats_.files;
-  const auto loc = support::countLoc(text);
-  stats_.loc.total_lines += loc.total_lines;
-  stats_.loc.code_lines += loc.code_lines;
-  stats_.loc.comment_lines += loc.comment_lines;
-  stats_.loc.blank_lines += loc.blank_lines;
+  addLoc(text);
   const std::string display_name = name;
   const bool ok = frontend_.parseBuffer(std::move(name), std::move(text));
   if (!ok) {
@@ -202,6 +200,7 @@ const analysis::SafeFlowReport& SafeFlowDriver::analyze() {
   beginPipeline();
   const auto start = std::chrono::steady_clock::now();
 
+  frontend_.releaseHeaders();
   auto& diags = frontend_.diagnostics();
 
   module_ = std::make_unique<ir::Module>(frontend_.types());

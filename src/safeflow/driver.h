@@ -227,6 +227,8 @@ class SafeFlowDriver {
 
  private:
   void countAnnotations();
+  /// Adds one source file's line counts to stats_.loc.
+  void addLoc(std::string_view text);
   /// Opens the root span / starts the pipeline clock on first use.
   void beginPipeline();
   /// Closes the root span and snapshots the registry into stats_.

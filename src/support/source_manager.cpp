@@ -9,8 +9,9 @@ namespace safeflow::support {
 namespace {
 std::vector<std::size_t> computeLineOffsets(std::string_view text) {
   std::vector<std::size_t> offsets{0};
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '\n') offsets.push_back(i + 1);
+  for (std::size_t nl = text.find('\n'); nl != std::string_view::npos;
+       nl = text.find('\n', nl + 1)) {
+    offsets.push_back(nl + 1);
   }
   return offsets;
 }
@@ -30,7 +31,7 @@ std::optional<FileId> SourceManager::addFile(const std::string& path) {
   if (!in) return std::nullopt;
   std::ostringstream ss;
   ss << in.rdbuf();
-  return addBuffer(path, ss.str());
+  return addBuffer(path, std::move(ss).str());
 }
 
 const SourceManager::File& SourceManager::file(FileId id) const {

@@ -1,8 +1,11 @@
 // Owns the text of every source file seen by the front end and maps
-// FileIds back to names and contents. Buffers are stable for the lifetime
-// of the manager, so string_views into them remain valid.
+// FileIds back to names and contents. Files live in a deque, which never
+// moves an element once added, so a string_view into a file's contents
+// (every Token's spelling is one) stays valid for the lifetime of the
+// manager, even while an #include adds further files.
 #pragma once
 
+#include <deque>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -39,7 +42,7 @@ class SourceManager {
 
   [[nodiscard]] const File& file(FileId id) const;
 
-  std::vector<File> files_;
+  std::deque<File> files_;
 };
 
 }  // namespace safeflow::support

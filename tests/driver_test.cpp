@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "safeflow/driver.h"
 
@@ -216,6 +217,57 @@ int main(void) { return add(1, 2); }
   EXPECT_TRUE(report.warnings.empty());
   EXPECT_TRUE(report.errors.empty());
   EXPECT_TRUE(report.required_runtime_checks.empty());
+}
+
+TEST(Driver, LocCountsIpCoreFiles) {
+  const std::string corpus = SAFEFLOW_CORPUS_DIR;
+  SafeFlowOptions options;
+  options.include_dirs.push_back(corpus + "/ip/common");
+  SafeFlowDriver driver(options);
+  for (const char* file : {"comm.c", "decision.c", "filter.c", "main.c",
+                           "safety.c", "selftest.c", "telemetry.c"}) {
+    EXPECT_TRUE(driver.addFile(corpus + "/ip/core/" + file)) << file;
+  }
+  const auto& loc = driver.stats().loc;
+  EXPECT_EQ(loc.total_lines, 836u);
+  EXPECT_EQ(loc.code_lines, 628u);
+  EXPECT_EQ(loc.comment_lines, 112u);
+  EXPECT_EQ(loc.blank_lines, 96u);
+}
+
+// Anonymous structs are numbered per run: a second analysis in the same
+// process names them as the first did.
+TEST(Driver, AnonymousStructNamesRepeatAcrossRuns) {
+  const char* src = R"(
+typedef struct { int a; int b; } Pair;
+typedef struct { float x; } Other;
+
+Pair *shared;
+
+extern void *shmat(int shmid, void *addr, int flags);
+extern int shmget(int key, int size, int flags);
+
+/*** SafeFlow Annotation shminit ***/
+void initComm(void)
+{
+  shared = (Pair *) shmat(shmget(42, sizeof(Pair), 0), 0, 0);
+  /*** SafeFlow Annotation assume(shmvar(shared, sizeof(Pair))) ***/
+  /*** SafeFlow Annotation assume(noncore(shared)) ***/
+}
+
+float peek(void) { Other *o = (Other *)shared; return o->x; }
+int main(void) { initComm(); peek(); return 0; }
+)";
+  std::vector<std::string> renders;
+  for (int run = 0; run < 2; ++run) {
+    SafeFlowDriver driver;
+    driver.addSource("anon.c", src);
+    renders.push_back(driver.analyze().render(driver.sources()));
+  }
+  EXPECT_NE(renders[0].find("cast to incompatible type struct <anon1>*"),
+            std::string::npos)
+      << renders[0];
+  EXPECT_EQ(renders[0], renders[1]);
 }
 
 }  // namespace

@@ -10,7 +10,8 @@
 //                parser's panic-mode recovery rather than just the lexer.
 //
 // Every mutant runs through the full driver (front end through taint
-// analysis) under a step budget, and the harness asserts the three
+// analysis) under a step budget, either as a file of its own or as a
+// header that two files include, and the harness asserts the three
 // robustness guarantees of DESIGN.md: no crash, no hang (the budget bounds
 // every fixpoint), and well-formed diagnostics; and that SSA construction
 // leaves every function well formed (ir::verifySsa).
@@ -32,6 +33,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -196,9 +198,10 @@ void mutateTokens(std::string& text, Lcg& rng) {
   }
 }
 
-/// One fuzz iteration: mutate, analyze under budget, check invariants.
-void runOne(const std::vector<std::string>& seeds, Lcg& rng,
-            std::uint64_t iter) {
+/// One mutant: a seed source under 1-4 seeded mutations. With
+/// SAFEFLOW_FUZZ_DUMP set, it is written there before the pipeline runs.
+std::string mutant(const std::vector<std::string>& seeds, Lcg& rng,
+                   std::uint64_t iter) {
   std::string text = seeds[rng.below(seeds.size())];
   const std::size_t n_mut = 1 + rng.below(4);
   for (std::size_t m = 0; m < n_mut; ++m) {
@@ -214,14 +217,20 @@ void runOne(const std::vector<std::string>& seeds, Lcg& rng,
     std::ofstream out(dump, std::ios::binary | std::ios::trunc);
     out << "/* fuzz iteration " << iter << " */\n" << text;
   }
+  return text;
+}
 
+SafeFlowOptions fuzzOptions() {
   SafeFlowOptions options;
   // The step budget bounds every fixpoint, so a mutant that tickles a
   // quadratic corner degrades instead of hanging the harness. Deliberately
   // no time budget: wall-clock would make iterations nondeterministic.
   options.budget.phase_steps = 200000;
-  SafeFlowDriver driver(options);
-  driver.addSource("fuzz_" + std::to_string(iter) + ".c", std::move(text));
+  return options;
+}
+
+/// Analyzes what `driver` holds and checks the robustness invariants.
+void analyzeAndCheck(SafeFlowDriver& driver, std::uint64_t iter) {
   const auto& report = driver.analyze();
 
   // Diagnostics must be well-formed: a category and a message, never an
@@ -244,6 +253,15 @@ void runOne(const std::vector<std::string>& seeds, Lcg& rng,
   }
 }
 
+/// One fuzz iteration: mutate, analyze under budget, check invariants.
+void runOne(const std::vector<std::string>& seeds, Lcg& rng,
+            std::uint64_t iter) {
+  std::string text = mutant(seeds, rng, iter);
+  SafeFlowDriver driver(fuzzOptions());
+  driver.addSource("fuzz_" + std::to_string(iter) + ".c", std::move(text));
+  analyzeAndCheck(driver, iter);
+}
+
 TEST(FuzzHarness, MutatedCorpusSourcesNeverCrashOrHang) {
   const std::uint64_t iters = envU64("SAFEFLOW_FUZZ_ITERS", 200);
   const std::uint64_t seed = envU64("SAFEFLOW_FUZZ_SEED", 20060625);
@@ -256,6 +274,43 @@ TEST(FuzzHarness, MutatedCorpusSourcesNeverCrashOrHang) {
                  std::to_string(seed) + ")");
     runOne(seeds, rng, i);
   }
+}
+
+// Mutants as a header that two files include: the second include
+// replays the header's cached tokens and lexer diagnostics under
+// that file's own macro state, and the corpus headers the mutant itself
+// includes resolve through -I after failing beside it.
+TEST(FuzzHarness, MutatedHeadersIncludedTwiceNeverCrashOrHang) {
+  const std::uint64_t iters = envU64("SAFEFLOW_FUZZ_ITERS", 200);
+  const std::uint64_t seed = envU64("SAFEFLOW_FUZZ_SEED", 20060625);
+  const std::vector<std::string> seeds = seedSources();
+  ASSERT_FALSE(seeds.empty());
+
+  const std::string dir = ::testing::TempDir() + "sf_fuzz_headers_" +
+                          std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  const std::string first = dir + "/first.c";
+  const std::string second = dir + "/second.c";
+  std::ofstream(first) << "#include \"fuzz.h\"\nint fuzz_first;\n";
+  std::ofstream(second)
+      << "#define FUZZ_SECOND 1\n#include \"fuzz.h\"\nint fuzz_second;\n";
+
+  const std::string corpus = SAFEFLOW_CORPUS_DIR;
+  Lcg rng(seed ^ 0x4eade75);
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    SCOPED_TRACE("header fuzz iteration " + std::to_string(i) + " (seed " +
+                 std::to_string(seed) + ")");
+    std::ofstream(dir + "/fuzz.h", std::ios::binary | std::ios::trunc)
+        << mutant(seeds, rng, i);
+    SafeFlowOptions options = fuzzOptions();
+    options.include_dirs = {corpus + "/ip/common",
+                            corpus + "/double_ip/common"};
+    SafeFlowDriver driver(options);
+    driver.addFile(first);
+    driver.addFile(second);
+    analyzeAndCheck(driver, i);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 /// One random protocol line: either pure noise or a mutation of a valid

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,20 +15,23 @@ using safeflow::cfront::Token;
 using safeflow::cfront::TokenKind;
 
 struct PpResult {
+  // Token spellings view the manager's buffers, so it lives as long as
+  // the tokens.
+  std::unique_ptr<safeflow::support::SourceManager> sm;
   std::vector<Token> tokens;  // without trailing EOF
   bool ok = true;
 };
 
 PpResult preprocess(const std::string& src) {
-  safeflow::support::SourceManager sm;
+  auto sm = std::make_unique<safeflow::support::SourceManager>();
   safeflow::support::DiagnosticEngine diags;
-  const auto id = sm.addBuffer("main.c", src);
-  Preprocessor pp(sm, diags);
+  const auto id = sm->addBuffer("main.c", src);
+  Preprocessor pp(*sm, diags);
   std::vector<Token> toks = pp.run(id);
   EXPECT_FALSE(toks.empty());
   EXPECT_TRUE(toks.back().is(TokenKind::kEof));
   toks.pop_back();
-  return PpResult{std::move(toks), !diags.hasErrors()};
+  return PpResult{std::move(sm), std::move(toks), !diags.hasErrors()};
 }
 
 std::string spelling(const PpResult& r) {
