@@ -33,6 +33,8 @@ bool Frontend::parseBuffer(std::string name, std::string text) {
 
 bool Frontend::parseRoot(support::FileId root) {
   SAFEFLOW_COUNT("frontend.files");
+  // Lexer and preprocessor errors fail the file as parse errors do.
+  const std::size_t errors_before = diags_.errorCount();
   std::vector<Token> tokens;
   {
     const support::ScopedSpan span("frontend.preprocess");
@@ -42,7 +44,6 @@ bool Frontend::parseRoot(support::FileId root) {
   }
   const support::ScopedSpan span("frontend.parse");
   SAFEFLOW_COUNT_N("frontend.tokens", tokens.size());
-  const std::size_t errors_before = diags_.errorCount();
   Parser parser(std::move(tokens), types_, diags_);
   parser.parseTranslationUnit(*tu_);
   return diags_.errorCount() == errors_before;

@@ -36,6 +36,9 @@ class Frontend {
   /// headers again.
   void releaseHeaders() { headers_.clear(); }
 
+  /// The headers read since the last releaseHeaders().
+  [[nodiscard]] const HeaderCache& headers() const { return headers_; }
+
   [[nodiscard]] const TranslationUnit& unit() const { return *tu_; }
   [[nodiscard]] TypeContext& types() { return types_; }
   [[nodiscard]] const support::SourceManager& sources() const { return sm_; }

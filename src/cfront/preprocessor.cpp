@@ -34,6 +34,14 @@ const HeaderCache::Header& HeaderCache::get(const std::string& path) {
   return header;
 }
 
+std::map<std::string, support::FileId> HeaderCache::paths() const {
+  std::map<std::string, support::FileId> out;
+  for (const auto& [path, header] : headers_) {
+    out.emplace(path, header.file.value_or(support::FileId{}));
+  }
+  return out;
+}
+
 Preprocessor::Preprocessor(support::SourceManager& sm,
                            support::DiagnosticEngine& diags,
                            std::vector<std::string> include_dirs,
@@ -211,9 +219,12 @@ void Preprocessor::handleDirective(const Token& hash) {
       diags_.error(hash.location, "preprocess", "malformed #undef");
     }
   } else if (directive == "pragma") {
+    // Taken first, like handleInclude's directory: the line may be the
+    // file's last.
+    const support::FileId file = frames_.back().file;
     std::vector<Token> rest = readRestOfLine(line);
-    if (rest.size() == 1 && rest[0].isIdent("once") && !frames_.empty()) {
-      pragma_once_files_.insert(std::string(sm_.name(frames_.back().file)));
+    if (rest.size() == 1 && rest[0].isIdent("once")) {
+      pragma_once_files_.insert(std::string(sm_.name(file)));
     }
   } else {
     skipToEndOfLine(line);
@@ -223,15 +234,22 @@ void Preprocessor::handleDirective(const Token& hash) {
 }
 
 void Preprocessor::handleInclude(std::uint32_t line) {
+  // Taken before the rest of the line is read: on a file's last line,
+  // reading past it pops the file's frame.
+  const std::string directory = frames_.back().directory;
+  const std::size_t depth = frames_.back().depth + 1;
   std::vector<Token> rest = readRestOfLine(line);
   // Accept "file.h" (string literal). Angle-bracket system includes are
   // tolerated and ignored: the analyzer models libc by signature.
   if (rest.size() == 1 && rest[0].is(TokenKind::kStringLiteral)) {
-    const std::string name(rest[0].text);
-    std::vector<std::string> candidates;
-    if (!frames_.empty()) {
-      candidates.push_back(frames_.back().directory + "/" + name);
+    if (depth > kMaxIncludeDepth) {
+      diags_.error(rest[0].location, "preprocess",
+                   "#include nested more than " +
+                       std::to_string(kMaxIncludeDepth) + " deep");
+      return;
     }
+    const std::string name(rest[0].text);
+    std::vector<std::string> candidates = {directory + "/" + name};
     for (const std::string& dir : include_dirs_) {
       candidates.push_back(dir + "/" + name);
     }
@@ -243,6 +261,7 @@ void Preprocessor::handleInclude(std::uint32_t line) {
       frame.header = &header;
       frame.file = *header.file;
       frame.directory = directoryOf(path);
+      frame.depth = depth;
       return;
     }
     diags_.error(rest[0].location, "preprocess",

@@ -1,6 +1,7 @@
 // Token-level mini preprocessor. Supports the directive subset used by
 // embedded control code bases:
-//   #include "file"      (relative to the including file, then -I dirs)
+//   #include "file"      (relative to the including file, then -I dirs;
+//                         nested at most kMaxIncludeDepth deep)
 //   #define NAME ...     (object-like)
 //   #define NAME(a,b) .. (function-like, no # or ## operators)
 //   #undef NAME
@@ -8,7 +9,8 @@
 //   #if 0 / #if 1 / #if defined(X) / #if !defined(X)
 //   #pragma once
 // Backslash line continuations inside directives are not supported; the
-// corpora do not use them.
+// corpora do not use them. A directive on a file's last line belongs to
+// that file: an #include there resolves from the file's own directory.
 //
 // The file being preprocessed streams through a Lexer. Included headers
 // come from a HeaderCache instead, which reads and lexes each header once
@@ -16,6 +18,7 @@
 // and #if evaluation still run on every replay.
 #pragma once
 
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -53,6 +56,11 @@ class HeaderCache {
   /// valid for the lifetime of the cache.
   const Header& get(const std::string& path);
 
+  /// Every path requested so far with the file it opened (invalid: it
+  /// could not be opened): exactly the paths whose contents decided what
+  /// the preprocessor included.
+  [[nodiscard]] std::map<std::string, support::FileId> paths() const;
+
   /// Drops every entry; later requests read their headers again.
   void clear() { headers_.clear(); }
 
@@ -60,6 +68,10 @@ class HeaderCache {
   support::SourceManager& sm_;
   std::unordered_map<std::string, Header> headers_;
 };
+
+/// GCC's limit on #include nesting. A deeper include is an error, which
+/// also ends an unguarded include cycle.
+inline constexpr std::size_t kMaxIncludeDepth = 200;
 
 class Preprocessor {
  public:
@@ -94,6 +106,10 @@ class Preprocessor {
     std::size_t next_diagnostic = 0;
     support::FileId file;
     std::string directory;  // for relative #include resolution
+    // #include nesting: 0 for the file being preprocessed. Kept per frame
+    // because an include on its file's last line replaces that file's
+    // frame instead of stacking on it.
+    std::size_t depth = 0;
     // Tokens pushed back while this frame was on top; consumed before the
     // frame's own tokens, and *after* any frames stacked above (so an
     // #include splices its file before the rest of the including line's

@@ -1,15 +1,11 @@
 #include "safeflow/cache_manager.h"
 
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
-
-#include <sys/stat.h>
 
 #include "safeflow/driver.h"
 #include "support/flight_recorder.h"
 #include "support/log.h"
+#include "support/source_manager.h"
 
 namespace safeflow {
 
@@ -17,54 +13,26 @@ namespace {
 
 /// Envelope schema; bumped independently of kAnalyzerVersion when the
 /// entry layout itself changes.
-constexpr std::uint64_t kCacheSchema = 2;
+constexpr std::uint64_t kCacheSchema = 3;
 
-std::optional<std::string> readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+/// `path` as it reads on disk now, read the way the frontend reads it.
+FileRead readNow(const std::string& path) {
+  support::SourceManager sm;
+  return fileReadOf(path, sm, sm.addFile(path).value_or(support::FileId{}));
 }
 
-bool fileExists(const std::string& path) {
-  struct stat st{};
-  return ::stat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode);
-}
-
-std::string directoryOf(const std::string& path) {
-  const std::size_t slash = path.rfind('/');
-  if (slash == std::string::npos) return ".";
-  return path.substr(0, slash);
-}
-
-/// Extracts every `#include "name"` target from `text`, conditional
-/// compilation ignored (see the soundness note in cache_manager.h:
-/// hashing a superset of the real closure is safe, a subset is not).
-std::vector<std::string> scanIncludes(std::string_view text) {
-  std::vector<std::string> names;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
-    std::string_view line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-
-    std::size_t i = 0;
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    if (i >= line.size() || line[i] != '#') continue;
-    ++i;
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    constexpr std::string_view kInclude = "include";
-    if (line.substr(i, kInclude.size()) != kInclude) continue;
-    i += kInclude.size();
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    if (i >= line.size() || line[i] != '"') continue;  // <...> ignored
-    const std::size_t close = line.find('"', i + 1);
-    if (close == std::string::npos) continue;
-    names.emplace_back(line.substr(i + 1, close - i - 1));
+/// The first file `run` read other bytes of than this lookup sees: the
+/// key's input files, then the headers as they are on disk now. ""
+/// when there is none.
+std::string firstStaleRead(const CacheKey& key, const RunOutput& run) {
+  for (std::size_t i = 0; i < run.reads.size(); ++i) {
+    const FileRead& read = run.reads[i];
+    if (read != (i < key.roots.size() ? key.roots[i] : readNow(read.path))) {
+      return read.path;
+    }
   }
-  return names;
+  return run.reads.size() < key.roots.size() ? key.roots[run.reads.size()].path
+                                             : "";
 }
 
 }  // namespace
@@ -127,82 +95,8 @@ void CacheManager::count(const char* name, std::uint64_t delta) {
   if (metrics_ != nullptr) metrics_->counter(name).add(delta);
 }
 
-const CacheManager::FileInfo& CacheManager::fileInfo(
-    const std::string& path) const {
-  const auto it = file_info_.find(path);
-  if (it != file_info_.end()) return it->second;
-
-  FileInfo info;
-  const std::optional<std::string> contents = readFile(path);
-  if (contents.has_value()) {
-    info.exists = true;
-    info.contents = *contents;
-    const std::string dir = directoryOf(path);
-    for (const std::string& name : scanIncludes(info.contents)) {
-      // Resolution order mirrors Preprocessor::handleInclude: the
-      // including file's directory first, then -I dirs in order.
-      std::string resolved;
-      if (const std::string local = dir + "/" + name; fileExists(local)) {
-        resolved = local;
-      } else {
-        for (const std::string& inc : options_.include_dirs) {
-          if (std::string candidate = inc + "/" + name;
-              fileExists(candidate)) {
-            resolved = std::move(candidate);
-            break;
-          }
-        }
-      }
-      if (resolved.empty()) {
-        // Unresolvable today; if the header appears tomorrow the marker
-        // disappears and the key changes.
-        info.includes.emplace_back(false, name);
-      } else {
-        info.includes.emplace_back(true, std::move(resolved));
-      }
-    }
-  }
-  // std::map references are stable, so the recursion in
-  // hashFileClosure can keep this reference across further inserts.
-  return file_info_.emplace(path, std::move(info)).first->second;
-}
-
-void CacheManager::hashFileClosure(const std::string& path,
-                                   const std::string& display_name,
-                                   support::Fnv1a& hasher,
-                                   std::vector<std::string>& visited) const {
-  for (const std::string& seen : visited) {
-    if (seen == path) return;
-  }
-  visited.push_back(path);
-
-  const FileInfo& info = fileInfo(path);
-  if (!info.exists) {
-    hasher.update("missing:");
-    hasher.update(display_name);
-    hasher.update("\n");
-    return;
-  }
-  hasher.update("file:");
-  hasher.update(display_name);
-  hasher.update(":");
-  hasher.update(std::to_string(info.contents.size()));
-  hasher.update("\n");
-  hasher.update(info.contents);
-
-  for (const auto& [resolved, value] : info.includes) {
-    if (!resolved) {
-      hasher.update("unresolved-include:");
-      hasher.update(value);
-      hasher.update("\n");
-      continue;
-    }
-    hashFileClosure(value, value, hasher, visited);
-  }
-}
-
-std::string CacheManager::keyFor(
-    const std::vector<std::string>& files) const {
+CacheKey CacheManager::keyFor(const std::vector<std::string>& files) const {
+  CacheKey key;
   support::Fnv1a hasher;
   hasher.update("safeflow-cache-schema:");
   hasher.update(std::to_string(kCacheSchema));
@@ -216,16 +110,19 @@ std::string CacheManager::keyFor(
     hasher.update("\n");
   }
   for (const std::string& file : files) {
+    const FileRead& root = key.roots.emplace_back(readNow(file));
     hasher.update("tu:");
-    hasher.update(file);
+    hasher.update(root.path);
     hasher.update("\n");
-    std::vector<std::string> visited;
-    hashFileClosure(file, file, hasher, visited);
+    hasher.update(root.digest);  // "" when the file cannot be opened
+    hasher.update("\n");
   }
-  return hasher.hex();
+  key.hex = hasher.hex();
+  return key;
 }
 
-std::optional<RunOutput> CacheManager::lookup(const std::string& key) {
+std::optional<RunOutput> CacheManager::lookup(const CacheKey& cache_key) {
+  const std::string& key = cache_key.hex;
   support::DiskCache::LookupResult checked = disk_.lookupChecked(key);
   if (checked.status == support::DiskCache::LookupStatus::kMiss) {
     count("cache.misses");
@@ -271,6 +168,17 @@ std::optional<RunOutput> CacheManager::lookup(const std::string& key) {
     disk_.remove(key);
     count("cache.corrupt");
     count("cache.misses");
+    return std::nullopt;
+  }
+  // A valid entry whose run read other bytes than this lookup sees is
+  // stale, an ordinary miss: the cold run that follows stores over it.
+  if (const std::string stale = firstStaleRead(cache_key, result);
+      !stale.empty()) {
+    count("cache.misses");
+    support::flightRecord("cache", "stale " + key);
+    SAFEFLOW_LOG(support::LogLevel::kDebug, "cache",
+                 "cache miss: file changed since the entry was stored",
+                 {{"key", key}, {"path", stale}});
     return std::nullopt;
   }
   count("cache.hits");

@@ -1,13 +1,13 @@
 // Content-addressed incremental analysis cache (DESIGN.md §11).
 //
 // SafeFlow's pipeline is deterministic per input set: the same sources
-// (including every resolved header), the same analyzer version, and the
-// same configuration always produce the same report. The CacheManager
-// exploits that by keying an on-disk entry (a support::DiskCache under
-// --cache-dir) with a 64-bit FNV-1a digest over exactly those inputs and
-// storing the run's RunOutput (exit code, stdout, stderr, stats). A warm
-// run replays the entry, so cached and live runs print the same bytes.
-// One entry covers one whole file set: the analysis is whole-program.
+// (including every header they include), the same analyzer version, and
+// the same configuration always produce the same report. The
+// CacheManager exploits that by storing the run's RunOutput (exit code,
+// stdout, stderr, stats, reads) in an on-disk entry (a support::DiskCache
+// under --cache-dir). A warm run replays the entry, so cached and live
+// runs print the same bytes. One entry covers one whole file set: the
+// analysis is whole-program.
 //
 // Key composition (any difference => different key => miss):
 //   - cache envelope schema version;
@@ -21,13 +21,15 @@
 //     neither findings nor the report;
 //   - per input file, in input order: its path (reports embed path
 //     strings, so equal content at a different path must not hit) and
-//     the bytes of the file plus its transitive `#include "..."`
-//     closure, resolved exactly like the preprocessor (including-file
-//     directory first, then -I dirs in order). The closure scan ignores
-//     conditional compilation, i.e. hashes a superset of what the
-//     preprocessor may include — that can only cause spurious misses,
-//     never a wrong hit. Unresolvable includes hash as a marker so a
-//     header appearing later changes the key.
+//     the FNV-1a digest of its bytes.
+//
+// Headers are not in the key. The entry stores what the run read
+// (RunOutput::reads): each input file's digest, which must equal the
+// key's, and every path an #include tried with the digest of the bytes
+// there or "could not open", which a lookup re-reads. A changed,
+// vanished or newly appearing header is a plain miss; the cold run that
+// follows stores over the entry. Only the preprocessor resolves
+// includes, so the cache cannot disagree with a cold run about them.
 //
 // Robustness: entries are written crash-consistently by DiskCache
 // (checksummed envelope, fsync, temp + rename); lookup() first checks
@@ -47,10 +49,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "safeflow/run_output.h"
@@ -65,12 +65,16 @@ struct CacheOptions {
   std::string dir = ".safeflow-cache";
   /// LRU size cap (--cache-max-mb, default 256 MiB).
   std::uint64_t max_bytes = 256ull << 20;
-  /// Include search path, needed to resolve the header closure the way
-  /// the preprocessor will.
-  std::vector<std::string> include_dirs;
   /// Analysis flags then rendering flags, in command-line order (what
   /// the supervisor forwards to its worker).
   std::vector<std::string> analysis_flags;
+};
+
+/// What keyFor() derived from one file set: the entry's key (16 hex
+/// chars) and each input file as it read then.
+struct CacheKey {
+  std::string hex;
+  std::vector<FileRead> roots;
 };
 
 class CacheManager {
@@ -101,15 +105,15 @@ class CacheManager {
   /// when the cache was never enabled.
   void disable(std::string reason);
 
-  /// Stable content key (16 hex chars) for analyzing `files` as one
-  /// program.
-  [[nodiscard]] std::string keyFor(
-      const std::vector<std::string>& files) const;
+  /// Reads each of `files` once and derives the key for analyzing them
+  /// as one program.
+  [[nodiscard]] CacheKey keyFor(const std::vector<std::string>& files) const;
 
-  /// Hit: decoded entry, LRU-refreshed. Miss (absent, unreadable, or
-  /// corrupt): nullopt; corrupt entries are additionally purged and
-  /// reported once on stderr.
-  [[nodiscard]] std::optional<RunOutput> lookup(const std::string& key);
+  /// Hit: decoded entry, LRU-refreshed. Miss (absent, unreadable,
+  /// corrupt, or stale: its run read a file other than it reads now):
+  /// nullopt; corrupt entries are additionally purged and reported once
+  /// on stderr.
+  [[nodiscard]] std::optional<RunOutput> lookup(const CacheKey& key);
 
   /// Persists a finished run under `key`. Runs that exit 2 (front-end
   /// errors) are not stored. Failures to write are diagnosed on stderr
@@ -118,29 +122,11 @@ class CacheManager {
 
  private:
   void count(const char* name, std::uint64_t delta = 1);
-  /// Hashes `path` and its transitive include closure into `hasher`.
-  void hashFileClosure(const std::string& path,
-                       const std::string& display_name,
-                       support::Fnv1a& hasher,
-                       std::vector<std::string>& visited) const;
-
-  /// One file's bytes and resolved include edges, read from disk once
-  /// per run. A shared header is part of every TU's closure, so without
-  /// this memo an N-TU program re-reads it N times per key.
-  struct FileInfo {
-    bool exists = false;
-    std::string contents;
-    /// (resolved, value): value is the resolved path to recurse into,
-    /// or the raw include name when resolution failed.
-    std::vector<std::pair<bool, std::string>> includes;
-  };
-  const FileInfo& fileInfo(const std::string& path) const;
 
   CacheOptions options_;
   support::DiskCache disk_;
   support::MetricsRegistry* metrics_;
   std::string disabled_reason_;
-  mutable std::map<std::string, FileInfo> file_info_;
 };
 
 }  // namespace safeflow

@@ -67,11 +67,9 @@ std::uint64_t residentBytes() {
 /// cache-key-relevant passthrough flags the CLI forwards to a worker are
 /// accepted — scheduling and observability flags are the daemon's own
 /// configuration, and anything unknown is rejected rather than spawned
-/// into a worker argv. Fills `include_dirs` (the cache manager resolves
-/// header closures with it) and `time_budget_seconds` (the base retries
+/// into a worker argv. Fills `time_budget_seconds` (the base retries
 /// tighten from, as in the one-shot CLI).
 bool validateFlags(const std::vector<std::string>& flags,
-                   std::vector<std::string>* include_dirs,
                    double* time_budget_seconds, std::string* error) {
   const auto unsignedArg = [](const std::string& v) {
     if (v.empty()) return false;
@@ -87,7 +85,6 @@ bool validateFlags(const std::vector<std::string>& flags,
         *error = "flag '" + flag + "' is missing its argument";
         return false;
       }
-      if (flag == "-I") include_dirs->push_back(flags[i + 1]);
       ++i;
     } else if (flag == "--mode=summaries" || flag == "--mode=call-strings" ||
                flag == "--no-control-deps" || flag == "--no-ranges" ||
@@ -338,11 +335,9 @@ std::string Daemon::handleAnalyze(const support::json::Value& request) {
     metrics_.counter("daemon.protocol_errors").add();
     return errorResponse("\"flags\" must be an array of strings");
   }
-  std::vector<std::string> include_dirs;
   double time_budget_seconds = 0.0;
   std::string flag_error;
-  if (!validateFlags(flags, &include_dirs, &time_budget_seconds,
-                     &flag_error)) {
+  if (!validateFlags(flags, &time_budget_seconds, &flag_error)) {
     metrics_.counter("daemon.protocol_errors").add();
     return errorResponse(flag_error);
   }
@@ -446,8 +441,8 @@ std::string Daemon::handleAnalyze(const support::json::Value& request) {
       metrics_.counter("daemon.deadline_expired").add();
       response = errorResponse("deadline expired before analysis started");
     } else {
-      response = runAnalysis(files, flags, include_dirs, time_budget_seconds,
-                             render, remaining);
+      response =
+          runAnalysis(files, flags, time_budget_seconds, render, remaining);
     }
     {
       const std::lock_guard<std::mutex> lock(mu_);
@@ -473,7 +468,6 @@ std::string Daemon::handleAnalyze(const support::json::Value& request) {
 
 std::string Daemon::runAnalysis(const std::vector<std::string>& files,
                                 const std::vector<std::string>& flags,
-                                const std::vector<std::string>& include_dirs,
                                 double time_budget_seconds,
                                 const RenderOptions& render,
                                 double deadline_seconds) {
@@ -482,7 +476,6 @@ std::string Daemon::runAnalysis(const std::vector<std::string>& files,
   support::MetricsRegistry registry;
 
   CacheOptions cache_options = options_.cache;
-  cache_options.include_dirs = include_dirs;
   cache_options.analysis_flags = flags;
   for (const std::string& a : render.args()) {
     cache_options.analysis_flags.push_back(a);

@@ -132,7 +132,6 @@ class Daemon {
   /// `ok` response.
   std::string runAnalysis(const std::vector<std::string>& files,
                           const std::vector<std::string>& flags,
-                          const std::vector<std::string>& include_dirs,
                           double time_budget_seconds,
                           const RenderOptions& render,
                           double deadline_seconds);

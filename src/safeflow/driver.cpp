@@ -12,6 +12,7 @@
 #include "ir/lowering.h"
 #include "ir/ssa.h"
 #include "safeflow/summary_store.h"
+#include "support/cache.h"
 #include "support/fault_inject.h"
 #include "support/json.h"
 
@@ -114,6 +115,17 @@ std::string summariesDisabledReason(const SafeFlowOptions& options) {
 
 }  // namespace
 
+FileRead fileReadOf(std::string path, const support::SourceManager& sm,
+                    support::FileId file) {
+  FileRead read{std::move(path), ""};
+  if (file.valid()) {
+    support::Fnv1a hasher;
+    hasher.update(sm.contents(file));
+    read.digest = hasher.hex();
+  }
+  return read;
+}
+
 SafeFlowDriver::SafeFlowDriver(SafeFlowOptions options)
     : options_(std::move(options)),
       budget_(options_.budget),
@@ -150,6 +162,7 @@ bool SafeFlowDriver::addFile(const std::string& path) {
   }
   // Aggregate LOC over the file as the frontend read it.
   if (file.valid()) addLoc(frontend_.sources().contents(file));
+  reads_.push_back(fileReadOf(path, frontend_.sources(), file));
   return ok;
 }
 
@@ -200,6 +213,9 @@ const analysis::SafeFlowReport& SafeFlowDriver::analyze() {
   beginPipeline();
   const auto start = std::chrono::steady_clock::now();
 
+  for (const auto& [path, file] : frontend_.headers().paths()) {
+    reads_.push_back(fileReadOf(path, frontend_.sources(), file));
+  }
   frontend_.releaseHeaders();
   auto& diags = frontend_.diagnostics();
 

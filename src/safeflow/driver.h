@@ -44,7 +44,21 @@ class SummaryStore;
 /// propagation, restriction rules, taint, rendering, defaults. The bump
 /// is what invalidates every stale cache entry; forgetting it means an
 /// upgraded analyzer can replay a report the old version produced.
-inline constexpr const char kAnalyzerVersion[] = "0.9.1";
+inline constexpr const char kAnalyzerVersion[] = "0.9.2";
+
+/// One file the frontend read: its path and the FNV-1a digest (16 hex
+/// characters) of the bytes it read, or "" when the path could not be
+/// opened. The result cache checks these (safeflow/cache_manager.h).
+struct FileRead {
+  std::string path;
+  std::string digest;
+  bool operator==(const FileRead&) const = default;
+};
+
+/// `path` as `sm` holds it in `file` (invalid: it could not be opened).
+[[nodiscard]] FileRead fileReadOf(std::string path,
+                                  const support::SourceManager& sm,
+                                  support::FileId file);
 
 /// The exit-code ladder, shared by every entry point (the worker runs
 /// the in-process path) so no two can disagree:
@@ -202,6 +216,9 @@ class SafeFlowDriver {
   [[nodiscard]] const std::vector<std::string>& failedFiles() const {
     return failed_files_;
   }
+  /// The files addFile() read, in call order, then (after analyze())
+  /// every path an #include tried, sorted by path.
+  [[nodiscard]] const std::vector<FileRead>& reads() const { return reads_; }
   /// The lowered module (valid after analyze()).
   [[nodiscard]] const ir::Module* module() const { return module_.get(); }
 
@@ -239,6 +256,7 @@ class SafeFlowDriver {
   SummaryStore* summary_store_ = nullptr;
   bool summary_verify_failed_ = false;
   std::vector<std::string> failed_files_;
+  std::vector<FileRead> reads_;
   support::MetricsRegistry metrics_;
   std::unique_ptr<support::TraceCollector> trace_;
   support::PipelineObserver observer_;

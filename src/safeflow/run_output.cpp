@@ -33,6 +33,7 @@ RunOutput analyzeAndRender(SafeFlowDriver& driver,
   }
   const analysis::SafeFlowReport& report = driver.analyze();
   run.stats = driver.stats();
+  run.reads = driver.reads();
   std::ostringstream out, err;
   if (driver.hasFrontendErrors()) {
     // Partial results are still reported; the exit code keeps
@@ -69,13 +70,42 @@ RunOutput analyzeAndRender(SafeFlowDriver& driver,
   return run;
 }
 
+namespace {
+
+/// `reads` as an array of [path, digest] pairs.
+std::string renderReads(const std::vector<FileRead>& reads) {
+  using support::json::escape;
+  std::string out = "[";
+  for (const FileRead& read : reads) {
+    if (out.size() > 1) out += ", ";
+    out += "[\"" + escape(read.path) + "\", \"" + escape(read.digest) + "\"]";
+  }
+  return out + "]";
+}
+
+bool readReads(const support::json::Value* doc, std::vector<FileRead>* out) {
+  if (doc == nullptr || !doc->isArray()) return false;
+  out->clear();
+  for (const support::json::Value& read : doc->array) {
+    if (!read.isArray() || read.array.size() != 2 ||
+        !read.array[0].isString() || !read.array[1].isString()) {
+      return false;
+    }
+    out->push_back({read.array[0].string_value, read.array[1].string_value});
+  }
+  return true;
+}
+
+}  // namespace
+
 std::string renderEnvelope(const RunOutput& run,
                            const std::string& telemetry_json) {
   using support::json::escape;
   std::string out = "{\"exit_code\": " + std::to_string(run.exit_code) +
                     ", \"stdout\": \"" + escape(run.stdout_text) +
                     "\", \"stderr\": \"" + escape(run.stderr_text) +
-                    "\",\n\"stats\": " + run.stats.renderJson();
+                    "\",\n\"stats\": " + run.stats.renderJson() +
+                    ",\n\"reads\": " + renderReads(run.reads);
   if (!telemetry_json.empty()) out += ",\n\"telemetry\": " + telemetry_json;
   return out + "}\n";
 }
@@ -88,7 +118,8 @@ bool readEnvelope(const support::json::Value& doc, RunOutput* out) {
   if (code == nullptr || !code->isNumber() || code->number_value < 0 ||
       code->number_value > 3 || out_text == nullptr ||
       !out_text->isString() || err_text == nullptr || !err_text->isString() ||
-      stats == nullptr || !SafeFlowStats::fromJson(*stats, &out->stats)) {
+      stats == nullptr || !SafeFlowStats::fromJson(*stats, &out->stats) ||
+      !readReads(doc.find("reads"), &out->reads)) {
     return false;
   }
   out->exit_code = static_cast<int>(code->number_value);

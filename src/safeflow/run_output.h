@@ -7,7 +7,8 @@
 // result cache stores it. The envelope's exit_code/stdout/stderr members
 // are the body safeflowd answers an analyze request with; the embedded
 // stats document feeds the parent's --stats-json, --stats and
-// --metrics-out.
+// --metrics-out; its reads member lists what the frontend read, which
+// the cache checks before it replays the run.
 #pragma once
 
 #include <string>
@@ -36,6 +37,10 @@ struct RunOutput {
   std::string stdout_text;
   std::string stderr_text;
   SafeFlowStats stats;
+  /// What the frontend read (SafeFlowDriver::reads()): the input files
+  /// in input order, then every path an #include tried. Empty when
+  /// nothing was analyzed.
+  std::vector<FileRead> reads;
 };
 
 /// Adds `files` to `driver`, analyzes them as one program and renders
@@ -48,8 +53,8 @@ struct RunOutput {
                                          const RenderOptions& render);
 
 /// The `--worker` envelope: one JSON object with exit_code, stdout,
-/// stderr and stats members, plus `telemetry_json` (a pre-rendered
-/// object) as "telemetry" when non-empty.
+/// stderr, stats and reads members, plus `telemetry_json` (a
+/// pre-rendered object) as "telemetry" when non-empty.
 [[nodiscard]] std::string renderEnvelope(
     const RunOutput& run, const std::string& telemetry_json = {});
 

@@ -534,7 +534,6 @@ int main(int argc, char** argv) {
   cache_options.enabled = cache_enabled && !cache_disabled;
   cache_options.dir = cache_dir;
   cache_options.max_bytes = cache_max_mb << 20;
-  cache_options.include_dirs = options.include_dirs;
   cache_options.analysis_flags = passthrough;
   for (const std::string& a : render.args()) {
     cache_options.analysis_flags.push_back(a);
@@ -577,7 +576,7 @@ int main(int argc, char** argv) {
     }
     run = std::move(result.output);
   } else {
-    std::string key;
+    CacheKey key;
     std::optional<RunOutput> hit;
     if (cache.enabled()) {
       key = cache.keyFor(files);
@@ -595,7 +594,7 @@ int main(int argc, char** argv) {
                      "trace.out")) {
         return 2;
       }
-      if (cache.enabled()) cache.store(key, run);
+      if (cache.enabled()) cache.store(key.hex, run);
     }
     if (cache_options.enabled) {
       foldRegistrySnapshot(registry, &run.stats);

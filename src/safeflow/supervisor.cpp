@@ -83,20 +83,11 @@ SupervisedRun Supervisor::run(const std::vector<std::string>& files) {
       options_.cache != nullptr && options_.cache->enabled()
           ? options_.cache
           : nullptr;
-  std::string key;
+  CacheKey key;
   std::optional<RunOutput> hit;
   if (cache != nullptr) {
     key = cache->keyFor(files);
-    std::size_t probe_span = 0;
-    if (options_.trace != nullptr) {
-      probe_span = options_.trace->beginSpan("supervisor.cache_probe");
-      options_.trace->setArg(probe_span, "key", key);
-    }
     hit = cache->lookup(key);
-    if (options_.trace != nullptr) {
-      options_.trace->setArg(probe_span, "hit", hit ? "true" : "false");
-      options_.trace->endSpan(probe_span);
-    }
   }
 
   SafeFlowStats::ShardStat worker;
@@ -112,7 +103,7 @@ SupervisedRun Supervisor::run(const std::vector<std::string>& files) {
     // configuration whose (possibly degraded) report must not be
     // replayed for the original one.
     if (cache != nullptr && !result.failure && result.attempts == 1) {
-      cache->store(key, result.output);
+      cache->store(key.hex, result.output);
     }
   }
   worker.attempts = result.attempts;

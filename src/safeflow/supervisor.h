@@ -69,7 +69,7 @@ struct SupervisorOptions {
   /// outlive run().
   CacheManager* cache = nullptr;
   /// Optional span collector for the supervisor's own spans (run,
-  /// cache probe, spawn, backoff). Its epoch is also the reference
+  /// spawn, backoff). Its epoch is also the reference
   /// timeline the worker's spans are re-based onto in the stitched
   /// trace (DESIGN.md §13). May be null.
   support::TraceCollector* trace = nullptr;

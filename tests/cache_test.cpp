@@ -1,8 +1,9 @@
 // Tests for the incremental analysis cache: the FNV-1a hasher against
 // known vectors, DiskCache durability and LRU eviction, CacheManager
-// key sensitivity (content, headers, flags, order, search path),
-// corrupt-entry fallback, and end-to-end warm runs through the real
-// supervisor (SAFEFLOW_EXE worker) including the edit-one-TU case.
+// key sensitivity (content, flags, order, path), misses after header
+// edits (the entry records what the run read), corrupt-entry fallback,
+// and end-to-end warm runs through the real supervisor (SAFEFLOW_EXE
+// worker) including the edit-one-TU and edit-one-header cases.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,6 +11,8 @@
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,6 +22,8 @@
 #include <unistd.h>
 
 #include "safeflow/cache_manager.h"
+#include "safeflow/driver.h"
+#include "safeflow/run_output.h"
 #include "safeflow/supervisor.h"
 #include "support/cache.h"
 #include "support/metrics.h"
@@ -264,6 +269,15 @@ TEST(DiskCache, ConcurrentMultiProcessStoresStayCoherent) {
 
 // --- CacheManager key composition -----------------------------------
 
+/// The CLI's in-process run of `files`, as a warm lookup replays it.
+RunOutput coldRun(const std::vector<std::string>& files,
+                  const std::vector<std::string>& include_dirs) {
+  SafeFlowOptions options;
+  options.include_dirs = include_dirs;
+  SafeFlowDriver driver(options);
+  return analyzeAndRender(driver, files, RenderOptions{});
+}
+
 struct KeyFixture {
   std::string src_dir = freshDir("key_src");
   std::string inc_dir;
@@ -278,14 +292,41 @@ struct KeyFixture {
     writeFile(src_dir + "/shared.h", "int shared_value;\n");
     options.enabled = true;
     options.dir = freshDir("key_cache");
-    options.include_dirs = {inc_dir};
-    options.analysis_flags = {"--mode=taint"};
+    options.analysis_flags = {"-I", inc_dir};
   }
 
   [[nodiscard]] std::string key() const {
     support::MetricsRegistry registry;
     CacheManager manager(options, &registry);
-    return manager.keyFor({src_dir + "/a.c"});
+    return manager.keyFor({src_dir + "/a.c"}).hex;
+  }
+
+  /// Analyzes a.c with -I inc and stores the run under its key.
+  void storeRun() const {
+    support::MetricsRegistry registry;
+    CacheManager manager(options, &registry);
+    const std::vector<std::string> files = {src_dir + "/a.c"};
+    const RunOutput run = coldRun(files, {inc_dir});
+    ASSERT_EQ(run.exit_code, 0) << run.stderr_text;
+    manager.store(manager.keyFor(files).hex, run);
+    ASSERT_EQ(registry.counterValue("cache.writes"), 1u);
+  }
+
+  /// Looks a.c up as a warm run would. A miss is a plain one: nothing
+  /// is reported corrupt and the entry stays on disk for the cold run
+  /// to store over.
+  [[nodiscard]] bool hits() const {
+    support::MetricsRegistry registry;
+    CacheManager manager(options, &registry);
+    const CacheKey key = manager.keyFor({src_dir + "/a.c"});
+    testing::internal::CaptureStderr();
+    const bool hit = manager.lookup(key).has_value();
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    EXPECT_EQ(registry.counterValue(hit ? "cache.hits" : "cache.misses"), 1u);
+    EXPECT_EQ(registry.counterValue("cache.corrupt"), 0u);
+    support::DiskCache disk({options.dir, 0});
+    EXPECT_TRUE(disk.lookup(key.hex).has_value());
+    return hit;
   }
 };
 
@@ -304,11 +345,14 @@ TEST(CacheKey, ChangesWithTuContent) {
   EXPECT_NE(fx.key(), before);
 }
 
+// Headers are not in the key: the entry records every header the run
+// read, and a lookup after any of them changed misses.
 TEST(CacheKey, ChangesWithIncludedHeaderContent) {
   KeyFixture fx;
-  const std::string before = fx.key();
+  fx.storeRun();
+  EXPECT_TRUE(fx.hits());
   writeFile(fx.src_dir + "/shared.h", "int shared_value; /* edited */\n");
-  EXPECT_NE(fx.key(), before);
+  EXPECT_FALSE(fx.hits());
 }
 
 TEST(CacheKey, ChangesWithTransitiveHeaderContent) {
@@ -316,9 +360,10 @@ TEST(CacheKey, ChangesWithTransitiveHeaderContent) {
   writeFile(fx.src_dir + "/shared.h",
             "#include \"nested.h\"\nint shared_value;\n");
   writeFile(fx.src_dir + "/nested.h", "int nested_value;\n");
-  const std::string before = fx.key();
+  fx.storeRun();
+  EXPECT_TRUE(fx.hits());
   writeFile(fx.src_dir + "/nested.h", "int nested_value; /* edited */\n");
-  EXPECT_NE(fx.key(), before);
+  EXPECT_FALSE(fx.hits());
 }
 
 TEST(CacheKey, ChangesWithAnalysisFlags) {
@@ -326,19 +371,22 @@ TEST(CacheKey, ChangesWithAnalysisFlags) {
   const std::string before = fx.key();
   fx.options.analysis_flags = {"--mode=call-strings"};
   EXPECT_NE(fx.key(), before);
-  fx.options.analysis_flags = {"--mode=taint", "--time-budget", "250ms"};
+  fx.options.analysis_flags = {"-I", fx.inc_dir, "--time-budget", "250ms"};
   EXPECT_NE(fx.key(), before);
 }
 
 TEST(CacheKey, ChangesWhenAnUnresolvedHeaderAppears) {
-  // While `later.h` is missing the key carries an unresolved marker; the
-  // header appearing must change the key (the cold result may differ).
+  // later.h resolves through -I inc only after the run failed to open
+  // it beside a.c. A later.h appearing there is what a cold run would
+  // include, so the lookup must miss.
   KeyFixture fx;
   writeFile(fx.src_dir + "/a.c",
             "#include \"later.h\"\nint core_main(void) { return 0; }\n");
-  const std::string before = fx.key();
   writeFile(fx.inc_dir + "/later.h", "int later_value;\n");
-  EXPECT_NE(fx.key(), before);
+  fx.storeRun();
+  EXPECT_TRUE(fx.hits());
+  writeFile(fx.src_dir + "/later.h", "int later_value;\n");
+  EXPECT_FALSE(fx.hits());
 }
 
 TEST(CacheKey, ChangesWithFilePathAndInputOrder) {
@@ -351,16 +399,8 @@ TEST(CacheKey, ChangesWithFilePathAndInputOrder) {
 
   support::MetricsRegistry registry;
   CacheManager manager(fx.options, &registry);
-  EXPECT_NE(manager.keyFor({a}), manager.keyFor({b}));
-  EXPECT_NE(manager.keyFor({a, b}), manager.keyFor({b, a}));
-}
-
-TEST(CacheKey, CyclicIncludesTerminate) {
-  KeyFixture fx;
-  writeFile(fx.src_dir + "/x.h", "#include \"y.h\"\nint xv;\n");
-  writeFile(fx.src_dir + "/y.h", "#include \"x.h\"\nint yv;\n");
-  writeFile(fx.src_dir + "/a.c", "#include \"x.h\"\nint core_main(void);\n");
-  EXPECT_EQ(fx.key().size(), 16u);  // no infinite recursion
+  EXPECT_NE(manager.keyFor({a}).hex, manager.keyFor({b}).hex);
+  EXPECT_NE(manager.keyFor({a, b}).hex, manager.keyFor({b, a}).hex);
 }
 
 // --- CacheManager store/lookup robustness ---------------------------
@@ -382,7 +422,7 @@ TEST(CacheManagerTest, StoreThenLookupReturnsTheDecodedEntry) {
   CacheManager manager(options, &registry);
 
   manager.store("deadbeefdeadbeef", minimalRun(3, "some stderr\n"));
-  const auto hit = manager.lookup("deadbeefdeadbeef");
+  const auto hit = manager.lookup({"deadbeefdeadbeef", {}});
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->exit_code, 3);
   EXPECT_EQ(hit->stderr_text, "some stderr\n");
@@ -407,7 +447,7 @@ TEST(CacheManagerTest, TruncatedEntryIsPurgedAndCounted) {
             0);
 
   testing::internal::CaptureStderr();
-  EXPECT_FALSE(manager.lookup("deadbeefdeadbeef").has_value());
+  EXPECT_FALSE(manager.lookup({"deadbeefdeadbeef", {}}).has_value());
   const std::string diag = testing::internal::GetCapturedStderr();
   EXPECT_NE(diag.find("is corrupt"), std::string::npos);
   EXPECT_NE(diag.find("falling back to cold analysis"), std::string::npos);
@@ -416,7 +456,7 @@ TEST(CacheManagerTest, TruncatedEntryIsPurgedAndCounted) {
   // The poisoned entry was purged: the next lookup is a plain miss, not
   // another corruption report.
   testing::internal::CaptureStderr();
-  EXPECT_FALSE(manager.lookup("deadbeefdeadbeef").has_value());
+  EXPECT_FALSE(manager.lookup({"deadbeefdeadbeef", {}}).has_value());
   EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
   EXPECT_EQ(registry.counterValue("cache.corrupt"), 1u);
 }
@@ -439,7 +479,7 @@ TEST(CacheManagerTest, WrongKeyEchoAndVersionMismatchAreCorrupt) {
   ASSERT_TRUE(disk_view.store("bbbbbbbbbbbbbbbb", *payload).ok);
 
   testing::internal::CaptureStderr();
-  EXPECT_FALSE(manager.lookup("bbbbbbbbbbbbbbbb").has_value());
+  EXPECT_FALSE(manager.lookup({"bbbbbbbbbbbbbbbb", {}}).has_value());
   EXPECT_NE(testing::internal::GetCapturedStderr().find("key echo"),
             std::string::npos);
   EXPECT_EQ(registry.counterValue("cache.corrupt"), 1u);
@@ -456,6 +496,118 @@ TEST(CacheManagerTest, FaultInjectionEnvDisablesTheCache) {
   const CacheManager manager(options, &registry);
   ASSERT_EQ(::unsetenv("SAFEFLOW_INJECT_FAULT"), 0);
   EXPECT_FALSE(manager.enabled());
+}
+
+// --- Header edits never replay a stale report ------------------------
+
+/// The running example's shared-memory set-up and a main whose asserted
+/// value is readIt(), which h.h defines. `include`, the line including
+/// h.h, goes right before main, or with `last` on the file's last line.
+std::string readItProgram(const std::string& include, bool last) {
+  std::string text =
+      "typedef struct SHM { float control; float position; float angle; "
+      "int seq; } SHMData;\n"
+      "SHMData *feedback;\n"
+      "SHMData *noncoreCtrl;\n"
+      "extern int shmget(int key, int size, int flags);\n"
+      "extern void *shmat(int shmid, void *addr, int flags);\n"
+      "static int readIt(void);\n"
+      "/*** SafeFlow Annotation shminit ***/\n"
+      "void initComm(void)\n"
+      "{\n"
+      "  void *shmStart;\n"
+      "  shmStart = shmat(shmget(1234, 2 * sizeof(SHMData), 0), 0, 0);\n"
+      "  feedback = (SHMData *) shmStart;\n"
+      "  noncoreCtrl = feedback + 1;\n"
+      "  /*** SafeFlow Annotation assume(shmvar(feedback, sizeof(SHMData))) "
+      "***/\n"
+      "  /*** SafeFlow Annotation assume(shmvar(noncoreCtrl, "
+      "sizeof(SHMData))) ***/\n"
+      "  /*** SafeFlow Annotation assume(noncore(feedback)) ***/\n"
+      "  /*** SafeFlow Annotation assume(noncore(noncoreCtrl)) ***/\n"
+      "}\n";
+  if (!last) text += include + "\n";
+  text +=
+      "int main(void)\n"
+      "{\n"
+      "  int v;\n"
+      "  initComm();\n"
+      "  v = readIt();\n"
+      "  /*** SafeFlow Annotation assert(safe(v)); ***/\n"
+      "  return v;\n"
+      "}\n";
+  if (last) text += include;
+  return text;
+}
+
+const char kCleanHeader[] = "static int readIt(void) { return 0; }\n";
+/// readIt() now returns an unmonitored non-core value: 1 warning and 1
+/// error dependency.
+const char kLeakyHeader[] =
+    "static int readIt(void) { return feedback->seq; }\n";
+
+// Each case is a way the cache's former textual include scan disagreed
+// with the preprocessor about which header a run read, and so replayed a
+// clean report after the header the run did read had changed. After
+// every header edit a lookup must miss or print exactly what a cold run
+// prints.
+TEST(CacheManagerTest, HeaderEditsNeverReplayAStaleReport) {
+  struct Case {
+    const char* name;
+    std::string root;
+    std::string include;
+    bool last;
+    /// Copies of h.h, edited in this order.
+    std::vector<std::string> headers;
+  };
+  const Case cases[] = {
+      // The lexer keeps a line's start across a comment, so the
+      // preprocessor honours this include.
+      {"comment before #include", "main.c", "/* layout */ #include \"h.h\"",
+       false, {"h.h"}},
+      // Run with -I inc: the include resolves beside a/main.c.
+      {"#include on the last line", "a/main.c", "#include \"h.h\"", true,
+       {"inc/h.h", "a/h.h"}},
+  };
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    const Case& c = cases[i];
+    const std::string dir = freshDir("stale_replay" + std::to_string(i));
+    ASSERT_EQ(std::system(("mkdir -p '" + dir + "/a' '" + dir + "/inc'")
+                              .c_str()),
+              0);
+    writeFile(dir + "/" + c.root, readItProgram(c.include, c.last));
+    for (const std::string& h : c.headers) {
+      writeFile(dir + "/" + h, kCleanHeader);
+    }
+    const std::vector<std::string> files = {dir + "/" + c.root};
+    const std::vector<std::string> include_dirs = {dir + "/inc"};
+    CacheOptions options;
+    options.enabled = true;
+    options.dir = dir + "/cache";
+    options.analysis_flags = {"-I", include_dirs[0]};
+    {
+      support::MetricsRegistry registry;
+      CacheManager cache(options, &registry);
+      const RunOutput cold = coldRun(files, include_dirs);
+      ASSERT_EQ(cold.exit_code, 0) << c.name << ": " << cold.stderr_text;
+      cache.store(cache.keyFor(files).hex, cold);
+    }
+    bool cold_report_changed = false;
+    for (const std::string& h : c.headers) {
+      writeFile(dir + "/" + h, kLeakyHeader);
+      support::MetricsRegistry registry;
+      CacheManager cache(options, &registry);
+      const std::optional<RunOutput> warm = cache.lookup(cache.keyFor(files));
+      const RunOutput cold = coldRun(files, include_dirs);
+      cold_report_changed = cold_report_changed || cold.exit_code != 0;
+      if (warm.has_value()) {
+        EXPECT_EQ(warm->exit_code, cold.exit_code) << c.name << ", " << h;
+        EXPECT_EQ(warm->stdout_text, cold.stdout_text) << c.name << ", " << h;
+      }
+    }
+    // Some edit reached the analysis, so a stale replay would show.
+    EXPECT_TRUE(cold_report_changed) << c.name;
+  }
 }
 
 // --- End-to-end through the real supervisor -------------------------
@@ -530,6 +682,50 @@ TEST(SupervisedCache, EditingOneTuMissesExactlyThatShard) {
     EXPECT_EQ(registry.counterValue("cache.misses"), 1u);
     EXPECT_EQ(registry.counterValue("cache.hits"), 1u);
     EXPECT_EQ(registry.counterValue("supervisor.workers_spawned"), 1u);
+  }
+}
+
+TEST(SupervisedCache, HeaderEditMissesAndRunsOneWorker) {
+  // The worker's envelope carries what it read and the supervisor stores
+  // that with the run, so editing a header between runs misses.
+  const std::string dir = freshDir("sup_header");
+  ASSERT_EQ(std::system(("mkdir -p '" + dir + "'").c_str()), 0);
+  const std::vector<std::string> files = {dir + "/main.c"};
+  writeFile(files[0], readItProgram("/* layout */ #include \"h.h\"", false));
+  writeFile(dir + "/h.h", kCleanHeader);
+
+  CacheOptions cache_options;
+  cache_options.enabled = true;
+  cache_options.dir = freshDir("sup_header_cache");
+  const auto run = [&](support::MetricsRegistry* registry) {
+    CacheManager cache(cache_options, registry);
+    return Supervisor(supervisedOptions(&cache), registry).run(files);
+  };
+  {
+    support::MetricsRegistry registry;
+    EXPECT_EQ(run(&registry).output.exit_code, 0);
+  }
+  writeFile(dir + "/h.h", kLeakyHeader);
+  support::MetricsRegistry cold_registry;
+  const SupervisedRun cold =
+      Supervisor(supervisedOptions(nullptr), &cold_registry).run(files);
+  EXPECT_EQ(cold.output.exit_code, 1);
+  {
+    support::MetricsRegistry registry;
+    const SupervisedRun edited = run(&registry);
+    EXPECT_FALSE(edited.from_cache);
+    EXPECT_EQ(registry.counterValue("cache.misses"), 1u);
+    EXPECT_EQ(registry.counterValue("cache.corrupt"), 0u);
+    EXPECT_EQ(registry.counterValue("supervisor.workers_spawned"), 1u);
+    EXPECT_EQ(edited.output.exit_code, cold.output.exit_code);
+    EXPECT_EQ(edited.output.stdout_text, cold.output.stdout_text);
+  }
+  {
+    // The edited run stored over the stale entry.
+    support::MetricsRegistry registry;
+    const SupervisedRun again = run(&registry);
+    EXPECT_TRUE(again.from_cache);
+    EXPECT_EQ(again.output.stdout_text, cold.output.stdout_text);
   }
 }
 

@@ -2,7 +2,10 @@
 // raw tokens at every #include (HeaderCache). These tests pin that C
 // semantics survive the replay (per-file macro state, include guards,
 // #pragma once, diagnostics inside headers, function bodies in headers)
-// and that nothing the frontend counts moved.
+// and that nothing the frontend counts moved. They also pin how includes
+// end: a directive on a file's last line, the nesting cap that stops an
+// unguarded include cycle, and lexer and preprocessor errors failing
+// their file.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -17,6 +20,7 @@
 #include "cfront/frontend.h"
 #include "cfront/preprocessor.h"
 #include "safeflow/driver.h"
+#include "safeflow/run_output.h"
 #include "support/diagnostics.h"
 #include "support/source_manager.h"
 
@@ -277,6 +281,106 @@ TEST_F(ReplayTest, FunctionBodyInHeaderReportsAlikeInEitherFileOrder) {
     }
     EXPECT_EQ(driver.analyze().render(driver.sources()), expected)
         << "first file: " << order.front();
+  }
+}
+
+// Reading past a file's last line pops its frame. The file's directory
+// must be taken first, or the include resolves from the includer's
+// directory (for a root file, from the -I directories only).
+TEST_F(ReplayTest, IncludeOnTheLastLineResolvesBesideItsFile) {
+  write("sub/mode.h", "#ifdef MODE_A\nint mode_a;\n#endif\n");
+  for (const char* newline : {"\n", ""}) {
+    const std::string last = write(
+        "sub/last.c", std::string("#define MODE_A\n#include \"mode.h\"") +
+                          newline);
+    cfront::Frontend fe;
+    EXPECT_TRUE(fe.parseFile(last)) << fe.diagnostics().render(fe.sources());
+    EXPECT_EQ(fe.diagnostics().errorCount(), 0u)
+        << fe.diagnostics().render(fe.sources());
+    EXPECT_NE(fe.unit().findGlobal("mode_a"), nullptr)
+        << "newline: " << (*newline != '\0');
+  }
+}
+
+TEST_F(ReplayTest, PragmaOnceOnTheLastLineMarksItsFile) {
+  write("once.h", "int once;\n#pragma once\n");
+  support::SourceManager sm;
+  support::DiagnosticEngine diags;
+  const std::vector<std::string> spellings = preprocessAll(
+      dir(), {"#include \"once.h\"\n#include \"once.h\"\nint x;\n"}, sm,
+      diags);
+  EXPECT_EQ(diags.errorCount(), 0u) << diags.render(sm);
+  ASSERT_EQ(spellings.size(), 1u);
+  EXPECT_EQ(spellings[0], "int once int x");
+}
+
+// Without guards x.h and y.h include each other forever; the nesting cap
+// turns that into one error instead of a frontend that never returns.
+// With declarations after each include the frame stack grows; with the
+// include on each header's last line it does not, and only the recorded
+// depth ends the cycle.
+TEST_F(ReplayTest, UnguardedIncludeCycleStopsAtTheDepthCap) {
+  for (const char* after_include : {"int v;\n", ""}) {
+    write("x.h", std::string("#include \"y.h\"\n") + after_include);
+    write("y.h", std::string("#include \"x.h\"\n") + after_include);
+    const std::string a =
+        write("a.c", "#include \"x.h\"\nint core_main(void);\n");
+    cfront::Frontend fe;
+    EXPECT_FALSE(fe.parseFile(a));
+    ASSERT_EQ(fe.diagnostics().errorCount(), 1u)
+        << fe.diagnostics().render(fe.sources());
+    const support::Diagnostic& d = fe.diagnostics().diagnostics()[0];
+    EXPECT_EQ(d.category, "preprocess");
+    EXPECT_EQ(d.message, "#include nested more than 200 deep");
+  }
+}
+
+TEST_F(ReplayTest, IncludesNestTwoHundredDeep) {
+  ASSERT_EQ(cfront::kMaxIncludeDepth, 200u);
+  // d1.h includes d2.h, ..., d200.h includes d201.h, each on its last
+  // line.
+  for (int i = 1; i <= 201; ++i) {
+    write("d" + std::to_string(i) + ".h",
+          i == 201 ? std::string("int deepest;\n")
+                   : "#include \"d" + std::to_string(i + 1) + ".h\"\n");
+  }
+  const std::string at_cap = write("at_cap.c", "#include \"d2.h\"\n");
+  const std::string past_cap = write("past_cap.c", "#include \"d1.h\"\n");
+  cfront::Frontend fe;
+  EXPECT_TRUE(fe.parseFile(at_cap)) << fe.diagnostics().render(fe.sources());
+  EXPECT_NE(fe.unit().findGlobal("deepest"), nullptr);
+  EXPECT_FALSE(fe.parseFile(past_cap));
+  EXPECT_EQ(fe.diagnostics().errorCount(), 1u)
+      << fe.diagnostics().render(fe.sources());
+}
+
+// A file the lexer or the preprocessor rejects is not parsed cleanly: it
+// fails like a parse error, its diagnostic is printed, and the report
+// lists it as partial instead of certifying it.
+TEST_F(ReplayTest, LexAndPreprocessErrorsFailTheFile) {
+  const std::string good = write("good.c", "int good(void) { return 0; }\n");
+  const std::pair<const char*, const char*> inputs[] = {
+      {"int bad_a;\n@\nint bad_b;\n", "[lex] unexpected character '@'"},
+      {"int bad_a;\n/* unterminated", "[lex] unterminated block comment"},
+      {"#include \"missing.h\"\nint bad_a;\n",
+       "[preprocess] cannot open include file \"missing.h\""},
+  };
+  for (const auto& [text, diagnostic] : inputs) {
+    const std::string bad = write("bad.c", text);
+    cfront::Frontend fe;
+    EXPECT_FALSE(fe.parseFile(bad)) << diagnostic;
+    EXPECT_NE(fe.diagnostics().render(fe.sources()).find(diagnostic),
+              std::string::npos)
+        << diagnostic;
+
+    SafeFlowDriver driver;
+    const RunOutput run = analyzeAndRender(driver, {bad, good}, {});
+    EXPECT_EQ(run.exit_code, 2) << diagnostic;
+    EXPECT_NE(run.stderr_text.find(diagnostic), std::string::npos)
+        << run.stderr_text;
+    EXPECT_NE(run.stdout_text.find("[partial] '" + bad + "'"),
+              std::string::npos)
+        << run.stdout_text;
   }
 }
 

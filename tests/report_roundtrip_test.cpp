@@ -52,6 +52,7 @@ void expectSameRun(const RunOutput& a, const RunOutput& b) {
   EXPECT_EQ(a.stdout_text, b.stdout_text);
   EXPECT_EQ(a.stderr_text, b.stderr_text);
   EXPECT_EQ(a.stats.renderJson(), b.stats.renderJson());
+  EXPECT_EQ(a.reads, b.reads);
 }
 
 analysis::SafeFlowReport fullReport() {
@@ -165,6 +166,26 @@ TEST(ReportRoundTrip, EmptyReportStaysEmptyAndClean) {
   RunOutput refused;
   EXPECT_FALSE(readEnvelope(doc, &refused));
   ASSERT_TRUE(support::json::parse(R"({"exit_code": 0, "stdout": ""})", &doc));
+  EXPECT_FALSE(readEnvelope(doc, &refused));
+}
+
+// The result cache checks what a run read before replaying it, so the
+// list must survive the worker protocol, and an envelope without it is
+// refused rather than stored without its reads.
+TEST(ReportRoundTrip, FileReadsSurviveAndAreRequired) {
+  support::SourceManager sm;
+  RunOutput run = runFor(analysis::SafeFlowReport{}, sm, false);
+  run.reads = {{"core/main.c", "0123456789abcdef"},
+               {"core/../common/sys.h", "fedcba9876543210"},
+               {"core/quote\"tab\t.h", ""}};
+  expectSameRun(roundTrip(run), run);
+
+  support::json::Value doc;
+  ASSERT_TRUE(support::json::parse(renderEnvelope(run), &doc));
+  ASSERT_EQ(std::erase_if(doc.members,
+                          [](const auto& m) { return m.first == "reads"; }),
+            1u);
+  RunOutput refused;
   EXPECT_FALSE(readEnvelope(doc, &refused));
 }
 
