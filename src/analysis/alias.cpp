@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <tuple>
 
 #include "cfront/types.h"
 #include "support/metrics.h"
@@ -69,16 +68,37 @@ std::size_t ObjSet::size() const {
   return n;
 }
 
+std::uint64_t ObjSet::bitsAt(std::uint32_t index, std::size_t& cursor) const {
+  while (cursor < words_.size() && words_[cursor].index < index) ++cursor;
+  return cursor < words_.size() && words_[cursor].index == index
+             ? words_[cursor].bits
+             : 0;
+}
+
+bool ObjSet::intersects(const ObjSet& other) const {
+  std::size_t cursor = 0;
+  for (const Word& w : words_) {
+    if ((w.bits & other.bitsAt(w.index, cursor)) != 0) return true;
+  }
+  return false;
+}
+
+ObjSet ObjSet::intersection(const ObjSet& other) const {
+  ObjSet out;
+  std::size_t cursor = 0;
+  for (const Word& w : words_) {
+    const std::uint64_t bits = w.bits & other.bitsAt(w.index, cursor);
+    if (bits != 0) out.words_.push_back(Word{w.index, bits});
+  }
+  return out;
+}
+
 bool ObjSet::orMasked(const ObjSet& src, const ObjSet* except) {
   // The bits of `s` outside `except`; `cursor` walks except's words
   // forward, as `s` ascends.
   auto fresh = [except](const Word& s, std::size_t& cursor) {
-    if (except == nullptr) return s.bits;
-    const Words& ex = except->words_;
-    while (cursor < ex.size() && ex[cursor].index < s.index) ++cursor;
-    return cursor < ex.size() && ex[cursor].index == s.index
-               ? s.bits & ~ex[cursor].bits
-               : s.bits;
+    return except == nullptr ? s.bits
+                             : s.bits & ~except->bitsAt(s.index, cursor);
   };
   // Pass 1: OR in place where this set already has the word; count the
   // words it lacks.
@@ -141,6 +161,7 @@ AliasAnalysis::AliasAnalysis(const ir::Module& module,
 int AliasAnalysis::newNode() {
   nodes_.emplace_back();
   rep_.push_back(static_cast<int>(nodes_.size()) - 1);
+  last_pop_.push_back(0);
   queued_.push_back(0);
   return static_cast<int>(nodes_.size()) - 1;
 }
@@ -229,7 +250,8 @@ void AliasAnalysis::enqueue(int node) {
   char& queued = queued_[static_cast<std::size_t>(node)];
   if (queued != 0) return;
   queued = 1;
-  worklist_.push(node);
+  const std::uint64_t stamp = last_pop_[static_cast<std::size_t>(node)];
+  worklist_.push(stamp << 32 | static_cast<std::uint32_t>(node));
 }
 
 // ---------------------------------------------------------------------------
@@ -306,9 +328,17 @@ ObjId AliasAnalysis::objectForGlobal(const ir::GlobalVar* g) {
 
 ObjId AliasAnalysis::cellFor(ObjId root, std::int64_t offset,
                               std::int64_t size) {
-  const auto key = std::make_tuple(root, offset, size);
-  auto it = cells_.find(key);
-  if (it != cells_.end()) return it->second;
+  const std::vector<Cell>& known =
+      objects_[static_cast<std::size_t>(root)].cells;
+  const auto it = std::lower_bound(
+      known.begin(), known.end(), std::make_pair(offset, size),
+      [](const Cell& cell, const std::pair<std::int64_t, std::int64_t>& key) {
+        return std::make_pair(cell.offset, cell.size) < key;
+      });
+  if (it != known.end() && it->offset == offset && it->size == size) {
+    return it->id;
+  }
+  const auto slot = it - known.begin();
   Object c;
   c.kind = ObjKind::kField;
   c.parent = root;
@@ -335,24 +365,22 @@ ObjId AliasAnalysis::cellFor(ObjId root, std::int64_t offset,
   }
   c.name = objects_[static_cast<std::size_t>(root)].name + suffix;
   const ObjId id = internObject(std::move(c));
-  cells_.emplace(key, id);
+  // internObject may have moved every Object: take the list again.
+  std::vector<Cell>& cells = objects_[static_cast<std::size_t>(root)].cells;
+  cells.insert(cells.begin() + slot, Cell{offset, size, id});
   ++n_cells_;
   // Link overlapping sibling cells (union punning, byte views): their
   // stored pointers are mutually visible, and consumers see siblings in
   // the expanded points-to sets so taint crosses the pun. Only this
-  // root's cells, which cells_ keeps contiguous, can overlap.
-  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
-  for (auto sit = cells_.lower_bound(std::make_tuple(root, kMin, kMin));
-       sit != cells_.end() && std::get<0>(sit->first) == root; ++sit) {
-    const auto& [k2, sib] = *sit;
-    if (sib == id) continue;
-    const std::int64_t so = std::get<1>(k2);
-    const std::int64_t ss = std::get<2>(k2);
-    if (offset < so + ss && so < offset + size) {
-      objects_[static_cast<std::size_t>(id)].overlaps.push_back(sib);
-      objects_[static_cast<std::size_t>(sib)].overlaps.push_back(id);
-      addEdge(objNode(id), objNode(sib));
-      addEdge(objNode(sib), objNode(id));
+  // root's cells can overlap. The links add nodes, never objects, so
+  // `cells` stays put.
+  for (const Cell& sib : cells) {
+    if (sib.id == id) continue;
+    if (offset < sib.offset + sib.size && sib.offset < offset + size) {
+      objects_[static_cast<std::size_t>(id)].overlaps.push_back(sib.id);
+      objects_[static_cast<std::size_t>(sib.id)].overlaps.push_back(id);
+      addEdge(objNode(id), objNode(sib.id));
+      addEdge(objNode(sib.id), objNode(id));
     }
   }
   return id;
@@ -647,6 +675,7 @@ void AliasAnalysis::condense() {
 }
 
 bool AliasAnalysis::propagate() {
+  constexpr std::size_t kMaxStamp = std::numeric_limits<std::uint32_t>::max();
   edges_dirty_ = false;
   while (!worklist_.empty() && live_) {
     if (!support::budgetStep(budget_)) {
@@ -654,7 +683,9 @@ bool AliasAnalysis::propagate() {
       break;
     }
     ++n_iterations_;
-    const int raw = worklist_.top();
+    // The low half of an entry is the node id.
+    const auto raw =
+        static_cast<int>(static_cast<std::uint32_t>(worklist_.top()));
     worklist_.pop();
     queued_[static_cast<std::size_t>(raw)] = 0;
     const int node = find(raw);
@@ -665,6 +696,10 @@ bool AliasAnalysis::propagate() {
     const ObjSet delta =
         std::move(nodes_[static_cast<std::size_t>(node)].pending);
     nodes_[static_cast<std::size_t>(node)].pending.clear();
+    // Next time, the node waits behind every node popped less recently
+    // (the stamp saturates; ties go to the smaller id).
+    last_pop_[static_cast<std::size_t>(node)] = static_cast<std::uint32_t>(
+        std::min<std::size_t>(n_iterations_, kMaxStamp));
     if (delta.empty()) continue;
     // Firing may create cells/content nodes and add copy edges.
     const std::size_t ncons =
@@ -679,11 +714,17 @@ bool AliasAnalysis::propagate() {
         case Constraint::Kind::kStore:
           for (ObjId o : delta) addEdge(c.other, objNode(o));
           break;
-        case Constraint::Kind::kOffset:
+        case Constraint::Kind::kOffset: {
+          ObjSet resolved;
           for (ObjId o : delta) {
-            addPts(c.other, resolveOffset(o, c.delta, c.size));
+            resolved.insert(resolveOffset(o, c.delta, c.size));
           }
+          // Resolving may add nodes: take the destination only now.
+          const int d = find(c.other);
+          Node& dst = nodes_[static_cast<std::size_t>(d)];
+          if (dst.pts.unionWith(resolved, dst.pending)) enqueue(d);
           break;
+        }
       }
     }
     // Push the delta along copy edges, one union per successor. Unions
@@ -702,9 +743,12 @@ void AliasAnalysis::degrade() {
   // The solve was cut short: sets may under-approximate. Widen every
   // tracked pointer and every object's contents with unknown so
   // consumers treat partially-resolved pointers as unresolved (unsafe).
+  // A pointer the solve never reached is still empty, which consumers
+  // would read as "no memory effect": it gets unknown too.
   for (const auto& [v, n] : value_nodes_) {
     Node& node = nodes_[static_cast<std::size_t>(find(n))];
-    if (!node.pts.empty()) node.pts.insert(unknown_);
+    const bool pointer = v->type() != nullptr && v->type()->isPointer();
+    if (pointer || !node.pts.empty()) node.pts.insert(unknown_);
   }
   for (std::size_t i = 0; i < objects_.size(); ++i) {
     if (objects_[i].node < 0) continue;
@@ -717,7 +761,18 @@ void AliasAnalysis::finalize() {
   // Precision feed for the CI alias baseline: how many values resolved
   // to concrete objects only (no unknown), how many reach a shm region,
   // and how many carry exact field/offset cells. Each representative's
-  // set is expanded and classified once, however many values share it.
+  // set is expanded and classified once, however many values share it,
+  // by word-wise tests against one mask per property.
+  ObjSet overlapping;
+  ObjSet regions;
+  ObjSet fields;
+  for (std::size_t i = 0; i < objects_.size(); ++i) {
+    const Object& obj = objects_[i];
+    const auto id = static_cast<ObjId>(i);
+    if (!obj.overlaps.empty()) overlapping.insert(id);
+    if (obj.region_id >= 0) regions.insert(id);
+    if (obj.kind == ObjKind::kField) fields.insert(id);
+  }
   struct RepView {
     bool seen = false;
     bool any_unknown = false;
@@ -740,18 +795,15 @@ void AliasAnalysis::finalize() {
       view.seen = true;
       // The solve is over: the set becomes the exposed one in place.
       ObjSet siblings;
-      for (ObjId o : pts) {
+      for (ObjId o : pts.intersection(overlapping)) {
         for (ObjId sib : objects_[static_cast<std::size_t>(o)].overlaps) {
           siblings.insert(sib);
         }
       }
       pts.unionWith(siblings);
-      for (ObjId o : pts) {
-        const Object& obj = objects_[static_cast<std::size_t>(o)];
-        view.any_unknown |= isUnknown(o);
-        view.any_region |= obj.region_id >= 0;
-        view.any_field |= obj.kind == ObjKind::kField;
-      }
+      view.any_unknown = pts.contains(unknown_);
+      view.any_region = pts.intersects(regions);
+      view.any_field = pts.intersects(fields);
       view.size = pts.size();
     }
     edges += view.size;

@@ -11,6 +11,10 @@
 // propagation moves a node's pending delta to each successor with one
 // word-wise union, and pointsTo() hands out the representative node's
 // set by reference, so every value of a collapsed cycle shares one set.
+// The worklist fires the least recently fired node first, so a delta
+// that many callers push into one shared copy chain crosses it once
+// rather than once per caller; an offset constraint fires with one union
+// per delta.
 //
 // Objects are allocas, globals, declared shm regions, field cells, and
 // one "unknown" object for externals. Field sensitivity is byte-offset
@@ -27,8 +31,9 @@
 // unknown.
 //
 // Degradation contract (AnalysisBudget): if the budget trips mid-solve,
-// every tracked pointer additionally points at the unknown object —
-// results only ever widen, never tighten.
+// every tracked pointer-typed value additionally points at the unknown
+// object, also one the cut-short solve left empty — results only ever
+// widen, never tighten.
 #pragma once
 
 #include <bit>
@@ -36,10 +41,8 @@
 #include <cstdint>
 #include <functional>
 #include <iterator>
-#include <map>
 #include <queue>
 #include <string>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -117,6 +120,10 @@ class ObjSet {
     added.orMasked(src, this);
     return orMasked(src, nullptr);
   }
+  /// True when the two sets share a member.
+  [[nodiscard]] bool intersects(const ObjSet& other) const;
+  /// The members of this set that are also in `other`.
+  [[nodiscard]] ObjSet intersection(const ObjSet& other) const;
   bool operator==(const ObjSet&) const = default;
   [[nodiscard]] const_iterator begin() const {
     return {words_.begin(), words_.end()};
@@ -129,6 +136,9 @@ class ObjSet {
   /// ORs into this set the members of `src` that are not in `except`
   /// (null: none excluded); true when the set grew.
   bool orMasked(const ObjSet& src, const ObjSet* except);
+  /// The word at `index` (0 when absent). `cursor` only moves forward:
+  /// successive calls must ask for ascending indices.
+  std::uint64_t bitsAt(std::uint32_t index, std::size_t& cursor) const;
 
   Words words_;
 };
@@ -152,9 +162,10 @@ class AliasAnalysis {
                 support::AnalysisBudget* budget = nullptr);
 
   /// Generates constraints and solves to a fixpoint, or until the budget
-  /// trips; on exhaustion every tracked pointer additionally points at
-  /// the unknown object, so consumers treat partially-resolved pointers
-  /// as unresolved (unsafe). Emits the pointsto.* and alias.* counters.
+  /// trips; on exhaustion every tracked pointer, resolved or not yet,
+  /// additionally points at the unknown object, so consumers treat
+  /// partially-resolved pointers as unresolved (unsafe). Emits the
+  /// pointsto.* and alias.* counters.
   void run();
 
   // pointsTo() hands out references into the solver's own nodes.
@@ -195,6 +206,12 @@ class AliasAnalysis {
   [[nodiscard]] bool degraded() const { return degraded_; }
 
  private:
+  struct Cell {
+    std::int64_t offset;
+    std::int64_t size;
+    ObjId id;
+  };
+
   struct Object {
     ObjKind kind = ObjKind::kUnknown;
     const ir::Value* anchor = nullptr;  // alloca inst or global var
@@ -212,6 +229,8 @@ class AliasAnalysis {
     // Cells of the same root whose byte ranges intersect this one
     // (union punning, misaligned views). Kept sorted/deduped.
     std::vector<ObjId> overlaps;
+    // Root objects: their cells, sorted by (offset, size).
+    std::vector<Cell> cells;
   };
 
   // A complex constraint attached to the pointer node whose points-to
@@ -257,6 +276,8 @@ class AliasAnalysis {
   /// Resolves `obj ⊕ delta` addressing `size` bytes to a cell of obj's
   /// root (or the root itself, or unknown for out-of-bounds constants).
   ObjId resolveOffset(ObjId obj, std::int64_t delta, std::int64_t size);
+  /// The cell of `root` at (offset, size), created on first use and
+  /// linked then with the root's cells it overlaps.
   ObjId cellFor(ObjId root, std::int64_t offset, std::int64_t size);
 
   void buildRegionObjects();
@@ -267,6 +288,8 @@ class AliasAnalysis {
   /// Worklist propagation; returns true when a complex constraint added
   /// a new copy edge (the graph needs re-condensing).
   bool propagate();
+  /// After a budget trip: adds unknown to every pointer-typed value's set,
+  /// empty or not, and to every other non-empty set.
   void degrade();
   /// Expands each representative's set with overlap siblings, maps every
   /// value to its representative's set, and emits the counters.
@@ -283,13 +306,16 @@ class AliasAnalysis {
   std::vector<int> rep_;  // union-find forest over nodes_
   std::unordered_map<const ir::Value*, int> value_nodes_;
   std::unordered_map<const ir::Value*, ObjId> value_objects_;
-  // Ordered by (root, offset, size): one root's cells are contiguous.
-  std::map<std::tuple<ObjId, std::int64_t, std::int64_t>, ObjId> cells_;
   ObjId unknown_ = -1;
 
-  // Pops the smallest queued node id first; queued_[n] keeps n from
-  // being queued twice.
-  std::priority_queue<int, std::vector<int>, std::greater<>> worklist_;
+  // Least recently fired first: an entry is (last_pop_[n] << 32 | n), so
+  // the heap pops the smallest (stamp, node id). last_pop_[n] is the
+  // iteration at which n was last popped (0: never), so the first sweep
+  // runs in id order. queued_[n] keeps n from being queued twice.
+  std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
+                      std::greater<>>
+      worklist_;
+  std::vector<std::uint32_t> last_pop_;
   std::vector<char> queued_;
   bool live_ = true;
   bool degraded_ = false;
