@@ -21,10 +21,10 @@ constexpr std::int64_t kMax = Interval::kMax;
 /// Updates a value may take before its grown bounds are widened to the
 /// bounds of its type (loop accumulators hit this).
 constexpr unsigned kWidenAfter = 4;
-/// Interprocedural rounds (argument/return range propagation). The
-/// fixpoint almost always settles in 2-3 rounds thanks to widening; if
-/// it is still moving after this many, the pass degrades to ⊤.
-constexpr unsigned kMaxModuleRounds = 16;
+/// Visits of one function by the interprocedural fixpoint. Widening
+/// settles it in two or three; if a function is still woken after this
+/// many, the pass degrades to ⊤.
+constexpr unsigned kMaxVisits = 16;
 
 // --- saturating bound arithmetic -------------------------------------------
 // Lower bounds saturate toward kMin (-inf), upper bounds toward kMax
@@ -298,26 +298,25 @@ void RangeAnalysis::run() {
     }
   }
 
-  unsigned round = 0;
-  bool changed = true;
-  while (changed && !degraded_) {
-    if (++round > kMaxModuleRounds) {
+  ir::FunctionWorklist worklist(callgraph_, [](const ir::Function& fn) {
+    return fn.isDefined() && !fn.isIntrinsic();
+  });
+  worklist_ = &worklist;
+  std::unordered_map<const ir::Function*, unsigned> visits;
+  while (const ir::Function* fn = worklist.pop()) {
+    if (++visits[fn] > kMaxVisits) {
       // The interprocedural fixpoint failed to settle (it practically
       // never does with widening on); degrade rather than ship a
       // possibly-unstable result.
       degraded_ = true;
       break;
     }
-    changed = false;
-    module_changed_ = false;
-    for (const auto& fn : module_.functions()) {
-      if (!fn->isDefined() || fn->isIntrinsic()) continue;
-      changed |= memo_.enabled() ? memoizedAnalyze(*fn)
-                                 : analyzeFunction(*fn);
-      if (degraded_) break;
+    if (memo_.enabled() ? memoizedAnalyze(*fn) : analyzeFunction(*fn)) {
+      worklist.wakeCallers(fn);
     }
-    changed |= module_changed_;
+    if (degraded_) break;
   }
+  worklist_ = nullptr;
 
   if (degraded_) {
     degradeToTop();
@@ -326,12 +325,11 @@ void RangeAnalysis::run() {
   }
   SAFEFLOW_GAUGE("ranges.values_tracked", range_.size());
   SAFEFLOW_COUNT_N("ranges.branches_decided", decided_.size());
-  SAFEFLOW_COUNT_N("ranges.module_rounds", round);
 }
 
 bool RangeAnalysis::analyzeFunction(const ir::Function& fn) {
   SAFEFLOW_COUNT("ranges.function_analyses");
-  bool changed_any = false;
+  bool ret_grew = false;
   bool changed = true;
   while (changed) {
     changed = false;
@@ -339,7 +337,7 @@ bool RangeAnalysis::analyzeFunction(const ir::Function& fn) {
       for (const auto& inst : bb->instructions()) {
         if (!support::budgetStep(budget_)) {
           degraded_ = true;
-          return changed_any;
+          return ret_grew;
         }
         if (inst->opcode() == ir::Opcode::kRet) {
           if (inst->numOperands() == 1 &&
@@ -350,7 +348,7 @@ bool RangeAnalysis::analyzeFunction(const ir::Function& fn) {
               // [4, +inf) for the second ret even when x itself is ⊤.
               const Interval at =
                   rangeAt(inst->operand(0), bb.get()).meet(*rv).value_or(*rv);
-              changed |= joinReturn(&fn, at);
+              if (joinReturn(&fn, at)) changed = ret_grew = true;
             }
           }
           continue;
@@ -366,7 +364,6 @@ bool RangeAnalysis::analyzeFunction(const ir::Function& fn) {
         }
       }
     }
-    changed_any |= changed;
   }
   // One narrowing sweep: the post-fixpoint is refined in place with a
   // plain (non-joining) transfer round, recovering bounds that widening
@@ -377,7 +374,7 @@ bool RangeAnalysis::analyzeFunction(const ir::Function& fn) {
     for (const auto& inst : bb->instructions()) {
       if (!support::budgetStep(budget_)) {
         degraded_ = true;
-        return changed_any;
+        return ret_grew;
       }
       if (inst->opcode() == ir::Opcode::kRet || !inst->type()->isInteger()) {
         continue;
@@ -391,14 +388,13 @@ bool RangeAnalysis::analyzeFunction(const ir::Function& fn) {
         if (const auto narrowed = stored.meet(*result)) {
           if (*narrowed != stored) {
             stored = *narrowed;
-            changed_any = true;
             SAFEFLOW_COUNT("ranges.narrowings");
           }
         }
       }
     }
   }
-  return changed_any;
+  return ret_grew;
 }
 
 namespace {
@@ -489,17 +485,15 @@ void RangeAnalysis::digestInput(const ir::Function& fn,
 
 std::string RangeAnalysis::captureRecord(const ir::Function& fn,
                                          bool identity,
-                                         bool changed_any,
-                                         bool module_delta) const {
+                                         bool ret_grew) const {
   const ValueIndex& vi = memo_.index->of(fn);
   BlobWriter w;
   // Identity = post-digest == pre-digest: the solve changed nothing in
   // the digested read/write set, so a hit may skip the state parse. The
-  // driver signals are stored separately because the replay must still
-  // return/propagate them verbatim.
+  // driver signal is stored separately because the replay must still
+  // return it verbatim.
   w.u64(identity ? 1 : 0);
-  w.u64(changed_any ? 1 : 0);
-  w.u64(module_delta ? 1 : 0);
+  w.u64(ret_grew ? 1 : 0);
 
   const auto& values = vi.values();
   std::vector<std::size_t> own;
@@ -553,15 +547,13 @@ std::string RangeAnalysis::captureRecord(const ir::Function& fn,
 }
 
 bool RangeAnalysis::applyRecord(const ir::Function& fn,
-                                const std::string& blob,
-                                bool* changed_any) {
+                                const std::string& blob, bool* ret_grew) {
   const ValueIndex& vi = memo_.index->of(fn);
   const auto& values = vi.values();
   BlobReader r(blob);
 
   r.u64();  // identity flag, already consumed by the caller's peek
   const bool rc = r.u64() != 0;
-  const bool module_delta = r.u64() != 0;
   std::vector<std::pair<const ir::Value*, std::pair<Interval, unsigned>>>
       staged;
   const std::uint64_t own = r.u64();
@@ -595,6 +587,15 @@ bool RangeAnalysis::applyRecord(const ir::Function& fn,
   }
   if (!r.ok() || !r.atEnd()) return false;
 
+  // Formals first: a self call's formal is also one of fn's own values.
+  for (const auto& [formal, rec] : staged_formals) {
+    // A replayed formal that grew wakes its function, as joinInto did.
+    const auto [it, added] = range_.try_emplace(formal, rec.first);
+    if (added || std::exchange(it->second, rec.first) != rec.first) {
+      worklist_->wake(formal->parent());
+    }
+    update_counts_[formal] = rec.second;
+  }
   for (const auto& [v, rec] : staged) {
     range_[v] = rec.first;
     update_counts_[v] = rec.second;
@@ -603,12 +604,7 @@ bool RangeAnalysis::applyRecord(const ir::Function& fn,
   if (ret_count != 0 || update_counts_.count(&fn) != 0) {
     update_counts_[&fn] = ret_count;
   }
-  for (const auto& [formal, rec] : staged_formals) {
-    range_[formal] = rec.first;
-    update_counts_[formal] = rec.second;
-  }
-  module_changed_ |= module_delta;
-  *changed_any = rc;
+  *ret_grew = rc;
   return true;
 }
 
@@ -618,35 +614,24 @@ bool RangeAnalysis::memoizedAnalyze(const ir::Function& fn) {
   const std::uint64_t digest = h.digest();
   if (const std::string* blob = memo_.bank->find(fn, digest)) {
     // Identity records changed nothing: skip the blob parse, replay only
-    // the recorded driver signals.
+    // the recorded driver signal.
     BlobReader peek(*blob);
     const bool identity = peek.u64() != 0;
-    const bool peek_changed = peek.u64() != 0;
-    const bool peek_delta = peek.u64() != 0;
-    if (peek.ok() && identity) {
-      module_changed_ |= peek_delta;
-      return peek_changed;
-    }
-    bool changed = false;
-    if (applyRecord(fn, *blob, &changed)) return changed;
+    const bool peek_grew = peek.u64() != 0;
+    if (peek.ok() && identity) return peek_grew;
+    bool ret_grew = false;
+    if (applyRecord(fn, *blob, &ret_grew)) return ret_grew;
   }
-  // Isolate this call's contribution to module_changed_ so the record
-  // replays exactly the flag delta the live solve produced.
-  const bool saved = module_changed_;
-  module_changed_ = false;
-  const bool changed = analyzeFunction(fn);
-  const bool delta = module_changed_;
-  module_changed_ = saved || delta;
+  const bool ret_grew = analyzeFunction(fn);
   if (!degraded_) {
     // Post-digest == pre-digest detects identity transforms exactly: the
     // digest covers the full read set and the pre-state of the write set.
     support::Fnv1a post;
     digestInput(fn, post);
-    memo_.bank->record(
-        fn, digest,
-        captureRecord(fn, post.digest() == digest, changed, delta));
+    memo_.bank->record(fn, digest,
+                       captureRecord(fn, post.digest() == digest, ret_grew));
   }
-  return changed;
+  return ret_grew;
 }
 
 std::uint64_t RangeAnalysis::digestState(const ModuleIndex& index) const {
@@ -767,7 +752,7 @@ std::optional<Interval> RangeAnalysis::transfer(const ir::Instruction& inst) {
           continue;
         }
         // Join actual argument ranges into the callee's formals; a grown
-        // formal forces another interprocedural round.
+        // formal wakes the callee.
         if (!top_arg_fns_.contains(f)) {
           for (std::size_t j = 0; j < f->args().size(); ++j) {
             const ir::Argument* formal = f->args()[j].get();
@@ -778,7 +763,7 @@ std::optional<Interval> RangeAnalysis::transfer(const ir::Instruction& inst) {
             const Interval actual =
                 av ? normalizeToType(*av, formal->type())
                    : typeInterval(formal->type());
-            module_changed_ |= joinInto(formal, actual, formal->type());
+            if (joinInto(formal, actual, formal->type())) worklist_->wake(f);
           }
         }
         const auto it = return_range_.find(f);

@@ -1,8 +1,8 @@
 // Sparse, SSA-based interprocedural value-range (interval) analysis in
 // the style of Miné's value analysis for embedded C: every integer SSA
 // value gets a conservative interval, computed by a widening fixpoint
-// over each function body plus an interprocedural round that joins
-// argument ranges over call sites and return ranges over ret sites.
+// over each function body, with argument ranges joined over call sites
+// and return ranges over ret sites on the shared ir::FunctionWorklist.
 //
 // Three downstream consumers use the result (`RangeInfo` == this class):
 //   1. the A1/A2 restriction checker seeds its LinearSystem with proven
@@ -121,6 +121,9 @@ class RangeAnalysis {
   [[nodiscard]] std::uint64_t digestState(const ModuleIndex& index) const;
 
  private:
+  /// Solves fn's body to its local fixpoint, narrows it once, and wakes
+  /// each callee whose formal grew; returns true when fn's return range
+  /// grew.
   bool analyzeFunction(const ir::Function& fn);
   /// Memoizing wrapper around analyzeFunction (see summaries.h): digests
   /// the per-function transformer's input, replays a recorded post-state
@@ -128,11 +131,9 @@ class RangeAnalysis {
   bool memoizedAnalyze(const ir::Function& fn);
   void digestInput(const ir::Function& fn, support::Fnv1a& h) const;
   [[nodiscard]] std::string captureRecord(const ir::Function& fn,
-                                          bool identity,
-                                          bool changed_any,
-                                          bool module_delta) const;
+                                          bool identity, bool ret_grew) const;
   bool applyRecord(const ir::Function& fn, const std::string& blob,
-                   bool* changed_any);
+                   bool* ret_grew);
   /// Joins `value` into fn's return range (same widening as joinInto).
   bool joinReturn(const ir::Function* fn, Interval value);
   /// Transfer function for one instruction; nullopt = bottom (no incoming
@@ -187,9 +188,9 @@ class RangeAnalysis {
       refine_chain_;
   std::map<const ir::Instruction*, unsigned> decided_;
   std::set<const ir::Function*> top_arg_fns_;  // roots & address-taken
+  ir::FunctionWorklist* worklist_ = nullptr;  ///< set while run() runs
   bool ran_ = false;
   bool degraded_ = false;
-  bool module_changed_ = false;  // set by call-site argument joins
 };
 
 class ShmRegionTable;

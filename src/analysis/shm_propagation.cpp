@@ -1,8 +1,8 @@
 #include "analysis/shm_propagation.h"
 
 #include <algorithm>
-#include <deque>
 #include <tuple>
+#include <utility>
 
 #include "support/metrics.h"
 
@@ -86,27 +86,13 @@ void ShmPointerAnalysis::run() {
   const support::ScopedTimer timer("phase.shm_propagation");
   if (regions_.empty()) return;
   support::budgetBeginPhase(budget_, "shm_propagation");
-  support::MetricsRegistry::Counter* pushes =
-      support::counterHandle("shm_propagation.worklist_pushes");
 
-  std::deque<const ir::Function*> worklist;
-  std::set<const ir::Function*> queued;
-  // Seed bottom-up: callee-first order converges fastest.
-  for (const auto& scc : callgraph_.sccsBottomUp()) {
-    for (const ir::Function* fn : scc) {
-      if (fn->isDefined() && !regions_.isInitFunction(fn)) {
-        worklist.push_back(fn);
-        queued.insert(fn);
-        if (pushes != nullptr) pushes->add();
-      }
-    }
-  }
-
-  while (!worklist.empty()) {
+  ir::FunctionWorklist worklist(callgraph_, [this](const ir::Function& fn) {
+    return fn.isDefined() && !regions_.isInitFunction(&fn);
+  });
+  worklist_ = &worklist;
+  while (const ir::Function* fn = worklist.pop()) {
     if (!support::budgetStep(budget_)) break;
-    const ir::Function* fn = worklist.front();
-    worklist.pop_front();
-    queued.erase(fn);
     ++iterations_;
     bool ret_changed;
     {
@@ -115,34 +101,10 @@ void ShmPointerAnalysis::run() {
       ret_changed = memo_.enabled() ? memoizedAnalyze(*fn)
                                     : analyzeFunction(*fn);
     }
-    if (ret_changed) {
-      for (const ir::Function* caller : callgraph_.callers(fn)) {
-        if (caller->isDefined() && !regions_.isInitFunction(caller) &&
-            queued.insert(caller).second) {
-          worklist.push_back(caller);
-          if (pushes != nullptr) pushes->add();
-        }
-      }
-    }
-    // Argument updates performed inside analyzeFunction enqueue callees.
-    for (const ir::Function* callee : callgraph_.callees(fn)) {
-      if (!callee->isDefined() || regions_.isInitFunction(callee)) continue;
-      // Re-run callees whose argument facts may have grown; analyzeFunction
-      // is idempotent, so over-enqueueing is safe. Only enqueue if any arg
-      // has facts (cheap filter).
-      bool has_arg_fact = false;
-      for (const auto& arg : callee->args()) {
-        if (facts_.contains(arg.get())) {
-          has_arg_fact = true;
-          break;
-        }
-      }
-      if (has_arg_fact && queued.insert(callee).second) {
-        worklist.push_back(callee);
-        if (pushes != nullptr) pushes->add();
-      }
-    }
+    if (ret_changed) worklist.wakeCallers(fn);
   }
+  worklist_ = nullptr;
+  SAFEFLOW_COUNT_N("shm_propagation.worklist_pushes", worklist.pushes());
   if (budget_ != nullptr && budget_->exhausted()) {
     // The fixpoint was cut short, so remaining facts may under-approximate
     // offsets. Widen every fact to "anywhere within its regions": coverage
@@ -286,8 +248,8 @@ bool ShmPointerAnalysis::analyzeFunction(const ir::Function& fn) {
                 const std::size_t param = i - first_arg;
                 if (param >= target->args().size()) break;
                 const ShmPtrInfo arg = get(inst->operand(i));
-                if (!arg.empty()) {
-                  update(target->args()[param].get(), arg);
+                if (!arg.empty() && update(target->args()[param].get(), arg)) {
+                  worklist_->wake(target);
                 }
               }
               auto rit = returns_.find(target);
@@ -513,7 +475,11 @@ bool ShmPointerAnalysis::applyRecord(const ir::Function& fn,
   if (!r.ok() || !r.atEnd()) return false;
 
   for (const auto& [v, rec] : staged) {
-    facts_[v] = rec.first;
+    // A replayed formal that grew wakes its function, as update() did.
+    if (std::exchange(facts_[v], rec.first) != rec.first &&
+        v->kind() == ir::Value::Kind::kArgument) {
+      worklist_->wake(static_cast<const ir::Argument*>(v)->parent());
+    }
     update_counts_[v] = rec.second;
   }
   if (have_ret) returns_[&fn] = ret_info;

@@ -2,9 +2,9 @@
 // shared memory. Every SSA value that may point into a declared shm region
 // is labelled with the set of regions and a conservative interval of byte
 // offsets its target may start at. Propagation runs bottom-up and top-down
-// over the call-graph SCCs (implemented as a function-level worklist that
-// reaches the same fixpoint); shminit function bodies are exempt (their
-// raw shmat-derived pointers are described by annotations instead).
+// over the call-graph SCCs on the shared ir::FunctionWorklist; shminit
+// function bodies are exempt (their raw shmat-derived pointers are
+// described by annotations instead).
 #pragma once
 
 #include <map>
@@ -62,8 +62,8 @@ class ShmPointerAnalysis {
   [[nodiscard]] std::uint64_t digestState(const ModuleIndex& index) const;
 
  private:
-  /// Recomputes the intraprocedural fixpoint; returns true when the
-  /// function's outputs (return info) changed.
+  /// Recomputes the intraprocedural fixpoint and wakes each callee whose
+  /// formal grew; returns true when the function's return info changed.
   bool analyzeFunction(const ir::Function& fn);
   /// Memoizing wrapper around analyzeFunction: digests the transformer's
   /// input (own facts, return info, callee formals and returns), replays
@@ -88,6 +88,7 @@ class ShmPointerAnalysis {
   std::map<const ir::Value*, ShmPtrInfo> facts_;
   std::map<const ir::Value*, unsigned> update_counts_;
   std::map<const ir::Function*, ShmPtrInfo> returns_;
+  ir::FunctionWorklist* worklist_ = nullptr;  ///< set while run() runs
   std::size_t iterations_ = 0;
 };
 

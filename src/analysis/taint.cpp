@@ -6,6 +6,7 @@
 #include <limits>
 #include <optional>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "analysis/ranges.h"
@@ -422,6 +423,13 @@ TaintId TaintAnalysis::blockControlTaint(const ir::BasicBlock* bb) {
   return out;
 }
 
+void TaintAnalysis::wakeReaders(ObjId obj, const ir::Function& writer) {
+  if (worklist_ == nullptr) return;
+  for (const auto& [reader, reads] : object_reads_) {
+    if (reader != &writer && reads.contains(obj)) worklist_->wake(reader);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Body solver
 // ---------------------------------------------------------------------------
@@ -660,8 +668,8 @@ std::uint32_t TaintAnalysis::BodyWorklist::pop() {
 bool TaintAnalysis::analyzeFunction(const ir::Function& fn,
                                     const AssumptionSet& assumptions,
                                     unsigned depth) {
-  // Once the budget trips, report "no change" so every enclosing fixpoint
-  // (the SCC sweep, the per-context while loop) terminates immediately.
+  // Once the budget trips, report "no change": the per-context while loop
+  // ends, and the function worklist drains, since nothing grows to wake.
   if (budget_ != nullptr && budget_->exhausted()) return false;
   ++body_analyses_;
   SAFEFLOW_COUNT("taint.body_analyses");
@@ -764,6 +772,7 @@ unsigned TaintAnalysis::evalInstruction(const ir::Instruction& inst,
           if (grow(object_taint_[obj], stored)) {
             growth |= kGrewObject;
             ++object_growths_;
+            wakeReaders(obj, fn);
           }
         }
       }
@@ -886,7 +895,10 @@ TaintId TaintAnalysis::evalReceive(const ir::Instruction& call) {
     const TaintId incoming = pool_.intern(std::move(received));
     for (ObjId obj : alias_.pointsTo(call.operand(rc.buffer_arg))) {
       if (alias_.regionOf(obj) >= 0) continue;
-      if (grow(object_taint_[obj], incoming)) ++object_growths_;
+      if (grow(object_taint_[obj], incoming)) {
+        ++object_growths_;
+        wakeReaders(obj, *call.parent()->parent());
+      }
     }
     return incoming;  // byte count / status also reflects the channel
   }
@@ -927,17 +939,26 @@ TaintId TaintAnalysis::evalCall(const ir::Instruction& call,
           grow(arg_concrete_[target->args()[p].get()], arg)) {
         call_growth_ |= target == caller ? kGrewCalleeArgs | kGrewOwnArgs
                                          : kGrewCalleeArgs;
+        // The body solver revisits what a self call grows.
+        if (target != caller && worklist_ != nullptr) worklist_->wake(target);
       }
     }
 
     TaintId summary = TaintPool::kEmpty;
-    if (options_.mode == TaintOptions::Mode::kCallStrings &&
-        depth < options_.max_context_depth) {
+    const bool call_strings =
+        options_.mode == TaintOptions::Mode::kCallStrings;
+    const unsigned max_depth = budget_ != nullptr
+                                   ? budget_->maxDepth()
+                                   : support::BudgetLimits{}.max_depth;
+    if (call_strings && depth < max_depth) {
       AssumptionSet ctx = caller_assumptions;
       const AssumptionSet& local = local_assumptions_[target];
       ctx.insert(local.begin(), local.end());
       summary = analyzeInContext(*target, std::move(ctx), depth + 1);
     } else {
+      // Past the depth cap no context below it may have analyzed the
+      // callee, so its return taint can miss flows: the run is degraded.
+      if (call_strings && budget_ != nullptr) budget_->noteDepthCap();
       auto it = return_taint_.find(target);
       if (it != return_taint_.end()) summary = it->second;
     }
@@ -988,19 +1009,46 @@ void TaintAnalysis::run(SafeFlowReport& report) {
   }
 
   if (options_.mode == TaintOptions::Mode::kSummaries) {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      SAFEFLOW_COUNT("taint.sweep_rounds");
-      for (const auto& scc : callgraph_.sccsBottomUp()) {
-        for (const ir::Function* fn : scc) {
-          if (!fn->isDefined() || regions_.isInitFunction(fn)) continue;
-          changed |= memo_.enabled()
-                         ? memoizedAnalyze(*fn, effectiveAssumptions(fn))
-                         : analyzeFunction(*fn, effectiveAssumptions(fn));
+    const auto member = [this](const ir::Function& fn) {
+      return fn.isDefined() && !regions_.isInitFunction(&fn);
+    };
+    // The objects each function's loads read, as loadTaint reads them:
+    // the points-to set of an ordinary-memory load with each cell's
+    // ancestors.
+    for (const auto& fn : module_.functions()) {
+      if (!member(*fn)) continue;
+      ObjSet reads;
+      for (const auto& bb : fn->blocks()) {
+        for (const auto& inst : bb->instructions()) {
+          if (inst->opcode() != ir::Opcode::kLoad ||
+              shm_.info(inst->operand(0)) != nullptr) {
+            continue;
+          }
+          for (ObjId base : alias_.pointsTo(inst->operand(0))) {
+            if (alias_.regionOf(base) >= 0) continue;
+            for (ObjId obj = base; obj >= 0; obj = alias_.parentOf(obj)) {
+              if (!reads.insert(obj)) break;
+            }
+          }
         }
       }
+      if (!reads.empty()) {
+        object_reads_.emplace_back(fn.get(), std::move(reads));
+      }
     }
+    ir::FunctionWorklist worklist(callgraph_, member);
+    worklist_ = &worklist;
+    const auto returned = [this](const ir::Function* fn) {
+      const auto it = return_taint_.find(fn);
+      return it == return_taint_.end() ? TaintPool::kEmpty : it->second;
+    };
+    while (const ir::Function* fn = worklist.pop()) {
+      const TaintId before = returned(fn);
+      memo_.enabled() ? memoizedAnalyze(*fn, effectiveAssumptions(fn))
+                      : analyzeFunction(*fn, effectiveAssumptions(fn));
+      if (returned(fn) != before) worklist.wakeCallers(fn);
+    }
+    worklist_ = nullptr;
   } else {
     // Call-strings: start from roots and clone per assumption context.
     bool changed = true;
@@ -1514,8 +1562,17 @@ bool TaintAnalysis::applyRecord(const ir::Function& fn,
 
   for (const auto& [v, t] : staged_values) value_taint_[v] = t;
   if (ret_taint) return_taint_[&fn] = *ret_taint;
-  for (const auto& [obj, t] : staged_objects) object_taint_[obj] = t;
-  for (const auto& [formal, t] : staged_formals) arg_concrete_[formal] = t;
+  // A replayed object or formal that grew wakes its readers, as the solve
+  // did.
+  for (const auto& [obj, t] : staged_objects) {
+    if (std::exchange(object_taint_[obj], t) != t) wakeReaders(obj, fn);
+  }
+  for (const auto& [formal, t] : staged_formals) {
+    if (std::exchange(arg_concrete_[formal], t) != t &&
+        formal->parent() != &fn) {
+      worklist_->wake(formal->parent());
+    }
+  }
   *changed_any = rc;
   return true;
 }

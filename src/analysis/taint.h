@@ -17,12 +17,13 @@
 // (the paper's manual-review / false-positive class).
 //
 // Two interprocedural engines are provided:
-//   kSummaries    one bottom-up fixpoint with per-function return/param
-//                 taint summaries (the ESP-style algorithm of §3.3's last
-//                 paragraph);
+//   kSummaries    per-function return/param taint summaries (the
+//                 ESP-style algorithm of §3.3's last paragraph), solved on
+//                 the shared ir::FunctionWorklist;
 //   kCallStrings  context cloning keyed on the inherited assumption set,
 //                 the prototype's "analyze each function multiple times
-//                 for different call sequences" exponential algorithm.
+//                 for different call sequences" exponential algorithm. A
+//                 call deeper than --max-depth degrades the run.
 //
 // Taint values are hash-consed: a TaintPool interns every distinct
 // TaintPair once, the solver state holds 32-bit TaintIds, and merging is
@@ -134,9 +135,6 @@ struct TaintOptions {
   bool track_control_deps = true;
   enum class Mode { kSummaries, kCallStrings };
   Mode mode = Mode::kSummaries;
-  /// Call-string mode recursion cap; deeper chains fall back to the
-  /// summary result.
-  unsigned max_context_depth = 32;
   /// (function name, argument index) pairs treated as implicitly critical
   /// — the paper asserts the pid argument of kill in every system; this
   /// option performs that check without a source annotation.
@@ -225,9 +223,10 @@ class TaintAnalysis {
                            const ir::Function& fn, TaintId block_control,
                            const AssumptionSet& assumptions, unsigned depth);
   class BodyWorklist;
-  /// Memoizing wrapper around analyzeFunction for the summary-mode SCC
-  /// sweep (see summaries.h): digests the transformer's input, replays a
-  /// recorded post-state on a hit, records one on a miss.
+  /// Memoizing wrapper around analyzeFunction for the summary-mode
+  /// worklist (see summaries.h): digests the transformer's input, replays
+  /// a recorded post-state on a hit, records one on a miss. A replay wakes
+  /// what the solve it replays woke.
   bool memoizedAnalyze(const ir::Function& fn,
                        const AssumptionSet& assumptions);
   void digestInput(const ir::Function& fn, const AssumptionSet& assumptions,
@@ -267,6 +266,9 @@ class TaintAnalysis {
   void hashTaintPairDigest(support::Fnv1a& h, const TaintPair& t) const;
   TaintId evalCall(const ir::Instruction& call,
                    const AssumptionSet& caller_assumptions, unsigned depth);
+  /// Summary mode: wakes every function but `writer` whose loads read
+  /// `obj`, which just grew.
+  void wakeReaders(ObjId obj, const ir::Function& writer);
   /// recv/read-style call through a possibly-noncore descriptor; taints
   /// the buffer's objects (counted in object_growths_) and returns the
   /// result taint.
@@ -337,6 +339,11 @@ class TaintAnalysis {
   std::map<std::pair<const ir::Function*, AssumptionSet>, TaintId>
       context_memo_;
   std::size_t body_analyses_ = 0;
+  /// Summary mode's schedule, set while run() runs.
+  ir::FunctionWorklist* worklist_ = nullptr;
+  /// Summary mode: the objects each function's loads read, in module
+  /// order.
+  std::vector<std::pair<const ir::Function*, ObjSet>> object_reads_;
   /// Growth bits evalCall records for the call being evaluated: callee
   /// argument taints. Reset per call, so nested body analyses overwrite
   /// it; kRanNestedBodies, which revisits the whole body, covers that

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 
 #include "support/metrics.h"
 
@@ -25,22 +26,36 @@ CallGraph::CallGraph(const Module& module) : module_(module) {
     }
   }
 
-  for (const auto& fn : module.functions()) {
-    callees_[fn.get()];  // ensure node exists
+  const auto& functions = module.functions();
+  for (std::size_t i = 0; i < functions.size(); ++i) {
+    position_.emplace(functions[i].get(), i);
+  }
+  callees_.resize(functions.size());
+  callers_.resize(functions.size());
+  // Callers are appended in module order, each once (its calls are
+  // consecutive); reading them back per callee lists callees likewise.
+  for (const auto& fn : functions) {
     if (!fn->isDefined()) continue;
     for (const auto& bb : fn->blocks()) {
       for (const auto& inst : bb->instructions()) {
         if (inst->opcode() != Opcode::kCall) continue;
         for (const Function* target : targets(*inst)) {
-          callees_[fn.get()].insert(target);
-          callers_[target].insert(fn.get());
+          auto& callers = callers_[position(target)];
+          if (callers.empty() || callers.back() != fn.get()) {
+            callers.push_back(fn.get());
+          }
         }
       }
     }
   }
+  for (const auto& fn : functions) {
+    for (const Function* caller : callers(fn.get())) {
+      callees_[position(caller)].push_back(fn.get());
+    }
+  }
   computeSccs();
   std::size_t edges = 0;
-  for (const auto& [fn, cs] : callees_) edges += cs.size();
+  for (const auto& cs : callees_) edges += cs.size();
   SAFEFLOW_COUNT_N("callgraph.edges", edges);
   SAFEFLOW_COUNT_N("callgraph.address_taken", address_taken_.size());
   SAFEFLOW_GAUGE("callgraph.sccs", sccs_.size());
@@ -54,16 +69,14 @@ std::vector<const Function*> CallGraph::targets(
   return address_taken_;  // conservative indirect resolution
 }
 
-const std::set<const Function*>& CallGraph::callees(
+const std::vector<const Function*>& CallGraph::callees(
     const Function* fn) const {
-  auto it = callees_.find(fn);
-  return it == callees_.end() ? empty_ : it->second;
+  return callees_[position(fn)];
 }
 
-const std::set<const Function*>& CallGraph::callers(
+const std::vector<const Function*>& CallGraph::callers(
     const Function* fn) const {
-  auto it = callers_.find(fn);
-  return it == callers_.end() ? empty_ : it->second;
+  return callers_[position(fn)];
 }
 
 void CallGraph::computeSccs() {
@@ -76,7 +89,6 @@ void CallGraph::computeSccs() {
 
   struct Frame {
     const Function* fn;
-    std::vector<const Function*> succs;
     std::size_t next_succ = 0;
   };
 
@@ -86,15 +98,14 @@ void CallGraph::computeSccs() {
       index[fn] = lowlink[fn] = next_index++;
       stack.push_back(fn);
       on_stack[fn] = true;
-      const auto& succ_set = callees(fn);
-      frames.push_back(
-          Frame{fn, {succ_set.begin(), succ_set.end()}, 0});
+      frames.push_back(Frame{fn, 0});
     };
     open(root);
     while (!frames.empty()) {
       Frame& top = frames.back();
-      if (top.next_succ < top.succs.size()) {
-        const Function* succ = top.succs[top.next_succ++];
+      const auto& succs = callees(top.fn);
+      if (top.next_succ < succs.size()) {
+        const Function* succ = succs[top.next_succ++];
         if (!index.contains(succ)) {
           open(succ);
         } else if (on_stack[succ]) {
@@ -114,7 +125,7 @@ void CallGraph::computeSccs() {
         }
         if (scc.size() > 1) {
           for (const Function* f : scc) recursive_.insert(f);
-        } else if (callees(scc[0]).contains(scc[0])) {
+        } else if (std::ranges::find(succs, scc[0]) != succs.end()) {
           recursive_.insert(scc[0]);  // self-recursion
         }
         sccs_.push_back(std::move(scc));
@@ -128,6 +139,8 @@ void CallGraph::computeSccs() {
     }
   };
 
+  // Roots and successors in module order, so the SCC order does not
+  // depend on where the functions were allocated.
   for (const auto& fn : module_.functions()) {
     if (!index.contains(fn.get())) strongConnect(fn.get());
   }
@@ -143,6 +156,48 @@ std::vector<std::vector<const Function*>> CallGraph::sccsTopDown() const {
 
 bool CallGraph::isRecursive(const Function* fn) const {
   return recursive_.contains(fn);
+}
+
+FunctionWorklist::FunctionWorklist(
+    const CallGraph& graph,
+    const std::function<bool(const Function&)>& member)
+    : graph_(graph),
+      member_(graph.module().functions().size(), 0),
+      queued_(member_.size(), 0) {
+  for (const auto& fn : graph.module().functions()) {
+    member_[graph.position(fn.get())] = member(*fn) ? 1 : 0;
+  }
+  for (const auto& scc : graph.sccsBottomUp()) {
+    for (const Function* fn : scc) push(graph.position(fn));
+  }
+}
+
+const Function* FunctionWorklist::pop() {
+  std::sort(woken_.begin(), woken_.end());
+  for (const std::size_t at : woken_) push(at);
+  woken_.clear();
+  if (queue_.empty()) return nullptr;
+  const Function* fn = queue_.front();
+  queue_.pop_front();
+  queued_[graph_.position(fn)] = 0;
+  return fn;
+}
+
+void FunctionWorklist::push(std::size_t at) {
+  if (member_[at] == 0 || queued_[at] != 0) return;
+  queued_[at] = 1;
+  queue_.push_back(graph_.module().functions()[at].get());
+  ++pushes_;
+}
+
+void FunctionWorklist::wake(const Function* fn) {
+  woken_.push_back(graph_.position(fn));
+}
+
+void FunctionWorklist::wakeCallers(const Function* fn) {
+  for (const Function* caller : graph_.callers(fn)) {
+    if (caller != fn) wake(caller);
+  }
 }
 
 }  // namespace safeflow::ir

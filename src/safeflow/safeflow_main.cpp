@@ -69,7 +69,8 @@ void usage() {
          "  --stats-json <file> write statistics as JSON ('-' = stdout)\n"
          "  --time-budget <dur> wall-clock budget (e.g. 250ms, 2s)\n"
          "  --step-budget <n>   per-phase work-unit cap\n"
-         "  --max-depth <n>     recursion/context-depth cap\n"
+         "  --max-depth <n>     call-string context-depth cap (default\n"
+         "                      32); a deeper call degrades the run\n"
          "  --isolate           analyze in one crash-isolated worker\n"
          "                      process (same report)\n"
          "  --worker-timeout <dur>  per-worker watchdog (default 60s)\n"
@@ -300,7 +301,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.budget.max_depth = static_cast<unsigned>(n);
-      options.taint.max_context_depth = static_cast<unsigned>(n);
       forward({"--max-depth", argv[i]});
     } else if (arg == "--isolate") {
       isolate = true;

@@ -1,15 +1,16 @@
 // Analysis budgets and graceful degradation. Every fixpoint/worklist loop
-// in the pipeline (phase-1 shm propagation, the alias analysis, the
-// phase-3 taint sweep, the Fourier–Motzkin solver behind the A2 checks)
+// in the pipeline (phase-1 shm propagation, ranges, the alias analysis,
+// phase-3 taint, the Fourier–Motzkin solver behind the A2 checks)
 // accounts its work against one AnalysisBudget owned by the driver. A
 // budget combines
 //
 //   - a wall-clock deadline shared by the whole run (--time-budget),
 //   - a per-phase step cap (--step-budget), and
-//   - a recursion / context-depth cap (--max-depth).
+//   - the call-string context-depth cap (--max-depth).
 //
-// When a limit trips, the current phase stops where it is, a BudgetEvent
-// is recorded, and the phase marks its partial results *conservative*:
+// When a time or step limit trips, the current phase stops where it is, a
+// BudgetEvent is recorded, and the phase marks its partial results
+// *conservative*:
 // unresolved values are treated as unsafe and unproven constraints as
 // violations, so degradation can add findings but never hide one (see
 // DESIGN.md "Budgets and graceful degradation"). The default-constructed
@@ -33,7 +34,7 @@ struct BudgetLimits {
   /// Cap on work units per phase (worklist pops, instructions visited,
   /// solver constraint derivations); 0 means unlimited.
   std::uint64_t phase_steps = 0;
-  /// Recursion / call-string context-depth cap.
+  /// Call-string context-depth cap (--max-depth).
   unsigned max_depth = 32;
 
   [[nodiscard]] bool limited() const {
@@ -44,7 +45,7 @@ struct BudgetLimits {
 /// One phase that ran out of budget.
 struct BudgetEvent {
   std::string phase;
-  std::string reason;        // "time" or "steps"
+  std::string reason;        // "time", "steps" or "depth"
   std::uint64_t steps = 0;   // work units completed when the limit tripped
 };
 
@@ -78,6 +79,11 @@ class AnalysisBudget {
     if (exhausted_) return false;
     return stepSlow(n);
   }
+
+  /// Records that the current phase cut a call chain at maxDepth(): a
+  /// "depth" event, unless the phase has one already. It degrades the run
+  /// but does not stop the phase.
+  void noteDepthCap();
 
   /// True once the *current* phase tripped a limit (reset by beginPhase).
   [[nodiscard]] bool exhausted() const { return exhausted_; }

@@ -572,9 +572,10 @@ TEST(CallGraph, DirectEdges) {
   const ir::Function* top = b.module->findFunction("top");
   const ir::Function* mid = b.module->findFunction("mid");
   const ir::Function* leaf = b.module->findFunction("leaf");
-  EXPECT_TRUE(cg.callees(top).contains(mid));
-  EXPECT_TRUE(cg.callees(top).contains(leaf));
-  EXPECT_TRUE(cg.callers(leaf).contains(mid));
+  // Distinct neighbours, in module order.
+  using Fns = std::vector<const ir::Function*>;
+  EXPECT_EQ(cg.callees(top), (Fns{leaf, mid}));
+  EXPECT_EQ(cg.callers(leaf), (Fns{mid, top}));
   EXPECT_FALSE(cg.isRecursive(top));
 }
 
@@ -628,6 +629,91 @@ TEST(CallGraph, TopDownIsReverseOfBottomUp) {
   const auto down = cg.sccsTopDown();
   ASSERT_EQ(up.size(), down.size());
   EXPECT_EQ(up.front(), down.back());
+}
+
+/// Names of the functions in `fns`, in order.
+std::vector<std::string> namesOf(const std::vector<const ir::Function*>& fns) {
+  std::vector<std::string> names;
+  for (const ir::Function* f : fns) names.push_back(f->name());
+  return names;
+}
+
+TEST(CallGraph, SccsFollowModuleOrderNotAddresses) {
+  // Tarjan takes roots and callees in module order, so the bottom-up
+  // order is a function of the program alone: two modules built from it
+  // agree, whatever addresses their functions got. `a` calls b before c;
+  // its callees are listed in module order all the same.
+  const char* const source =
+      "int d(void) { return 4; }\n"
+      "int c(void) { return 3; }\n"
+      "int b(void) { return d() + c(); }\n"
+      "int a(void) { return b() + c(); }\n"
+      "int e(void) { return 5; }";
+  std::vector<std::string> first;
+  for (int run = 0; run < 2; ++run) {
+    const auto b = build(source);
+    ir::CallGraph cg(*b.module);
+    std::vector<std::string> order;
+    for (const auto& scc : cg.sccsBottomUp()) {
+      ASSERT_EQ(scc.size(), 1u);
+      order.push_back(scc.front()->name());
+    }
+    EXPECT_EQ(order, (std::vector<std::string>{"d", "c", "b", "a", "e"}));
+    EXPECT_EQ(namesOf(cg.callees(b.module->findFunction("a"))),
+              (std::vector<std::string>{"c", "b"}));
+    if (run == 0) first = order;
+    EXPECT_EQ(order, first);
+  }
+}
+
+TEST(FunctionWorklist, SeedsBottomUpAndQueuesWakesInModuleOrder) {
+  const auto b = build(
+      "int leaf(void) { return 1; }\n"
+      "int mid(void) { return leaf(); }\n"
+      "int top(void) { return mid() + leaf(); }\n"
+      "int skipped(void) { return top(); }");
+  const ir::Module& m = *b.module;
+  ir::CallGraph cg(m);
+  ir::FunctionWorklist worklist(cg, [](const ir::Function& fn) {
+    return fn.name() != "skipped";
+  });
+  const ir::Function* leaf = m.findFunction("leaf");
+  const ir::Function* mid = m.findFunction("mid");
+  const ir::Function* top = m.findFunction("top");
+  const ir::Function* skipped = m.findFunction("skipped");
+  // Seeds: every member, callees first; non-members never.
+  EXPECT_EQ(worklist.pop(), leaf);
+  // Woken in any order, queued in module order, each once.
+  worklist.wake(top);
+  worklist.wakeCallers(leaf);  // mid, top
+  worklist.wake(skipped);
+  EXPECT_EQ(worklist.pop(), mid);  // seed
+  EXPECT_EQ(worklist.pop(), top);  // seed, still queued when woken
+  EXPECT_EQ(worklist.pop(), nullptr);
+  worklist.wake(top);
+  worklist.wake(mid);
+  worklist.wake(leaf);
+  EXPECT_EQ(worklist.pop(), leaf);
+  EXPECT_EQ(worklist.pop(), mid);
+  EXPECT_EQ(worklist.pop(), top);
+  EXPECT_EQ(worklist.pop(), nullptr);
+  EXPECT_EQ(worklist.pushes(), 6u);
+}
+
+TEST(FunctionWorklist, WakeCallersSkipsTheFunctionItself) {
+  // A self-recursive function's own solve has read its grown return.
+  const auto b = build(
+      "int fact(int n) { if (n <= 1) return 1; return n * fact(n - 1); }\n"
+      "int main(void) { return fact(5); }");
+  ir::CallGraph cg(*b.module);
+  ir::FunctionWorklist worklist(cg,
+                                [](const ir::Function&) { return true; });
+  const ir::Function* fact = b.module->findFunction("fact");
+  while (worklist.pop() != nullptr) {
+  }
+  worklist.wakeCallers(fact);
+  EXPECT_EQ(worklist.pop(), b.module->findFunction("main"));
+  EXPECT_EQ(worklist.pop(), nullptr);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "analysis/ranges.h"
+#include "bench/synthetic.h"
 #include "ir/callgraph.h"
 #include "safeflow/driver.h"
 
@@ -336,6 +337,69 @@ TEST(RangeScaling, LongStraightLineFunctionStaysClean) {
   EXPECT_EQ(report.controlErrorCount(), 0u);
   EXPECT_TRUE(report.restriction_violations.empty());
   EXPECT_GT(counter(d, "ranges.function_analyses"), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The interprocedural schedule
+// ---------------------------------------------------------------------------
+
+// pick() is seeded before main (callees first), while n has no range yet.
+// main's call joins n = [5, 5] into it; that growth has to wake pick, whose
+// second visit decides `n > 100` false and prunes the branch's control
+// edge.
+TEST(RangeSchedule, GrownFormalWakesTheCallee) {
+  const auto d = analyzeRing(R"(
+float out;
+void pick(int n, float safe)
+{
+  out = safe;
+  if (n > 100) {
+    out = ring[0].v;
+  }
+}
+int main(void)
+{
+  initRing();
+  pick(5, 1.0f);
+  sendControl(out);
+  return 0;
+}
+)");
+  EXPECT_EQ(counter(*d, "ranges.branches_decided"), 1u);
+  EXPECT_EQ(counter(*d, "ranges.control_edges_pruned"), 1u);
+  // initRing, pick, main, then pick again.
+  EXPECT_EQ(counter(*d, "ranges.function_analyses"), 4u);
+}
+
+TEST(RangeWorkload, ProgramsKeepFunctionAnalysesAndRepeatInProcess) {
+  // Each workload function is visited once before main and once after
+  // main joins its arguments. Two analyses in one process schedule alike:
+  // nothing in the worklist is ordered by address.
+  struct Expected {
+    const char* name;
+    std::string source;
+    std::uint64_t function_analyses;
+  };
+  const Expected runs[] = {
+      {"scalingProgram(2000)", bench::scalingProgram(2000), 4002},
+      {"accumulatorCycleProgram(12, 96)",
+       bench::accumulatorCycleProgram(12, 96), 26},
+      {"pointerChurnProgram(200, 32)", bench::pointerChurnProgram(200, 32),
+       434},
+  };
+  for (const Expected& e : runs) {
+    SafeFlowDriver first;
+    first.addSource("workload.c", e.source);
+    first.analyze();
+    ASSERT_FALSE(first.hasFrontendErrors()) << e.name;
+    EXPECT_EQ(counter(first, "ranges.function_analyses"),
+              e.function_analyses)
+        << e.name;
+    SafeFlowDriver second;
+    second.addSource("workload.c", e.source);
+    second.analyze();
+    EXPECT_EQ(first.stats().counters, second.stats().counters) << e.name;
+  }
 }
 
 // ---------------------------------------------------------------------------
