@@ -276,21 +276,13 @@ void RangeAnalysis::run() {
   support::budgetBeginPhase(budget_, "ranges");
 
   // Functions whose argument ranges must start at ⊤-of-type: entry points
-  // (no caller, or main) and address-taken functions (lowering marks them
-  // with @fnaddr.<name> globals), whose call sites we cannot enumerate.
+  // and address-taken functions, whose call sites we cannot enumerate.
   for (const auto& fn : module_.functions()) {
     if (!fn->isDefined() || fn->isIntrinsic()) continue;
-    if (callgraph_.callers(fn.get()).empty() || fn->name() == "main") {
-      top_arg_fns_.insert(fn.get());
-    }
+    if (callgraph_.isRoot(fn.get())) top_arg_fns_.insert(fn.get());
   }
-  for (const auto& g : module_.globals()) {
-    if (g->name().rfind("@fnaddr.", 0) != 0) continue;
-    if (const ir::Function* f =
-            module_.findFunction(g->name().substr(sizeof("@fnaddr.") - 1))) {
-      top_arg_fns_.insert(f);
-    }
-  }
+  top_arg_fns_.insert(callgraph_.addressTaken().begin(),
+                      callgraph_.addressTaken().end());
   for (const ir::Function* fn : top_arg_fns_) {
     for (const auto& arg : fn->args()) {
       if (!arg->type()->isInteger()) continue;

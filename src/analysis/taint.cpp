@@ -187,10 +187,8 @@ void TaintAnalysis::computeEffectiveAssumptions() {
   // callers might monitor) and is narrowed by intersection.
   for (const auto& fn : module_.functions()) {
     if (!fn->isDefined()) continue;
-    const bool is_root =
-        callgraph_.callers(fn.get()).empty() || fn->name() == "main";
     effective_[fn.get()] = local_assumptions_[fn.get()];
-    effective_is_top_[fn.get()] = !is_root;
+    effective_is_top_[fn.get()] = !callgraph_.isRoot(fn.get());
   }
 
   bool changed = true;
@@ -199,13 +197,11 @@ void TaintAnalysis::computeEffectiveAssumptions() {
   while (changed && rounds++ < max_rounds) {
     changed = false;
     for (const auto& fn : module_.functions()) {
-      if (!fn->isDefined()) continue;
-      const auto& callers = callgraph_.callers(fn.get());
-      if (callers.empty() || fn->name() == "main") continue;
+      if (!fn->isDefined() || callgraph_.isRoot(fn.get())) continue;
 
       bool inherited_is_top = true;
       AssumptionSet inherited;
-      for (const ir::Function* caller : callers) {
+      for (const ir::Function* caller : callgraph_.callers(fn.get())) {
         if (!caller->isDefined()) {
           // Called from an unanalyzed context: nothing can be assumed.
           inherited_is_top = false;
@@ -1056,10 +1052,10 @@ void TaintAnalysis::run(SafeFlowReport& report) {
       changed = false;
       SAFEFLOW_COUNT("taint.sweep_rounds");
       for (const auto& fn : module_.functions()) {
-        if (!fn->isDefined() || regions_.isInitFunction(fn.get())) continue;
-        const bool is_root = callgraph_.callers(fn.get()).empty() ||
-                             fn->name() == "main";
-        if (!is_root) continue;
+        if (!fn->isDefined() || regions_.isInitFunction(fn.get()) ||
+            !callgraph_.isRoot(fn.get())) {
+          continue;
+        }
         context_memo_.clear();
         changed |=
             analyzeFunction(*fn, local_assumptions_[fn.get()]);

@@ -268,10 +268,24 @@ class SizeofExpr final : public Expr {
 // Declarations
 // ---------------------------------------------------------------------------
 
-/// A raw SafeFlow annotation as found in a comment; parsed by the
-/// annotations module.
-struct RawAnnotation {
-  std::string text;
+/// A SafeFlow annotation (paper §3.1, §3.2.1), parsed by the Parser where
+/// its comment is written:
+///
+///   assume(core(ptr, offset, size))   monitoring-function fact
+///   assert(safe(x))                   critical-data requirement
+///   shminit                           shm initializing function marker
+///   assume(shmvar(ptr, size))         shm variable post-condition
+///   assume(noncore(ptr))              non-core region post-condition
+struct Annotation {
+  enum class Kind { kAssumeCore, kAssertSafe, kShmInit, kShmVar, kNonCore };
+  Kind kind = Kind::kShmInit;
+  /// The pointer or value named, resolved by C scope at the annotation;
+  /// null for shminit and for a name with no declaration in scope.
+  const ValueDecl* decl = nullptr;
+  std::string name;         // as spelled
+  std::int64_t offset = 0;  // core
+  std::int64_t size = 0;    // core, shmvar
+  std::string text;         // the comment body
   SourceLocation location;
 };
 
@@ -335,19 +349,19 @@ class FunctionDecl final : public ValueDecl {
   [[nodiscard]] bool isDefined() const { return body_ != nullptr; }
   void setBody(StmtPtr body);
 
-  /// Annotations written between the signature and the body (assume(core),
-  /// shminit, ...).
-  [[nodiscard]] const std::vector<RawAnnotation>& entryAnnotations() const {
+  /// Annotations written before the signature or between it and the body
+  /// (assume(core), shminit, ...).
+  [[nodiscard]] const std::vector<Annotation>& entryAnnotations() const {
     return entry_annotations_;
   }
-  void addEntryAnnotation(RawAnnotation a) {
+  void addEntryAnnotation(Annotation a) {
     entry_annotations_.push_back(std::move(a));
   }
 
  private:
   std::vector<std::unique_ptr<VarDecl>> params_;
   StmtPtr body_;
-  std::vector<RawAnnotation> entry_annotations_;
+  std::vector<Annotation> entry_annotations_;
 };
 
 // ---------------------------------------------------------------------------
@@ -525,14 +539,12 @@ class NullStmt final : public Stmt {
 /// shmvar/noncore post-conditions).
 class AnnotationStmt final : public Stmt {
  public:
-  AnnotationStmt(RawAnnotation annotation, SourceLocation loc)
+  AnnotationStmt(Annotation annotation, SourceLocation loc)
       : Stmt(Kind::kAnnotation, loc), annotation_(std::move(annotation)) {}
-  [[nodiscard]] const RawAnnotation& annotation() const {
-    return annotation_;
-  }
+  [[nodiscard]] const Annotation& annotation() const { return annotation_; }
 
  private:
-  RawAnnotation annotation_;
+  Annotation annotation_;
 };
 
 inline const Stmt* FunctionDecl::body() const { return body_.get(); }

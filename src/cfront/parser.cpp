@@ -2,6 +2,9 @@
 
 #include <cassert>
 #include <cstdlib>
+#include <utility>
+
+#include "cfront/lexer.h"
 
 namespace safeflow::cfront {
 
@@ -86,6 +89,9 @@ std::optional<BinaryOp> compoundOpFor(TokenKind k) {
   }
 }
 
+/// Two's-complement view of a wrapped unsigned result.
+std::int64_t wrap(std::uint64_t v) { return static_cast<std::int64_t>(v); }
+
 std::int64_t parseIntText(std::string_view text) {
   return static_cast<std::int64_t>(
       std::strtoll(std::string(text).c_str(), nullptr, 0));
@@ -111,7 +117,7 @@ std::int64_t charLiteralValue(std::string_view text) {
 
 Parser::Parser(std::vector<Token> tokens, TypeContext& types,
                support::DiagnosticEngine& diags)
-    : tokens_(std::move(tokens)), types_(types), diags_(diags) {
+    : tokens_(std::move(tokens)), types_(types), diags_(&diags) {
   // peek()/advance() rely on a trailing EOF sentinel; repair the stream
   // rather than asserting so a truncated token vector (e.g. from a
   // mutated/fuzzed input path) cannot index out of bounds.
@@ -141,11 +147,11 @@ bool Parser::accept(TokenKind k) {
 
 bool Parser::expect(TokenKind k, std::string_view context) {
   if (accept(k)) return true;
-  diags_.error(peek().location, "parse",
-               "expected " + std::string(tokenKindName(k)) + " " +
-                   std::string(context) + ", found '" +
-                   std::string(peek().text) + "' (" +
-                   std::string(tokenKindName(peek().kind)) + ")");
+  diags_->error(peek().location, "parse",
+                "expected " + std::string(tokenKindName(k)) + " " +
+                    std::string(context) + ", found '" +
+                    std::string(peek().text) + "' (" +
+                    std::string(tokenKindName(peek().kind)) + ")");
   return false;
 }
 
@@ -170,6 +176,15 @@ void Parser::synchronizeToSemi() {
     }
     advance();
   }
+}
+
+Parser::NestingGuard::NestingGuard(Parser& parser) : parser_(parser) {
+  if (++parser_.depth_ <= kMaxNestingDepth) return;
+  --parser_.depth_;  // no destructor runs for a throwing constructor
+  parser_.diags_->error(parser_.peek().location, "parse",
+                        "nesting deeper than " +
+                            std::to_string(kMaxNestingDepth) + " levels");
+  throw TooDeep{};
 }
 
 void Parser::declareValue(std::string_view name, const ValueDecl* decl) {
@@ -301,6 +316,7 @@ bool Parser::parseDeclSpec(DeclSpec& spec) {
 }
 
 const Type* Parser::parseStructSpecifier() {
+  const NestingGuard nest(*this);
   const bool is_union = peek().is(TokenKind::kKwUnion);
   advance();  // struct / union
   std::string tag;
@@ -315,8 +331,8 @@ const Type* Parser::parseStructSpecifier() {
     while (!check(TokenKind::kRBrace) && !check(TokenKind::kEof)) {
       DeclSpec spec;
       if (!parseDeclSpec(spec)) {
-        diags_.error(peek().location, "parse",
-                     "expected field type in struct '" + tag + "'");
+        diags_->error(peek().location, "parse",
+                      "expected field type in struct '" + tag + "'");
         synchronizeToSemi();
         continue;
       }
@@ -341,7 +357,7 @@ const Type* Parser::parseEnumSpecifier() {
     std::int64_t next_value = 0;
     while (!check(TokenKind::kRBrace) && !check(TokenKind::kEof)) {
       if (!check(TokenKind::kIdentifier)) {
-        diags_.error(peek().location, "parse", "expected enumerator name");
+        diags_->error(peek().location, "parse", "expected enumerator name");
         synchronizeToSemi();
         break;
       }
@@ -351,8 +367,8 @@ const Type* Parser::parseEnumSpecifier() {
         bool ok = true;
         next_value = evalConstExpr(value.get(), &ok);
         if (!ok) {
-          diags_.error(peek().location, "parse",
-                       "enumerator value must be constant");
+          diags_->error(peek().location, "parse",
+                        "enumerator value must be constant");
         }
       }
       if (scopes_.empty()) scopes_.emplace_back();
@@ -367,6 +383,7 @@ const Type* Parser::parseEnumSpecifier() {
 }
 
 bool Parser::parseDeclarator(const Type* base, Declarator& out) {
+  const NestingGuard nest(*this);
   const Type* type = base;
   while (accept(TokenKind::kStar)) {
     type = types_.pointerTo(type);
@@ -380,8 +397,8 @@ bool Parser::parseDeclarator(const Type* base, Declarator& out) {
     advance();  // (
     advance();  // *
     if (!check(TokenKind::kIdentifier)) {
-      diags_.error(peek().location, "parse",
-                   "expected name in function-pointer declarator");
+      diags_->error(peek().location, "parse",
+                    "expected name in function-pointer declarator");
       return false;
     }
     out.name = peek().text;
@@ -401,7 +418,7 @@ bool Parser::parseDeclarator(const Type* base, Declarator& out) {
         }
         DeclSpec spec;
         if (!parseDeclSpec(spec)) {
-          diags_.error(peek().location, "parse", "expected parameter type");
+          diags_->error(peek().location, "parse", "expected parameter type");
           return false;
         }
         Declarator d;
@@ -440,7 +457,7 @@ bool Parser::parseDeclarator(const Type* base, Declarator& out) {
         }
         DeclSpec spec;
         if (!parseDeclSpec(spec)) {
-          diags_.error(peek().location, "parse", "expected parameter type");
+          diags_->error(peek().location, "parse", "expected parameter type");
           return false;
         }
         Declarator d;
@@ -470,8 +487,8 @@ bool Parser::parseDeclarator(const Type* base, Declarator& out) {
       bool ok = true;
       const std::int64_t n = evalConstExpr(size.get(), &ok);
       if (!ok || n < 0) {
-        diags_.error(out.loc, "parse", "array size must be a non-negative "
-                                       "integer constant");
+        diags_->error(out.loc, "parse", "array size must be a non-negative "
+                                        "integer constant");
         dims.push_back(0);
       } else {
         dims.push_back(static_cast<std::uint64_t>(n));
@@ -522,30 +539,33 @@ bool Parser::parseTranslationUnit(TranslationUnit& tu) {
     typedefs_.insert_or_assign(name, type);
   }
 
-  std::vector<RawAnnotation> pending;
-  while (!check(TokenKind::kEof) && !fatal_) {
-    if (check(TokenKind::kAnnotation)) {
-      const Token& t = advance();
-      pending.push_back(RawAnnotation{std::string(t.text), t.location});
-      continue;
+  std::vector<Token> pending;
+  try {
+    while (!check(TokenKind::kEof) && !fatal_) {
+      if (check(TokenKind::kAnnotation)) {
+        pending.push_back(advance());
+        continue;
+      }
+      if (!parseExternalDeclaration(tu, pending)) {
+        synchronizeToSemi();
+      }
     }
-    if (!parseExternalDeclaration(tu, pending)) {
-      synchronizeToSemi();
-    }
+  } catch (const TooDeep&) {
+    fatal_ = true;  // reported once; the rest of the file is not parsed
   }
   popScope();
-  return !fatal_ && !diags_.hasErrors();
+  return !fatal_ && !diags_->hasErrors();
 }
 
 bool Parser::parseExternalDeclaration(TranslationUnit& tu,
-                                      std::vector<RawAnnotation>& pending) {
+                                      std::vector<Token>& pending) {
   if (accept(TokenKind::kSemi)) return true;
 
   DeclSpec spec;
   if (!parseDeclSpec(spec)) {
-    diags_.error(peek().location, "parse",
-                 "expected declaration, found '" + std::string(peek().text) +
-                     "'");
+    diags_->error(peek().location, "parse",
+                  "expected declaration, found '" + std::string(peek().text) +
+                      "'");
     advance();
     return false;
   }
@@ -558,7 +578,7 @@ bool Parser::parseExternalDeclaration(TranslationUnit& tu,
     Declarator d;
     if (!parseDeclarator(spec.base, d)) return false;
     if (d.name.empty()) {
-      diags_.error(d.loc, "parse", "expected declarator name");
+      diags_->error(d.loc, "parse", "expected declarator name");
       return false;
     }
 
@@ -572,30 +592,30 @@ bool Parser::parseExternalDeclaration(TranslationUnit& tu,
       auto fn = std::make_unique<FunctionDecl>(
           d.name, static_cast<const FunctionType*>(d.type),
           std::move(d.params), d.loc);
-      FunctionDecl* fn_raw = fn.get();
-      for (RawAnnotation& a : pending) fn_raw->addEntryAnnotation(std::move(a));
-      pending.clear();
-      // Annotations between the signature and the body.
-      while (check(TokenKind::kAnnotation)) {
-        const Token& t = advance();
-        fn_raw->addEntryAnnotation(
-            RawAnnotation{std::string(t.text), t.location});
+      FunctionDecl* fn_raw = tu.addFunction(std::move(fn));
+      declareValue(d.name, fn_raw);
+      pushScope();
+      for (const auto& p : fn_raw->params()) {
+        if (!p->name().empty()) declareValue(p->name(), p.get());
       }
-      if (first && check(TokenKind::kLBrace)) {
-        tu.addFunction(std::move(fn));
-        declareValue(d.name, fn_raw);
-        pushScope();
-        for (const auto& p : fn_raw->params()) {
-          if (!p->name().empty()) declareValue(p->name(), p.get());
+      // Entry annotations, before the signature or between it and the
+      // body, see the parameters, then the globals.
+      const auto attach = [&](const Token& t) {
+        if (auto a = parseAnnotation(t)) {
+          fn_raw->addEntryAnnotation(std::move(*a));
         }
+      };
+      for (const Token& t : pending) attach(t);
+      pending.clear();
+      while (check(TokenKind::kAnnotation)) attach(advance());
+      if (first && check(TokenKind::kLBrace)) {
         StmtPtr body = parseCompound();
         popScope();
         if (body == nullptr) return false;
         fn_raw->setBody(std::move(body));
         return true;
       }
-      tu.addFunction(std::move(fn));
-      declareValue(d.name, fn_raw);
+      popScope();
       continue;
     }
 
@@ -612,8 +632,8 @@ bool Parser::parseExternalDeclaration(TranslationUnit& tu,
   } while (accept(TokenKind::kComma));
 
   if (!pending.empty()) {
-    diags_.warning(pending.front().location, "annotation",
-                   "annotation not attached to a function; ignored");
+    diags_->warning(pending.front().location, "annotation",
+                    "annotation not attached to a function; ignored");
     pending.clear();
   }
   return expect(TokenKind::kSemi, "after declaration");
@@ -639,7 +659,7 @@ StmtPtr Parser::parseLocalDeclaration() {
     Declarator d;
     if (!parseDeclarator(spec.base, d)) break;
     if (d.name.empty()) {
-      diags_.error(d.loc, "parse", "expected variable name");
+      diags_->error(d.loc, "parse", "expected variable name");
       break;
     }
     auto var = std::make_unique<VarDecl>(
@@ -651,6 +671,114 @@ StmtPtr Parser::parseLocalDeclaration() {
   } while (accept(TokenKind::kComma));
   expect(TokenKind::kSemi, "after declaration");
   return std::make_unique<DeclStmt>(std::move(decls), loc);
+}
+
+// The paper's prototype turns each annotation into a call to an external
+// dummy function (§3.1), so its arguments are C: the body is lexed as C
+// (macros stay unexpanded: the preprocessor never sees comments), names
+// resolve in the scopes open at the annotation, and offsets and sizes fold
+// as C constant expressions. Errors inside the body become the one
+// "malformed" error at the annotation.
+std::optional<Annotation> Parser::parseAnnotation(const Token& t) {
+  support::DiagnosticEngine body_diags;
+  std::vector<Token> body;
+  Lexer lexer(t.location.file, t.text, body_diags);
+  do {
+    body.push_back(lexer.next());
+  } while (!body.back().is(TokenKind::kEof));
+
+  // Parse the body in place of the file's tokens, then resume the file.
+  std::swap(tokens_, body);
+  const std::size_t resume = std::exchange(pos_, 0);
+  const bool file_fatal = std::exchange(fatal_, false);
+  support::DiagnosticEngine* const file_diags =
+      std::exchange(diags_, &body_diags);
+  Annotation out;
+  try {
+    parseAnnotationBody(out);
+  } catch (const TooDeep&) {
+    // The guard reported it into body_diags.
+  }
+  std::swap(tokens_, body);
+  pos_ = resume;
+  fatal_ = file_fatal;
+  diags_ = file_diags;
+
+  for (const support::Diagnostic& d : body_diags.diagnostics()) {
+    if (d.severity < support::Severity::kError) continue;
+    diags_->error(t.location, "annotation",
+                  "malformed SafeFlow annotation: " + d.message + " (in '" +
+                      std::string(t.text) + "')");
+    return std::nullopt;
+  }
+  out.text = t.text;
+  out.location = t.location;
+  return out;
+}
+
+bool Parser::parseAnnotationBody(Annotation& out) {
+  using Kind = Annotation::Kind;
+  const auto fail = [&](const std::string& why) {
+    diags_->error(peek().location, "annotation", why);
+    return false;
+  };
+  // An offset or size argument: a C integer constant expression.
+  const auto constant = [&](std::int64_t& value) {
+    const SourceLocation loc = peek().location;
+    const ExprPtr e = parseAssignment();
+    bool ok = true;
+    value = evalConstExpr(e.get(), &ok);
+    if (!ok) diags_->error(loc, "annotation", "expected a constant expression");
+    return ok && !diags_->hasErrors();
+  };
+  if (!check(TokenKind::kIdentifier)) return fail("expected an annotation");
+  const std::string_view head = advance().text;
+  if (head != "shminit") {
+    if (head != "assume" && head != "assert") {
+      return fail("unknown annotation head '" + std::string(head) + "'");
+    }
+    if (!expect(TokenKind::kLParen, "after the annotation head")) return false;
+    const std::string_view pred =
+        check(TokenKind::kIdentifier) ? advance().text : "";
+    if (head == "assert") {
+      if (pred != "safe") {
+        return fail("assert supports only the safe(x) predicate");
+      }
+      out.kind = Kind::kAssertSafe;
+    } else if (pred == "core") {
+      out.kind = Kind::kAssumeCore;
+    } else if (pred == "shmvar") {
+      out.kind = Kind::kShmVar;
+    } else if (pred == "noncore") {
+      out.kind = Kind::kNonCore;
+    } else {
+      return fail("unknown assume predicate '" + std::string(pred) + "'");
+    }
+    if (!expect(TokenKind::kLParen, "after the predicate")) return false;
+    if (!check(TokenKind::kIdentifier)) return fail("expected a variable name");
+    out.name = advance().text;
+    out.decl = lookupValue(out.name);
+    if (out.kind == Kind::kAssumeCore &&
+        !(expect(TokenKind::kComma, "before the offset") &&
+          constant(out.offset))) {
+      return false;
+    }
+    if ((out.kind == Kind::kAssumeCore || out.kind == Kind::kShmVar) &&
+        !(expect(TokenKind::kComma, "before the size") &&
+          constant(out.size))) {
+      return false;
+    }
+    if (!expect(TokenKind::kRParen, "to close the predicate") ||
+        !expect(TokenKind::kRParen, "to close the annotation")) {
+      return false;
+    }
+  }
+  accept(TokenKind::kSemi);
+  if (!check(TokenKind::kEof)) {
+    return fail("unexpected " + std::string(tokenKindName(peek().kind)) +
+                " after the annotation");
+  }
+  return true;
 }
 
 StmtPtr Parser::parseCompound() {
@@ -668,6 +796,7 @@ StmtPtr Parser::parseCompound() {
 }
 
 StmtPtr Parser::parseStatement() {
+  const NestingGuard nest(*this);
   const SourceLocation loc = peek().location;
   switch (peek().kind) {
     case TokenKind::kLBrace:
@@ -676,9 +805,9 @@ StmtPtr Parser::parseStatement() {
       advance();
       return std::make_unique<NullStmt>(loc);
     case TokenKind::kAnnotation: {
-      const Token& t = advance();
-      return std::make_unique<AnnotationStmt>(
-          RawAnnotation{std::string(t.text), t.location}, loc);
+      std::optional<Annotation> a = parseAnnotation(advance());
+      if (!a.has_value()) return std::make_unique<NullStmt>(loc);
+      return std::make_unique<AnnotationStmt>(std::move(*a), loc);
     }
     case TokenKind::kKwIf: {
       advance();
@@ -764,7 +893,7 @@ StmtPtr Parser::parseStatement() {
       ExprPtr value = parseConditional();
       bool ok = true;
       const std::int64_t v = evalConstExpr(value.get(), &ok);
-      if (!ok) diags_.error(loc, "parse", "case label must be constant");
+      if (!ok) diags_->error(loc, "parse", "case label must be constant");
       expect(TokenKind::kColon, "after case label");
       return std::make_unique<CaseStmt>(v, loc);
     }
@@ -773,7 +902,7 @@ StmtPtr Parser::parseStatement() {
       expect(TokenKind::kColon, "after 'default'");
       return std::make_unique<CaseStmt>(std::nullopt, loc);
     case TokenKind::kKwGoto:
-      diags_.error(loc, "parse", "goto is outside the supported C subset");
+      diags_->error(loc, "parse", "goto is outside the supported C subset");
       synchronizeToSemi();
       return std::make_unique<NullStmt>(loc);
     default:
@@ -789,6 +918,7 @@ StmtPtr Parser::parseStatement() {
 
 ExprPtr Parser::parseInitializer(const Type* type) {
   if (!check(TokenKind::kLBrace)) return parseAssignment();
+  const NestingGuard nest(*this);
   const SourceLocation loc = advance().location;
   std::vector<ExprPtr> items;
   if (!check(TokenKind::kRBrace)) {
@@ -830,6 +960,7 @@ ExprPtr Parser::parseAssignment() {
   const TokenKind k = peek().kind;
   if (k == TokenKind::kAssign || compoundOpFor(k).has_value()) {
     const SourceLocation loc = advance().location;
+    const NestingGuard nest(*this);
     ExprPtr rhs = parseAssignment();
     const Type* t = lhs->type();
     return std::make_unique<AssignExpr>(std::move(lhs), std::move(rhs),
@@ -842,6 +973,7 @@ ExprPtr Parser::parseConditional() {
   ExprPtr cond = parseBinary(1);
   if (cond == nullptr || !check(TokenKind::kQuestion)) return cond;
   const SourceLocation loc = advance().location;
+  const NestingGuard nest(*this);
   ExprPtr then = parseExpr();
   expect(TokenKind::kColon, "in conditional expression");
   ExprPtr otherwise = parseConditional();
@@ -865,9 +997,9 @@ ExprPtr Parser::parseBinary(int min_prec) {
     if (rhs == nullptr) break;
     const std::optional<BinaryOp> mapped = binaryOpFor(k);
     if (!mapped.has_value()) {
-      diags_.error(loc, "parse",
-                   "unsupported binary operator '" +
-                       std::string(tokenKindName(k)) + "'");
+      diags_->error(loc, "parse",
+                    "unsupported binary operator '" +
+                        std::string(tokenKindName(k)) + "'");
       break;
     }
     const BinaryOp op = *mapped;
@@ -906,6 +1038,7 @@ ExprPtr Parser::parseBinary(int min_prec) {
 }
 
 ExprPtr Parser::parseUnary() {
+  const NestingGuard nest(*this);
   const SourceLocation loc = peek().location;
   switch (peek().kind) {
     case TokenKind::kPlus:
@@ -939,7 +1072,7 @@ ExprPtr Parser::parseUnary() {
         if (et->isPointer()) {
           t = static_cast<const PointerType*>(et)->pointee();
         } else {
-          diags_.error(loc, "type", "cannot dereference non-pointer");
+          diags_->error(loc, "type", "cannot dereference non-pointer");
         }
       }
       return std::make_unique<UnaryExpr>(UnaryOp::kDeref, std::move(e), t,
@@ -976,15 +1109,12 @@ ExprPtr Parser::parseUnary() {
         if (startsType()) {
           const Type* t = parseTypeName();
           expect(TokenKind::kRParen, "after sizeof type");
-          return std::make_unique<SizeofExpr>(t ? t->size() : 0, t,
-                                              types_.ulongType(), loc);
+          return makeSizeof(t, loc);
         }
         pos_ = save;
       }
       ExprPtr e = parseUnary();
-      const Type* t = e ? e->type() : types_.intType();
-      return std::make_unique<SizeofExpr>(t->size(), t, types_.ulongType(),
-                                          loc);
+      return makeSizeof(e ? e->type() : types_.intType(), loc);
     }
     case TokenKind::kLParen: {
       // Cast vs parenthesized expression.
@@ -1016,7 +1146,7 @@ ExprPtr Parser::parsePostfix() {
       if (base_t->isPointer()) {
         t = static_cast<const PointerType*>(base_t)->pointee();
       } else {
-        diags_.error(loc, "type", "subscript of non-pointer/array");
+        diags_->error(loc, "type", "subscript of non-pointer/array");
       }
       e = std::make_unique<SubscriptExpr>(std::move(e), std::move(index), t,
                                           loc);
@@ -1026,7 +1156,7 @@ ExprPtr Parser::parsePostfix() {
       const bool is_arrow = peek().is(TokenKind::kArrow);
       advance();
       if (!check(TokenKind::kIdentifier)) {
-        diags_.error(loc, "parse", "expected member name");
+        diags_->error(loc, "parse", "expected member name");
         return e;
       }
       const std::string member(advance().text);
@@ -1043,11 +1173,11 @@ ExprPtr Parser::parsePostfix() {
         if (const StructField* f = st->findField(member)) {
           t = f->type;
         } else {
-          diags_.error(loc, "type", "no field '" + member + "' in " +
-                                        st->str());
+          diags_->error(loc, "type", "no field '" + member + "' in " +
+                                         st->str());
         }
       } else {
-        diags_.error(loc, "type", "member access on non-struct");
+        diags_->error(loc, "type", "member access on non-struct");
       }
       e = std::make_unique<MemberExpr>(std::move(e), member, is_arrow, t,
                                        loc);
@@ -1069,7 +1199,7 @@ ExprPtr Parser::parsePostfix() {
       if (callee_t->isFunction()) {
         ret = static_cast<const FunctionType*>(callee_t)->returnType();
       } else {
-        diags_.error(loc, "type", "call of non-function");
+        diags_->error(loc, "type", "call of non-function");
       }
       e = std::make_unique<CallExpr>(std::move(e), std::move(args), ret, loc);
       continue;
@@ -1142,36 +1272,46 @@ ExprPtr Parser::parsePrimary() {
         FunctionDecl* raw = tu_->addFunction(std::move(fn));
         // Declare at file scope so later uses resolve to the same decl.
         scopes_.front().values.insert_or_assign(std::string(name), raw);
-        diags_.warning(loc, "sema", "implicit declaration of function '" +
-                                        std::string(name) + "'");
+        diags_->warning(loc, "sema", "implicit declaration of function '" +
+                                         std::string(name) + "'");
         return std::make_unique<DeclRefExpr>(raw, ft, loc);
       }
       advance();
-      diags_.error(loc, "sema", "use of undeclared identifier '" +
-                                    std::string(name) + "'");
+      diags_->error(loc, "sema", "use of undeclared identifier '" +
+                                     std::string(name) + "'");
       return std::make_unique<IntLitExpr>(0, types_.intType(), loc);
     }
     default:
-      diags_.error(loc, "parse",
-                   "expected expression, found '" + std::string(t.text) +
-                       "' (" +
-                       std::string(tokenKindName(t.kind)) + ")");
+      diags_->error(loc, "parse",
+                    "expected expression, found '" + std::string(t.text) +
+                        "' (" +
+                        std::string(tokenKindName(t.kind)) + ")");
       advance();
       if (check(TokenKind::kEof)) fatal_ = true;
       return std::make_unique<IntLitExpr>(0, types_.intType(), loc);
   }
 }
 
+ExprPtr Parser::makeSizeof(const Type* t, SourceLocation loc) {
+  if (t != nullptr && t->isStruct() &&
+      !static_cast<const StructType*>(t)->isComplete()) {
+    diags_->error(loc, "type",
+                  "sizeof applied to incomplete type '" + t->str() + "'");
+  }
+  return std::make_unique<SizeofExpr>(t != nullptr ? t->size() : 0, t,
+                                      types_.ulongType(), loc);
+}
+
 const Type* Parser::parseTypeName() {
   DeclSpec spec;
   if (!parseDeclSpec(spec)) {
-    diags_.error(peek().location, "parse", "expected type name");
+    diags_->error(peek().location, "parse", "expected type name");
     return nullptr;
   }
   Declarator d;
   if (!parseDeclarator(spec.base, d)) return spec.base;
   if (!d.name.empty()) {
-    diags_.error(d.loc, "parse", "unexpected name in type");
+    diags_->error(d.loc, "parse", "unexpected name in type");
   }
   return d.type;
 }
@@ -1193,7 +1333,7 @@ std::int64_t Parser::evalConstExpr(const Expr* e, bool* ok) {
       const auto* u = static_cast<const UnaryExpr*>(e);
       const std::int64_t v = evalConstExpr(u->operand(), &good);
       switch (u->op()) {
-        case UnaryOp::kNeg: return -v;
+        case UnaryOp::kNeg: return wrap(0 - static_cast<std::uint64_t>(v));
         case UnaryOp::kLogNot: return v == 0 ? 1 : 0;
         case UnaryOp::kBitNot: return ~v;
         default: good = false; return 0;
@@ -1204,17 +1344,33 @@ std::int64_t Parser::evalConstExpr(const Expr* e, bool* ok) {
       const std::int64_t l = evalConstExpr(b->lhs(), &good);
       const std::int64_t r = evalConstExpr(b->rhs(), &good);
       if (!good) return 0;
+      // Unsigned arithmetic wraps where signed overflow would be undefined.
+      const auto ul = static_cast<std::uint64_t>(l);
+      const auto ur = static_cast<std::uint64_t>(r);
       switch (b->op()) {
-        case BinaryOp::kAdd: return l + r;
-        case BinaryOp::kSub: return l - r;
-        case BinaryOp::kMul: return l * r;
-        case BinaryOp::kDiv: return r == 0 ? (good = false, 0) : l / r;
-        case BinaryOp::kRem: return r == 0 ? (good = false, 0) : l % r;
+        case BinaryOp::kAdd: return wrap(ul + ur);
+        case BinaryOp::kSub: return wrap(ul - ur);
+        case BinaryOp::kMul: return wrap(ul * ur);
+        case BinaryOp::kDiv:
+        case BinaryOp::kRem:
+          if (r == 0) {
+            good = false;
+            return 0;
+          }
+          if (r == -1) {  // INT64_MIN / -1 overflows
+            return b->op() == BinaryOp::kDiv ? wrap(0 - ul) : 0;
+          }
+          return b->op() == BinaryOp::kDiv ? l / r : l % r;
         case BinaryOp::kBitAnd: return l & r;
         case BinaryOp::kBitOr: return l | r;
         case BinaryOp::kBitXor: return l ^ r;
-        case BinaryOp::kShl: return l << r;
-        case BinaryOp::kShr: return l >> r;
+        case BinaryOp::kShl:
+        case BinaryOp::kShr:
+          if (r < 0 || r >= 64) {
+            good = false;
+            return 0;
+          }
+          return b->op() == BinaryOp::kShl ? wrap(ul << r) : l >> r;
         case BinaryOp::kLt: return l < r;
         case BinaryOp::kGt: return l > r;
         case BinaryOp::kLe: return l <= r;
@@ -1225,6 +1381,13 @@ std::int64_t Parser::evalConstExpr(const Expr* e, bool* ok) {
         case BinaryOp::kLogOr: return (l != 0 || r != 0) ? 1 : 0;
         default: good = false; return 0;
       }
+    }
+    case Expr::Kind::kConditional: {
+      const auto* c = static_cast<const ConditionalExpr*>(e);
+      const std::int64_t cond = evalConstExpr(c->cond(), &good);
+      const std::int64_t then = evalConstExpr(c->thenExpr(), &good);
+      const std::int64_t otherwise = evalConstExpr(c->elseExpr(), &good);
+      return cond != 0 ? then : otherwise;
     }
     case Expr::Kind::kCast:
       return evalConstExpr(static_cast<const CastExpr*>(e)->operand(), &good);

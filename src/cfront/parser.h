@@ -1,11 +1,13 @@
 // Recursive-descent parser for the C subset, producing a typed AST.
 // Declarator syntax covers pointers, arrays, and function-pointer
 // parameters; typedefs are resolved during parsing. Enum constants are
-// folded to integer literals. SafeFlow annotation tokens become either
-// function entry annotations or AnnotationStmts.
+// folded to integer literals. SafeFlow annotation tokens are parsed as C
+// where they stand (see parseAnnotation) and become either function entry
+// annotations or AnnotationStmts.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -79,8 +81,37 @@ class Parser {
   const Type* parseStructSpecifier();
   const Type* parseEnumSpecifier();
   bool parseExternalDeclaration(TranslationUnit& tu,
-                                std::vector<RawAnnotation>& pending);
+                                std::vector<Token>& pending);
   StmtPtr parseLocalDeclaration();
+
+  // -- SafeFlow annotations -------------------------------------------------
+  /// Parses the body of annotation token `t` in the scopes open here: the
+  /// body is lexed as C, names resolve by C scope and offsets and sizes
+  /// fold as C constant expressions. A malformed body gets one
+  /// "annotation" error at `t` and yields nullopt.
+  std::optional<Annotation> parseAnnotation(const Token& t);
+  /// parseAnnotation's grammar over the body tokens; reports the first
+  /// problem and returns false on malformed input.
+  bool parseAnnotationBody(Annotation& out);
+
+  // -- nesting -------------------------------------------------------------
+  /// Recursion depth at which the parse stops with one error, so deep
+  /// input cannot overflow the stack here or in the AST's later walkers.
+  static constexpr int kMaxNestingDepth = 256;
+  /// Counts one nesting level for its lifetime; past kMaxNestingDepth it
+  /// reports the error and throws TooDeep, caught where the parse of the
+  /// file or of an annotation body began.
+  struct TooDeep {};
+  class NestingGuard {
+   public:
+    explicit NestingGuard(Parser& parser);
+    ~NestingGuard() { --parser_.depth_; }
+    NestingGuard(const NestingGuard&) = delete;
+    NestingGuard& operator=(const NestingGuard&) = delete;
+
+   private:
+    Parser& parser_;
+  };
 
   // -- statements -----------------------------------------------------------
   StmtPtr parseStatement();
@@ -100,9 +131,13 @@ class Parser {
   ExprPtr parsePrimary();
   /// Parses `(type-name)` after '(' when it is a cast/sizeof type.
   const Type* parseTypeName();
+  /// sizeof of `t` (null after a bad type name); an error when `t` is an
+  /// incomplete struct or union, as in C.
+  ExprPtr makeSizeof(const Type* t, SourceLocation loc);
 
-  /// Folds an integer constant expression (array sizes, case labels);
-  /// reports an error and returns 0 when not constant.
+  /// Folds an integer constant expression (array sizes, case labels,
+  /// annotation offsets and sizes) with two's-complement wraparound;
+  /// clears `*ok` and returns 0 when it is not constant. Reports nothing.
   std::int64_t evalConstExpr(const Expr* e, bool* ok = nullptr);
 
   // -- typing helpers --------------------------------------------------------
@@ -112,7 +147,9 @@ class Parser {
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
   TypeContext& types_;
-  support::DiagnosticEngine& diags_;
+  // A pointer so that an annotation body parses into its own engine.
+  support::DiagnosticEngine* diags_;
+  int depth_ = 0;
   std::vector<Scope> scopes_;
   support::StringMap<const Type*> typedefs_;
   TranslationUnit* tu_ = nullptr;

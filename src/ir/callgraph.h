@@ -42,6 +42,15 @@ class CallGraph {
   /// True when fn participates in a cycle (including self-recursion).
   [[nodiscard]] bool isRecursive(const Function* fn) const;
 
+  /// True for an entry function: one no call reaches, or main.
+  [[nodiscard]] bool isRoot(const Function* fn) const {
+    return callers(fn).empty() || fn->name() == "main";
+  }
+  /// The address-taken functions, every indirect call's targets.
+  [[nodiscard]] const std::vector<const Function*>& addressTaken() const {
+    return address_taken_;
+  }
+
   /// fn's index in module().functions().
   [[nodiscard]] std::size_t position(const Function* fn) const {
     return position_.at(fn);

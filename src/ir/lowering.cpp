@@ -56,14 +56,21 @@ bool isComparison(cfront::BinaryOp op) {
   }
 }
 
+/// The intrinsic an annotation lowers to; shminit lowers to no call.
+std::string_view intrinsicFor(cfront::Annotation::Kind kind) {
+  switch (kind) {
+    case cfront::Annotation::Kind::kAssumeCore: return kIntrinsicAssumeCore;
+    case cfront::Annotation::Kind::kAssertSafe: return kIntrinsicAssertSafe;
+    case cfront::Annotation::Kind::kShmVar: return kIntrinsicShmVar;
+    default: return kIntrinsicNonCore;
+  }
+}
+
 }  // namespace
 
 Lowering::Lowering(const cfront::TranslationUnit& tu, Module& module,
                    support::DiagnosticEngine& diags)
-    : tu_(tu),
-      module_(module),
-      diags_(diags),
-      annot_parser_(tu.types(), tu.typedefs(), diags) {}
+    : tu_(tu), module_(module), diags_(diags) {}
 
 bool Lowering::run() {
   const support::ScopedTimer timer("phase.lowering");
@@ -191,7 +198,9 @@ void Lowering::lowerFunction(const cfront::FunctionDecl& fd) {
     }
   }
 
-  lowerEntryAnnotations(fd, *fn_);
+  for (const cfront::Annotation& a : fd.entryAnnotations()) {
+    lowerAnnotation(a);
+  }
 
   assert(fd.body() != nullptr);
   lowerStmt(*fd.body());
@@ -212,108 +221,39 @@ void Lowering::lowerFunction(const cfront::FunctionDecl& fd) {
   block_ = nullptr;
 }
 
-void Lowering::lowerEntryAnnotations(const cfront::FunctionDecl& fd,
-                                     Function& fn) {
-  for (const cfront::RawAnnotation& raw : fd.entryAnnotations()) {
-    const auto parsed = annot_parser_.parse(raw);
-    if (!parsed.has_value()) continue;
-    switch (parsed->kind) {
-      case annotations::AnnotationKind::kShmInit:
-        fn.annotations.is_shminit = true;
-        break;
-      case annotations::AnnotationKind::kAssumeCore: {
-        fn.annotations.is_monitor = true;
-        Value* addr = addressOfNamed(parsed->pointer_name, raw.location);
-        if (addr == nullptr) break;
-        Value* ptr = emitLoad(addr, raw.location);
-        Instruction* call =
-            emit(Opcode::kCall, module_.types().voidType(), raw.location);
-        call->direct_callee = intrinsic(kIntrinsicAssumeCore);
-        call->addOperand(ptr);
-        call->addOperand(module_.constantInt(parsed->offset,
-                                             module_.types().longType()));
-        call->addOperand(
-            module_.constantInt(parsed->size, module_.types().longType()));
-        break;
-      }
-      default:
-        // shmvar/noncore/assert make sense in statement position; accept
-        // them here too for flexibility.
-        lowerAnnotation(raw);
-        break;
-    }
+void Lowering::lowerAnnotation(const cfront::Annotation& a) {
+  using Kind = cfront::Annotation::Kind;
+  if (a.kind == Kind::kShmInit) {
+    fn_->annotations.is_shminit = true;
+    return;
   }
+  if (a.kind == Kind::kAssumeCore) fn_->annotations.is_monitor = true;
+  Value* addr = a.decl != nullptr ? storageOf(*a.decl) : nullptr;
+  if (addr == nullptr) {
+    diags_.error(a.location, "annotation",
+                 "annotation references unknown variable '" + a.name + "'");
+    return;
+  }
+  Value* operand = emitLoad(addr, a.location);
+  Instruction* call =
+      emit(Opcode::kCall, module_.types().voidType(), a.location);
+  call->direct_callee = intrinsic(intrinsicFor(a.kind));
+  call->addOperand(operand);
+  const Type* long_t = module_.types().longType();
+  if (a.kind == Kind::kAssumeCore) {
+    call->addOperand(module_.constantInt(a.offset, long_t));
+  }
+  if (a.kind == Kind::kAssumeCore || a.kind == Kind::kShmVar) {
+    call->addOperand(module_.constantInt(a.size, long_t));
+  }
+  // Keep the source-level name of the asserted variable on the call so
+  // reports can say which critical value was checked.
+  if (a.kind == Kind::kAssertSafe) call->setName(a.name);
 }
 
-void Lowering::lowerAnnotation(const cfront::RawAnnotation& raw) {
-  const auto parsed = annot_parser_.parse(raw);
-  if (!parsed.has_value()) return;
-  switch (parsed->kind) {
-    case annotations::AnnotationKind::kAssertSafe: {
-      Value* addr = addressOfNamed(parsed->value_name, raw.location);
-      if (addr == nullptr) return;
-      Value* v = emitLoad(addr, raw.location);
-      Instruction* call =
-          emit(Opcode::kCall, module_.types().voidType(), raw.location);
-      call->direct_callee = intrinsic(kIntrinsicAssertSafe);
-      call->addOperand(v);
-      // Keep the source-level name of the asserted variable on the call so
-      // reports can say which critical value was checked.
-      call->setName(parsed->value_name);
-      return;
-    }
-    case annotations::AnnotationKind::kShmVar: {
-      Value* addr = addressOfNamed(parsed->pointer_name, raw.location);
-      if (addr == nullptr) return;
-      Value* ptr = emitLoad(addr, raw.location);
-      Instruction* call =
-          emit(Opcode::kCall, module_.types().voidType(), raw.location);
-      call->direct_callee = intrinsic(kIntrinsicShmVar);
-      call->addOperand(ptr);
-      call->addOperand(
-          module_.constantInt(parsed->size, module_.types().longType()));
-      return;
-    }
-    case annotations::AnnotationKind::kNonCore: {
-      Value* addr = addressOfNamed(parsed->pointer_name, raw.location);
-      if (addr == nullptr) return;
-      Value* ptr = emitLoad(addr, raw.location);
-      Instruction* call =
-          emit(Opcode::kCall, module_.types().voidType(), raw.location);
-      call->direct_callee = intrinsic(kIntrinsicNonCore);
-      call->addOperand(ptr);
-      return;
-    }
-    case annotations::AnnotationKind::kShmInit:
-      fn_->annotations.is_shminit = true;
-      return;
-    case annotations::AnnotationKind::kAssumeCore: {
-      fn_->annotations.is_monitor = true;
-      Value* addr = addressOfNamed(parsed->pointer_name, raw.location);
-      if (addr == nullptr) return;
-      Value* ptr = emitLoad(addr, raw.location);
-      Instruction* call =
-          emit(Opcode::kCall, module_.types().voidType(), raw.location);
-      call->direct_callee = intrinsic(kIntrinsicAssumeCore);
-      call->addOperand(ptr);
-      call->addOperand(
-          module_.constantInt(parsed->offset, module_.types().longType()));
-      call->addOperand(
-          module_.constantInt(parsed->size, module_.types().longType()));
-      return;
-    }
-  }
-}
-
-Value* Lowering::addressOfNamed(const std::string& name,
-                                SourceLocation loc) {
-  for (const auto& [decl, slot] : slots_) {
-    if (decl->name() == name) return slot;
-  }
-  if (GlobalVar* g = module_.findGlobal(name)) return g;
-  diags_.error(loc, "annotation",
-               "annotation references unknown variable '" + name + "'");
-  return nullptr;
+Value* Lowering::storageOf(const cfront::ValueDecl& decl) {
+  if (auto it = slots_.find(&decl); it != slots_.end()) return it->second;
+  return module_.findGlobal(decl.name());
 }
 
 // ---------------------------------------------------------------------------
@@ -755,9 +695,7 @@ Value* Lowering::lvalue(const Expr& e) {
   switch (e.kind()) {
     case Expr::Kind::kDeclRef: {
       const auto& ref = static_cast<const cfront::DeclRefExpr&>(e);
-      auto it = slots_.find(ref.decl());
-      if (it != slots_.end()) return it->second;
-      if (GlobalVar* g = module_.findGlobal(ref.decl()->name())) return g;
+      if (Value* addr = storageOf(*ref.decl())) return addr;
       diags_.error(e.location(), "lower",
                    "no storage for '" + ref.decl()->name() + "'");
       return nullptr;

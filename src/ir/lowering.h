@@ -7,7 +7,6 @@
 
 #include <map>
 
-#include "annotations/annotation.h"
 #include "cfront/ast.h"
 #include "ir/ir.h"
 #include "support/diagnostics.h"
@@ -42,8 +41,9 @@ class Lowering {
   void lowerFunction(const cfront::FunctionDecl& fd);
   Function* functionFor(const cfront::FunctionDecl& fd);
   Function* intrinsic(std::string_view name);
-  void lowerEntryAnnotations(const cfront::FunctionDecl& fd, Function& fn);
-  void lowerAnnotation(const cfront::RawAnnotation& raw);
+  /// Entry and statement annotations alike: a call to the intrinsic on
+  /// the named variable's value (assert) or pointer (the others).
+  void lowerAnnotation(const cfront::Annotation& a);
 
   // -- statements ---------------------------------------------------------
   void lowerStmt(const cfront::Stmt& stmt);
@@ -65,9 +65,9 @@ class Lowering {
   Value* lowerAssign(const cfront::AssignExpr& e);
   Value* lowerIncDec(const cfront::UnaryExpr& e);
   Value* lowerConditional(const cfront::ConditionalExpr& e);
-  /// Resolves a variable name (annotation argument) in the current
-  /// function's scope (params, locals, then globals). Returns its address.
-  Value* addressOfNamed(const std::string& name, SourceLocation loc);
+  /// The address of a declaration: its slot in the current function or
+  /// its module global; null when it has neither.
+  Value* storageOf(const cfront::ValueDecl& decl);
 
   /// Adds an entry-block alloca for a local and remembers it.
   Instruction* createLocalSlot(const cfront::VarDecl& vd);
@@ -78,7 +78,6 @@ class Lowering {
   const cfront::TranslationUnit& tu_;
   Module& module_;
   support::DiagnosticEngine& diags_;
-  annotations::AnnotationParser annot_parser_;
 
   Function* fn_ = nullptr;
   BasicBlock* block_ = nullptr;

@@ -71,11 +71,12 @@ std::uint64_t residentBytes() {
 /// tighten from, as in the one-shot CLI).
 bool validateFlags(const std::vector<std::string>& flags,
                    double* time_budget_seconds, std::string* error) {
-  const auto unsignedArg = [](const std::string& v) {
+  // The CLI's rule: an unsigned integer, and --max-depth at least 1.
+  const auto unsignedArg = [](const std::string& v, unsigned long long min) {
     if (v.empty()) return false;
     char* end = nullptr;
-    (void)std::strtoull(v.c_str(), &end, 10);
-    return end != v.c_str() && *end == '\0';
+    const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
+    return end != v.c_str() && *end == '\0' && n >= min;
   };
   for (std::size_t i = 0; i < flags.size(); ++i) {
     const std::string& flag = flags[i];
@@ -98,7 +99,8 @@ bool validateFlags(const std::vector<std::string>& flags,
       }
       ++i;
     } else if (flag == "--step-budget" || flag == "--max-depth") {
-      if (!has_arg || !unsignedArg(flags[i + 1])) {
+      if (!has_arg ||
+          !unsignedArg(flags[i + 1], flag == "--max-depth" ? 1 : 0)) {
         *error = "invalid " + flag;
         return false;
       }

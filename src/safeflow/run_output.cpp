@@ -1,7 +1,8 @@
 #include "safeflow/run_output.h"
 
-#include <fstream>
 #include <sstream>
+
+#include "support/io_faults.h"
 
 namespace safeflow {
 
@@ -54,15 +55,14 @@ RunOutput analyzeAndRender(SafeFlowDriver& driver,
         << " restriction violation(s)\n";
   }
   if (!render.dot_path.empty()) {
-    std::ofstream dot(render.dot_path);
-    if (!dot) {
-      err << "cannot write " << render.dot_path << "\n";
+    const support::io::IoStatus status = support::io::writeFile(
+        render.dot_path, report.renderValueFlowDot(driver.sources()),
+        "dot.out");
+    if (!status.ok) {
+      err << "safeflow: " << status.message << "\n";
       run.exit_code = 2;
-    } else {
-      dot << report.renderValueFlowDot(driver.sources());
-      if (!render.json) {
-        out << "value-flow graph written to " << render.dot_path << "\n";
-      }
+    } else if (!render.json) {
+      out << "value-flow graph written to " << render.dot_path << "\n";
     }
   }
   run.stdout_text = out.str();

@@ -261,11 +261,15 @@ IoStatus writeFile(const std::string& path, std::string_view data,
   }
   IoStatus status = writeAll(fd, data, site);
   if (status.ok) status = fsyncFd(fd, site);
+  struct stat st{};
+  const bool regular = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
   ::close(fd);
   if (!status.ok) {
     // Never leave a truncated-but-silent artifact: a consumer must see
-    // either the complete document or no file at all.
-    ::unlink(path.c_str());
+    // either the complete document or no file at all. Only a regular
+    // file is removed: a failed write to a device such as /dev/full
+    // must not unlink the device node.
+    if (regular) ::unlink(path.c_str());
     status.message = "cannot write '" + path + "': " + status.message;
   }
   return status;

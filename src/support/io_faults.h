@@ -19,7 +19,7 @@
 //                       which the checksummed cache envelope must catch
 //           fsync_fail  the nth fsync at <site> fails with EIO
 //     site  a writer identity: "cache.store", "metrics.out",
-//           "trace.out", "stats.out", "daemon.socket"
+//           "trace.out", "stats.out", "dot.out", "daemon.socket"
 //     nth   trigger on the nth matching operation (default 1)
 //
 // Injection is one-shot: after triggering once the hook disarms, so
@@ -81,8 +81,9 @@ IoStatus renameFile(const std::string& from, const std::string& to,
                     const char* site);
 
 /// Creates/overwrites `path` with `data` through writeAll/fsync. On any
-/// failure the partial file is unlinked before returning, so a failed
-/// export can never leave a truncated-but-silent artifact behind.
+/// failure a partial regular file is unlinked before returning, so a
+/// failed export can never leave a truncated-but-silent artifact behind;
+/// a device or FIFO at `path` is left in place.
 IoStatus writeFile(const std::string& path, std::string_view data,
                    const char* site);
 

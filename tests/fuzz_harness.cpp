@@ -9,6 +9,9 @@
 //                whitespace boundaries — the mutations that exercise the
 //                parser's panic-mode recovery rather than just the lexer.
 //
+// A third mutator changes only the bodies of SafeFlow Annotation comments,
+// which the C parser lexes and parses where they stand.
+//
 // Every mutant runs through the full driver (front end through taint
 // analysis) under a step budget, either as a file of its own or as a
 // header that two files include, and the harness asserts the three
@@ -121,7 +124,7 @@ std::vector<std::string> seedSources() {
 
 // Token-level splice fragments: the punctuation and keywords most likely
 // to unbalance the parser, plus annotation openers/closers to stress the
-// annotation sub-parser.
+// parser's annotation path.
 constexpr const char* kFragments[] = {
     ";",      "}",       "{",      "(",       ")",          "[",
     "]",      ",",       "*",      "=",       "==",         "->",
@@ -229,6 +232,39 @@ SafeFlowOptions fuzzOptions() {
   return options;
 }
 
+/// A seed source with the body of one of its SafeFlow Annotation comments
+/// under 1-4 seeded mutations; the comment still ends where it did.
+std::string annotationMutant(const std::vector<std::string>& seeds, Lcg& rng) {
+  constexpr std::string_view kMarker = "SafeFlow Annotation";
+  std::string text = seeds[rng.below(seeds.size())];
+  // [begin, end) of each body: after the marker, before the closing stars.
+  std::vector<std::pair<std::size_t, std::size_t>> bodies;
+  for (std::size_t at = text.find(kMarker); at != std::string::npos;
+       at = text.find(kMarker, at + 1)) {
+    const std::size_t begin = at + kMarker.size();
+    std::size_t end = text.find("*/", begin);
+    if (end == std::string::npos) break;
+    while (end > begin && text[end - 1] == '*') --end;
+    bodies.emplace_back(begin, end);
+  }
+  if (bodies.empty()) return text;
+  const auto [begin, end] = bodies[rng.below(bodies.size())];
+  std::string body = text.substr(begin, end - begin);
+  const std::size_t n_mut = 1 + rng.below(4);
+  for (std::size_t m = 0; m < n_mut; ++m) {
+    if (rng.below(2) == 0) {
+      mutateBytes(body, rng);
+    } else {
+      mutateTokens(body, rng);
+    }
+  }
+  for (std::size_t at = body.find("*/"); at != std::string::npos;
+       at = body.find("*/", at)) {
+    body[at + 1] = ' ';
+  }
+  return text.replace(begin, end - begin, body);
+}
+
 /// Analyzes what `driver` holds and checks the robustness invariants.
 void analyzeAndCheck(SafeFlowDriver& driver, std::uint64_t iter) {
   const auto& report = driver.analyze();
@@ -273,6 +309,23 @@ TEST(FuzzHarness, MutatedCorpusSourcesNeverCrashOrHang) {
     SCOPED_TRACE("fuzz iteration " + std::to_string(i) + " (seed " +
                  std::to_string(seed) + ")");
     runOne(seeds, rng, i);
+  }
+}
+
+TEST(FuzzHarness, MutatedAnnotationBodiesNeverCrashOrHang) {
+  const std::uint64_t iters = envU64("SAFEFLOW_FUZZ_ITERS", 200);
+  const std::uint64_t seed = envU64("SAFEFLOW_FUZZ_SEED", 20060625);
+  const std::vector<std::string> seeds = seedSources();
+  ASSERT_FALSE(seeds.empty());
+
+  Lcg rng(seed ^ 0xa1107a7e);
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    SCOPED_TRACE("annotation fuzz iteration " + std::to_string(i) +
+                 " (seed " + std::to_string(seed) + ")");
+    SafeFlowDriver driver(fuzzOptions());
+    driver.addSource("annotation_fuzz_" + std::to_string(i) + ".c",
+                     annotationMutant(seeds, rng));
+    analyzeAndCheck(driver, i);
   }
 }
 
@@ -431,6 +484,37 @@ TEST(FuzzHarness, DeeplyNestedInputsRespectRecoveryLimits) {
                      "int main(void) " + open + "{ return 0; }" + close);
     driver.analyze();
     SUCCEED();
+  }
+
+  // Far past the parser's nesting cap, in code and in an annotation's
+  // size: one error, and no stack overflow in the parser or after it.
+  constexpr std::size_t kDeep = 100000;
+  const std::string parens =
+      std::string(kDeep, '(') + "1" + std::string(kDeep, ')');
+  const struct {
+    const char* name;
+    std::string source;
+    const char* category;
+  } cases[] = {
+      {"parens", "int f(void) { return " + parens + "; }\n", "parse"},
+      {"braces",
+       "int f(void) " + std::string(kDeep, '{') + "return 0;" +
+           std::string(kDeep, '}') + "\n",
+       "parse"},
+      {"annotation",
+       "void f(int *p)\n/*** SafeFlow Annotation assume(shmvar(p, " + parens +
+           ")) ***/\n{ }\n",
+       "annotation"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    SafeFlowOptions options;
+    options.budget.phase_steps = 200000;
+    SafeFlowDriver driver(options);
+    EXPECT_FALSE(driver.addSource(std::string(c.name) + ".c", c.source));
+    driver.analyze();
+    EXPECT_EQ(driver.diagnostics().errorCount(), 1u);
+    EXPECT_EQ(driver.diagnostics().countCategoryPrefix(c.category), 1u);
   }
 }
 

@@ -151,6 +151,23 @@ TEST(IoFaultHelpers, WriteFileNeverLeavesATruncatedArtifact) {
   EXPECT_EQ(readFileOrEmpty(path), "complete");
 }
 
+// A failed write to something other than a regular file (a device such as
+// /dev/full, here a FIFO) reports the failure and leaves the node alone.
+TEST(IoFaultHelpers, WriteFileKeepsANonRegularTarget) {
+  DisarmOnExit disarm;
+  const std::string dir = freshDir("io_writefile_fifo");
+  const std::string path = dir + "/pipe";
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  const int reader = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
+  ASSERT_GE(reader, 0);
+  ASSERT_TRUE(io::armIoFaultInjection("enospc@dot.out"));
+  EXPECT_FALSE(io::writeFile(path, std::string(64, 'd'), "dot.out").ok);
+  ::close(reader);
+  struct stat st{};
+  ASSERT_EQ(::stat(path.c_str(), &st), 0);
+  EXPECT_TRUE(S_ISFIFO(st.st_mode));
+}
+
 // -- DiskCache crash consistency under injected faults ----------------------
 
 TEST(IoFaultCache, TornRenameIsDetectedPurgedAndRecoverable) {
@@ -268,6 +285,38 @@ TEST(IoFaultExports, MetricsOutEnospcFailsLoudlyWithNoArtifact) {
       << failed.err_text;
   // No truncated-but-silent artifact.
   EXPECT_NE(::access(metrics_path.c_str(), F_OK), 0);
+}
+
+// --dot, in process and from a crash-isolated worker: exit 2, one
+// diagnostic, no partial graph.
+TEST(IoFaultExports, DotOutEnospcFailsLoudlyWithNoArtifact) {
+  const std::string dir = freshDir("io_dot_out");
+  const std::string tu = dir + "/clean.c";
+  writeTextFile(tu, "int main(void) { return 0; }\n");
+  const std::string dot_path = dir + "/flow.dot";
+
+  for (const bool isolate : {false, true}) {
+    SCOPED_TRACE(isolate ? "--isolate" : "in process");
+    std::vector<std::string> args = {tu, "--dot", dot_path};
+    if (isolate) args.emplace_back("--isolate");
+    const auto ok = runCli(args);
+    ASSERT_TRUE(ok.exitedWith(0)) << ok.err_text;
+    EXPECT_NE(ok.out_text.find("value-flow graph written to"),
+              std::string::npos);
+    EXPECT_EQ(::access(dot_path.c_str(), F_OK), 0);
+    ASSERT_EQ(::unlink(dot_path.c_str()), 0);
+
+    const auto failed =
+        runCli(args, {{"SAFEFLOW_INJECT_IO", "enospc@dot.out"}});
+    ASSERT_EQ(failed.status, support::SubprocessResult::Status::kExited);
+    EXPECT_EQ(failed.exit_code, 2);
+    EXPECT_EQ(failed.err_text, "safeflow: cannot write '" + dot_path +
+                                   "': write failed at site 'dot.out' "
+                                   "(injected): No space left on device\n");
+    EXPECT_EQ(failed.out_text.find("value-flow graph written to"),
+              std::string::npos);
+    EXPECT_NE(::access(dot_path.c_str(), F_OK), 0);
+  }
 }
 
 TEST(IoFaultExports, TraceOutEioFailsLoudlyWithNoArtifact) {
