@@ -11,28 +11,20 @@ std::int64_t ShmRegion::elementCount() const {
   return size / static_cast<std::int64_t>(pointee_type->size());
 }
 
-namespace {
-
-/// The pointer operand of shmvar/noncore intrinsics is a load of the
-/// global shm pointer variable; trace it back to the global.
 const ir::GlobalVar* traceToGlobal(const ir::Value* v) {
-  if (v == nullptr) return nullptr;
-  if (v->kind() == ir::Value::Kind::kGlobalVar) {
-    return static_cast<const ir::GlobalVar*>(v);
-  }
-  if (v->isInstruction()) {
+  while (v != nullptr && v->isInstruction()) {
     const auto* inst = static_cast<const ir::Instruction*>(v);
-    if (inst->opcode() == ir::Opcode::kLoad && inst->numOperands() == 1) {
-      return traceToGlobal(inst->operand(0));
+    if ((inst->opcode() != ir::Opcode::kLoad &&
+         inst->opcode() != ir::Opcode::kCast) ||
+        inst->numOperands() != 1) {
+      return nullptr;
     }
-    if (inst->opcode() == ir::Opcode::kCast && inst->numOperands() == 1) {
-      return traceToGlobal(inst->operand(0));
-    }
+    v = inst->operand(0);
   }
-  return nullptr;
+  return v != nullptr && v->kind() == ir::Value::Kind::kGlobalVar
+             ? static_cast<const ir::GlobalVar*>(v)
+             : nullptr;
 }
-
-}  // namespace
 
 ShmRegionTable ShmRegionTable::build(const ir::Module& module,
                                      support::DiagnosticEngine& diags) {

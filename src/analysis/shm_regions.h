@@ -39,6 +39,11 @@ struct ShmRegion {
   [[nodiscard]] std::int64_t elementCount() const;
 };
 
+/// The global a value was loaded or cast from, through any chain of
+/// loads and casts, or nullptr: the global pointer an shmvar/noncore
+/// annotation names, or the descriptor a receive call reads.
+[[nodiscard]] const ir::GlobalVar* traceToGlobal(const ir::Value* v);
+
 class ShmRegionTable {
  public:
   /// Scans shminit functions for shmvar/noncore intrinsics. Reports

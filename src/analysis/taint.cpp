@@ -183,56 +183,53 @@ void TaintAnalysis::computeLocalAssumptions() {
 }
 
 void TaintAnalysis::computeEffectiveAssumptions() {
-  // Roots start at their local set; everything else starts at "top" (all
-  // callers might monitor) and is narrowed by intersection.
+  // Roots keep their local set; everything else starts at "top" (all
+  // callers might monitor) and is narrowed by intersection. Once a set
+  // leaves top it only shrinks, so the worklist ends without a cap.
   for (const auto& fn : module_.functions()) {
     if (!fn->isDefined()) continue;
     effective_[fn.get()] = local_assumptions_[fn.get()];
     effective_is_top_[fn.get()] = !callgraph_.isRoot(fn.get());
   }
 
-  bool changed = true;
-  std::size_t rounds = 0;
-  const std::size_t max_rounds = module_.functions().size() + 2;
-  while (changed && rounds++ < max_rounds) {
-    changed = false;
-    for (const auto& fn : module_.functions()) {
-      if (!fn->isDefined() || callgraph_.isRoot(fn.get())) continue;
-
-      bool inherited_is_top = true;
-      AssumptionSet inherited;
-      for (const ir::Function* caller : callgraph_.callers(fn.get())) {
-        if (!caller->isDefined()) {
-          // Called from an unanalyzed context: nothing can be assumed.
-          inherited_is_top = false;
-          inherited.clear();
-          break;
-        }
-        auto top_it = effective_is_top_.find(caller);
-        if (top_it != effective_is_top_.end() && top_it->second) continue;
-        const AssumptionSet& cs = effective_[caller];
-        if (inherited_is_top) {
-          inherited = cs;
-          inherited_is_top = false;
-        } else {
-          AssumptionSet meet;
-          std::set_intersection(inherited.begin(), inherited.end(),
-                                cs.begin(), cs.end(),
-                                std::inserter(meet, meet.begin()));
-          inherited = std::move(meet);
-        }
+  ir::FunctionWorklist worklist(callgraph_, [this](const ir::Function& fn) {
+    return fn.isDefined() && !callgraph_.isRoot(&fn);
+  });
+  while (const ir::Function* fn = worklist.pop()) {
+    bool inherited_is_top = true;
+    AssumptionSet inherited;
+    for (const ir::Function* caller : callgraph_.callers(fn)) {
+      if (!caller->isDefined()) {
+        // Called from an unanalyzed context: nothing can be assumed.
+        inherited_is_top = false;
+        inherited.clear();
+        break;
       }
-
-      AssumptionSet next = local_assumptions_[fn.get()];
-      if (!inherited_is_top) {
-        next.insert(inherited.begin(), inherited.end());
+      auto top_it = effective_is_top_.find(caller);
+      if (top_it != effective_is_top_.end() && top_it->second) continue;
+      const AssumptionSet& cs = effective_[caller];
+      if (inherited_is_top) {
+        inherited = cs;
+        inherited_is_top = false;
+      } else {
+        AssumptionSet meet;
+        std::set_intersection(inherited.begin(), inherited.end(),
+                              cs.begin(), cs.end(),
+                              std::inserter(meet, meet.begin()));
+        inherited = std::move(meet);
       }
-      const bool next_top = inherited_is_top;
-      if (next != effective_[fn.get()] ||
-          next_top != effective_is_top_[fn.get()]) {
-        effective_[fn.get()] = std::move(next);
-        effective_is_top_[fn.get()] = next_top;
-        changed = true;
+    }
+
+    AssumptionSet next = local_assumptions_[fn];
+    if (!inherited_is_top) {
+      next.insert(inherited.begin(), inherited.end());
+    }
+    if (next != effective_[fn] || inherited_is_top != effective_is_top_[fn]) {
+      effective_[fn] = std::move(next);
+      effective_is_top_[fn] = inherited_is_top;
+      // The set reaches the callees, fn itself if it recurses.
+      for (const ir::Function* callee : callgraph_.callees(fn)) {
+        worklist.wake(callee);
       }
     }
   }
@@ -420,7 +417,6 @@ TaintId TaintAnalysis::blockControlTaint(const ir::BasicBlock* bb) {
 }
 
 void TaintAnalysis::wakeReaders(ObjId obj, const ir::Function& writer) {
-  if (worklist_ == nullptr) return;
   for (const auto& [reader, reads] : object_reads_) {
     if (reader != &writer && reads.contains(obj)) worklist_->wake(reader);
   }
@@ -609,18 +605,6 @@ void TaintAnalysis::BodyWorklist::queueBlock(std::uint32_t at,
 }
 
 void TaintAnalysis::BodyWorklist::revisit(std::uint32_t at, unsigned growth) {
-  if ((growth & kRanNestedBodies) != 0) {
-    // Nested analyses may have grown anything this body reads, its own
-    // values included: every later position this round, and every block
-    // already entered again next round.
-    for (std::uint32_t pos = at + 1; pos < insts_.size(); ++pos) {
-      set(current_, pos);
-    }
-    for (std::uint32_t b = 0; b + 1 < block_start_.size(); ++b) {
-      if (block_start_[b] <= at) queueBlock(at, b);
-    }
-    return;
-  }
   if ((growth & kGrewValue) != 0) {
     for (std::uint32_t i = readers_.start[at]; i < readers_.start[at + 1];
          ++i) {
@@ -662,10 +646,9 @@ std::uint32_t TaintAnalysis::BodyWorklist::pop() {
 }
 
 bool TaintAnalysis::analyzeFunction(const ir::Function& fn,
-                                    const AssumptionSet& assumptions,
-                                    unsigned depth) {
-  // Once the budget trips, report "no change": the per-context while loop
-  // ends, and the function worklist drains, since nothing grows to wake.
+                                    const AssumptionSet& assumptions) {
+  // Once the budget trips, report "no change": the function worklist
+  // drains, since nothing grows to wake.
   if (budget_ != nullptr && budget_->exhausted()) return false;
   ++body_analyses_;
   SAFEFLOW_COUNT("taint.body_analyses");
@@ -683,8 +666,7 @@ bool TaintAnalysis::analyzeFunction(const ir::Function& fn,
   }
 
   // What makes a round count as changed, as the whole-pass loop counted
-  // it: own argument growth also sets kGrewCalleeArgs, and a call that ran
-  // nested analyses counts only through the callee-argument bit it keeps.
+  // it: own argument growth also sets kGrewCalleeArgs.
   constexpr unsigned kChanged =
       kGrewValue | kGrewObject | kGrewReturn | kGrewCalleeArgs;
   std::uint64_t evals = 0;  // added to the counter once, at the end
@@ -706,7 +688,7 @@ bool TaintAnalysis::analyzeFunction(const ir::Function& fn,
       if (!in_budget) break;
       ++evals;
       const unsigned growth =
-          evalInstruction(*inst, fn, block_control, assumptions, depth);
+          evalInstruction(*inst, fn, block_control, assumptions);
       changed |= (growth & kChanged) != 0;
       if (growth != 0) {
         if (!worklist) worklist.emplace(*this, fn);
@@ -735,7 +717,7 @@ bool TaintAnalysis::analyzeFunction(const ir::Function& fn,
         block_control = blockControlTaint(entered);
       }
       const unsigned growth =
-          evalInstruction(inst, fn, block_control, assumptions, depth);
+          evalInstruction(inst, fn, block_control, assumptions);
       changed |= (growth & kChanged) != 0;
       worklist->revisit(at, growth);
     }
@@ -747,8 +729,7 @@ bool TaintAnalysis::analyzeFunction(const ir::Function& fn,
 unsigned TaintAnalysis::evalInstruction(const ir::Instruction& inst,
                                         const ir::Function& fn,
                                         TaintId block_control,
-                                        const AssumptionSet& assumptions,
-                                        unsigned depth) {
+                                        const AssumptionSet& assumptions) {
   unsigned growth = 0;
   TaintId result = TaintPool::kEmpty;
   switch (inst.opcode()) {
@@ -767,7 +748,6 @@ unsigned TaintAnalysis::evalInstruction(const ir::Instruction& inst,
           // change the region's core/non-core status (§2).
           if (grow(object_taint_[obj], stored)) {
             growth |= kGrewObject;
-            ++object_growths_;
             wakeReaders(obj, fn);
           }
         }
@@ -810,22 +790,11 @@ unsigned TaintAnalysis::evalInstruction(const ir::Instruction& inst,
         }
       }
       break;
-    case ir::Opcode::kCall: {
+    case ir::Opcode::kCall:
       call_growth_ = 0;
-      const std::size_t bodies = body_analyses_;
-      const std::uint64_t object_growths = object_growths_;
-      result = evalCall(inst, assumptions, depth);
-      // Nested analyses leave their own calls' bits behind; only the
-      // callee-argument bit counts then, and revisiting the whole body
-      // covers whatever they grew. An object grown by a receive buffer
-      // or inside a nested analysis is this call's growth: the caller
-      // may have loaded it earlier in the round.
-      growth = body_analyses_ == bodies
-                   ? call_growth_
-                   : (call_growth_ & kGrewCalleeArgs) | kRanNestedBodies;
-      if (object_growths_ != object_growths) growth |= kGrewObject;
+      result = evalCall(inst, assumptions);
+      growth = call_growth_;
       break;
-    }
     case ir::Opcode::kRet:
       if (inst.numOperands() == 1) {
         TaintId& ret = return_taint_[&fn];
@@ -849,26 +818,6 @@ unsigned TaintAnalysis::evalInstruction(const ir::Instruction& inst,
   return growth;
 }
 
-namespace {
-/// Traces a value back to the global it was loaded from (descriptor
-/// tracking for message channels).
-const ir::GlobalVar* traceLoadToGlobal(const ir::Value* v, int depth = 0) {
-  if (v == nullptr || depth > 8) return nullptr;
-  if (v->kind() == ir::Value::Kind::kGlobalVar) {
-    return static_cast<const ir::GlobalVar*>(v);
-  }
-  if (v->isInstruction()) {
-    const auto* inst = static_cast<const ir::Instruction*>(v);
-    if ((inst->opcode() == ir::Opcode::kLoad ||
-         inst->opcode() == ir::Opcode::kCast) &&
-        inst->numOperands() >= 1) {
-      return traceLoadToGlobal(inst->operand(0), depth + 1);
-    }
-  }
-  return nullptr;
-}
-}  // namespace
-
 TaintId TaintAnalysis::evalReceive(const ir::Instruction& call) {
   // Returns the call-result taint; buffer objects are tainted in place.
   for (const auto& rc : options_.receive_calls) {
@@ -880,8 +829,7 @@ TaintId TaintAnalysis::evalReceive(const ir::Instruction& call) {
         rc.buffer_arg >= call.numOperands()) {
       continue;
     }
-    const ir::GlobalVar* fd =
-        traceLoadToGlobal(call.operand(rc.socket_arg));
+    const ir::GlobalVar* fd = traceToGlobal(call.operand(rc.socket_arg));
     const ShmRegion* channel =
         fd != nullptr ? regions_.channelByGlobal(fd) : nullptr;
     // A core channel's received data is safe.
@@ -891,8 +839,9 @@ TaintId TaintAnalysis::evalReceive(const ir::Instruction& call) {
     const TaintId incoming = pool_.intern(std::move(received));
     for (ObjId obj : alias_.pointsTo(call.operand(rc.buffer_arg))) {
       if (alias_.regionOf(obj) >= 0) continue;
+      // The caller may have loaded the buffer earlier in the round.
       if (grow(object_taint_[obj], incoming)) {
-        ++object_growths_;
+        call_growth_ |= kGrewObject;
         wakeReaders(obj, *call.parent()->parent());
       }
     }
@@ -910,8 +859,7 @@ bool TaintAnalysis::isReceiveCall(const ir::Instruction& call) const {
 }
 
 TaintId TaintAnalysis::evalCall(const ir::Instruction& call,
-                                const AssumptionSet& caller_assumptions,
-                                unsigned depth) {
+                                const AssumptionSet& caller_assumptions) {
   TaintId result = TaintPool::kEmpty;
   const std::size_t first_arg = call.direct_callee == nullptr ? 1 : 0;
   const ir::Function* caller = call.parent()->parent();
@@ -936,31 +884,29 @@ TaintId TaintAnalysis::evalCall(const ir::Instruction& call,
         call_growth_ |= target == caller ? kGrewCalleeArgs | kGrewOwnArgs
                                          : kGrewCalleeArgs;
         // The body solver revisits what a self call grows.
-        if (target != caller && worklist_ != nullptr) worklist_->wake(target);
+        if (target != caller) worklist_->wake(target);
       }
     }
 
-    TaintId summary = TaintPool::kEmpty;
-    const bool call_strings =
-        options_.mode == TaintOptions::Mode::kCallStrings;
-    const unsigned max_depth = budget_ != nullptr
-                                   ? budget_->maxDepth()
-                                   : support::BudgetLimits{}.max_depth;
-    if (call_strings && depth < max_depth) {
+    if (options_.mode == TaintOptions::Mode::kCallStrings) {
       AssumptionSet ctx = caller_assumptions;
       const AssumptionSet& local = local_assumptions_[target];
       ctx.insert(local.begin(), local.end());
-      summary = analyzeInContext(*target, std::move(ctx), depth + 1);
-    } else {
-      // Past the depth cap no context below it may have analyzed the
-      // callee, so its return taint can miss flows: the run is degraded.
-      if (call_strings && budget_ != nullptr) budget_->noteDepthCap();
-      auto it = return_taint_.find(target);
-      if (it != return_taint_.end()) summary = it->second;
+      std::vector<AssumptionSet>& contexts = contexts_[target];
+      if (std::find(contexts.begin(), contexts.end(), ctx) ==
+          contexts.end()) {
+        SAFEFLOW_COUNT("taint.context_clones");
+        contexts.push_back(std::move(ctx));
+        // A context added to the caller itself is solved in this visit.
+        if (target != caller) worklist_->wake(target);
+      }
     }
     // Instantiate the summary for THIS call site: parameter symbols are
     // replaced by the actual argument taints (context sensitivity in the
     // function's inputs, per the paper's value-flow-graph summaries).
+    const auto it = return_taint_.find(target);
+    const TaintId summary =
+        it == return_taint_.end() ? TaintPool::kEmpty : it->second;
     result = pool_.join(result, substituteSummary(summary, call, first_arg));
   }
 
@@ -974,27 +920,6 @@ TaintId TaintAnalysis::evalCall(const ir::Instruction& call,
   return result;
 }
 
-TaintId TaintAnalysis::analyzeInContext(const ir::Function& fn,
-                                        AssumptionSet ctx, unsigned depth) {
-  const auto key = std::make_pair(&fn, ctx);
-  auto it = context_memo_.find(key);
-  if (it != context_memo_.end()) {
-    SAFEFLOW_COUNT("taint.context_cache_hits");
-    return it->second;
-  }
-  SAFEFLOW_COUNT("taint.context_clones");
-  context_memo_[key] = TaintPool::kEmpty;  // break recursion
-
-  // Run the body fixpoint under ctx; value/object taints accumulate
-  // globally, and the return taint after convergence is this context's
-  // summary.
-  while (analyzeFunction(fn, ctx, depth)) {
-  }
-  const TaintId after = return_taint_[&fn];
-  context_memo_[key] = after;
-  return after;
-}
-
 void TaintAnalysis::run(SafeFlowReport& report) {
   const support::ScopedTimer timer("phase.taint");
   support::budgetBeginPhase(budget_, "taint");
@@ -1004,64 +929,59 @@ void TaintAnalysis::run(SafeFlowReport& report) {
     computeEffectiveAssumptions();
   }
 
-  if (options_.mode == TaintOptions::Mode::kSummaries) {
-    const auto member = [this](const ir::Function& fn) {
-      return fn.isDefined() && !regions_.isInitFunction(&fn);
-    };
-    // The objects each function's loads read, as loadTaint reads them:
-    // the points-to set of an ordinary-memory load with each cell's
-    // ancestors.
-    for (const auto& fn : module_.functions()) {
-      if (!member(*fn)) continue;
-      ObjSet reads;
-      for (const auto& bb : fn->blocks()) {
-        for (const auto& inst : bb->instructions()) {
-          if (inst->opcode() != ir::Opcode::kLoad ||
-              shm_.info(inst->operand(0)) != nullptr) {
-            continue;
-          }
-          for (ObjId base : alias_.pointsTo(inst->operand(0))) {
-            if (alias_.regionOf(base) >= 0) continue;
-            for (ObjId obj = base; obj >= 0; obj = alias_.parentOf(obj)) {
-              if (!reads.insert(obj)) break;
-            }
-          }
-        }
-      }
-      if (!reads.empty()) {
-        object_reads_.emplace_back(fn.get(), std::move(reads));
-      }
+  const auto member = [this](const ir::Function& fn) {
+    return fn.isDefined() && !regions_.isInitFunction(&fn);
+  };
+  // Each function's contexts and the objects its loads read, as loadTaint
+  // reads them: the points-to set of an ordinary-memory load with each
+  // cell's ancestors. Summaries solve a body under its effective set; call
+  // strings start at the roots' local sets, and calls add the rest.
+  const bool call_strings = options_.mode == TaintOptions::Mode::kCallStrings;
+  for (const auto& fn : module_.functions()) {
+    if (!member(*fn)) continue;
+    if (!call_strings) {
+      contexts_[fn.get()].push_back(effectiveAssumptions(fn.get()));
+    } else if (callgraph_.isRoot(fn.get())) {
+      contexts_[fn.get()].push_back(local_assumptions_[fn.get()]);
     }
-    ir::FunctionWorklist worklist(callgraph_, member);
-    worklist_ = &worklist;
-    const auto returned = [this](const ir::Function* fn) {
-      const auto it = return_taint_.find(fn);
-      return it == return_taint_.end() ? TaintPool::kEmpty : it->second;
-    };
-    while (const ir::Function* fn = worklist.pop()) {
-      const TaintId before = returned(fn);
-      memo_.enabled() ? memoizedAnalyze(*fn, effectiveAssumptions(fn))
-                      : analyzeFunction(*fn, effectiveAssumptions(fn));
-      if (returned(fn) != before) worklist.wakeCallers(fn);
-    }
-    worklist_ = nullptr;
-  } else {
-    // Call-strings: start from roots and clone per assumption context.
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      SAFEFLOW_COUNT("taint.sweep_rounds");
-      for (const auto& fn : module_.functions()) {
-        if (!fn->isDefined() || regions_.isInitFunction(fn.get()) ||
-            !callgraph_.isRoot(fn.get())) {
+    ObjSet reads;
+    for (const auto& bb : fn->blocks()) {
+      for (const auto& inst : bb->instructions()) {
+        if (inst->opcode() != ir::Opcode::kLoad ||
+            shm_.info(inst->operand(0)) != nullptr) {
           continue;
         }
-        context_memo_.clear();
-        changed |=
-            analyzeFunction(*fn, local_assumptions_[fn.get()]);
+        for (ObjId base : alias_.pointsTo(inst->operand(0))) {
+          if (alias_.regionOf(base) >= 0) continue;
+          for (ObjId obj = base; obj >= 0; obj = alias_.parentOf(obj)) {
+            if (!reads.insert(obj)) break;
+          }
+        }
       }
     }
+    if (!reads.empty()) {
+      object_reads_.emplace_back(fn.get(), std::move(reads));
+    }
   }
+  ir::FunctionWorklist worklist(callgraph_, member);
+  worklist_ = &worklist;
+  const auto returned = [this](const ir::Function* fn) {
+    const auto it = return_taint_.find(fn);
+    return it == return_taint_.end() ? TaintPool::kEmpty : it->second;
+  };
+  while (const ir::Function* fn = worklist.pop()) {
+    const TaintId before = returned(fn);
+    // By index, and solving a copy: a body can add a context to its own
+    // function.
+    const std::vector<AssumptionSet>& contexts = contexts_[fn];
+    for (std::size_t i = 0; i < contexts.size(); ++i) {
+      const AssumptionSet context = contexts[i];
+      memo_.enabled() ? memoizedAnalyze(*fn, context)
+                      : analyzeFunction(*fn, context);
+    }
+    if (returned(fn) != before) worklist.wakeCallers(fn);
+  }
+  worklist_ = nullptr;
 
   const support::ScopedSpan report_span("taint.report");
   reportWarnings(report);

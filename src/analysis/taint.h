@@ -16,14 +16,17 @@
 // taint is an error dependency; control-only taint is flagged separately
 // (the paper's manual-review / false-positive class).
 //
-// Two interprocedural engines are provided:
-//   kSummaries    per-function return/param taint summaries (the
-//                 ESP-style algorithm of §3.3's last paragraph), solved on
-//                 the shared ir::FunctionWorklist;
-//   kCallStrings  context cloning keyed on the inherited assumption set,
-//                 the prototype's "analyze each function multiple times
-//                 for different call sequences" exponential algorithm. A
-//                 call deeper than --max-depth degrades the run.
+// Two interprocedural engines are provided. They differ only in the
+// assumption contexts a function's body is solved under, and both solve
+// on the shared ir::FunctionWorklist:
+//   kSummaries    one context per function, its effective set: the
+//                 per-function return/param taint summaries of the
+//                 ESP-style algorithm of §3.3's last paragraph;
+//   kCallStrings  one context per distinct assumption set a call chain
+//                 brings, the prototype's "analyze each function multiple
+//                 times for different call sequences" exponential
+//                 algorithm. A root starts at its local set; a call adds
+//                 caller context ∪ local(callee) to the callee.
 //
 // Taint values are hash-consed: a TaintPool interns every distinct
 // TaintPair once, the solver state holds 32-bit TaintIds, and merging is
@@ -201,11 +204,9 @@ class TaintAnalysis {
   /// argument and return taints; returns true when any of them grew, and
   /// false once the budget trips. The rounds end in the same state, with
   /// the same result and counters, as re-running whole passes until one
-  /// changes nothing (DESIGN.md §18). `depth` threads the call-string
-  /// recursion depth into evalCall.
+  /// changes nothing (DESIGN.md §18).
   bool analyzeFunction(const ir::Function& fn,
-                       const AssumptionSet& assumptions,
-                       unsigned depth = 0);
+                       const AssumptionSet& assumptions);
   /// What one evaluation grew, as bits; each kind has its own revisit
   /// edges in BodyWorklist.
   enum Growth : unsigned {
@@ -214,14 +215,13 @@ class TaintAnalysis {
     kGrewReturn = 1u << 2,       ///< the function's own return taint
     kGrewCalleeArgs = 1u << 3,   ///< a callee's concrete argument taint
     kGrewOwnArgs = 1u << 4,      ///< this function's, via a self call
-    kRanNestedBodies = 1u << 5,  ///< a call ran nested body analyses
   };
   /// Evaluates one instruction of `fn` and merges its result; returns the
   /// Growth bits. `block_control` is the control taint of its block as of
   /// the block's entry in the current round.
   unsigned evalInstruction(const ir::Instruction& inst,
                            const ir::Function& fn, TaintId block_control,
-                           const AssumptionSet& assumptions, unsigned depth);
+                           const AssumptionSet& assumptions);
   class BodyWorklist;
   /// Memoizing wrapper around analyzeFunction for the summary-mode
   /// worklist (see summaries.h): digests the transformer's input, replays
@@ -264,20 +264,20 @@ class TaintAnalysis {
   /// sorted memoRefHash values — no per-visit string building.
   void hashTaintDigest(support::Fnv1a& h, const Taint& t) const;
   void hashTaintPairDigest(support::Fnv1a& h, const TaintPair& t) const;
+  /// Instantiates each target's return taint at `call` and grows its
+  /// concrete argument taints. Call strings also add the target's context
+  /// for this call (caller context ∪ its local set), waking the target
+  /// when the context is new; no call solves its callee's body.
   TaintId evalCall(const ir::Instruction& call,
-                   const AssumptionSet& caller_assumptions, unsigned depth);
-  /// Summary mode: wakes every function but `writer` whose loads read
-  /// `obj`, which just grew.
+                   const AssumptionSet& caller_assumptions);
+  /// Wakes every function but `writer` whose loads read `obj`, which just
+  /// grew.
   void wakeReaders(ObjId obj, const ir::Function& writer);
   /// recv/read-style call through a possibly-noncore descriptor; taints
-  /// the buffer's objects (counted in object_growths_) and returns the
+  /// the buffer's objects (a kGrewObject in call_growth_) and returns the
   /// result taint.
   TaintId evalReceive(const ir::Instruction& call);
   [[nodiscard]] bool isReceiveCall(const ir::Instruction& call) const;
-  /// Call-string mode: (re)analyze `fn` under `ctx`, returning the summary
-  /// (return taint) for that context. Memoized.
-  TaintId analyzeInContext(const ir::Function& fn, AssumptionSet ctx,
-                           unsigned depth);
   [[nodiscard]] TaintId operandTaint(const ir::Value* v) const;
   /// Replaces parameter symbols with the concrete taints accumulated for
   /// `fn`'s arguments (data symbols keep data/control split; control
@@ -335,24 +335,17 @@ class TaintAnalysis {
   /// reach a report site inside a callee.
   std::unordered_map<const ir::Argument*, TaintId> arg_concrete_;
   std::unordered_map<const ir::Function*, TaintId> return_taint_;
-  // Call-string memoization: (function, context) -> return taint.
-  std::map<std::pair<const ir::Function*, AssumptionSet>, TaintId>
-      context_memo_;
+  /// The assumption contexts each function's body is solved under, in
+  /// the order they were added.
+  std::map<const ir::Function*, std::vector<AssumptionSet>> contexts_;
   std::size_t body_analyses_ = 0;
-  /// Summary mode's schedule, set while run() runs.
+  /// The schedule, set while run() runs.
   ir::FunctionWorklist* worklist_ = nullptr;
-  /// Summary mode: the objects each function's loads read, in module
-  /// order.
+  /// The objects each function's loads read, in module order.
   std::vector<std::pair<const ir::Function*, ObjSet>> object_reads_;
   /// Growth bits evalCall records for the call being evaluated: callee
-  /// argument taints. Reset per call, so nested body analyses overwrite
-  /// it; kRanNestedBodies, which revisits the whole body, covers that
-  /// case.
+  /// argument taints and receive-buffer objects. Reset per call.
   unsigned call_growth_ = 0;
-  /// Object growths so far (stores and receive buffers). Monotone, so a
-  /// call compares it before and after to see whether it grew an object,
-  /// through its receive buffer or inside its nested body analyses.
-  std::uint64_t object_growths_ = 0;
   AssumptionSet empty_assumptions_;
 };
 

@@ -136,7 +136,40 @@ std::string_view tokenKindName(TokenKind k) {
     case TokenKind::kComma: return "','";
     case TokenKind::kDot: return "'.'";
     case TokenKind::kArrow: return "'->'";
+    case TokenKind::kEllipsis: return "'...'";
+    case TokenKind::kPlus: return "'+'";
+    case TokenKind::kMinus: return "'-'";
+    case TokenKind::kStar: return "'*'";
+    case TokenKind::kSlash: return "'/'";
+    case TokenKind::kPercent: return "'%'";
+    case TokenKind::kPlusPlus: return "'++'";
+    case TokenKind::kMinusMinus: return "'--'";
+    case TokenKind::kAmp: return "'&'";
+    case TokenKind::kPipe: return "'|'";
+    case TokenKind::kCaret: return "'^'";
+    case TokenKind::kTilde: return "'~'";
+    case TokenKind::kShl: return "'<<'";
+    case TokenKind::kShr: return "'>>'";
+    case TokenKind::kAmpAmp: return "'&&'";
+    case TokenKind::kPipePipe: return "'||'";
+    case TokenKind::kBang: return "'!'";
+    case TokenKind::kLess: return "'<'";
+    case TokenKind::kGreater: return "'>'";
+    case TokenKind::kLessEq: return "'<='";
+    case TokenKind::kGreaterEq: return "'>='";
+    case TokenKind::kEqEq: return "'=='";
+    case TokenKind::kBangEq: return "'!='";
     case TokenKind::kAssign: return "'='";
+    case TokenKind::kPlusAssign: return "'+='";
+    case TokenKind::kMinusAssign: return "'-='";
+    case TokenKind::kStarAssign: return "'*='";
+    case TokenKind::kSlashAssign: return "'/='";
+    case TokenKind::kPercentAssign: return "'%='";
+    case TokenKind::kAmpAssign: return "'&='";
+    case TokenKind::kPipeAssign: return "'|='";
+    case TokenKind::kCaretAssign: return "'^='";
+    case TokenKind::kShlAssign: return "'<<='";
+    case TokenKind::kShrAssign: return "'>>='";
     case TokenKind::kColon: return "':'";
     case TokenKind::kQuestion: return "'?'";
     case TokenKind::kHash: return "'#'";

@@ -113,6 +113,14 @@ std::int64_t charLiteralValue(std::string_view text) {
   }
 }
 
+/// A token as a message names it: punctuation, which has no spelling of
+/// its own, by its kind; anything else by its spelling and kind.
+std::string describe(const Token& t) {
+  if (t.text.empty()) return std::string(tokenKindName(t.kind));
+  return "'" + std::string(t.text) + "' (" +
+         std::string(tokenKindName(t.kind)) + ")";
+}
+
 }  // namespace
 
 Parser::Parser(std::vector<Token> tokens, TypeContext& types,
@@ -149,9 +157,7 @@ bool Parser::expect(TokenKind k, std::string_view context) {
   if (accept(k)) return true;
   diags_->error(peek().location, "parse",
                 "expected " + std::string(tokenKindName(k)) + " " +
-                    std::string(context) + ", found '" +
-                    std::string(peek().text) + "' (" +
-                    std::string(tokenKindName(peek().kind)) + ")");
+                    std::string(context) + ", found " + describe(peek()));
   return false;
 }
 
@@ -564,8 +570,7 @@ bool Parser::parseExternalDeclaration(TranslationUnit& tu,
   DeclSpec spec;
   if (!parseDeclSpec(spec)) {
     diags_->error(peek().location, "parse",
-                  "expected declaration, found '" + std::string(peek().text) +
-                      "'");
+                  "expected declaration, found " + describe(peek()));
     advance();
     return false;
   }
@@ -693,12 +698,14 @@ std::optional<Annotation> Parser::parseAnnotation(const Token& t) {
   const bool file_fatal = std::exchange(fatal_, false);
   support::DiagnosticEngine* const file_diags =
       std::exchange(diags_, &body_diags);
+  in_annotation_ = true;
   Annotation out;
   try {
     parseAnnotationBody(out);
   } catch (const TooDeep&) {
     // The guard reported it into body_diags.
   }
+  in_annotation_ = false;
   std::swap(tokens_, body);
   pos_ = resume;
   fatal_ = file_fatal;
@@ -1261,8 +1268,9 @@ ExprPtr Parser::parsePrimary() {
         return std::make_unique<DeclRefExpr>(decl, decl->type(), loc);
       }
       // Implicit function declaration (classic C): `name(...)` with no
-      // prior declaration becomes `extern int name(...)`.
-      if (peek(1).is(TokenKind::kLParen)) {
+      // prior declaration becomes `extern int name(...)`. Not in an
+      // annotation body, which must leave the file's declarations alone.
+      if (peek(1).is(TokenKind::kLParen) && !in_annotation_) {
         advance();
         const FunctionType* ft =
             types_.functionType(types_.intType(), {}, /*variadic=*/true);
@@ -1282,10 +1290,7 @@ ExprPtr Parser::parsePrimary() {
       return std::make_unique<IntLitExpr>(0, types_.intType(), loc);
     }
     default:
-      diags_->error(loc, "parse",
-                    "expected expression, found '" + std::string(t.text) +
-                        "' (" +
-                        std::string(tokenKindName(t.kind)) + ")");
+      diags_->error(loc, "parse", "expected expression, found " + describe(t));
       advance();
       if (check(TokenKind::kEof)) fatal_ = true;
       return std::make_unique<IntLitExpr>(0, types_.intType(), loc);

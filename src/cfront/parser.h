@@ -154,6 +154,8 @@ class Parser {
   support::StringMap<const Type*> typedefs_;
   TranslationUnit* tu_ = nullptr;
   bool fatal_ = false;
+  /// True while an annotation body parses: a call in it declares nothing.
+  bool in_annotation_ = false;
 };
 
 }  // namespace safeflow::cfront

@@ -14,7 +14,7 @@
 //   - kAnalyzerVersion (driver.h; bumped on analysis-semantics changes);
 //   - the analysis flags the CLI forwards to a worker (-I/-D/--mode/
 //     --no-control-deps/--kill-critical/--time-budget/--step-budget/
-//     --max-depth/--no-ranges), then the rendering flags
+//     --no-ranges), then the rendering flags
 //     (--json/--quiet), since the entry stores printed
 //     bytes. Scheduling and export flags (--isolate/--worker-timeout/
 //     --retries/--stats*/--metrics-out) are excluded: they change

@@ -71,12 +71,11 @@ std::uint64_t residentBytes() {
 /// tighten from, as in the one-shot CLI).
 bool validateFlags(const std::vector<std::string>& flags,
                    double* time_budget_seconds, std::string* error) {
-  // The CLI's rule: an unsigned integer, and --max-depth at least 1.
-  const auto unsignedArg = [](const std::string& v, unsigned long long min) {
-    if (v.empty()) return false;
+  // The CLI's rule: an unsigned integer.
+  const auto unsignedArg = [](const std::string& v) {
     char* end = nullptr;
-    const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-    return end != v.c_str() && *end == '\0' && n >= min;
+    std::strtoull(v.c_str(), &end, 10);
+    return end != v.c_str() && *end == '\0';
   };
   for (std::size_t i = 0; i < flags.size(); ++i) {
     const std::string& flag = flags[i];
@@ -98,10 +97,9 @@ bool validateFlags(const std::vector<std::string>& flags,
         return false;
       }
       ++i;
-    } else if (flag == "--step-budget" || flag == "--max-depth") {
-      if (!has_arg ||
-          !unsignedArg(flags[i + 1], flag == "--max-depth" ? 1 : 0)) {
-        *error = "invalid " + flag;
+    } else if (flag == "--step-budget") {
+      if (!has_arg || !unsignedArg(flags[i + 1])) {
+        *error = "invalid --step-budget";
         return false;
       }
       ++i;

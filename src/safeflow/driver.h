@@ -44,7 +44,7 @@ class SummaryStore;
 /// propagation, restriction rules, taint, rendering, defaults. The bump
 /// is what invalidates every stale cache entry; forgetting it means an
 /// upgraded analyzer can replay a report the old version produced.
-inline constexpr const char kAnalyzerVersion[] = "0.9.5";
+inline constexpr const char kAnalyzerVersion[] = "0.9.6";
 
 /// One file the frontend read: its path and the FNV-1a digest (16 hex
 /// characters) of the bytes it read, or "" when the path could not be
@@ -102,7 +102,7 @@ struct SafeFlowOptions {
   /// Perfetto export via SafeFlowDriver::trace()). Counters and per-phase
   /// wall times are always collected; only span recording is optional.
   bool collect_trace = false;
-  /// Analysis budget (--time-budget / --step-budget / --max-depth). The
+  /// Analysis budget (--time-budget / --step-budget). The
   /// default is unlimited; see support/limits.h and DESIGN.md for the
   /// degradation semantics when a limit trips.
   support::BudgetLimits budget;

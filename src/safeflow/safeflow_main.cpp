@@ -69,8 +69,6 @@ void usage() {
          "  --stats-json <file> write statistics as JSON ('-' = stdout)\n"
          "  --time-budget <dur> wall-clock budget (e.g. 250ms, 2s)\n"
          "  --step-budget <n>   per-phase work-unit cap\n"
-         "  --max-depth <n>     call-string context-depth cap (default\n"
-         "                      32); a deeper call degrades the run\n"
          "  --isolate           analyze in one crash-isolated worker\n"
          "                      process (same report)\n"
          "  --worker-timeout <dur>  per-worker watchdog (default 60s)\n"
@@ -293,15 +291,6 @@ int main(int argc, char** argv) {
       }
       options.budget.phase_steps = n;
       forward({"--step-budget", argv[i]});
-    } else if (arg == "--max-depth" && i + 1 < argc) {
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || n == 0) {
-        std::cerr << "invalid --max-depth '" << argv[i] << "'\n";
-        return 2;
-      }
-      options.budget.max_depth = static_cast<unsigned>(n);
-      forward({"--max-depth", argv[i]});
     } else if (arg == "--isolate") {
       isolate = true;
     } else if (arg == "--connect" && i + 1 < argc) {

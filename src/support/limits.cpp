@@ -45,13 +45,6 @@ bool AnalysisBudget::stepSlow(std::uint64_t n) {
   return true;
 }
 
-void AnalysisBudget::noteDepthCap() {
-  if (phaseDegraded(phase_)) return;  // one event per phase is enough
-  events_.push_back(BudgetEvent{phase_, "depth", phase_steps_});
-  SAFEFLOW_COUNT("budget.exhausted");
-  flightRecord("budget", phase_ + " depth limit");
-}
-
 void AnalysisBudget::trip(const char* reason) {
   exhausted_ = true;
   events_.push_back(BudgetEvent{phase_, reason, phase_steps_});

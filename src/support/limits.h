@@ -4,9 +4,8 @@
 // accounts its work against one AnalysisBudget owned by the driver. A
 // budget combines
 //
-//   - a wall-clock deadline shared by the whole run (--time-budget),
-//   - a per-phase step cap (--step-budget), and
-//   - the call-string context-depth cap (--max-depth).
+//   - a wall-clock deadline shared by the whole run (--time-budget) and
+//   - a per-phase step cap (--step-budget).
 //
 // When a time or step limit trips, the current phase stops where it is, a
 // BudgetEvent is recorded, and the phase marks its partial results
@@ -34,8 +33,6 @@ struct BudgetLimits {
   /// Cap on work units per phase (worklist pops, instructions visited,
   /// solver constraint derivations); 0 means unlimited.
   std::uint64_t phase_steps = 0;
-  /// Call-string context-depth cap (--max-depth).
-  unsigned max_depth = 32;
 
   [[nodiscard]] bool limited() const {
     return time_seconds > 0.0 || phase_steps > 0;
@@ -45,7 +42,7 @@ struct BudgetLimits {
 /// One phase that ran out of budget.
 struct BudgetEvent {
   std::string phase;
-  std::string reason;        // "time", "steps" or "depth"
+  std::string reason;        // "time" or "steps"
   std::uint64_t steps = 0;   // work units completed when the limit tripped
 };
 
@@ -57,7 +54,6 @@ class AnalysisBudget {
 
   [[nodiscard]] bool limited() const { return limits_.limited(); }
   [[nodiscard]] const BudgetLimits& limits() const { return limits_; }
-  [[nodiscard]] unsigned maxDepth() const { return limits_.max_depth; }
 
   /// Latches the wall-clock deadline; idempotent. The driver calls this
   /// when the pipeline starts; phases entered before start() only check
@@ -79,11 +75,6 @@ class AnalysisBudget {
     if (exhausted_) return false;
     return stepSlow(n);
   }
-
-  /// Records that the current phase cut a call chain at maxDepth(): a
-  /// "depth" event, unless the phase has one already. It degrades the run
-  /// but does not stop the phase.
-  void noteDepthCap();
 
   /// True once the *current* phase tripped a limit (reset by beginPhase).
   [[nodiscard]] bool exhausted() const { return exhausted_; }

@@ -179,7 +179,7 @@ TEST(Affine, BudgetTripFallsBackToFeasible) {
   sys.addUpperBound(x, 9);
   EXPECT_FALSE(sys.isFeasible());
 
-  support::AnalysisBudget budget(support::BudgetLimits{0.0, 1, 32});
+  support::AnalysisBudget budget(support::BudgetLimits{0.0, 1});
   EXPECT_TRUE(sys.isFeasible(&budget));
   EXPECT_TRUE(budget.exhausted());
 }

@@ -243,6 +243,21 @@ TEST_F(AnnotationTest, MacrosInAnnotationsStayUnexpanded) {
       parse("assume(shmvar(p, SLOTS))", "#define SLOTS 4\n").has_value());
 }
 
+TEST_F(AnnotationTest, CallInARejectedBodyDeclaresNothing) {
+  // Classic C would declare `extern int foo()` here; an annotation body
+  // must leave the file's declarations as it found them.
+  EXPECT_FALSE(parse("assume(core(p, 0, foo(1)))").has_value());
+  EXPECT_EQ(fe_.unit().findFunction("foo"), nullptr);
+}
+
+TEST_F(AnnotationTest, MissingPunctuationIsNamedByItsKind) {
+  parse("assume(core(p, 0))");
+  const std::string& message = fe_.diagnostics().diagnostics().back().message;
+  EXPECT_NE(message.find("expected ',' before the size, found ')' (in"),
+            std::string::npos)
+      << message;
+}
+
 TEST_F(AnnotationTest, MalformedInputsReportDiagnostics) {
   const std::size_t before = fe_.diagnostics().errorCount();
   parse("assume(core(p, 0)");

@@ -36,6 +36,7 @@
 #include <dirent.h>
 #include <unistd.h>
 
+#include "bench/synthetic.h"
 #include "daemon_test_util.h"
 #include "support/json.h"
 #include "support/subprocess.h"
@@ -353,5 +354,26 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(std::get<0>(info.param).name) + "_" +
              std::get<1>(info.param).name;
     });
+
+// Two monitors reach the critical sink through a 5,000-deep helper chain.
+// Both engines solve it on the function worklist, where nothing recurses
+// along the chain and no depth is capped: each finds both flows, in
+// process and in an isolated worker.
+TEST(DeepChain, BothEnginesReportBothFlowsInProcessAndIsolated) {
+  const std::string file = freshTempDir("deep_chain") + "/fan.c";
+  std::ofstream(file) << bench::monitorFanProgram(2, 5000);
+  for (const char* mode : {"--mode=summaries", "--mode=call-strings"}) {
+    for (const char* path : {"", "--isolate"}) {
+      std::vector<std::string> args = {mode};
+      if (*path != '\0') args.emplace_back(path);
+      args.push_back(file);
+      const support::SubprocessResult got = runSafeflow(args);
+      EXPECT_TRUE(got.exitedWith(1)) << mode << " " << path << got.err_text;
+      EXPECT_NE(got.out_text.find("2 error dependency(ies)"),
+                std::string::npos)
+          << mode << " " << path << got.out_text;
+    }
+  }
+}
 
 }  // namespace

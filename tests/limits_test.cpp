@@ -68,24 +68,6 @@ TEST(AnalysisBudget, BulkStepsCountAsN) {
   EXPECT_FALSE(budget.step(1));
 }
 
-TEST(AnalysisBudget, DepthCapRecordsOneEventPerPhaseAndGoesOn) {
-  AnalysisBudget budget;  // unlimited steps and time; depth cap 32
-  EXPECT_EQ(budget.maxDepth(), 32u);
-  budget.start();
-  budget.beginPhase("taint");
-  budget.noteDepthCap();
-  budget.noteDepthCap();
-  EXPECT_FALSE(budget.exhausted());  // the phase goes on
-  EXPECT_TRUE(budget.step());
-  ASSERT_EQ(budget.events().size(), 1u);
-  EXPECT_EQ(budget.events()[0].phase, "taint");
-  EXPECT_EQ(budget.events()[0].reason, "depth");
-  EXPECT_TRUE(budget.anyDegraded());
-  budget.beginPhase("again");
-  budget.noteDepthCap();
-  EXPECT_EQ(budget.events().size(), 2u);
-}
-
 TEST(AnalysisBudget, NullHelperAlwaysSucceeds) {
   EXPECT_TRUE(support::budgetStep(nullptr));
   support::budgetBeginPhase(nullptr, "x");  // must not crash
@@ -197,59 +179,26 @@ TEST(DriverBudget, TimeBudgetAlreadyExpiredTripsEveryPhase) {
 }
 
 // monitorFanProgram(2, 40): two monitors reach the critical sink through
-// a 40-deep helper chain. Call strings analyze each helper in a context one
-// deeper than its caller, so the default cap of 32 cuts the chain.
-SafeFlowOptions callStrings(unsigned max_depth) {
-  SafeFlowOptions options;
-  options.taint.mode = analysis::TaintOptions::Mode::kCallStrings;
-  options.budget.max_depth = max_depth;
-  return options;
-}
-
-TEST(DriverBudget, CallStringsPastTheDepthCapAreDegraded) {
+// a 40-deep helper chain. Call strings give every helper one context per
+// monitor, added call by call on the function worklist, so no depth of
+// chain cuts a flow.
+TEST(DriverBudget, CallStringsFollowAChainOfAnyDepth) {
   const std::string fan = bench::monitorFanProgram(2, 40);
   SafeFlowDriver summaries;
   summaries.addSource("fan.c", fan);
   EXPECT_EQ(summaries.analyze().dataErrorCount(), 2u);
   EXPECT_FALSE(summaries.degraded());
 
-  // Past the cap the helpers' flows are lost: the run must not certify.
-  SafeFlowDriver capped(callStrings(BudgetLimits{}.max_depth));
-  capped.addSource("fan.c", fan);
-  const auto& report = capped.analyze();
-  EXPECT_EQ(report.dataErrorCount(), 0u);
-  EXPECT_TRUE(capped.degraded());
-  ASSERT_EQ(capped.budget().events().size(), 1u);
-  EXPECT_EQ(capped.budget().events()[0].phase, "taint");
-  EXPECT_EQ(capped.budget().events()[0].reason, "depth");
-  EXPECT_NE(report.render(capped.sources()).find("DEGRADED"),
+  SafeFlowOptions options;
+  options.taint.mode = analysis::TaintOptions::Mode::kCallStrings;
+  SafeFlowDriver call_strings(options);
+  call_strings.addSource("fan.c", fan);
+  const auto& report = call_strings.analyze();
+  EXPECT_EQ(report.dataErrorCount(), 2u);
+  EXPECT_FALSE(call_strings.degraded());
+  EXPECT_TRUE(call_strings.budget().events().empty());
+  EXPECT_EQ(report.render(call_strings.sources()).find("DEGRADED"),
             std::string::npos);
-
-  // A cap the chain fits under finds both flows and certifies.
-  SafeFlowDriver deep(callStrings(64));
-  deep.addSource("fan.c", fan);
-  EXPECT_EQ(deep.analyze().dataErrorCount(), 2u);
-  EXPECT_FALSE(deep.degraded());
-}
-
-TEST(DriverBudget, DepthCapOfOneDegradesGenericSimplex) {
-  // --mode=call-strings --max-depth 1 --kill-critical loses the
-  // riggable-feedback error; the run says so instead of reporting less.
-  const std::string corpus = SAFEFLOW_CORPUS_DIR;
-  for (const unsigned max_depth : {1u, 32u}) {
-    SafeFlowOptions options = callStrings(max_depth);
-    options.include_dirs.push_back(corpus + "/generic_simplex/common");
-    options.taint.implicit_critical_calls.emplace_back("kill", 0u);
-    SafeFlowDriver driver(options);
-    for (const char* file : {"comm.c", "config.c", "estimator.c", "main.c",
-                             "monitors.c", "profile.c", "safety.c",
-                             "watchdog.c"}) {
-      ASSERT_TRUE(driver.addFile(corpus + "/generic_simplex/core/" + file));
-    }
-    const auto& report = driver.analyze();
-    EXPECT_EQ(report.dataErrorCount(), max_depth == 1 ? 1u : 2u);
-    EXPECT_EQ(driver.degraded(), max_depth == 1) << max_depth;
-  }
 }
 
 TEST(DriverBudget, FailedFileIsIsolatedAndListed) {

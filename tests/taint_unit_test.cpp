@@ -428,7 +428,7 @@ int main(void)
 )",
                          inMode(GetParam()));
   expectFindings(*d, 1, {{"a7", Kind::kData}},
-                 GetParam() == Mode::kSummaries ? 1 : 2);
+                 1);
 }
 
 TEST_P(SparseSolver, ControlTaintReachesEarlierHeaderPhi) {
@@ -458,7 +458,7 @@ int main(void)
 )",
                          inMode(GetParam()));
   expectFindings(*d, 1, {{"mode", Kind::kControl}},
-                 GetParam() == Mode::kSummaries ? 1 : 2);
+                 1);
 }
 
 TEST_P(SparseSolver, LoadBeforeTheStoreThatTaintsItsObject) {
@@ -484,7 +484,7 @@ int main(void)
 )",
                          inMode(GetParam()));
   expectFindings(*d, 1, {{"out", Kind::kData}},
-                 GetParam() == Mode::kSummaries ? 1 : 2);
+                 1);
 }
 
 TEST_P(SparseSolver, LoopConditionTaintedAfterItsHeaderRan) {
@@ -508,7 +508,7 @@ int main(void)
 )",
                          inMode(GetParam()));
   expectFindings(*d, 1, {{"k", Kind::kControl}},
-                 GetParam() == Mode::kSummaries ? 1 : 2);
+                 1);
 }
 
 TEST_P(SparseSolver, SelfRecursionFeedsReturnAndArgumentsBack) {
@@ -547,13 +547,8 @@ int main(void)
 }
 )",
                          inMode(GetParam()));
-  if (GetParam() == Mode::kSummaries) {
-    expectFindings(*d, 2, {{"r", Kind::kData}, {"kept", Kind::kData}}, 2);
-  } else {
-    // Call strings break the recursion with an empty summary for the
-    // inner calls, so only the escape through `box` is found.
-    expectFindings(*d, 2, {{"kept", Kind::kData}}, 5);
-  }
+  expectFindings(*d, 2, {{"r", Kind::kData}, {"kept", Kind::kData}},
+                 GetParam() == Mode::kSummaries ? 2 : 3);
 }
 
 TEST_P(SparseSolver, ReceiveBufferReadBeforeTheReceive) {
@@ -587,12 +582,12 @@ int main(void)
 )",
                          inMode(GetParam()));
   expectFindings(*d, 1, {{"command", Kind::kData}},
-                 GetParam() == Mode::kSummaries ? 2 : 4);
+                 2);
 }
 
 TEST_P(SparseSolver, NestedAnalysisGrowsAnObjectReadEarlier) {
-  // In call-string mode put() is analyzed inside main's body, and its
-  // store grows the global main loaded before the call.
+  // put()'s store grows the global main loaded before the call, which
+  // has to wake main again.
   const auto d = analyze(R"(
 float box;
 void put(void)
@@ -619,13 +614,12 @@ int main(void)
 )",
                          inMode(GetParam()));
   expectFindings(*d, 2, {{"out", Kind::kData}},
-                 GetParam() == Mode::kSummaries ? 2 : 5);
+                 GetParam() == Mode::kSummaries ? 2 : 3);
 }
 
 TEST_P(SparseSolver, NestedObjectGrowthAloneRevisitsAnEarlierLoad) {
-  // As above, but nothing else in main's loop grows: the object put()
-  // grows inside its nested analysis has to count as main's change, or
-  // main's solve stops before the load of box is revisited.
+  // As above, but nothing else in main's loop grows: only the object
+  // put() grows wakes main, or the load of box is never revisited.
   const auto d = analyze(R"(
 float box;
 void put(void)
@@ -649,7 +643,7 @@ int main(void)
 )",
                          inMode(GetParam()));
   expectFindings(*d, 1, {{"out", Kind::kData}},
-                 GetParam() == Mode::kSummaries ? 2 : 5);
+                 GetParam() == Mode::kSummaries ? 2 : 3);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -664,12 +658,13 @@ INSTANTIATE_TEST_SUITE_P(
 // The interprocedural schedule: a wake-up edge per test
 // ---------------------------------------------------------------------------
 //
-// Summary mode seeds every function callees first and visits one again
-// only when something it reads grew. take() reads the global box that its
-// sibling put() writes: box's growth has to wake take(), and take's grown
-// return has to wake main. Neither calls the other, so only the object
-// edge orders them, whichever is defined first. A callee whose argument
-// taint grew is woken too.
+// Both engines seed every function callees first and visit one again only
+// when something it reads grew. Call strings solve a function only once a
+// call has given it a context, so a callee's seeded visit does nothing.
+// take() reads the global box that its sibling put() writes: box's growth
+// has to wake take(), and take's grown return has to wake main. Neither
+// calls the other, so only the object edge orders them, whichever is
+// defined first. A callee whose argument taint grew is woken too.
 
 const char* kTake = R"(
 float take(void)
@@ -707,7 +702,7 @@ TEST_P(Schedule, StoreWakesASiblingReaderDefinedBeforeIt) {
                              kPutThenTake,
                          inMode(GetParam()));
   expectFindings(*d, 1, {{"out", Kind::kData}},
-                 GetParam() == Mode::kSummaries ? 5 : 8);
+                 5);
 }
 
 TEST_P(Schedule, StoreWakesASiblingReaderDefinedAfterIt) {
@@ -716,7 +711,7 @@ TEST_P(Schedule, StoreWakesASiblingReaderDefinedAfterIt) {
                          inMode(GetParam()));
   // Seeded put(), take(), main: one visit each.
   expectFindings(*d, 1, {{"out", Kind::kData}},
-                 GetParam() == Mode::kSummaries ? 3 : 8);
+                 GetParam() == Mode::kSummaries ? 3 : 4);
 }
 
 TEST_P(Schedule, GrownArgumentWakesTheCallee) {
@@ -742,7 +737,7 @@ int main(void)
 )",
                          inMode(GetParam()));
   expectFindings(*d, 1, {{"out", Kind::kData}},
-                 GetParam() == Mode::kSummaries ? 4 : 5);
+                 GetParam() == Mode::kSummaries ? 4 : 3);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -772,10 +767,10 @@ TEST(SparseSolver, InstructionEvalsGrowLinearlyWithRotationLength) {
 
 TEST(TaintWorkload, ProgramsKeepEveryCounter) {
   // How taint values are stored must not change the steps the solver
-  // takes: every body analysis, evaluation, summary growth, call-string
-  // sweep round and context clone is pinned on the three workload
-  // programs, in both engines. Summary mode visits each function once
-  // here: nothing a second visit would read grows.
+  // takes: every body analysis, evaluation, summary growth and context
+  // clone is pinned on the three workload programs, in both engines.
+  // Summary mode visits each function once here: nothing a second visit
+  // would read grows.
   struct Expected {
     const char* name;
     std::string source;
@@ -783,25 +778,24 @@ TEST(TaintWorkload, ProgramsKeepEveryCounter) {
     std::vector<std::uint64_t> counters;  // in kCounters order
   };
   const char* const kCounters[] = {
-      "taint.body_analyses",      "taint.instruction_evals",
-      "taint.summaries_computed", "taint.sweep_rounds",
-      "taint.context_clones",     "taint.context_cache_hits"};
+      "taint.body_analyses", "taint.instruction_evals",
+      "taint.summaries_computed", "taint.context_clones"};
   const std::string scaling = bench::scalingProgram(2000);
   const std::string cycle = bench::accumulatorCycleProgram(12, 96);
   const std::string churn = bench::pointerChurnProgram(200, 32);
   const Expected runs[] = {
       {"scalingProgram(2000)", scaling, Mode::kSummaries,
-       {2001, 94005, 4000, 0, 0, 0}},
+       {2001, 94005, 4000, 0}},
       {"scalingProgram(2000)", scaling, Mode::kCallStrings,
-       {4001, 136005, 4000, 1, 2000, 0}},
+       {2002, 98010, 4000, 2000}},
       {"accumulatorCycleProgram(12, 96)", cycle, Mode::kSummaries,
-       {13, 15197, 36, 0, 0, 0}},
+       {13, 15197, 36, 0}},
       {"accumulatorCycleProgram(12, 96)", cycle, Mode::kCallStrings,
-       {38, 24711, 36, 2, 24, 12}},
+       {14, 15226, 36, 12}},
       {"pointerChurnProgram(200, 32)", churn, Mode::kSummaries,
-       {233, 11667, 232, 0, 0, 0}},
+       {233, 11667, 232, 0}},
       {"pointerChurnProgram(200, 32)", churn, Mode::kCallStrings,
-       {463, 17346, 200, 1, 231, 629}},
+       {465, 17733, 232, 232}},
   };
   for (const Expected& e : runs) {
     SafeFlowDriver driver(inMode(e.mode));
@@ -814,6 +808,39 @@ TEST(TaintWorkload, ProgramsKeepEveryCounter) {
       EXPECT_EQ(counter(driver, kCounters[i]), e.counters[i])
           << e.name << engine << kCounters[i];
     }
+  }
+}
+
+TEST(TaintWorkload, CallStringsCostMoreThanSummariesAndGrowWithTheFan) {
+  // The ablation §3.3 motivates: in monitorFanProgram(m, d) each of the d
+  // helpers gets one call-string context per monitor, solved on the way
+  // down the chain and again as the return grows back up, while summary
+  // mode solves each function once.
+  struct Size {
+    int monitors, depth;
+    std::uint64_t summaries, call_strings;
+  };
+  std::uint64_t previous = 0;
+  for (const Size& size : {Size{2, 4, 7, 20}, Size{4, 8, 13, 70},
+                           Size{8, 16, 25, 266}}) {
+    const std::string fan = bench::monitorFanProgram(size.monitors, size.depth);
+    std::uint64_t bodies[2] = {0, 0};
+    for (const Mode mode : {Mode::kSummaries, Mode::kCallStrings}) {
+      SafeFlowDriver driver(inMode(mode));
+      driver.addSource("fan.c", fan);
+      EXPECT_EQ(driver.analyze().dataErrorCount(),
+                static_cast<std::size_t>(size.monitors));
+      bodies[mode == Mode::kCallStrings] =
+          counter(driver, "taint.body_analyses");
+    }
+    const std::string at = "monitorFanProgram(" +
+                           std::to_string(size.monitors) + ", " +
+                           std::to_string(size.depth) + ")";
+    EXPECT_EQ(bodies[0], size.summaries) << at;
+    EXPECT_EQ(bodies[1], size.call_strings) << at;
+    EXPECT_GT(bodies[1], bodies[0]) << at;
+    EXPECT_GT(bodies[1], previous) << at;
+    previous = bodies[1];
   }
 }
 
