@@ -1,12 +1,10 @@
 // Restriction-checking microbenchmarks (paper §3.2): each of P1, P2, P3,
 // A1, A2 violated in isolation, verifying the checker fires exactly once
-// per seeded violation and measuring the cost of the affine (Omega-lite)
-// machinery as loop nests grow.
+// per seeded violation, and the clean corpora firing none.
 #include <benchmark/benchmark.h>
 
 #include <string>
 
-#include "analysis/affine.h"
 #include "bench/synthetic.h"
 #include "safeflow/corpus_info.h"
 #include "safeflow/driver.h"
@@ -58,33 +56,6 @@ void BM_RestrictionMutant(benchmark::State& state) {
   state.SetLabel(rule);
 }
 BENCHMARK(BM_RestrictionMutant)->DenseRange(0, 4);
-
-void BM_AffineSolverScaling(benchmark::State& state) {
-  const int vars = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    analysis::LinearSystem sys;
-    int prev = -1;
-    for (int i = 0; i < vars; ++i) {
-      const int v = sys.addVariable();
-      sys.addLowerBound(v, 0);
-      sys.addUpperBound(v, 100);
-      if (prev >= 0) {
-        // v = prev + 1
-        analysis::LinearConstraint eq;
-        eq.coeffs[v] = 1;
-        eq.coeffs[prev] = -1;
-        eq.constant = -1;
-        sys.addEquality(eq);
-      }
-      prev = v;
-    }
-    // Ask for a violation that cannot happen: last var > 100 + vars.
-    sys.addLowerBound(prev, 101 + vars);
-    benchmark::DoNotOptimize(sys.isFeasible());
-  }
-  state.counters["variables"] = static_cast<double>(vars);
-}
-BENCHMARK(BM_AffineSolverScaling)->Arg(2)->Arg(4)->Arg(8)->Arg(12);
 
 void BM_CleanCorpusHasNoViolations(benchmark::State& state) {
   // The paper: "no source changes were necessary for the systems to

@@ -246,6 +246,25 @@ std::optional<Interval> Interval::meet(const Interval& o) const {
   return m;
 }
 
+Interval Interval::plus(const Interval& o) const {
+  return Interval{addLo(lo, o.lo), addHi(hi, o.hi)};
+}
+
+Interval Interval::times(std::int64_t k) const {
+  if (k == 0) return constant(0);
+  const auto scale = [k](std::int64_t bound, std::int64_t unbounded,
+                         std::int64_t saturated) {
+    std::int64_t r;
+    if (bound == unbounded || __builtin_mul_overflow(bound, k, &r)) {
+      return saturated;
+    }
+    return r;
+  };
+  // A negative factor swaps the bounds.
+  if (k > 0) return Interval{scale(lo, kMin, kMin), scale(hi, kMax, kMax)};
+  return Interval{scale(hi, kMax, kMin), scale(lo, kMin, kMax)};
+}
+
 std::string Interval::str() const {
   std::ostringstream out;
   out << "[";
@@ -663,7 +682,7 @@ std::optional<Interval> RangeAnalysis::transfer(const ir::Instruction& inst) {
       Interval r = Interval::top();
       switch (inst.bin_op) {
         case ir::BinOp::kAdd:
-          r = Interval{addLo(a->lo, b->lo), addHi(a->hi, b->hi)};
+          r = a->plus(*b);
           break;
         case ir::BinOp::kSub:
           r = Interval{subLo(a->lo, b->hi), subHi(a->hi, b->lo)};
@@ -1051,6 +1070,24 @@ void RangeAnalysis::degradeToTop() {
   SAFEFLOW_COUNT("ranges.degraded_runs");
 }
 
+// --- consumers 1 and 3: the byte range of an shm access ------------------
+
+ShmAccess shmAccess(const ir::Instruction& gep, const ShmPtrInfo& base,
+                    const Interval& index) {
+  ShmAccess access;
+  if (gep.type()->isPointer()) {
+    access.elem_size = std::max<std::int64_t>(
+        1, static_cast<std::int64_t>(
+               static_cast<const cfront::PointerType*>(gep.type())
+                   ->pointee()
+                   ->size()));
+  }
+  const Interval offset = base.offset_known ? Interval{base.lo, base.hi}
+                                            : Interval::constant(0);
+  access.start = offset.plus(index.times(access.elem_size));
+  return access;
+}
+
 // --- consumer 3: definite out-of-bounds shm accesses ------------------------
 
 std::size_t checkShmConstBounds(const ir::Module& module,
@@ -1070,41 +1107,23 @@ std::size_t checkShmConstBounds(const ir::Module& module,
         if (inst->opcode() != ir::Opcode::kIndexAddr) continue;
         const ShmPtrInfo* base = shm.info(inst->operand(0));
         if (base == nullptr) continue;
-        std::int64_t elem_size = 1;
-        if (inst->type()->isPointer()) {
-          elem_size = static_cast<std::int64_t>(
-              static_cast<const cfront::PointerType*>(inst->type())
-                  ->pointee()
-                  ->size());
-          if (elem_size == 0) elem_size = 1;
-        }
         const Interval idx = ranges.rangeAt(inst->operand(1), bb.get());
+        const ShmAccess access = shmAccess(*inst, *base, idx);
         for (int region_id : base->regions) {
           const ShmRegion* region = regions.byId(region_id);
           if (region == nullptr || region->size == 0) continue;
-          const auto extent = static_cast<std::int64_t>(region->size);
-          const std::int64_t base_lo = base->offset_known ? base->lo : 0;
-          const std::int64_t count = extent / elem_size;
-          const std::int64_t base_elems = base_lo / elem_size;
-          // Definite violation only: *every* value of the index range is
-          // out of bounds. "May be out of bounds" stays A1/A2 territory.
-          const bool always_high =
-              idx.boundedBelow() && addLo(idx.lo, base_elems) >= count;
-          const bool always_low = idx.boundedAbove() &&
-                                  addHi(idx.hi, base_elems) < 0;
-          if (!always_high && !always_low) continue;
+          // Definite violation only: *every* access leaves the region.
+          // "May be out of bounds" stays A1/A2 territory.
+          if (!access.alwaysLeaves(region->size)) continue;
           ++found;
           SAFEFLOW_COUNT("ranges.shm_bounds_const.violations");
-          report.restriction_violations.push_back(RestrictionViolation{
-              "shm-bounds-const", inst->location(),
+          const std::string message =
               "index range " + idx.str() + " into shared array '" +
-                  region->name + "' is always outside its " +
-                  std::to_string(count) + " elements",
-              fn.get()});
-          diags.warning(inst->location(), "shm-bounds-const",
-                        "index range " + idx.str() + " into shared array '" +
-                            region->name + "' is always outside its " +
-                            std::to_string(count) + " elements");
+              region->name + "' is always outside its " +
+              std::to_string(region->size / access.elem_size) + " elements";
+          report.restriction_violations.push_back(RestrictionViolation{
+              "shm-bounds-const", inst->location(), message, fn.get()});
+          diags.warning(inst->location(), "shm-bounds-const", message);
         }
       }
     }

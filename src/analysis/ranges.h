@@ -5,14 +5,15 @@
 // and return ranges over ret sites on the shared ir::FunctionWorklist.
 //
 // Three downstream consumers use the result (`RangeInfo` == this class):
-//   1. the A1/A2 restriction checker seeds its LinearSystem with proven
-//      variable bounds, so `for (i = 0; i < n; i++) a[i]` discharges
-//      when n's *range* is known even though n is not a constant;
+//   1. the A1/A2 restriction checker bounds index symbols with proven
+//      ranges, so `for (i = 0; i < n; i++) a[i]` discharges when n's
+//      *range* is known even though n is not a constant;
 //   2. the taint phase skips control edges whose branch condition is
 //      statically decided (a branch that always goes one way carries no
 //      runtime information), shrinking the control-only FP class;
 //   3. a dedicated check flags shm accesses whose index range provably
 //      exceeds the region extent ("shm-bounds-const" diagnostics).
+// Consumers 1 and 3 test the same access interval (ShmAccess below).
 //
 // Degradation contract (same as every other phase): budget exhaustion or
 // a failed fixpoint makes every query return ⊤ — never a tighter range —
@@ -68,6 +69,11 @@ struct Interval {
   [[nodiscard]] Interval join(const Interval& o) const;
   /// Intersection; nullopt when the intervals are disjoint.
   [[nodiscard]] std::optional<Interval> meet(const Interval& o) const;
+  /// Sum of any member of this and any member of `o`.
+  [[nodiscard]] Interval plus(const Interval& o) const;
+  /// Product with the constant `k`. Each bound saturates on its own: one
+  /// that overflows becomes unbounded and leaves the other as it is.
+  [[nodiscard]] Interval times(std::int64_t k) const;
 
   [[nodiscard]] std::string str() const;
 };
@@ -196,7 +202,34 @@ class RangeAnalysis {
 class ShmRegionTable;
 class ShmPointerAnalysis;
 class AliasAnalysis;
+struct ShmPtrInfo;
 struct SafeFlowReport;
+
+/// Where an indexed shm access `base[index]` can land: the byte range at
+/// which its element can start, and the element's size. A1/A2 ask whether
+/// the access may leave its region, shm-bounds-const whether it always
+/// does; on a box of index bounds both answers are exact, because an
+/// affine sum of independent symbols takes its extremes at the corners.
+struct ShmAccess {
+  Interval start;
+  std::int64_t elem_size = 1;
+
+  /// Some start puts the element at least partly outside [0, size).
+  [[nodiscard]] bool mayLeave(std::int64_t size) const {
+    return start.lo < 0 || start.hi > size - elem_size;
+  }
+  /// Every start does.
+  [[nodiscard]] bool alwaysLeaves(std::int64_t size) const {
+    return start.hi < 0 || start.lo > size - elem_size;
+  }
+};
+
+/// The access the IndexAddr `gep` makes from `base` with an index in
+/// `index`: the base pointer's offset range (read as 0 when unknown) plus
+/// the index times the element size (1 for an unsized element).
+[[nodiscard]] ShmAccess shmAccess(const ir::Instruction& gep,
+                                  const ShmPtrInfo& base,
+                                  const Interval& index);
 
 /// Consumer 3: flags shm accesses whose index range is provably *always*
 /// outside the declared region size, as "shm-bounds-const" restriction

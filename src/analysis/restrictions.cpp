@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "analysis/affine.h"
 #include "analysis/ranges.h"
 #include "support/metrics.h"
 
@@ -164,126 +163,89 @@ void RestrictionChecker::checkIndexAddr(
   const ShmPtrInfo* base = shm_.info(gep.operand(0));
   if (base == nullptr) return;
   SAFEFLOW_COUNT("restrictions.index_checks");
-  std::int64_t elem_size = 1;
-  if (gep.type()->isPointer()) {
-    elem_size = static_cast<std::int64_t>(
-        static_cast<const cfront::PointerType*>(gep.type())
-            ->pointee()
-            ->size());
-    if (elem_size == 0) elem_size = 1;
+
+  // The index as an interval: its constant plus each coefficient times
+  // its symbol's bounds. nullopt when some symbol has no provable bounds.
+  const AffineIndex affine = decompose(gep.operand(1));
+  std::optional<Interval> index;
+  bool ranged = false;
+  if (affine.valid) {
+    index = Interval::constant(affine.constant);
+    for (const auto& [sym, coeff] : affine.terms) {
+      bool used_ranges = false;
+      const SymbolBounds b = boundsFor(sym, gep.parent(), &used_ranges);
+      if (!b.valid) {
+        index.reset();
+        break;
+      }
+      ranged |= used_ranges;
+      if (used_ranges) SAFEFLOW_COUNT("ranges.bounds_seeded");
+      index = index->plus(Interval{b.lo, b.hi}.times(coeff));
+    }
   }
 
   for (int region_id : base->regions) {
     const ShmRegion* region = regions_.byId(region_id);
     if (region == nullptr || region->size == 0) continue;
-    // The base pointer may already be displaced; indices count elements
-    // from the base's lowest possible offset.
-    const std::int64_t base_lo = base->offset_known ? base->lo : 0;
-    const std::int64_t limit_bytes = region->size;
-
-    const ir::Value* idx = gep.operand(1);
-    const AffineIndex affine = decompose(idx);
-    if (affine.valid && affine.terms.empty()) {
-      // A1: constant index (after folding negation/arithmetic).
-      const std::int64_t c = affine.constant;
-      const std::int64_t start = base_lo + c * elem_size;
-      if (start < 0 || start + elem_size > limit_bytes) {
+    const auto a2 = [&](const std::string& problem) {
+      out.push_back(RestrictionViolation{
+          "A2", gep.location(),
+          "index into shared array '" + region->name + "' " + problem +
+              " (rule A2)",
+          &fn});
+    };
+    if (!affine.valid) {
+      a2("is not a provable affine expression");
+      continue;
+    }
+    if (!index.has_value()) {
+      a2("depends on a value with no provable bounds");
+      continue;
+    }
+    const ShmAccess access = shmAccess(gep, *base, *index);
+    const std::int64_t count = region->size / access.elem_size;
+    if (affine.terms.empty()) {
+      if (access.mayLeave(region->size)) {
         out.push_back(RestrictionViolation{
             "A1", gep.location(),
-            "constant index " + std::to_string(c) +
+            "constant index " + std::to_string(affine.constant) +
                 " exceeds shared array '" + region->name + "' of " +
-                std::to_string(limit_bytes / elem_size) + " elements "
-                "(rule A1)",
+                std::to_string(count) + " elements (rule A1)",
             &fn});
       }
-      continue;
+    } else if (access.start.lo < 0) {
+      a2("may be negative");
+    } else if (access.mayLeave(region->size)) {
+      a2("may exceed its " + std::to_string(count) + " elements");
+    } else if (ranged) {
+      // In bounds, and only range-derived bounds could show it: an
+      // obligation the syntactic induction pattern alone cannot discharge.
+      SAFEFLOW_COUNT("ranges.a2_discharged");
     }
-
-    // A2: loop-variant index must be provably affine and in bounds.
-    if (!affine.valid) {
-      out.push_back(RestrictionViolation{
-          "A2", gep.location(),
-          "index into shared array '" + region->name +
-              "' is not a provable affine expression (rule A2)",
-          &fn});
-      continue;
-    }
-
-    // Build the violation system: symbol bounds + (index out of range).
-    LinearSystem sys;
-    std::map<const ir::Value*, int> vars;
-    bool bounded = true;
-    bool ranged = false;
-    for (const auto& [sym, coeff] : affine.terms) {
-      bool used_ranges = false;
-      const SymbolBounds b =
-          boundsFor(sym, fn, gep.parent(), &used_ranges);
-      if (!b.valid) {
-        bounded = false;
-        break;
-      }
-      ranged |= used_ranges;
-      if (used_ranges) SAFEFLOW_COUNT("ranges.bounds_seeded");
-      const int var = sys.addVariable(sym->name());
-      vars[sym] = var;
-      sys.addLowerBound(var, b.lo);
-      sys.addUpperBound(var, b.hi);
-    }
-    if (!bounded) {
-      out.push_back(RestrictionViolation{
-          "A2", gep.location(),
-          "index into shared array '" + region->name +
-              "' depends on a value with no provable bounds (rule A2)",
-          &fn});
-      continue;
-    }
-
-    const std::int64_t count = limit_bytes / elem_size;
-    const std::int64_t base_elems = base_lo / elem_size;
-    // Violation 1: index + base < 0  =>  -(idx) - base - 1 >= 0.
-    {
-      LinearSystem low = sys;
-      LinearConstraint c;
-      for (const auto& [sym, coeff] : affine.terms) {
-        c.coeffs[vars[sym]] = -coeff;
-      }
-      c.constant = -affine.constant - base_elems - 1;
-      low.add(std::move(c));
-      SAFEFLOW_COUNT("restrictions.a2_solver_calls");
-      if (low.isFeasible(budget_)) {
-        out.push_back(RestrictionViolation{
-            "A2", gep.location(),
-            "index into shared array '" + region->name +
-                "' may be negative (rule A2)",
-            &fn});
-        continue;
-      }
-    }
-    // Violation 2: index + base >= count  =>  idx + base - count >= 0.
-    {
-      LinearSystem high = sys;
-      LinearConstraint c;
-      for (const auto& [sym, coeff] : affine.terms) {
-        c.coeffs[vars[sym]] = coeff;
-      }
-      c.constant = affine.constant + base_elems - count;
-      high.add(std::move(c));
-      SAFEFLOW_COUNT("restrictions.a2_solver_calls");
-      if (high.isFeasible(budget_)) {
-        out.push_back(RestrictionViolation{
-            "A2", gep.location(),
-            "index into shared array '" + region->name +
-                "' may exceed its " + std::to_string(count) +
-                " elements (rule A2)",
-            &fn});
-        continue;
-      }
-    }
-    // Both violation systems infeasible. When range-derived bounds made
-    // the difference this is an obligation the syntactic induction
-    // pattern alone could not discharge.
-    if (ranged) SAFEFLOW_COUNT("ranges.a2_discharged");
   }
+}
+
+bool RestrictionChecker::AffineIndex::addScaled(const AffineIndex& other,
+                                                std::int64_t k) {
+  std::int64_t scaled = 0;
+  if (__builtin_mul_overflow(other.constant, k, &scaled) ||
+      __builtin_add_overflow(constant, scaled, &constant)) {
+    return false;
+  }
+  for (const auto& [sym, coeff] : other.terms) {
+    if (__builtin_mul_overflow(coeff, k, &scaled)) return false;
+    const auto it =
+        std::find_if(terms.begin(), terms.end(),
+                     [sym](const auto& term) { return term.first == sym; });
+    if (it == terms.end()) {
+      if (scaled != 0) terms.emplace_back(sym, scaled);
+    } else if (__builtin_add_overflow(it->second, scaled, &it->second)) {
+      return false;
+    } else if (it->second == 0) {
+      terms.erase(it);
+    }
+  }
+  return true;
 }
 
 RestrictionChecker::AffineIndex RestrictionChecker::decompose(
@@ -306,12 +268,9 @@ RestrictionChecker::AffineIndex RestrictionChecker::decompose(
         if (!l.valid || !r.valid) break;
         if (inst->bin_op == ir::BinOp::kAdd ||
             inst->bin_op == ir::BinOp::kSub) {
-          const std::int64_t sign =
-              inst->bin_op == ir::BinOp::kAdd ? 1 : -1;
           out = l;
-          out.constant += sign * r.constant;
-          for (const auto& [sym, coeff] : r.terms) {
-            out.terms.emplace_back(sym, sign * coeff);
+          if (!out.addScaled(r, inst->bin_op == ir::BinOp::kAdd ? 1 : -1)) {
+            break;
           }
           return out;
         }
@@ -319,24 +278,21 @@ RestrictionChecker::AffineIndex RestrictionChecker::decompose(
           // One side must be a pure constant.
           const AffineIndex* konst =
               l.terms.empty() ? &l : (r.terms.empty() ? &r : nullptr);
-          const AffineIndex* lin = (konst == &l) ? &r : &l;
           if (konst == nullptr) break;
+          const AffineIndex& lin = konst == &l ? r : l;
           out.valid = true;
-          out.constant = lin->constant * konst->constant;
-          for (const auto& [sym, coeff] : lin->terms) {
-            out.terms.emplace_back(sym, coeff * konst->constant);
-          }
+          if (!out.addScaled(lin, konst->constant)) break;
           return out;
         }
         break;
       }
       case ir::Opcode::kUnOp:
         if (inst->un_op == ir::UnOp::kNeg) {
-          AffineIndex inner = decompose(inst->operand(0), depth + 1);
+          const AffineIndex inner = decompose(inst->operand(0), depth + 1);
           if (!inner.valid) break;
-          inner.constant = -inner.constant;
-          for (auto& [sym, coeff] : inner.terms) coeff = -coeff;
-          return inner;
+          out.valid = true;
+          if (!out.addScaled(inner, -1)) break;
+          return out;
         }
         break;
       case ir::Opcode::kPhi:
@@ -358,9 +314,8 @@ RestrictionChecker::AffineIndex RestrictionChecker::decompose(
 }
 
 RestrictionChecker::SymbolBounds RestrictionChecker::boundsFor(
-    const ir::Value* sym, const ir::Function& fn,
-    const ir::BasicBlock* use_block, bool* used_ranges) const {
-  (void)fn;  // reserved for future per-function bound refinement
+    const ir::Value* sym, const ir::BasicBlock* use_block,
+    bool* used_ranges) const {
   bool bound_from_ranges = false;
   const SymbolBounds induction = [&]() -> SymbolBounds {
     SymbolBounds out;
@@ -368,14 +323,23 @@ RestrictionChecker::SymbolBounds RestrictionChecker::boundsFor(
     const auto* phi = static_cast<const ir::Instruction*>(sym);
     if (phi->opcode() != ir::Opcode::kPhi) return out;
 
+    // A constant after folding negation and arithmetic (`-3` is a neg).
+    const auto constantOf =
+        [this](const ir::Value* v) -> std::optional<std::int64_t> {
+      const AffineIndex c = decompose(v);
+      if (!c.valid || !c.terms.empty()) return std::nullopt;
+      return c.constant;
+    };
+
     // Induction pattern: one incoming constant (init), one incoming
-    // add/sub of the phi itself with a positive constant step.
+    // add/sub of the phi itself with a constant step.
     std::optional<std::int64_t> init;
-    std::optional<std::int64_t> step;
+    int direction = 0;  // the sign of the step
+    const ir::Instruction* inc = nullptr;
     for (std::size_t i = 0; i < phi->numOperands(); ++i) {
       const ir::Value* in = phi->operand(i);
-      if (in->kind() == ir::Value::Kind::kConstantInt) {
-        init = static_cast<const ir::ConstantInt*>(in)->value();
+      if (const auto c = constantOf(in)) {
+        init = *c;
         continue;
       }
       if (in->isInstruction()) {
@@ -383,18 +347,18 @@ RestrictionChecker::SymbolBounds RestrictionChecker::boundsFor(
         if (add->opcode() == ir::Opcode::kBinOp &&
             (add->bin_op == ir::BinOp::kAdd ||
              add->bin_op == ir::BinOp::kSub) &&
-            add->numOperands() == 2 && add->operand(0) == phi &&
-            add->operand(1)->kind() == ir::Value::Kind::kConstantInt) {
-          std::int64_t s =
-              static_cast<const ir::ConstantInt*>(add->operand(1))->value();
-          if (add->bin_op == ir::BinOp::kSub) s = -s;
-          step = s;
-          continue;
+            add->numOperands() == 2 && add->operand(0) == phi) {
+          if (const auto s = constantOf(add->operand(1))) {
+            direction = (*s > 0) - (*s < 0);
+            if (add->bin_op == ir::BinOp::kSub) direction = -direction;
+            inc = add;
+            continue;
+          }
         }
       }
       return out;  // unrecognized incoming edge
     }
-    if (!init.has_value() || !step.has_value() || *step == 0) return out;
+    if (!init.has_value() || direction == 0) return out;
 
     // Find the loop-header comparison guarding the body: a CondBr in the
     // phi's block whose condition compares the phi against a constant —
@@ -411,9 +375,7 @@ RestrictionChecker::SymbolBounds RestrictionChecker::boundsFor(
     // The loop bound as an interval: a constant is the singleton case.
     std::optional<std::int64_t> bound_lo;
     std::optional<std::int64_t> bound_hi;
-    if (cmp->operand(1)->kind() == ir::Value::Kind::kConstantInt) {
-      const std::int64_t b =
-          static_cast<const ir::ConstantInt*>(cmp->operand(1))->value();
+    if (const auto b = constantOf(cmp->operand(1))) {
       bound_lo = b;
       bound_hi = b;
     } else if (ranges_ != nullptr) {
@@ -428,16 +390,6 @@ RestrictionChecker::SymbolBounds RestrictionChecker::boundsFor(
     // The body is the successor from which the phi's increment flows back;
     // determine which CondBr edge enters the body (reaches the increment's
     // block without re-entering the header).
-    const ir::Instruction* inc = nullptr;
-    for (std::size_t i = 0; i < phi->numOperands(); ++i) {
-      const ir::Value* in = phi->operand(i);
-      if (in->isInstruction() &&
-          static_cast<const ir::Instruction*>(in)->opcode() ==
-              ir::Opcode::kBinOp) {
-        inc = static_cast<const ir::Instruction*>(in);
-      }
-    }
-    if (inc == nullptr) return out;
     const bool body_on_true = reachableAvoiding(term->block_refs[0],
                                                 inc->parent(), header);
     ir::CmpOp op = cmp->cmp_op;
@@ -453,29 +405,29 @@ RestrictionChecker::SymbolBounds RestrictionChecker::boundsFor(
       }
     }
 
-    if (*step > 0) {
+    if (direction > 0) {
       // Counting up: the comparison caps the index from above, so the
-      // largest possible loop bound is what matters.
-      if (!bound_hi.has_value()) return out;
+      // largest possible loop bound is what matters. `i != N` stops
+      // below N like `i < N`.
+      if (!bound_hi.has_value() ||
+          (op != ir::CmpOp::kLt && op != ir::CmpOp::kLe &&
+           op != ir::CmpOp::kNe) ||
+          __builtin_sub_overflow(*bound_hi, op == ir::CmpOp::kLe ? 0 : 1,
+                                 &out.hi)) {
+        return out;
+      }
       out.lo = *init;
-      switch (op) {
-        case ir::CmpOp::kLt: out.hi = *bound_hi - 1; break;
-        case ir::CmpOp::kLe: out.hi = *bound_hi; break;
-        case ir::CmpOp::kNe: out.hi = *bound_hi - 1; break;  // i != N, i += s
-        default: return out;
-      }
-      out.valid = out.hi >= out.lo;
     } else {
-      if (!bound_lo.has_value()) return out;
-      out.hi = *init;
-      switch (op) {
-        case ir::CmpOp::kGt: out.lo = *bound_lo + 1; break;
-        case ir::CmpOp::kGe: out.lo = *bound_lo; break;
-        case ir::CmpOp::kNe: out.lo = *bound_lo + 1; break;
-        default: return out;
+      if (!bound_lo.has_value() ||
+          (op != ir::CmpOp::kGt && op != ir::CmpOp::kGe &&
+           op != ir::CmpOp::kNe) ||
+          __builtin_add_overflow(*bound_lo, op == ir::CmpOp::kGe ? 0 : 1,
+                                 &out.lo)) {
+        return out;
       }
-      out.valid = out.hi >= out.lo;
+      out.hi = *init;
     }
+    out.valid = out.hi >= out.lo;
     return out;
   }();
   if (induction.valid) {

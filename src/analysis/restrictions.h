@@ -10,9 +10,11 @@
 //       no casts of shm pointers to integers (shminit functions exempt);
 //   A1  constant indices into shm arrays lie in bounds;
 //   A2  loop-variant indices must be provably affine and in bounds —
-//       checked by generating integer linear constraints from induction
-//       variables and asking the Omega-lite solver whether a violating
-//       assignment is feasible.
+//       checked by bounding each index symbol (induction variables, value
+//       ranges) and testing the access's byte interval against the region
+//       (ShmAccess, ranges.h). The paper asks Omega whether a violating
+//       assignment exists; over a box of symbol bounds the interval answers
+//       exactly that.
 #pragma once
 
 #include <string>
@@ -44,7 +46,7 @@ struct RestrictionOptions {
 class RestrictionChecker {
  public:
   /// `ranges` (optional) strengthens the A2 check: proven value ranges
-  /// seed the LinearSystem, so indices guarded by non-affine conditions
+  /// bound index symbols, so indices guarded by non-affine conditions
   /// (`if (i < n)` with n's range known) discharge instead of warning.
   RestrictionChecker(const ir::Module& module, const ShmRegionTable& regions,
                      const ShmPointerAnalysis& shm,
@@ -66,8 +68,14 @@ class RestrictionChecker {
   struct AffineIndex {
     bool valid = false;
     std::int64_t constant = 0;
+    /// Distinct symbols with nonzero coefficients, in order of first use.
     std::vector<std::pair<const ir::Value*, std::int64_t>> terms;
+
+    /// Adds k * other, merging repeated symbols; false on int64 overflow.
+    bool addScaled(const AffineIndex& other, std::int64_t k);
   };
+  /// Invalid when `v` is not affine in its symbols or its arithmetic
+  /// overflows int64.
   AffineIndex decompose(const ir::Value* v, int depth = 0) const;
 
   /// Bounds for an induction-variable phi: i in [lo, hi] derived from its
@@ -80,7 +88,7 @@ class RestrictionChecker {
   /// `use_block` is where the index is consumed (branch refinements that
   /// dominate it apply); `used_ranges` is set when the bounds came from
   /// the value-range analysis rather than the syntactic induction pattern.
-  SymbolBounds boundsFor(const ir::Value* sym, const ir::Function& fn,
+  SymbolBounds boundsFor(const ir::Value* sym,
                          const ir::BasicBlock* use_block,
                          bool* used_ranges) const;
 

@@ -539,18 +539,4 @@ const ShmPtrInfo* ShmPointerAnalysis::info(const ir::Value* v) const {
   return (it == facts_.end() || it->second.empty()) ? nullptr : &it->second;
 }
 
-std::vector<const ir::Value*> ShmPointerAnalysis::shmValuesIn(
-    const ir::Function& fn) const {
-  std::vector<const ir::Value*> out;
-  for (const auto& arg : fn.args()) {
-    if (info(arg.get()) != nullptr) out.push_back(arg.get());
-  }
-  for (const auto& bb : fn.blocks()) {
-    for (const auto& inst : bb->instructions()) {
-      if (info(inst.get()) != nullptr) out.push_back(inst.get());
-    }
-  }
-  return out;
-}
-
 }  // namespace safeflow::analysis

@@ -49,10 +49,6 @@ class ShmPointerAnalysis {
   /// shared memory.
   [[nodiscard]] const ShmPtrInfo* info(const ir::Value* v) const;
 
-  /// All values in `fn` that may point into shared memory.
-  [[nodiscard]] std::vector<const ir::Value*> shmValuesIn(
-      const ir::Function& fn) const;
-
   /// Number of fixpoint iterations taken (for the ablation bench).
   [[nodiscard]] std::size_t iterations() const { return iterations_; }
 

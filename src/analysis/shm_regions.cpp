@@ -263,13 +263,6 @@ const ShmRegion* ShmRegionTable::channelByGlobal(
   return (r != nullptr && r->is_message_channel) ? r : nullptr;
 }
 
-std::size_t ShmRegionTable::channelCount() const {
-  return static_cast<std::size_t>(
-      std::count_if(regions_.begin(), regions_.end(), [](const ShmRegion& r) {
-        return r.is_message_channel;
-      }));
-}
-
 bool ShmRegionTable::isInitFunction(const ir::Function* fn) const {
   return std::find(init_functions_.begin(), init_functions_.end(), fn) !=
          init_functions_.end();

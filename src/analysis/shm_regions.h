@@ -72,7 +72,6 @@ class ShmRegionTable {
   /// global, or nullptr.
   [[nodiscard]] const ShmRegion* channelByGlobal(
       const ir::GlobalVar* g) const;
-  [[nodiscard]] std::size_t channelCount() const;
 
   /// True when every region's base offset within its segment was derived
   /// statically and the extents were proven non-overlapping — the paper's

@@ -233,12 +233,11 @@ void TaintAnalysis::computeEffectiveAssumptions() {
       }
     }
   }
-  // Anything still "top" (e.g. unreachable cycles) falls back to local.
-  for (auto& [fn, top] : effective_is_top_) {
-    if (top) {
-      effective_[fn] = local_assumptions_[fn];
-      top = false;
-    }
+  // Anything still "top" (what no root reaches, such as a cycle nothing
+  // else calls) falls back to local; its flag stays set, so call strings
+  // seed it like a root.
+  for (const auto& [fn, top] : effective_is_top_) {
+    if (top) effective_[fn] = local_assumptions_[fn];
   }
 }
 
@@ -935,13 +934,14 @@ void TaintAnalysis::run(SafeFlowReport& report) {
   // Each function's contexts and the objects its loads read, as loadTaint
   // reads them: the points-to set of an ordinary-memory load with each
   // cell's ancestors. Summaries solve a body under its effective set; call
-  // strings start at the roots' local sets, and calls add the rest.
+  // strings start at the local sets of the roots and of the functions no
+  // root reaches, and calls add the rest.
   const bool call_strings = options_.mode == TaintOptions::Mode::kCallStrings;
   for (const auto& fn : module_.functions()) {
     if (!member(*fn)) continue;
     if (!call_strings) {
       contexts_[fn.get()].push_back(effectiveAssumptions(fn.get()));
-    } else if (callgraph_.isRoot(fn.get())) {
+    } else if (callgraph_.isRoot(fn.get()) || effective_is_top_[fn.get()]) {
       contexts_[fn.get()].push_back(local_assumptions_[fn.get()]);
     }
     ObjSet reads;

@@ -324,6 +324,8 @@ class TaintAnalysis {
 
   std::map<const ir::Function*, AssumptionSet> local_assumptions_;
   std::map<const ir::Function*, AssumptionSet> effective_;
+  /// Still true after computeEffectiveAssumptions for the functions no
+  /// root reaches.
   std::map<const ir::Function*, bool> effective_is_top_;
 
   /// Every taint value below is an id into this pool.

@@ -8,12 +8,6 @@
 
 namespace safeflow::ir {
 
-void Instruction::replaceUsesOf(Value* from, Value* to) {
-  for (Value*& op : operands_) {
-    if (op == from) op = to;
-  }
-}
-
 Instruction* BasicBlock::append(std::unique_ptr<Instruction> inst) {
   inst->setParent(this);
   insts_.push_back(std::move(inst));

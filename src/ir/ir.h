@@ -184,9 +184,6 @@ class Instruction final : public Value {
   void setOperand(std::size_t i, Value* v) { operands_[i] = v; }
   [[nodiscard]] std::size_t numOperands() const { return operands_.size(); }
 
-  /// Replaces every operand equal to `from` with `to`.
-  void replaceUsesOf(Value* from, Value* to);
-
   // -- opcode-specific payloads --------------------------------------------
   // kAlloca
   const Type* allocated_type = nullptr;

@@ -1,8 +1,7 @@
 // Analysis budgets and graceful degradation. Every fixpoint/worklist loop
 // in the pipeline (phase-1 shm propagation, ranges, the alias analysis,
-// phase-3 taint, the Fourier–Motzkin solver behind the A2 checks)
-// accounts its work against one AnalysisBudget owned by the driver. A
-// budget combines
+// phase-3 taint, the restriction checks) accounts its work against one
+// AnalysisBudget owned by the driver. A budget combines
 //
 //   - a wall-clock deadline shared by the whole run (--time-budget) and
 //   - a per-phase step cap (--step-budget).
@@ -31,7 +30,7 @@ struct BudgetLimits {
   /// unlimited. The clock starts at AnalysisBudget::start().
   double time_seconds = 0.0;
   /// Cap on work units per phase (worklist pops, instructions visited,
-  /// solver constraint derivations); 0 means unlimited.
+  /// functions checked); 0 means unlimited.
   std::uint64_t phase_steps = 0;
 
   [[nodiscard]] bool limited() const {

@@ -1,269 +1,49 @@
-// Tests for the Omega-lite integer linear constraint solver and the A1/A2
-// array restriction checks that use it.
+// Tests for the A1/A2 array restriction checks: hand-written cases, and a
+// seeded oracle that enumerates every access of generated loop nests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
-#include "analysis/affine.h"
 #include "safeflow/driver.h"
 
 namespace {
 
 using namespace safeflow;
-using analysis::LinearConstraint;
-using analysis::LinearSystem;
 
-// ---------------------------------------------------------------------------
-// Solver unit tests
-// ---------------------------------------------------------------------------
-
-TEST(Affine, EmptySystemFeasible) {
-  LinearSystem sys;
-  EXPECT_TRUE(sys.isFeasible());
-}
-
-TEST(Affine, SimpleBoundsFeasible) {
-  LinearSystem sys;
-  const int x = sys.addVariable("x");
-  sys.addLowerBound(x, 0);
-  sys.addUpperBound(x, 10);
-  EXPECT_TRUE(sys.isFeasible());
-}
-
-TEST(Affine, ContradictoryBoundsInfeasible) {
-  LinearSystem sys;
-  const int x = sys.addVariable("x");
-  sys.addLowerBound(x, 11);
-  sys.addUpperBound(x, 10);
-  EXPECT_FALSE(sys.isFeasible());
-}
-
-TEST(Affine, TightBoundsStillFeasible) {
-  LinearSystem sys;
-  const int x = sys.addVariable("x");
-  sys.addLowerBound(x, 10);
-  sys.addUpperBound(x, 10);  // x == 10
-  EXPECT_TRUE(sys.isFeasible());
-}
-
-TEST(Affine, TwoVariableChain) {
-  // 0 <= x <= 5, y = x + 3, y >= 9  ->  x >= 6: infeasible.
-  LinearSystem sys;
-  const int x = sys.addVariable("x");
-  const int y = sys.addVariable("y");
-  sys.addLowerBound(x, 0);
-  sys.addUpperBound(x, 5);
-  LinearConstraint eq;  // y - x - 3 == 0
-  eq.coeffs[y] = 1;
-  eq.coeffs[x] = -1;
-  eq.constant = -3;
-  sys.addEquality(eq);
-  sys.addLowerBound(y, 9);
-  EXPECT_FALSE(sys.isFeasible());
-}
-
-TEST(Affine, TwoVariableChainFeasible) {
-  LinearSystem sys;
-  const int x = sys.addVariable("x");
-  const int y = sys.addVariable("y");
-  sys.addLowerBound(x, 0);
-  sys.addUpperBound(x, 5);
-  LinearConstraint eq;
-  eq.coeffs[y] = 1;
-  eq.coeffs[x] = -1;
-  eq.constant = -3;
-  sys.addEquality(eq);
-  sys.addLowerBound(y, 8);  // y = x+3 <= 8 ok (x=5)
-  EXPECT_TRUE(sys.isFeasible());
-}
-
-TEST(Affine, UnboundedVariableFeasible) {
-  LinearSystem sys;
-  const int x = sys.addVariable("x");
-  sys.addLowerBound(x, 100);  // no upper bound
-  EXPECT_TRUE(sys.isFeasible());
-}
-
-TEST(Affine, ConstantOnlyContradiction) {
-  LinearSystem sys;
-  LinearConstraint c;  // -1 >= 0
-  c.constant = -1;
-  sys.add(std::move(c));
-  EXPECT_FALSE(sys.isFeasible());
-}
-
-TEST(Affine, ScaledCoefficients) {
-  // 2x >= 5 and 2x <= 4: infeasible.
-  LinearSystem sys;
-  const int x = sys.addVariable("x");
-  LinearConstraint lo;  // 2x - 5 >= 0
-  lo.coeffs[x] = 2;
-  lo.constant = -5;
-  sys.add(std::move(lo));
-  LinearConstraint hi;  // -2x + 4 >= 0
-  hi.coeffs[x] = -2;
-  hi.constant = 4;
-  sys.add(std::move(hi));
-  EXPECT_FALSE(sys.isFeasible());
-}
-
-TEST(Affine, StrDump) {
-  LinearSystem sys;
-  const int x = sys.addVariable("idx");
-  sys.addLowerBound(x, 0);
-  EXPECT_NE(sys.str().find(">= 0"), std::string::npos);
-}
-
-TEST(Affine, EqualityContradiction) {
-  // x == 3 and x == 4 cannot both hold.
-  LinearSystem sys;
-  const int x = sys.addVariable("x");
-  LinearConstraint e1;  // x - 3 == 0
-  e1.coeffs[x] = 1;
-  e1.constant = -3;
-  sys.addEquality(std::move(e1));
-  LinearConstraint e2;  // x - 4 == 0
-  e2.coeffs[x] = 1;
-  e2.constant = -4;
-  sys.addEquality(std::move(e2));
-  EXPECT_FALSE(sys.isFeasible());
-}
-
-TEST(Affine, EqualityConsistentWithBounds) {
-  // x == 7 inside [0, 10] is satisfiable; pushing the upper bound below 7
-  // makes it contradictory.
-  LinearSystem sys;
-  const int x = sys.addVariable("x");
-  LinearConstraint eq;  // x - 7 == 0
-  eq.coeffs[x] = 1;
-  eq.constant = -7;
-  sys.addEquality(std::move(eq));
-  sys.addLowerBound(x, 0);
-  sys.addUpperBound(x, 10);
-  EXPECT_TRUE(sys.isFeasible());
-  sys.addUpperBound(x, 6);
-  EXPECT_FALSE(sys.isFeasible());
-}
-
-TEST(Affine, BoundHelpersMatchExplicitConstraints) {
-  // addLowerBound/addUpperBound are sugar for the +-1-coefficient forms;
-  // a system built from the helpers must agree with the explicit one.
-  LinearSystem helpers;
-  const int hx = helpers.addVariable("x");
-  helpers.addLowerBound(hx, -5);
-  helpers.addUpperBound(hx, -5);  // x == -5
-  EXPECT_TRUE(helpers.isFeasible());
-
-  LinearSystem explicit_sys;
-  const int ex = explicit_sys.addVariable("x");
-  LinearConstraint lo;  // x + 5 >= 0
-  lo.coeffs[ex] = 1;
-  lo.constant = 5;
-  explicit_sys.add(std::move(lo));
-  LinearConstraint hi;  // -x - 5 >= 0
-  hi.coeffs[ex] = -1;
-  hi.constant = -5;
-  explicit_sys.add(std::move(hi));
-  EXPECT_TRUE(explicit_sys.isFeasible());
-}
-
-TEST(Affine, BudgetTripFallsBackToFeasible) {
-  // A genuinely infeasible system: with an exhausted budget the solver
-  // must answer "feasible" (unprovable -> the violation gets reported),
-  // never claim a proof it did not finish.
-  LinearSystem sys;
-  const int x = sys.addVariable("x");
-  sys.addLowerBound(x, 11);
-  sys.addLowerBound(x, 12);
-  sys.addUpperBound(x, 10);
-  sys.addUpperBound(x, 9);
-  EXPECT_FALSE(sys.isFeasible());
-
-  support::AnalysisBudget budget(support::BudgetLimits{0.0, 1});
-  EXPECT_TRUE(sys.isFeasible(&budget));
-  EXPECT_TRUE(budget.exhausted());
-}
-
-TEST(Affine, NearOverflowCoefficientsStayConservative) {
-  // Shadow coefficients are products of input coefficients; K*K*10 here
-  // overflows int64. The solver must detect the overflow and fall back to
-  // "feasible" instead of reasoning from wrapped garbage. (The system is
-  // in fact satisfiable: K*x >= 1 and K*x <= 10*K admit x in [1, 10].)
-  constexpr std::int64_t kBig = INT64_C(3037000500);  // ~sqrt(INT64_MAX)
-  LinearSystem sys;
-  const int x = sys.addVariable("x");
-  LinearConstraint lo;  // kBig*x - 1 >= 0
-  lo.coeffs[x] = kBig;
-  lo.constant = -1;
-  sys.add(std::move(lo));
-  LinearConstraint hi;  // -kBig*x + 10*kBig >= 0
-  hi.coeffs[x] = -kBig;
-  hi.constant = 10 * kBig;
-  sys.add(std::move(hi));
-  EXPECT_TRUE(sys.isFeasible());
-}
-
-TEST(Affine, OverflowInVariableCoefficientDetected) {
-  // Same overflow guard on the eliminated pair's *variable* coefficients:
-  // eliminating x pairs kBig (from the lower bound) with kBig*y terms.
-  constexpr std::int64_t kBig = INT64_C(3037000500);
-  LinearSystem sys;
-  const int x = sys.addVariable("x");
-  const int y = sys.addVariable("y");
-  LinearConstraint lo;  // kBig*x + kBig*y >= 0
-  lo.coeffs[x] = kBig;
-  lo.coeffs[y] = kBig;
-  sys.add(std::move(lo));
-  LinearConstraint hi;  // -kBig*x + 1 >= 0
-  hi.coeffs[x] = -kBig;
-  hi.constant = 1;
-  sys.add(std::move(hi));
-  EXPECT_TRUE(sys.isFeasible());
-}
-
-// Parameterized: i in [0, N-1] indexing an array of N elements is always
-// safe; indexing N+k elements beyond is always caught.
-class AffineBoundsSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(AffineBoundsSweep, LoopIndexWithinArrayIsFeasibleExactlyWhenItFits) {
-  const int n = GetParam();
-  // Violation system: 0 <= i <= n-1 and i >= 8 (array of 8 elements).
-  LinearSystem sys;
-  const int i = sys.addVariable("i");
-  sys.addLowerBound(i, 0);
-  sys.addUpperBound(i, n - 1);
-  sys.addLowerBound(i, 8);
-  EXPECT_EQ(sys.isFeasible(), n - 1 >= 8) << "n=" << n;
-}
-
-INSTANTIATE_TEST_SUITE_P(Bounds, AffineBoundsSweep,
-                         ::testing::Values(1, 4, 8, 9, 12, 100));
-
-// ---------------------------------------------------------------------------
-// A1/A2 end-to-end through the driver
-// ---------------------------------------------------------------------------
-
-const char* kArrayPrelude = R"(
+/// `ring`, a shared array of `slots` one-float Slots, set up by initRing.
+std::string ringPrelude(int slots) {
+  const std::string bytes = std::to_string(slots) + " * sizeof(Slot)";
+  return R"(
 typedef struct Slot { float v; } Slot;
 Slot *ring;
 
 extern void *shmat(int shmid, void *addr, int flags);
 extern int shmget(int key, int size, int flags);
+extern int pick(void);
 
 /*** SafeFlow Annotation shminit ***/
 void initRing(void)
 {
   void *p;
-  p = shmat(shmget(7, 8 * sizeof(Slot), 0), 0, 0);
+  p = shmat(shmget(7, )" + bytes + R"(, 0), 0, 0);
   ring = (Slot *) p;
-  /*** SafeFlow Annotation assume(shmvar(ring, 8 * sizeof(Slot))) ***/
+  /*** SafeFlow Annotation assume(shmvar(ring, )" + bytes + R"()) ***/
   /*** SafeFlow Annotation assume(noncore(ring)) ***/
 }
 )";
+}
 
-std::unique_ptr<SafeFlowDriver> analyzeArrays(const std::string& body) {
-  auto driver = std::make_unique<SafeFlowDriver>();
-  driver->addSource("arrays.c", std::string(kArrayPrelude) + body);
+std::unique_ptr<SafeFlowDriver> analyzeArrays(const std::string& body,
+                                              int slots = 8,
+                                              SafeFlowOptions options = {}) {
+  auto driver = std::make_unique<SafeFlowDriver>(options);
+  driver->addSource("arrays.c", ringPrelude(slots) + body);
   driver->analyze();
   EXPECT_FALSE(driver->hasFrontendErrors())
       << driver->diagnostics().render(driver->sources());
@@ -277,6 +57,17 @@ std::size_t countRule(const SafeFlowDriver& d, const std::string& rule) {
   }
   return n;
 }
+
+std::vector<std::string> messages(const SafeFlowDriver& d,
+                                  const std::string& rule) {
+  std::vector<std::string> out;
+  for (const auto& v : d.report().restriction_violations) {
+    if (v.rule == rule) out.push_back(v.message);
+  }
+  return out;
+}
+
+using Messages = std::vector<std::string>;
 
 TEST(ArrayRules, ConstantIndexInBounds) {
   const auto d = analyzeArrays(
@@ -357,14 +148,11 @@ TEST(ArrayRules, UnboundedSymbolRejectedWithoutRanges) {
   // bound on k and the A2 obligation must be reported.
   SafeFlowOptions o;
   o.ranges.enabled = false;
-  SafeFlowDriver d(o);
-  d.addSource("arrays.c",
-              std::string(kArrayPrelude) +
-                  "float get(int k) { return ring[k].v; }\n"
-                  "int main(void) { initRing(); get(3); return 0; }");
-  d.analyze();
-  ASSERT_FALSE(d.hasFrontendErrors());
-  EXPECT_GE(countRule(d, "A2"), 1u) << d.report().render(d.sources());
+  const auto d = analyzeArrays(
+      "float get(int k) { return ring[k].v; }\n"
+      "int main(void) { initRing(); get(3); return 0; }",
+      8, o);
+  EXPECT_GE(countRule(*d, "A2"), 1u) << d->report().render(d->sources());
 }
 
 TEST(ArrayRules, OutOfRangeArgumentStillRejected) {
@@ -396,6 +184,254 @@ TEST(ArrayRules, DownCountingLoopInBounds) {
       "}\n"
       "int main(void) { initRing(); sum(); return 0; }");
   EXPECT_EQ(countRule(*d, "A2"), 0u) << d->report().render(d->sources());
+}
+
+// A symbol that appears twice is one term with the summed coefficient:
+// `i + i` reaches element 30 of 16.
+TEST(ArrayRules, RepeatedSymbolIsOneTerm) {
+  const auto d = analyzeArrays(
+      "float sum(void) {\n"
+      "  float acc = 0.0f;\n"
+      "  int i;\n"
+      "  for (i = 0; i < 16; i++) { acc += ring[i + i].v; }\n"
+      "  return acc;\n"
+      "}\n"
+      "int main(void) { initRing(); sum(); return 0; }",
+      16);
+  EXPECT_EQ(messages(*d, "A2"),
+            Messages{"index into shared array 'ring' may exceed its 16 "
+                     "elements (rule A2)"})
+      << d->report().render(d->sources());
+}
+
+TEST(ArrayRules, SymbolThatCancelsOutIsClean) {
+  const auto d = analyzeArrays(
+      "float sum(void) {\n"
+      "  float acc = 0.0f;\n"
+      "  int i;\n"
+      "  for (i = 0; i < 16; i++) { acc += ring[i + i - i].v; }\n"
+      "  return acc;\n"
+      "}\n"
+      "int main(void) { initRing(); sum(); return 0; }",
+      16);
+  EXPECT_EQ(countRule(*d, "A1") + countRule(*d, "A2"), 0u)
+      << d->report().render(d->sources());
+}
+
+// p starts at element 0 or 10: every index is checked from both ends of
+// that range, so p[8] and p[0..7] can read past element 15.
+TEST(ArrayRules, TwoWayBaseIsCheckedFromItsHighestOffset) {
+  const auto d = analyzeArrays(
+      "float one(int c) {\n"
+      "  Slot *p;\n"
+      "  p = c ? &ring[0] : &ring[10];\n"
+      "  return p[8].v;\n"
+      "}\n"
+      "float loop(int c) {\n"
+      "  Slot *p;\n"
+      "  float acc = 0.0f;\n"
+      "  int i;\n"
+      "  p = c ? &ring[0] : &ring[10];\n"
+      "  for (i = 0; i < 8; i++) { acc += p[i].v; }\n"
+      "  return acc;\n"
+      "}\n"
+      "int main(void) { initRing(); one(pick()); loop(pick()); return 0; }",
+      16);
+  EXPECT_EQ(messages(*d, "A1"),
+            Messages{"constant index 8 exceeds shared array 'ring' of 16 "
+                     "elements (rule A1)"})
+      << d->report().render(d->sources());
+  EXPECT_EQ(messages(*d, "A2"),
+            Messages{"index into shared array 'ring' may exceed its 16 "
+                     "elements (rule A2)"})
+      << d->report().render(d->sources());
+}
+
+// From element 10, p[-3] reads element 7: "may be negative", but not
+// always outside the array.
+TEST(ArrayRules, NegativeIndexFromTwoWayBaseIsNotDefinite) {
+  const auto d = analyzeArrays(
+      "float get(int c, int k) {\n"
+      "  Slot *p;\n"
+      "  p = c ? &ring[0] : &ring[10];\n"
+      "  if (k < -5 || k > -1) { return 0.0f; }\n"
+      "  return p[k].v;\n"
+      "}\n"
+      "int main(void) { initRing(); get(pick(), -3); return 0; }",
+      16);
+  EXPECT_EQ(messages(*d, "A2"),
+            Messages{"index into shared array 'ring' may be negative (rule "
+                     "A2)"})
+      << d->report().render(d->sources());
+  EXPECT_EQ(countRule(*d, "shm-bounds-const"), 0u)
+      << d->report().render(d->sources());
+}
+
+// 4 * 2^62 does not fit in int64: the index is not a provable affine
+// expression (it must not wrap to the constant 0).
+TEST(ArrayRules, OverflowingCoefficientIsNotAffine) {
+  const auto d = analyzeArrays(
+      "float sum(void) {\n"
+      "  float acc = 0.0f;\n"
+      "  int i;\n"
+      "  for (i = 0; i < 16; i++) {\n"
+      "    acc += ring[i * 4 * 4611686018427387904].v;\n"
+      "  }\n"
+      "  return acc;\n"
+      "}\n"
+      "int main(void) { initRing(); sum(); return 0; }",
+      16);
+  EXPECT_EQ(messages(*d, "A2"),
+            Messages{"index into shared array 'ring' is not a provable "
+                     "affine expression (rule A2)"})
+      << d->report().render(d->sources());
+}
+
+// The checker takes one budget step per function. Out of steps, the
+// functions after the trip go unchecked, so the run must not certify.
+TEST(ArrayRules, StepBudgetBelowTheFunctionCountDegradesRestrictions) {
+  SafeFlowOptions options;
+  options.budget.phase_steps = 3;
+  const auto d = analyzeArrays(
+      "float a(void) { return ring[0].v; }\n"
+      "float b(void) { return ring[1].v; }\n"
+      "float c(void) { return ring[2].v; }\n"
+      "float e(void) { return ring[3].v; }\n"
+      "int main(void) { initRing(); a(); b(); c(); e(); return 0; }",
+      8, options);
+  const auto& phases = d->report().degraded_phases;
+  EXPECT_NE(std::find(phases.begin(), phases.end(), "restrictions"),
+            phases.end())
+      << d->report().render(d->sources());
+  EXPECT_TRUE(d->degraded());
+  EXPECT_NE(d->report().render(d->sources()).find("DEGRADED"),
+            std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Bounds oracle: seeded loop nests whose every access the test enumerates
+// ---------------------------------------------------------------------------
+
+constexpr int kSlots = 8;
+
+/// for (i = lo[0]; i < hi[0]; i++) [for (j = lo[1]; j < hi[1]; j++)]
+///   acc = acc + p[k0 + k1 * i + k2 * j + k3 * i].v;
+/// with p either `ring` or `c ? &ring[b0] : &ring[b1]`, c unknown.
+struct LoopNest {
+  int depth = 1;
+  int lo[2] = {0, 0};
+  int hi[2] = {1, 1};
+  int k[4] = {0, 0, 0, 0};
+  bool two_way = false;
+  int b[2] = {0, 0};
+
+  /// Calls `visit(element)` for every element the nest reads.
+  template <typename Visit>
+  void forEachAccess(Visit visit) const {
+    const int j_lo = depth == 2 ? lo[1] : 0;
+    const int j_hi = depth == 2 ? hi[1] : 1;
+    for (int base = 0; base < (two_way ? 2 : 1); ++base) {
+      for (int i = lo[0]; i < hi[0]; ++i) {
+        for (int j = j_lo; j < j_hi; ++j) {
+          visit(b[base] + k[0] + k[1] * i + k[2] * j + k[3] * i);
+        }
+      }
+    }
+  }
+
+  [[nodiscard]] std::string source() const {
+    std::ostringstream s;
+    s << "float walk(int c) {\n"
+      << "  Slot *p;\n  float acc;\n  int i;\n  int j;\n"
+      << "  acc = 0.0f;\n";
+    if (two_way) {
+      s << "  p = c ? &ring[" << b[0] << "] : &ring[" << b[1] << "];\n";
+    } else {
+      s << "  p = ring;\n";
+    }
+    s << "  for (i = " << lo[0] << "; i < " << hi[0] << "; i++) {\n";
+    if (depth == 2) {
+      s << "  for (j = " << lo[1] << "; j < " << hi[1] << "; j++) {\n";
+    }
+    s << "    acc = acc + p[" << k[0] << " + (" << k[1] << ") * i";
+    if (depth == 2) s << " + (" << k[2] << ") * j";
+    s << " + (" << k[3] << ") * i].v;\n";
+    s << (depth == 2 ? "  }\n  }\n" : "  }\n");
+    s << "  return acc;\n}\n"
+      << "int main(void) { initRing(); walk(pick()); return 0; }\n";
+    return s.str();
+  }
+};
+
+LoopNest randomNest(std::mt19937& rng) {
+  const auto pick = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  LoopNest n;
+  n.depth = pick(1, 2);
+  for (int d = 0; d < n.depth; ++d) {
+    n.lo[d] = pick(-4, 6);
+    n.hi[d] = n.lo[d] + pick(1, 5);
+  }
+  for (int d = 1; d < 4; ++d) n.k[d] = pick(-3, 3);
+  if (n.depth == 1) n.k[2] = 0;
+  n.two_way = pick(0, 1) == 1;
+  if (n.two_way) {
+    n.b[0] = pick(0, kSlots - 1);
+    n.b[1] = pick(0, kSlots - 1);
+  }
+  // Pick the constant around the values that keep every access in
+  // bounds, so that about half the nests stay in and half leave.
+  int min = kSlots;
+  int max = -kSlots;
+  n.forEachAccess([&](int at) {
+    min = std::min(min, at);
+    max = std::max(max, at);
+  });
+  int from = -min - 1;
+  int to = kSlots - max;
+  if (from > to) std::swap(from, to);
+  n.k[0] = pick(from, to);
+  return n;
+}
+
+// A1/A2 fire exactly when some access leaves [0, kSlots), with the range
+// pass and without it: the interval test is exact on a box of loop
+// bounds. shm-bounds-const fires only when every access leaves.
+TEST(ArrayRules, BoundsOracleOverSeededLoopNests) {
+  std::mt19937 rng(20061);
+  int leaving = 0;
+  int definite = 0;
+  constexpr int kNests = 300;
+  for (int n = 0; n < kNests; ++n) {
+    const LoopNest nest = randomNest(rng);
+    bool some_out = false;
+    bool all_out = true;
+    nest.forEachAccess([&](int at) {
+      const bool out = at < 0 || at >= kSlots;
+      some_out |= out;
+      all_out &= out;
+    });
+    leaving += some_out ? 1 : 0;
+    for (const bool ranges : {true, false}) {
+      SafeFlowOptions options;
+      options.ranges.enabled = ranges;
+      const auto d = analyzeArrays(nest.source(), kSlots, options);
+      const std::string context =
+          (ranges ? "" : "--no-ranges\n") + nest.source() +
+          d->report().render(d->sources());
+      EXPECT_EQ(countRule(*d, "A1") + countRule(*d, "A2") > 0, some_out)
+          << context;
+      if (countRule(*d, "shm-bounds-const") > 0) {
+        ++definite;
+        EXPECT_TRUE(all_out) << context;
+      }
+    }
+  }
+  // The generator reaches both verdicts, and the definite check fires.
+  EXPECT_GT(leaving, kNests / 4);
+  EXPECT_LT(leaving, kNests * 3 / 4);
+  EXPECT_GT(definite, 0);
 }
 
 }  // namespace

@@ -376,4 +376,61 @@ TEST(DeepChain, BothEnginesReportBothFlowsInProcessAndIsolated) {
   }
 }
 
+// f asserts an unmonitored value safe, and f and g call each other while
+// main calls neither: no root reaches the cycle. Summaries solve it under
+// its local assumptions; call strings must seed it the same way instead
+// of never solving it.
+TEST(UnreachedCycle, BothEnginesReportItsErrorInProcessAndIsolated) {
+  const std::string file = freshTempDir("unreached_cycle") + "/cycle.c";
+  std::ofstream(file) << R"(
+typedef struct NC { int value; } NC;
+NC *nc;
+extern void *shmat(int shmid, void *addr, int flags);
+
+/*** SafeFlow Annotation shminit ***/
+void initNc(void)
+{
+  nc = (NC *) shmat(0, 0, 0);
+  /*** SafeFlow Annotation assume(shmvar(nc, sizeof(NC))) ***/
+  /*** SafeFlow Annotation assume(noncore(nc)) ***/
+}
+
+int g(int n);
+
+int f(int n)
+{
+  int v;
+  v = nc->value;
+  /*** SafeFlow Annotation assert(safe(v)); ***/
+  return g(n - 1) + v;
+}
+
+int g(int n)
+{
+  if (n > 0) {
+    return f(n);
+  }
+  return 0;
+}
+
+int main(void)
+{
+  initNc();
+  return 0;
+}
+)";
+  for (const char* mode : {"--mode=summaries", "--mode=call-strings"}) {
+    for (const char* path : {"", "--isolate"}) {
+      std::vector<std::string> args = {mode};
+      if (*path != '\0') args.emplace_back(path);
+      args.push_back(file);
+      const support::SubprocessResult got = runSafeflow(args);
+      EXPECT_TRUE(got.exitedWith(1)) << mode << " " << path << got.err_text;
+      EXPECT_NE(got.out_text.find("1 error dependency(ies)"),
+                std::string::npos)
+          << mode << " " << path << got.out_text;
+    }
+  }
+}
+
 }  // namespace
