@@ -304,9 +304,10 @@ ObjId AliasAnalysis::objectForAlloca(const ir::Instruction* alloca) {
   // across functions and diagnostics must be unambiguous.
   const ir::Function* fn =
       alloca->parent() != nullptr ? alloca->parent()->parent() : nullptr;
-  const std::string base =
-      alloca->name().empty() ? std::string("<tmp>") : alloca->name();
-  o.name = (fn != nullptr ? fn->name() + "::" : std::string()) + base;
+  const std::string_view base =
+      alloca->name().empty() ? "<tmp>" : alloca->name();
+  o.name = (fn != nullptr ? std::string(fn->name()) + "::" : std::string()) +
+           std::string(base);
   setRootLayout(o.size, o.stride, o.layout, alloca->allocated_type);
   const ObjId id = internObject(std::move(o));
   value_objects_.emplace(alloca, id);
@@ -392,7 +393,10 @@ ObjId AliasAnalysis::resolveOffset(ObjId obj, std::int64_t delta,
   if (!options_.field_sensitive) return obj;
   const Object& o = objects_[static_cast<std::size_t>(obj)];
   const ObjId root = o.parent >= 0 ? o.parent : obj;
-  const std::int64_t raw = (o.parent >= 0 ? o.offset : 0) + delta;
+  std::int64_t raw = 0;
+  if (__builtin_add_overflow(o.parent >= 0 ? o.offset : 0, delta, &raw)) {
+    return unknown_;  // past int64: outside any object
+  }
   const std::int64_t total =
       objects_[static_cast<std::size_t>(root)].size;
   const std::int64_t stride =
@@ -405,7 +409,7 @@ ObjId AliasAnalysis::resolveOffset(ObjId obj, std::int64_t delta,
     // Array collapse: all elements share one set of cells.
     off = ((raw % stride) + stride) % stride;
     if (off + want > stride) return root;  // spans elements
-  } else if (raw < 0 || raw + want > total) {
+  } else if (raw < 0 || raw > total - want) {
     // A constant offset provably outside the object: unknown memory.
     return unknown_;
   }
@@ -481,17 +485,20 @@ void AliasAnalysis::genInstruction(const ir::Instruction* inst) {
     case ir::Opcode::kIndexAddr: {
       const std::int64_t elem = pointeeSize(inst);
       const ir::Value* idx = inst->operand(1);
+      std::int64_t delta = 0;
       if (options_.field_sensitive && elem > 0 &&
-          idx->kind() == ir::Value::Kind::kConstantInt) {
-        const std::int64_t k =
-            static_cast<const ir::ConstantInt*>(idx)->value();
+          idx->kind() == ir::Value::Kind::kConstantInt &&
+          !__builtin_mul_overflow(
+              static_cast<const ir::ConstantInt*>(idx)->value(), elem,
+              &delta)) {
         const int pn = valueNode(inst->operand(0));
         const int dn = valueNode(inst);
         nodes_[static_cast<std::size_t>(pn)].constraints.push_back(
-            Constraint{Constraint::Kind::kOffset, dn, k * elem, elem});
+            Constraint{Constraint::Kind::kOffset, dn, delta, elem});
         enqueue(find(pn));
       } else {
-        // Variable index: the element pointer aliases the base cells.
+        // Variable index, or a constant one whose byte offset overflows
+        // int64: the element pointer aliases the base cells.
         addEdge(valueNode(inst->operand(0)), valueNode(inst));
       }
       ++n_constraints_;
@@ -546,7 +553,7 @@ void AliasAnalysis::genInstruction(const ir::Instruction* inst) {
           const std::size_t p = i - first_arg;
           if (p >= target->args().size()) break;
           addEdge(valueNode(inst->operand(i)),
-                  valueNode(target->args()[p].get()));
+                  valueNode(target->args()[p]));
           ++n_constraints_;
         }
         if (inst->type()->isPointer()) {
@@ -588,7 +595,7 @@ void AliasAnalysis::genConstraints() {
           live_ = false;
           return;
         }
-        genInstruction(inst.get());
+        genInstruction(inst);
       }
     }
   }

@@ -298,14 +298,14 @@ void RangeAnalysis::run() {
   // and address-taken functions, whose call sites we cannot enumerate.
   for (const auto& fn : module_.functions()) {
     if (!fn->isDefined() || fn->isIntrinsic()) continue;
-    if (callgraph_.isRoot(fn.get())) top_arg_fns_.insert(fn.get());
+    if (callgraph_.isRoot(fn)) top_arg_fns_.insert(fn);
   }
   top_arg_fns_.insert(callgraph_.addressTaken().begin(),
                       callgraph_.addressTaken().end());
   for (const ir::Function* fn : top_arg_fns_) {
     for (const auto& arg : fn->args()) {
       if (!arg->type()->isInteger()) continue;
-      joinInto(arg.get(), typeInterval(arg->type()), arg->type());
+      joinInto(arg, typeInterval(arg->type()), arg->type());
     }
   }
 
@@ -358,7 +358,7 @@ bool RangeAnalysis::analyzeFunction(const ir::Function& fn) {
               // ret block: `if (x < 4) return 4; return x;` yields
               // [4, +inf) for the second ret even when x itself is ⊤.
               const Interval at =
-                  rangeAt(inst->operand(0), bb.get()).meet(*rv).value_or(*rv);
+                  rangeAt(inst->operand(0), bb).meet(*rv).value_or(*rv);
               if (joinReturn(&fn, at)) changed = ret_grew = true;
             }
           }
@@ -371,7 +371,7 @@ bool RangeAnalysis::analyzeFunction(const ir::Function& fn) {
           continue;
         }
         if (const auto result = transfer(*inst)) {
-          changed |= joinInto(inst.get(), *result, inst->type());
+          changed |= joinInto(inst, *result, inst->type());
         }
       }
     }
@@ -390,7 +390,7 @@ bool RangeAnalysis::analyzeFunction(const ir::Function& fn) {
       if (inst->opcode() == ir::Opcode::kRet || !inst->type()->isInteger()) {
         continue;
       }
-      const auto it = range_.find(inst.get());
+      const auto it = range_.find(inst);
       if (it == range_.end()) continue;
       // transfer() may add entries (a call joins its callee's formals);
       // a rehash keeps references valid, not iterators.
@@ -476,7 +476,7 @@ void RangeAnalysis::digestInput(const ir::Function& fn,
         hashUint(h, top_args ? 1 : 0);
         if (!top_args) {
           for (std::size_t p = 0; p < f->args().size(); ++p) {
-            const ir::Argument* formal = f->args()[p].get();
+            const ir::Argument* formal = f->args()[p];
             if (!formal->type()->isInteger()) continue;
             const auto it = range_.find(formal);
             if (it == range_.end()) continue;
@@ -535,12 +535,12 @@ std::string RangeAnalysis::captureRecord(const ir::Function& fn,
       for (const ir::Function* f : callgraph_.targets(*inst)) {
         if (!rangeRelevantTarget(f) || top_arg_fns_.contains(f)) continue;
         for (std::size_t p = 0; p < f->args().size(); ++p) {
-          const ir::Argument* formal = f->args()[p].get();
+          const ir::Argument* formal = f->args()[p];
           if (!formal->type()->isInteger() ||
               range_.count(formal) == 0) {
             continue;
           }
-          if (!seen.insert({f->name(), p}).second) continue;
+          if (!seen.insert({std::string(f->name()), p}).second) continue;
           slots.emplace_back(f->name(), p, formal);
         }
       }
@@ -594,7 +594,7 @@ bool RangeAnalysis::applyRecord(const ir::Function& fn,
     if (!r.ok() || target == nullptr || p >= target->args().size()) {
       return false;
     }
-    staged_formals.push_back({target->args()[p].get(), {range, count}});
+    staged_formals.push_back({target->args()[p], {range, count}});
   }
   if (!r.ok() || !r.atEnd()) return false;
 
@@ -649,14 +649,14 @@ std::uint64_t RangeAnalysis::digestState(const ModuleIndex& index) const {
   std::map<std::string, std::string> items;
   const auto stable = [&index](const ir::Value* v) {
     const auto [owner, id] = index.locate(v);
-    return (owner != nullptr ? owner->name() : std::string("?")) + "#" +
+    return std::string(owner != nullptr ? owner->name() : "?") + "#" +
            std::to_string(id);
   };
   for (const auto& [v, range] : range_) {
     items["v:" + stable(v)] = intervalStr(range);
   }
   for (const auto& [fn, range] : return_range_) {
-    items["r:" + fn->name()] = intervalStr(range);
+    items["r:" + std::string(fn->name())] = intervalStr(range);
   }
   for (const auto& [condbr, succ] : decided_) {
     items["d:" + stable(condbr)] = std::to_string(succ);
@@ -766,7 +766,7 @@ std::optional<Interval> RangeAnalysis::transfer(const ir::Instruction& inst) {
         // formal wakes the callee.
         if (!top_arg_fns_.contains(f)) {
           for (std::size_t j = 0; j < f->args().size(); ++j) {
-            const ir::Argument* formal = f->args()[j].get();
+            const ir::Argument* formal = f->args()[j];
             if (!formal->type()->isInteger()) continue;
             if (first_arg + j >= inst.numOperands()) break;
             const auto av =
@@ -1030,10 +1030,10 @@ void RangeAnalysis::computeDecidedBranches() {
               : nullptr;
       if (cmp != nullptr && cmp->operand(0)->type()->isInteger() &&
           cmp->operand(1)->type()->isInteger()) {
-        verdict = cmpDecided(cmp->cmp_op, rangeAt(cmp->operand(0), bb.get()),
-                             rangeAt(cmp->operand(1), bb.get()));
+        verdict = cmpDecided(cmp->cmp_op, rangeAt(cmp->operand(0), bb),
+                             rangeAt(cmp->operand(1), bb));
       } else if (cond->type() != nullptr && cond->type()->isInteger()) {
-        const Interval c = rangeAt(cond, bb.get());
+        const Interval c = rangeAt(cond, bb);
         if (!c.contains(0)) verdict = true;
         else if (c == Interval::constant(0)) verdict = false;
       }
@@ -1101,13 +1101,13 @@ std::size_t checkShmConstBounds(const ir::Module& module,
   std::size_t found = 0;
   for (const auto& fn : module.functions()) {
     if (!fn->isDefined() || fn->isIntrinsic()) continue;
-    if (regions.isInitFunction(fn.get())) continue;
+    if (regions.isInitFunction(fn)) continue;
     for (const auto& bb : fn->blocks()) {
       for (const auto& inst : bb->instructions()) {
         if (inst->opcode() != ir::Opcode::kIndexAddr) continue;
         const ShmPtrInfo* base = shm.info(inst->operand(0));
         if (base == nullptr) continue;
-        const Interval idx = ranges.rangeAt(inst->operand(1), bb.get());
+        const Interval idx = ranges.rangeAt(inst->operand(1), bb);
         const ShmAccess access = shmAccess(*inst, *base, idx);
         for (int region_id : base->regions) {
           const ShmRegion* region = regions.byId(region_id);
@@ -1122,7 +1122,7 @@ std::size_t checkShmConstBounds(const ir::Module& module,
               region->name + "' is always outside its " +
               std::to_string(region->size / access.elem_size) + " elements";
           report.restriction_violations.push_back(RestrictionViolation{
-              "shm-bounds-const", inst->location(), message, fn.get()});
+              "shm-bounds-const", inst->location(), message, fn});
           diags.warning(inst->location(), "shm-bounds-const", message);
         }
       }

@@ -61,7 +61,7 @@ std::vector<RestrictionViolation> RestrictionChecker::run(
   std::vector<RestrictionViolation> out;
   for (const auto& fn : module_.functions()) {
     if (!fn->isDefined()) continue;
-    if (regions_.isInitFunction(fn.get())) continue;  // shminit is exempt
+    if (regions_.isInitFunction(fn)) continue;  // shminit is exempt
     // Out of budget: remaining functions go unchecked, so the run must
     // not certify — the driver flags the phase degraded and exits nonzero.
     if (!support::budgetStep(budget_)) break;
@@ -84,7 +84,7 @@ void RestrictionChecker::checkFunction(
         case ir::Opcode::kCall: {
           // P1: deallocation of shared memory.
           if (inst->direct_callee == nullptr) break;
-          const std::string& callee = inst->direct_callee->name();
+          const std::string_view callee = inst->direct_callee->name();
           const bool is_dealloc =
               std::find(options_.dealloc_functions.begin(),
                         options_.dealloc_functions.end(),
@@ -100,7 +100,7 @@ void RestrictionChecker::checkFunction(
             if (at_main_exit) continue;
             out.push_back(RestrictionViolation{
                 "P1", inst->location(),
-                "shared memory passed to '" + callee +
+                "shared memory passed to '" + std::string(callee) +
                     "' before the end of main (rule P1)",
                 &fn});
           }

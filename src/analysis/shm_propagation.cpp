@@ -97,7 +97,7 @@ void ShmPointerAnalysis::run() {
     bool ret_changed;
     {
       support::ScopedSpan span("shm_propagation.function");
-      span.arg("fn", fn->name());
+      span.arg("fn", std::string(fn->name()));
       ret_changed = memo_.enabled() ? memoizedAnalyze(*fn)
                                     : analyzeFunction(*fn);
     }
@@ -138,7 +138,7 @@ bool ShmPointerAnalysis::analyzeFunction(const ir::Function& fn) {
                 ShmPtrInfo info;
                 info.regions.insert(region->id);
                 info.lo = info.hi = 0;
-                any_change |= update(inst.get(), info);
+                any_change |= update(inst, info);
                 break;
               }
             }
@@ -149,7 +149,7 @@ bool ShmPointerAnalysis::analyzeFunction(const ir::Function& fn) {
               // The loaded value's provenance is unknown within the
               // region(s) the holder could reference.
               ShmPtrInfo info = src;
-              any_change |= update(inst.get(), info);
+              any_change |= update(inst, info);
             }
             break;
           }
@@ -169,7 +169,7 @@ bool ShmPointerAnalysis::analyzeFunction(const ir::Function& fn) {
           }
           case ir::Opcode::kCast: {
             const ShmPtrInfo src = get(inst->operand(0));
-            if (!src.empty()) any_change |= update(inst.get(), src);
+            if (!src.empty()) any_change |= update(inst, src);
             break;
           }
           case ir::Opcode::kPhi: {
@@ -177,7 +177,7 @@ bool ShmPointerAnalysis::analyzeFunction(const ir::Function& fn) {
             for (std::size_t i = 0; i < inst->numOperands(); ++i) {
               merged.merge(get(inst->operand(i)));
             }
-            if (!merged.empty()) any_change |= update(inst.get(), merged);
+            if (!merged.empty()) any_change |= update(inst, merged);
             break;
           }
           case ir::Opcode::kFieldAddr: {
@@ -203,7 +203,7 @@ bool ShmPointerAnalysis::analyzeFunction(const ir::Function& fn) {
               src.lo += field_off;
               src.hi += field_off;
             }
-            any_change |= update(inst.get(), src);
+            any_change |= update(inst, src);
             break;
           }
           case ir::Opcode::kIndexAddr: {
@@ -218,16 +218,24 @@ bool ShmPointerAnalysis::analyzeFunction(const ir::Function& fn) {
               if (elem_size == 0) elem_size = 1;
             }
             const ir::Value* idx = inst->operand(1);
+            std::int64_t delta = 0;
+            std::int64_t lo = 0;
+            std::int64_t hi = 0;
+            // A constant index whose byte offset overflows int64 widens
+            // the fact, as a variable index does.
             if (idx->kind() == ir::Value::Kind::kConstantInt &&
-                src.offset_known) {
-              const std::int64_t c =
-                  static_cast<const ir::ConstantInt*>(idx)->value();
-              src.lo += c * elem_size;
-              src.hi += c * elem_size;
+                src.offset_known &&
+                !__builtin_mul_overflow(
+                    static_cast<const ir::ConstantInt*>(idx)->value(),
+                    elem_size, &delta) &&
+                !__builtin_add_overflow(src.lo, delta, &lo) &&
+                !__builtin_add_overflow(src.hi, delta, &hi)) {
+              src.lo = lo;
+              src.hi = hi;
             } else {
               widen(src);
             }
-            any_change |= update(inst.get(), src);
+            any_change |= update(inst, src);
             break;
           }
           case ir::Opcode::kCall: {
@@ -248,13 +256,13 @@ bool ShmPointerAnalysis::analyzeFunction(const ir::Function& fn) {
                 const std::size_t param = i - first_arg;
                 if (param >= target->args().size()) break;
                 const ShmPtrInfo arg = get(inst->operand(i));
-                if (!arg.empty() && update(target->args()[param].get(), arg)) {
+                if (!arg.empty() && update(target->args()[param], arg)) {
                   worklist_->wake(target);
                 }
               }
               auto rit = returns_.find(target);
               if (rit != returns_.end() && !rit->second.empty()) {
-                any_change |= update(inst.get(), rit->second);
+                any_change |= update(inst, rit->second);
               }
             }
             break;
@@ -359,7 +367,7 @@ void ShmPointerAnalysis::digestInput(const ir::Function& fn,
         if (!shmRelevantTarget(target, regions_)) continue;
         hashToken(h, target->name());
         for (std::size_t p = 0; p < target->args().size(); ++p) {
-          const ir::Value* formal = target->args()[p].get();
+          const ir::Value* formal = target->args()[p];
           const auto fit = facts_.find(formal);
           if (fit == facts_.end()) continue;
           hashUint(h, p);
@@ -414,9 +422,9 @@ std::string ShmPointerAnalysis::captureRecord(const ir::Function& fn,
       for (const ir::Function* target : callgraph_.targets(*inst)) {
         if (!shmRelevantTarget(target, regions_)) continue;
         for (std::size_t p = 0; p < target->args().size(); ++p) {
-          const ir::Value* formal = target->args()[p].get();
+          const ir::Value* formal = target->args()[p];
           if (facts_.count(formal) == 0) continue;
-          if (!seen.insert({target->name(), p}).second) continue;
+          if (!seen.insert({std::string(target->name()), p}).second) continue;
           slots.emplace_back(target->name(), p, formal);
         }
       }
@@ -470,7 +478,7 @@ bool ShmPointerAnalysis::applyRecord(const ir::Function& fn,
     const unsigned count = static_cast<unsigned>(r.u64());
     const ir::Function* target = memo_.index->function(name);
     if (target == nullptr || p >= target->args().size()) return false;
-    staged.push_back({target->args()[p].get(), {info, count}});
+    staged.push_back({target->args()[p], {info, count}});
   }
   if (!r.ok() || !r.atEnd()) return false;
 
@@ -519,12 +527,12 @@ std::uint64_t ShmPointerAnalysis::digestState(
   for (const auto& [v, info] : facts_) {
     const auto [owner, id] = index.locate(v);
     const std::string name =
-        (owner != nullptr ? owner->name() : std::string("?")) + "#" +
+        std::string(owner != nullptr ? owner->name() : "?") + "#" +
         std::to_string(id);
     items["v:" + name] = shmInfoStr(info);
   }
   for (const auto& [fn, info] : returns_) {
-    items["r:" + fn->name()] = shmInfoStr(info);
+    items["r:" + std::string(fn->name())] = shmInfoStr(info);
   }
   support::Fnv1a h;
   for (const auto& [k, v] : items) {

@@ -31,7 +31,7 @@ ShmRegionTable ShmRegionTable::build(const ir::Module& module,
   const support::ScopedTimer timer("phase.shm_regions");
   ShmRegionTable table;
   for (const auto& fn : module.functions()) {
-    if (fn->annotations.is_shminit) table.init_functions_.push_back(fn.get());
+    if (fn->annotations.is_shminit) table.init_functions_.push_back(fn);
   }
 
   // Message channels (paper §3.4.3): noncore(fd) annotations on integer
@@ -70,7 +70,7 @@ ShmRegionTable ShmRegionTable::build(const ir::Module& module,
             inst->direct_callee == nullptr) {
           continue;
         }
-        const std::string& callee = inst->direct_callee->name();
+        const std::string_view callee = inst->direct_callee->name();
         if (callee == ir::kIntrinsicShmVar) {
           const ir::GlobalVar* g = traceToGlobal(inst->operand(0));
           if (g == nullptr) {
@@ -80,8 +80,8 @@ ShmRegionTable ShmRegionTable::build(const ir::Module& module,
           }
           if (table.by_global_.contains(g)) {
             diags.error(inst->location(), "annotation",
-                        "duplicate shmvar declaration for '" + g->name() +
-                            "'");
+                        "duplicate shmvar declaration for '" +
+                            std::string(g->name()) + "'");
             continue;
           }
           ShmRegion region;
@@ -139,12 +139,12 @@ void ShmRegionTable::verifyInitCheck(const ir::Module& module,
             if (inst->direct_callee != nullptr &&
                 (inst->direct_callee->name() == "shmat" ||
                  inst->direct_callee->name() == "mmap")) {
-              offsets[inst.get()] = 0;
+              offsets[inst] = 0;
             }
             break;
           case ir::Opcode::kCast: {
             auto it = offsets.find(inst->operand(0));
-            if (it != offsets.end()) offsets[inst.get()] = it->second;
+            if (it != offsets.end()) offsets[inst] = it->second;
             break;
           }
           case ir::Opcode::kIndexAddr: {
@@ -160,7 +160,7 @@ void ShmRegionTable::verifyInitCheck(const ir::Module& module,
                       ->size());
               if (elem == 0) elem = 1;
             }
-            offsets[inst.get()] =
+            offsets[inst] =
                 base->second +
                 static_cast<const ir::ConstantInt*>(idx)->value() * elem;
             break;
@@ -173,11 +173,11 @@ void ShmRegionTable::verifyInitCheck(const ir::Module& module,
                   static_cast<const ir::GlobalVar*>(inst->operand(0));
               auto it = region_offsets.find(g);
               if (it != region_offsets.end()) {
-                offsets[inst.get()] = it->second;
+                offsets[inst] = it->second;
               }
             } else {
               auto it = offsets.find(inst->operand(0));
-              if (it != offsets.end()) offsets[inst.get()] = it->second;
+              if (it != offsets.end()) offsets[inst] = it->second;
             }
             break;
           }

@@ -28,13 +28,13 @@ void hashUNum(support::Fnv1a& h, std::uint64_t v) {
 
 ValueIndex::ValueIndex(const ir::Function& fn) {
   for (const auto& arg : fn.args()) {
-    ids_[arg.get()] = static_cast<int>(values_.size());
-    values_.push_back(arg.get());
+    ids_[arg] = static_cast<int>(values_.size());
+    values_.push_back(arg);
   }
   for (const auto& bb : fn.blocks()) {
     for (const auto& inst : bb->instructions()) {
-      ids_[inst.get()] = static_cast<int>(values_.size());
-      values_.push_back(inst.get());
+      ids_[inst] = static_cast<int>(values_.size());
+      values_.push_back(inst);
     }
   }
 }
@@ -46,12 +46,12 @@ int ValueIndex::idOf(const ir::Value* v) const {
 
 ModuleIndex::ModuleIndex(const ir::Module& module) {
   for (const auto& fn : module.functions()) {
-    by_name_[fn->name()] = fn.get();
+    by_name_[std::string(fn->name())] = fn;
     if (!fn->isDefined()) continue;
-    const auto [it, inserted] = indexes_.emplace(fn.get(), ValueIndex(*fn));
+    const auto [it, inserted] = indexes_.emplace(fn, ValueIndex(*fn));
     const auto& values = it->second.values();
     for (std::size_t i = 0; i < values.size(); ++i) {
-      owners_[values[i]] = {fn.get(), static_cast<int>(i)};
+      owners_[values[i]] = {fn, static_cast<int>(i)};
     }
   }
 }
@@ -192,11 +192,11 @@ void hashFunction(const ir::Function& fn, support::Fnv1a& h) {
 
   std::map<const ir::BasicBlock*, int> block_ids;
   int next_block = 0;
-  for (const auto& bb : fn.blocks()) block_ids[bb.get()] = next_block++;
+  for (const auto& bb : fn.blocks()) block_ids[bb] = next_block++;
 
   for (const auto& bb : fn.blocks()) {
     hashBytes(h, "b");
-    hashNum(h, block_ids[bb.get()]);
+    hashNum(h, block_ids[bb]);
     for (const auto& inst : bb->instructions()) {
       hashNum(h, static_cast<int>(inst->opcode()));
       hashType(inst->type(), h);
@@ -261,7 +261,8 @@ FunctionKeyMap computeFunctionKeys(const ir::Module& module,
         if (in_scc.count(callee) != 0) continue;
         const auto it = keys.find(callee);
         callee_keys.insert(it != keys.end() ? it->second
-                                            : "external:" + callee->name());
+                                            : "external:" +
+                                                  std::string(callee->name()));
       }
     }
     for (const std::string& k : callee_keys) hashBytes(component, k);
@@ -387,11 +388,11 @@ std::string stableObjectName(const AliasAnalysis& alias,
       return "R" + std::to_string(alias.regionOf(obj));
     case AliasAnalysis::ObjKind::kGlobal: {
       const ir::Value* g = alias.anchorOf(obj);
-      return "G" + (g != nullptr ? g->name() : std::string("?"));
+      return "G" + std::string(g != nullptr ? g->name() : "?");
     }
     case AliasAnalysis::ObjKind::kAlloca: {
       const auto [fn, id] = index.locate(alias.anchorOf(obj));
-      return "A" + (fn != nullptr ? fn->name() : std::string("?")) + "#" +
+      return "A" + std::string(fn != nullptr ? fn->name() : "?") + "#" +
              std::to_string(id);
     }
     case AliasAnalysis::ObjKind::kField: {

@@ -145,7 +145,7 @@ TaintAnalysis::TaintAnalysis(const ir::Module& module,
 void TaintAnalysis::computeLocalAssumptions() {
   for (const auto& fn : module_.functions()) {
     if (!fn->isDefined()) continue;
-    AssumptionSet& local = local_assumptions_[fn.get()];
+    AssumptionSet& local = local_assumptions_[fn];
     for (const auto& bb : fn->blocks()) {
       for (const auto& inst : bb->instructions()) {
         if (inst->opcode() != ir::Opcode::kCall ||
@@ -188,8 +188,8 @@ void TaintAnalysis::computeEffectiveAssumptions() {
   // leaves top it only shrinks, so the worklist ends without a cap.
   for (const auto& fn : module_.functions()) {
     if (!fn->isDefined()) continue;
-    effective_[fn.get()] = local_assumptions_[fn.get()];
-    effective_is_top_[fn.get()] = !callgraph_.isRoot(fn.get());
+    effective_[fn] = local_assumptions_[fn];
+    effective_is_top_[fn] = !callgraph_.isRoot(fn);
   }
 
   ir::FunctionWorklist worklist(callgraph_, [this](const ir::Function& fn) {
@@ -296,7 +296,7 @@ TaintId TaintAnalysis::resolveConcrete(TaintId t, const ir::Function& fn) {
   auto concrete_of = [this, &fn](unsigned p) -> const TaintPair& {
     TaintId id = TaintPool::kEmpty;
     if (p < fn.args().size()) {
-      const auto it = arg_concrete_.find(fn.args()[p].get());
+      const auto it = arg_concrete_.find(fn.args()[p]);
       if (it != arg_concrete_.end()) id = it->second;
     }
     return pool_.get(id);
@@ -498,9 +498,9 @@ TaintAnalysis::BodyWorklist::BodyWorklist(const TaintAnalysis& taint,
   for (const auto& bb : fn.blocks()) {
     block_start_.push_back(static_cast<std::uint32_t>(insts_.size()));
     for (const auto& inst : bb->instructions()) {
-      position_of.emplace_back(reinterpret_cast<std::uintptr_t>(inst.get()),
+      position_of.emplace_back(reinterpret_cast<std::uintptr_t>(inst),
                                static_cast<std::uint32_t>(insts_.size()));
-      insts_.push_back(inst.get());
+      insts_.push_back(inst);
     }
   }
   block_start_.push_back(static_cast<std::uint32_t>(insts_.size()));
@@ -528,7 +528,7 @@ TaintAnalysis::BodyWorklist::BodyWorklist(const TaintAnalysis& taint,
   const ir::CfgInfo& cfg = fn.cfg();
   for (const auto& bb : fn.blocks()) {
     if (track_control) {
-      for (const ir::BasicBlock* controller : cfg.controllers(bb.get())) {
+      for (const ir::BasicBlock* controller : cfg.controllers(bb)) {
         const std::uint32_t cond = branch_condition(controller);
         if (cond != kNone) controls.emplace_back(cond, block);
       }
@@ -652,7 +652,7 @@ bool TaintAnalysis::analyzeFunction(const ir::Function& fn,
   ++body_analyses_;
   SAFEFLOW_COUNT("taint.body_analyses");
   support::ScopedSpan span("taint.function");
-  span.arg("fn", fn.name());
+  span.arg("fn", std::string(fn.name()));
 
   bool changed_any = false;
   // Seed each argument with its symbolic parameter taint; concrete taints
@@ -661,7 +661,7 @@ bool TaintAnalysis::analyzeFunction(const ir::Function& fn,
     TaintPair symbol;
     symbol.data.params.insert(arg->index());
     changed_any |=
-        grow(value_taint_[arg.get()], pool_.intern(std::move(symbol)));
+        grow(value_taint_[arg], pool_.intern(std::move(symbol)));
   }
 
   // What makes a round count as changed, as the whole-pass loop counted
@@ -680,7 +680,7 @@ bool TaintAnalysis::analyzeFunction(const ir::Function& fn,
   for (const auto& bb : fn.blocks()) {
     TaintId block_control = TaintPool::kEmpty;
     if (options_.track_control_deps) {
-      block_control = blockControlTaint(bb.get());
+      block_control = blockControlTaint(bb);
     }
     for (const auto& inst : bb->instructions()) {
       in_budget = support::budgetStep(budget_);
@@ -879,7 +879,7 @@ TaintId TaintAnalysis::evalCall(const ir::Instruction& call,
       const TaintId arg =
           resolveConcrete(operandTaint(call.operand(i)), *caller);
       if (arg != TaintPool::kEmpty &&
-          grow(arg_concrete_[target->args()[p].get()], arg)) {
+          grow(arg_concrete_[target->args()[p]], arg)) {
         call_growth_ |= target == caller ? kGrewCalleeArgs | kGrewOwnArgs
                                          : kGrewCalleeArgs;
         // The body solver revisits what a self call grows.
@@ -940,9 +940,9 @@ void TaintAnalysis::run(SafeFlowReport& report) {
   for (const auto& fn : module_.functions()) {
     if (!member(*fn)) continue;
     if (!call_strings) {
-      contexts_[fn.get()].push_back(effectiveAssumptions(fn.get()));
-    } else if (callgraph_.isRoot(fn.get()) || effective_is_top_[fn.get()]) {
-      contexts_[fn.get()].push_back(local_assumptions_[fn.get()]);
+      contexts_[fn].push_back(effectiveAssumptions(fn));
+    } else if (callgraph_.isRoot(fn) || effective_is_top_[fn]) {
+      contexts_[fn].push_back(local_assumptions_[fn]);
     }
     ObjSet reads;
     for (const auto& bb : fn->blocks()) {
@@ -960,7 +960,7 @@ void TaintAnalysis::run(SafeFlowReport& report) {
       }
     }
     if (!reads.empty()) {
-      object_reads_.emplace_back(fn.get(), std::move(reads));
+      object_reads_.emplace_back(fn, std::move(reads));
     }
   }
   ir::FunctionWorklist worklist(callgraph_, member);
@@ -1013,7 +1013,7 @@ std::vector<std::pair<std::string, int>> sortedRefs(
   refs.reserve(insts.size());
   for (const ir::Instruction* inst : insts) {
     const auto [fn, id] = index.locate(inst);
-    refs.emplace_back(fn != nullptr ? fn->name() : std::string("?"), id);
+    refs.emplace_back(std::string(fn != nullptr ? fn->name() : "?"), id);
   }
   std::sort(refs.begin(), refs.end());
   return refs;
@@ -1107,7 +1107,7 @@ std::map<std::string, ObjId> TaintAnalysis::memoFootprint(
       for (const ir::Value* op : inst->operands()) {
         for (ObjId obj : alias_.pointsTo(op)) add_chain(obj);
       }
-      for (ObjId obj : alias_.pointsTo(inst.get())) add_chain(obj);
+      for (ObjId obj : alias_.pointsTo(inst)) add_chain(obj);
     }
   }
   std::map<std::string, ObjId> named;
@@ -1223,7 +1223,7 @@ std::uint64_t TaintAnalysis::memoRefHash(const ir::Instruction* inst) const {
   if (it != memo_ref_hash_.end()) return it->second;
   const auto [owner, id] = memo_.index->locate(inst);
   support::Fnv1a h;
-  hashToken(h, owner != nullptr ? owner->name() : std::string("?"));
+  hashToken(h, owner != nullptr ? owner->name() : "?");
   hashInt(h, id);
   return memo_ref_hash_.emplace(inst, h.digest()).first->second;
 }
@@ -1279,7 +1279,7 @@ void TaintAnalysis::digestInput(const ir::Function& fn,
   }
   hashToken(h, "argc");
   for (std::size_t p = 0; p < fn.args().size(); ++p) {
-    const auto it = arg_concrete_.find(fn.args()[p].get());
+    const auto it = arg_concrete_.find(fn.args()[p]);
     if (it == arg_concrete_.end()) continue;
     hashUint(h, p);
     hashTaintPairDigest(h, pool_.get(it->second));
@@ -1308,7 +1308,7 @@ void TaintAnalysis::digestInput(const ir::Function& fn,
       hashTaintPairDigest(h, pool_.get(trit->second));
     }
     for (std::size_t p = 0; p < target->args().size(); ++p) {
-      const auto ait = arg_concrete_.find(target->args()[p].get());
+      const auto ait = arg_concrete_.find(target->args()[p]);
       if (ait == arg_concrete_.end()) continue;
       hashUint(h, p);
       hashTaintPairDigest(h, pool_.get(ait->second));
@@ -1372,10 +1372,10 @@ std::string TaintAnalysis::captureRecord(const ir::Function& fn,
       for (const ir::Function* target : callgraph_.targets(*inst)) {
         if (!taintRelevantTarget(target, regions_)) continue;
         for (std::size_t p = 0; p < target->args().size(); ++p) {
-          const ir::Argument* formal = target->args()[p].get();
+          const ir::Argument* formal = target->args()[p];
           const auto it = arg_concrete_.find(formal);
           if (it == arg_concrete_.end()) continue;
-          if (!seen.insert({target->name(), p}).second) continue;
+          if (!seen.insert({std::string(target->name()), p}).second) continue;
           formal_slots.emplace_back(target->name(), p, intern(it->second));
         }
       }
@@ -1472,7 +1472,7 @@ bool TaintAnalysis::applyRecord(const ir::Function& fn,
     if (!r.ok() || !t || target == nullptr || p >= target->args().size()) {
       return false;
     }
-    staged_formals.push_back({target->args()[p].get(), *t});
+    staged_formals.push_back({target->args()[p], *t});
   }
   if (!r.ok() || !r.atEnd()) return false;
 
@@ -1526,7 +1526,7 @@ std::uint64_t TaintAnalysis::digestState(const ModuleIndex& index) const {
   std::map<std::string, std::string> items;
   const auto stable = [&index](const ir::Value* v) {
     const auto [owner, id] = index.locate(v);
-    return (owner != nullptr ? owner->name() : std::string("?")) + "#" +
+    return std::string(owner != nullptr ? owner->name() : "?") + "#" +
            std::to_string(id);
   };
   for (const auto& [v, t] : value_taint_) {
@@ -1540,7 +1540,7 @@ std::uint64_t TaintAnalysis::digestState(const ModuleIndex& index) const {
     items["a:" + stable(arg)] = taintPairStr(pool_.get(t), index);
   }
   for (const auto& [fn, t] : return_taint_) {
-    items["r:" + fn->name()] = taintPairStr(pool_.get(t), index);
+    items["r:" + std::string(fn->name())] = taintPairStr(pool_.get(t), index);
   }
   support::Fnv1a h;
   for (const auto& [k, v] : items) {
@@ -1552,8 +1552,8 @@ std::uint64_t TaintAnalysis::digestState(const ModuleIndex& index) const {
 
 void TaintAnalysis::reportWarnings(SafeFlowReport& report) {
   for (const auto& fn : module_.functions()) {
-    if (!fn->isDefined() || regions_.isInitFunction(fn.get())) continue;
-    const AssumptionSet& assumptions = effectiveAssumptions(fn.get());
+    if (!fn->isDefined() || regions_.isInitFunction(fn)) continue;
+    const AssumptionSet& assumptions = effectiveAssumptions(fn);
     for (const auto& bb : fn->blocks()) {
       for (const auto& inst : bb->instructions()) {
         if (inst->opcode() != ir::Opcode::kLoad) continue;
@@ -1666,10 +1666,10 @@ void TaintAnalysis::reportAsserts(SafeFlowReport& report) {
         if (inst->direct_callee->name() == ir::kIntrinsicAssertSafe) {
           ++report.asserts_checked;
           const ir::Value* checked = inst->operand(0);
-          const std::string name =
+          const std::string name(
               !inst->name().empty()
                   ? inst->name()
-                  : (checked->name().empty() ? "<value>" : checked->name());
+                  : (checked->name().empty() ? "<value>" : checked->name()));
           reportCriticalValue(report, *inst, checked, name);
           continue;
         }

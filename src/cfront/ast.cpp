@@ -2,33 +2,22 @@
 
 namespace safeflow::cfront {
 
-VarDecl* TranslationUnit::addGlobal(std::unique_ptr<VarDecl> var) {
-  globals_.push_back(std::move(var));
-  return globals_.back().get();
-}
-
-FunctionDecl* TranslationUnit::addFunction(
-    std::unique_ptr<FunctionDecl> fn) {
-  functions_.push_back(std::move(fn));
-  return functions_.back().get();
-}
-
 const FunctionDecl* TranslationUnit::findFunction(
     std::string_view name) const {
   const FunctionDecl* found = nullptr;
-  for (const auto& fn : functions_) {
+  for (const FunctionDecl* fn : functions_) {
     if (fn->name() == name) {
       // Prefer a definition over a forward declaration.
-      if (fn->isDefined()) return fn.get();
-      if (found == nullptr) found = fn.get();
+      if (fn->isDefined()) return fn;
+      if (found == nullptr) found = fn;
     }
   }
   return found;
 }
 
 const VarDecl* TranslationUnit::findGlobal(std::string_view name) const {
-  for (const auto& g : globals_) {
-    if (g->name() == name) return g.get();
+  for (const VarDecl* g : globals_) {
+    if (g->name() == name) return g;
   }
   return nullptr;
 }

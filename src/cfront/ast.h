@@ -1,13 +1,31 @@
-// Abstract syntax tree for the C subset. Nodes are owned by unique_ptr
-// links from their parents; the TranslationUnit owns top-level decls.
-// Expression nodes carry the type computed by the parser.
+// Abstract syntax tree for the C subset. Expression nodes carry the type
+// computed by the parser.
+//
+// Ownership: every node (Expr, Stmt, VarDecl, FunctionDecl) comes from the
+// arena of its TranslationUnit, a std::pmr::monotonic_buffer_resource, and
+// links to its children by plain pointers. Child lists (statements,
+// arguments, initializer items, parameters, declarations, annotations) are
+// exact-size arena arrays behind a std::span. No node's destructor ever
+// runs, so every node type must be trivially destructible
+// (TranslationUnit::create checks it): destroying the unit frees a few
+// chunks. Spellings (declaration, member
+// and annotation names, annotation texts, string literals) are views into
+// the SourceManager's buffers, as token spellings are; a string the parser
+// builds itself (adjacent string literals joined) is copied into the
+// arena. A view never points anywhere else.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <map>
-#include <memory>
+#include <memory_resource>
+#include <new>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "cfront/types.h"
@@ -49,7 +67,6 @@ class Expr {
     kCall, kSubscript, kMember, kCast, kSizeof, kInitList,
   };
 
-  virtual ~Expr() = default;
   [[nodiscard]] Kind kind() const { return kind_; }
   [[nodiscard]] const Type* type() const { return type_; }
   [[nodiscard]] SourceLocation location() const { return loc_; }
@@ -57,14 +74,14 @@ class Expr {
  protected:
   Expr(Kind kind, const Type* type, SourceLocation loc)
       : kind_(kind), type_(type), loc_(loc) {}
+  // Not virtual: nothing deletes a node through a base pointer.
+  ~Expr() = default;
 
  private:
   Kind kind_;
   const Type* type_;
   SourceLocation loc_;
 };
-
-using ExprPtr = std::unique_ptr<Expr>;
 
 class IntLitExpr final : public Expr {
  public:
@@ -88,12 +105,12 @@ class FloatLitExpr final : public Expr {
 
 class StringLitExpr final : public Expr {
  public:
-  StringLitExpr(std::string value, const Type* type, SourceLocation loc)
-      : Expr(Kind::kStringLit, type, loc), value_(std::move(value)) {}
-  [[nodiscard]] const std::string& value() const { return value_; }
+  StringLitExpr(std::string_view value, const Type* type, SourceLocation loc)
+      : Expr(Kind::kStringLit, type, loc), value_(value) {}
+  [[nodiscard]] std::string_view value() const { return value_; }
 
  private:
-  std::string value_;
+  std::string_view value_;
 };
 
 class ValueDecl;  // VarDecl or FunctionDecl
@@ -110,144 +127,143 @@ class DeclRefExpr final : public Expr {
 
 class UnaryExpr final : public Expr {
  public:
-  UnaryExpr(UnaryOp op, ExprPtr operand, const Type* type,
+  UnaryExpr(UnaryOp op, const Expr* operand, const Type* type,
             SourceLocation loc)
-      : Expr(Kind::kUnary, type, loc), op_(op), operand_(std::move(operand)) {}
+      : Expr(Kind::kUnary, type, loc), op_(op), operand_(operand) {}
   [[nodiscard]] UnaryOp op() const { return op_; }
-  [[nodiscard]] const Expr* operand() const { return operand_.get(); }
+  [[nodiscard]] const Expr* operand() const { return operand_; }
 
  private:
   UnaryOp op_;
-  ExprPtr operand_;
+  const Expr* operand_;
 };
 
 class BinaryExpr final : public Expr {
  public:
-  BinaryExpr(BinaryOp op, ExprPtr lhs, ExprPtr rhs, const Type* type,
+  BinaryExpr(BinaryOp op, const Expr* lhs, const Expr* rhs, const Type* type,
              SourceLocation loc)
       : Expr(Kind::kBinary, type, loc),
         op_(op),
-        lhs_(std::move(lhs)),
-        rhs_(std::move(rhs)) {}
+        lhs_(lhs),
+        rhs_(rhs) {}
   [[nodiscard]] BinaryOp op() const { return op_; }
-  [[nodiscard]] const Expr* lhs() const { return lhs_.get(); }
-  [[nodiscard]] const Expr* rhs() const { return rhs_.get(); }
+  [[nodiscard]] const Expr* lhs() const { return lhs_; }
+  [[nodiscard]] const Expr* rhs() const { return rhs_; }
 
  private:
   BinaryOp op_;
-  ExprPtr lhs_;
-  ExprPtr rhs_;
+  const Expr* lhs_;
+  const Expr* rhs_;
 };
 
 /// Assignment, including compound assignment (op != nullopt encodes `lhs op=
 /// rhs` with the arithmetic op).
 class AssignExpr final : public Expr {
  public:
-  AssignExpr(ExprPtr lhs, ExprPtr rhs, std::optional<BinaryOp> compound_op,
+  AssignExpr(const Expr* lhs, const Expr* rhs,
+             std::optional<BinaryOp> compound_op,
              const Type* type, SourceLocation loc)
       : Expr(Kind::kAssign, type, loc),
-        lhs_(std::move(lhs)),
-        rhs_(std::move(rhs)),
+        lhs_(lhs),
+        rhs_(rhs),
         compound_op_(compound_op) {}
-  [[nodiscard]] const Expr* lhs() const { return lhs_.get(); }
-  [[nodiscard]] const Expr* rhs() const { return rhs_.get(); }
+  [[nodiscard]] const Expr* lhs() const { return lhs_; }
+  [[nodiscard]] const Expr* rhs() const { return rhs_; }
   [[nodiscard]] std::optional<BinaryOp> compoundOp() const {
     return compound_op_;
   }
 
  private:
-  ExprPtr lhs_;
-  ExprPtr rhs_;
+  const Expr* lhs_;
+  const Expr* rhs_;
   std::optional<BinaryOp> compound_op_;
 };
 
 class ConditionalExpr final : public Expr {
  public:
-  ConditionalExpr(ExprPtr cond, ExprPtr then, ExprPtr otherwise,
+  ConditionalExpr(const Expr* cond, const Expr* then, const Expr* otherwise,
                   const Type* type, SourceLocation loc)
       : Expr(Kind::kConditional, type, loc),
-        cond_(std::move(cond)),
-        then_(std::move(then)),
-        else_(std::move(otherwise)) {}
-  [[nodiscard]] const Expr* cond() const { return cond_.get(); }
-  [[nodiscard]] const Expr* thenExpr() const { return then_.get(); }
-  [[nodiscard]] const Expr* elseExpr() const { return else_.get(); }
+        cond_(cond),
+        then_(then),
+        else_(otherwise) {}
+  [[nodiscard]] const Expr* cond() const { return cond_; }
+  [[nodiscard]] const Expr* thenExpr() const { return then_; }
+  [[nodiscard]] const Expr* elseExpr() const { return else_; }
 
  private:
-  ExprPtr cond_;
-  ExprPtr then_;
-  ExprPtr else_;
+  const Expr* cond_;
+  const Expr* then_;
+  const Expr* else_;
 };
 
 class CallExpr final : public Expr {
  public:
-  CallExpr(ExprPtr callee, std::vector<ExprPtr> args, const Type* type,
-           SourceLocation loc)
-      : Expr(Kind::kCall, type, loc),
-        callee_(std::move(callee)),
-        args_(std::move(args)) {}
-  [[nodiscard]] const Expr* callee() const { return callee_.get(); }
-  [[nodiscard]] const std::vector<ExprPtr>& args() const { return args_; }
+  CallExpr(const Expr* callee, std::span<const Expr* const> args,
+           const Type* type, SourceLocation loc)
+      : Expr(Kind::kCall, type, loc), callee_(callee), args_(args) {}
+  [[nodiscard]] const Expr* callee() const { return callee_; }
+  [[nodiscard]] std::span<const Expr* const> args() const { return args_; }
 
  private:
-  ExprPtr callee_;
-  std::vector<ExprPtr> args_;
+  const Expr* callee_;
+  std::span<const Expr* const> args_;
 };
 
 class SubscriptExpr final : public Expr {
  public:
-  SubscriptExpr(ExprPtr base, ExprPtr index, const Type* type,
+  SubscriptExpr(const Expr* base, const Expr* index, const Type* type,
                 SourceLocation loc)
       : Expr(Kind::kSubscript, type, loc),
-        base_(std::move(base)),
-        index_(std::move(index)) {}
-  [[nodiscard]] const Expr* base() const { return base_.get(); }
-  [[nodiscard]] const Expr* index() const { return index_.get(); }
+        base_(base),
+        index_(index) {}
+  [[nodiscard]] const Expr* base() const { return base_; }
+  [[nodiscard]] const Expr* index() const { return index_; }
 
  private:
-  ExprPtr base_;
-  ExprPtr index_;
+  const Expr* base_;
+  const Expr* index_;
 };
 
 class MemberExpr final : public Expr {
  public:
-  MemberExpr(ExprPtr base, std::string member, bool is_arrow,
+  MemberExpr(const Expr* base, std::string_view member, bool is_arrow,
              const Type* type, SourceLocation loc)
       : Expr(Kind::kMember, type, loc),
-        base_(std::move(base)),
-        member_(std::move(member)),
+        base_(base),
+        member_(member),
         is_arrow_(is_arrow) {}
-  [[nodiscard]] const Expr* base() const { return base_.get(); }
-  [[nodiscard]] const std::string& member() const { return member_; }
+  [[nodiscard]] const Expr* base() const { return base_; }
+  [[nodiscard]] std::string_view member() const { return member_; }
   [[nodiscard]] bool isArrow() const { return is_arrow_; }
 
  private:
-  ExprPtr base_;
-  std::string member_;
+  const Expr* base_;
+  std::string_view member_;
   bool is_arrow_;
 };
 
 class CastExpr final : public Expr {
  public:
-  CastExpr(ExprPtr operand, const Type* type, SourceLocation loc)
-      : Expr(Kind::kCast, type, loc), operand_(std::move(operand)) {}
-  [[nodiscard]] const Expr* operand() const { return operand_.get(); }
+  CastExpr(const Expr* operand, const Type* type, SourceLocation loc)
+      : Expr(Kind::kCast, type, loc), operand_(operand) {}
+  [[nodiscard]] const Expr* operand() const { return operand_; }
 
  private:
-  ExprPtr operand_;
+  const Expr* operand_;
 };
 
 /// Brace-enclosed initializer list: {a, b, ...}, possibly nested. The
 /// node's type is the variable's declared type.
 class InitListExpr final : public Expr {
  public:
-  InitListExpr(std::vector<ExprPtr> items, const Type* type,
+  InitListExpr(std::span<const Expr* const> items, const Type* type,
                SourceLocation loc)
-      : Expr(Kind::kInitList, type, loc), items_(std::move(items)) {}
-  [[nodiscard]] const std::vector<ExprPtr>& items() const { return items_; }
+      : Expr(Kind::kInitList, type, loc), items_(items) {}
+  [[nodiscard]] std::span<const Expr* const> items() const { return items_; }
 
  private:
-  std::vector<ExprPtr> items_;
+  std::span<const Expr* const> items_;
 };
 
 /// sizeof(type) / sizeof expr, folded to its value at parse time.
@@ -282,30 +298,31 @@ struct Annotation {
   /// The pointer or value named, resolved by C scope at the annotation;
   /// null for shminit and for a name with no declaration in scope.
   const ValueDecl* decl = nullptr;
-  std::string name;         // as spelled
+  std::string_view name;    // as spelled
   std::int64_t offset = 0;  // core
   std::int64_t size = 0;    // core, shmvar
-  std::string text;         // the comment body
+  std::string_view text;    // the comment body
   SourceLocation location;
 };
 
 class ValueDecl {
  public:
   enum class Kind { kVar, kFunction };
-  virtual ~ValueDecl() = default;
   [[nodiscard]] Kind kind() const { return kind_; }
-  [[nodiscard]] const std::string& name() const { return name_; }
+  [[nodiscard]] std::string_view name() const { return name_; }
   [[nodiscard]] const Type* type() const { return type_; }
   [[nodiscard]] SourceLocation location() const { return loc_; }
 
  protected:
-  ValueDecl(Kind kind, std::string name, const Type* type,
+  ValueDecl(Kind kind, std::string_view name, const Type* type,
             SourceLocation loc)
-      : kind_(kind), name_(std::move(name)), type_(type), loc_(loc) {}
+      : kind_(kind), name_(name), type_(type), loc_(loc) {}
+  // Not virtual: nothing deletes a declaration through a base pointer.
+  ~ValueDecl() = default;
 
  private:
   Kind kind_;
-  std::string name_;
+  std::string_view name_;
   const Type* type_;
   SourceLocation loc_;
 };
@@ -314,54 +331,50 @@ enum class StorageKind { kGlobal, kLocal, kParam, kExtern };
 
 class VarDecl final : public ValueDecl {
  public:
-  VarDecl(std::string name, const Type* type, StorageKind storage,
+  VarDecl(std::string_view name, const Type* type, StorageKind storage,
           SourceLocation loc)
-      : ValueDecl(Kind::kVar, std::move(name), type, loc),
-        storage_(storage) {}
+      : ValueDecl(Kind::kVar, name, type, loc), storage_(storage) {}
 
   [[nodiscard]] StorageKind storage() const { return storage_; }
-  [[nodiscard]] const Expr* init() const { return init_.get(); }
-  void setInit(ExprPtr init) { init_ = std::move(init); }
+  [[nodiscard]] const Expr* init() const { return init_; }
+  void setInit(const Expr* init) { init_ = init; }
 
  private:
   StorageKind storage_;
-  ExprPtr init_;
+  const Expr* init_ = nullptr;
 };
 
 class Stmt;
-using StmtPtr = std::unique_ptr<Stmt>;
 
 class FunctionDecl final : public ValueDecl {
  public:
-  FunctionDecl(std::string name, const FunctionType* type,
-               std::vector<std::unique_ptr<VarDecl>> params,
-               SourceLocation loc)
-      : ValueDecl(Kind::kFunction, std::move(name), type, loc),
-        params_(std::move(params)) {}
+  FunctionDecl(std::string_view name, const FunctionType* type,
+               std::span<const VarDecl* const> params, SourceLocation loc)
+      : ValueDecl(Kind::kFunction, name, type, loc), params_(params) {}
 
   [[nodiscard]] const FunctionType* functionType() const {
     return static_cast<const FunctionType*>(type());
   }
-  [[nodiscard]] const std::vector<std::unique_ptr<VarDecl>>& params() const {
+  [[nodiscard]] std::span<const VarDecl* const> params() const {
     return params_;
   }
-  [[nodiscard]] const Stmt* body() const;
+  [[nodiscard]] const Stmt* body() const { return body_; }
   [[nodiscard]] bool isDefined() const { return body_ != nullptr; }
-  void setBody(StmtPtr body);
+  void setBody(const Stmt* body) { body_ = body; }
 
   /// Annotations written before the signature or between it and the body
   /// (assume(core), shminit, ...).
-  [[nodiscard]] const std::vector<Annotation>& entryAnnotations() const {
+  [[nodiscard]] std::span<const Annotation> entryAnnotations() const {
     return entry_annotations_;
   }
-  void addEntryAnnotation(Annotation a) {
-    entry_annotations_.push_back(std::move(a));
+  void setEntryAnnotations(std::span<const Annotation> annotations) {
+    entry_annotations_ = annotations;
   }
 
  private:
-  std::vector<std::unique_ptr<VarDecl>> params_;
-  StmtPtr body_;
-  std::vector<Annotation> entry_annotations_;
+  std::span<const VarDecl* const> params_;
+  const Stmt* body_ = nullptr;
+  std::span<const Annotation> entry_annotations_;
 };
 
 // ---------------------------------------------------------------------------
@@ -375,12 +388,13 @@ class Stmt {
     kBreak, kContinue, kSwitch, kCase, kNull, kAnnotation,
   };
 
-  virtual ~Stmt() = default;
   [[nodiscard]] Kind kind() const { return kind_; }
   [[nodiscard]] SourceLocation location() const { return loc_; }
 
  protected:
   Stmt(Kind kind, SourceLocation loc) : kind_(kind), loc_(loc) {}
+  // Not virtual: nothing deletes a node through a base pointer.
+  ~Stmt() = default;
 
  private:
   Kind kind_;
@@ -389,108 +403,110 @@ class Stmt {
 
 class CompoundStmt final : public Stmt {
  public:
-  CompoundStmt(std::vector<StmtPtr> stmts, SourceLocation loc)
-      : Stmt(Kind::kCompound, loc), stmts_(std::move(stmts)) {}
-  [[nodiscard]] const std::vector<StmtPtr>& stmts() const { return stmts_; }
+  CompoundStmt(std::span<const Stmt* const> stmts, SourceLocation loc)
+      : Stmt(Kind::kCompound, loc), stmts_(stmts) {}
+  [[nodiscard]] std::span<const Stmt* const> stmts() const { return stmts_; }
 
  private:
-  std::vector<StmtPtr> stmts_;
+  std::span<const Stmt* const> stmts_;
 };
 
 class DeclStmt final : public Stmt {
  public:
-  DeclStmt(std::vector<std::unique_ptr<VarDecl>> decls, SourceLocation loc)
-      : Stmt(Kind::kDecl, loc), decls_(std::move(decls)) {}
-  [[nodiscard]] const std::vector<std::unique_ptr<VarDecl>>& decls() const {
+  DeclStmt(std::span<const VarDecl* const> decls, SourceLocation loc)
+      : Stmt(Kind::kDecl, loc), decls_(decls) {}
+  [[nodiscard]] std::span<const VarDecl* const> decls() const {
     return decls_;
   }
 
  private:
-  std::vector<std::unique_ptr<VarDecl>> decls_;
+  std::span<const VarDecl* const> decls_;
 };
 
 class ExprStmt final : public Stmt {
  public:
-  ExprStmt(ExprPtr expr, SourceLocation loc)
-      : Stmt(Kind::kExpr, loc), expr_(std::move(expr)) {}
-  [[nodiscard]] const Expr* expr() const { return expr_.get(); }
+  ExprStmt(const Expr* expr, SourceLocation loc)
+      : Stmt(Kind::kExpr, loc), expr_(expr) {}
+  [[nodiscard]] const Expr* expr() const { return expr_; }
 
  private:
-  ExprPtr expr_;
+  const Expr* expr_;
 };
 
 class IfStmt final : public Stmt {
  public:
-  IfStmt(ExprPtr cond, StmtPtr then, StmtPtr otherwise, SourceLocation loc)
+  IfStmt(const Expr* cond, const Stmt* then, const Stmt* otherwise,
+         SourceLocation loc)
       : Stmt(Kind::kIf, loc),
-        cond_(std::move(cond)),
-        then_(std::move(then)),
-        else_(std::move(otherwise)) {}
-  [[nodiscard]] const Expr* cond() const { return cond_.get(); }
-  [[nodiscard]] const Stmt* thenStmt() const { return then_.get(); }
-  [[nodiscard]] const Stmt* elseStmt() const { return else_.get(); }
+        cond_(cond),
+        then_(then),
+        else_(otherwise) {}
+  [[nodiscard]] const Expr* cond() const { return cond_; }
+  [[nodiscard]] const Stmt* thenStmt() const { return then_; }
+  [[nodiscard]] const Stmt* elseStmt() const { return else_; }
 
  private:
-  ExprPtr cond_;
-  StmtPtr then_;
-  StmtPtr else_;
+  const Expr* cond_;
+  const Stmt* then_;
+  const Stmt* else_;
 };
 
 class WhileStmt final : public Stmt {
  public:
-  WhileStmt(ExprPtr cond, StmtPtr body, SourceLocation loc)
+  WhileStmt(const Expr* cond, const Stmt* body, SourceLocation loc)
       : Stmt(Kind::kWhile, loc),
-        cond_(std::move(cond)),
-        body_(std::move(body)) {}
-  [[nodiscard]] const Expr* cond() const { return cond_.get(); }
-  [[nodiscard]] const Stmt* body() const { return body_.get(); }
+        cond_(cond),
+        body_(body) {}
+  [[nodiscard]] const Expr* cond() const { return cond_; }
+  [[nodiscard]] const Stmt* body() const { return body_; }
 
  private:
-  ExprPtr cond_;
-  StmtPtr body_;
+  const Expr* cond_;
+  const Stmt* body_;
 };
 
 class DoStmt final : public Stmt {
  public:
-  DoStmt(StmtPtr body, ExprPtr cond, SourceLocation loc)
-      : Stmt(Kind::kDo, loc), body_(std::move(body)), cond_(std::move(cond)) {}
-  [[nodiscard]] const Stmt* body() const { return body_.get(); }
-  [[nodiscard]] const Expr* cond() const { return cond_.get(); }
+  DoStmt(const Stmt* body, const Expr* cond, SourceLocation loc)
+      : Stmt(Kind::kDo, loc), body_(body), cond_(cond) {}
+  [[nodiscard]] const Stmt* body() const { return body_; }
+  [[nodiscard]] const Expr* cond() const { return cond_; }
 
  private:
-  StmtPtr body_;
-  ExprPtr cond_;
+  const Stmt* body_;
+  const Expr* cond_;
 };
 
 class ForStmt final : public Stmt {
  public:
-  ForStmt(StmtPtr init, ExprPtr cond, ExprPtr step, StmtPtr body,
+  ForStmt(const Stmt* init, const Expr* cond, const Expr* step,
+          const Stmt* body,
           SourceLocation loc)
       : Stmt(Kind::kFor, loc),
-        init_(std::move(init)),
-        cond_(std::move(cond)),
-        step_(std::move(step)),
-        body_(std::move(body)) {}
-  [[nodiscard]] const Stmt* init() const { return init_.get(); }
-  [[nodiscard]] const Expr* cond() const { return cond_.get(); }
-  [[nodiscard]] const Expr* step() const { return step_.get(); }
-  [[nodiscard]] const Stmt* body() const { return body_.get(); }
+        init_(init),
+        cond_(cond),
+        step_(step),
+        body_(body) {}
+  [[nodiscard]] const Stmt* init() const { return init_; }
+  [[nodiscard]] const Expr* cond() const { return cond_; }
+  [[nodiscard]] const Expr* step() const { return step_; }
+  [[nodiscard]] const Stmt* body() const { return body_; }
 
  private:
-  StmtPtr init_;
-  ExprPtr cond_;
-  ExprPtr step_;
-  StmtPtr body_;
+  const Stmt* init_;
+  const Expr* cond_;
+  const Expr* step_;
+  const Stmt* body_;
 };
 
 class ReturnStmt final : public Stmt {
  public:
-  ReturnStmt(ExprPtr value, SourceLocation loc)
-      : Stmt(Kind::kReturn, loc), value_(std::move(value)) {}
-  [[nodiscard]] const Expr* value() const { return value_.get(); }
+  ReturnStmt(const Expr* value, SourceLocation loc)
+      : Stmt(Kind::kReturn, loc), value_(value) {}
+  [[nodiscard]] const Expr* value() const { return value_; }
 
  private:
-  ExprPtr value_;
+  const Expr* value_;
 };
 
 class BreakStmt final : public Stmt {
@@ -518,16 +534,16 @@ class CaseStmt final : public Stmt {
 
 class SwitchStmt final : public Stmt {
  public:
-  SwitchStmt(ExprPtr cond, StmtPtr body, SourceLocation loc)
+  SwitchStmt(const Expr* cond, const Stmt* body, SourceLocation loc)
       : Stmt(Kind::kSwitch, loc),
-        cond_(std::move(cond)),
-        body_(std::move(body)) {}
-  [[nodiscard]] const Expr* cond() const { return cond_.get(); }
-  [[nodiscard]] const Stmt* body() const { return body_.get(); }
+        cond_(cond),
+        body_(body) {}
+  [[nodiscard]] const Expr* cond() const { return cond_; }
+  [[nodiscard]] const Stmt* body() const { return body_; }
 
  private:
-  ExprPtr cond_;
-  StmtPtr body_;
+  const Expr* cond_;
+  const Stmt* body_;
 };
 
 class NullStmt final : public Stmt {
@@ -539,16 +555,13 @@ class NullStmt final : public Stmt {
 /// shmvar/noncore post-conditions).
 class AnnotationStmt final : public Stmt {
  public:
-  AnnotationStmt(Annotation annotation, SourceLocation loc)
-      : Stmt(Kind::kAnnotation, loc), annotation_(std::move(annotation)) {}
+  AnnotationStmt(const Annotation& annotation, SourceLocation loc)
+      : Stmt(Kind::kAnnotation, loc), annotation_(annotation) {}
   [[nodiscard]] const Annotation& annotation() const { return annotation_; }
 
  private:
   Annotation annotation_;
 };
-
-inline const Stmt* FunctionDecl::body() const { return body_.get(); }
-inline void FunctionDecl::setBody(StmtPtr body) { body_ = std::move(body); }
 
 // ---------------------------------------------------------------------------
 // Translation unit
@@ -557,23 +570,49 @@ inline void FunctionDecl::setBody(StmtPtr body) { body_ = std::move(body); }
 class TranslationUnit {
  public:
   explicit TranslationUnit(TypeContext& types) : types_(types) {}
+  TranslationUnit(const TranslationUnit&) = delete;
+  TranslationUnit& operator=(const TranslationUnit&) = delete;
 
   [[nodiscard]] TypeContext& types() const { return types_; }
-  [[nodiscard]] const std::vector<std::unique_ptr<VarDecl>>& globals() const {
+  [[nodiscard]] const std::vector<const VarDecl*>& globals() const {
     return globals_;
   }
-  [[nodiscard]] const std::vector<std::unique_ptr<FunctionDecl>>& functions()
-      const {
+  [[nodiscard]] const std::vector<const FunctionDecl*>& functions() const {
     return functions_;
   }
   [[nodiscard]] const std::map<std::string, const Type*>& typedefs() const {
     return typedefs_;
   }
 
-  VarDecl* addGlobal(std::unique_ptr<VarDecl> var);
-  FunctionDecl* addFunction(std::unique_ptr<FunctionDecl> fn);
-  void addTypedef(const std::string& name, const Type* type) {
-    typedefs_[name] = type;
+  /// Constructs a node in the arena. Its destructor never runs.
+  template <typename T, typename... Args>
+  T* create(Args&&... args) {
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "an AST node may own nothing outside the arena");
+    return ::new (arena_.allocate(sizeof(T), alignof(T)))
+        T(std::forward<Args>(args)...);
+  }
+  /// An exact-size arena copy of `items`.
+  template <typename T>
+  std::span<const T> copy(std::span<const T> items) {
+    static_assert(std::is_trivially_copyable_v<T> &&
+                  std::is_trivially_destructible_v<T>);
+    if (items.empty()) return {};
+    T* out = static_cast<T*>(
+        arena_.allocate(items.size_bytes(), alignof(T)));
+    std::memcpy(static_cast<void*>(out), items.data(), items.size_bytes());
+    return {out, items.size()};
+  }
+  /// An arena copy of a string the parser built.
+  std::string_view copyString(std::string_view text) {
+    const auto chars = copy(std::span<const char>(text));
+    return {chars.data(), chars.size()};
+  }
+
+  void addGlobal(const VarDecl* var) { globals_.push_back(var); }
+  void addFunction(const FunctionDecl* fn) { functions_.push_back(fn); }
+  void addTypedef(std::string_view name, const Type* type) {
+    typedefs_.insert_or_assign(std::string(name), type);
   }
 
   [[nodiscard]] const FunctionDecl* findFunction(std::string_view name) const;
@@ -581,8 +620,10 @@ class TranslationUnit {
 
  private:
   TypeContext& types_;
-  std::vector<std::unique_ptr<VarDecl>> globals_;
-  std::vector<std::unique_ptr<FunctionDecl>> functions_;
+  // Declared before the lists that point into it.
+  std::pmr::monotonic_buffer_resource arena_;
+  std::vector<const VarDecl*> globals_;
+  std::vector<const FunctionDecl*> functions_;
   std::map<std::string, const Type*> typedefs_;
 };
 

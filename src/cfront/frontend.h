@@ -1,6 +1,8 @@
 // Convenience driver: preprocess + parse a set of C files into one
 // TranslationUnit. Owns the SourceManager, TypeContext, and diagnostics so
-// callers get a single object with stable lifetimes.
+// callers get a single object with stable lifetimes. The unit's nodes live
+// in its arena and may be freed early (releaseUnit()); the sources and the
+// types, which the IR and the report read, live as long as the Frontend.
 #pragma once
 
 #include <memory>
@@ -38,6 +40,12 @@ class Frontend {
 
   /// The headers read since the last releaseHeaders().
   [[nodiscard]] const HeaderCache& headers() const { return headers_; }
+
+  /// Frees the translation unit, every node at once, and starts an empty
+  /// one: call it once the unit is lowered (the IR keeps no pointer into
+  /// it). A later parse starts afresh and sees none of the old
+  /// declarations.
+  void releaseUnit() { tu_ = std::make_unique<TranslationUnit>(types_); }
 
   [[nodiscard]] const TranslationUnit& unit() const { return *tu_; }
   [[nodiscard]] TypeContext& types() { return types_; }

@@ -346,7 +346,7 @@ const Type* Parser::parseStructSpecifier() {
       do {
         Declarator d;
         if (!parseDeclarator(spec.base, d)) break;
-        fields.push_back(StructField{d.name, d.type, 0});
+        fields.push_back(StructField{std::string(d.name), d.type, 0});
       } while (accept(TokenKind::kComma));
       expect(TokenKind::kSemi, "after struct field");
     }
@@ -369,9 +369,9 @@ const Type* Parser::parseEnumSpecifier() {
       }
       const std::string_view name = advance().text;
       if (accept(TokenKind::kAssign)) {
-        ExprPtr value = parseConditional();
+        const Expr* value = parseConditional();
         bool ok = true;
-        next_value = evalConstExpr(value.get(), &ok);
+        next_value = evalConstExpr(value, &ok);
         if (!ok) {
           diags_->error(peek().location, "parse",
                         "enumerator value must be constant");
@@ -454,7 +454,7 @@ bool Parser::parseDeclarator(const Type* base, Declarator& out) {
     advance();
     std::vector<const Type*> param_types;
     bool variadic = false;
-    std::vector<std::unique_ptr<VarDecl>> params;
+    std::vector<const VarDecl*> params;
     if (!check(TokenKind::kRParen)) {
       do {
         if (accept(TokenKind::kEllipsis)) {
@@ -471,7 +471,7 @@ bool Parser::parseDeclarator(const Type* base, Declarator& out) {
         if (d.type->isVoid() && d.name.empty()) break;  // f(void)
         const Type* pt = decay(d.type);
         param_types.push_back(pt);
-        params.push_back(std::make_unique<VarDecl>(
+        params.push_back(make<VarDecl>(
             d.name, pt, StorageKind::kParam,
             d.loc.valid() ? d.loc : out.loc));
       } while (accept(TokenKind::kComma));
@@ -489,9 +489,9 @@ bool Parser::parseDeclarator(const Type* base, Declarator& out) {
     if (check(TokenKind::kRBracket)) {
       dims.push_back(0);  // incomplete array (extern decl / param)
     } else {
-      ExprPtr size = parseConditional();
+      const Expr* size = parseConditional();
       bool ok = true;
-      const std::int64_t n = evalConstExpr(size.get(), &ok);
+      const std::int64_t n = evalConstExpr(size, &ok);
       if (!ok || n < 0) {
         diags_->error(out.loc, "parse", "array size must be a non-negative "
                                         "integer constant");
@@ -539,8 +539,8 @@ bool Parser::parseTranslationUnit(TranslationUnit& tu) {
   pushScope();
   // Pre-register previously parsed decls (multi-file analysis reuses the
   // same TU), so later files see earlier globals/functions/typedefs.
-  for (const auto& g : tu.globals()) declareValue(g->name(), g.get());
-  for (const auto& f : tu.functions()) declareValue(f->name(), f.get());
+  for (const VarDecl* g : tu.globals()) declareValue(g->name(), g);
+  for (const FunctionDecl* f : tu.functions()) declareValue(f->name(), f);
   for (const auto& [name, type] : tu.typedefs()) {
     typedefs_.insert_or_assign(name, type);
   }
@@ -588,36 +588,36 @@ bool Parser::parseExternalDeclaration(TranslationUnit& tu,
     }
 
     if (spec.is_typedef) {
-      typedefs_[d.name] = d.type;
+      typedefs_.insert_or_assign(std::string(d.name), d.type);
       tu.addTypedef(d.name, d.type);
       continue;
     }
 
     if (d.is_function) {
-      auto fn = std::make_unique<FunctionDecl>(
-          d.name, static_cast<const FunctionType*>(d.type),
-          std::move(d.params), d.loc);
-      FunctionDecl* fn_raw = tu.addFunction(std::move(fn));
-      declareValue(d.name, fn_raw);
+      FunctionDecl* fn = make<FunctionDecl>(
+          d.name, static_cast<const FunctionType*>(d.type), keep(d.params),
+          d.loc);
+      tu.addFunction(fn);
+      declareValue(d.name, fn);
       pushScope();
-      for (const auto& p : fn_raw->params()) {
-        if (!p->name().empty()) declareValue(p->name(), p.get());
+      for (const VarDecl* p : fn->params()) {
+        if (!p->name().empty()) declareValue(p->name(), p);
       }
       // Entry annotations, before the signature or between it and the
       // body, see the parameters, then the globals.
+      std::vector<Annotation> entry;
       const auto attach = [&](const Token& t) {
-        if (auto a = parseAnnotation(t)) {
-          fn_raw->addEntryAnnotation(std::move(*a));
-        }
+        if (auto a = parseAnnotation(t)) entry.push_back(*a);
       };
       for (const Token& t : pending) attach(t);
       pending.clear();
       while (check(TokenKind::kAnnotation)) attach(advance());
+      fn->setEntryAnnotations(keep(entry));
       if (first && check(TokenKind::kLBrace)) {
-        StmtPtr body = parseCompound();
+        const Stmt* body = parseCompound();
         popScope();
         if (body == nullptr) return false;
-        fn_raw->setBody(std::move(body));
+        fn->setBody(body);
         return true;
       }
       popScope();
@@ -627,12 +627,12 @@ bool Parser::parseExternalDeclaration(TranslationUnit& tu,
     // Global variable.
     const StorageKind storage =
         spec.is_extern ? StorageKind::kExtern : StorageKind::kGlobal;
-    auto var = std::make_unique<VarDecl>(d.name, d.type, storage, d.loc);
+    VarDecl* var = make<VarDecl>(d.name, d.type, storage, d.loc);
     if (accept(TokenKind::kAssign)) {
       var->setInit(parseInitializer(d.type));
     }
-    VarDecl* raw = tu.addGlobal(std::move(var));
-    declareValue(d.name, raw);
+    tu.addGlobal(var);
+    declareValue(d.name, var);
     first = false;
   } while (accept(TokenKind::kComma));
 
@@ -644,7 +644,7 @@ bool Parser::parseExternalDeclaration(TranslationUnit& tu,
   return expect(TokenKind::kSemi, "after declaration");
 }
 
-StmtPtr Parser::parseLocalDeclaration() {
+const Stmt* Parser::parseLocalDeclaration() {
   const SourceLocation loc = peek().location;
   DeclSpec spec;
   if (!parseDeclSpec(spec)) return nullptr;
@@ -653,13 +653,13 @@ StmtPtr Parser::parseLocalDeclaration() {
     do {
       Declarator d;
       if (!parseDeclarator(spec.base, d)) break;
-      typedefs_[d.name] = d.type;
+      typedefs_.insert_or_assign(std::string(d.name), d.type);
       tu_->addTypedef(d.name, d.type);
     } while (accept(TokenKind::kComma));
     expect(TokenKind::kSemi, "after typedef");
-    return std::make_unique<NullStmt>(loc);
+    return make<NullStmt>(loc);
   }
-  std::vector<std::unique_ptr<VarDecl>> decls;
+  std::vector<const VarDecl*> decls;
   do {
     Declarator d;
     if (!parseDeclarator(spec.base, d)) break;
@@ -667,15 +667,15 @@ StmtPtr Parser::parseLocalDeclaration() {
       diags_->error(d.loc, "parse", "expected variable name");
       break;
     }
-    auto var = std::make_unique<VarDecl>(
+    VarDecl* var = make<VarDecl>(
         d.name, d.type,
         spec.is_extern ? StorageKind::kExtern : StorageKind::kLocal, d.loc);
     if (accept(TokenKind::kAssign)) var->setInit(parseInitializer(d.type));
-    declareValue(d.name, var.get());
-    decls.push_back(std::move(var));
+    declareValue(d.name, var);
+    decls.push_back(var);
   } while (accept(TokenKind::kComma));
   expect(TokenKind::kSemi, "after declaration");
-  return std::make_unique<DeclStmt>(std::move(decls), loc);
+  return make<DeclStmt>(keep(decls), loc);
 }
 
 // The paper's prototype turns each annotation into a call to an external
@@ -732,9 +732,9 @@ bool Parser::parseAnnotationBody(Annotation& out) {
   // An offset or size argument: a C integer constant expression.
   const auto constant = [&](std::int64_t& value) {
     const SourceLocation loc = peek().location;
-    const ExprPtr e = parseAssignment();
+    const Expr* const e = parseAssignment();
     bool ok = true;
-    value = evalConstExpr(e.get(), &ok);
+    value = evalConstExpr(e, &ok);
     if (!ok) diags_->error(loc, "annotation", "expected a constant expression");
     return ok && !diags_->hasErrors();
   };
@@ -788,21 +788,21 @@ bool Parser::parseAnnotationBody(Annotation& out) {
   return true;
 }
 
-StmtPtr Parser::parseCompound() {
+const Stmt* Parser::parseCompound() {
   const SourceLocation loc = peek().location;
   if (!expect(TokenKind::kLBrace, "to open block")) return nullptr;
   pushScope();
-  std::vector<StmtPtr> stmts;
+  std::vector<const Stmt*> stmts;
   while (!check(TokenKind::kRBrace) && !check(TokenKind::kEof)) {
-    StmtPtr s = parseStatement();
-    if (s != nullptr) stmts.push_back(std::move(s));
+    const Stmt* s = parseStatement();
+    if (s != nullptr) stmts.push_back(s);
   }
   popScope();
   expect(TokenKind::kRBrace, "to close block");
-  return std::make_unique<CompoundStmt>(std::move(stmts), loc);
+  return make<CompoundStmt>(keep(stmts), loc);
 }
 
-StmtPtr Parser::parseStatement() {
+const Stmt* Parser::parseStatement() {
   const NestingGuard nest(*this);
   const SourceLocation loc = peek().location;
   switch (peek().kind) {
@@ -810,124 +810,120 @@ StmtPtr Parser::parseStatement() {
       return parseCompound();
     case TokenKind::kSemi:
       advance();
-      return std::make_unique<NullStmt>(loc);
+      return make<NullStmt>(loc);
     case TokenKind::kAnnotation: {
       std::optional<Annotation> a = parseAnnotation(advance());
-      if (!a.has_value()) return std::make_unique<NullStmt>(loc);
-      return std::make_unique<AnnotationStmt>(std::move(*a), loc);
+      if (!a.has_value()) return make<NullStmt>(loc);
+      return make<AnnotationStmt>(*a, loc);
     }
     case TokenKind::kKwIf: {
       advance();
       expect(TokenKind::kLParen, "after 'if'");
-      ExprPtr cond = parseExpr();
+      const Expr* cond = parseExpr();
       expect(TokenKind::kRParen, "after if condition");
-      StmtPtr then = parseStatement();
-      StmtPtr otherwise;
+      const Stmt* then = parseStatement();
+      const Stmt* otherwise = nullptr;
       if (accept(TokenKind::kKwElse)) otherwise = parseStatement();
-      return std::make_unique<IfStmt>(std::move(cond), std::move(then),
-                                      std::move(otherwise), loc);
+      return make<IfStmt>(cond, then, otherwise, loc);
     }
     case TokenKind::kKwWhile: {
       advance();
       expect(TokenKind::kLParen, "after 'while'");
-      ExprPtr cond = parseExpr();
+      const Expr* cond = parseExpr();
       expect(TokenKind::kRParen, "after while condition");
-      StmtPtr body = parseStatement();
-      return std::make_unique<WhileStmt>(std::move(cond), std::move(body),
-                                         loc);
+      const Stmt* body = parseStatement();
+      return make<WhileStmt>(cond, body, loc);
     }
     case TokenKind::kKwDo: {
       advance();
-      StmtPtr body = parseStatement();
+      const Stmt* body = parseStatement();
       expect(TokenKind::kKwWhile, "after do body");
       expect(TokenKind::kLParen, "after 'while'");
-      ExprPtr cond = parseExpr();
+      const Expr* cond = parseExpr();
       expect(TokenKind::kRParen, "after do-while condition");
       expect(TokenKind::kSemi, "after do-while");
-      return std::make_unique<DoStmt>(std::move(body), std::move(cond), loc);
+      return make<DoStmt>(body, cond, loc);
     }
     case TokenKind::kKwFor: {
       advance();
       expect(TokenKind::kLParen, "after 'for'");
       pushScope();
-      StmtPtr init;
+      const Stmt* init = nullptr;
       if (!accept(TokenKind::kSemi)) {
         if (startsType()) {
           init = parseLocalDeclaration();
         } else {
-          ExprPtr e = parseExpr();
+          const Expr* e = parseExpr();
           expect(TokenKind::kSemi, "after for initializer");
-          init = std::make_unique<ExprStmt>(std::move(e), loc);
+          init = make<ExprStmt>(e, loc);
         }
       }
-      ExprPtr cond;
+      const Expr* cond = nullptr;
       if (!check(TokenKind::kSemi)) cond = parseExpr();
       expect(TokenKind::kSemi, "after for condition");
-      ExprPtr step;
+      const Expr* step = nullptr;
       if (!check(TokenKind::kRParen)) step = parseExpr();
       expect(TokenKind::kRParen, "to close for header");
-      StmtPtr body = parseStatement();
+      const Stmt* body = parseStatement();
       popScope();
-      return std::make_unique<ForStmt>(std::move(init), std::move(cond),
-                                       std::move(step), std::move(body), loc);
+      return make<ForStmt>(init, cond, step, body, loc);
     }
     case TokenKind::kKwReturn: {
       advance();
-      ExprPtr value;
+      const Expr* value = nullptr;
       if (!check(TokenKind::kSemi)) value = parseExpr();
       expect(TokenKind::kSemi, "after return");
-      return std::make_unique<ReturnStmt>(std::move(value), loc);
+      return make<ReturnStmt>(value, loc);
     }
     case TokenKind::kKwBreak:
       advance();
       expect(TokenKind::kSemi, "after break");
-      return std::make_unique<BreakStmt>(loc);
+      return make<BreakStmt>(loc);
     case TokenKind::kKwContinue:
       advance();
       expect(TokenKind::kSemi, "after continue");
-      return std::make_unique<ContinueStmt>(loc);
+      return make<ContinueStmt>(loc);
     case TokenKind::kKwSwitch: {
       advance();
       expect(TokenKind::kLParen, "after 'switch'");
-      ExprPtr cond = parseExpr();
+      const Expr* cond = parseExpr();
       expect(TokenKind::kRParen, "after switch condition");
-      StmtPtr body = parseStatement();
-      return std::make_unique<SwitchStmt>(std::move(cond), std::move(body),
-                                          loc);
+      const Stmt* body = parseStatement();
+      return make<SwitchStmt>(cond, body, loc);
     }
     case TokenKind::kKwCase: {
       advance();
-      ExprPtr value = parseConditional();
+      const Expr* value = parseConditional();
       bool ok = true;
-      const std::int64_t v = evalConstExpr(value.get(), &ok);
+      const std::int64_t v = evalConstExpr(value, &ok);
       if (!ok) diags_->error(loc, "parse", "case label must be constant");
       expect(TokenKind::kColon, "after case label");
-      return std::make_unique<CaseStmt>(v, loc);
+      return make<CaseStmt>(v, loc);
     }
     case TokenKind::kKwDefault:
       advance();
       expect(TokenKind::kColon, "after 'default'");
-      return std::make_unique<CaseStmt>(std::nullopt, loc);
+      return make<CaseStmt>(std::nullopt, loc);
     case TokenKind::kKwGoto:
       diags_->error(loc, "parse", "goto is outside the supported C subset");
       synchronizeToSemi();
-      return std::make_unique<NullStmt>(loc);
+      return make<NullStmt>(loc);
     default:
       break;
   }
 
   if (startsType()) return parseLocalDeclaration();
 
-  ExprPtr e = parseExpr();
+  const Expr* e = parseExpr();
   expect(TokenKind::kSemi, "after expression statement");
-  return std::make_unique<ExprStmt>(std::move(e), loc);
+  return make<ExprStmt>(e, loc);
 }
 
-ExprPtr Parser::parseInitializer(const Type* type) {
+const Expr* Parser::parseInitializer(const Type* type) {
   if (!check(TokenKind::kLBrace)) return parseAssignment();
   const NestingGuard nest(*this);
   const SourceLocation loc = advance().location;
-  std::vector<ExprPtr> items;
+  std::vector<const Expr*> items;
   if (!check(TokenKind::kRBrace)) {
     // Element type for nested typing: array element or struct field.
     do {
@@ -945,62 +941,59 @@ ExprPtr Parser::parseInitializer(const Type* type) {
     } while (accept(TokenKind::kComma));
   }
   expect(TokenKind::kRBrace, "to close initializer list");
-  return std::make_unique<InitListExpr>(
-      std::move(items), type != nullptr ? type : types_.intType(), loc);
+  return make<InitListExpr>(
+      keep(items), type != nullptr ? type : types_.intType(), loc);
 }
 
-ExprPtr Parser::parseExpr() {
-  ExprPtr lhs = parseAssignment();
+const Expr* Parser::parseExpr() {
+  const Expr* lhs = parseAssignment();
   while (check(TokenKind::kComma)) {
     const SourceLocation loc = advance().location;
-    ExprPtr rhs = parseAssignment();
+    const Expr* rhs = parseAssignment();
     const Type* t = rhs ? rhs->type() : types_.intType();
-    lhs = std::make_unique<BinaryExpr>(BinaryOp::kComma, std::move(lhs),
-                                       std::move(rhs), t, loc);
+    lhs = make<BinaryExpr>(BinaryOp::kComma, lhs, rhs, t, loc);
   }
   return lhs;
 }
 
-ExprPtr Parser::parseAssignment() {
-  ExprPtr lhs = parseConditional();
+const Expr* Parser::parseAssignment() {
+  const Expr* lhs = parseConditional();
   if (lhs == nullptr) return nullptr;
   const TokenKind k = peek().kind;
   if (k == TokenKind::kAssign || compoundOpFor(k).has_value()) {
     const SourceLocation loc = advance().location;
     const NestingGuard nest(*this);
-    ExprPtr rhs = parseAssignment();
+    const Expr* rhs = parseAssignment();
     const Type* t = lhs->type();
-    return std::make_unique<AssignExpr>(std::move(lhs), std::move(rhs),
-                                        compoundOpFor(k), t, loc);
+    return make<AssignExpr>(lhs, rhs, compoundOpFor(k), t, loc);
   }
   return lhs;
 }
 
-ExprPtr Parser::parseConditional() {
-  ExprPtr cond = parseBinary(1);
+const Expr* Parser::parseConditional() {
+  const Expr* cond = parseBinary(1);
   if (cond == nullptr || !check(TokenKind::kQuestion)) return cond;
   const SourceLocation loc = advance().location;
   const NestingGuard nest(*this);
-  ExprPtr then = parseExpr();
+  const Expr* then = parseExpr();
   expect(TokenKind::kColon, "in conditional expression");
-  ExprPtr otherwise = parseConditional();
+  const Expr* otherwise = parseConditional();
   const Type* t = then ? then->type() : types_.intType();
   if (then != nullptr && otherwise != nullptr &&
       then->type()->isArithmetic() && otherwise->type()->isArithmetic()) {
     t = arithmeticResult(then->type(), otherwise->type());
   }
-  return std::make_unique<ConditionalExpr>(std::move(cond), std::move(then),
-                                           std::move(otherwise), t, loc);
+  return make<ConditionalExpr>(cond, then, otherwise, t, loc);
 }
 
-ExprPtr Parser::parseBinary(int min_prec) {
-  ExprPtr lhs = parseUnary();
+const Expr* Parser::parseBinary(int min_prec) {
+  const Expr* lhs = parseUnary();
   while (lhs != nullptr) {
     const int prec = binaryPrecedence(peek().kind);
     if (prec < min_prec) break;
     const TokenKind k = peek().kind;
     const SourceLocation loc = advance().location;
-    ExprPtr rhs = parseBinary(prec + 1);
+    const Expr* rhs = parseBinary(prec + 1);
     if (rhs == nullptr) break;
     const std::optional<BinaryOp> mapped = binaryOpFor(k);
     if (!mapped.has_value()) {
@@ -1038,13 +1031,12 @@ ExprPtr Parser::parseBinary(int min_prec) {
         t = types_.intType();  // comparisons, logical ops
         break;
     }
-    lhs = std::make_unique<BinaryExpr>(op, std::move(lhs), std::move(rhs), t,
-                                       loc);
+    lhs = make<BinaryExpr>(op, lhs, rhs, t, loc);
   }
   return lhs;
 }
 
-ExprPtr Parser::parseUnary() {
+const Expr* Parser::parseUnary() {
   const NestingGuard nest(*this);
   const SourceLocation loc = peek().location;
   switch (peek().kind) {
@@ -1053,26 +1045,24 @@ ExprPtr Parser::parseUnary() {
       return parseUnary();
     case TokenKind::kMinus: {
       advance();
-      ExprPtr e = parseUnary();
+      const Expr* e = parseUnary();
       const Type* t = e ? e->type() : types_.intType();
-      return std::make_unique<UnaryExpr>(UnaryOp::kNeg, std::move(e), t, loc);
+      return make<UnaryExpr>(UnaryOp::kNeg, e, t, loc);
     }
     case TokenKind::kBang: {
       advance();
-      ExprPtr e = parseUnary();
-      return std::make_unique<UnaryExpr>(UnaryOp::kLogNot, std::move(e),
-                                         types_.intType(), loc);
+      const Expr* e = parseUnary();
+      return make<UnaryExpr>(UnaryOp::kLogNot, e, types_.intType(), loc);
     }
     case TokenKind::kTilde: {
       advance();
-      ExprPtr e = parseUnary();
+      const Expr* e = parseUnary();
       const Type* t = e ? e->type() : types_.intType();
-      return std::make_unique<UnaryExpr>(UnaryOp::kBitNot, std::move(e), t,
-                                         loc);
+      return make<UnaryExpr>(UnaryOp::kBitNot, e, t, loc);
     }
     case TokenKind::kStar: {
       advance();
-      ExprPtr e = parseUnary();
+      const Expr* e = parseUnary();
       const Type* t = types_.intType();
       if (e != nullptr) {
         const Type* et = decay(e->type());
@@ -1082,30 +1072,26 @@ ExprPtr Parser::parseUnary() {
           diags_->error(loc, "type", "cannot dereference non-pointer");
         }
       }
-      return std::make_unique<UnaryExpr>(UnaryOp::kDeref, std::move(e), t,
-                                         loc);
+      return make<UnaryExpr>(UnaryOp::kDeref, e, t, loc);
     }
     case TokenKind::kAmp: {
       advance();
-      ExprPtr e = parseUnary();
+      const Expr* e = parseUnary();
       const Type* t =
           e ? types_.pointerTo(e->type()) : types_.pointerTo(types_.intType());
-      return std::make_unique<UnaryExpr>(UnaryOp::kAddrOf, std::move(e), t,
-                                         loc);
+      return make<UnaryExpr>(UnaryOp::kAddrOf, e, t, loc);
     }
     case TokenKind::kPlusPlus: {
       advance();
-      ExprPtr e = parseUnary();
+      const Expr* e = parseUnary();
       const Type* t = e ? e->type() : types_.intType();
-      return std::make_unique<UnaryExpr>(UnaryOp::kPreInc, std::move(e), t,
-                                         loc);
+      return make<UnaryExpr>(UnaryOp::kPreInc, e, t, loc);
     }
     case TokenKind::kMinusMinus: {
       advance();
-      ExprPtr e = parseUnary();
+      const Expr* e = parseUnary();
       const Type* t = e ? e->type() : types_.intType();
-      return std::make_unique<UnaryExpr>(UnaryOp::kPreDec, std::move(e), t,
-                                         loc);
+      return make<UnaryExpr>(UnaryOp::kPreDec, e, t, loc);
     }
     case TokenKind::kKwSizeof: {
       advance();
@@ -1120,7 +1106,7 @@ ExprPtr Parser::parseUnary() {
         }
         pos_ = save;
       }
-      ExprPtr e = parseUnary();
+      const Expr* e = parseUnary();
       return makeSizeof(e ? e->type() : types_.intType(), loc);
     }
     case TokenKind::kLParen: {
@@ -1129,9 +1115,8 @@ ExprPtr Parser::parseUnary() {
         advance();
         const Type* t = parseTypeName();
         expect(TokenKind::kRParen, "after cast type");
-        ExprPtr e = parseUnary();
-        return std::make_unique<CastExpr>(std::move(e),
-                                          t ? t : types_.intType(), loc);
+        const Expr* e = parseUnary();
+        return make<CastExpr>(e, t ? t : types_.intType(), loc);
       }
       break;
     }
@@ -1141,12 +1126,12 @@ ExprPtr Parser::parseUnary() {
   return parsePostfix();
 }
 
-ExprPtr Parser::parsePostfix() {
-  ExprPtr e = parsePrimary();
+const Expr* Parser::parsePostfix() {
+  const Expr* e = parsePrimary();
   while (e != nullptr) {
     const SourceLocation loc = peek().location;
     if (accept(TokenKind::kLBracket)) {
-      ExprPtr index = parseExpr();
+      const Expr* index = parseExpr();
       expect(TokenKind::kRBracket, "after array index");
       const Type* base_t = decay(e->type());
       const Type* t = types_.intType();
@@ -1155,8 +1140,7 @@ ExprPtr Parser::parsePostfix() {
       } else {
         diags_->error(loc, "type", "subscript of non-pointer/array");
       }
-      e = std::make_unique<SubscriptExpr>(std::move(e), std::move(index), t,
-                                          loc);
+      e = make<SubscriptExpr>(e, index, t, loc);
       continue;
     }
     if (check(TokenKind::kDot) || check(TokenKind::kArrow)) {
@@ -1166,7 +1150,7 @@ ExprPtr Parser::parsePostfix() {
         diags_->error(loc, "parse", "expected member name");
         return e;
       }
-      const std::string member(advance().text);
+      const std::string_view member = advance().text;
       const Type* base_t = e->type();
       if (is_arrow) {
         base_t = decay(base_t);
@@ -1180,18 +1164,17 @@ ExprPtr Parser::parsePostfix() {
         if (const StructField* f = st->findField(member)) {
           t = f->type;
         } else {
-          diags_->error(loc, "type", "no field '" + member + "' in " +
-                                         st->str());
+          diags_->error(loc, "type", "no field '" + std::string(member) +
+                                         "' in " + st->str());
         }
       } else {
         diags_->error(loc, "type", "member access on non-struct");
       }
-      e = std::make_unique<MemberExpr>(std::move(e), member, is_arrow, t,
-                                       loc);
+      e = make<MemberExpr>(e, member, is_arrow, t, loc);
       continue;
     }
     if (accept(TokenKind::kLParen)) {
-      std::vector<ExprPtr> args;
+      std::vector<const Expr*> args;
       if (!check(TokenKind::kRParen)) {
         do {
           args.push_back(parseAssignment());
@@ -1208,15 +1191,15 @@ ExprPtr Parser::parsePostfix() {
       } else {
         diags_->error(loc, "type", "call of non-function");
       }
-      e = std::make_unique<CallExpr>(std::move(e), std::move(args), ret, loc);
+      e = make<CallExpr>(e, keep(args), ret, loc);
       continue;
     }
     if (check(TokenKind::kPlusPlus) || check(TokenKind::kMinusMinus)) {
       const bool inc = peek().is(TokenKind::kPlusPlus);
       advance();
       const Type* t = e->type();
-      e = std::make_unique<UnaryExpr>(
-          inc ? UnaryOp::kPostInc : UnaryOp::kPostDec, std::move(e), t, loc);
+      e = make<UnaryExpr>(inc ? UnaryOp::kPostInc : UnaryOp::kPostDec, e, t,
+                          loc);
       continue;
     }
     break;
@@ -1224,36 +1207,38 @@ ExprPtr Parser::parsePostfix() {
   return e;
 }
 
-ExprPtr Parser::parsePrimary() {
+const Expr* Parser::parsePrimary() {
   const Token& t = peek();
   const SourceLocation loc = t.location;
   switch (t.kind) {
     case TokenKind::kIntLiteral: {
       const std::int64_t v = parseIntText(t.text);
       advance();
-      return std::make_unique<IntLitExpr>(v, types_.intType(), loc);
+      return make<IntLitExpr>(v, types_.intType(), loc);
     }
     case TokenKind::kFloatLiteral: {
       const double v = std::strtod(std::string(t.text).c_str(), nullptr);
       advance();
-      return std::make_unique<FloatLitExpr>(v, types_.doubleType(), loc);
+      return make<FloatLitExpr>(v, types_.doubleType(), loc);
     }
     case TokenKind::kCharLiteral: {
       const std::int64_t v = charLiteralValue(t.text);
       advance();
-      return std::make_unique<IntLitExpr>(v, types_.intType(), loc);
+      return make<IntLitExpr>(v, types_.intType(), loc);
     }
     case TokenKind::kStringLiteral: {
-      std::string s(t.text);
-      advance();
-      // Adjacent string literal concatenation.
-      while (check(TokenKind::kStringLiteral)) s += advance().text;
-      return std::make_unique<StringLitExpr>(
-          std::move(s), types_.pointerTo(types_.charType()), loc);
+      std::string_view s = advance().text;
+      if (check(TokenKind::kStringLiteral)) {
+        // Adjacent string literals join into one arena string.
+        std::string joined(s);
+        while (check(TokenKind::kStringLiteral)) joined += advance().text;
+        s = tu_->copyString(joined);
+      }
+      return make<StringLitExpr>(s, types_.pointerTo(types_.charType()), loc);
     }
     case TokenKind::kLParen: {
       advance();
-      ExprPtr e = parseExpr();
+      const Expr* e = parseExpr();
       expect(TokenKind::kRParen, "to close parenthesized expression");
       return e;
     }
@@ -1261,11 +1246,11 @@ ExprPtr Parser::parsePrimary() {
       const std::string_view name = t.text;
       if (const std::int64_t* ev = lookupEnumConstant(name)) {
         advance();
-        return std::make_unique<IntLitExpr>(*ev, types_.intType(), loc);
+        return make<IntLitExpr>(*ev, types_.intType(), loc);
       }
       if (const ValueDecl* decl = lookupValue(name)) {
         advance();
-        return std::make_unique<DeclRefExpr>(decl, decl->type(), loc);
+        return make<DeclRefExpr>(decl, decl->type(), loc);
       }
       // Implicit function declaration (classic C): `name(...)` with no
       // prior declaration becomes `extern int name(...)`. Not in an
@@ -1274,37 +1259,36 @@ ExprPtr Parser::parsePrimary() {
         advance();
         const FunctionType* ft =
             types_.functionType(types_.intType(), {}, /*variadic=*/true);
-        auto fn = std::make_unique<FunctionDecl>(std::string(name), ft,
-                                                 std::vector<std::unique_ptr<VarDecl>>{},
-                                                 loc);
-        FunctionDecl* raw = tu_->addFunction(std::move(fn));
+        const FunctionDecl* raw = make<FunctionDecl>(
+            name, ft, std::span<const VarDecl* const>{}, loc);
+        tu_->addFunction(raw);
         // Declare at file scope so later uses resolve to the same decl.
         scopes_.front().values.insert_or_assign(std::string(name), raw);
         diags_->warning(loc, "sema", "implicit declaration of function '" +
                                          std::string(name) + "'");
-        return std::make_unique<DeclRefExpr>(raw, ft, loc);
+        return make<DeclRefExpr>(raw, ft, loc);
       }
       advance();
       diags_->error(loc, "sema", "use of undeclared identifier '" +
                                      std::string(name) + "'");
-      return std::make_unique<IntLitExpr>(0, types_.intType(), loc);
+      return make<IntLitExpr>(0, types_.intType(), loc);
     }
     default:
       diags_->error(loc, "parse", "expected expression, found " + describe(t));
       advance();
       if (check(TokenKind::kEof)) fatal_ = true;
-      return std::make_unique<IntLitExpr>(0, types_.intType(), loc);
+      return make<IntLitExpr>(0, types_.intType(), loc);
   }
 }
 
-ExprPtr Parser::makeSizeof(const Type* t, SourceLocation loc) {
+const Expr* Parser::makeSizeof(const Type* t, SourceLocation loc) {
   if (t != nullptr && t->isStruct() &&
       !static_cast<const StructType*>(t)->isComplete()) {
     diags_->error(loc, "type",
                   "sizeof applied to incomplete type '" + t->str() + "'");
   }
-  return std::make_unique<SizeofExpr>(t != nullptr ? t->size() : 0, t,
-                                      types_.ulongType(), loc);
+  return make<SizeofExpr>(t != nullptr ? t->size() : 0, t,
+                          types_.ulongType(), loc);
 }
 
 const Type* Parser::parseTypeName() {

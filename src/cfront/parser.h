@@ -6,10 +6,11 @@
 // annotations or AnnotationStmts.
 #pragma once
 
-#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "cfront/ast.h"
@@ -70,11 +71,11 @@ class Parser {
   /// Parses one declarator: pointers, name, arrays, function params.
   struct Declarator {
     const Type* type = nullptr;
-    std::string name;
+    std::string_view name;
     SourceLocation loc;
     // Set when this declarator declared a function (param names captured).
     bool is_function = false;
-    std::vector<std::unique_ptr<VarDecl>> params;
+    std::vector<const VarDecl*> params;
     bool variadic = false;
   };
   bool parseDeclarator(const Type* base, Declarator& out);
@@ -82,7 +83,7 @@ class Parser {
   const Type* parseEnumSpecifier();
   bool parseExternalDeclaration(TranslationUnit& tu,
                                 std::vector<Token>& pending);
-  StmtPtr parseLocalDeclaration();
+  const Stmt* parseLocalDeclaration();
 
   // -- SafeFlow annotations -------------------------------------------------
   /// Parses the body of annotation token `t` in the scopes open here: the
@@ -114,31 +115,43 @@ class Parser {
   };
 
   // -- statements -----------------------------------------------------------
-  StmtPtr parseStatement();
-  StmtPtr parseCompound();
+  const Stmt* parseStatement();
+  const Stmt* parseCompound();
 
   /// Parses an initializer: a brace list (possibly nested) or an
   /// assignment expression. `type` is the declared type (for list typing).
-  ExprPtr parseInitializer(const Type* type);
+  const Expr* parseInitializer(const Type* type);
 
   // -- expressions (precedence climbing) -------------------------------------
-  ExprPtr parseExpr();            // comma
-  ExprPtr parseAssignment();
-  ExprPtr parseConditional();
-  ExprPtr parseBinary(int min_prec);
-  ExprPtr parseUnary();
-  ExprPtr parsePostfix();
-  ExprPtr parsePrimary();
+  const Expr* parseExpr();  // comma
+  const Expr* parseAssignment();
+  const Expr* parseConditional();
+  const Expr* parseBinary(int min_prec);
+  const Expr* parseUnary();
+  const Expr* parsePostfix();
+  const Expr* parsePrimary();
   /// Parses `(type-name)` after '(' when it is a cast/sizeof type.
   const Type* parseTypeName();
   /// sizeof of `t` (null after a bad type name); an error when `t` is an
   /// incomplete struct or union, as in C.
-  ExprPtr makeSizeof(const Type* t, SourceLocation loc);
+  const Expr* makeSizeof(const Type* t, SourceLocation loc);
 
   /// Folds an integer constant expression (array sizes, case labels,
   /// annotation offsets and sizes) with two's-complement wraparound;
   /// clears `*ok` and returns 0 when it is not constant. Reports nothing.
   std::int64_t evalConstExpr(const Expr* e, bool* ok = nullptr);
+
+  // -- arena --------------------------------------------------------------
+  /// A node in the translation unit's arena.
+  template <typename T, typename... Args>
+  T* make(Args&&... args) {
+    return tu_->create<T>(std::forward<Args>(args)...);
+  }
+  /// An exact-size arena copy of a list the parser gathered.
+  template <typename T>
+  std::span<const T> keep(const std::vector<T>& items) {
+    return tu_->copy(std::span<const T>(items));
+  }
 
   // -- typing helpers --------------------------------------------------------
   const Type* decay(const Type* t);

@@ -5,8 +5,9 @@
 //
 // Lifetime: a token's spelling is a view into the buffer of the
 // SourceManager that holds its file, so lexing a token allocates nothing
-// and copying one is cheap. A token must not outlive that SourceManager.
-// Anything kept longer (AST names, annotation text) is copied out.
+// and copying one is cheap. A token must not outlive that SourceManager,
+// and neither may the AST and IR names and annotation texts that keep
+// its view.
 #pragma once
 
 #include <string_view>

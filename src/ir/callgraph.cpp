@@ -17,8 +17,8 @@ CallGraph::CallGraph(const Module& module) : module_(module) {
   // Address-taken functions (represented by @fnaddr.<name> globals created
   // during lowering).
   for (const auto& g : module.globals()) {
-    const std::string& name = g->name();
-    if (name.rfind(kFnAddrPrefix, 0) == 0) {
+    const std::string_view name = g->name();
+    if (name.starts_with(kFnAddrPrefix)) {
       if (const Function* f =
               module.findFunction(name.substr(kFnAddrPrefix.size()))) {
         address_taken_.push_back(f);
@@ -28,7 +28,7 @@ CallGraph::CallGraph(const Module& module) : module_(module) {
 
   const auto& functions = module.functions();
   for (std::size_t i = 0; i < functions.size(); ++i) {
-    position_.emplace(functions[i].get(), i);
+    position_.emplace(functions[i], i);
   }
   callees_.resize(functions.size());
   callers_.resize(functions.size());
@@ -41,16 +41,16 @@ CallGraph::CallGraph(const Module& module) : module_(module) {
         if (inst->opcode() != Opcode::kCall) continue;
         for (const Function* target : targets(*inst)) {
           auto& callers = callers_[position(target)];
-          if (callers.empty() || callers.back() != fn.get()) {
-            callers.push_back(fn.get());
+          if (callers.empty() || callers.back() != fn) {
+            callers.push_back(fn);
           }
         }
       }
     }
   }
   for (const auto& fn : functions) {
-    for (const Function* caller : callers(fn.get())) {
-      callees_[position(caller)].push_back(fn.get());
+    for (const Function* caller : callers(fn)) {
+      callees_[position(caller)].push_back(fn);
     }
   }
   computeSccs();
@@ -142,7 +142,7 @@ void CallGraph::computeSccs() {
   // Roots and successors in module order, so the SCC order does not
   // depend on where the functions were allocated.
   for (const auto& fn : module_.functions()) {
-    if (!index.contains(fn.get())) strongConnect(fn.get());
+    if (!index.contains(fn)) strongConnect(fn);
   }
   // Tarjan emits SCCs in reverse topological order of the condensation,
   // which for a call graph is exactly callee-before-caller (bottom-up).
@@ -165,7 +165,7 @@ FunctionWorklist::FunctionWorklist(
       member_(graph.module().functions().size(), 0),
       queued_(member_.size(), 0) {
   for (const auto& fn : graph.module().functions()) {
-    member_[graph.position(fn.get())] = member(*fn) ? 1 : 0;
+    member_[graph.position(fn)] = member(*fn) ? 1 : 0;
   }
   for (const auto& scc : graph.sccsBottomUp()) {
     for (const Function* fn : scc) push(graph.position(fn));
@@ -186,7 +186,7 @@ const Function* FunctionWorklist::pop() {
 void FunctionWorklist::push(std::size_t at) {
   if (member_[at] == 0 || queued_[at] != 0) return;
   queued_[at] = 1;
-  queue_.push_back(graph_.module().functions()[at].get());
+  queue_.push_back(graph_.module().functions()[at]);
   ++pushes_;
 }
 

@@ -11,8 +11,9 @@ bool BlockList::contains(const BasicBlock* bb) const {
                      [&](std::uint32_t n) { return blocks_[n] == bb; });
 }
 
-CfgInfo::Csr CfgInfo::compress(const Edges& edges, std::uint32_t nodes) {
-  Csr csr;
+CfgInfo::Csr CfgInfo::compress(const Edges& edges, std::uint32_t nodes,
+                               std::pmr::memory_resource* arena) {
+  Csr csr(arena);
   csr.start.assign(nodes + 1, 0);
   for (const auto& edge : edges) ++csr.start[edge.first + 1];
   for (std::uint32_t n = 0; n < nodes; ++n) csr.start[n + 1] += csr.start[n];
@@ -80,16 +81,18 @@ std::vector<std::uint32_t> CfgInfo::immediateDominators(
   return idom;
 }
 
-CfgInfo::Tree CfgInfo::makeTree(std::vector<std::uint32_t> parent,
-                                std::uint32_t root, Csr* children) {
+CfgInfo::Tree CfgInfo::makeTree(const std::vector<std::uint32_t>& parent,
+                                std::uint32_t root, Csr* children,
+                                std::pmr::memory_resource* arena) {
   const auto nodes = static_cast<std::uint32_t>(parent.size());
   Edges edges;
   for (std::uint32_t v = 0; v < nodes; ++v) {
     if (parent[v] != kNone) edges.emplace_back(parent[v], v);
   }
-  *children = compress(edges, nodes);
-  Tree tree;
-  tree.parent = std::move(parent);
+  *children =
+      compress(edges, nodes, children->start.get_allocator().resource());
+  Tree tree(arena);
+  tree.parent.assign(parent.begin(), parent.end());
   tree.pre.assign(nodes, kNone);
   tree.post.assign(nodes, kNone);
   std::uint32_t pre = 0;
@@ -111,13 +114,27 @@ CfgInfo::Tree CfgInfo::makeTree(std::vector<std::uint32_t> parent,
   return tree;
 }
 
-CfgInfo::CfgInfo(const Function& fn) {
+CfgInfo::CfgInfo(const Function& fn) : CfgInfo(fn, fn.parent()->arena()) {}
+
+// Scratch lists go to the heap and are freed on return; only the facts
+// kept for the run take arena memory.
+CfgInfo::CfgInfo(const Function& fn, std::pmr::memory_resource* arena)
+    : blocks_(arena),
+      number_of_(arena),
+      succs_(arena),
+      preds_(arena),
+      dom_(arena),
+      children_(arena),
+      frontier_(arena),
+      postdom_(arena),
+      controllers_(arena) {
   const auto n = static_cast<std::uint32_t>(fn.blocks().size());
   if (n == 0) return;
+  std::pmr::memory_resource* const scratch = std::pmr::get_default_resource();
 
   // Edges by layout index first, to find the reverse postorder.
   Edges edges;
-  for (const auto& bb : fn.blocks()) {
+  for (const BasicBlock* bb : fn.blocks()) {
     const Instruction* term = bb->terminator();
     if (term == nullptr) continue;
     for (const BasicBlock* s : term->block_refs) {
@@ -126,33 +143,33 @@ CfgInfo::CfgInfo(const Function& fn) {
     }
   }
   const std::vector<std::uint32_t> rpo =
-      reversePostorder(compress(edges, n), 0);
+      reversePostorder(compress(edges, n, scratch), 0);
   reachable_ = static_cast<std::uint32_t>(rpo.size());
   number_of_.assign(n, kNone);
   blocks_.reserve(n);
   for (const std::uint32_t index : rpo) {
     number_of_[index] = static_cast<std::uint32_t>(blocks_.size());
-    blocks_.push_back(fn.blocks()[index].get());
+    blocks_.push_back(fn.blocks()[index]);
   }
   for (std::uint32_t index = 0; index < n; ++index) {
     if (number_of_[index] != kNone) continue;
     number_of_[index] = static_cast<std::uint32_t>(blocks_.size());
-    blocks_.push_back(fn.blocks()[index].get());
+    blocks_.push_back(fn.blocks()[index]);
   }
 
   for (auto& [from, to] : edges) {
     from = number_of_[from];
     to = number_of_[to];
   }
-  succs_ = compress(edges, n);
+  succs_ = compress(edges, n, arena);
   for (auto& [from, to] : edges) std::swap(from, to);
-  preds_ = compress(edges, n);
+  preds_ = compress(edges, n, arena);
 
-  buildDominators();
-  buildPostDominators();
+  buildDominators(arena);
+  buildPostDominators(arena);
 }
 
-void CfgInfo::buildDominators() {
+void CfgInfo::buildDominators(std::pmr::memory_resource* arena) {
   const std::uint32_t n = size();
   // The numbering is the reverse postorder, so CHK walks it directly.
   std::vector<std::uint32_t> rpo(reachable_);
@@ -173,13 +190,14 @@ void CfgInfo::buildDominators() {
       }
     }
   }
-  frontier_ = compress(frontier, n);
+  frontier_ = compress(frontier, n, arena);
 
   idom[0] = kNone;
-  dom_ = makeTree(std::move(idom), 0, &children_);
+  dom_ = makeTree(idom, 0, &children_, arena);
 }
 
-void CfgInfo::buildPostDominators() {
+void CfgInfo::buildPostDominators(std::pmr::memory_resource* arena) {
+  std::pmr::memory_resource* const scratch = std::pmr::get_default_resource();
   const std::uint32_t n = size();
   const std::uint32_t exit = n;
   // The reverse CFG, rooted at a virtual exit that every `ret` block
@@ -215,13 +233,13 @@ void CfgInfo::buildPostDominators() {
     for (const std::uint32_t p : preds_.of(v)) edges.emplace_back(v, p);
   }
   const std::vector<std::uint32_t> rpo =
-      reversePostorder(compress(edges, n + 1), exit);
+      reversePostorder(compress(edges, n + 1, scratch), exit);
   for (auto& [from, to] : edges) std::swap(from, to);
   std::vector<std::uint32_t> ipdom =
-      immediateDominators(compress(edges, n + 1), rpo);
+      immediateDominators(compress(edges, n + 1, scratch), rpo);
   ipdom[exit] = kNone;
-  Csr children;
-  postdom_ = makeTree(std::move(ipdom), exit, &children);
+  Csr children(scratch);
+  postdom_ = makeTree(ipdom, exit, &children, arena);
 
   // Control dependence (Ferrante–Ottenstein–Warren): for each edge a -> s
   // out of a conditional branch where s does not post-dominate a, every
@@ -241,7 +259,7 @@ void CfgInfo::buildPostDominators() {
       }
     }
   }
-  controllers_ = compress(deps, n);
+  controllers_ = compress(deps, n, arena);
 }
 
 std::uint32_t CfgInfo::number(const BasicBlock* bb) const {

@@ -5,7 +5,8 @@
 // (Ferrante–Ottenstein–Warren). SSA construction, the range analysis and
 // the taint phase all read them through Function::cfg().
 //
-// Every fact lives in a vector indexed by block number. Blocks reachable
+// Every fact lives in an array indexed by block number, allocated from the
+// module's arena like the function itself. Blocks reachable
 // from the entry are numbered 0..reachableCount()-1 in reverse postorder
 // (the entry is 0); the unreachable ones follow in layout order. Lists are
 // stored compressed (CSR): the list of block n is list[start[n] ..
@@ -15,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <memory_resource>
 #include <span>
 #include <utility>
 #include <vector>
@@ -79,7 +81,7 @@ class BlockList {
 class CfgInfo {
  public:
   /// Builds every fact for `fn`, whose CFG must be final (see
-  /// Function::cfg()).
+  /// Function::cfg()), in the arena of its module.
   explicit CfgInfo(const Function& fn);
 
   // -- numbering -----------------------------------------------------------
@@ -126,11 +128,14 @@ class CfgInfo {
 
  private:
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  using Numbers = std::pmr::vector<std::uint32_t>;
 
   /// Compressed adjacency over block numbers.
   struct Csr {
-    std::vector<std::uint32_t> start;
-    std::vector<std::uint32_t> list;
+    explicit Csr(std::pmr::memory_resource* arena)
+        : start(arena), list(arena) {}
+    Numbers start;
+    Numbers list;
 
     [[nodiscard]] std::span<const std::uint32_t> of(std::uint32_t n) const {
       return {list.data() + start[n], list.data() + start[n + 1]};
@@ -139,9 +144,11 @@ class CfgInfo {
   /// A tree over nodes 0..n-1 (one extra node for the virtual exit of the
   /// post-dominator tree), with DFS numbers for O(1) ancestor queries.
   struct Tree {
-    std::vector<std::uint32_t> parent;  ///< kNone for the root and outsiders
-    std::vector<std::uint32_t> pre;
-    std::vector<std::uint32_t> post;
+    explicit Tree(std::pmr::memory_resource* arena)
+        : parent(arena), pre(arena), post(arena) {}
+    Numbers parent;  ///< kNone for the root and outsiders
+    Numbers pre;
+    Numbers post;
 
     [[nodiscard]] bool ancestor(std::uint32_t a, std::uint32_t b) const {
       return pre[a] <= pre[b] && post[b] <= post[a];
@@ -151,7 +158,8 @@ class CfgInfo {
   using Edges = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 
   /// Groups (from, to) edges by `from`, keeping their order within a group.
-  static Csr compress(const Edges& edges, std::uint32_t nodes);
+  static Csr compress(const Edges& edges, std::uint32_t nodes,
+                      std::pmr::memory_resource* arena);
   /// Reverse postorder of the nodes reachable from `root`.
   static std::vector<std::uint32_t> reversePostorder(const Csr& succs,
                                                      std::uint32_t root);
@@ -160,17 +168,20 @@ class CfgInfo {
   static std::vector<std::uint32_t> immediateDominators(
       const Csr& preds, const std::vector<std::uint32_t>& rpo);
   /// The tree of the parent links `parent` (kNone for the root and for
-  /// nodes outside it): its children lists in node order, and DFS numbers.
-  static Tree makeTree(std::vector<std::uint32_t> parent, std::uint32_t root,
-                       Csr* children);
+  /// nodes outside it), in `arena`: its children lists in node order (in
+  /// the resource `children` holds), and DFS numbers.
+  static Tree makeTree(const std::vector<std::uint32_t>& parent,
+                       std::uint32_t root, Csr* children,
+                       std::pmr::memory_resource* arena);
+  CfgInfo(const Function& fn, std::pmr::memory_resource* arena);
   [[nodiscard]] BlockList list(const Csr& csr, const BasicBlock* bb) const {
     return {csr.of(number(bb)), blocks_.data()};
   }
-  void buildDominators();
-  void buildPostDominators();
+  void buildDominators(std::pmr::memory_resource* arena);
+  void buildPostDominators(std::pmr::memory_resource* arena);
 
-  std::vector<BasicBlock*> blocks_;       ///< by number
-  std::vector<std::uint32_t> number_of_;  ///< by BasicBlock::index()
+  std::pmr::vector<BasicBlock*> blocks_;  ///< by number
+  Numbers number_of_;                     ///< by BasicBlock::index()
   std::uint32_t reachable_ = 0;
   Csr succs_;
   Csr preds_;

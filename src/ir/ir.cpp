@@ -2,133 +2,132 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
+#include <cstring>
 
 #include "ir/cfg.h"
 
 namespace safeflow::ir {
 
-Instruction* BasicBlock::append(std::unique_ptr<Instruction> inst) {
+Instruction* BasicBlock::append(Instruction* inst) {
   inst->setParent(this);
-  insts_.push_back(std::move(inst));
-  return insts_.back().get();
+  insts_.push_back(inst);
+  return inst;
 }
 
-Instruction* BasicBlock::prepend(std::unique_ptr<Instruction> inst) {
+Instruction* BasicBlock::prepend(Instruction* inst) {
   inst->setParent(this);
-  insts_.insert(insts_.begin(), std::move(inst));
-  return insts_.front().get();
+  insts_.insert(insts_.begin(), inst);
+  return inst;
 }
 
-void BasicBlock::prepend(std::vector<std::unique_ptr<Instruction>> insts) {
-  for (const auto& inst : insts) inst->setParent(this);
-  insts_.insert(insts_.begin(), std::make_move_iterator(insts.begin()),
-                std::make_move_iterator(insts.end()));
+void BasicBlock::prepend(std::span<Instruction* const> insts) {
+  for (Instruction* inst : insts) inst->setParent(this);
+  insts_.insert(insts_.begin(), insts.begin(), insts.end());
 }
 
 void BasicBlock::erase(Instruction* inst) {
-  const auto it = std::find_if(
-      insts_.begin(), insts_.end(),
-      [inst](const std::unique_ptr<Instruction>& p) { return p.get() == inst; });
+  const auto it = std::find(insts_.begin(), insts_.end(), inst);
   assert(it != insts_.end() && "erasing instruction from wrong block");
   insts_.erase(it);
+  poison(inst);
 }
 
 Instruction* BasicBlock::terminator() const {
   if (insts_.empty()) return nullptr;
-  Instruction* last = insts_.back().get();
+  Instruction* last = insts_.back();
   return last->isTerminator() ? last : nullptr;
 }
 
-std::vector<BasicBlock*> BasicBlock::successors() const {
-  Instruction* term = terminator();
+std::span<BasicBlock* const> BasicBlock::successors() const {
+  const Instruction* term = terminator();
   if (term == nullptr) return {};
   return term->block_refs;
 }
 
-Function::Function(std::string name, const cfront::FunctionType* type,
+Function::Function(std::string_view name, const cfront::FunctionType* type,
                    Module* parent)
-    : name_(std::move(name)), type_(type), parent_(parent) {}
+    : name_(name),
+      type_(type),
+      parent_(parent),
+      args_(parent->arena()),
+      blocks_(parent->arena()) {}
 
-Function::~Function() = default;
-
-Argument* Function::addArg(const Type* type, std::string name) {
-  args_.push_back(std::make_unique<Argument>(
-      type, std::move(name), this, static_cast<unsigned>(args_.size())));
-  return args_.back().get();
+Argument* Function::addArg(const Type* type, std::string_view name) {
+  args_.push_back(parent_->create<Argument>(
+      type, name, this, static_cast<unsigned>(args_.size())));
+  return args_.back();
 }
 
-BasicBlock* Function::createBlock(std::string label) {
-  blocks_.push_back(std::make_unique<BasicBlock>(
-      std::move(label), this, static_cast<std::uint32_t>(blocks_.size())));
-  return blocks_.back().get();
+BasicBlock* Function::createBlock(std::string_view label) {
+  blocks_.push_back(parent_->create<BasicBlock>(
+      label, this, static_cast<std::uint32_t>(blocks_.size()),
+      parent_->arena()));
+  return blocks_.back();
 }
 
 const CfgInfo& Function::cfg() const {
-  if (cfg_ == nullptr) cfg_ = std::make_unique<CfgInfo>(*this);
+  if (cfg_ == nullptr) cfg_ = parent_->create<CfgInfo>(*this);
   return *cfg_;
 }
 
-Function* Module::getOrCreateFunction(const std::string& name,
+std::string_view Module::copyString(std::string_view text) {
+  if (text.empty()) return {};
+  char* copy = static_cast<char*>(arena_.allocate(text.size(), 1));
+  std::memcpy(copy, text.data(), text.size());
+  return {copy, text.size()};
+}
+
+Function* Module::getOrCreateFunction(std::string_view name,
                                       const cfront::FunctionType* type) {
   auto it = function_map_.find(name);
   if (it != function_map_.end()) return it->second;
-  functions_.push_back(std::make_unique<Function>(name, type, this));
-  Function* f = functions_.back().get();
-  function_map_[name] = f;
+  Function* f = create<Function>(copyString(name), type, this);
+  functions_.push_back(f);
+  function_map_.emplace(f->name(), f);
   return f;
 }
 
-Function* Module::findFunction(const std::string& name) const {
+Function* Module::findFunction(std::string_view name) const {
   auto it = function_map_.find(name);
   return it == function_map_.end() ? nullptr : it->second;
 }
 
-GlobalVar* Module::getOrCreateGlobal(const std::string& name,
+GlobalVar* Module::getOrCreateGlobal(std::string_view name,
                                      const Type* value_type,
                                      SourceLocation loc) {
   auto it = global_map_.find(name);
   if (it != global_map_.end()) return it->second;
-  globals_.push_back(std::make_unique<GlobalVar>(
-      name, value_type, types_.pointerTo(value_type), loc));
-  GlobalVar* g = globals_.back().get();
-  global_map_[name] = g;
+  GlobalVar* g = create<GlobalVar>(copyString(name), value_type,
+                                   types_.pointerTo(value_type), loc);
+  globals_.push_back(g);
+  global_map_.emplace(g->name(), g);
   return g;
 }
 
-GlobalVar* Module::findGlobal(const std::string& name) const {
+GlobalVar* Module::findGlobal(std::string_view name) const {
   auto it = global_map_.find(name);
   return it == global_map_.end() ? nullptr : it->second;
 }
 
 ConstantInt* Module::constantInt(std::int64_t value, const Type* type) {
-  const auto key = std::make_pair(value, type);
-  auto it = int_constants_.find(key);
-  if (it != int_constants_.end()) return it->second.get();
-  auto owned = std::make_unique<ConstantInt>(value, type);
-  ConstantInt* raw = owned.get();
-  int_constants_[key] = std::move(owned);
-  return raw;
+  ConstantInt*& slot = int_constants_[{value, type}];
+  if (slot == nullptr) slot = create<ConstantInt>(value, type);
+  return slot;
 }
 
 ConstantFloat* Module::constantFloat(double value, const Type* type) {
-  float_constants_.push_back(std::make_unique<ConstantFloat>(value, type));
-  return float_constants_.back().get();
+  return create<ConstantFloat>(value, type);
 }
 
-ConstantString* Module::constantString(std::string text) {
-  string_constants_.push_back(std::make_unique<ConstantString>(
-      std::move(text), types_.pointerTo(types_.charType())));
-  return string_constants_.back().get();
+ConstantString* Module::constantString(std::string_view text) {
+  return create<ConstantString>(copyString(text),
+                                types_.pointerTo(types_.charType()));
 }
 
 Undef* Module::undef(const Type* type) {
-  auto it = undefs_.find(type);
-  if (it != undefs_.end()) return it->second.get();
-  auto owned = std::make_unique<Undef>(type);
-  Undef* raw = owned.get();
-  undefs_[type] = std::move(owned);
-  return raw;
+  Undef*& slot = undefs_[type];
+  if (slot == nullptr) slot = create<Undef>(type);
+  return slot;
 }
 
 }  // namespace safeflow::ir

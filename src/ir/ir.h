@@ -4,18 +4,33 @@
 // locals are in SSA form with Phi nodes; aggregates stay in memory and are
 // addressed through FieldAddr/IndexAddr (GEP-like) instructions.
 //
-// Types are shared with the front end (const cfront::Type*). Ownership:
-// Module owns Functions and GlobalVariables; Function owns BasicBlocks and
-// its Arguments; BasicBlock owns Instructions. Operands are non-owning
-// Value*.
+// Types are shared with the front end (const cfront::Type*).
+//
+// Ownership: the Module owns an arena (a std::pmr::monotonic_buffer_resource)
+// and every IR object comes from it: Arguments, Instructions, BasicBlocks,
+// Functions, GlobalVars, the constants and each Function's CfgInfo. The
+// lists inside them (operands, block refs, a block's instructions, a
+// function's blocks and arguments, CfgInfo's arrays) are std::pmr vectors
+// on the same arena. Every link is a non-owning pointer and no destructor
+// of an arena object ever runs: destroying the Module frees the arena's
+// chunks at once. Names and labels are views into the SourceManager the
+// program was parsed from, into string literals, or into copies in the
+// arena (Module::copyString); nothing in the IR points into the AST.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <optional>
-#include <string>
+#include <memory_resource>
+#include <new>
+#include <span>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "cfront/types.h"
 #include "support/source_location.h"
@@ -48,31 +63,34 @@ class Value {
     kInstruction,
   };
 
-  virtual ~Value() = default;
   [[nodiscard]] Kind kind() const { return kind_; }
   [[nodiscard]] const Type* type() const { return type_; }
-  [[nodiscard]] const std::string& name() const { return name_; }
-  void setName(std::string name) { name_ = std::move(name); }
+  [[nodiscard]] std::string_view name() const { return name_; }
+  /// `name` must outlive the module: a view into the SourceManager, a
+  /// string literal or a Module::copyString copy.
+  void setName(std::string_view name) { name_ = name; }
 
   [[nodiscard]] bool isInstruction() const {
     return kind_ == Kind::kInstruction;
   }
 
  protected:
-  Value(Kind kind, const Type* type, std::string name = {})
-      : kind_(kind), type_(type), name_(std::move(name)) {}
+  Value(Kind kind, const Type* type, std::string_view name = {})
+      : kind_(kind), type_(type), name_(name) {}
+  // Not virtual: nothing deletes a value through a base pointer.
+  ~Value() = default;
 
  private:
   Kind kind_;
   const Type* type_;
-  std::string name_;
+  std::string_view name_;
 };
 
 class Argument final : public Value {
  public:
-  Argument(const Type* type, std::string name, Function* parent,
+  Argument(const Type* type, std::string_view name, Function* parent,
            unsigned index)
-      : Value(Kind::kArgument, type, std::move(name)),
+      : Value(Kind::kArgument, type, name),
         parent_(parent),
         index_(index) {}
   [[nodiscard]] Function* parent() const { return parent_; }
@@ -105,12 +123,12 @@ class ConstantFloat final : public Value {
 
 class ConstantString final : public Value {
  public:
-  ConstantString(std::string text, const Type* type)
-      : Value(Kind::kConstantString, type), text_(std::move(text)) {}
-  [[nodiscard]] const std::string& text() const { return text_; }
+  ConstantString(std::string_view text, const Type* type)
+      : Value(Kind::kConstantString, type), text_(text) {}
+  [[nodiscard]] std::string_view text() const { return text_; }
 
  private:
-  std::string text_;
+  std::string_view text_;
 };
 
 /// A value that is never defined (unreachable merges, error recovery).
@@ -123,9 +141,9 @@ class Undef final : public Value {
 /// LLVM): loading through it yields the variable's value.
 class GlobalVar final : public Value {
  public:
-  GlobalVar(std::string name, const Type* value_type,
+  GlobalVar(std::string_view name, const Type* value_type,
             const Type* pointer_type, SourceLocation loc)
-      : Value(Kind::kGlobalVar, pointer_type, std::move(name)),
+      : Value(Kind::kGlobalVar, pointer_type, name),
         value_type_(value_type),
         loc_(loc) {}
   [[nodiscard]] const Type* valueType() const { return value_type_; }
@@ -168,15 +186,22 @@ enum class CmpOp { kLt, kGt, kLe, kGe, kEq, kNe };
 
 class Instruction final : public Value {
  public:
-  Instruction(Opcode op, const Type* type, SourceLocation loc)
-      : Value(Kind::kInstruction, type), opcode_(op), loc_(loc) {}
+  /// Lists allocate from `arena`: the module's (Module::createInstruction),
+  /// or the heap for an instruction outside any module.
+  Instruction(Opcode op, const Type* type, SourceLocation loc,
+              std::pmr::memory_resource* arena)
+      : Value(Kind::kInstruction, type),
+        block_refs(arena),
+        opcode_(op),
+        loc_(loc),
+        operands_(arena) {}
 
   [[nodiscard]] Opcode opcode() const { return opcode_; }
   [[nodiscard]] SourceLocation location() const { return loc_; }
   [[nodiscard]] BasicBlock* parent() const { return parent_; }
   void setParent(BasicBlock* bb) { parent_ = bb; }
 
-  [[nodiscard]] const std::vector<Value*>& operands() const {
+  [[nodiscard]] const std::pmr::vector<Value*>& operands() const {
     return operands_;
   }
   [[nodiscard]] Value* operand(std::size_t i) const { return operands_[i]; }
@@ -196,7 +221,7 @@ class Instruction final : public Value {
   // kCall: direct callee (null for indirect calls through operand 0)
   Function* direct_callee = nullptr;
   // kBr / kCondBr successors; kPhi incoming blocks (parallel to operands)
-  std::vector<BasicBlock*> block_refs;
+  std::pmr::vector<BasicBlock*> block_refs;
 
   [[nodiscard]] bool isTerminator() const {
     return opcode_ == Opcode::kBr || opcode_ == Opcode::kCondBr ||
@@ -207,7 +232,7 @@ class Instruction final : public Value {
   Opcode opcode_;
   SourceLocation loc_;
   BasicBlock* parent_ = nullptr;
-  std::vector<Value*> operands_;
+  std::pmr::vector<Value*> operands_;
 };
 
 // ---------------------------------------------------------------------------
@@ -216,41 +241,55 @@ class Instruction final : public Value {
 
 class BasicBlock {
  public:
-  BasicBlock(std::string label, Function* parent, std::uint32_t index)
-      : label_(std::move(label)), parent_(parent), index_(index) {}
+  /// `label` must outlive the module, as a Value name must.
+  BasicBlock(std::string_view label, Function* parent, std::uint32_t index,
+             std::pmr::memory_resource* arena)
+      : label_(label), parent_(parent), index_(index), insts_(arena) {}
 
-  [[nodiscard]] const std::string& label() const { return label_; }
+  [[nodiscard]] std::string_view label() const { return label_; }
   [[nodiscard]] Function* parent() const { return parent_; }
   /// Position in the parent's block list (layout order).
   [[nodiscard]] std::uint32_t index() const { return index_; }
-  [[nodiscard]] const std::vector<std::unique_ptr<Instruction>>&
-  instructions() const {
+  [[nodiscard]] const std::pmr::vector<Instruction*>& instructions() const {
     return insts_;
   }
 
-  Instruction* append(std::unique_ptr<Instruction> inst);
-  Instruction* prepend(std::unique_ptr<Instruction> inst);
+  Instruction* append(Instruction* inst);
+  Instruction* prepend(Instruction* inst);
   /// Inserts `insts`, in order, ahead of the block's first instruction.
-  void prepend(std::vector<std::unique_ptr<Instruction>> insts);
-  /// Removes (and destroys) the instruction; it must belong to this block.
+  void prepend(std::span<Instruction* const> insts);
+  /// Removes the instruction; it must belong to this block. Its memory
+  /// stays in the arena (poisoned under AddressSanitizer, so a dangling
+  /// operand is still caught).
   void erase(Instruction* inst);
-  /// Removes (and destroys) every instruction `pred` holds for, in one
-  /// pass over the block.
+  /// Removes every instruction `pred` holds for, in one pass over the
+  /// block, as erase() does.
   template <typename Pred>
   void eraseIf(Pred pred) {
-    std::erase_if(insts_, [&pred](const std::unique_ptr<Instruction>& inst) {
-      return pred(static_cast<const Instruction*>(inst.get()));
+    std::erase_if(insts_, [&pred](Instruction* inst) {
+      if (!pred(static_cast<const Instruction*>(inst))) return false;
+      poison(inst);
+      return true;
     });
   }
 
   [[nodiscard]] Instruction* terminator() const;
-  [[nodiscard]] std::vector<BasicBlock*> successors() const;
+  /// The terminator's targets (a view of its block refs); empty while the
+  /// block has no terminator.
+  [[nodiscard]] std::span<BasicBlock* const> successors() const;
 
  private:
-  std::string label_;
+  /// Marks an erased instruction's bytes unaddressable under ASan.
+  static void poison([[maybe_unused]] Instruction* inst) {
+#if defined(__SANITIZE_ADDRESS__)
+    ASAN_POISON_MEMORY_REGION(inst, sizeof(Instruction));
+#endif
+  }
+
+  std::string_view label_;
   Function* parent_;
   std::uint32_t index_;
-  std::vector<std::unique_ptr<Instruction>> insts_;
+  std::pmr::vector<Instruction*> insts_;
 };
 
 /// Attributes attached from SafeFlow annotations during lowering.
@@ -263,30 +302,32 @@ struct FunctionAnnotations {
 
 class Function {
  public:
-  // Out of line, where CfgInfo is complete.
-  Function(std::string name, const cfront::FunctionType* type, Module* parent);
-  ~Function();
+  /// `name` must outlive the module (Module::getOrCreateFunction copies
+  /// it into the arena).
+  Function(std::string_view name, const cfront::FunctionType* type,
+           Module* parent);
 
-  [[nodiscard]] const std::string& name() const { return name_; }
+  [[nodiscard]] std::string_view name() const { return name_; }
   [[nodiscard]] const cfront::FunctionType* functionType() const {
     return type_;
   }
   [[nodiscard]] Module* parent() const { return parent_; }
   [[nodiscard]] bool isDefined() const { return !blocks_.empty(); }
 
-  [[nodiscard]] const std::vector<std::unique_ptr<Argument>>& args() const {
+  [[nodiscard]] const std::pmr::vector<Argument*>& args() const {
     return args_;
   }
-  Argument* addArg(const Type* type, std::string name);
+  /// `name` must outlive the module, as a Value name must.
+  Argument* addArg(const Type* type, std::string_view name);
 
-  [[nodiscard]] const std::vector<std::unique_ptr<BasicBlock>>& blocks()
-      const {
+  [[nodiscard]] const std::pmr::vector<BasicBlock*>& blocks() const {
     return blocks_;
   }
   [[nodiscard]] BasicBlock* entry() const {
-    return blocks_.empty() ? nullptr : blocks_.front().get();
+    return blocks_.empty() ? nullptr : blocks_.front();
   }
-  BasicBlock* createBlock(std::string label);
+  /// `label` must outlive the module, as a Value name must.
+  BasicBlock* createBlock(std::string_view label);
 
   /// The function's CFG facts (numbering, dominators, post-dominators,
   /// control dependence), built on first use and kept for the function's
@@ -300,16 +341,16 @@ class Function {
 
   /// True for the SafeFlow annotation intrinsics (safeflow.assume.core &c).
   [[nodiscard]] bool isIntrinsic() const {
-    return name_.rfind("safeflow.", 0) == 0;
+    return name_.starts_with("safeflow.");
   }
 
  private:
-  std::string name_;
+  std::string_view name_;
   const cfront::FunctionType* type_;
   Module* parent_;
-  std::vector<std::unique_ptr<Argument>> args_;
-  std::vector<std::unique_ptr<BasicBlock>> blocks_;
-  mutable std::unique_ptr<CfgInfo> cfg_;
+  std::pmr::vector<Argument*> args_;
+  std::pmr::vector<BasicBlock*> blocks_;
+  mutable const CfgInfo* cfg_ = nullptr;
 };
 
 class Module {
@@ -320,40 +361,68 @@ class Module {
 
   [[nodiscard]] cfront::TypeContext& types() const { return types_; }
 
-  Function* getOrCreateFunction(const std::string& name,
+  /// The arena every IR object and list of this module allocates from.
+  [[nodiscard]] std::pmr::memory_resource* arena() { return &arena_; }
+  /// Constructs a T in the arena. Its destructor never runs, so T must
+  /// own no memory outside the arena.
+  template <typename T, typename... Args>
+  T* create(Args&&... args) {
+    return ::new (arena_.allocate(sizeof(T), alignof(T)))
+        T(std::forward<Args>(args)...);
+  }
+  /// A copy of `text` in the arena, for names the program builds.
+  std::string_view copyString(std::string_view text);
+  /// A new instruction whose lists allocate from the arena.
+  Instruction* createInstruction(Opcode op, const Type* type,
+                                 SourceLocation loc) {
+    return create<Instruction>(op, type, loc, arena());
+  }
+
+  Function* getOrCreateFunction(std::string_view name,
                                 const cfront::FunctionType* type);
-  [[nodiscard]] Function* findFunction(const std::string& name) const;
-  [[nodiscard]] const std::vector<std::unique_ptr<Function>>& functions()
-      const {
+  [[nodiscard]] Function* findFunction(std::string_view name) const;
+  [[nodiscard]] const std::vector<Function*>& functions() const {
     return functions_;
   }
 
-  GlobalVar* getOrCreateGlobal(const std::string& name,
-                               const Type* value_type, SourceLocation loc);
-  [[nodiscard]] GlobalVar* findGlobal(const std::string& name) const;
-  [[nodiscard]] const std::vector<std::unique_ptr<GlobalVar>>& globals()
-      const {
+  GlobalVar* getOrCreateGlobal(std::string_view name, const Type* value_type,
+                               SourceLocation loc);
+  [[nodiscard]] GlobalVar* findGlobal(std::string_view name) const;
+  [[nodiscard]] const std::vector<GlobalVar*>& globals() const {
     return globals_;
   }
 
-  // Constant pool — constants are uniqued per (value, type).
+  // Constant pool. Integer constants are uniqued per (value, type) and
+  // undef per type; each float and string constant is a new value.
   ConstantInt* constantInt(std::int64_t value, const Type* type);
   ConstantFloat* constantFloat(double value, const Type* type);
-  ConstantString* constantString(std::string text);
+  /// Copies `text` into the arena.
+  ConstantString* constantString(std::string_view text);
   Undef* undef(const Type* type);
 
  private:
   cfront::TypeContext& types_;
-  std::vector<std::unique_ptr<Function>> functions_;
-  std::vector<std::unique_ptr<GlobalVar>> globals_;
-  std::map<std::string, Function*> function_map_;
-  std::map<std::string, GlobalVar*> global_map_;
-  std::map<std::pair<std::int64_t, const Type*>, std::unique_ptr<ConstantInt>>
-      int_constants_;
-  std::vector<std::unique_ptr<ConstantFloat>> float_constants_;
-  std::vector<std::unique_ptr<ConstantString>> string_constants_;
-  std::map<const Type*, std::unique_ptr<Undef>> undefs_;
+  // Declared before everything that points into it.
+  std::pmr::monotonic_buffer_resource arena_;
+  std::vector<Function*> functions_;
+  std::vector<GlobalVar*> globals_;
+  // Keys view the names of the values they map to.
+  std::map<std::string_view, Function*> function_map_;
+  std::map<std::string_view, GlobalVar*> global_map_;
+  std::map<std::pair<std::int64_t, const Type*>, ConstantInt*> int_constants_;
+  std::map<const Type*, Undef*> undefs_;
 };
+
+// Arena objects never have their destructors run. These hold no list, so
+// the compiler can check that skipping the destructor leaks nothing; the
+// types with arena lists (Instruction, BasicBlock, Function, CfgInfo) are
+// left to LeakSanitizer, which sees any heap memory they come to own.
+static_assert(std::is_trivially_destructible_v<Argument>);
+static_assert(std::is_trivially_destructible_v<ConstantInt>);
+static_assert(std::is_trivially_destructible_v<ConstantFloat>);
+static_assert(std::is_trivially_destructible_v<ConstantString>);
+static_assert(std::is_trivially_destructible_v<Undef>);
+static_assert(std::is_trivially_destructible_v<GlobalVar>);
 
 /// Names of the annotation intrinsics emitted by the lowerer.
 inline constexpr std::string_view kIntrinsicAssumeCore =

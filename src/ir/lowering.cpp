@@ -77,8 +77,8 @@ bool Lowering::run() {
   const std::size_t errors_before = diags_.errorCount();
   lowerGlobals();
   // Declare every function first so calls resolve without ordering issues.
-  for (const auto& fd : tu_.functions()) functionFor(*fd);
-  for (const auto& fd : tu_.functions()) {
+  for (const cfront::FunctionDecl* fd : tu_.functions()) functionFor(*fd);
+  for (const cfront::FunctionDecl* fd : tu_.functions()) {
     if (fd->isDefined()) {
       SAFEFLOW_COUNT("lowering.functions");
       lowerFunction(*fd);
@@ -88,7 +88,7 @@ bool Lowering::run() {
 }
 
 void Lowering::lowerGlobals() {
-  for (const auto& g : tu_.globals()) {
+  for (const cfront::VarDecl* g : tu_.globals()) {
     module_.getOrCreateGlobal(g->name(), g->type(), g->location());
   }
 }
@@ -96,7 +96,9 @@ void Lowering::lowerGlobals() {
 Function* Lowering::functionFor(const cfront::FunctionDecl& fd) {
   Function* fn = module_.getOrCreateFunction(fd.name(), fd.functionType());
   if (fn->args().empty() && !fd.params().empty()) {
-    for (const auto& p : fd.params()) fn->addArg(p->type(), p->name());
+    for (const cfront::VarDecl* p : fd.params()) {
+      fn->addArg(p->type(), p->name());
+    }
   }
   if (fn->location == SourceLocation{}) fn->location = fd.location();
   return fn;
@@ -105,7 +107,7 @@ Function* Lowering::functionFor(const cfront::FunctionDecl& fd) {
 Function* Lowering::intrinsic(std::string_view name) {
   const cfront::FunctionType* ft = module_.types().functionType(
       module_.types().voidType(), {}, /*variadic=*/true);
-  return module_.getOrCreateFunction(std::string(name), ft);
+  return module_.getOrCreateFunction(name, ft);
 }
 
 Instruction* Lowering::emit(Opcode op, const Type* type, SourceLocation loc) {
@@ -113,11 +115,16 @@ Instruction* Lowering::emit(Opcode op, const Type* type, SourceLocation loc) {
     // Error recovery can reach an expression with no live block (e.g. a
     // recovered statement after a terminator); absorb the instructions
     // into a detached block instead of dereferencing null.
-    block_ =
-        fn_->createBlock("unreachable." + std::to_string(label_counter_++));
+    block_ = newBlock("unreachable", label_counter_++);
   }
-  auto inst = std::make_unique<Instruction>(op, type, loc);
-  return block_->append(std::move(inst));
+  return block_->append(module_.createInstruction(op, type, loc));
+}
+
+BasicBlock* Lowering::newBlock(std::string_view stem, unsigned n) {
+  std::string label(stem);
+  label += '.';
+  label += std::to_string(n);
+  return fn_->createBlock(module_.copyString(label));
 }
 
 Value* Lowering::emitLoad(Value* ptr, SourceLocation loc) {
@@ -168,11 +175,10 @@ void Lowering::condBranch(Value* cond, BasicBlock* then_bb,
 }
 
 Instruction* Lowering::createLocalSlot(const cfront::VarDecl& vd) {
-  auto inst = std::make_unique<Instruction>(
-      Opcode::kAlloca, module_.types().pointerTo(vd.type()), vd.location());
-  inst->allocated_type = vd.type();
-  inst->setName(vd.name());
-  Instruction* slot = entry_->prepend(std::move(inst));
+  Instruction* slot = entry_->prepend(module_.createInstruction(
+      Opcode::kAlloca, module_.types().pointerTo(vd.type()), vd.location()));
+  slot->allocated_type = vd.type();
+  slot->setName(vd.name());
   slots_[&vd] = slot;
   return slot;
 }
@@ -191,10 +197,10 @@ void Lowering::lowerFunction(const cfront::FunctionDecl& fd) {
   // Parameters: spill each Argument into a local slot so the body can take
   // addresses / reassign; mem2reg re-promotes the scalar ones.
   for (std::size_t i = 0; i < fd.params().size(); ++i) {
-    const cfront::VarDecl* p = fd.params()[i].get();
+    const cfront::VarDecl* p = fd.params()[i];
     Instruction* slot = createLocalSlot(*p);
     if (i < fn_->args().size()) {
-      emitStore(fn_->args()[i].get(), slot, p->location());
+      emitStore(fn_->args()[i], slot, p->location());
     }
   }
 
@@ -206,10 +212,10 @@ void Lowering::lowerFunction(const cfront::FunctionDecl& fd) {
   lowerStmt(*fd.body());
 
   // Seal dangling blocks with a return.
-  for (const auto& bb : fn_->blocks()) {
+  for (BasicBlock* bb : fn_->blocks()) {
     if (bb->terminator() == nullptr) {
       BasicBlock* saved = block_;
-      block_ = bb.get();
+      block_ = bb;
       Instruction* ret =
           emit(Opcode::kRet, module_.types().voidType(), fd.location());
       const Type* ret_t = fd.functionType()->returnType();
@@ -231,7 +237,8 @@ void Lowering::lowerAnnotation(const cfront::Annotation& a) {
   Value* addr = a.decl != nullptr ? storageOf(*a.decl) : nullptr;
   if (addr == nullptr) {
     diags_.error(a.location, "annotation",
-                 "annotation references unknown variable '" + a.name + "'");
+                 "annotation references unknown variable '" +
+                     std::string(a.name) + "'");
     return;
   }
   Value* operand = emitLoad(addr, a.location);
@@ -264,7 +271,7 @@ void Lowering::lowerStmt(const Stmt& stmt) {
   if (block_ == nullptr) {
     // Unreachable code after return/break; keep lowering into a detached
     // block so diagnostics and def-use stay well-formed.
-    block_ = fn_->createBlock("unreachable." + std::to_string(label_counter_++));
+    block_ = newBlock("unreachable", label_counter_++);
   }
   switch (stmt.kind()) {
     case Stmt::Kind::kCompound:
@@ -326,11 +333,11 @@ void Lowering::lowerStmt(const Stmt& stmt) {
 }
 
 void Lowering::lowerCompound(const cfront::CompoundStmt& s) {
-  for (const auto& sub : s.stmts()) lowerStmt(*sub);
+  for (const Stmt* sub : s.stmts()) lowerStmt(*sub);
 }
 
 void Lowering::lowerDecl(const cfront::DeclStmt& s) {
-  for (const auto& vd : s.decls()) {
+  for (const cfront::VarDecl* vd : s.decls()) {
     Instruction* slot = createLocalSlot(*vd);
     if (vd->init() == nullptr) continue;
     if (vd->init()->kind() == Expr::Kind::kInitList) {
@@ -358,7 +365,7 @@ void Lowering::lowerInitList(Value* addr,
       gep->addOperand(base);
       gep->addOperand(module_.constantInt(static_cast<std::int64_t>(i),
                                           module_.types().intType()));
-      const cfront::Expr* item = list.items()[i].get();
+      const cfront::Expr* item = list.items()[i];
       if (item->kind() == Expr::Kind::kInitList) {
         lowerInitList(gep, static_cast<const cfront::InitListExpr&>(*item),
                       at->element());
@@ -380,7 +387,7 @@ void Lowering::lowerInitList(Value* addr,
                               list.location());
       gep->field_index = static_cast<unsigned>(i);
       gep->addOperand(addr);
-      const cfront::Expr* item = list.items()[i].get();
+      const cfront::Expr* item = list.items()[i];
       if (item->kind() == Expr::Kind::kInitList) {
         lowerInitList(gep, static_cast<const cfront::InitListExpr&>(*item),
                       field.type);
@@ -401,10 +408,10 @@ void Lowering::lowerInitList(Value* addr,
 
 void Lowering::lowerIf(const cfront::IfStmt& s) {
   const unsigned n = label_counter_++;
-  BasicBlock* then_bb = fn_->createBlock("if.then." + std::to_string(n));
-  BasicBlock* end_bb = fn_->createBlock("if.end." + std::to_string(n));
+  BasicBlock* then_bb = newBlock("if.then", n);
+  BasicBlock* end_bb = newBlock("if.end", n);
   BasicBlock* else_bb =
-      s.elseStmt() ? fn_->createBlock("if.else." + std::to_string(n)) : end_bb;
+      s.elseStmt() ? newBlock("if.else", n) : end_bb;
 
   Value* cond = rvalue(*s.cond());
   condBranch(cond, then_bb, else_bb, s.location());
@@ -423,9 +430,9 @@ void Lowering::lowerIf(const cfront::IfStmt& s) {
 
 void Lowering::lowerWhile(const cfront::WhileStmt& s) {
   const unsigned n = label_counter_++;
-  BasicBlock* cond_bb = fn_->createBlock("while.cond." + std::to_string(n));
-  BasicBlock* body_bb = fn_->createBlock("while.body." + std::to_string(n));
-  BasicBlock* end_bb = fn_->createBlock("while.end." + std::to_string(n));
+  BasicBlock* cond_bb = newBlock("while.cond", n);
+  BasicBlock* body_bb = newBlock("while.body", n);
+  BasicBlock* end_bb = newBlock("while.end", n);
 
   branchTo(cond_bb, s.location());
   setBlock(cond_bb);
@@ -445,9 +452,9 @@ void Lowering::lowerWhile(const cfront::WhileStmt& s) {
 
 void Lowering::lowerDo(const cfront::DoStmt& s) {
   const unsigned n = label_counter_++;
-  BasicBlock* body_bb = fn_->createBlock("do.body." + std::to_string(n));
-  BasicBlock* cond_bb = fn_->createBlock("do.cond." + std::to_string(n));
-  BasicBlock* end_bb = fn_->createBlock("do.end." + std::to_string(n));
+  BasicBlock* body_bb = newBlock("do.body", n);
+  BasicBlock* cond_bb = newBlock("do.cond", n);
+  BasicBlock* end_bb = newBlock("do.end", n);
 
   branchTo(body_bb, s.location());
   break_targets_.push_back(end_bb);
@@ -466,10 +473,10 @@ void Lowering::lowerDo(const cfront::DoStmt& s) {
 
 void Lowering::lowerFor(const cfront::ForStmt& s) {
   const unsigned n = label_counter_++;
-  BasicBlock* cond_bb = fn_->createBlock("for.cond." + std::to_string(n));
-  BasicBlock* body_bb = fn_->createBlock("for.body." + std::to_string(n));
-  BasicBlock* step_bb = fn_->createBlock("for.step." + std::to_string(n));
-  BasicBlock* end_bb = fn_->createBlock("for.end." + std::to_string(n));
+  BasicBlock* cond_bb = newBlock("for.cond", n);
+  BasicBlock* body_bb = newBlock("for.body", n);
+  BasicBlock* step_bb = newBlock("for.step", n);
+  BasicBlock* end_bb = newBlock("for.end", n);
 
   if (s.init() != nullptr) lowerStmt(*s.init());
   branchTo(cond_bb, s.location());
@@ -501,7 +508,7 @@ void Lowering::lowerSwitch(const cfront::SwitchStmt& s) {
   const unsigned n = label_counter_++;
   Value* cond = rvalue(*s.cond());
   BasicBlock* dispatch = block_;
-  BasicBlock* end_bb = fn_->createBlock("switch.end." + std::to_string(n));
+  BasicBlock* end_bb = newBlock("switch.end", n);
 
   if (s.body() == nullptr || s.body()->kind() != Stmt::Kind::kCompound) {
     diags_.error(s.location(), "lower",
@@ -520,12 +527,12 @@ void Lowering::lowerSwitch(const cfront::SwitchStmt& s) {
   std::vector<CaseTarget> cases;
   break_targets_.push_back(end_bb);
   block_ = nullptr;
-  for (const auto& sub : body.stmts()) {
+  for (const Stmt* sub : body.stmts()) {
     if (sub->kind() == Stmt::Kind::kCase) {
       const auto& cs = static_cast<const cfront::CaseStmt&>(*sub);
-      BasicBlock* case_bb = fn_->createBlock(
-          "switch.case." + std::to_string(n) + "." +
-          std::to_string(cases.size()));
+      BasicBlock* case_bb =
+          newBlock("switch.case." + std::to_string(n),
+                   static_cast<unsigned>(cases.size()));
       if (block_ != nullptr) branchTo(case_bb, cs.location());  // fallthrough
       setBlock(case_bb);
       cases.push_back(CaseTarget{
@@ -553,8 +560,7 @@ void Lowering::lowerSwitch(const cfront::SwitchStmt& s) {
     cmp->addOperand(
         module_.constantInt(*c.value, module_.types().longType()));
     BasicBlock* next =
-        fn_->createBlock("switch.test." + std::to_string(n) + "." +
-                         std::to_string(label_counter_++));
+        newBlock("switch.test." + std::to_string(n), label_counter_++);
     condBranch(cmp, c.block, next, s.location());
     setBlock(next);
   }
@@ -609,7 +615,7 @@ Value* Lowering::rvalue(const Expr& e) {
         // Functions are not Values in this IR; represent the address as a
         // ConstantString-like unique token via a dedicated global.
         GlobalVar* fn_addr = module_.getOrCreateGlobal(
-            "@fnaddr." + fd.name(), fd.type(), fd.location());
+            "@fnaddr." + std::string(fd.name()), fd.type(), fd.location());
         return fn_addr;
       }
       const auto& vd = static_cast<const cfront::VarDecl&>(*ref.decl());
@@ -697,7 +703,8 @@ Value* Lowering::lvalue(const Expr& e) {
       const auto& ref = static_cast<const cfront::DeclRefExpr&>(e);
       if (Value* addr = storageOf(*ref.decl())) return addr;
       diags_.error(e.location(), "lower",
-                   "no storage for '" + ref.decl()->name() + "'");
+                   "no storage for '" + std::string(ref.decl()->name()) +
+                       "'");
       return nullptr;
     }
     case Expr::Kind::kUnary: {
@@ -813,15 +820,14 @@ Value* Lowering::lowerShortCircuit(const cfront::BinaryExpr& e) {
   const unsigned n = label_counter_++;
   const bool is_and = e.op() == cfront::BinaryOp::kLogAnd;
   // Temp slot holding the boolean result; mem2reg turns it into a phi.
-  auto tmp = std::make_unique<Instruction>(
+  Instruction* slot = entry_->prepend(module_.createInstruction(
       Opcode::kAlloca, module_.types().pointerTo(module_.types().intType()),
-      e.location());
-  tmp->allocated_type = module_.types().intType();
-  tmp->setName("sc.tmp." + std::to_string(n));
-  Instruction* slot = entry_->prepend(std::move(tmp));
+      e.location()));
+  slot->allocated_type = module_.types().intType();
+  slot->setName(module_.copyString("sc.tmp." + std::to_string(n)));
 
-  BasicBlock* rhs_bb = fn_->createBlock("sc.rhs." + std::to_string(n));
-  BasicBlock* end_bb = fn_->createBlock("sc.end." + std::to_string(n));
+  BasicBlock* rhs_bb = newBlock("sc.rhs", n);
+  BasicBlock* end_bb = newBlock("sc.end", n);
 
   Value* lhs = rvalue(*e.lhs());
   // Normalize to 0/1 and store as the result if we short-circuit.
@@ -851,15 +857,14 @@ Value* Lowering::lowerShortCircuit(const cfront::BinaryExpr& e) {
 
 Value* Lowering::lowerConditional(const cfront::ConditionalExpr& e) {
   const unsigned n = label_counter_++;
-  auto tmp = std::make_unique<Instruction>(
-      Opcode::kAlloca, module_.types().pointerTo(e.type()), e.location());
-  tmp->allocated_type = e.type();
-  tmp->setName("cond.tmp." + std::to_string(n));
-  Instruction* slot = entry_->prepend(std::move(tmp));
+  Instruction* slot = entry_->prepend(module_.createInstruction(
+      Opcode::kAlloca, module_.types().pointerTo(e.type()), e.location()));
+  slot->allocated_type = e.type();
+  slot->setName(module_.copyString("cond.tmp." + std::to_string(n)));
 
-  BasicBlock* then_bb = fn_->createBlock("cond.then." + std::to_string(n));
-  BasicBlock* else_bb = fn_->createBlock("cond.else." + std::to_string(n));
-  BasicBlock* end_bb = fn_->createBlock("cond.end." + std::to_string(n));
+  BasicBlock* then_bb = newBlock("cond.then", n);
+  BasicBlock* else_bb = newBlock("cond.else", n);
+  BasicBlock* end_bb = newBlock("cond.end", n);
 
   Value* cond = rvalue(*e.cond());
   condBranch(cond, then_bb, else_bb, e.location());
@@ -953,7 +958,7 @@ Value* Lowering::lowerCall(const cfront::CallExpr& e) {
 
   std::vector<Value*> args;
   args.reserve(e.args().size());
-  for (const auto& a : e.args()) args.push_back(rvalue(*a));
+  for (const Expr* a : e.args()) args.push_back(rvalue(*a));
 
   Instruction* call = emit(Opcode::kCall, e.type(), e.location());
   call->direct_callee = direct;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <map>
+#include <string_view>
 
 #include "cfront/ast.h"
 #include "ir/ir.h"
@@ -31,6 +32,8 @@ class Lowering {
   /// Inserts a numeric conversion only when types differ.
   Value* coerce(Value* v, const Type* to, SourceLocation loc);
   void setBlock(BasicBlock* bb) { block_ = bb; }
+  /// A new block of the current function labelled "<stem>.<n>".
+  BasicBlock* newBlock(std::string_view stem, unsigned n);
   void branchTo(BasicBlock* target, SourceLocation loc);
   void condBranch(Value* cond, BasicBlock* then_bb, BasicBlock* else_bb,
                   SourceLocation loc);

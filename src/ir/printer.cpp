@@ -28,16 +28,16 @@ class Printer {
     out << " {\n";
     // Assign names to unnamed instructions.
     unsigned counter = 0;
-    for (const auto& bb : fn.blocks()) {
-      for (const auto& inst : bb->instructions()) {
-        names_[inst.get()] =
-            inst->name().empty() ? "%t" + std::to_string(counter++)
-                                 : "%" + inst->name();
+    for (const BasicBlock* bb : fn.blocks()) {
+      for (const Instruction* inst : bb->instructions()) {
+        names_[inst] = inst->name().empty()
+                           ? "%t" + std::to_string(counter++)
+                           : "%" + std::string(inst->name());
       }
     }
-    for (const auto& bb : fn.blocks()) {
+    for (const BasicBlock* bb : fn.blocks()) {
       out << bb->label() << ":\n";
-      for (const auto& inst : bb->instructions()) {
+      for (const Instruction* inst : bb->instructions()) {
         out << "  " << printInst(*inst) << "\n";
       }
     }
@@ -56,15 +56,16 @@ class Printer {
         return ss.str();
       }
       case Value::Kind::kConstantString:
-        return "\"" + static_cast<const ConstantString*>(v)->text() + "\"";
+        return "\"" +
+               std::string(static_cast<const ConstantString*>(v)->text()) +
+               "\"";
       case Value::Kind::kGlobalVar:
-        return "@" + v->name();
+      case Value::Kind::kFunction:
+        return "@" + std::string(v->name());
       case Value::Kind::kArgument:
-        return "%" + v->name();
+        return "%" + std::string(v->name());
       case Value::Kind::kUndef:
         return "undef";
-      case Value::Kind::kFunction:
-        return "@" + v->name();
       case Value::Kind::kInstruction: {
         auto it = names_.find(static_cast<const Instruction*>(v));
         return it == names_.end() ? "%?" : it->second;
@@ -179,11 +180,11 @@ std::string print(const Function& fn) {
 
 std::string print(const Module& module) {
   std::ostringstream out;
-  for (const auto& g : module.globals()) {
+  for (const GlobalVar* g : module.globals()) {
     out << "@" << g->name() << " : " << g->valueType()->str() << "\n";
   }
   out << "\n";
-  for (const auto& fn : module.functions()) {
+  for (const Function* fn : module.functions()) {
     out << print(*fn) << "\n";
   }
   return out.str();

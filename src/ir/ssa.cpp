@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -100,22 +100,21 @@ SsaStats Promoter::run() {
 /// others.
 bool Promoter::findPromotable() {
   std::vector<Instruction*> candidates;
-  for (const auto& inst : fn_.entry()->instructions()) {
+  for (Instruction* inst : fn_.entry()->instructions()) {
     if (inst->opcode() == Opcode::kAlloca &&
         inst->allocated_type != nullptr &&
         inst->allocated_type->isScalar()) {
-      slot_of_.emplace(inst.get(), static_cast<std::uint32_t>(
-                                       candidates.size()));
-      candidates.push_back(inst.get());
+      slot_of_.emplace(inst, static_cast<std::uint32_t>(candidates.size()));
+      candidates.push_back(inst);
     }
   }
   if (candidates.empty()) return false;
 
   std::vector<bool> escapes(candidates.size(), false);
   std::vector<std::vector<std::uint32_t>> stores(candidates.size());
-  for (const auto& bb : fn_.blocks()) {
-    const std::uint32_t block = cfg_.number(bb.get());
-    for (const auto& inst : bb->instructions()) {
+  for (const BasicBlock* bb : fn_.blocks()) {
+    const std::uint32_t block = cfg_.number(bb);
+    for (const Instruction* inst : bb->instructions()) {
       for (std::size_t i = 0; i < inst->numOperands(); ++i) {
         const Value* op = inst->operand(i);
         if (!op->isInstruction()) continue;
@@ -177,17 +176,18 @@ void Promoter::placePhis() {
     std::vector<std::uint32_t>& slots = phi_slots_[b];
     if (slots.empty()) continue;
     std::reverse(slots.begin(), slots.end());
-    std::vector<std::unique_ptr<Instruction>> phis;
+    std::vector<Instruction*> phis;
     phis.reserve(slots.size());
     for (const std::uint32_t slot : slots) {
       const Instruction* alloca = allocas_[slot];
-      auto phi = std::make_unique<Instruction>(
+      Instruction* phi = module_.createInstruction(
           Opcode::kPhi, alloca->allocated_type, alloca->location());
-      phi->setName(alloca->name() + ".phi");
-      phis.push_back(std::move(phi));
+      phi->setName(
+          module_.copyString(std::string(alloca->name()) + ".phi"));
+      phis.push_back(phi);
     }
     stats_.phis_inserted += phis.size();
-    cfg_.block(b)->prepend(std::move(phis));
+    cfg_.block(b)->prepend(phis);
   }
 }
 
@@ -223,10 +223,10 @@ void Promoter::rename() {
   // still go — the allocas are about to be deleted, and a surviving use
   // would dangle. Unreachable code never executes, so undef is sound.
   for (std::uint32_t b = cfg_.reachableCount(); b < cfg_.size(); ++b) {
-    for (const auto& inst : cfg_.block(b)->instructions()) {
+    for (const Instruction* inst : cfg_.block(b)->instructions()) {
       if (accessedSlot(*inst) == kNoSlot) continue;
       if (inst->opcode() == Opcode::kLoad) {
-        replacement_.emplace(inst.get(), module_.undef(inst->type()));
+        replacement_.emplace(inst, module_.undef(inst->type()));
         ++stats_.loads_removed;
       } else {
         ++stats_.stores_removed;
@@ -239,10 +239,10 @@ void Promoter::renameBlock(BasicBlock* bb) {
   const std::vector<std::uint32_t>& phis = phi_slots_[cfg_.number(bb)];
   const auto& insts = bb->instructions();
   for (std::size_t i = 0; i < phis.size(); ++i) {
-    define(phis[i], insts[i].get());
+    define(phis[i], insts[i]);
   }
   for (std::size_t i = phis.size(); i < insts.size(); ++i) {
-    Instruction* inst = insts[i].get();
+    Instruction* inst = insts[i];
     const std::uint32_t slot = accessedSlot(*inst);
     if (slot == kNoSlot) continue;
     if (inst->opcode() == Opcode::kLoad) {
@@ -264,7 +264,7 @@ void Promoter::renameBlock(BasicBlock* bb) {
     const std::vector<std::uint32_t>& succ_phis =
         phi_slots_[cfg_.number(succ)];
     for (std::size_t i = 0; i < succ_phis.size(); ++i) {
-      Instruction* phi = succ->instructions()[i].get();
+      Instruction* phi = succ->instructions()[i];
       phi->addOperand(reaching(succ_phis[i], phi->type()));
       phi->block_refs.push_back(bb);
     }
@@ -274,10 +274,10 @@ void Promoter::renameBlock(BasicBlock* bb) {
 /// Points every use of a promoted load at its replacement in one pass
 /// over the operands, then deletes the promoted allocas with their loads
 /// and stores in one pass per block. Deleting comes second: a use in a
-/// later block must not see a load already destroyed.
+/// later block must not see a load already erased.
 void Promoter::rewrite() {
-  for (const auto& bb : fn_.blocks()) {
-    for (const auto& inst : bb->instructions()) {
+  for (const BasicBlock* bb : fn_.blocks()) {
+    for (Instruction* inst : bb->instructions()) {
       for (std::size_t i = 0; i < inst->numOperands(); ++i) {
         Value* op = inst->operand(i);
         if (op->isInstruction() &&
@@ -287,7 +287,7 @@ void Promoter::rewrite() {
       }
     }
   }
-  for (const auto& bb : fn_.blocks()) {
+  for (BasicBlock* bb : fn_.blocks()) {
     bb->eraseIf([this](const Instruction* inst) {
       return accessedSlot(*inst) != kNoSlot || slotOf(inst) != kNoSlot;
     });
@@ -304,7 +304,7 @@ SsaStats promoteToSsa(Function& fn, Module& module) {
 SsaStats promoteModuleToSsa(Module& module) {
   const support::ScopedTimer timer("phase.ssa");
   SsaStats total;
-  for (const auto& fn : module.functions()) {
+  for (Function* fn : module.functions()) {
     if (!fn->isDefined()) continue;
     const SsaStats s = promoteToSsa(*fn, module);
     total.promoted_allocas += s.promoted_allocas;
@@ -326,24 +326,25 @@ std::string verifySsa(const Function& fn) {
   // Map each instruction to its defining block and intra-block position.
   std::unordered_map<const Value*, std::pair<const BasicBlock*, std::size_t>>
       defs;
-  for (const auto& bb : fn.blocks()) {
+  for (const BasicBlock* bb : fn.blocks()) {
     for (std::size_t i = 0; i < bb->instructions().size(); ++i) {
-      defs.emplace(bb->instructions()[i].get(), std::make_pair(bb.get(), i));
+      defs.emplace(bb->instructions()[i], std::make_pair(bb, i));
     }
   }
 
-  for (const auto& bb : fn.blocks()) {
+  for (const BasicBlock* bb : fn.blocks()) {
     // Dominance means nothing in code the entry cannot reach (LLVM's
     // verifier skips it too); dangling operands are still caught there.
-    const bool reachable = cfg.reachable(bb.get());
+    const bool reachable = cfg.reachable(bb);
     for (std::size_t i = 0; i < bb->instructions().size(); ++i) {
-      const Instruction* inst = bb->instructions()[i].get();
+      const Instruction* inst = bb->instructions()[i];
       for (std::size_t oi = 0; oi < inst->numOperands(); ++oi) {
         const Value* op = inst->operand(oi);
         if (!op->isInstruction()) continue;
         auto it = defs.find(op);
         if (it == defs.end()) {
-          return "operand of '" + inst->name() + "' in " + bb->label() +
+          return "operand of '" + std::string(inst->name()) + "' in " +
+                 std::string(bb->label()) +
                  " is not defined in this function";
         }
         if (!reachable) continue;
@@ -356,18 +357,18 @@ std::string verifySsa(const Function& fn) {
             if (cfg.reachable(incoming) &&
                 !cfg.dominates(def_bb, incoming)) {
               return "phi operand does not dominate incoming edge in " +
-                     bb->label();
+                     std::string(bb->label());
             }
           }
           continue;
         }
-        if (def_bb == bb.get()) {
+        if (def_bb == bb) {
           if (def_pos >= i) {
-            return "use before def inside block " + bb->label();
+            return "use before def inside block " + std::string(bb->label());
           }
-        } else if (!cfg.dominates(def_bb, bb.get())) {
-          return "definition in " + def_bb->label() +
-                 " does not dominate use in " + bb->label();
+        } else if (!cfg.dominates(def_bb, bb)) {
+          return "definition in " + std::string(def_bb->label()) +
+                 " does not dominate use in " + std::string(bb->label());
         }
       }
     }

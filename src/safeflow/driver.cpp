@@ -30,7 +30,7 @@ constexpr const char* kPhaseOrder[] = {
     "restrictions", "alias",           "taint", "report",
 };
 
-std::size_t lineSpan(const std::string& text) {
+std::size_t lineSpan(std::string_view text) {
   return 1 + static_cast<std::size_t>(
                  std::count(text.begin(), text.end(), '\n'));
 }
@@ -46,9 +46,9 @@ void countAnnotationsInStmt(const cfront::Stmt* stmt, SafeFlowStats& stats) {
       return;
     }
     case cfront::Stmt::Kind::kCompound:
-      for (const auto& s :
+      for (const cfront::Stmt* s :
            static_cast<const cfront::CompoundStmt*>(stmt)->stmts()) {
-        countAnnotationsInStmt(s.get(), stats);
+        countAnnotationsInStmt(s, stats);
       }
       return;
     case cfront::Stmt::Kind::kIf: {
@@ -197,8 +197,8 @@ const support::DiagnosticEngine& SafeFlowDriver::diagnostics() const {
 }
 
 void SafeFlowDriver::countAnnotations() {
-  for (const auto& fn : frontend_.unit().functions()) {
-    for (const auto& a : fn->entryAnnotations()) {
+  for (const cfront::FunctionDecl* fn : frontend_.unit().functions()) {
+    for (const cfront::Annotation& a : fn->entryAnnotations()) {
       ++stats_.annotation_count;
       stats_.annotation_lines += lineSpan(a.text);
     }
@@ -218,6 +218,8 @@ const analysis::SafeFlowReport& SafeFlowDriver::analyze() {
   }
   frontend_.releaseHeaders();
   auto& diags = frontend_.diagnostics();
+  // The last read of the AST: it is freed once lowered.
+  countAnnotations();
 
   module_ = std::make_unique<ir::Module>(frontend_.types());
   support::faultInjectionPoint("lowering");
@@ -228,6 +230,7 @@ const analysis::SafeFlowReport& SafeFlowDriver::analyze() {
     // structurally sound. Keep going and report what can be analyzed.
     frontend_errors_ = true;
   }
+  frontend_.releaseUnit();
   support::faultInjectionPoint("ssa");
   ir::promoteModuleToSsa(*module_);
 
@@ -343,7 +346,6 @@ const analysis::SafeFlowReport& SafeFlowDriver::analyze() {
   {
     support::faultInjectionPoint("report");
     const support::ScopedTimer timer("phase.report");
-    countAnnotations();
     // One finding per distinct location+message: headers included by
     // several TUs would otherwise repeat their diagnostics verbatim.
     report_.deduplicate(frontend_.sources());

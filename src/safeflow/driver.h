@@ -44,7 +44,7 @@ class SummaryStore;
 /// propagation, restriction rules, taint, rendering, defaults. The bump
 /// is what invalidates every stale cache entry; forgetting it means an
 /// upgraded analyzer can replay a report the old version produced.
-inline constexpr const char kAnalyzerVersion[] = "0.9.7";
+inline constexpr const char kAnalyzerVersion[] = "0.9.8";
 
 /// One file the frontend read: its path and the FNV-1a digest (16 hex
 /// characters) of the bytes it read, or "" when the path could not be

@@ -74,7 +74,7 @@ const std::string* SummaryStore::find(SummaryPhase phase,
   for (const auto& [d, blob] : it->second[static_cast<std::size_t>(phase)]) {
     if (d == digest) {
       ++stats_.hits;
-      hit_[static_cast<std::size_t>(phase)].insert(fn.name());
+      hit_[static_cast<std::size_t>(phase)].insert(std::string(fn.name()));
       return &blob;
     }
   }
@@ -86,7 +86,7 @@ void SummaryStore::record(SummaryPhase phase, const ir::Function& fn,
   const auto kit = run_keys_.find(&fn);
   if (kit == run_keys_.end()) return;
   ++stats_.misses;
-  resolved_[static_cast<std::size_t>(phase)].insert(fn.name());
+  resolved_[static_cast<std::size_t>(phase)].insert(std::string(fn.name()));
   auto& records = entries_[kit->second][static_cast<std::size_t>(phase)];
   for (auto& [d, b] : records) {
     if (d == digest) {

@@ -90,6 +90,20 @@ TEST(ArrayRules, NegativeConstantIndex) {
   EXPECT_EQ(countRule(*d, "A1"), 1u);
 }
 
+// 2^62 elements of 4 bytes: the byte offset overflows int64. Shm
+// propagation widens the pointer and points-to takes the variable-index
+// edge instead of computing it (the sanitizer build halted here); the
+// access is still outside the array.
+TEST(ArrayRules, ConstantIndexWhoseByteOffsetOverflows) {
+  const auto d = analyzeArrays(
+      "float get(void) { return ring[4611686018427387904].v; }\n"
+      "int main(void) { initRing(); get(); return 0; }");
+  EXPECT_EQ(messages(*d, "A1"),
+            Messages{"constant index 4611686018427387904 exceeds shared "
+                     "array 'ring' of 8 elements (rule A1)"});
+  EXPECT_FALSE(d->degraded());
+}
+
 TEST(ArrayRules, AffineLoopInBounds) {
   const auto d = analyzeArrays(
       "float sum(void) {\n"

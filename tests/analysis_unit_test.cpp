@@ -134,7 +134,7 @@ int main(void) { init(); get(); return 0; }
     for (const auto& inst : bb->instructions()) {
       if (inst->opcode() == ir::Opcode::kLoad &&
           inst->type()->isPointer()) {
-        found = p.shm->info(inst.get());
+        found = p.shm->info(inst);
       }
     }
   }
@@ -155,7 +155,7 @@ int main(void) { init(); get(); return 0; }
   for (const auto& bb : get->blocks()) {
     for (const auto& inst : bb->instructions()) {
       if (inst->opcode() == ir::Opcode::kFieldAddr) {
-        field_fact = p.shm->info(inst.get());
+        field_fact = p.shm->info(inst);
       }
     }
   }
@@ -171,7 +171,7 @@ int main(void) { init(); deref(beta); return 0; }
 )");
   const ir::Function* deref = p.module->findFunction("deref");
   ASSERT_EQ(deref->args().size(), 1u);
-  const auto* fact = p.shm->info(deref->args()[0].get());
+  const auto* fact = p.shm->info(deref->args()[0]);
   ASSERT_NE(fact, nullptr);
   EXPECT_EQ(fact->regions.size(), 1u);
 }
@@ -187,7 +187,7 @@ int main(void) { init(); get(); return 0; }
   for (const auto& bb : get->blocks()) {
     for (const auto& inst : bb->instructions()) {
       if (inst->opcode() == ir::Opcode::kCall &&
-          p.shm->info(inst.get()) != nullptr) {
+          p.shm->info(inst) != nullptr) {
         call_has_fact = true;
       }
     }
@@ -205,7 +205,7 @@ int main(void) { init(); get(1); return 0; }
   for (const auto& bb : get->blocks()) {
     for (const auto& inst : bb->instructions()) {
       if (inst->opcode() == ir::Opcode::kIndexAddr) {
-        widened = p.shm->info(inst.get());
+        widened = p.shm->info(inst);
       }
     }
   }
@@ -221,7 +221,7 @@ int main(void) { init(); local(); return 0; }
   const ir::Function* local = p.module->findFunction("local");
   for (const auto& bb : local->blocks()) {
     for (const auto& inst : bb->instructions()) {
-      EXPECT_EQ(p.shm->info(inst.get()), nullptr);
+      EXPECT_EQ(p.shm->info(inst), nullptr);
     }
   }
 }
@@ -238,8 +238,8 @@ int main(void) { int x; int y; touch(&x, &y); return x + y; }
   analysis::AliasAnalysis alias(*p.module, p.regions, *p.callgraph);
   alias.run();
   const ir::Function* touch = p.module->findFunction("touch");
-  const auto& pa = alias.pointsTo(touch->args()[0].get());
-  const auto& pb = alias.pointsTo(touch->args()[1].get());
+  const auto& pa = alias.pointsTo(touch->args()[0]);
+  const auto& pb = alias.pointsTo(touch->args()[1]);
   ASSERT_EQ(pa.size(), 1u);
   ASSERT_EQ(pb.size(), 1u);
   EXPECT_NE(*pa.begin(), *pb.begin());
@@ -269,7 +269,7 @@ int main(void)
   for (const auto& bb : main_fn->blocks()) {
     for (const auto& inst : bb->instructions()) {
       if (inst->opcode() == ir::Opcode::kFieldAddr) {
-        geps.push_back(inst.get());
+        geps.push_back(inst);
       }
     }
   }
@@ -296,7 +296,7 @@ int main(void) { return *mystery(); }
   for (const auto& bb : main_fn->blocks()) {
     for (const auto& inst : bb->instructions()) {
       if (inst->opcode() == ir::Opcode::kCall) {
-        for (analysis::ObjId obj : alias.pointsTo(inst.get())) {
+        for (analysis::ObjId obj : alias.pointsTo(inst)) {
           if (alias.isUnknown(obj)) saw_unknown = true;
         }
       }
@@ -316,7 +316,7 @@ int main(void) { struct Two t; t.a = 1; return t.a; }
   for (const auto& bb : main_fn->blocks()) {
     for (const auto& inst : bb->instructions()) {
       if (inst->opcode() != ir::Opcode::kFieldAddr) continue;
-      for (analysis::ObjId obj : alias.pointsTo(inst.get())) {
+      for (analysis::ObjId obj : alias.pointsTo(inst)) {
         EXPECT_GE(alias.parentOf(obj), 0);
       }
     }
@@ -335,7 +335,7 @@ int f(int c) { int r; r = 0; if (c) { r = 1; } return r; }
   const ir::CfgInfo& cd = f->cfg();
   const ir::BasicBlock* then_bb = nullptr;
   for (const auto& bb : f->blocks()) {
-    if (bb->label().rfind("if.then", 0) == 0) then_bb = bb.get();
+    if (bb->label().rfind("if.then", 0) == 0) then_bb = bb;
   }
   ASSERT_NE(then_bb, nullptr);
   EXPECT_FALSE(cd.controllers(then_bb).empty());
@@ -350,7 +350,7 @@ int f(int c) { int r; if (c) { r = 1; } else { r = 2; } return r; }
   const ir::CfgInfo& cd = f->cfg();
   const ir::BasicBlock* end_bb = nullptr;
   for (const auto& bb : f->blocks()) {
-    if (bb->label().rfind("if.end", 0) == 0) end_bb = bb.get();
+    if (bb->label().rfind("if.end", 0) == 0) end_bb = bb;
   }
   ASSERT_NE(end_bb, nullptr);
   EXPECT_FALSE(cd.controllers(end_bb).contains(f->entry()));
@@ -367,8 +367,8 @@ int f(int n) { int s; int i; s = 0;
   const ir::BasicBlock* body = nullptr;
   const ir::BasicBlock* cond = nullptr;
   for (const auto& bb : f->blocks()) {
-    if (bb->label().rfind("for.body", 0) == 0) body = bb.get();
-    if (bb->label().rfind("for.cond", 0) == 0) cond = bb.get();
+    if (bb->label().rfind("for.body", 0) == 0) body = bb;
+    if (bb->label().rfind("for.cond", 0) == 0) cond = bb;
   }
   ASSERT_NE(body, nullptr);
   ASSERT_NE(cond, nullptr);

@@ -184,7 +184,7 @@ TEST_F(AnnotationTest, EntryAnnotationBeforeSignatureBindsTheParameter) {
   const cfront::FunctionDecl* decide = fe_.unit().findFunction("decide");
   ASSERT_NE(decide, nullptr);
   ASSERT_EQ(decide->entryAnnotations().size(), 1u);
-  EXPECT_EQ(decide->entryAnnotations()[0].decl, decide->params()[0].get());
+  EXPECT_EQ(decide->entryAnnotations()[0].decl, decide->params()[0]);
   const cfront::FunctionDecl* other = fe_.unit().findFunction("other");
   ASSERT_EQ(other->entryAnnotations().size(), 1u);
   EXPECT_EQ(other->entryAnnotations()[0].decl, fe_.unit().findGlobal("cmd"));

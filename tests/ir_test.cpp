@@ -398,7 +398,7 @@ const char* const kDiamond =
 const ir::BasicBlock* blockWithPrefix(const ir::Function& f,
                                       const std::string& prefix) {
   for (const auto& bb : f.blocks()) {
-    if (bb->label().rfind(prefix, 0) == 0) return bb.get();
+    if (bb->label().rfind(prefix, 0) == 0) return bb;
   }
   return nullptr;
 }
@@ -408,7 +408,7 @@ TEST(Dominators, EntryDominatesAll) {
   const ir::Function* f = b.module->findFunction("f");
   const ir::CfgInfo& cfg = f->cfg();
   for (const auto& bb : f->blocks()) {
-    EXPECT_TRUE(cfg.dominates(f->entry(), bb.get())) << bb->label();
+    EXPECT_TRUE(cfg.dominates(f->entry(), bb)) << bb->label();
   }
 }
 
@@ -495,11 +495,11 @@ TEST(CfgInfo, DominatesAgreesWithIdomChainWalk) {
       for (const auto& a : fn->blocks()) {
         for (const auto& b : fn->blocks()) {
           bool walked = false;
-          for (const ir::BasicBlock* cur = b.get(); cur != nullptr;
+          for (const ir::BasicBlock* cur = b; cur != nullptr;
                cur = cfg.idom(cur)) {
-            if (cur == a.get()) walked = true;
+            if (cur == a) walked = true;
           }
-          EXPECT_EQ(cfg.dominates(a.get(), b.get()), walked)
+          EXPECT_EQ(cfg.dominates(a, b), walked)
               << fn->name() << ": " << a->label() << " / " << b->label();
           ++pairs;
         }
@@ -516,14 +516,14 @@ TEST(CfgInfo, UnreachableBlockHasNoIdomAndDominatesOnlyItself) {
   const ir::CfgInfo& cfg = f->cfg();
   const ir::BasicBlock* dead = nullptr;
   for (const auto& bb : f->blocks()) {
-    if (!cfg.reachable(bb.get())) dead = bb.get();
+    if (!cfg.reachable(bb)) dead = bb;
   }
   ASSERT_NE(dead, nullptr) << ir::print(*f);
   EXPECT_EQ(cfg.idom(dead), nullptr);
   EXPECT_TRUE(cfg.frontier(dead).empty());
   for (const auto& bb : f->blocks()) {
-    EXPECT_EQ(cfg.dominates(dead, bb.get()), bb.get() == dead) << bb->label();
-    EXPECT_EQ(cfg.dominates(bb.get(), dead), bb.get() == dead) << bb->label();
+    EXPECT_EQ(cfg.dominates(dead, bb), bb == dead) << bb->label();
+    EXPECT_EQ(cfg.dominates(bb, dead), bb == dead) << bb->label();
   }
   EXPECT_EQ(ir::verifySsa(*f), "");
 }
@@ -634,7 +634,7 @@ TEST(CallGraph, TopDownIsReverseOfBottomUp) {
 /// Names of the functions in `fns`, in order.
 std::vector<std::string> namesOf(const std::vector<const ir::Function*>& fns) {
   std::vector<std::string> names;
-  for (const ir::Function* f : fns) names.push_back(f->name());
+  for (const ir::Function* f : fns) names.emplace_back(f->name());
   return names;
 }
 
@@ -656,7 +656,7 @@ TEST(CallGraph, SccsFollowModuleOrderNotAddresses) {
     std::vector<std::string> order;
     for (const auto& scc : cg.sccsBottomUp()) {
       ASSERT_EQ(scc.size(), 1u);
-      order.push_back(scc.front()->name());
+      order.emplace_back(scc.front()->name());
     }
     EXPECT_EQ(order, (std::vector<std::string>{"d", "c", "b", "a", "e"}));
     EXPECT_EQ(namesOf(cg.callees(b.module->findFunction("a"))),

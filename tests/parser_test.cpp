@@ -90,7 +90,7 @@ TEST(Parser, FunctionDefinition) {
       "int add(int a, int b) { return a + b; }");
   const auto& tu = p.fe->unit();
   ASSERT_EQ(tu.functions().size(), 1u);
-  const FunctionDecl* f = tu.functions()[0].get();
+  const FunctionDecl* f = tu.functions()[0];
   EXPECT_EQ(f->name(), "add");
   EXPECT_TRUE(f->isDefined());
   ASSERT_EQ(f->params().size(), 2u);
@@ -364,7 +364,7 @@ TEST(ParserRecovery, ThreeIndependentErrorsAllDiagnosed) {
   const auto& fns = p.fe->unit().functions();
   std::size_t good = 0;
   for (const auto& fn : fns) {
-    const std::string& n = fn->name();
+    const std::string_view n = fn->name();
     if ((n == "good1" || n == "good2" || n == "good3") &&
         fn->isDefined()) {
       ++good;

@@ -65,7 +65,7 @@ std::vector<const ir::Instruction*> instructionsOf(const ir::Function* fn,
   std::vector<const ir::Instruction*> out;
   for (const auto& bb : fn->blocks()) {
     for (const auto& inst : bb->instructions()) {
-      if (inst->opcode() == op) out.push_back(inst.get());
+      if (inst->opcode() == op) out.push_back(inst);
     }
   }
   return out;
@@ -452,10 +452,10 @@ int readBoth(void)
   // treat partially-solved pointers as unresolved.
   std::vector<const ir::Value*> values;
   for (const auto& fn : p.module->functions()) {
-    for (const auto& arg : fn->args()) values.push_back(arg.get());
+    for (const auto& arg : fn->args()) values.push_back(arg);
     for (const auto& bb : fn->blocks()) {
       for (const auto& inst : bb->instructions()) {
-        values.push_back(inst.get());
+        values.push_back(inst);
         for (const ir::Value* op : inst->operands()) values.push_back(op);
       }
     }
@@ -495,11 +495,11 @@ TEST(PointsTo, BudgetTripMidPropagationWidensEveryPointer) {
   };
   for (const auto& fn : p.module->functions()) {
     if (!fn->isDefined()) continue;
-    for (const auto& arg : fn->args()) consider(arg.get());
+    for (const auto& arg : fn->args()) consider(arg);
     for (const auto& bb : fn->blocks()) {
       for (const auto& inst : bb->instructions()) {
         ++instructions;
-        consider(inst.get());
+        consider(inst);
         for (const ir::Value* op : inst->operands()) consider(op);
       }
     }

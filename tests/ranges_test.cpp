@@ -131,7 +131,7 @@ int main(void) { initRing(); sendControl((float) clamp(readInt())); return 0; }
   const ir::Function* clamp = m->findFunction("clamp");
   ASSERT_NE(clamp, nullptr);
   // The argument comes from readInt(): the full int range.
-  const Interval arg = ra.rangeOf(clamp->args()[0].get());
+  const Interval arg = ra.rangeOf(clamp->args()[0]);
   EXPECT_TRUE(arg.boundedBelow());
   EXPECT_TRUE(arg.boundedAbove());
   // Every ret-site contribution lies in [4, 12].
@@ -140,7 +140,7 @@ int main(void) { initRing(); sendControl((float) clamp(readInt())); return 0; }
       if (inst->opcode() != ir::Opcode::kRet || inst->numOperands() == 0) {
         continue;
       }
-      const Interval at = ra.rangeAt(inst->operand(0), bb.get());
+      const Interval at = ra.rangeAt(inst->operand(0), bb);
       EXPECT_GE(at.lo, 4) << at.str();
       EXPECT_LE(at.hi, 12) << at.str();
     }
@@ -162,7 +162,7 @@ TEST(RangeAnalysisApi, DisabledAnswersTop) {
   for (const auto& bb : main_fn->blocks()) {
     for (const auto& inst : bb->instructions()) {
       if (inst->type() != nullptr && inst->type()->isInteger()) {
-        EXPECT_TRUE(ra.rangeOf(inst.get()).isTop());
+        EXPECT_TRUE(ra.rangeOf(inst).isTop());
       }
     }
   }

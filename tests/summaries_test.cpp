@@ -319,12 +319,12 @@ std::set<std::string> callerCone(const ir::Module& module,
   std::set<std::string> cone;
   std::vector<const ir::Function*> work;
   for (const auto& f : module.functions()) {
-    if (f->name() == fn) work.push_back(f.get());
+    if (f->name() == fn) work.push_back(f);
   }
   while (!work.empty()) {
     const ir::Function* f = work.back();
     work.pop_back();
-    if (!cone.insert(f->name()).second) continue;
+    if (!cone.emplace(f->name()).second) continue;
     for (const ir::Function* caller : graph.callers(f)) {
       work.push_back(caller);
     }

@@ -857,7 +857,8 @@ class TaintPoolTest : public testing::Test {
   TaintPoolTest() {
     for (int i = 0; i < 3; ++i) {
       loads_.push_back(std::make_unique<ir::Instruction>(
-          ir::Opcode::kLoad, nullptr, ir::SourceLocation{}));
+          ir::Opcode::kLoad, nullptr, ir::SourceLocation{},
+          std::pmr::get_default_resource()));
     }
   }
 
